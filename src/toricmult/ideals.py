@@ -2,8 +2,11 @@
 
 Minimal generating sets are kept as lex-sorted antichains under divisibility
 (w divides w' when w' - w stays in the exponent cone). Integral closures and
-multiplier ideals are produced by one shared enumeration engine that walks a
-sigma-coordinate box around the Newton polyhedron's vertices.
+multiplier ideals are produced by one shared enumeration engine: it takes
+the lattice points of a sigma-coordinate box around the Newton polyhedron's
+vertices from rings.lattice_points_in_box, which walks the lattice itself
+rather than the whole box, keeps those in the region and reduces them to
+minimal generators.
 """
 
 from __future__ import annotations

@@ -162,8 +162,7 @@ def invert(rows: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
 def adjugate_int(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Determinant and adjugate of an integer matrix, so inv = adj / det exactly.
 
-    Returns (det, adj) with adj @ A = det * I. Used to test integrality of
-    solutions without Fraction arithmetic in hot loops.
+    Returns (det, adj) with adj @ A = det * I.
     """
     n = len(rows)
     inv = invert(rows)
@@ -174,6 +173,60 @@ def adjugate_int(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, .
     assert all(e.denominator == 1 for row in adj_entries for e in row)
     adj = tuple(tuple(e.numerator for e in row) for row in adj_entries)
     return det_num, adj
+
+
+def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Lower-triangular column Hermite normal form of a nonsingular integer matrix.
+
+    Returns (H, U) with rows @ U = H, U unimodular, H lower triangular with a
+    positive diagonal and 0 <= H[i][j] < H[i][i] for j < i; so H and rows
+    have the same column lattice. H comes from integer column operations
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4.2), and U
+    from U = rows^-1 @ H = adj @ H / det, a division that must be exact.
+    """
+    n = len(rows)
+    cols = [[rows[i][j] for i in range(n)] for j in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = cols[i][i], cols[j][i]
+            if b == 0:
+                continue
+            g, x, y = _xgcd(a, b)
+            p, q = a // g, b // g
+            ci, cj = cols[i], cols[j]
+            cols[i] = [x * u + y * v for u, v in zip(ci, cj)]
+            cols[j] = [p * v - q * u for u, v in zip(ci, cj)]
+        if cols[i][i] < 0:
+            cols[i] = [-u for u in cols[i]]
+        if cols[i][i] == 0:
+            raise ValueError("matrix is singular")
+        for j in range(i):
+            f = cols[j][i] // cols[i][i]
+            if f:
+                cols[j] = [u - f * v for u, v in zip(cols[j], cols[i])]
+    hnf = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    det, adj = adjugate_int(rows)
+    unimodular = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            q, r = divmod(sum(adj[i][k] * hnf[k][j] for k in range(n)), det)
+            assert r == 0, "rows^-1 @ H must be integral"
+            row.append(q)
+        unimodular.append(tuple(row))
+    return hnf, tuple(unimodular)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        return -a, -x0, -y0
+    return a, x0, y0
 
 
 def _det(rows: Sequence[Sequence]) -> Fraction:

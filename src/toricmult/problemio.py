@@ -158,7 +158,11 @@ def parse_ring(doc) -> ToricRing:
         raise ConfigInvalid("ring.dual_cone_rays must be a nonempty list of integer vectors")
     if len({len(r) for r in rays}) != 1:
         raise ConfigInvalid("ring.dual_cone_rays must all have the same length")
-    return ring_from_dual_rays([parse_point(r, len(rays[0]), "dual cone ray") for r in rays])
+    points = [parse_point(r, len(rays[0]), "dual cone ray") for r in rays]
+    for i, p in enumerate(points):
+        if not any(p):
+            raise ConfigInvalid(f"ring.dual_cone_rays[{i}] is the zero vector")
+    return ring_from_dual_rays(points)
 
 
 def parse_problem(doc) -> Problem:

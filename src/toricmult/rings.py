@@ -4,20 +4,25 @@ A ring is the semigroup algebra of M ∩ C where C is a full-dimensional
 pointed rational cone (the dual of the defining cone sigma). The primitive
 generators of sigma are the facet normals of C; pairing against them is the
 grading used everywhere else in the package.
+
+Lattice points are enumerated in sigma-coordinates, the pairing vectors
+t = (<w, n_i>). Those vectors form the lattice H Z^d, where H is the
+Hermite normal form of a basis of sigma rays, and lattice_points_in_box
+walks that lattice directly: every point it visits is a lattice point, in
+lexicographic order of t (simplicial sigma) or of w (otherwise).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, NotInSemigroup
-from .geometry import LatticePoint, PolyCone, RatPoint, _extreme_rays, as_lattice_point
-from .linalg import adjugate_int, dot, kernel_basis, primitivize
+from .geometry import LatticePoint, PolyCone, RatPoint, as_lattice_point
+from .linalg import dot, hermite_normal_form, kernel_basis, primitivize, rank
 
 
 @dataclass(frozen=True)
@@ -137,51 +142,91 @@ def require_exponent(ring: ToricRing, w: Sequence[int]) -> LatticePoint:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _sigma_solver(ring: ToricRing):
-    """For simplicial sigma: (det, adj) with w = adj @ t / det for t = pairings(w)."""
-    mat = ring.sigma_rays
-    det, adj = adjugate_int(mat)
-    return det, adj
+def _sigma_lattice(ring: ToricRing) -> tuple[tuple[int, ...], tuple, tuple]:
+    """(basis, H, U) for the lattice of sigma-pairing vectors.
+
+    basis indexes the first d linearly independent sigma rays, greedily in
+    sigma-ray order (all of them when sigma is simplicial); with N their
+    matrix, H is the column Hermite normal form of N and U = N^-1 H, so the
+    pairing vectors N w of lattice points w are exactly H k for integer k,
+    with w = U k.
+    """
+    ns = ring.sigma_rays
+    basis: list[int] = []
+    for i, n in enumerate(ns):
+        if rank([ns[j] for j in basis] + [n]) > len(basis):
+            basis.append(i)
+        if len(basis) == ring.dim:
+            break
+    hnf, uni = hermite_normal_form([ns[i] for i in basis])
+    return tuple(basis), hnf, uni
 
 
 def lattice_points_in_box(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tuple[LatticePoint, tuple[int, ...]]]:
     """All lattice w with 0 <= <w, n_i> <= bounds[i] for every sigma ray n_i.
 
-    Yields (w, pairings) pairs. When sigma is simplicial the box is walked in
-    sigma-coordinates and inverted exactly; otherwise integer points of the
-    bounding primal box are enumerated and filtered against all constraints.
-    Deterministic lexicographic order in either coordinate system.
+    Yields (w, pairings) pairs. The walk visits lattice points only: it
+    runs over the integer vectors k with H k inside the box of a basis of
+    sigma rays, where H is the lower-triangular Hermite normal form of their
+    matrix (see _sigma_lattice), and yields w = U k. When sigma is
+    simplicial the pairings come out in lexicographic order; otherwise the
+    points are filtered on the remaining sigma rays and yielded in
+    lexicographic order of w.
     """
     ns = ring.sigma_rays
     if len(bounds) != len(ns):
         raise ValueError("one bound per sigma ray is required")
     if any(b < 0 for b in bounds):
         return
+    basis, hnf, uni = _sigma_lattice(ring)
+    points = _hermite_walk(hnf, uni, [bounds[i] for i in basis])
     if len(ns) == ring.dim:
-        det, adj = _sigma_solver(ring)
-        d = ring.dim
-        for t in itertools.product(*(range(b + 1) for b in bounds)):
-            nums = [sum(adj[i][j] * t[j] for j in range(d)) for i in range(d)]
-            if all(n % det == 0 for n in nums):
-                yield tuple(n // det for n in nums), t
-    else:
-        for w in _primal_box_points(ring, tuple(bounds)):
-            t = ring.pairings(w)
-            if all(0 <= ti <= bi for ti, bi in zip(t, bounds)):
-                yield w, t
+        yield from points
+        return
+    kept = []
+    for w, _ in points:
+        t = ring.pairings(w)
+        if all(0 <= ti <= bi for ti, bi in zip(t, bounds)):
+            kept.append((w, t))
+    kept.sort()
+    yield from kept
 
 
-def _primal_box_points(ring: ToricRing, bounds: tuple[int, ...]) -> Iterator[LatticePoint]:
-    d = ring.dim
-    rows = [n + (0,) for n in ring.sigma_rays]
-    rows += [tuple(-a for a in n) + (b,) for n, b in zip(ring.sigma_rays, bounds)]
-    rows.append((0,) * d + (1,))
-    rays = _extreme_rays(rows, d + 1)
-    verts = [tuple(Fraction(a, r[d]) for a in r[:d]) for r in rays if r[d] > 0]
-    assert all(r[d] > 0 for r in rays), "constraint region must be bounded"
-    los = [min(floor(v[j]) for v in verts) for j in range(d)]
-    his = [max(ceil(v[j]) for v in verts) for j in range(d)]
-    yield from itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
+def _hermite_walk(hnf, uni, bounds) -> Iterator[tuple[LatticePoint, tuple[int, ...]]]:
+    """(U k, H k) for every integer k with 0 <= (H k)_i <= bounds[i].
+
+    H is lower triangular with a positive diagonal, so once k_0..k_{i-1} are
+    fixed, (H k)_i is increasing in k_i and bounds k_i to a range; walking
+    k lexicographically walks H k lexicographically. The last coordinate is
+    emitted as arithmetic progressions, one run per prefix.
+    """
+    d = len(hnf)
+    last = d - 1
+    hcols = [tuple(row[j] for row in hnf) for j in range(d)]
+    ucols = [tuple(row[j] for row in uni) for j in range(d)]
+
+    def prefixes(i, t, w):
+        if i == last:
+            yield t, w
+            return
+        h = hnf[i][i]
+        for k in range(-(t[i] // h), (bounds[i] - t[i]) // h + 1):
+            yield from prefixes(
+                i + 1,
+                [a + k * c for a, c in zip(t, hcols[i])],
+                [a + k * c for a, c in zip(w, ucols[i])],
+            )
+
+    h, b, ulast = hnf[last][last], bounds[last], ucols[last]
+    for t, w in prefixes(0, [0] * d, [0] * d):
+        lo, hi = -(t[last] // h), (b - t[last]) // h
+        n = hi - lo + 1
+        if n <= 0:
+            continue
+        ws = [range(a + lo * u, a + (hi + 1) * u, u) if u else repeat(a, n) for a, u in zip(w, ulast)]
+        ts = [repeat(a, n) for a in t[:last]]
+        ts.append(range(t[last] + lo * h, t[last] + (hi + 1) * h, h))
+        yield from zip(zip(*ws), zip(*ts))
 
 
 def semigroup_points(ring: ToricRing, bound: int) -> list[LatticePoint]:

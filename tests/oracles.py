@@ -1,11 +1,11 @@
 """Slow, independent re-computations that the test suite checks the library against.
 
 Everything here is deliberately naive: Fourier-Motzkin projection for half-space
-descriptions, parallelepiped grid scans for generator sets, 90-degree rotations
-for two-dimensional dual cones, and Gaussian elimination over `Fraction` for the
-few matrix inverses involved.  None of it shares code with the library's
-double-description engine or its box walker, so agreement is evidence rather
-than tautology.
+descriptions, parallelepiped grid scans for generator sets, a filtered walk of
+the whole sigma-coordinate box, 90-degree rotations for two-dimensional dual
+cones, and Gaussian elimination over `Fraction` for the few matrix inverses
+involved.  None of it shares code with the library's double-description engine
+or its lattice walker, so agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -182,6 +182,33 @@ def box_points(sigma_rays, bounds):
         if all(0 <= dot(w, s) <= b for s, b in zip(sigma_rays, bounds)):
             out.append(w)
     return out
+
+
+def sigma_box_walk(sigma_rays, bounds):
+    """(w, t) for every lattice w whose pairing vector t = (<w, s_i>) lies in the box.
+
+    Simplicial sigma only. Walks every integer t with 0 <= t_i <= bounds[i] in
+    lexicographic order and keeps those whose exact preimage w = S^-1 t is
+    integral -- the filtered box walk that lattice enumeration must reproduce
+    point for point.
+    """
+    inv = inverse(sigma_rays)
+    out = []
+    for t in itertools.product(*(range(b + 1) for b in bounds)):
+        w = [sum(row[j] * t[j] for j in range(len(t))) for row in inv]
+        if all(c.denominator == 1 for c in w):
+            out.append((tuple(int(c) for c in w), t))
+    return out
+
+
+def det(mat):
+    """Determinant by cofactor expansion along the first row."""
+    if len(mat) == 1:
+        return mat[0][0]
+    return sum(
+        (-1) ** j * mat[0][j] * det([row[:j] + row[j + 1:] for row in mat[1:]])
+        for j in range(len(mat))
+    )
 
 
 def _rank(vectors):

@@ -1,6 +1,7 @@
 """End-to-end command-line coverage, run in-process via main(argv)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +122,21 @@ class TestClosureAndMultiplier:
         assert doc["multiplier_generators"] == [
             [2, 4, 0], [3, 4, 0], [4, 4, 0], [7, 5, 1], [8, 5, 1]
         ]
+
+
+    def test_large_determinant_multiplier_is_frozen(self, capsys, tmp_path):
+        # sigma rays (0,1), (200,-1): det 200, so the sigma box around x^200 y
+        # holds about 200 times more points than the lattice does
+        problem = tmp_path / "skewed.json"
+        problem.write_text(json.dumps({
+            "ring": {"dual_cone_rays": [[1, 0], [1, 200]]},
+            "ideals": {"a": [[200, 1]]},
+        }))
+        code, out, _ = run(
+            capsys, "multiplier", "--input", str(problem), "--ideals", "a", "--format", "json"
+        )
+        assert code == 0
+        assert out == (Path(__file__).parent / "skewed_multiplier.json").read_text()
 
 
 class TestSubadd:
@@ -271,6 +287,16 @@ class TestErrors:
         code, _, err = run(capsys, "newton", "--input", "/no/such/file.json", "--ideals", "a")
         assert code == 2
         assert "cannot read" in err
+
+    def test_zero_dual_ray_is_an_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "zero_ray.json"
+        bad.write_text(json.dumps({
+            "ring": {"dual_cone_rays": [[0, 0], [1, 1]]},
+            "ideals": {"a": [[1, 1]]},
+        }))
+        code, out, err = run(capsys, "closure", "--input", str(bad), "--ideals", "a")
+        assert code == 2 and out == ""
+        assert err == "error: ring.dual_cone_rays[0] is the zero vector\n"
 
     def test_argparse_usage_errors(self, capsys, paths):
         code, _, _ = run(capsys, "newton", "--ideals", "a")  # missing --input

@@ -139,6 +139,7 @@ class TestProblemFiles:
             ({"ring": {"dual_cone_rays": []}}, "nonempty list"),
             ({"ring": {"dual_cone_rays": [[1, 0], [1, 2, 0]]}}, "same length"),
             ({"ring": PROBLEM_DOC["ring"], "ideals": {"a": 3}}, "list of generators"),
+            ({"ring": {"dual_cone_rays": [[1, 1], [0, 0]]}}, r"dual_cone_rays\[1\] is the zero vector"),
         ],
     )
     def test_malformed_documents(self, doc, message):
