@@ -7,12 +7,12 @@ exact rationals. All arithmetic is exact; no tolerances anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotFullDimensional, NotInterior, NotPointed
-from .linalg import dot, invert, is_zero, primitivize, rank, solve, vadd, vscale, vsub
+from .linalg import dot, independent_rows, invert, is_zero, primitivize, rank, vadd, vscale, vsub
 
 LatticePoint = tuple[int, ...]
 RatPoint = tuple[Fraction, ...]
@@ -69,15 +69,9 @@ def _extreme_rays(rows: Sequence[LatticePoint], dim: int) -> list[LatticePoint]:
     Rows are inserted in input order after an initial greedy basis; the output
     is primitive and sorted lexicographically.
     """
-    if rank(rows) != dim:
+    basis_idx = independent_rows(rows)
+    if len(basis_idx) != dim:
         raise ValueError("rows do not span the ambient space")
-
-    basis_idx: list[int] = []
-    for i in range(len(rows)):
-        if rank([rows[j] for j in basis_idx] + [rows[i]]) > len(basis_idx):
-            basis_idx.append(i)
-        if len(basis_idx) == dim:
-            break
     basis = [rows[i] for i in basis_idx]
     inv = invert(basis)
 
@@ -169,6 +163,7 @@ class PolyCone:
         return PolyCone(dim, tuple(extreme), tuple(normals))
 
     def dual(self) -> "PolyCone":
+        """Dual cone {y : <x, y> >= 0 for all x in self}. Involutive."""
         return PolyCone(self.dim, self.facet_normals, self.rays)
 
     @property
@@ -181,11 +176,6 @@ class PolyCone:
         if strict:
             return all(dot(f, x) > 0 for f in self.facet_normals)
         return all(dot(f, x) >= 0 for f in self.facet_normals)
-
-
-def dual_cone(c: PolyCone) -> PolyCone:
-    """Dual cone {y : <x, y> >= 0 for all x in c}. Involutive on valid cones."""
-    return c.dual()
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +274,6 @@ def membership(p: NewtonPolyhedron, x: Sequence, relative_interior: bool = False
             tight.append(h)
     contained = not violated and (not relative_interior or not tight)
     return MembershipReport(contained, relative_interior, tuple(pairings), tuple(violated), tuple(tight))
-
-
-def poly_contains(p: NewtonPolyhedron, x: Sequence, relative_interior: bool = False) -> MembershipReport:
-    return membership(p, x, relative_interior)
 
 
 def relint_certificate(p: NewtonPolyhedron, x: Sequence) -> ConvexCertificate:

@@ -1,16 +1,18 @@
-"""Exact rational linear algebra on tuples of ints and Fractions.
+"""Exact linear algebra on small dense integer matrices.
 
-Everything here is small and dense; matrices are tuples of row tuples. All
-arithmetic is exact (Python ints and fractions.Fraction), no tolerances.
+Matrices are sequences of row tuples. rank, kernel_basis, invert and
+adjugate_int all read their answer off one fraction-free integer
+elimination (_echelon), whose every division is exact. rank, kernel_basis
+and primitivize also take Fraction rows, scaled to integer rows first;
+Fraction appears otherwise only in what invert and kernel_basis return. No
+floats and no tolerances anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
-
-Vec = tuple  # tuple of int or Fraction
 
 
 def dot(u: Sequence, v: Sequence):
@@ -38,141 +40,106 @@ def primitivize(u: Sequence) -> tuple[int, ...]:
 
     The direction is preserved (never negated). Raises on the zero vector.
     """
-    fracs = [Fraction(a) for a in u]
-    if all(f == 0 for f in fracs):
+    ints = _integral(u)
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-    ints = [int(f * denom_lcm) for f in fracs]
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
     return tuple(a // g for a in ints)
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a matrix given as a sequence of rows, by fraction-free elimination."""
-    m = [[Fraction(a) for a in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [a * inv for a in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
+def _integral(u: Sequence) -> Sequence[int]:
+    """u scaled by the lcm of its denominators: integers on the same ray."""
+    if all(isinstance(a, int) for a in u):
+        return u
+    fracs = [Fraction(a) for a in u]
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs]
 
 
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
-    """Solve A x = b exactly. Returns one solution, or None if inconsistent.
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss).
 
-    If the system is underdetermined the free variables are set to zero.
+    Returns (m, pivots, sign). Each step replaces every other row by
+    (p * row - row[col] * pivot_row) / prev, with p the new pivot and prev the
+    one before it (1 at first). Every entry stays a minor of the input
+    (Sylvester's identity), so each division is exact. At the end row i < rank
+    holds d on column pivots[i] and d times the reduced row echelon form
+    elsewhere, where d is the last pivot; the other rows are zero. sign is the
+    parity of the row swaps, so a nonsingular square matrix has det = sign * d.
     """
-    m = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
+    m = [list(row) for row in rows]
     pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [a * inv for a in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
+    sign, prev = 1, 1
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
         if r == len(m):
             break
-    for i in range(r, len(m)):
-        if m[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = m[i][ncols]
-    return tuple(x)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[col]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[col]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        pivots.append(col)
+        prev = p
+    return m, pivots, sign
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Rank of a matrix given as a sequence of int or Fraction rows."""
+    return len(_echelon([_integral(row) for row in rows])[1])
+
+
+def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Indices of the greedy basis: each row not in the span of those before it."""
+    return _echelon(list(zip(*rows)))[1]
 
 
 def kernel_basis(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel {x : A x = 0}, exact."""
-    m = [[Fraction(a) for a in row] for row in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [a * inv for a in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of the right kernel {x : A x = 0}, exact.
+
+    One vector per free column f, with x[f] = 1 and the pivot entries read
+    from the reduced rows.
+    """
+    m, pivots, _ = _echelon([_integral(row) for row in rows])
+    ncols = len(m[0]) if m else 0
+    d = m[0][pivots[0]] if pivots else 1
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for i, col in enumerate(pivots):
-            vec[col] = -m[i][f]
+            vec[col] = Fraction(-m[i][f], d)
         basis.append(tuple(vec))
     return basis
 
 
-def invert(rows: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a square matrix. Raises ValueError if singular."""
-    n = len(rows)
-    m = [[Fraction(a) for a in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [a * inv for a in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
+def invert(rows: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse adj / det of a square integer matrix. Raises ValueError if singular."""
+    det, adj = adjugate_int(rows)
+    return tuple(tuple(Fraction(a, det) for a in row) for row in adj)
 
 
 def adjugate_int(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Determinant and adjugate of an integer matrix, so inv = adj / det exactly.
 
-    Returns (det, adj) with adj @ A = det * I.
+    Returns (det, adj) with adj @ A = det * I. Eliminating [A | I] leaves
+    [d I | d A^-1] with d = sign * det(A). Raises ValueError if singular.
     """
     n = len(rows)
-    inv = invert(rows)
-    det_f = _det(rows)
-    assert det_f.denominator == 1
-    det_num = det_f.numerator
-    adj_entries = [[inv[i][j] * det_num for j in range(n)] for i in range(n)]
-    assert all(e.denominator == 1 for row in adj_entries for e in row)
-    adj = tuple(tuple(e.numerator for e in row) for row in adj_entries)
-    return det_num, adj
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    m, pivots, sign = _echelon([list(row) + unit for row, unit in zip(rows, eye)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return sign * m[0][0], tuple(tuple(sign * a for a in row[n:]) for row in m)
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
@@ -228,23 +195,3 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
         return -a, -x0, -y0
     return a, x0, y0
 
-
-def _det(rows: Sequence[Sequence]) -> Fraction:
-    m = [[Fraction(a) for a in row] for row in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        m[col] = [a * inv for a in m[col]]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[col])]
-    return det

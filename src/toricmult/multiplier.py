@@ -14,7 +14,7 @@ from .errors import NotQGorenstein, ZeroIdeal
 from .geometry import MembershipReport, NewtonPolyhedron, RatPoint, membership
 from .ideals import MonomialIdeal, newton_polyhedron, region_minimal_generators
 from .linalg import vadd
-from .rings import require_exponent
+from .rings import ToricRing, require_exponent
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,8 @@ class MultiplierResult:
     region: NewtonPolyhedron
 
 
-def _canonical_shift(a: MonomialIdeal) -> RatPoint:
-    u0 = a.ring.canonical_shift()
+def _canonical_shift(ring: ToricRing) -> RatPoint:
+    u0 = ring.canonical_shift()
     if u0 is None:
         raise NotQGorenstein("ring has no canonical point; multiplier ideals are undefined")
     return u0
@@ -35,7 +35,7 @@ def _canonical_shift(a: MonomialIdeal) -> RatPoint:
 
 def multiplier_ideal(a: MonomialIdeal) -> MultiplierResult:
     """The multiplier ideal J(a), by enumeration of the shifted interior region."""
-    u0 = _canonical_shift(a)
+    u0 = _canonical_shift(a.ring)
     if a.is_zero:
         raise ZeroIdeal("the multiplier ideal of the zero ideal is undefined")
     poly = newton_polyhedron(a)
@@ -45,7 +45,7 @@ def multiplier_ideal(a: MonomialIdeal) -> MultiplierResult:
 
 def multiplier_membership(a: MonomialIdeal, w: Sequence[int]) -> MembershipReport:
     """Does x^w belong to J(a)? Reports the exact pairing against every facet."""
-    u0 = _canonical_shift(a)
+    u0 = _canonical_shift(a.ring)
     if a.is_zero:
         raise ZeroIdeal("the multiplier ideal of the zero ideal is undefined")
     p = require_exponent(a.ring, w)

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, NotInSemigroup
 from .geometry import LatticePoint, PolyCone, RatPoint, as_lattice_point
-from .linalg import dot, hermite_normal_form, kernel_basis, primitivize, rank
+from .linalg import dot, hermite_normal_form, independent_rows, kernel_basis, primitivize
 
 
 @dataclass(frozen=True)
@@ -109,14 +109,6 @@ def _q_gorenstein_datum(cone: PolyCone) -> tuple[LatticePoint, int] | None:
     return w0, int(r)
 
 
-def gorenstein_point(ring: ToricRing) -> LatticePoint | None:
-    return ring.gorenstein_point()
-
-
-def q_gorenstein_data(ring: ToricRing) -> tuple[LatticePoint, int] | None:
-    return ring.q_gorenstein
-
-
 def semigroup_contains(ring: ToricRing, w: Sequence[int]) -> SemigroupReport:
     """Is x^w a monomial of the ring, i.e. does w pair >= 0 with every sigma ray?"""
     p = as_lattice_point(w)
@@ -152,14 +144,9 @@ def _sigma_lattice(ring: ToricRing) -> tuple[tuple[int, ...], tuple, tuple]:
     with w = U k.
     """
     ns = ring.sigma_rays
-    basis: list[int] = []
-    for i, n in enumerate(ns):
-        if rank([ns[j] for j in basis] + [n]) > len(basis):
-            basis.append(i)
-        if len(basis) == ring.dim:
-            break
+    basis = tuple(independent_rows(ns))
     hnf, uni = hermite_normal_form([ns[i] for i in basis])
-    return tuple(basis), hnf, uni
+    return basis, hnf, uni
 
 
 def lattice_points_in_box(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tuple[LatticePoint, tuple[int, ...]]]:

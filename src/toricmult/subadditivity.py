@@ -21,13 +21,12 @@ from .errors import (
     ConfigInvalid,
     NotDimension2,
     NotInMultiplierIdeal,
-    NotQGorenstein,
     RecipeInvalid,
-    RingMismatch,
 )
 from .geometry import LatticePoint, MembershipReport, RatPoint, hull_plus_cone, membership
 from .ideals import (
     MonomialIdeal,
+    _same_ring,
     contains_monomial,
     ideal_sum,
     integral_closure,
@@ -36,7 +35,7 @@ from .ideals import (
     product,
 )
 from .linalg import dot, vadd, vsub
-from .multiplier import multiplier_ideal
+from .multiplier import _canonical_shift, multiplier_ideal
 from .rings import (
     ToricRing,
     lattice_points_in_box,
@@ -165,17 +164,9 @@ class SearchHit:
     verdict: SubadditivityVerdict
 
 
-def _shift(ring: ToricRing) -> RatPoint:
-    u0 = ring.canonical_shift()
-    if u0 is None:
-        raise NotQGorenstein("ring has no canonical point; multiplier ideals are undefined")
-    return u0
-
-
 def check_subadditivity(a: MonomialIdeal, b: MonomialIdeal) -> SubadditivityVerdict:
     """Compare J(ab) against J(a)·J(b) generator by generator."""
-    if a.ring != b.ring:
-        raise RingMismatch("ideals live in different rings")
+    _same_ring(a, b)
     m_ab = multiplier_ideal(product(a, b))
     j_a = multiplier_ideal(a).ideal
     j_b = multiplier_ideal(b).ideal
@@ -228,12 +219,10 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
     The remainder membership is re-verified exactly and returned. Only for
     two-dimensional rings.
     """
-    ring = a.ring
-    if a.ring != b.ring:
-        raise RingMismatch("ideals live in different rings")
+    ring = _same_ring(a, b)
     if ring.dim != 2:
         raise NotDimension2(f"boundary-walk decomposition needs dimension 2, not {ring.dim}")
-    u0 = _shift(ring)
+    u0 = _canonical_shift(ring)
     pt = require_exponent(ring, p)
     poly = newton_polyhedron(product(a, b))
     x = vadd(pt, u0)
@@ -272,10 +261,8 @@ def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> R
     sound: both interiors lie in σ^∨, so each summand has nonnegative sigma
     pairings and the pairings add up to those of v + u0.
     """
-    ring = a.ring
-    if a.ring != b.ring:
-        raise RingMismatch("ideals live in different rings")
-    u0 = _shift(ring)
+    ring = _same_ring(a, b)
+    u0 = _canonical_shift(ring)
     target = require_exponent(ring, v)
     poly_a = newton_polyhedron(a)
     poly_b = newton_polyhedron(b)

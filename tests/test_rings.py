@@ -13,9 +13,7 @@ from oracles import box_points, det, sigma_box_walk
 from toricmult.errors import DimensionMismatch, NotFullDimensional, NotInSemigroup
 from toricmult.linalg import hermite_normal_form
 from toricmult.rings import (
-    gorenstein_point,
     lattice_points_in_box,
-    q_gorenstein_data,
     require_exponent,
     ring_from_dual_rays,
     semigroup_contains,
@@ -49,15 +47,15 @@ class TestCanonicalData:
     def test_gorenstein_rings_expose_an_integral_point(self):
         orthant = ring_from_dual_rays(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         assert orthant.is_gorenstein
-        assert gorenstein_point(orthant) == (1, 1, 1)
+        assert orthant.gorenstein_point() == (1, 1, 1)
         square = ring_from_dual_rays(((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)))
-        assert gorenstein_point(square) == (0, 0, 1)
+        assert square.gorenstein_point() == (0, 0, 1)
 
     def test_index_three_ring_is_q_gorenstein_only(self):
         ring = ring_from_dual_rays(((1, 0), (1, 3)))
         assert not ring.is_gorenstein
-        assert gorenstein_point(ring) is None
-        assert q_gorenstein_data(ring) == ((2, 3), 3)
+        assert ring.gorenstein_point() is None
+        assert ring.q_gorenstein == ((2, 3), 3)
         assert ring.canonical_shift() == (Fraction(2, 3), Fraction(1))
 
     def test_canonical_point_pairs_to_one_on_every_sigma_ray(self):
@@ -70,7 +68,7 @@ class TestCanonicalData:
     def test_inconsistent_facet_system_has_no_canonical_point(self):
         ring = ring_from_dual_rays(NOT_Q_GORENSTEIN_DUAL_RAYS)
         assert ring.canonical_shift() is None
-        assert q_gorenstein_data(ring) is None
+        assert ring.q_gorenstein is None
         assert not ring.is_gorenstein
 
 
