@@ -15,12 +15,34 @@ from pathlib import Path
 
 import pytest
 
+from instances import NOT_Q_GORENSTEIN_DUAL_RAYS, POOL
 from test_cli import PROBLEM, PROBLEM_2D, SEARCH_CONFIG
 from toricmult.cli import main
 
 GOLDEN = Path(__file__).parent / "golden_cli.json"
 
-DOCS = {"problem": PROBLEM, "problem2d": PROBLEM_2D, "config": SEARCH_CONFIG}
+
+def _ring_doc(dual_rays):
+    """Ideals a = <2 r0, r1 + rl> and b = <r0 + r1, 2 rl> from the dual rays r."""
+    r0, r1, rl = dual_rays[0], dual_rays[1], dual_rays[-1]
+    return {
+        "ring": {"dual_cone_rays": [list(r) for r in dual_rays]},
+        "ideals": {
+            "a": [[2 * c for c in r0], [x + y for x, y in zip(r1, rl)]],
+            "b": [[x + y for x, y in zip(r0, r1)], [2 * c for c in rl]],
+        },
+    }
+
+
+POOL_DOCS = {name: _ring_doc(dual) for name, dual, _, _ in POOL}
+
+DOCS = {
+    "problem": PROBLEM,
+    "problem2d": PROBLEM_2D,
+    "config": SEARCH_CONFIG,
+    **POOL_DOCS,
+    "not-q-gorenstein": _ring_doc(NOT_Q_GORENSTEIN_DUAL_RAYS),
+}
 
 # (case name, argv with {doc} placeholders for the input files)
 CASES = [
@@ -40,6 +62,16 @@ CASES = [
      ["refute", "--input", "{problem2d}", "--ideals", "i", "j", "--target", "14,11"]),
     ("verify-paper", ["verify-paper"]),
     ("search config", ["search", "--input", "{config}"]),
+    *(
+        (f"{cmd} {doc} {name}", [cmd, "--input", f"{{{doc}}}", "--ideals", name])
+        for doc in POOL_DOCS
+        for cmd in ("newton", "closure", "multiplier")
+        for name in ("a", "b")
+    ),
+    *((f"subadd {doc} a b", ["subadd", "--input", f"{{{doc}}}", "--ideals", "a", "b"]) for doc in POOL_DOCS),
+    # no canonical point: refused with exit 2 and nothing on stdout
+    ("multiplier not-q-gorenstein a",
+     ["multiplier", "--input", "{not-q-gorenstein}", "--ideals", "a"]),
 ]
 
 
