@@ -106,7 +106,7 @@ def _fmt(w) -> str:
 
 
 def _facet_pairs(poly) -> tuple[tuple[tuple[int, ...], int], ...]:
-    return tuple((h.normal, int(h.offset)) for h in poly.facets)
+    return tuple((h.normal, h.offset) for h in poly.facets)
 
 
 def _facet_check(name: str, poly, expected) -> Check:
@@ -229,7 +229,7 @@ def verification_checklist(expected_facets: FacetExpectations | None = None) -> 
         excluded = not rep.contained
         exclusions_ok = exclusions_ok and excluded
         reasons = [f"{_fmt(h.normal)}·w = {v} < {h.offset}" for h, v in rep.pairings if v < h.offset]
-        reasons += [f"{_fmt(h.normal)}·w = {int(h.offset)} exactly" for h in rep.tight]
+        reasons += [f"{_fmt(h.normal)}·w = {h.offset} exactly" for h in rep.tight]
         exclusion_bits.append(
             f"{_fmt(point)} ∉ relint {label} ({'; '.join(reasons)})"
             if excluded

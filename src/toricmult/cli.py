@@ -104,7 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--cap", type=int, metavar="N",
                         help="override the candidate cap (max_candidates)")
     search.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="parallel candidate evaluation (results are order-stable)")
+                        help="accepted for compatibility; candidates are always evaluated "
+                             "serially, so N never changes the work or the output")
     return parser
 
 

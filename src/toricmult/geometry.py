@@ -1,8 +1,10 @@
 """Exact convex geometry: rational cones, Newton polyhedra, certificates.
 
 V-representations (generating points and rays) are converted to
-H-representations (facet halfspaces) with the double description method over
-exact rationals. All arithmetic is exact; no tolerances anywhere.
+H-representations (facet halfspaces) with the double description method on
+primitive integer rays, so every facet normal and offset is an integer.
+Fractions enter only with rational points such as w + u0 and convex
+certificates. All arithmetic is exact; no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -34,24 +36,18 @@ def as_rat_point(p: Sequence) -> RatPoint:
 
 @dataclass(frozen=True)
 class Halfspace:
-    """The set of x with <normal, x> >= offset (or > offset when strict).
+    """The set of x with <normal, x> >= offset.
 
-    The normal is a primitive integer vector; the offset is an exact rational.
+    The normal is a primitive integer vector and the offset an integer: every
+    facet of a Newton polyhedron holds a lattice vertex. value(x) is an int
+    for a lattice point and an exact Fraction for a rational one.
     """
 
     normal: LatticePoint
-    offset: Fraction
-    strict: bool = False
+    offset: int
 
-    def value(self, x: Sequence) -> Fraction:
-        return Fraction(dot(self.normal, x))
-
-    def satisfied(self, x: Sequence) -> bool:
-        v = self.value(x)
-        return v > self.offset if self.strict else v >= self.offset
-
-    def as_strict(self) -> "Halfspace":
-        return Halfspace(self.normal, self.offset, True)
+    def value(self, x: Sequence) -> int | Fraction:
+        return dot(self.normal, x)
 
 
 def _sort_key(h: Halfspace):
@@ -65,13 +61,14 @@ def _sort_key(h: Halfspace):
 def _extreme_rays(rows: Sequence[LatticePoint], dim: int) -> list[LatticePoint]:
     """Extreme rays of the cone dual to the given generators.
 
-    Requires the rows to span the ambient space, so the result is pointed.
-    Rows are inserted in input order after an initial greedy basis; the output
-    is primitive and sorted lexicographically.
+    Requires the rows to span the ambient space, so the result is pointed;
+    raises NotFullDimensional otherwise. Rows are inserted in input order
+    after an initial greedy basis; the output is primitive and sorted
+    lexicographically.
     """
     basis_idx = independent_rows(rows)
     if len(basis_idx) != dim:
-        raise ValueError("rows do not span the ambient space")
+        raise NotFullDimensional(f"cone spans only {len(basis_idx)} of {dim} dimensions")
     basis = [rows[i] for i in basis_idx]
     inv = invert(basis)
 
@@ -154,21 +151,17 @@ class PolyCone:
             p = primitivize(r)
             if p not in prim:
                 prim.append(p)
-        if rank(prim) != dim:
-            raise NotFullDimensional(f"cone spans only {rank(prim)} of {dim} dimensions")
         normals = _extreme_rays(prim, dim)
-        if rank(normals) != dim:
-            raise NotPointed("cone contains a line")
-        extreme = _extreme_rays(normals, dim)
+        try:
+            # the facet normals span exactly when the cone has no line
+            extreme = _extreme_rays(normals, dim)
+        except NotFullDimensional:
+            raise NotPointed("cone contains a line") from None
         return PolyCone(dim, tuple(extreme), tuple(normals))
 
     def dual(self) -> "PolyCone":
         """Dual cone {y : <x, y> >= 0 for all x in self}. Involutive."""
         return PolyCone(self.dim, self.facet_normals, self.rays)
-
-    @property
-    def facets(self) -> tuple[Halfspace, ...]:
-        return tuple(Halfspace(f, Fraction(0)) for f in self.facet_normals)
 
     def contains(self, x: Sequence, strict: bool = False) -> bool:
         if len(x) != self.dim:
@@ -188,7 +181,7 @@ class MembershipReport:
 
     contained: bool
     strict: bool
-    pairings: tuple[tuple[Halfspace, Fraction], ...]
+    pairings: tuple[tuple[Halfspace, int | Fraction], ...]
     violated: tuple[Halfspace, ...]
     tight: tuple[Halfspace, ...]
 
@@ -205,7 +198,7 @@ class ConvexCertificate:
 class NewtonPolyhedron:
     """conv(points) + recession cone, always full-dimensional.
 
-    facets is the irredundant list of non-strict halfspaces, sorted by
+    facets is the irredundant list of halfspaces, sorted by
     (normal, offset); vertices is the subset of points that are vertices.
     """
 
@@ -244,7 +237,7 @@ def hull_plus_cone(points: Iterable[Sequence[int]], recession: PolyCone) -> Newt
         f, c = ray[:dim], ray[dim]
         if is_zero(f):
             continue
-        facets.append(Halfspace(f, Fraction(-c)))
+        facets.append(Halfspace(f, -c))
     facets.sort(key=_sort_key)
 
     vertices = []
@@ -261,12 +254,11 @@ def membership(p: NewtonPolyhedron, x: Sequence, relative_interior: bool = False
     """Exact containment report for x against every facet of p."""
     if len(x) != p.dim:
         raise DimensionMismatch(f"point of dimension {len(x)} in polyhedron of dimension {p.dim}")
-    xs = as_rat_point(x)
     pairings = []
     violated = []
     tight = []
     for h in p.facets:
-        v = h.value(xs)
+        v = h.value(x)
         pairings.append((h, v))
         if v < h.offset:
             violated.append(h)

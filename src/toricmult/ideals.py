@@ -12,7 +12,6 @@ minimal generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import floor
 from typing import Iterable, Sequence
@@ -131,16 +130,13 @@ def region_minimal_generators(
     maxvert = [max(dot(v, n) for v in poly.vertices) for n in ns]
     slack = [sum(dot(r, n) for r in ring.dual_rays) for n in ns]
 
-    # integer thresholds: facet offsets are integral (every facet holds a
-    # lattice vertex), so membership tests reduce to integer comparisons
+    # integer thresholds: <f, w> >= offset, or <f, w + u0> > offset
     tests = []
     for h in poly.facets:
         if shift is None:
-            assert h.offset.denominator == 1
-            tests.append((h.normal, h.offset.numerator))
+            tests.append((h.normal, h.offset))
         else:
-            bar = h.offset - Fraction(dot(h.normal, shift))
-            tests.append((h.normal, floor(bar) + 1))
+            tests.append((h.normal, floor(h.offset - dot(h.normal, shift)) + 1))
 
     for _ in range(8):
         off = 0 if shift is None else 1

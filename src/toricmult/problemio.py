@@ -261,8 +261,7 @@ def rat_point_json(p: Sequence) -> list[str]:
 
 
 def halfspace_json(h: Halfspace) -> dict:
-    assert h.offset.denominator == 1, "facet offsets are integral by construction"
-    return {"normal": point_json(h.normal), "offset": int(h.offset)}
+    return {"normal": point_json(h.normal), "offset": h.offset}
 
 
 def ring_json(ring: ToricRing) -> dict:

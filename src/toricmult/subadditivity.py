@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -386,9 +385,10 @@ def _evaluate(recipe: ConstructionRecipe) -> SearchHit | None:
 def search_counterexamples(config: SearchConfig, threads: int = 1) -> tuple[SearchHit, ...]:
     """Evaluate explicit recipes, then enumerated ones, deterministically.
 
-    The result order depends only on the config (including its seed), never
-    on the thread count: candidates are evaluated as pure functions and
-    collected in enumeration order.
+    Candidates are evaluated one after another in enumeration order, so the
+    result depends only on the config (including its seed). threads is
+    accepted and validated but does not change how the work runs: threads
+    would only contend for the interpreter lock.
     """
     if config.dim < 1:
         raise ConfigInvalid("base dimension must be at least 1")
@@ -415,9 +415,4 @@ def search_counterexamples(config: SearchConfig, threads: int = 1) -> tuple[Sear
         i_prime, j_prime, rs = gap_cache[key]
         recipes.extend(ConstructionRecipe(ring, i_prime, j_prime, r, z) for r in rs)
 
-    if threads == 1:
-        results = map(_evaluate, recipes)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_evaluate, recipes))
-    return tuple(hit for hit in results if hit is not None)
+    return tuple(hit for hit in map(_evaluate, recipes) if hit is not None)

@@ -77,7 +77,7 @@ def conclude(number, checks):
 
 
 def facet_pairs(poly):
-    return tuple((h.normal, int(h.offset)) for h in poly.facets)
+    return tuple((h.normal, h.offset) for h in poly.facets)
 
 
 def normals(halfspaces):

@@ -68,7 +68,10 @@ CASES = [
         for cmd in ("newton", "closure", "multiplier")
         for name in ("a", "b")
     ),
-    *((f"subadd {doc} a b", ["subadd", "--input", f"{{{doc}}}", "--ideals", "a", "b"]) for doc in POOL_DOCS),
+    *(
+        (f"subadd {doc} a b", ["subadd", "--input", f"{{{doc}}}", "--ideals", "a", "b"])
+        for doc in POOL_DOCS
+    ),
     # no canonical point: refused with exit 2 and nothing on stdout
     ("multiplier not-q-gorenstein a",
      ["multiplier", "--input", "{not-q-gorenstein}", "--ideals", "a"]),

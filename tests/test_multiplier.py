@@ -61,7 +61,7 @@ class TestCounterexampleInstance:
         a, _ = pair
         report = multiplier_membership(a, (7, 5, 0))
         assert not report.contained
-        assert [(h.normal, int(h.offset)) for h in report.tight] == [((-1, 2, 2), 6)]
+        assert [(h.normal, h.offset) for h in report.tight] == [((-1, 2, 2), 6)]
 
     def test_membership_violation_value_is_exact(self, pair):
         _, b = pair
@@ -95,6 +95,12 @@ class TestOracleEquivalence:
         i = monomial_ideal(ring, ((2, 0), (2, 6)))
         expected = multiplier_scan(i.gens, ring.dual_rays, ring.sigma_rays, ring.canonical_shift())
         assert multiplier_ideal(i).ideal.gens == expected
+        # w = (1, 0): w + u0 = (5/3, 1) falls short of the facet <(1, 0), v> >= 2
+        report = multiplier_membership(i, (1, 0))
+        values = {h.normal: v for h, v in report.pairings}
+        assert values == {(0, 1): 1, (1, 0): Fraction(5, 3), (3, -1): 4}
+        assert all(type(v) is Fraction for v in values.values())
+        assert [(h.normal, h.offset) for h in report.violated] == [((1, 0), 2)]
 
 
 class TestStructuralLaws:
