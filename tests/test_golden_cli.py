@@ -34,6 +34,11 @@ def _ring_doc(dual_rays):
     }
 
 
+def _refute_target(dual_rays) -> str:
+    r0, rl = dual_rays[0], dual_rays[-1]
+    return ",".join(str(2 * x + 2 * y) for x, y in zip(r0, rl))
+
+
 POOL_DOCS = {name: _ring_doc(dual) for name, dual, _, _ in POOL}
 
 DOCS = {
@@ -71,6 +76,12 @@ CASES = [
     *(
         (f"subadd {doc} a b", ["subadd", "--input", f"{{{doc}}}", "--ideals", "a", "b"])
         for doc in POOL_DOCS
+    ),
+    # target 2 r0 + 2 rl: the sum of a's first and b's last generator
+    *(
+        (f"refute {doc} a b", ["refute", "--input", f"{{{doc}}}", "--ideals", "a", "b",
+                               "--target", _refute_target(dual)])
+        for doc, (_, dual, _, _) in zip(POOL_DOCS, POOL)
     ),
     # no canonical point: refused with exit 2 and nothing on stdout
     ("multiplier not-q-gorenstein a",
