@@ -201,7 +201,7 @@ def _cmd_refute(args) -> tuple[dict, int]:
         "ideal_a": name_a,
         "ideal_b": name_b,
         "target": point_json(result.target),
-        "bounds": [int(b) for b in result.bounds],
+        "bounds": list(result.bounds),
         "scanned": result.scanned,
         "decompositions": [
             {"alpha": point_json(alpha), "beta": point_json(beta)}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotFullDimensional, NotInterior, NotPointed
@@ -208,9 +209,6 @@ class NewtonPolyhedron:
     vertices: tuple[LatticePoint, ...]
     facets: tuple[Halfspace, ...]
 
-    def contains(self, x: Sequence, relative_interior: bool = False) -> bool:
-        return membership(self, x, relative_interior).contained
-
 
 def hull_plus_cone(points: Iterable[Sequence[int]], recession: PolyCone) -> NewtonPolyhedron:
     """Newton polyhedron conv(points) + recession, via double description.
@@ -266,6 +264,18 @@ def membership(p: NewtonPolyhedron, x: Sequence, relative_interior: bool = False
             tight.append(h)
     contained = not violated and (not relative_interior or not tight)
     return MembershipReport(contained, relative_interior, tuple(pairings), tuple(violated), tuple(tight))
+
+
+def lattice_thresholds(p: NewtonPolyhedron, shift: Sequence | None = None) -> tuple[tuple[LatticePoint, int], ...]:
+    """One (normal, m) per facet of p: a lattice w passes when <w, normal> >= m for all.
+
+    With shift=None, m is the facet offset and passing means w in p. With a
+    shift s, m = floor(offset - <normal, s>) + 1 and passing means w + s is
+    interior to p.
+    """
+    if shift is None:
+        return tuple((h.normal, h.offset) for h in p.facets)
+    return tuple((h.normal, floor(h.offset - dot(h.normal, shift)) + 1) for h in p.facets)
 
 
 def relint_certificate(p: NewtonPolyhedron, x: Sequence) -> ConvexCertificate:

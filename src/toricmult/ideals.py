@@ -1,23 +1,21 @@
 """Monomial ideals of toric rings: closure under the Newton polyhedron.
 
-Minimal generating sets are kept as lex-sorted antichains under divisibility
-(w divides w' when w' - w stays in the exponent cone). Integral closures and
-multiplier ideals are produced by one shared enumeration engine: it takes
-the lattice points of a sigma-coordinate box around the Newton polyhedron's
-vertices from rings.lattice_points_in_box, which walks the lattice itself
-rather than the whole box, keeps those in the region and reduces them to
-minimal generators.
+Minimal generating sets are lex-sorted antichains under divisibility (w
+divides w' when no sigma pairing of w exceeds that of w'), all reduced by one
+routine. Integral closures and multiplier ideals share one enumeration
+engine: it walks the lattice points of a sigma-coordinate box around the
+Newton polyhedron's vertices (rings.lattice_points_in_box) and keeps those
+that pass the integer facet thresholds of geometry.lattice_thresholds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import floor
 from typing import Iterable, Sequence
 
 from .errors import RingMismatch, ZeroIdeal
-from .geometry import LatticePoint, NewtonPolyhedron, RatPoint, hull_plus_cone
+from .geometry import LatticePoint, NewtonPolyhedron, RatPoint, hull_plus_cone, lattice_thresholds
 from .linalg import dot, vadd, vsub
 from .rings import ToricRing, lattice_points_in_box, require_exponent
 
@@ -56,15 +54,23 @@ def monomial_ideal(ring: ToricRing, gens: Iterable[Sequence[int]]) -> MonomialId
 
 def minimalize(ring: ToricRing, gens: Sequence[LatticePoint]) -> tuple[LatticePoint, ...]:
     """Drop generators divisible by another one; sort the survivors."""
-    unique = sorted(set(gens))
-    kept = []
-    for g in unique:
-        divisible = any(
-            other != g and ring.cone.contains(vsub(g, other)) for other in unique
-        )
-        if not divisible:
-            kept.append(g)
-    return tuple(kept)
+    return _antichain((g, ring.pairings(g)) for g in gens)
+
+
+def _antichain(points: Iterable[tuple[LatticePoint, tuple[int, ...]]]) -> tuple[LatticePoint, ...]:
+    """Minimal points of (w, sigma pairings) pairs, lex-sorted.
+
+    The pairing sum strictly increases along divisibility (the sigma rays
+    span), so taken in order of pairing sum, a point is minimal exactly when
+    no point kept before it divides it; a repeat is divided by its first copy.
+    """
+    gens: list[LatticePoint] = []
+    gen_ts: list[tuple[int, ...]] = []
+    for w, t in sorted(points, key=lambda wt: (sum(wt[1]), wt[1])):
+        if not any(all(a <= b for a, b in zip(gt, t)) for gt in gen_ts):
+            gens.append(w)
+            gen_ts.append(t)
+    return tuple(sorted(gens))
 
 
 def _same_ring(a: MonomialIdeal, b: MonomialIdeal) -> ToricRing:
@@ -121,43 +127,19 @@ def region_minimal_generators(
 
     With shift=None the region is {w in the semigroup : w in poly}; with a
     shift u0 it is {w : w + u0 interior to poly}, where u0 pairs to exactly 1
-    with every sigma ray. Candidates are enumerated in a box bounded by the
-    vertex pairings plus a slack; the slack starts at the sum of the dual-ray
-    pairings, which a descent argument proves sufficient, and doubles if the
-    frontier verification ever fails.
+    with every sigma ray. Candidates pair with each sigma ray n to at most
+    the largest vertex pairing plus the slack sum of <r, n> over the dual
+    rays r (minus 1 with the shift). That suffices: write w (or w + u0) as
+    p + sum c_r r, p in the vertex hull, c_r >= 0 (> 0 if interior); beyond
+    the bound some c_r > 1, so w - r is in the region and divides w.
     """
-    ns = ring.sigma_rays
-    maxvert = [max(dot(v, n) for v in poly.vertices) for n in ns]
-    slack = [sum(dot(r, n) for r in ring.dual_rays) for n in ns]
-
-    # integer thresholds: <f, w> >= offset, or <f, w + u0> > offset
-    tests = []
-    for h in poly.facets:
-        if shift is None:
-            tests.append((h.normal, h.offset))
-        else:
-            tests.append((h.normal, floor(h.offset - dot(h.normal, shift)) + 1))
-
-    for _ in range(8):
-        off = 0 if shift is None else 1
-        bounds = tuple(mv + s - off for mv, s in zip(maxvert, slack))
-        members = []
-        for w, t in lattice_points_in_box(ring, bounds):
-            if all(dot(w, f) >= m for f, m in tests):
-                members.append((w, t))
-        members.sort(key=lambda wt: (sum(wt[1]), wt[1]))
-        gens: list[LatticePoint] = []
-        gen_ts: list[tuple[int, ...]] = []
-        for w, t in members:
-            if not any(all(a <= b for a, b in zip(gt, t)) for gt in gen_ts):
-                gens.append(w)
-                gen_ts.append(t)
-        frontier_ok = all(
-            any(all(a <= b for a, b in zip(gt, t)) for gt in gen_ts)
-            for _, t in members
-            if any(ti == bi for ti, bi in zip(t, bounds))
-        )
-        if frontier_ok:
-            return tuple(sorted(gens))
-        slack = [2 * s for s in slack]
-    raise AssertionError("enumeration box failed to stabilize")
+    off = 0 if shift is None else 1
+    bounds = tuple(
+        max(dot(v, n) for v in poly.vertices) + sum(dot(r, n) for r in ring.dual_rays) - off
+        for n in ring.sigma_rays
+    )
+    tests = lattice_thresholds(poly, shift)
+    return _antichain(
+        (w, t) for w, t in lattice_points_in_box(ring, bounds)
+        if all(dot(w, f) >= m for f, m in tests)
+    )

@@ -22,7 +22,7 @@ from .errors import (
     NotInMultiplierIdeal,
     RecipeInvalid,
 )
-from .geometry import LatticePoint, MembershipReport, RatPoint, hull_plus_cone, membership
+from .geometry import LatticePoint, MembershipReport, RatPoint, hull_plus_cone, lattice_thresholds, membership
 from .ideals import (
     MonomialIdeal,
     _same_ring,
@@ -254,27 +254,28 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
 def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> RefutationReport:
     """Scan every candidate splitting v = alpha + beta against the two interiors.
 
-    alpha runs over all lattice points with 0 ≤ ⟨alpha, n⟩ ≤ ⟨v + u0, n⟩ for
+    alpha runs over all lattice points with 0 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ + 1 for
     every sigma ray n; a decomposition is recorded when alpha is interior to
-    N(a) and beta + u0 = (v − alpha) + u0 is interior to N(b). The bounds are
-    sound: both interiors lie in σ^∨, so each summand has nonnegative sigma
-    pairings and the pairings add up to those of v + u0.
+    N(a) and beta + u0 = (v − alpha) + u0 is interior to N(b), both tested on
+    integer facet thresholds. The bounds are sound: both interiors lie in σ^∨,
+    so both summands pair nonnegatively with n, and their pairings add up to
+    ⟨v + u0, n⟩ = ⟨v, n⟩ + 1 (u0 pairs to exactly 1 with every sigma ray).
     """
     ring = _same_ring(a, b)
     u0 = _canonical_shift(ring)
     target = require_exponent(ring, v)
-    poly_a = newton_polyhedron(a)
-    poly_b = newton_polyhedron(b)
-    bounds = tuple(int(dot(vadd(target, u0), n)) for n in ring.sigma_rays)
+    inside_a = lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim)
+    inside_b = lattice_thresholds(newton_polyhedron(b), u0)
+    bounds = tuple(t + 1 for t in ring.pairings(target))
 
     found = []
     scanned = 0
     for alpha, _ in lattice_points_in_box(ring, bounds):
         scanned += 1
-        if not membership(poly_a, alpha, relative_interior=True).contained:
+        if not all(dot(alpha, f) >= m for f, m in inside_a):
             continue
         beta = vsub(target, alpha)
-        if membership(poly_b, vadd(beta, u0), relative_interior=True).contained:
+        if all(dot(beta, f) >= m for f, m in inside_b):
             found.append((alpha, beta))
     return RefutationReport(target, bounds, scanned, tuple(found))
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from oracles import hull_region, sigma_rays_2d
+from oracles import dot, hull_region, sigma_rays_2d
 from instances import POOL, pool_rings, random_2d_dual_rays
 
 from toricmult.errors import (
@@ -18,6 +18,7 @@ from toricmult.geometry import (
     PolyCone,
     affinely_independent,
     hull_plus_cone,
+    lattice_thresholds,
     membership,
     relint_certificate,
     verify_certificate,
@@ -124,6 +125,24 @@ class TestNewtonPolyhedron:
                         membership(poly, w, relative_interior=True).contained
                         == fm.contains(w, strict=True)
                     )
+
+    def test_lattice_thresholds_agree_with_membership_on_pool(self):
+        # shift None tests w itself; the origin tests the interior; u0 tests
+        # w + u0 against the interior, fractionally on the index-three ring
+        rng = random.Random(6150)
+        for _, ring in pool_rings():
+            u0 = ring.canonical_shift()
+            for _ in range(4):
+                poly = hull_plus_cone(_sample_gens(rng, ring), ring.cone)
+                closed = lattice_thresholds(poly)
+                inside = lattice_thresholds(poly, (0,) * ring.dim)
+                shifted = lattice_thresholds(poly, u0)
+                assert all(type(m) is int for _, m in closed + inside + shifted)
+                for w in _sample_box(rng, poly.vertices, ring.dim):
+                    assert all(dot(w, f) >= m for f, m in closed) == membership(poly, w).contained
+                    assert all(dot(w, f) >= m for f, m in inside) == membership(poly, w, True).contained
+                    w_u0 = tuple(c + u for c, u in zip(w, u0))
+                    assert all(dot(w, f) >= m for f, m in shifted) == membership(poly, w_u0, True).contained
 
     def test_membership_agrees_with_fourier_motzkin_in_2d(self):
         rng = random.Random(7)

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from instances import pool_rings, random_2d_ring, random_ideal
-from oracles import closure_scan
+from oracles import closure_scan, minimal_points
 
 from toricmult.errors import NotInSemigroup, RingMismatch, ZeroIdeal
 from toricmult.ideals import (
@@ -21,7 +21,7 @@ from toricmult.ideals import (
     newton_polyhedron,
     product,
 )
-from toricmult.rings import ring_from_dual_rays
+from toricmult.rings import ring_from_dual_rays, semigroup_points
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +45,19 @@ class TestConstruction:
     def test_minimalize_is_idempotent(self, ring):
         gens = ((2, 4, 0), (10, 6, 2))
         assert minimalize(ring, minimalize(ring, gens)) == gens
+
+    def test_minimalize_matches_the_oracle_in_any_input_order(self):
+        rng = random.Random(3307)
+        for _, ring in pool_rings():
+            points = semigroup_points(ring, 7)
+            for _ in range(8):
+                sample = rng.sample(points, rng.randint(1, min(14, len(points))))
+                sample += rng.choices(sample, k=4)  # repeats
+                expected = minimal_points(sample, ring.sigma_rays)
+                assert minimalize(ring, sample) == expected
+                for _ in range(3):
+                    rng.shuffle(sample)
+                    assert minimalize(ring, sample) == expected
 
     def test_exponents_outside_the_semigroup_are_rejected(self, ring):
         with pytest.raises(NotInSemigroup):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from instances import NOT_Q_GORENSTEIN_DUAL_RAYS, pool_rings, random_2d_ring, random_ideal
-from oracles import multiplier_scan
+from oracles import box_points, dot, hull_region, minimal_points, multiplier_scan
 
 from toricmult.errors import NotQGorenstein, ZeroIdeal
 from toricmult.ideals import contains_monomial, ideal_sum, integral_closure, monomial_ideal, product
@@ -101,6 +101,46 @@ class TestOracleEquivalence:
         assert values == {(0, 1): 1, (1, 0): Fraction(5, 3), (3, -1): 4}
         assert all(type(v) is Fraction for v in values.values())
         assert [(h.normal, h.offset) for h in report.violated] == [((1, 0), 2)]
+
+
+def _wide_box_scan(gens, ring, shift=None):
+    """Minimal generators of the closure (shift None) or multiplier region,
+    scanned in a box with three times the enumeration engine's slack."""
+    region = hull_region(gens, ring.dual_rays)
+    bounds = [
+        max(dot(g, s) for g in gens) + 3 * sum(dot(r, s) for r in ring.dual_rays)
+        for s in ring.sigma_rays
+    ]
+    box = box_points(ring.sigma_rays, bounds)
+    if shift is None:
+        hits = [w for w in box if region.contains(w)]
+    else:
+        rows = region.shifted_rows(shift)
+        hits = [w for w in box if all(dot(n, w) > b for n, b in rows)]
+    return minimal_points(hits, ring.sigma_rays)
+
+
+class TestEnumerationSlack:
+    """The engine's box holds every minimal generator: a box three times as
+    wide finds no other (the engine has no retry loop to fall back on)."""
+
+    def test_pool_rings(self):
+        rng = random.Random(9090)
+        for _, ring in pool_rings():
+            for _ in range(2):
+                i = random_ideal(rng, ring, max_gens=3, pairing_bound=5)
+                assert integral_closure(i).gens == _wide_box_scan(i.gens, ring)
+                shift = ring.canonical_shift()
+                assert multiplier_ideal(i).ideal.gens == _wide_box_scan(i.gens, ring, shift)
+
+    def test_random_2d_rings(self):
+        rng = random.Random(5151)
+        for _ in range(20):
+            ring = random_2d_ring(rng, bound=5)
+            i = random_ideal(rng, ring, max_gens=3, pairing_bound=8)
+            assert integral_closure(i).gens == _wide_box_scan(i.gens, ring)
+            shift = ring.canonical_shift()
+            assert multiplier_ideal(i).ideal.gens == _wide_box_scan(i.gens, ring, shift)
 
 
 class TestStructuralLaws:

@@ -1,10 +1,12 @@
 """The subadditivity question: verdicts, 2D decompositions, refutation, search."""
 
+import math
 import random
 
 import pytest
 
-from instances import random_2d_ring, random_ideal
+from instances import pool_rings, random_2d_ring, random_ideal
+from oracles import dot, vadd, vsub
 
 from toricmult.errors import (
     ConfigInvalid,
@@ -19,10 +21,11 @@ from toricmult.ideals import (
     ideal_sum,
     integral_closure,
     monomial_ideal,
+    newton_polyhedron,
     product,
 )
 from toricmult.multiplier import multiplier_ideal
-from toricmult.rings import ring_from_dual_rays
+from toricmult.rings import lattice_points_in_box, ring_from_dual_rays, semigroup_points
 from toricmult.subadditivity import (
     ConstructionRecipe,
     SearchConfig,
@@ -167,6 +170,34 @@ class TestExhaustiveRefutation:
                 v = tuple(int(c + u) for c, u in zip(g, u0))
                 report = exhaustive_refute(v, a, b)
                 assert report.decompositions, (ring.dual_rays, a.gens, b.gens, g)
+
+    def test_matches_a_membership_scan_across_the_pool(self):
+        # the pool has the square cone's non-simplicial walk and the
+        # index-three ring's fractional u0
+        rng = random.Random(8086)
+        split = unsplit = 0
+        for _, ring in pool_rings():
+            u0 = ring.canonical_shift()
+            points = [w for w in semigroup_points(ring, 5) if any(w)]
+            for _ in range(5):
+                a = monomial_ideal(ring, rng.sample(points, 2))
+                b = monomial_ideal(ring, rng.sample(points, 2))
+                na, nb = newton_polyhedron(a), newton_polyhedron(b)
+                v = vadd(vadd(rng.choice(a.gens), rng.choice(b.gens)), rng.choice(points))
+                bounds = tuple(math.floor(dot(vadd(v, u0), n)) for n in ring.sigma_rays)
+                box = list(lattice_points_in_box(ring, bounds))
+                expected = tuple(
+                    (alpha, vsub(v, alpha))
+                    for alpha, _ in box
+                    if membership(na, alpha, relative_interior=True).contained
+                    and membership(nb, vadd(vsub(v, alpha), u0), relative_interior=True).contained
+                )
+                report = exhaustive_refute(v, a, b)
+                assert (report.bounds, report.scanned) == (bounds, len(box))
+                assert report.decompositions == expected
+                split += bool(expected)
+                unsplit += not expected
+        assert split and unsplit
 
     def test_soundness_of_every_reported_pair(self, pair):
         # on a target that does split, each reported pair must re-verify
