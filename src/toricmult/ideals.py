@@ -16,8 +16,12 @@ from typing import Iterable, Sequence
 
 from .errors import RingMismatch, ZeroIdeal
 from .geometry import LatticePoint, NewtonPolyhedron, RatPoint, hull_plus_cone, lattice_thresholds
-from .linalg import dot, vadd, vsub
+from .linalg import dot, vadd
 from .rings import ToricRing, lattice_points_in_box, require_exponent
+
+# Entries kept by each memoized ideal operation (newton_polyhedron,
+# integral_closure, multiplier.multiplier_ideal); see their cache_info().
+CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -94,11 +98,12 @@ def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 def contains_monomial(a: MonomialIdeal, w: Sequence[int]) -> bool:
     """Does x^w lie in the ideal, i.e. does some generator divide w?"""
-    p = require_exponent(a.ring, w)
-    return any(a.ring.cone.contains(vsub(p, g)) for g in a.gens)
+    ring = a.ring
+    t = ring.pairings(require_exponent(ring, w))
+    return any(all(dot(g, n) <= s for n, s in zip(ring.sigma_rays, t)) for g in a.gens)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def newton_polyhedron(a: MonomialIdeal) -> NewtonPolyhedron:
     """conv(generators) + exponent cone. Undefined for the zero ideal."""
     if a.is_zero:
@@ -106,6 +111,7 @@ def newton_polyhedron(a: MonomialIdeal) -> NewtonPolyhedron:
     return hull_plus_cone(a.gens, a.ring.cone)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
     """Lattice points of the Newton polyhedron, as an ideal."""
     if a.is_zero:

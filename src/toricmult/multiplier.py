@@ -8,11 +8,12 @@ pairs to exactly 1 with every sigma ray, integrally so on Gorenstein rings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import NotQGorenstein, ZeroIdeal
 from .geometry import MembershipReport, NewtonPolyhedron, RatPoint, membership
-from .ideals import MonomialIdeal, newton_polyhedron, region_minimal_generators
+from .ideals import CACHE_SIZE, MonomialIdeal, newton_polyhedron, region_minimal_generators
 from .linalg import vadd
 from .rings import ToricRing, require_exponent
 
@@ -33,6 +34,7 @@ def _canonical_shift(ring: ToricRing) -> RatPoint:
     return u0
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def multiplier_ideal(a: MonomialIdeal) -> MultiplierResult:
     """The multiplier ideal J(a), by enumeration of the shifted interior region."""
     u0 = _canonical_shift(a.ring)

@@ -80,13 +80,27 @@ class ToricRing:
         return tuple(dot(w, n) for n in self.sigma_rays)
 
 
+# Distinct rings kept by ring_from_dual_rays; a search meets a few dozen.
+RING_CACHE_SIZE = 64
+
+
 def ring_from_dual_rays(rays: Iterable[Sequence[int]]) -> ToricRing:
     """Build the ring whose exponent cone is generated by the given rays.
 
     Raises NotFullDimensional / NotPointed when the cone is degenerate.
+    Rings are memoized on the tuple of rays (see cache_info()); errors are
+    not, so invalid rays raise on every call.
     """
+    return _ring_from_rays(tuple(as_lattice_point(r) for r in rays))
+
+
+@lru_cache(maxsize=RING_CACHE_SIZE)
+def _ring_from_rays(rays: tuple[LatticePoint, ...]) -> ToricRing:
     cone = PolyCone.from_rays(rays)
     return ToricRing(cone.dim, cone, _q_gorenstein_datum(cone))
+
+
+ring_from_dual_rays.cache_info = _ring_from_rays.cache_info
 
 
 def _q_gorenstein_datum(cone: PolyCone) -> tuple[LatticePoint, int] | None:

@@ -342,20 +342,58 @@ def _primitive_rays_2d(bound: int) -> list[LatticePoint]:
 def _candidate_rings(config: SearchConfig) -> list[ToricRing]:
     if config.dim == 1:
         return [ring_from_dual_rays([(1,)])]
-    if config.dim != 2:
-        raise ConfigInvalid(f"search supports base dimension 1 or 2, not {config.dim}")
     rays = _primitive_rays_2d(config.ray_bound)
     return [ring_from_dual_rays([r1, r2]) for r1, r2 in itertools.combinations(rays, 2)]
 
 
-def _skeletons(config: SearchConfig) -> Iterator[tuple[ToricRing, LatticePoint, LatticePoint, LatticePoint]]:
+def _skeleton_space(config: SearchConfig) -> tuple[list[tuple[ToricRing, list, list, int]], int]:
+    """One block (ring, gens, zs, size) per base ring, and the total size.
+
+    A block holds size = C(|gens| + 1, 2) · |zs| · z_height_bound skeletons:
+    every pair of generators with repetition, then every adjoined exponent,
+    then every height. Only the point lists are built, never the skeletons.
+    """
+    blocks = []
     for ring in _candidate_rings(config):
         gens = [g for g in semigroup_points(ring, config.gen_pairing_bound) if any(g)]
         zs = semigroup_points(ring, config.z_pairing_bound)
-        for g1, g2 in itertools.combinations_with_replacement(gens, 2):
-            for wz in zs:
-                for height in range(1, config.z_height_bound + 1):
-                    yield ring, g1, g2, wz + (height,)
+        n = len(gens)
+        blocks.append((ring, gens, zs, n * (n + 1) // 2 * len(zs) * config.z_height_bound))
+    return blocks, sum(block[3] for block in blocks)
+
+
+def _skeleton(blocks, z_height_bound: int, index: int) -> tuple[ToricRing, LatticePoint, LatticePoint, LatticePoint]:
+    """The skeleton at an index of the enumeration, decoded by mixed radix.
+
+    The digits are, outermost first: the ring block, the pair (g1, g2) in
+    combinations_with_replacement order, the adjoined exponent, its height.
+    """
+    for ring, gens, zs, size in blocks:
+        if index < size:
+            break
+        index -= size
+    index, height = divmod(index, z_height_bound)
+    pair, z = divmod(index, len(zs))
+    i = 0
+    while pair >= len(gens) - i:  # row i holds the pairs (gens[i], gens[j]), j >= i
+        pair -= len(gens) - i
+        i += 1
+    return ring, gens[i], gens[i + pair], zs[z] + (height + 1,)
+
+
+def _skeletons(config: SearchConfig) -> Iterator[tuple[ToricRing, LatticePoint, LatticePoint, LatticePoint]]:
+    """The skeletons a search examines, in enumeration order.
+
+    Under a cap smaller than the enumeration, the seeded sample is drawn from
+    the index range, so the space is counted but never materialized.
+    """
+    blocks, total = _skeleton_space(config)
+    indices = range(total)
+    cap = config.max_candidates
+    if cap is not None and total > cap:
+        indices = sorted(random.Random(config.seed).sample(indices, cap))
+    for index in indices:
+        yield _skeleton(blocks, config.z_height_bound, index)
 
 
 def _gap_generators(ring: ToricRing, g1: LatticePoint, g2: LatticePoint):
@@ -400,20 +438,19 @@ def search_counterexamples(config: SearchConfig, threads: int = 1) -> tuple[Sear
     for bound_name in ("ray_bound", "gen_pairing_bound", "z_pairing_bound", "z_height_bound"):
         if getattr(config, bound_name) < 0:
             raise ConfigInvalid(f"{bound_name} must be nonnegative")
+    if config.dim > 2:
+        raise ConfigInvalid(f"search supports base dimension 1 or 2, not {config.dim}")
 
-    skeletons = list(_skeletons(config))
-    cap = config.max_candidates
-    if cap is not None and len(skeletons) > cap:
-        keep = sorted(random.Random(config.seed).sample(range(len(skeletons)), cap))
-        skeletons = [skeletons[i] for i in keep]
-
-    recipes = list(config.explicit_recipes)
-    gap_cache: dict = {}
-    for ring, g1, g2, z in skeletons:
-        key = (ring, g1, g2)
-        if key not in gap_cache:
-            gap_cache[key] = _gap_generators(ring, g1, g2)
-        i_prime, j_prime, rs = gap_cache[key]
-        recipes.extend(ConstructionRecipe(ring, i_prime, j_prime, r, z) for r in rs)
-
+    recipes = itertools.chain(config.explicit_recipes, _enumerated_recipes(config))
     return tuple(hit for hit in map(_evaluate, recipes) if hit is not None)
+
+
+def _enumerated_recipes(config: SearchConfig) -> Iterator[ConstructionRecipe]:
+    # Skeletons sharing (ring, g1, g2) are consecutive, so the gap points of
+    # the last pair are all that needs keeping.
+    key = gaps = None
+    for ring, g1, g2, z in _skeletons(config):
+        if (ring, g1, g2) != key:
+            key, gaps = (ring, g1, g2), _gap_generators(ring, g1, g2)
+        i_prime, j_prime, rs = gaps
+        yield from (ConstructionRecipe(ring, i_prime, j_prime, r, z) for r in rs)

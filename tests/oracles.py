@@ -272,3 +272,18 @@ def multiplier_scan(gens, dual_rays, sigma_rays, shift):
     ]
     hits = [w for w in box_points(sigma_rays, bounds) if all(dot(n, w) > b for n, b in rows)]
     return minimal_points(hits, sigma_rays)
+
+
+def skeletons(blocks, z_height_bound):
+    """The counterexample search space as a nested walk, one tuple at a time.
+
+    blocks holds one (ring, gens, zs) per base ring. For each ring: every
+    pair of gens with repetition, then every adjoined exponent z, then every
+    height 1..z_height_bound appended to z -- the order in which the search's
+    index decoder must reproduce the space, index for index.
+    """
+    for ring, gens, zs in blocks:
+        for g1, g2 in itertools.combinations_with_replacement(gens, 2):
+            for wz in zs:
+                for height in range(1, z_height_bound + 1):
+                    yield ring, g1, g2, wz + (height,)

@@ -1,0 +1,89 @@
+"""Memoized layers: bounded caches that return what a fresh computation returns.
+
+Rings, Newton polyhedra, integral closures and multiplier ideals are pure
+functions of frozen values, so each is memoized by value. The checks here pin
+that every cache is bounded, that a cached answer equals the undecorated
+function's, and that errors are raised again rather than remembered.
+"""
+
+import random
+
+import pytest
+
+from instances import NOT_Q_GORENSTEIN_DUAL_RAYS, POOL, pool_rings, random_ideal
+
+from toricmult.errors import DimensionMismatch, NotFullDimensional, NotPointed, NotQGorenstein
+from toricmult.ideals import integral_closure, monomial_ideal, newton_polyhedron
+from toricmult.multiplier import multiplier_ideal
+from toricmult.rings import ring_from_dual_rays
+
+MEMOIZED = (ring_from_dual_rays, newton_polyhedron, integral_closure, multiplier_ideal)
+
+
+@pytest.mark.parametrize("layer", MEMOIZED, ids=lambda f: f.__name__)
+def test_every_cache_is_bounded(layer):
+    maxsize = layer.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 1024
+
+
+def pool_ideals():
+    rng = random.Random(23)
+    for name, ring in pool_rings():
+        for _ in range(6):
+            yield name, random_ideal(rng, ring, max_gens=3, pairing_bound=6)
+
+
+@pytest.mark.parametrize("layer", (newton_polyhedron, integral_closure), ids=lambda f: f.__name__)
+def test_cached_ideal_results_equal_fresh_ones(layer):
+    for _, a in pool_ideals():
+        assert layer(a) == layer.__wrapped__(a)
+        assert layer(a) is layer(a)
+
+
+def test_cached_multiplier_ideals_equal_fresh_ones():
+    for name, a in pool_ideals():
+        assert multiplier_ideal(a) == multiplier_ideal.__wrapped__(a), name
+        hits = multiplier_ideal.cache_info().hits
+        assert multiplier_ideal(a) is multiplier_ideal(a)
+        assert multiplier_ideal.cache_info().hits == hits + 2
+
+
+@pytest.mark.parametrize("name, dual", [(name, dual) for name, dual, _, _ in POOL])
+def test_list_and_tuple_rays_give_one_ring(name, dual):
+    from_tuples = ring_from_dual_rays(dual)
+    from_lists = ring_from_dual_rays([list(r) for r in dual])
+    from_generator = ring_from_dual_rays(tuple(r) for r in dual)
+    assert from_tuples == from_lists == from_generator
+    assert from_tuples is from_lists is from_generator
+
+
+def test_equal_ideals_of_equal_rings_share_cached_results():
+    first = monomial_ideal(ring_from_dual_rays([[2, 1], [1, 2]]), [(2, 4), (12, 7)])
+    second = monomial_ideal(ring_from_dual_rays(((2, 1), (1, 2))), [[12, 7], [2, 4]])
+    assert first == second
+    assert integral_closure(first) is integral_closure(second)
+
+
+@pytest.mark.parametrize(
+    "rays, error",
+    [
+        ([(1, 0), (-1, 0), (0, 1)], NotPointed),
+        ([(1, 0, 0), (0, 1, 0)], NotFullDimensional),
+        ([(1, 0), (0, 1, 0)], DimensionMismatch),
+        ([(1, 0), (0, 0)], ValueError),
+        ([(1, 0), (0.5, 1)], ValueError),
+        ([], ValueError),
+    ],
+)
+def test_invalid_rays_raise_on_every_call(rays, error):
+    for _ in range(2):
+        with pytest.raises(error):
+            ring_from_dual_rays(rays)
+
+
+def test_refused_multiplier_ideals_are_refused_again():
+    ring = ring_from_dual_rays(NOT_Q_GORENSTEIN_DUAL_RAYS)
+    a = monomial_ideal(ring, [(0, 0, 1)])
+    for _ in range(2):
+        with pytest.raises(NotQGorenstein):
+            multiplier_ideal(a)

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from instances import pool_rings, random_2d_ring, random_ideal
-from oracles import closure_scan, minimal_points
+from oracles import closure_scan, minimal_points, vsub
 
 from toricmult.errors import NotInSemigroup, RingMismatch, ZeroIdeal
 from toricmult.ideals import (
@@ -106,6 +106,16 @@ class TestArithmetic:
         assert contains_monomial(a, (2, 4, 0))
         assert contains_monomial(a, (4, 5, 0))  # (2,4,0) + (2,1,0)
         assert not contains_monomial(a, (5, 5, 1))
+
+    def test_contains_monomial_matches_cone_containment_across_the_pool(self):
+        rng = random.Random(19)
+        for _, ring in pool_rings():
+            points = semigroup_points(ring, 5)
+            for _ in range(12):
+                a = random_ideal(rng, ring, pairing_bound=4)
+                for w in points:
+                    expected = any(ring.cone.contains(vsub(w, g)) for g in a.gens)
+                    assert contains_monomial(a, w) == expected, (ring.dual_rays, a.gens, w)
 
 
 class TestIntegralClosure:

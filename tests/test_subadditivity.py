@@ -1,12 +1,18 @@
 """The subadditivity question: verdicts, 2D decompositions, refutation, search."""
 
+import json
 import math
 import random
+import resource
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from instances import pool_rings, random_2d_ring, random_ideal
-from oracles import dot, vadd, vsub
+from oracles import dot, skeletons, vadd, vsub
 
 from toricmult.errors import (
     ConfigInvalid,
@@ -25,6 +31,7 @@ from toricmult.ideals import (
     product,
 )
 from toricmult.multiplier import multiplier_ideal
+from toricmult.problemio import load_search_config
 from toricmult.rings import lattice_points_in_box, ring_from_dual_rays, semigroup_points
 from toricmult.subadditivity import (
     ConstructionRecipe,
@@ -34,6 +41,10 @@ from toricmult.subadditivity import (
     decompose_2d,
     exhaustive_refute,
     huneke_swanson_construct,
+    _candidate_rings,
+    _skeleton,
+    _skeleton_space,
+    _skeletons,
     search_counterexamples,
 )
 
@@ -339,3 +350,75 @@ class TestSearch:
     def test_unsupported_dimension_is_refused(self):
         with pytest.raises(ConfigInvalid):
             search_counterexamples(SearchConfig(dim=4))
+
+
+PAPER_BOUNDS = Path(__file__).with_name("paper_bounds_search.json")
+
+
+def oracle_skeletons(config):
+    """The search space of config, walked in full by the oracle."""
+    blocks = [
+        (
+            ring,
+            [g for g in semigroup_points(ring, config.gen_pairing_bound) if any(g)],
+            semigroup_points(ring, config.z_pairing_bound),
+        )
+        for ring in _candidate_rings(config)
+    ]
+    return list(skeletons(blocks, config.z_height_bound))
+
+
+STREAM_CONFIGS = [
+    SearchConfig(dim=dim, ray_bound=ray_bound, gen_pairing_bound=3, z_pairing_bound=2, z_height_bound=height)
+    for dim, ray_bound in ((1, 1), (2, 1), (2, 2))
+    for height in (1, 2, 3)
+]
+STREAM_IDS = [f"dim{c.dim}-rays{c.ray_bound}-height{c.z_height_bound}" for c in STREAM_CONFIGS]
+
+
+class TestSkeletonStream:
+    @pytest.mark.parametrize("config", STREAM_CONFIGS, ids=STREAM_IDS)
+    def test_decoder_matches_the_nested_walk_at_every_index(self, config):
+        expected = oracle_skeletons(config)
+        blocks, total = _skeleton_space(config)
+        assert total == len(expected)
+        assert [_skeleton(blocks, config.z_height_bound, i) for i in range(total)] == expected
+        assert list(_skeletons(config)) == expected
+
+    @pytest.mark.parametrize("config", STREAM_CONFIGS, ids=STREAM_IDS)
+    def test_seeded_samples_pick_the_same_skeletons_in_order(self, config):
+        expected = oracle_skeletons(config)
+        for seed, cap in ((0, 1), (3, 17), (11, 200), (5, len(expected)), (7, len(expected) + 5)):
+            capped = replace(config, max_candidates=cap, seed=seed)
+            keep = range(len(expected))
+            if len(expected) > cap:
+                keep = sorted(random.Random(seed).sample(range(len(expected)), cap))
+            assert list(_skeletons(capped)) == [expected[i] for i in keep]
+
+    def test_empty_dimensions_of_the_space_give_no_skeletons(self):
+        for config in (SearchConfig(z_height_bound=0), SearchConfig(ray_bound=0), SearchConfig(gen_pairing_bound=0)):
+            assert _skeleton_space(config)[1] == 0
+            assert list(_skeletons(config)) == []
+
+    def test_paper_bounds_are_counted_not_materialized(self):
+        config = load_search_config(str(PAPER_BOUNDS))
+        assert (config.ray_bound, config.gen_pairing_bound, config.z_pairing_bound, config.z_height_bound) == (2, 17, 14, 2)
+        assert config.max_candidates == 3
+        assert _skeleton_space(config)[1] == 171_588_132
+        assert len(list(_skeletons(config))) == 3
+
+    def test_paper_bounds_search_runs_in_bounded_memory(self):
+        # The skeleton list at these bounds would need tens of gigabytes.
+        limit = 1 << 30
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "toricmult", "search", "--input", str(PAPER_BOUNDS), "--cap", "3", "--format", "json"],
+            capture_output=True,
+            timeout=60,
+            preexec_fn=cap_address_space,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["count"] == 0
