@@ -80,7 +80,7 @@ class ToricRing:
         return tuple(dot(w, n) for n in self.sigma_rays)
 
 
-# Distinct rings kept by ring_from_dual_rays; a search meets a few dozen.
+# Distinct rings kept by ring_from_dual_rays and _sigma_lattice; a search meets a few dozen.
 RING_CACHE_SIZE = 64
 
 
@@ -147,7 +147,7 @@ def require_exponent(ring: ToricRing, w: Sequence[int]) -> LatticePoint:
 # Lattice enumeration in sigma-coordinates
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=RING_CACHE_SIZE)
 def _sigma_lattice(ring: ToricRing) -> tuple[tuple[int, ...], tuple, tuple]:
     """(basis, H, U) for the lattice of sigma-pairing vectors.
 

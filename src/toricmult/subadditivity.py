@@ -14,6 +14,7 @@ import enum
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -24,6 +25,7 @@ from .errors import (
 )
 from .geometry import LatticePoint, MembershipReport, RatPoint, hull_plus_cone, lattice_thresholds, membership
 from .ideals import (
+    CACHE_SIZE,
     MonomialIdeal,
     _same_ring,
     contains_monomial,
@@ -181,33 +183,39 @@ def check_subadditivity(a: MonomialIdeal, b: MonomialIdeal) -> SubadditivityVerd
 # Dimension two: constructive subadditivity
 # ---------------------------------------------------------------------------
 
-def _boundary_sequence(a: MonomialIdeal, b: MonomialIdeal):
-    """Vertices of N(ab) along the boundary, tagged with generator splits.
+@lru_cache(maxsize=CACHE_SIZE)
+def _edge_regions(a: MonomialIdeal, b: MonomialIdeal):
+    """Integer interior tests of N(ab) and of its edge regions, with witnesses.
 
-    Vertices are ordered by their pairing with the first sigma ray. Each is
+    Vertices of N(ab), ordered by their pairing with the first sigma ray, are
     tagged with the lex-smallest (a-generator, b-generator) pair summing to
-    it. Between consecutive vertices whose tags share no component, the mixed
-    point a_i + b_{i+1} is inserted; it lies strictly inside the connecting
-    edge, so afterwards every consecutive pair shares a component.
+    them. Between consecutive vertices whose tags share no component, the
+    mixed point a_i + b_{i+1} is inserted; it lies strictly inside the
+    connecting edge, so afterwards every consecutive pair shares a component,
+    which gives the side and witness of its region conv(v1, v2) + cone.
+    Returns lattice_thresholds(N(ab), u0) and, per region in walk order,
+    (lattice_thresholds(region, u0), side, witness).
     """
     ring = a.ring
+    u0 = _canonical_shift(ring)
     poly = newton_polyhedron(product(a, b))
     n0 = ring.sigma_rays[0]
-    verts = sorted(poly.vertices, key=lambda v: dot(v, n0))
-
-    def tag(v: LatticePoint) -> tuple[LatticePoint, LatticePoint]:
-        pairs = [(ga, gb) for ga in a.gens for gb in b.gens if vadd(ga, gb) == v]
-        assert pairs, f"vertex {v} is not a sum of generators"
-        return min(pairs)
-
-    seq = [(v, tag(v)) for v in verts]
-    out = []
+    seq = [
+        (v, min((ga, gb) for ga in a.gens for gb in b.gens if vadd(ga, gb) == v))
+        for v in sorted(poly.vertices, key=lambda v: dot(v, n0))
+    ]
+    walk = [seq[0]]
     for (v1, (a1, b1)), (v2, (a2, b2)) in zip(seq, seq[1:]):
-        out.append((v1, (a1, b1)))
         if a1 != a2 and b1 != b2:
-            out.append((vadd(a1, b2), (a1, b2)))
-    out.append(seq[-1])
-    return poly, out
+            walk.append((vadd(a1, b2), (a1, b2)))
+        walk.append((v2, (a2, b2)))
+
+    regions = []
+    for (v1, (a1, b1)), (v2, (a2, b2)) in list(zip(walk, walk[1:])) or [(walk[0], walk[0])]:
+        assert a1 == a2 or b1 == b2, "consecutive tags must share a component"
+        side, witness = (Side.FROM_A, a1) if a1 == a2 else (Side.FROM_B, b1)
+        regions.append((lattice_thresholds(hull_plus_cone([v1, v2], ring.cone), u0), side, witness))
+    return lattice_thresholds(poly, u0), tuple(regions)
 
 
 def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomposition2D:
@@ -215,6 +223,8 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
 
     Walks the boundary of N(ab), finds the first edge region whose interior
     holds p + u0, and reads the witness off the region's shared tag component.
+    The regions and their integer thresholds are built once per (a, b) and
+    memoized (_edge_regions); p is tested on them with integer comparisons.
     The remainder membership is re-verified exactly and returned. Only for
     two-dimensional rings.
     """
@@ -223,27 +233,17 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
         raise NotDimension2(f"boundary-walk decomposition needs dimension 2, not {ring.dim}")
     u0 = _canonical_shift(ring)
     pt = require_exponent(ring, p)
-    poly = newton_polyhedron(product(a, b))
-    x = vadd(pt, u0)
-    if not membership(poly, x, relative_interior=True).contained:
+    interior, regions = _edge_regions(a, b)
+    if not all(dot(pt, f) >= m for f, m in interior):
         raise NotInMultiplierIdeal(f"{pt} + u0 is not interior to the product's Newton polyhedron")
 
-    _, seq = _boundary_sequence(a, b)
-    regions = list(zip(seq, seq[1:])) if len(seq) > 1 else [(seq[0], seq[0])]
-
-    for idx, ((v1, (a1, b1)), (v2, (a2, b2))) in enumerate(regions):
-        region = hull_plus_cone([v1, v2], ring.cone)
-        if not membership(region, x, relative_interior=True).contained:
-            continue
-        if a1 == a2:
-            side, witness, other = Side.FROM_A, a1, b
-        else:
-            assert b1 == b2, "consecutive tags must share a component"
-            side, witness, other = Side.FROM_B, b1, a
-        remainder = vsub(x, witness)
-        report = membership(newton_polyhedron(other), remainder, relative_interior=True)
-        assert report.contained, "edge region interior must land in the factor's interior"
-        return Decomposition2D(pt, side, witness, remainder, idx, report)
+    for idx, (tests, side, witness) in enumerate(regions):
+        if all(dot(pt, f) >= m for f, m in tests):
+            remainder = vsub(vadd(pt, u0), witness)
+            other = b if side is Side.FROM_A else a
+            report = membership(newton_polyhedron(other), remainder, relative_interior=True)
+            assert report.contained, "edge region interior must land in the factor's interior"
+            return Decomposition2D(pt, side, witness, remainder, idx, report)
     raise AssertionError("interior point escaped every edge region")
 
 

@@ -6,6 +6,11 @@ the whole sigma-coordinate box, 90-degree rotations for two-dimensional dual
 cones, and Gaussian elimination over `Fraction` for the few matrix inverses
 involved.  None of it shares code with the library's double-description engine
 or its lattice walker, so agreement is evidence rather than tautology.
+
+The one exception is `decompose_2d`, the per-generator boundary walk the
+library's cached version replaced: it builds every edge region with the
+library's double description and tests it with `Fraction` membership, so it
+pins the cached integer thresholds to the path they stand in for.
 """
 
 from __future__ import annotations
@@ -13,6 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+from toricmult.errors import NotDimension2, NotInMultiplierIdeal
+from toricmult.geometry import hull_plus_cone, membership
+from toricmult.ideals import _same_ring, newton_polyhedron, product
+from toricmult.multiplier import _canonical_shift
+from toricmult.rings import require_exponent
+from toricmult.subadditivity import Decomposition2D, Side
 
 # A linear inequality over the first `dim` coordinates: (normal, rhs) encodes
 # normal . x >= rhs.  Normals are primitive integer tuples, rhs is a Fraction.
@@ -287,3 +299,69 @@ def skeletons(blocks, z_height_bound):
             for wz in zs:
                 for height in range(1, z_height_bound + 1):
                     yield ring, g1, g2, wz + (height,)
+
+
+def _boundary_sequence(a, b):
+    """Vertices of N(ab) along the boundary, tagged with generator splits.
+
+    Vertices are ordered by their pairing with the first sigma ray. Each is
+    tagged with the lex-smallest (a-generator, b-generator) pair summing to
+    it. Between consecutive vertices whose tags share no component, the mixed
+    point a_i + b_{i+1} is inserted; it lies strictly inside the connecting
+    edge, so afterwards every consecutive pair shares a component.
+    """
+    ring = a.ring
+    poly = newton_polyhedron(product(a, b))
+    n0 = ring.sigma_rays[0]
+    verts = sorted(poly.vertices, key=lambda v: dot(v, n0))
+
+    def tag(v):
+        pairs = [(ga, gb) for ga in a.gens for gb in b.gens if vadd(ga, gb) == v]
+        assert pairs, f"vertex {v} is not a sum of generators"
+        return min(pairs)
+
+    seq = [(v, tag(v)) for v in verts]
+    out = []
+    for (v1, (a1, b1)), (v2, (a2, b2)) in zip(seq, seq[1:]):
+        out.append((v1, (a1, b1)))
+        if a1 != a2 and b1 != b2:
+            out.append((vadd(a1, b2), (a1, b2)))
+    out.append(seq[-1])
+    return poly, out
+
+
+def decompose_2d(p, a, b):
+    """Split a member of J(ab) as (generator of a)·J(b) or (generator of b)·J(a).
+
+    Walks the boundary of N(ab), finds the first edge region whose interior
+    holds p + u0, and reads the witness off the region's shared tag component.
+    The remainder membership is re-verified exactly and returned. Only for
+    two-dimensional rings. Everything is rebuilt on every call.
+    """
+    ring = _same_ring(a, b)
+    if ring.dim != 2:
+        raise NotDimension2(f"boundary-walk decomposition needs dimension 2, not {ring.dim}")
+    u0 = _canonical_shift(ring)
+    pt = require_exponent(ring, p)
+    poly = newton_polyhedron(product(a, b))
+    x = vadd(pt, u0)
+    if not membership(poly, x, relative_interior=True).contained:
+        raise NotInMultiplierIdeal(f"{pt} + u0 is not interior to the product's Newton polyhedron")
+
+    _, seq = _boundary_sequence(a, b)
+    regions = list(zip(seq, seq[1:])) if len(seq) > 1 else [(seq[0], seq[0])]
+
+    for idx, ((v1, (a1, b1)), (v2, (a2, b2))) in enumerate(regions):
+        region = hull_plus_cone([v1, v2], ring.cone)
+        if not membership(region, x, relative_interior=True).contained:
+            continue
+        if a1 == a2:
+            side, witness, other = Side.FROM_A, a1, b
+        else:
+            assert b1 == b2, "consecutive tags must share a component"
+            side, witness, other = Side.FROM_B, b1, a
+        remainder = vsub(x, witness)
+        report = membership(newton_polyhedron(other), remainder, relative_interior=True)
+        assert report.contained, "edge region interior must land in the factor's interior"
+        return Decomposition2D(pt, side, witness, remainder, idx, report)
+    raise AssertionError("interior point escaped every edge region")

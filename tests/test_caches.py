@@ -1,9 +1,10 @@
 """Memoized layers: bounded caches that return what a fresh computation returns.
 
-Rings, Newton polyhedra, integral closures and multiplier ideals are pure
-functions of frozen values, so each is memoized by value. The checks here pin
-that every cache is bounded, that a cached answer equals the undecorated
-function's, and that errors are raised again rather than remembered.
+Rings, their sigma lattices, Newton polyhedra, integral closures, multiplier
+ideals and the 2D edge regions of an ideal pair are pure functions of frozen
+values, so each is memoized by value. The checks here pin that every cache is
+bounded, that a cached answer equals the undecorated function's, and that
+errors are raised again rather than remembered.
 """
 
 import random
@@ -12,12 +13,20 @@ import pytest
 
 from instances import NOT_Q_GORENSTEIN_DUAL_RAYS, POOL, pool_rings, random_ideal
 
-from toricmult.errors import DimensionMismatch, NotFullDimensional, NotPointed, NotQGorenstein
+from toricmult.errors import (
+    DimensionMismatch,
+    NotDimension2,
+    NotFullDimensional,
+    NotInMultiplierIdeal,
+    NotPointed,
+    NotQGorenstein,
+)
 from toricmult.ideals import integral_closure, monomial_ideal, newton_polyhedron
 from toricmult.multiplier import multiplier_ideal
-from toricmult.rings import ring_from_dual_rays
+from toricmult.rings import _sigma_lattice, ring_from_dual_rays
+from toricmult.subadditivity import _edge_regions, decompose_2d
 
-MEMOIZED = (ring_from_dual_rays, newton_polyhedron, integral_closure, multiplier_ideal)
+MEMOIZED = (ring_from_dual_rays, _sigma_lattice, newton_polyhedron, integral_closure, multiplier_ideal, _edge_regions)
 
 
 @pytest.mark.parametrize("layer", MEMOIZED, ids=lambda f: f.__name__)
@@ -87,3 +96,43 @@ def test_refused_multiplier_ideals_are_refused_again():
     for _ in range(2):
         with pytest.raises(NotQGorenstein):
             multiplier_ideal(a)
+
+
+def test_cached_sigma_lattices_equal_fresh_ones():
+    for name, ring in pool_rings():
+        assert _sigma_lattice(ring) == _sigma_lattice.__wrapped__(ring), name
+        assert _sigma_lattice(ring) is _sigma_lattice(ring)
+
+
+def pool_pairs_2d():
+    rng = random.Random(31)
+    for name, ring in pool_rings():
+        if ring.dim == 2:
+            for _ in range(4):
+                a = random_ideal(rng, ring, max_gens=3, pairing_bound=8)
+                yield name, a, random_ideal(rng, ring, max_gens=3, pairing_bound=8)
+
+
+def test_cached_edge_regions_equal_fresh_ones():
+    for name, a, b in pool_pairs_2d():
+        for x, y in ((a, b), (b, a)):
+            assert _edge_regions(x, y) == _edge_regions.__wrapped__(x, y), name
+            hits = _edge_regions.cache_info().hits
+            assert _edge_regions(x, y) is _edge_regions(x, y)
+            assert _edge_regions.cache_info().hits == hits + 2
+
+
+def test_refused_decompositions_are_refused_again():
+    plane = ring_from_dual_rays([(2, 1), (1, 2)])
+    a = monomial_ideal(plane, [(2, 4)])
+    b = monomial_ideal(plane, [(12, 7)])
+    solid = ring_from_dual_rays([(2, 1, 0), (1, 2, 0), (0, 0, 1)])
+    c = monomial_ideal(solid, [(2, 4, 0)])
+    for _ in range(2):
+        with pytest.raises(NotInMultiplierIdeal):
+            decompose_2d((0, 0), a, b)
+        with pytest.raises(NotDimension2):
+            decompose_2d((17, 11, 1), c, c)
+    # the refused point did not poison the pair's cached regions
+    d = decompose_2d((14, 11), a, b)
+    assert (d.witness, d.region_index) == ((2, 4), 0)

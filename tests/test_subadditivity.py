@@ -12,14 +12,18 @@ from pathlib import Path
 import pytest
 
 from instances import pool_rings, random_2d_ring, random_ideal
+import oracles
 from oracles import dot, skeletons, vadd, vsub
 
 from toricmult.errors import (
     ConfigInvalid,
+    DimensionMismatch,
     NotDimension2,
     NotInMultiplierIdeal,
+    NotInSemigroup,
     RecipeInvalid,
     RingMismatch,
+    ZeroIdeal,
 )
 from toricmult.geometry import membership
 from toricmult.ideals import (
@@ -35,6 +39,7 @@ from toricmult.problemio import load_search_config
 from toricmult.rings import lattice_points_in_box, ring_from_dual_rays, semigroup_points
 from toricmult.subadditivity import (
     ConstructionRecipe,
+    Decomposition2D,
     SearchConfig,
     Side,
     check_subadditivity,
@@ -150,6 +155,79 @@ class TestDecompose2D:
         a, b = pair
         with pytest.raises(NotDimension2):
             decompose_2d((17, 11, 1), a, b)
+
+
+def _outcome(decompose, p, a, b):
+    """What a decomposition call gives: its result, or the type of its error."""
+    try:
+        return decompose(p, a, b)
+    except Exception as exc:  # the error type is the outcome being compared
+        return type(exc)
+
+
+class TestDecompose2DAgainstReference:
+    """The cached integer-threshold walk against the per-call walk it replaced,
+    which rebuilds every edge region and tests it with Fraction membership."""
+
+    @staticmethod
+    def assert_agree(a, b, points):
+        """Equal outcomes on every point, both ways round; returns them."""
+        outcomes = []
+        for x, y in ((a, b), (b, a)):
+            for p in points:
+                got, want = _outcome(decompose_2d, p, x, y), _outcome(oracles.decompose_2d, p, x, y)
+                assert got == want and repr(got) == repr(want), (x.ring.dual_rays, x.gens, y.gens, p)
+                outcomes.append(got)
+        return outcomes
+
+    @staticmethod
+    def seeded_pairs(rng, ring, count):
+        for _ in range(count):
+            yield random_ideal(rng, ring, max_gens=3, pairing_bound=12), random_ideal(rng, ring, max_gens=3, pairing_bound=12)
+
+    def test_every_generator_on_the_pool_rings(self):
+        rng = random.Random(4242)
+        for _, ring in pool_rings():
+            if ring.dim == 2:
+                for a, b in self.seeded_pairs(rng, ring, 6):
+                    outcomes = self.assert_agree(a, b, multiplier_ideal(product(a, b)).ideal.gens)
+                    assert all(isinstance(d, Decomposition2D) for d in outcomes)
+
+    def test_every_generator_on_random_rings(self):
+        rng = random.Random(977)
+        for _ in range(15):
+            ring = random_2d_ring(rng, bound=6)
+            for a, b in self.seeded_pairs(rng, ring, 2):
+                outcomes = self.assert_agree(a, b, multiplier_ideal(product(a, b)).ideal.gens)
+                assert all(isinstance(d, Decomposition2D) for d in outcomes)
+
+    def test_members_and_non_members_of_a_box(self):
+        # decompose_2d takes any member of J(ab), not only generators, and
+        # must refuse every other point as the reference does
+        rng = random.Random(5150)
+        for _, ring in pool_rings():
+            if ring.dim == 2:
+                for a, b in self.seeded_pairs(rng, ring, 2):
+                    outcomes = self.assert_agree(a, b, semigroup_points(ring, 14))
+                    assert NotInMultiplierIdeal in outcomes
+                    assert any(isinstance(d, Decomposition2D) for d in outcomes)
+
+    def test_refusals_come_in_the_same_order(self, pair, base_recipe):
+        a3, b3 = pair
+        a2, b2 = base_recipe.i_prime, base_recipe.j_prime
+        zero = monomial_ideal(a2.ring, ())
+        # each point also breaks every check after the one it must fail
+        cases = [
+            ((-5, 0, 0), a2, a3, RingMismatch),
+            ((-5, 0, 0), a3, b3, NotDimension2),
+            ((-5, 0), a2, zero, NotInSemigroup),
+            ((14,), a2, zero, DimensionMismatch),
+            ((0, 0), a2, zero, ZeroIdeal),
+            ((0, 0), a2, b2, NotInMultiplierIdeal),
+        ]
+        for p, a, b, error in cases:
+            assert _outcome(decompose_2d, p, a, b) is error
+            assert _outcome(oracles.decompose_2d, p, a, b) is error
 
 
 class TestExhaustiveRefutation:
