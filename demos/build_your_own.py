@@ -91,8 +91,7 @@ def main():
             max_candidates=25,
             seed=5,
             explicit_recipes=(sneaky_recipe,),
-        ),
-        threads=2,
+        )
     )
     print(f"{len(hits)} counterexample(s) found"
           " (25 tiny enumerated candidates plus the explicit recipe)")

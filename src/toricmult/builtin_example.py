@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInterior
-from .geometry import ConvexCertificate, relint_certificate, verify_certificate, membership
+from .geometry import (
+    ConvexCertificate, lattice_thresholds, membership, relint_certificate, verify_certificate,
+)
 from .ideals import MonomialIdeal, contains_monomial, monomial_ideal, newton_polyhedron, product
-from .multiplier import multiplier_ideal
-from .problemio import render_monomial
+from .linalg import vadd
+from .problemio import format_point, render_monomial
 from .rings import ToricRing, ring_from_dual_rays
 from .subadditivity import (
     ConstructionRecipe,
@@ -101,27 +103,19 @@ class Check:
 FacetExpectations = dict[str, tuple[tuple[tuple[int, ...], int], ...]]
 
 
-def _fmt(w) -> str:
-    return "(" + ", ".join(str(c) for c in w) + ")"
-
-
-def _facet_pairs(poly) -> tuple[tuple[tuple[int, ...], int], ...]:
-    return tuple((h.normal, h.offset) for h in poly.facets)
-
-
 def _facet_check(name: str, poly, expected) -> Check:
-    got = _facet_pairs(poly)
+    got = lattice_thresholds(poly)
     want = tuple((tuple(n), int(c)) for n, c in expected)
     if got == want:
-        detail = "; ".join(f"{_fmt(n)}·w >= {c}" for n, c in got)
+        detail = "; ".join(f"{format_point(n)}·w >= {c}" for n, c in got)
         return Check(name, True, f"{len(got)} facets: {detail}")
     missing = [f for f in want if f not in got]
     extra = [f for f in got if f not in want]
     parts = []
     if missing:
-        parts.append("missing " + ", ".join(f"{_fmt(n)} >= {c}" for n, c in missing))
+        parts.append("missing " + ", ".join(f"{format_point(n)} >= {c}" for n, c in missing))
     if extra:
-        parts.append("unexpected " + ", ".join(f"{_fmt(n)} >= {c}" for n, c in extra))
+        parts.append("unexpected " + ", ".join(f"{format_point(n)} >= {c}" for n, c in extra))
     return Check(name, False, "; ".join(parts) or "facet order differs")
 
 
@@ -141,7 +135,7 @@ def verification_checklist(expected_facets: FacetExpectations | None = None) -> 
         Check(
             "canonical-point",
             u0 == tuple(Fraction(c) for c in CANONICAL_POINT),
-            f"u0 = {_fmt(u0)}" if u0 is not None else "ring is not Q-Gorenstein",
+            f"u0 = {format_point(u0)}" if u0 is not None else "ring is not Q-Gorenstein",
         )
     )
 
@@ -157,7 +151,7 @@ def verification_checklist(expected_facets: FacetExpectations | None = None) -> 
         Check(
             "product-generators",
             ab.gens == EXPECTED_PRODUCT_GENS,
-            "a·b = ⟨" + ", ".join(_fmt(g) for g in ab.gens) + "⟩",
+            "a·b = ⟨" + ", ".join(format_point(g) for g in ab.gens) + "⟩",
         )
     )
 
@@ -176,7 +170,7 @@ def verification_checklist(expected_facets: FacetExpectations | None = None) -> 
         Check(
             "interior-certificate",
             fixture_ok and own_ok,
-            f"{_fmt(TARGET)} is interior to N(a·b); fixture coefficients "
+            f"{format_point(TARGET)} is interior to N(a·b); fixture coefficients "
             + ", ".join(str(c) for c in CERTIFICATE_COEFFICIENTS)
             + (" validate" if fixture_ok else " DO NOT validate"),
         )
@@ -187,7 +181,7 @@ def verification_checklist(expected_facets: FacetExpectations | None = None) -> 
         Check(
             "witness-in-multiplier-of-product",
             WITNESS in verdict.j_ab.gens
-            and membership(poly_ab, tuple(w + u for w, u in zip(WITNESS, u0)), relative_interior=True).contained,
+            and membership(poly_ab, vadd(WITNESS, u0), relative_interior=True).contained,
             f"{render_monomial(WITNESS)} is a minimal generator of J(a·b)",
         )
     )
@@ -196,7 +190,7 @@ def verification_checklist(expected_facets: FacetExpectations | None = None) -> 
             "witness-not-in-product-of-multipliers",
             not contains_monomial(verdict.j_product, WITNESS),
             f"{render_monomial(WITNESS)} is not in J(a)·J(b) = ⟨"
-            + ", ".join(_fmt(g) for g in verdict.j_product.gens)
+            + ", ".join(format_point(g) for g in verdict.j_product.gens)
             + "⟩",
         )
     )
@@ -205,7 +199,7 @@ def verification_checklist(expected_facets: FacetExpectations | None = None) -> 
             "subadditivity-verdict",
             not verdict.holds and WITNESS in verdict.witnesses,
             "J(a·b) ⊄ J(a)·J(b); escaping generators: "
-            + ", ".join(_fmt(w) for w in verdict.witnesses),
+            + ", ".join(format_point(w) for w in verdict.witnesses),
         )
     )
 
@@ -214,8 +208,9 @@ def verification_checklist(expected_facets: FacetExpectations | None = None) -> 
         Check(
             "refutation-scan",
             not refutation.decompositions,
-            f"no splitting of {_fmt(TARGET)} into interior points exists; "
-            f"{refutation.scanned} candidates scanned within pairing bounds {_fmt(refutation.bounds)}",
+            f"no splitting of {format_point(TARGET)} into interior points exists; "
+            f"{refutation.scanned} candidates scanned within pairing bounds "
+            f"{format_point(refutation.bounds)}",
         )
     )
 
@@ -228,12 +223,12 @@ def verification_checklist(expected_facets: FacetExpectations | None = None) -> 
         rep = membership(poly, point, relative_interior=True)
         excluded = not rep.contained
         exclusions_ok = exclusions_ok and excluded
-        reasons = [f"{_fmt(h.normal)}·w = {v} < {h.offset}" for h, v in rep.pairings if v < h.offset]
-        reasons += [f"{_fmt(h.normal)}·w = {h.offset} exactly" for h in rep.tight]
+        reasons = [f"{format_point(h.normal)}·w = {v} < {h.offset}" for h, v in rep.pairings if v < h.offset]
+        reasons += [f"{format_point(h.normal)}·w = {h.offset} exactly" for h in rep.tight]
         exclusion_bits.append(
-            f"{_fmt(point)} ∉ relint {label} ({'; '.join(reasons)})"
+            f"{format_point(point)} ∉ relint {label} ({'; '.join(reasons)})"
             if excluded
-            else f"{_fmt(point)} unexpectedly interior to {label}"
+            else f"{format_point(point)} unexpectedly interior to {label}"
         )
     checks.append(Check("boundary-exclusions", exclusions_ok, "; ".join(exclusion_bits)))
 
@@ -243,9 +238,9 @@ def verification_checklist(expected_facets: FacetExpectations | None = None) -> 
         Check(
             "construction-roundtrip",
             reconstructed,
-            f"adjunction recipe rebuilds a, b and rZ = {_fmt(built.r_z)}"
+            f"adjunction recipe rebuilds a, b and rZ = {format_point(built.r_z)}"
             if reconstructed
-            else f"recipe built a = {built.a.gens}, b = {built.b.gens}, rZ = {_fmt(built.r_z)}",
+            else f"recipe built a = {built.a.gens}, b = {built.b.gens}, rZ = {format_point(built.r_z)}",
         )
     )
 

@@ -14,18 +14,19 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Sequence
 
 from .builtin_example import verification_checklist
 from .errors import ToricmultError, ConfigInvalid
-from .geometry import NewtonPolyhedron
-from .ideals import integral_closure, newton_polyhedron, product
+from .ideals import MonomialIdeal, integral_closure, newton_polyhedron
 from .multiplier import multiplier_ideal
 from .problemio import (
     Problem,
     construction_json,
+    format_point,
     halfspace_json,
+    load_facet_fixture,
     load_problem,
     load_search_config,
     membership_json,
@@ -36,7 +37,6 @@ from .problemio import (
     render_monomial,
     render_report,
     ring_json,
-    _load_json,
 )
 from .subadditivity import SearchConfig, check_subadditivity, exhaustive_refute, search_counterexamples
 
@@ -121,54 +121,39 @@ def _named_ideals(args) -> tuple[Problem, list[str]]:
     return problem, names
 
 
-def _poly_json(poly: NewtonPolyhedron) -> dict:
-    return {
-        "facets": [halfspace_json(h) for h in poly.facets],
-        "vertices": [point_json(v) for v in poly.vertices],
+def _one_ideal(args) -> tuple[MonomialIdeal, dict]:
+    """The named ideal, and the report fields every one-ideal command starts with."""
+    problem, (name,) = _named_ideals(args)
+    ideal = problem.ideal(name)
+    return ideal, {
+        "command": args.command,
+        "ring": ring_json(problem.ring),
+        "ideal": name,
+        "generators": [point_json(g) for g in ideal.gens],
     }
 
 
 def _cmd_newton(args) -> tuple[dict, int]:
-    problem, (name,) = _named_ideals(args)
-    ideal = problem.ideal(name)
+    ideal, report = _one_ideal(args)
     poly = newton_polyhedron(ideal)
-    report = {
-        "command": "newton",
-        "ring": ring_json(problem.ring),
-        "ideal": name,
-        "generators": [point_json(g) for g in ideal.gens],
-        **_poly_json(poly),
-    }
+    report["facets"] = [halfspace_json(h) for h in poly.facets]
+    report["vertices"] = [point_json(v) for v in poly.vertices]
     return report, 0
 
 
 def _cmd_closure(args) -> tuple[dict, int]:
-    problem, (name,) = _named_ideals(args)
-    ideal = problem.ideal(name)
+    ideal, report = _one_ideal(args)
     closed = integral_closure(ideal)
-    report = {
-        "command": "closure",
-        "ring": ring_json(problem.ring),
-        "ideal": name,
-        "generators": [point_json(g) for g in ideal.gens],
-        "closure_generators": [point_json(g) for g in closed.gens],
-        "already_closed": closed == ideal,
-    }
+    report["closure_generators"] = [point_json(g) for g in closed.gens]
+    report["already_closed"] = closed == ideal
     return report, 0
 
 
 def _cmd_multiplier(args) -> tuple[dict, int]:
-    problem, (name,) = _named_ideals(args)
-    ideal = problem.ideal(name)
+    ideal, report = _one_ideal(args)
     result = multiplier_ideal(ideal)
-    report = {
-        "command": "multiplier",
-        "ring": ring_json(problem.ring),
-        "ideal": name,
-        "generators": [point_json(g) for g in ideal.gens],
-        "canonical_point": rat_point_json(result.shift),
-        "multiplier_generators": [point_json(g) for g in result.ideal.gens],
-    }
+    report["canonical_point"] = rat_point_json(result.shift)
+    report["multiplier_generators"] = [point_json(g) for g in result.ideal.gens]
     return report, 0
 
 
@@ -211,33 +196,8 @@ def _cmd_refute(args) -> tuple[dict, int]:
     return report, 0 if not result.decompositions else 1
 
 
-def _parse_facet_fixture(path: str) -> dict:
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or not set(doc) <= {"a", "b"}:
-        raise ConfigInvalid("facet fixture must be an object with keys 'a' and/or 'b'")
-    out = {}
-    for key, facets in doc.items():
-        if not isinstance(facets, list):
-            raise ConfigInvalid(f"facet fixture {key!r} must be a list")
-        pairs = []
-        for entry in facets:
-            if (
-                not isinstance(entry, dict)
-                or set(entry) != {"normal", "offset"}
-                or not isinstance(entry["normal"], list)
-                or not all(isinstance(c, int) for c in entry["normal"])
-                or not isinstance(entry["offset"], int)
-            ):
-                raise ConfigInvalid(
-                    f"facet fixture {key!r} entries need a normal vector and an integer offset"
-                )
-            pairs.append((tuple(entry["normal"]), entry["offset"]))
-        out[key] = tuple(pairs)
-    return out
-
-
 def _cmd_verify_paper(args) -> tuple[dict, int]:
-    fixture = _parse_facet_fixture(args.expect_facets) if args.expect_facets else None
+    fixture = load_facet_fixture(args.expect_facets) if args.expect_facets else None
     checks = verification_checklist(fixture)
     all_passed = all(c.ok for c in checks)
     report = {
@@ -249,25 +209,20 @@ def _cmd_verify_paper(args) -> tuple[dict, int]:
 
 
 def _config_json(config: SearchConfig) -> dict:
-    return {
-        "dim": config.dim,
-        "ray_bound": config.ray_bound,
-        "gen_pairing_bound": config.gen_pairing_bound,
-        "z_pairing_bound": config.z_pairing_bound,
-        "z_height_bound": config.z_height_bound,
-        "max_candidates": config.max_candidates,
-        "seed": config.seed,
-        "explicit_recipes": [recipe_json(r) for r in config.explicit_recipes],
-    }
+    doc = {f.name: getattr(config, f.name) for f in fields(SearchConfig)}
+    doc["explicit_recipes"] = [recipe_json(r) for r in config.explicit_recipes]
+    return doc
 
 
 def _cmd_search(args) -> tuple[dict, int]:
+    if args.threads < 1:
+        raise ConfigInvalid("threads must be at least 1")
     config = load_search_config(args.input) if args.input else SearchConfig()
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.cap is not None:
         config = replace(config, max_candidates=args.cap)
-    hits = search_counterexamples(config, threads=args.threads)
+    hits = search_counterexamples(config)
     report = {
         "command": "search",
         "config": _config_json(config),
@@ -287,12 +242,8 @@ def _cmd_search(args) -> tuple[dict, int]:
 # Text rendering (consumes the JSON-native report dicts)
 # ---------------------------------------------------------------------------
 
-def _vec(v) -> str:
-    return "(" + ", ".join(str(c) for c in v) + ")"
-
-
 def _mono(v) -> str:
-    return render_monomial(v) if len(v) <= 3 else _vec(v)
+    return render_monomial(v) if len(v) <= 3 else format_point(v)
 
 
 def _gens(gens) -> str:
@@ -300,11 +251,11 @@ def _gens(gens) -> str:
 
 
 def _halfspace(h) -> str:
-    return f"<{_vec(h['normal'])}, w> >= {h['offset']}"
+    return f"<{format_point(h['normal'])}, w> >= {h['offset']}"
 
 
 def _ring_line(report) -> str:
-    return "ring: dual cone rays " + ", ".join(_vec(r) for r in report["ring"]["dual_cone_rays"])
+    return "ring: dual cone rays " + ", ".join(format_point(r) for r in report["ring"]["dual_cone_rays"])
 
 
 def _text_newton(report):
@@ -313,7 +264,7 @@ def _text_newton(report):
     yield f"Newton polyhedron: {len(report['facets'])} facets, {len(report['vertices'])} vertices"
     for h in report["facets"]:
         yield "  " + _halfspace(h)
-    yield "vertices: " + ", ".join(_vec(v) for v in report["vertices"])
+    yield "vertices: " + ", ".join(format_point(v) for v in report["vertices"])
 
 
 def _text_closure(report):
@@ -326,7 +277,7 @@ def _text_closure(report):
 def _text_multiplier(report):
     yield _ring_line(report)
     yield f"ideal {report['ideal']} = {_gens(report['generators'])}"
-    yield "canonical point u0 = " + _vec(report["canonical_point"])
+    yield "canonical point u0 = " + format_point(report["canonical_point"])
     yield f"multiplier ideal = {_gens(report['multiplier_generators'])}"
 
 
@@ -338,19 +289,20 @@ def _text_subadd(report):
     yield f"J({report['ideal_a']})·J({report['ideal_b']}) = {_gens(report['j_product'])}"
     yield "subadditivity holds: " + ("yes" if report["holds"] else "no")
     for w, cert in zip(report["witnesses"], report["witness_certificates"]):
-        yield f"  witness {_mono(w)} = {_vec(w)}: interior to N(product) but outside the product ideal"
+        yield (f"  witness {_mono(w)} = {format_point(w)}: "
+               "interior to N(product) but outside the product ideal")
         for facet in cert["facets"]:
             yield f"    {_halfspace(facet)}: value {facet['value']} ({facet['status']})"
 
 
 def _text_refute(report):
     yield _ring_line(report)
-    yield f"target {_vec(report['target'])}, sigma-pairing bounds {_vec(report['bounds'])}"
+    yield f"target {format_point(report['target'])}, sigma-pairing bounds {format_point(report['bounds'])}"
     yield f"scanned {report['scanned']} lattice points"
     if report["decompositions"]:
         yield f"decompositions found: {len(report['decompositions'])}"
         for d in report["decompositions"]:
-            yield f"  alpha = {_vec(d['alpha'])}, beta = {_vec(d['beta'])}"
+            yield f"  alpha = {format_point(d['alpha'])}, beta = {format_point(d['beta'])}"
     else:
         yield "decompositions found: 0 (refutation holds)"
 
@@ -365,21 +317,17 @@ def _text_verify(report):
 
 def _text_search(report):
     config = report["config"]
-    bounds = ", ".join(
-        f"{k}={config[k]}"
-        for k in ("dim", "ray_bound", "gen_pairing_bound", "z_pairing_bound",
-                  "z_height_bound", "max_candidates", "seed")
-    )
+    bounds = ", ".join(f"{k}={v}" for k, v in config.items() if k != "explicit_recipes")
     yield f"search over {bounds}; {len(config['explicit_recipes'])} explicit recipe(s)"
     for i, hit in enumerate(report["hits"], 1):
         r = hit["construction"]["recipe"]
-        yield (f"hit {i}: base rays " + ", ".join(_vec(v) for v in r["base_ring"]["dual_cone_rays"])
+        yield (f"hit {i}: base rays " + ", ".join(format_point(v) for v in r["base_ring"]["dual_cone_rays"])
                + f"; i' = {_gens(r['i_prime'])}; j' = {_gens(r['j_prime'])}"
-               + f"; r = {_vec(r['r'])}; z = {_vec(r['z_exponent'])}")
+               + f"; r = {format_point(r['r'])}; z = {format_point(r['z_exponent'])}")
         yield ("       a = " + _gens(hit["construction"]["a"])
                + ", b = " + _gens(hit["construction"]["b"])
-               + ", rZ = " + _vec(hit["construction"]["r_z"]))
-        yield "       escaping generators: " + ", ".join(_vec(w) for w in hit["witnesses"])
+               + ", rZ = " + format_point(hit["construction"]["r_z"]))
+        yield "       escaping generators: " + ", ".join(format_point(w) for w in hit["witnesses"])
     plural = "" if report["count"] == 1 else "s"
     yield f"search complete: {report['count']} counterexample{plural} found"
 

@@ -35,24 +35,16 @@ def as_rat_point(p: Sequence) -> RatPoint:
     return q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Halfspace:
-    """The set of x with <normal, x> >= offset.
+    """The set of x with <normal, x> >= offset, ordered by (normal, offset).
 
     The normal is a primitive integer vector and the offset an integer: every
-    facet of a Newton polyhedron holds a lattice vertex. value(x) is an int
-    for a lattice point and an exact Fraction for a rational one.
+    facet of a Newton polyhedron holds a lattice vertex.
     """
 
     normal: LatticePoint
     offset: int
-
-    def value(self, x: Sequence) -> int | Fraction:
-        return dot(self.normal, x)
-
-
-def _sort_key(h: Halfspace):
-    return (h.normal, h.offset)
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +228,11 @@ def hull_plus_cone(points: Iterable[Sequence[int]], recession: PolyCone) -> Newt
         if is_zero(f):
             continue
         facets.append(Halfspace(f, -c))
-    facets.sort(key=_sort_key)
+    facets.sort()
 
     vertices = []
     for p in pts:
-        tight = [h.normal for h in facets if h.value(p) == h.offset]
+        tight = [h.normal for h in facets if dot(h.normal, p) == h.offset]
         if tight and rank(tight) == dim:
             vertices.append(p)
     vertices.sort()
@@ -256,7 +248,7 @@ def membership(p: NewtonPolyhedron, x: Sequence, relative_interior: bool = False
     violated = []
     tight = []
     for h in p.facets:
-        v = h.value(x)
+        v = dot(h.normal, x)
         pairings.append((h, v))
         if v < h.offset:
             violated.append(h)
@@ -296,7 +288,7 @@ def relint_certificate(p: NewtonPolyhedron, x: Sequence) -> ConvexCertificate:
 
     eps = None
     for h in p.facets:
-        slack = h.value(xs) - h.offset
+        slack = dot(h.normal, xs) - h.offset
         reach = max(abs(Fraction(dot(h.normal, u))) for u in dirs)
         bound = slack / (2 * reach) if reach > 0 else None
         if bound is not None and (eps is None or bound < eps):

@@ -1,4 +1,4 @@
-"""Problem files, search configs, and report serialization.
+"""Problem files, search configs, facet fixtures, and report serialization.
 
 A problem file is one JSON document naming a ring and its ideals:
 
@@ -10,19 +10,19 @@ Generator exponents are lists of integers; for rings of dimension at most 3
 the monomial-string form over x, y, z is interchangeable with the vector
 form. Rational values are rendered as exact strings ("5/16", "3") and never
 as decimals; integer-valued fields stay JSON integers. Reports round-trip
-through parse_report(render_report(x)) == x.
+through json.loads(render_report(x)) == x.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import ConfigInvalid
-from .geometry import ConvexCertificate, Halfspace, LatticePoint, MembershipReport, RatPoint
+from .geometry import ConvexCertificate, Halfspace, LatticePoint, MembershipReport
 from .ideals import MonomialIdeal, monomial_ideal
 from .rings import ToricRing, ring_from_dual_rays
 from .subadditivity import Construction, ConstructionRecipe, SearchConfig
@@ -49,11 +49,14 @@ class Problem:
 # Scalars and points
 # ---------------------------------------------------------------------------
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false load as bools, which are ints in Python."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_rational(value) -> Fraction:
     """Exact rational from an int or a 'p/q' / 'p' string."""
-    if isinstance(value, bool):
-        raise ConfigInvalid(f"expected a rational, got {value!r}")
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -111,7 +114,7 @@ def parse_point(value, dim: int, what: str = "point") -> LatticePoint:
     if isinstance(value, str):
         return parse_monomial(value, dim)
     if isinstance(value, (list, tuple)):
-        if len(value) != dim or not all(isinstance(c, int) and not isinstance(c, bool) for c in value):
+        if len(value) != dim or not all(_is_int(c) for c in value):
             raise ConfigInvalid(f"{what} must be a list of {dim} integers, got {value!r}")
         return tuple(value)
     raise ConfigInvalid(f"{what} must be a list of integers or a monomial string, got {value!r}")
@@ -131,7 +134,8 @@ def parse_point_arg(text: str, dim: int) -> LatticePoint:
 
 
 def format_point(w: Sequence) -> str:
-    return "(" + ", ".join(render_rational(Fraction(c)) for c in w) + ")"
+    """(c1, c2, ...) with each entry an exact rational string, as in reports."""
+    return "(" + ", ".join(map(render_rational, w)) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -206,27 +210,21 @@ def parse_recipe(doc) -> ConstructionRecipe:
     )
 
 
-_CONFIG_KEYS = {
-    "dim", "ray_bound", "gen_pairing_bound", "z_pairing_bound",
-    "z_height_bound", "max_candidates", "seed", "explicit_recipes",
-}
+_CONFIG_KEYS = tuple(f.name for f in fields(SearchConfig))
 
 
 def parse_search_config(doc) -> SearchConfig:
     doc = _require_mapping(doc, "search config")
-    _reject_unknown(doc, _CONFIG_KEYS, "search config")
+    _reject_unknown(doc, set(_CONFIG_KEYS), "search config")
     kwargs = {}
-    for key in _CONFIG_KEYS - {"explicit_recipes", "max_candidates"}:
-        if key in doc:
-            value = doc[key]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigInvalid(f"search config {key} must be an integer")
-            kwargs[key] = value
-    if "max_candidates" in doc:
-        value = doc["max_candidates"]
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-            raise ConfigInvalid("search config max_candidates must be an integer or null")
-        kwargs["max_candidates"] = value
+    for key in _CONFIG_KEYS:
+        if key not in doc or key == "explicit_recipes":
+            continue
+        value = doc[key]
+        nullable = key == "max_candidates"
+        if not (nullable and value is None or _is_int(value)):
+            raise ConfigInvalid(f"search config {key} must be an integer" + (" or null" if nullable else ""))
+        kwargs[key] = value
     recipes = doc.get("explicit_recipes", [])
     if not isinstance(recipes, list):
         raise ConfigInvalid("explicit_recipes must be a list")
@@ -238,14 +236,44 @@ def load_search_config(path: str) -> SearchConfig:
     return parse_search_config(_load_json(path))
 
 
+def load_facet_fixture(path: str) -> dict[str, tuple[tuple[LatticePoint, int], ...]]:
+    """Expected facets for verify-paper: (normal, offset) pairs under keys "a" and/or "b"."""
+    doc = _load_json(path)
+    if not isinstance(doc, dict) or not set(doc) <= {"a", "b"}:
+        raise ConfigInvalid("facet fixture must be an object with keys 'a' and/or 'b'")
+    out = {}
+    for key, facets in doc.items():
+        if not isinstance(facets, list):
+            raise ConfigInvalid(f"facet fixture {key!r} must be a list")
+        pairs = []
+        for entry in facets:
+            if (
+                not isinstance(entry, dict)
+                or set(entry) != {"normal", "offset"}
+                or not isinstance(entry["normal"], list)
+                or not all(_is_int(c) for c in entry["normal"])
+                or not _is_int(entry["offset"])
+            ):
+                raise ConfigInvalid(
+                    f"facet fixture {key!r} entries need a normal vector and an integer offset"
+                )
+            pairs.append((tuple(entry["normal"]), entry["offset"]))
+        out[key] = tuple(pairs)
+    return out
+
+
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigInvalid(f"{path} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigInvalid(f"{path} nests too deeply to parse") from None
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +285,7 @@ def point_json(w: Sequence[int]) -> list[int]:
 
 
 def rat_point_json(p: Sequence) -> list[str]:
-    return [render_rational(Fraction(c)) for c in p]
+    return [render_rational(c) for c in p]
 
 
 def halfspace_json(h: Halfspace) -> dict:
@@ -316,7 +344,3 @@ def construction_json(built: Construction) -> dict:
 def render_report(report: dict) -> str:
     """Deterministic JSON text for a report dict (already JSON-native)."""
     return json.dumps(report, indent=2) + "\n"
-
-
-def parse_report(text: str) -> dict:
-    return json.loads(text)

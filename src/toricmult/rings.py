@@ -7,22 +7,23 @@ grading used everywhere else in the package.
 
 Lattice points are enumerated in sigma-coordinates, the pairing vectors
 t = (<w, n_i>). Those vectors form the lattice H Z^d, where H is the
-Hermite normal form of a basis of sigma rays, and lattice_points_in_box
-walks that lattice directly: every point it visits is a lattice point, in
-lexicographic order of t (simplicial sigma) or of w (otherwise).
+Hermite normal form of a basis of sigma rays (ToricRing.sigma_lattice),
+and lattice_points_in_box walks that lattice directly: every point it
+visits is a lattice point, in lexicographic order of t (simplicial sigma)
+or of w (otherwise).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, NotInSemigroup
 from .geometry import LatticePoint, PolyCone, RatPoint, as_lattice_point
-from .linalg import dot, hermite_normal_form, independent_rows, kernel_basis, primitivize
+from .linalg import dot, hermite_normal_form, independent_rows, kernel_basis, primitivize, vscale, vsub
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,8 @@ class ToricRing:
     dual_rays generate the exponent cone (the dual of sigma); sigma_rays are
     the primitive generators of sigma itself. q_gorenstein is (w0, r) with
     <w0, n> = r for every sigma ray n, w0 primitive and r >= 1 minimal, or
-    None when no such lattice point exists.
+    None when no such lattice point exists. The canonical point u0 and the
+    sigma lattice are computed once per ring object, on first use.
     """
 
     dim: int
@@ -71,16 +73,35 @@ class ToricRing:
 
     def canonical_shift(self) -> RatPoint | None:
         """u0 = w0 / r as an exact rational point, or None if not Q-Gorenstein."""
+        return self._u0
+
+    @cached_property
+    def _u0(self) -> RatPoint | None:
         if self.q_gorenstein is None:
             return None
         w0, r = self.q_gorenstein
         return tuple(Fraction(a, r) for a in w0)
 
+    @cached_property
+    def sigma_lattice(self) -> tuple[tuple[int, ...], tuple, tuple]:
+        """(basis, H, U) for the lattice of sigma-pairing vectors.
+
+        basis indexes the first d linearly independent sigma rays, greedily in
+        sigma-ray order (all of them when sigma is simplicial); with N their
+        matrix, H is the column Hermite normal form of N and U = N^-1 H, so the
+        pairing vectors N w of lattice points w are exactly H k for integer k,
+        with w = U k.
+        """
+        ns = self.sigma_rays
+        basis = tuple(independent_rows(ns))
+        hnf, uni = hermite_normal_form([ns[i] for i in basis])
+        return basis, hnf, uni
+
     def pairings(self, w: Sequence) -> tuple:
         return tuple(dot(w, n) for n in self.sigma_rays)
 
 
-# Distinct rings kept by ring_from_dual_rays and _sigma_lattice; a search meets a few dozen.
+# Distinct rings kept by ring_from_dual_rays; a search meets a few dozen.
 RING_CACHE_SIZE = 64
 
 
@@ -105,7 +126,7 @@ ring_from_dual_rays.cache_info = _ring_from_rays.cache_info
 
 def _q_gorenstein_datum(cone: PolyCone) -> tuple[LatticePoint, int] | None:
     ns = cone.facet_normals
-    diffs = [tuple(a - b for a, b in zip(n, ns[0])) for n in ns[1:]]
+    diffs = [vsub(n, ns[0]) for n in ns[1:]]
     if diffs:
         basis = kernel_basis(diffs)
     else:
@@ -117,7 +138,7 @@ def _q_gorenstein_datum(cone: PolyCone) -> tuple[LatticePoint, int] | None:
     w0 = primitivize(basis[0])
     r = dot(w0, ns[0])
     if r < 0:
-        w0 = tuple(-a for a in w0)
+        w0 = vscale(-1, w0)
         r = -r
     assert r > 0
     return w0, int(r)
@@ -147,29 +168,13 @@ def require_exponent(ring: ToricRing, w: Sequence[int]) -> LatticePoint:
 # Lattice enumeration in sigma-coordinates
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=RING_CACHE_SIZE)
-def _sigma_lattice(ring: ToricRing) -> tuple[tuple[int, ...], tuple, tuple]:
-    """(basis, H, U) for the lattice of sigma-pairing vectors.
-
-    basis indexes the first d linearly independent sigma rays, greedily in
-    sigma-ray order (all of them when sigma is simplicial); with N their
-    matrix, H is the column Hermite normal form of N and U = N^-1 H, so the
-    pairing vectors N w of lattice points w are exactly H k for integer k,
-    with w = U k.
-    """
-    ns = ring.sigma_rays
-    basis = tuple(independent_rows(ns))
-    hnf, uni = hermite_normal_form([ns[i] for i in basis])
-    return basis, hnf, uni
-
-
 def lattice_points_in_box(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tuple[LatticePoint, tuple[int, ...]]]:
     """All lattice w with 0 <= <w, n_i> <= bounds[i] for every sigma ray n_i.
 
     Yields (w, pairings) pairs. The walk visits lattice points only: it
     runs over the integer vectors k with H k inside the box of a basis of
     sigma rays, where H is the lower-triangular Hermite normal form of their
-    matrix (see _sigma_lattice), and yields w = U k. When sigma is
+    matrix (see ToricRing.sigma_lattice), and yields w = U k. When sigma is
     simplicial the pairings come out in lexicographic order; otherwise the
     points are filtered on the remaining sigma rays and yielded in
     lexicographic order of w.
@@ -179,7 +184,7 @@ def lattice_points_in_box(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tu
         raise ValueError("one bound per sigma ray is required")
     if any(b < 0 for b in bounds):
         return
-    basis, hnf, uni = _sigma_lattice(ring)
+    basis, hnf, uni = ring.sigma_lattice
     points = _hermite_walk(hnf, uni, [bounds[i] for i in basis])
     if len(ns) == ring.dim:
         yield from points

@@ -421,20 +421,16 @@ def _evaluate(recipe: ConstructionRecipe) -> SearchHit | None:
     return None if verdict.holds else SearchHit(built, verdict)
 
 
-def search_counterexamples(config: SearchConfig, threads: int = 1) -> tuple[SearchHit, ...]:
+def search_counterexamples(config: SearchConfig) -> tuple[SearchHit, ...]:
     """Evaluate explicit recipes, then enumerated ones, deterministically.
 
     Candidates are evaluated one after another in enumeration order, so the
-    result depends only on the config (including its seed). threads is
-    accepted and validated but does not change how the work runs: threads
-    would only contend for the interpreter lock.
+    result depends only on the config (including its seed).
     """
     if config.dim < 1:
         raise ConfigInvalid("base dimension must be at least 1")
     if config.max_candidates is not None and config.max_candidates < 0:
         raise ConfigInvalid("max_candidates must be nonnegative")
-    if threads < 1:
-        raise ConfigInvalid("threads must be at least 1")
     for bound_name in ("ray_bound", "gen_pairing_bound", "z_pairing_bound", "z_height_bound"):
         if getattr(config, bound_name) < 0:
             raise ConfigInvalid(f"{bound_name} must be nonnegative")

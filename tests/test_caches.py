@@ -1,11 +1,14 @@
 """Memoized layers: bounded caches that return what a fresh computation returns.
 
-Rings, their sigma lattices, Newton polyhedra, integral closures, multiplier
-ideals and the 2D edge regions of an ideal pair are pure functions of frozen
-values, so each is memoized by value. The checks here pin that every cache is
+Rings, Newton polyhedra, integral closures, multiplier ideals and the 2D edge
+regions of an ideal pair are pure functions of frozen values, so each is
+memoized by value; a ring's canonical point and sigma lattice are computed
+once and held by the ring itself. The checks here pin that every cache is
 bounded, that a cached answer equals the undecorated function's, and that
 errors are raised again rather than remembered.
 """
+
+from fractions import Fraction
 
 import random
 
@@ -22,11 +25,12 @@ from toricmult.errors import (
     NotQGorenstein,
 )
 from toricmult.ideals import integral_closure, monomial_ideal, newton_polyhedron
+from toricmult.linalg import hermite_normal_form, independent_rows
 from toricmult.multiplier import multiplier_ideal
-from toricmult.rings import _sigma_lattice, ring_from_dual_rays
+from toricmult.rings import ring_from_dual_rays
 from toricmult.subadditivity import _edge_regions, decompose_2d
 
-MEMOIZED = (ring_from_dual_rays, _sigma_lattice, newton_polyhedron, integral_closure, multiplier_ideal, _edge_regions)
+MEMOIZED = (ring_from_dual_rays, newton_polyhedron, integral_closure, multiplier_ideal, _edge_regions)
 
 
 @pytest.mark.parametrize("layer", MEMOIZED, ids=lambda f: f.__name__)
@@ -100,8 +104,17 @@ def test_refused_multiplier_ideals_are_refused_again():
 
 def test_cached_sigma_lattices_equal_fresh_ones():
     for name, ring in pool_rings():
-        assert _sigma_lattice(ring) == _sigma_lattice.__wrapped__(ring), name
-        assert _sigma_lattice(ring) is _sigma_lattice(ring)
+        basis = tuple(independent_rows(ring.sigma_rays))
+        fresh = (basis, *hermite_normal_form([ring.sigma_rays[i] for i in basis]))
+        assert ring.sigma_lattice == fresh, name
+        assert ring.sigma_lattice is ring.sigma_lattice
+
+
+@pytest.mark.parametrize("name, dual, u0", [(name, dual, u0) for name, dual, _, u0 in POOL])
+def test_the_canonical_point_is_built_once_per_ring(name, dual, u0):
+    ring = ring_from_dual_rays(dual)
+    assert ring.canonical_shift() == tuple(Fraction(c) for c in u0)
+    assert ring.canonical_shift() is ring.canonical_shift()
 
 
 def pool_pairs_2d():

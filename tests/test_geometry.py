@@ -162,8 +162,8 @@ class TestNewtonPolyhedron:
             poly = hull_plus_cone(gens, ring.cone)
             for h in poly.facets:
                 assert type(h.offset) is int
-                assert all(h.value(g) >= h.offset for g in gens)
-                assert all(h.value(r) >= 0 for r in ring.dual_rays)
+                assert all(dot(h.normal, g) >= h.offset for g in gens)
+                assert all(dot(h.normal, r) >= 0 for r in ring.dual_rays)
 
     def test_dimension_mismatch_is_rejected(self, counterexample_ring):
         poly = newton_polyhedron(monomial_ideal(counterexample_ring, ((2, 4, 0),)))
