@@ -55,10 +55,10 @@ def main():
             print(f"  <{format_point(h.normal)}, w> >= {h.offset}")
 
     section("Multiplier ideals")
-    j_a = multiplier_ideal(a).ideal
-    j_b = multiplier_ideal(b).ideal
+    j_a = multiplier_ideal(a)
+    j_b = multiplier_ideal(b)
     ab = product(a, b)
-    j_ab = multiplier_ideal(ab).ideal
+    j_ab = multiplier_ideal(ab)
     print("J(a)      =", gens(j_a))
     print("J(b)      =", gens(j_b))
     print("J(ab)     =", gens(j_ab))

@@ -62,7 +62,7 @@ def main():
     print("u0 =", format_point(u0))
     print()
 
-    j_ab = multiplier_ideal(product(a, b)).ideal
+    j_ab = multiplier_ideal(product(a, b))
     print("Every generator g of J(ab), split as g = w + (g - w), where w is a")
     print("generator of a or b and (g - w) + u0 stays interior to the other")
     print("Newton polyhedron:")

@@ -50,7 +50,7 @@ from .ideals import (
     newton_polyhedron,
     product,
 )
-from .multiplier import MultiplierResult, multiplier_ideal, multiplier_membership
+from .multiplier import multiplier_ideal, multiplier_membership
 from .subadditivity import (
     Construction,
     ConstructionRecipe,
@@ -79,7 +79,6 @@ __all__ = [
     "Halfspace",
     "MembershipReport",
     "MonomialIdeal",
-    "MultiplierResult",
     "NewtonPolyhedron",
     "NotDimension2",
     "NotFullDimensional",

@@ -17,7 +17,7 @@ import time
 from dataclasses import fields, replace
 from typing import Sequence
 
-from .builtin_example import verification_checklist
+from .builtin_example import RING_DUAL_RAYS, verification_checklist
 from .errors import ToricmultError, ConfigInvalid
 from .ideals import MonomialIdeal, integral_closure, newton_polyhedron
 from .multiplier import multiplier_ideal
@@ -151,9 +151,9 @@ def _cmd_closure(args) -> tuple[dict, int]:
 
 def _cmd_multiplier(args) -> tuple[dict, int]:
     ideal, report = _one_ideal(args)
-    result = multiplier_ideal(ideal)
-    report["canonical_point"] = rat_point_json(result.shift)
-    report["multiplier_generators"] = [point_json(g) for g in result.ideal.gens]
+    gens = multiplier_ideal(ideal).gens  # raises first when the ring has no u0
+    report["canonical_point"] = rat_point_json(ideal.ring.canonical_shift())
+    report["multiplier_generators"] = [point_json(g) for g in gens]
     return report, 0
 
 
@@ -197,7 +197,7 @@ def _cmd_refute(args) -> tuple[dict, int]:
 
 
 def _cmd_verify_paper(args) -> tuple[dict, int]:
-    fixture = load_facet_fixture(args.expect_facets) if args.expect_facets else None
+    fixture = load_facet_fixture(args.expect_facets, len(RING_DUAL_RAYS[0])) if args.expect_facets else None
     checks = verification_checklist(fixture)
     all_passed = all(c.ok for c in checks)
     report = {

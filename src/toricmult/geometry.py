@@ -66,19 +66,18 @@ def _extreme_rays(rows: Sequence[LatticePoint], dim: int) -> list[LatticePoint]:
     inv = invert(basis)
 
     # Rays of the simplicial cone {y : B y >= 0} are the columns of B^{-1};
-    # column j is tight on every basis row except the j-th.
-    processed: list[LatticePoint] = list(basis)
+    # column j is tight on every basis row except the j-th. Zero sets number
+    # the rows in insertion order, basis rows first.
     rays: list[tuple[LatticePoint, frozenset[int]]] = []
     for j in range(dim):
         col = primitivize(tuple(inv[i][j] for i in range(dim)))
         zero = frozenset(i for i in range(dim) if i != j)
         rays.append((col, zero))
 
+    a_idx = dim
     for i, row in enumerate(rows):
         if i in basis_idx:
             continue
-        a_idx = len(processed)
-        processed.append(row)
         pos, zer, neg = [], [], []
         for r, z in rays:
             s = dot(row, r)
@@ -88,9 +87,6 @@ def _extreme_rays(rows: Sequence[LatticePoint], dim: int) -> list[LatticePoint]:
                 zer.append((r, z | {a_idx}))
             else:
                 neg.append((r, z, s))
-        if not neg:
-            rays = [(r, z) for r, z, _ in pos] + zer
-            continue
         new_rays: list[tuple[LatticePoint, frozenset[int]]] = [
             (r, z) for r, z, _ in pos
         ] + zer
@@ -107,9 +103,9 @@ def _extreme_rays(rows: Sequence[LatticePoint], dim: int) -> list[LatticePoint]:
                 vec = primitivize(vsub(vscale(sp, rn), vscale(sn, rp)))
                 new_rays.append((vec, common | {a_idx}))
         rays = new_rays
+        a_idx += 1
 
-    out = sorted({r for r, _ in rays})
-    return out
+    return sorted({r for r, _ in rays})
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +147,6 @@ class PolyCone:
         except NotFullDimensional:
             raise NotPointed("cone contains a line") from None
         return PolyCone(dim, tuple(extreme), tuple(normals))
-
-    def dual(self) -> "PolyCone":
-        """Dual cone {y : <x, y> >= 0 for all x in self}. Involutive."""
-        return PolyCone(self.dim, self.facet_normals, self.rays)
-
-    def contains(self, x: Sequence, strict: bool = False) -> bool:
-        if len(x) != self.dim:
-            raise DimensionMismatch(f"point of dimension {len(x)} in cone of dimension {self.dim}")
-        if strict:
-            return all(dot(f, x) > 0 for f in self.facet_normals)
-        return all(dot(f, x) >= 0 for f in self.facet_normals)
 
 
 # ---------------------------------------------------------------------------

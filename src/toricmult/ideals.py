@@ -39,16 +39,6 @@ class MonomialIdeal:
     def is_zero(self) -> bool:
         return not self.gens
 
-    @property
-    def is_unit(self) -> bool:
-        return self.gens == ((0,) * self.ring.dim,)
-
-    def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        return product(self, other)
-
-    def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        return ideal_sum(self, other)
-
 
 def monomial_ideal(ring: ToricRing, gens: Iterable[Sequence[int]]) -> MonomialIdeal:
     """Ideal generated by the given exponents, reduced to minimal generators."""

@@ -149,10 +149,12 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int,
     positive diagonal and 0 <= H[i][j] < H[i][i] for j < i; so H and rows
     have the same column lattice. H comes from integer column operations
     (Cohen, A Course in Computational Algebraic Number Theory, 2.4.2), and U
-    from U = rows^-1 @ H = adj @ H / det, a division that must be exact.
+    from the same operations applied to the identity. Both are unique for a
+    nonsingular input.
     """
     n = len(rows)
-    cols = [[rows[i][j] for i in range(n)] for j in range(n)]
+    # column j of the working matrix stacked on column j of U
+    cols = [[rows[i][j] for i in range(n)] + [int(i == j) for i in range(n)] for j in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             a, b = cols[i][i], cols[j][i]
@@ -172,16 +174,8 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int,
             if f:
                 cols[j] = [u - f * v for u, v in zip(cols[j], cols[i])]
     hnf = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    det, adj = adjugate_int(rows)
-    unimodular = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            q, r = divmod(sum(adj[i][k] * hnf[k][j] for k in range(n)), det)
-            assert r == 0, "rows^-1 @ H must be integral"
-            row.append(q)
-        unimodular.append(tuple(row))
-    return hnf, tuple(unimodular)
+    unimodular = tuple(tuple(cols[j][n + i] for j in range(n)) for i in range(n))
+    return hnf, unimodular
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

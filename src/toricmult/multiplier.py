@@ -7,24 +7,14 @@ pairs to exactly 1 with every sigma ray, integrally so on Gorenstein rings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 from .errors import NotQGorenstein, ZeroIdeal
-from .geometry import MembershipReport, NewtonPolyhedron, RatPoint, membership
+from .geometry import MembershipReport, RatPoint, membership
 from .ideals import CACHE_SIZE, MonomialIdeal, newton_polyhedron, region_minimal_generators
 from .linalg import vadd
 from .rings import ToricRing, require_exponent
-
-
-@dataclass(frozen=True)
-class MultiplierResult:
-    """Multiplier ideal together with the data that produced it."""
-
-    ideal: MonomialIdeal
-    shift: RatPoint
-    region: NewtonPolyhedron
 
 
 def _canonical_shift(ring: ToricRing) -> RatPoint:
@@ -35,14 +25,13 @@ def _canonical_shift(ring: ToricRing) -> RatPoint:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def multiplier_ideal(a: MonomialIdeal) -> MultiplierResult:
+def multiplier_ideal(a: MonomialIdeal) -> MonomialIdeal:
     """The multiplier ideal J(a), by enumeration of the shifted interior region."""
     u0 = _canonical_shift(a.ring)
     if a.is_zero:
         raise ZeroIdeal("the multiplier ideal of the zero ideal is undefined")
-    poly = newton_polyhedron(a)
-    gens = region_minimal_generators(a.ring, poly, shift=u0)
-    return MultiplierResult(MonomialIdeal(a.ring, gens), u0, poly)
+    gens = region_minimal_generators(a.ring, newton_polyhedron(a), shift=u0)
+    return MonomialIdeal(a.ring, gens)
 
 
 def multiplier_membership(a: MonomialIdeal, w: Sequence[int]) -> MembershipReport:

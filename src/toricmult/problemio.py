@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ConfigInvalid
-from .geometry import ConvexCertificate, Halfspace, LatticePoint, MembershipReport
+from .geometry import Halfspace, LatticePoint, MembershipReport
 from .ideals import MonomialIdeal, monomial_ideal
 from .rings import ToricRing, ring_from_dual_rays
 from .subadditivity import Construction, ConstructionRecipe, SearchConfig
@@ -54,18 +54,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def parse_rational(value) -> Fraction:
-    """Exact rational from an int or a 'p/q' / 'p' string."""
-    if _is_int(value):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigInvalid(f"not an exact rational: {value!r}") from None
-    raise ConfigInvalid(f"expected a rational, got {value!r}")
-
-
 def render_rational(q: Fraction) -> str:
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
@@ -76,6 +64,8 @@ def parse_monomial(text: str, dim: int) -> LatticePoint:
     if dim > len(_VARS):
         raise ConfigInvalid(f"monomial strings need dimension <= {len(_VARS)}, ring has {dim}")
     s = text.replace("*", "").replace(" ", "")
+    if not s:
+        raise ConfigInvalid(f"empty monomial {text!r}; write 1 for the unit")
     if s == "1":
         return (0,) * dim
     exponents = [0] * dim
@@ -236,8 +226,11 @@ def load_search_config(path: str) -> SearchConfig:
     return parse_search_config(_load_json(path))
 
 
-def load_facet_fixture(path: str) -> dict[str, tuple[tuple[LatticePoint, int], ...]]:
-    """Expected facets for verify-paper: (normal, offset) pairs under keys "a" and/or "b"."""
+def load_facet_fixture(path: str, dim: int) -> dict[str, tuple[tuple[LatticePoint, int], ...]]:
+    """Expected facets for verify-paper: (normal, offset) pairs under keys "a" and/or "b".
+
+    Every normal must have dim integer entries, the dimension of the ring.
+    """
     doc = _load_json(path)
     if not isinstance(doc, dict) or not set(doc) <= {"a", "b"}:
         raise ConfigInvalid("facet fixture must be an object with keys 'a' and/or 'b'")
@@ -251,11 +244,12 @@ def load_facet_fixture(path: str) -> dict[str, tuple[tuple[LatticePoint, int], .
                 not isinstance(entry, dict)
                 or set(entry) != {"normal", "offset"}
                 or not isinstance(entry["normal"], list)
+                or len(entry["normal"]) != dim
                 or not all(_is_int(c) for c in entry["normal"])
                 or not _is_int(entry["offset"])
             ):
                 raise ConfigInvalid(
-                    f"facet fixture {key!r} entries need a normal vector and an integer offset"
+                    f"facet fixture {key!r} entries need a normal of {dim} integers and an integer offset"
                 )
             pairs.append((tuple(entry["normal"]), entry["offset"]))
         out[key] = tuple(pairs)
@@ -308,13 +302,6 @@ def membership_json(report: MembershipReport) -> dict:
         "contained": report.contained,
         "mode": "interior" if report.strict else "closed",
         "facets": facets,
-    }
-
-
-def certificate_json(cert: ConvexCertificate) -> dict:
-    return {
-        "points": [rat_point_json(p) for p in cert.points],
-        "coefficients": [render_rational(c) for c in cert.coefficients],
     }
 
 

@@ -167,16 +167,18 @@ class SearchHit:
 
 def check_subadditivity(a: MonomialIdeal, b: MonomialIdeal) -> SubadditivityVerdict:
     """Compare J(ab) against J(a)·J(b) generator by generator."""
-    _same_ring(a, b)
-    m_ab = multiplier_ideal(product(a, b))
-    j_a = multiplier_ideal(a).ideal
-    j_b = multiplier_ideal(b).ideal
+    ring = _same_ring(a, b)
+    ab = product(a, b)
+    j_ab = multiplier_ideal(ab)
+    j_a = multiplier_ideal(a)
+    j_b = multiplier_ideal(b)
     j_prod = product(j_a, j_b)
-    witnesses = tuple(g for g in m_ab.ideal.gens if not contains_monomial(j_prod, g))
+    witnesses = tuple(g for g in j_ab.gens if not contains_monomial(j_prod, g))
+    u0 = _canonical_shift(ring)
     certs = tuple(
-        membership(m_ab.region, vadd(w, m_ab.shift), relative_interior=True) for w in witnesses
+        membership(newton_polyhedron(ab), vadd(w, u0), relative_interior=True) for w in witnesses
     )
-    return SubadditivityVerdict(not witnesses, witnesses, certs, m_ab.ideal, j_a, j_b, j_prod)
+    return SubadditivityVerdict(not witnesses, witnesses, certs, j_ab, j_a, j_b, j_prod)
 
 
 # ---------------------------------------------------------------------------
@@ -412,20 +414,14 @@ def _gap_generators(ring: ToricRing, g1: LatticePoint, g2: LatticePoint):
     return i_prime, j_prime, rs
 
 
-def _evaluate(recipe: ConstructionRecipe) -> SearchHit | None:
-    try:
-        built = huneke_swanson_construct(recipe)
-    except RecipeInvalid:
-        return None
-    verdict = check_subadditivity(built.a, built.b)
-    return None if verdict.holds else SearchHit(built, verdict)
-
-
 def search_counterexamples(config: SearchConfig) -> tuple[SearchHit, ...]:
     """Evaluate explicit recipes, then enumerated ones, deterministically.
 
-    Candidates are evaluated one after another in enumeration order, so the
-    result depends only on the config (including its seed).
+    Every explicit recipe is built before any is evaluated, so a recipe that
+    breaks the recipe conditions raises RecipeInvalid up front. Enumerated
+    recipes meet those conditions by construction. Candidates are evaluated
+    one after another in enumeration order, so the result depends only on
+    the config (including its seed).
     """
     if config.dim < 1:
         raise ConfigInvalid("base dimension must be at least 1")
@@ -437,8 +433,10 @@ def search_counterexamples(config: SearchConfig) -> tuple[SearchHit, ...]:
     if config.dim > 2:
         raise ConfigInvalid(f"search supports base dimension 1 or 2, not {config.dim}")
 
-    recipes = itertools.chain(config.explicit_recipes, _enumerated_recipes(config))
-    return tuple(hit for hit in map(_evaluate, recipes) if hit is not None)
+    explicit = [huneke_swanson_construct(r) for r in config.explicit_recipes]
+    built = itertools.chain(explicit, map(huneke_swanson_construct, _enumerated_recipes(config)))
+    verdicts = ((c, check_subadditivity(c.a, c.b)) for c in built)
+    return tuple(SearchHit(c, v) for c, v in verdicts if not v.holds)
 
 
 def _enumerated_recipes(config: SearchConfig) -> Iterator[ConstructionRecipe]:

@@ -42,20 +42,17 @@ class TestPolyCone:
         assert c.rays == ((1, 2), (2, 1))
 
     def test_dual_involution_on_pool(self):
+        # double description run on the facet normals gives back the rays
         for _, ring in pool_rings():
             cone = ring.cone
-            assert cone.dual().dual().rays == cone.rays
+            assert PolyCone.from_rays(cone.facet_normals).facet_normals == cone.rays
 
     def test_dual_of_plane_cusp_cone(self):
         c = PolyCone.from_rays(((2, 1), (1, 2)))
-        assert c.dual().rays == ((-1, 2), (2, -1))
+        dual = PolyCone.from_rays(c.facet_normals)
+        assert dual.rays == ((-1, 2), (2, -1))
+        assert dual.facet_normals == c.rays
         assert c.facet_normals == ((-1, 2), (2, -1))
-
-    def test_contains_is_strict_on_boundary(self):
-        c = PolyCone.from_rays(((2, 1), (1, 2)))
-        assert c.contains((1, 1), strict=True)
-        assert c.contains((2, 1)) and not c.contains((2, 1), strict=True)
-        assert not c.contains((1, 0))
 
     def test_degenerate_cones_are_refused(self):
         with pytest.raises(NotFullDimensional):

@@ -48,6 +48,9 @@ CASES = [
     ("ideal-outside-the-cone", _problem([[2, 1], [1, 2]], a=[[1, 0]]), NEWTON),
     ("monomial-dangling-caret", _problem([[1, 0], [0, 1]], a=["x^"]), NEWTON),
     ("monomial-repeated-variable", _problem([[1, 0], [0, 1]], a=["xyx"]), NEWTON),
+    ("monomial-empty", _problem([[1, 0], [0, 1]], a=[""]), NEWTON),
+    ("monomial-blank", _problem([[1, 0], [0, 1]], a=[" "]), NEWTON),
+    ("monomial-bare-star", _problem([[1, 0], [0, 1]], a=["*"]), NEWTON),
     ("monomial-in-four-variables",
      _problem([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], a=["xyz"]), NEWTON),
     ("unknown-ideal-name", PROBLEM, ["newton", "--input", "{file}", "--ideals", "zz"]),
@@ -71,6 +74,10 @@ CASES = [
     ("recipe-missing-r", {**SEARCH_CONFIG, "explicit_recipes": [
         {k: v for k, v in RECIPE.items() if k != "r"}]}, SEARCH),
     ("recipe-empty-ideal", {**SEARCH_CONFIG, "explicit_recipes": [{**RECIPE, "i_prime": []}]}, SEARCH),
+    ("recipe-empty-monomial", {**SEARCH_CONFIG, "explicit_recipes": [{**RECIPE, "r": ""}]}, SEARCH),
+    ("recipe-r-outside-the-closure", {**SEARCH_CONFIG, "explicit_recipes": [{**RECIPE, "r": [1, 1]}]}, SEARCH),
+    ("recipe-z-without-new-coordinate",
+     {**SEARCH_CONFIG, "explicit_recipes": [{**RECIPE, "z_exponent": [10, 6, 0]}]}, SEARCH),
     ("threads-zero", SEARCH_CONFIG, SEARCH + ["--threads", "0"]),
     ("threads-negative", SEARCH_CONFIG, SEARCH + ["--threads", "-3"]),
     # facet fixtures
@@ -81,6 +88,8 @@ CASES = [
     ("fixture-missing-offset", {"a": [{"normal": [0, 0, 1]}]}, VERIFY),
     ("fixture-true-normal-entry", {"a": [{"normal": [0, 0, True], "offset": 0}]}, VERIFY),
     ("fixture-true-offset", {"a": [{"normal": [0, 0, 1], "offset": False}]}, VERIFY),
+    ("fixture-short-normal", {"a": [{"normal": [1, 2], "offset": 0}]}, VERIFY),
+    ("fixture-empty-normal", {"a": [{"normal": [], "offset": 0}]}, VERIFY),
 ]
 
 

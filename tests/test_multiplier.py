@@ -29,17 +29,16 @@ def pair(ring):
 class TestCounterexampleInstance:
     def test_multiplier_of_a(self, pair):
         a, _ = pair
-        result = multiplier_ideal(a)
-        assert result.shift == (1, 1, 1)
-        assert result.ideal.gens == ((2, 4, 0), (3, 4, 0), (4, 4, 0), (7, 5, 1), (8, 5, 1))
+        assert a.ring.canonical_shift() == (1, 1, 1)
+        assert multiplier_ideal(a).gens == ((2, 4, 0), (3, 4, 0), (4, 4, 0), (7, 5, 1), (8, 5, 1))
 
     def test_multiplier_of_b(self, pair):
         _, b = pair
-        assert multiplier_ideal(b).ideal.gens == ((10, 6, 1), (11, 7, 0), (12, 7, 0))
+        assert multiplier_ideal(b).gens == ((10, 6, 1), (11, 7, 0), (12, 7, 0))
 
     def test_multiplier_of_the_product(self, pair):
         a, b = pair
-        gens = multiplier_ideal(product(a, b)).ideal.gens
+        gens = multiplier_ideal(product(a, b)).gens
         assert (17, 11, 1) in gens
         assert gens == (
             (12, 10, 1),
@@ -79,7 +78,7 @@ class TestOracleEquivalence:
             for _ in range(5):
                 i = random_ideal(rng, ring, max_gens=3, pairing_bound=9)
                 expected = multiplier_scan(i.gens, ring.dual_rays, ring.sigma_rays, u0)
-                assert multiplier_ideal(i).ideal.gens == expected
+                assert multiplier_ideal(i).gens == expected
 
     def test_random_2d_rings(self):
         rng = random.Random(17)
@@ -87,14 +86,14 @@ class TestOracleEquivalence:
             ring = random_2d_ring(rng, bound=5)
             i = random_ideal(rng, ring, max_gens=3, pairing_bound=10)
             expected = multiplier_scan(i.gens, ring.dual_rays, ring.sigma_rays, ring.canonical_shift())
-            assert multiplier_ideal(i).ideal.gens == expected
+            assert multiplier_ideal(i).gens == expected
 
     def test_fractional_canonical_point(self):
         ring = ring_from_dual_rays(((1, 0), (1, 3)))
         assert ring.canonical_shift() == (Fraction(2, 3), Fraction(1))
         i = monomial_ideal(ring, ((2, 0), (2, 6)))
         expected = multiplier_scan(i.gens, ring.dual_rays, ring.sigma_rays, ring.canonical_shift())
-        assert multiplier_ideal(i).ideal.gens == expected
+        assert multiplier_ideal(i).gens == expected
         # w = (1, 0): w + u0 = (5/3, 1) falls short of the facet <(1, 0), v> >= 2
         report = multiplier_membership(i, (1, 0))
         values = {h.normal: v for h, v in report.pairings}
@@ -131,7 +130,7 @@ class TestEnumerationSlack:
                 i = random_ideal(rng, ring, max_gens=3, pairing_bound=5)
                 assert integral_closure(i).gens == _wide_box_scan(i.gens, ring)
                 shift = ring.canonical_shift()
-                assert multiplier_ideal(i).ideal.gens == _wide_box_scan(i.gens, ring, shift)
+                assert multiplier_ideal(i).gens == _wide_box_scan(i.gens, ring, shift)
 
     def test_random_2d_rings(self):
         rng = random.Random(5151)
@@ -140,7 +139,7 @@ class TestEnumerationSlack:
             i = random_ideal(rng, ring, max_gens=3, pairing_bound=8)
             assert integral_closure(i).gens == _wide_box_scan(i.gens, ring)
             shift = ring.canonical_shift()
-            assert multiplier_ideal(i).ideal.gens == _wide_box_scan(i.gens, ring, shift)
+            assert multiplier_ideal(i).gens == _wide_box_scan(i.gens, ring, shift)
 
 
 class TestStructuralLaws:
@@ -151,7 +150,7 @@ class TestStructuralLaws:
         for _, ring in pool_rings():
             for _ in range(4):
                 i = random_ideal(rng, ring, max_gens=3, pairing_bound=8)
-                j = multiplier_ideal(i).ideal
+                j = multiplier_ideal(i)
                 for g in integral_closure(i).gens:
                     assert contains_monomial(j, g)
 
@@ -160,7 +159,7 @@ class TestStructuralLaws:
         # multiplier ideals are NOT inside the integral closure in general.
         orthant = ring_from_dual_rays(((1, 0), (0, 1)))
         i = monomial_ideal(orthant, ((2, 0), (0, 2)))
-        assert multiplier_ideal(i).ideal.gens == ((0, 1), (1, 0))
+        assert multiplier_ideal(i).gens == ((0, 1), (1, 0))
         assert integral_closure(i).gens == ((0, 2), (1, 1), (2, 0))
         assert not contains_monomial(integral_closure(i), (1, 0))
 
@@ -168,7 +167,7 @@ class TestStructuralLaws:
         rng = random.Random(813)
         for _, ring in pool_rings():
             i = random_ideal(rng, ring, max_gens=3, pairing_bound=8)
-            j = multiplier_ideal(i).ideal
+            j = multiplier_ideal(i)
             assert integral_closure(j) == j
 
     def test_monotone_in_the_ideal(self):
@@ -176,14 +175,14 @@ class TestStructuralLaws:
         for _, ring in pool_rings():
             i = random_ideal(rng, ring, max_gens=2, pairing_bound=7)
             bigger = ideal_sum(i, random_ideal(rng, ring, max_gens=2, pairing_bound=7))
-            ji = multiplier_ideal(i).ideal
-            jb = multiplier_ideal(bigger).ideal
+            ji = multiplier_ideal(i)
+            jb = multiplier_ideal(bigger)
             assert all(contains_monomial(jb, g) for g in ji.gens)
 
     def test_unit_ideal_is_a_fixed_point(self):
         for _, ring in pool_rings():
             unit = monomial_ideal(ring, ((0,) * ring.dim,))
-            assert multiplier_ideal(unit).ideal == unit
+            assert multiplier_ideal(unit) == unit
 
 
 class TestErrors:

@@ -7,11 +7,10 @@ from fractions import Fraction
 import pytest
 
 from toricmult.errors import ConfigInvalid
-from toricmult.geometry import membership, relint_certificate
+from toricmult.geometry import membership
 from toricmult.ideals import monomial_ideal, newton_polyhedron
 from toricmult.multiplier import multiplier_membership
 from toricmult.problemio import (
-    certificate_json,
     format_point,
     load_problem,
     membership_json,
@@ -19,7 +18,6 @@ from toricmult.problemio import (
     parse_point,
     parse_point_arg,
     parse_problem,
-    parse_rational,
     parse_recipe,
     parse_ring,
     parse_search_config,
@@ -40,17 +38,6 @@ PROBLEM_DOC = {
 
 
 class TestRationals:
-    def test_fraction_strings_parse_exactly(self):
-        assert parse_rational("5/16") == Fraction(5, 16)
-        assert parse_rational("-2/3") == Fraction(-2, 3)
-        assert parse_rational("7") == Fraction(7)
-        assert parse_rational(7) == Fraction(7)
-
-    @pytest.mark.parametrize("bad", [True, 0.5, None, "x", "1/0", [1]])
-    def test_non_rationals_are_rejected(self, bad):
-        with pytest.raises(ConfigInvalid):
-            parse_rational(bad)
-
     def test_rendering_never_uses_decimals(self):
         assert render_rational(Fraction(5, 16)) == "5/16"
         assert render_rational(Fraction(-2, 3)) == "-2/3"
@@ -58,7 +45,7 @@ class TestRationals:
         rng = random.Random(31)
         for _ in range(100):
             q = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-            assert parse_rational(render_rational(q)) == q
+            assert Fraction(render_rational(q)) == q
 
 
 class TestMonomials:
@@ -76,7 +63,7 @@ class TestMonomials:
         assert parse_monomial(text, dim) == expected
 
     @pytest.mark.parametrize(
-        "text,dim", [("xx", 2), ("x^2x", 2), ("w", 2), ("z", 2), ("x", 4)]
+        "text,dim", [("xx", 2), ("x^2x", 2), ("w", 2), ("z", 2), ("x", 4), ("", 2), (" ", 2), ("*", 2)]
     )
     def test_rejections(self, text, dim):
         with pytest.raises(ConfigInvalid):
@@ -243,13 +230,6 @@ class TestReportPayloads:
         assert payload["mode"] == "interior"
         by_normal = {tuple(f["normal"]): f for f in payload["facets"]}
         assert by_normal[(1, 0)]["value"] == "5/3"
-
-    def test_certificates_serialize_their_exact_coefficients(self):
-        orthant = ring_from_dual_rays(((1, 0), (0, 1)))
-        poly = newton_polyhedron(monomial_ideal(orthant, ((2, 0), (0, 2))))
-        payload = certificate_json(relint_certificate(poly, (2, 2)))
-        assert sum(Fraction(c) for c in payload["coefficients"]) == 1
-        assert all(isinstance(p, list) for p in payload["points"])
 
     def test_reports_round_trip_byte_for_byte(self):
         orthant = ring_from_dual_rays(((1, 0), (0, 1)))

@@ -47,6 +47,7 @@ from toricmult.subadditivity import (
     exhaustive_refute,
     huneke_swanson_construct,
     _candidate_rings,
+    _enumerated_recipes,
     _skeleton,
     _skeleton_space,
     _skeletons,
@@ -84,13 +85,13 @@ class TestVerdict:
         verdict = check_subadditivity(a, b)
         assert not verdict.holds
         assert verdict.witnesses == ((13, 10, 0), (17, 11, 1))
-        assert verdict.j_ab.gens == multiplier_ideal(product(a, b)).ideal.gens
+        assert verdict.j_ab.gens == multiplier_ideal(product(a, b)).gens
         assert not contains_monomial(verdict.j_product, (17, 11, 1))
 
     def test_witness_certificates_re_verify(self, pair):
         a, b = pair
         verdict = check_subadditivity(a, b)
-        region = multiplier_ideal(product(a, b)).region
+        region = newton_polyhedron(product(a, b))
         u0 = a.ring.canonical_shift()
         for w, cert in zip(verdict.witnesses, verdict.certificates):
             assert cert.contained and cert.strict
@@ -134,7 +135,7 @@ class TestDecompose2D:
             ring = random_2d_ring(rng, bound=5)
             a = random_ideal(rng, ring, max_gens=3, pairing_bound=14)
             b = random_ideal(rng, ring, max_gens=3, pairing_bound=14)
-            j_ab = multiplier_ideal(product(a, b)).ideal
+            j_ab = multiplier_ideal(product(a, b))
             for g in j_ab.gens:
                 d = decompose_2d(g, a, b)
                 assert d.remainder_check.contained
@@ -190,7 +191,7 @@ class TestDecompose2DAgainstReference:
         for _, ring in pool_rings():
             if ring.dim == 2:
                 for a, b in self.seeded_pairs(rng, ring, 6):
-                    outcomes = self.assert_agree(a, b, multiplier_ideal(product(a, b)).ideal.gens)
+                    outcomes = self.assert_agree(a, b, multiplier_ideal(product(a, b)).gens)
                     assert all(isinstance(d, Decomposition2D) for d in outcomes)
 
     def test_every_generator_on_random_rings(self):
@@ -198,7 +199,7 @@ class TestDecompose2DAgainstReference:
         for _ in range(15):
             ring = random_2d_ring(rng, bound=6)
             for a, b in self.seeded_pairs(rng, ring, 2):
-                outcomes = self.assert_agree(a, b, multiplier_ideal(product(a, b)).ideal.gens)
+                outcomes = self.assert_agree(a, b, multiplier_ideal(product(a, b)).gens)
                 assert all(isinstance(d, Decomposition2D) for d in outcomes)
 
     def test_members_and_non_members_of_a_box(self):
@@ -254,7 +255,7 @@ class TestExhaustiveRefutation:
             u0 = ring.canonical_shift()
             if any(u.denominator != 1 for u in u0):
                 continue  # v = p + u0 must stay integral for the scan
-            j_ab = multiplier_ideal(product(a, b)).ideal
+            j_ab = multiplier_ideal(product(a, b))
             for g in j_ab.gens[:2]:
                 v = tuple(int(c + u) for c, u in zip(g, u0))
                 report = exhaustive_refute(v, a, b)
@@ -294,7 +295,7 @@ class TestExhaustiveRefutation:
         a = monomial_ideal(orthant, ((2, 0), (0, 2)))
         report = exhaustive_refute((4, 4), a, a)
         assert report.decompositions
-        na = multiplier_ideal(a).region
+        na = newton_polyhedron(a)
         for alpha, beta in report.decompositions:
             assert membership(na, alpha, relative_interior=True).contained
             shifted = tuple(b + 1 for b in beta)
@@ -413,6 +414,14 @@ class TestSearch:
     def test_unsupported_dimension_is_refused(self):
         with pytest.raises(ConfigInvalid):
             search_counterexamples(SearchConfig(dim=4))
+
+    def test_every_enumerated_recipe_meets_the_recipe_conditions(self):
+        # search builds enumerated recipes without catching RecipeInvalid
+        config = SearchConfig(ray_bound=2, gen_pairing_bound=3, z_pairing_bound=1, z_height_bound=2)
+        recipes = list(_enumerated_recipes(config))
+        assert len(recipes) == 580
+        for recipe in recipes:
+            huneke_swanson_construct(recipe)
 
 
 PAPER_BOUNDS = Path(__file__).with_name("paper_bounds_search.json")
