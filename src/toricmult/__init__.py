@@ -33,7 +33,6 @@ from .geometry import (
     verify_certificate,
 )
 from .rings import (
-    SemigroupReport,
     ToricRing,
     require_exponent,
     ring_from_dual_rays,
@@ -93,7 +92,6 @@ __all__ = [
     "RingMismatch",
     "SearchConfig",
     "SearchHit",
-    "SemigroupReport",
     "Side",
     "SubadditivityVerdict",
     "ToricRing",

@@ -52,20 +52,28 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.format == "json":
         sys.stdout.write(render_report(report))
     else:
-        for line in _TEXT_RENDERERS[report["command"]](report):
+        for line in args.render(report):
             print(line)
         print(f"elapsed: {time.perf_counter() - started:.3f}s")
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints a usage error as one `error:` line, without the usage block."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toricmult",
         description="Exact multiplier-ideal computations on normal toric rings.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def command(name, handler, help_, ideals=0, problem=False):
+    def command(name, handler, render, help_, ideals=0, problem=False):
         sp = sub.add_parser(name, help=help_, description=help_)
         sp.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
@@ -76,28 +84,28 @@ def _build_parser() -> argparse.ArgumentParser:
             plural = "s" if ideals > 1 else ""
             sp.add_argument("--ideals", required=True, nargs="+", metavar="NAME",
                             help=f"name{plural} of {ideals} ideal{plural} from the problem file")
-        sp.set_defaults(handler=handler, ideal_count=ideals)
+        sp.set_defaults(handler=handler, render=render, ideal_count=ideals)
         return sp
 
-    command("newton", _cmd_newton, "Facets and vertices of an ideal's Newton polyhedron.",
+    command("newton", _cmd_newton, _text_newton, "Facets and vertices of an ideal's Newton polyhedron.",
             ideals=1, problem=True)
-    command("closure", _cmd_closure, "Minimal generators of an ideal's integral closure.",
+    command("closure", _cmd_closure, _text_closure, "Minimal generators of an ideal's integral closure.",
             ideals=1, problem=True)
-    command("multiplier", _cmd_multiplier, "Minimal generators of an ideal's multiplier ideal.",
+    command("multiplier", _cmd_multiplier, _text_multiplier, "Minimal generators of an ideal's multiplier ideal.",
             ideals=1, problem=True)
-    command("subadd", _cmd_subadd,
+    command("subadd", _cmd_subadd, _text_subadd,
             "Check J(a·b) ⊆ J(a)·J(b); exit 1 with witnesses when it fails.",
             ideals=2, problem=True)
-    refute = command("refute", _cmd_refute,
+    refute = command("refute", _cmd_refute, _text_refute,
                      "Scan all splittings of a target point; exit 0 when none exists.",
                      ideals=2, problem=True)
     refute.add_argument("--target", required=True, metavar="POINT",
                         help="lattice point, e.g. '18,12,2' or 'x^18y^12z^2'")
-    verify = command("verify-paper", _cmd_verify_paper,
+    verify = command("verify-paper", _cmd_verify_paper, _text_verify,
                      "Replay the packaged counterexample end to end; exit 1 on any mismatch.")
     verify.add_argument("--expect-facets", metavar="FILE",
                         help="JSON fixture overriding the expected facet lists")
-    search = command("search", _cmd_search,
+    search = command("search", _cmd_search, _text_search,
                      "Enumerate construction recipes and report subadditivity violations.")
     search.add_argument("--input", metavar="FILE", help="search config JSON file")
     search.add_argument("--seed", type=int, metavar="N", help="override the config seed")
@@ -133,6 +141,17 @@ def _one_ideal(args) -> tuple[MonomialIdeal, dict]:
     }
 
 
+def _two_ideals(args) -> tuple[MonomialIdeal, MonomialIdeal, dict]:
+    """The two named ideals, and the report fields every two-ideal command starts with."""
+    problem, (name_a, name_b) = _named_ideals(args)
+    return problem.ideal(name_a), problem.ideal(name_b), {
+        "command": args.command,
+        "ring": ring_json(problem.ring),
+        "ideal_a": name_a,
+        "ideal_b": name_b,
+    }
+
+
 def _cmd_newton(args) -> tuple[dict, int]:
     ideal, report = _one_ideal(args)
     poly = newton_polyhedron(ideal)
@@ -158,41 +177,27 @@ def _cmd_multiplier(args) -> tuple[dict, int]:
 
 
 def _cmd_subadd(args) -> tuple[dict, int]:
-    problem, (name_a, name_b) = _named_ideals(args)
-    verdict = check_subadditivity(problem.ideal(name_a), problem.ideal(name_b))
-    report = {
-        "command": "subadd",
-        "ring": ring_json(problem.ring),
-        "ideal_a": name_a,
-        "ideal_b": name_b,
-        "holds": verdict.holds,
-        "witnesses": [point_json(w) for w in verdict.witnesses],
-        "witness_certificates": [membership_json(c) for c in verdict.certificates],
-        "j_ab": [point_json(g) for g in verdict.j_ab.gens],
-        "j_a": [point_json(g) for g in verdict.j_a.gens],
-        "j_b": [point_json(g) for g in verdict.j_b.gens],
-        "j_product": [point_json(g) for g in verdict.j_product.gens],
-    }
+    a, b, report = _two_ideals(args)
+    verdict = check_subadditivity(a, b)
+    report["holds"] = verdict.holds
+    report["witnesses"] = [point_json(w) for w in verdict.witnesses]
+    report["witness_certificates"] = [membership_json(c) for c in verdict.certificates]
+    report["j_ab"] = [point_json(g) for g in verdict.j_ab.gens]
+    report["j_a"] = [point_json(g) for g in verdict.j_a.gens]
+    report["j_b"] = [point_json(g) for g in verdict.j_b.gens]
+    report["j_product"] = [point_json(g) for g in verdict.j_product.gens]
     return report, 0 if verdict.holds else 1
 
 
 def _cmd_refute(args) -> tuple[dict, int]:
-    problem, (name_a, name_b) = _named_ideals(args)
-    target = parse_point_arg(args.target, problem.ring.dim)
-    result = exhaustive_refute(target, problem.ideal(name_a), problem.ideal(name_b))
-    report = {
-        "command": "refute",
-        "ring": ring_json(problem.ring),
-        "ideal_a": name_a,
-        "ideal_b": name_b,
-        "target": point_json(result.target),
-        "bounds": list(result.bounds),
-        "scanned": result.scanned,
-        "decompositions": [
-            {"alpha": point_json(alpha), "beta": point_json(beta)}
-            for alpha, beta in result.decompositions
-        ],
-    }
+    a, b, report = _two_ideals(args)
+    result = exhaustive_refute(parse_point_arg(args.target, a.ring.dim), a, b)
+    report["target"] = point_json(result.target)
+    report["bounds"] = list(result.bounds)
+    report["scanned"] = result.scanned
+    report["decompositions"] = [
+        {"alpha": point_json(alpha), "beta": point_json(beta)} for alpha, beta in result.decompositions
+    ]
     return report, 0 if not result.decompositions else 1
 
 
@@ -330,17 +335,6 @@ def _text_search(report):
         yield "       escaping generators: " + ", ".join(format_point(w) for w in hit["witnesses"])
     plural = "" if report["count"] == 1 else "s"
     yield f"search complete: {report['count']} counterexample{plural} found"
-
-
-_TEXT_RENDERERS = {
-    "newton": _text_newton,
-    "closure": _text_closure,
-    "multiplier": _text_multiplier,
-    "subadd": _text_subadd,
-    "refute": _text_refute,
-    "verify-paper": _text_verify,
-    "search": _text_search,
-}
 
 
 if __name__ == "__main__":

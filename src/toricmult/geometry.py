@@ -181,8 +181,6 @@ class NewtonPolyhedron:
     """
 
     dim: int
-    points: tuple[LatticePoint, ...]
-    recession: PolyCone
     vertices: tuple[LatticePoint, ...]
     facets: tuple[Halfspace, ...]
 
@@ -222,7 +220,7 @@ def hull_plus_cone(points: Iterable[Sequence[int]], recession: PolyCone) -> Newt
             vertices.append(p)
     vertices.sort()
 
-    return NewtonPolyhedron(dim, tuple(pts), recession, tuple(vertices), tuple(facets))
+    return NewtonPolyhedron(dim, tuple(vertices), tuple(facets))
 
 
 def membership(p: NewtonPolyhedron, x: Sequence, relative_interior: bool = False) -> MembershipReport:

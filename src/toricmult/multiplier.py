@@ -10,24 +10,17 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import NotQGorenstein, ZeroIdeal
-from .geometry import MembershipReport, RatPoint, membership
+from .errors import ZeroIdeal
+from .geometry import MembershipReport, membership
 from .ideals import CACHE_SIZE, MonomialIdeal, newton_polyhedron, region_minimal_generators
 from .linalg import vadd
-from .rings import ToricRing, require_exponent
-
-
-def _canonical_shift(ring: ToricRing) -> RatPoint:
-    u0 = ring.canonical_shift()
-    if u0 is None:
-        raise NotQGorenstein("ring has no canonical point; multiplier ideals are undefined")
-    return u0
+from .rings import require_exponent
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def multiplier_ideal(a: MonomialIdeal) -> MonomialIdeal:
     """The multiplier ideal J(a), by enumeration of the shifted interior region."""
-    u0 = _canonical_shift(a.ring)
+    u0 = a.ring.canonical_shift()
     if a.is_zero:
         raise ZeroIdeal("the multiplier ideal of the zero ideal is undefined")
     gens = region_minimal_generators(a.ring, newton_polyhedron(a), shift=u0)
@@ -36,7 +29,7 @@ def multiplier_ideal(a: MonomialIdeal) -> MonomialIdeal:
 
 def multiplier_membership(a: MonomialIdeal, w: Sequence[int]) -> MembershipReport:
     """Does x^w belong to J(a)? Reports the exact pairing against every facet."""
-    u0 = _canonical_shift(a.ring)
+    u0 = a.ring.canonical_shift()
     if a.is_zero:
         raise ZeroIdeal("the multiplier ideal of the zero ideal is undefined")
     p = require_exponent(a.ring, w)

@@ -21,21 +21,9 @@ from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DimensionMismatch, NotInSemigroup
+from .errors import DimensionMismatch, NotInSemigroup, NotQGorenstein
 from .geometry import LatticePoint, PolyCone, RatPoint, as_lattice_point
 from .linalg import dot, hermite_normal_form, independent_rows, kernel_basis, primitivize, vscale, vsub
-
-
-@dataclass(frozen=True)
-class SemigroupReport:
-    """Membership outcome for a lattice point against the exponent cone."""
-
-    contained: bool
-    point: LatticePoint
-    violated_ray: LatticePoint | None
-
-    def __bool__(self) -> bool:
-        return self.contained
 
 
 @dataclass(frozen=True)
@@ -71,14 +59,14 @@ class ToricRing:
             return self.q_gorenstein[0]
         return None
 
-    def canonical_shift(self) -> RatPoint | None:
-        """u0 = w0 / r as an exact rational point, or None if not Q-Gorenstein."""
+    def canonical_shift(self) -> RatPoint:
+        """u0 = w0 / r as an exact rational point; NotQGorenstein if there is none."""
         return self._u0
 
     @cached_property
-    def _u0(self) -> RatPoint | None:
+    def _u0(self) -> RatPoint:
         if self.q_gorenstein is None:
-            return None
+            raise NotQGorenstein("ring has no canonical point; multiplier ideals are undefined")
         w0, r = self.q_gorenstein
         return tuple(Fraction(a, r) for a in w0)
 
@@ -127,10 +115,7 @@ ring_from_dual_rays.cache_info = _ring_from_rays.cache_info
 def _q_gorenstein_datum(cone: PolyCone) -> tuple[LatticePoint, int] | None:
     ns = cone.facet_normals
     diffs = [vsub(n, ns[0]) for n in ns[1:]]
-    if diffs:
-        basis = kernel_basis(diffs)
-    else:
-        basis = kernel_basis([(0,) * cone.dim])
+    basis = kernel_basis(diffs or [(0,) * cone.dim])
     # sigma spans the ambient space, so the solution space is a line at most
     if not basis:
         return None
@@ -144,24 +129,24 @@ def _q_gorenstein_datum(cone: PolyCone) -> tuple[LatticePoint, int] | None:
     return w0, int(r)
 
 
-def semigroup_contains(ring: ToricRing, w: Sequence[int]) -> SemigroupReport:
+def semigroup_contains(ring: ToricRing, w: Sequence[int]) -> bool:
     """Is x^w a monomial of the ring, i.e. does w pair >= 0 with every sigma ray?"""
+    try:
+        require_exponent(ring, w)
+    except NotInSemigroup:
+        return False
+    return True
+
+
+def require_exponent(ring: ToricRing, w: Sequence[int]) -> LatticePoint:
+    """w as a lattice point of the ring; NotInSemigroup names a sigma ray it pairs negatively with."""
     p = as_lattice_point(w)
     if len(p) != ring.dim:
         raise DimensionMismatch(f"point of dimension {len(p)} in ring of dimension {ring.dim}")
     for n in ring.sigma_rays:
         if dot(p, n) < 0:
-            return SemigroupReport(False, p, n)
-    return SemigroupReport(True, p, None)
-
-
-def require_exponent(ring: ToricRing, w: Sequence[int]) -> LatticePoint:
-    rep = semigroup_contains(ring, w)
-    if not rep:
-        raise NotInSemigroup(
-            f"{rep.point} pairs {dot(rep.point, rep.violated_ray)} with sigma ray {rep.violated_ray}"
-        )
-    return rep.point
+            raise NotInSemigroup(f"{p} pairs {dot(p, n)} with sigma ray {n}")
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .ideals import (
     product,
 )
 from .linalg import dot, vadd, vsub
-from .multiplier import _canonical_shift, multiplier_ideal
+from .multiplier import multiplier_ideal, multiplier_membership
 from .rings import (
     ToricRing,
     lattice_points_in_box,
@@ -71,14 +71,13 @@ class Side(enum.Enum):
 
 @dataclass(frozen=True)
 class Decomposition2D:
-    """Constructive split p + u0 = witness + remainder, remainder interior.
+    """Constructive split p + u0 = witness + remainder of the point p, remainder interior.
 
     witness is a generator of a (side FROM_A) or of b (side FROM_B), and
     remainder_check verifies the remainder strictly inside the other factor's
     Newton polyhedron, so x^p ∈ witness · J(other).
     """
 
-    point: LatticePoint
     side: Side
     witness: LatticePoint
     remainder: RatPoint
@@ -167,17 +166,13 @@ class SearchHit:
 
 def check_subadditivity(a: MonomialIdeal, b: MonomialIdeal) -> SubadditivityVerdict:
     """Compare J(ab) against J(a)·J(b) generator by generator."""
-    ring = _same_ring(a, b)
     ab = product(a, b)
     j_ab = multiplier_ideal(ab)
     j_a = multiplier_ideal(a)
     j_b = multiplier_ideal(b)
     j_prod = product(j_a, j_b)
     witnesses = tuple(g for g in j_ab.gens if not contains_monomial(j_prod, g))
-    u0 = _canonical_shift(ring)
-    certs = tuple(
-        membership(newton_polyhedron(ab), vadd(w, u0), relative_interior=True) for w in witnesses
-    )
+    certs = tuple(multiplier_membership(ab, w) for w in witnesses)
     return SubadditivityVerdict(not witnesses, witnesses, certs, j_ab, j_a, j_b, j_prod)
 
 
@@ -199,7 +194,7 @@ def _edge_regions(a: MonomialIdeal, b: MonomialIdeal):
     (lattice_thresholds(region, u0), side, witness).
     """
     ring = a.ring
-    u0 = _canonical_shift(ring)
+    u0 = ring.canonical_shift()
     poly = newton_polyhedron(product(a, b))
     n0 = ring.sigma_rays[0]
     seq = [
@@ -233,7 +228,7 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
     ring = _same_ring(a, b)
     if ring.dim != 2:
         raise NotDimension2(f"boundary-walk decomposition needs dimension 2, not {ring.dim}")
-    u0 = _canonical_shift(ring)
+    u0 = ring.canonical_shift()
     pt = require_exponent(ring, p)
     interior, regions = _edge_regions(a, b)
     if not all(dot(pt, f) >= m for f, m in interior):
@@ -245,7 +240,7 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
             other = b if side is Side.FROM_A else a
             report = membership(newton_polyhedron(other), remainder, relative_interior=True)
             assert report.contained, "edge region interior must land in the factor's interior"
-            return Decomposition2D(pt, side, witness, remainder, idx, report)
+            return Decomposition2D(side, witness, remainder, idx, report)
     raise AssertionError("interior point escaped every edge region")
 
 
@@ -264,7 +259,7 @@ def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> R
     ⟨v + u0, n⟩ = ⟨v, n⟩ + 1 (u0 pairs to exactly 1 with every sigma ray).
     """
     ring = _same_ring(a, b)
-    u0 = _canonical_shift(ring)
+    u0 = ring.canonical_shift()
     target = require_exponent(ring, v)
     inside_a = lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim)
     inside_b = lattice_thresholds(newton_polyhedron(b), u0)

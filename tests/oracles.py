@@ -22,7 +22,6 @@ from fractions import Fraction
 from toricmult.errors import NotDimension2, NotInMultiplierIdeal
 from toricmult.geometry import hull_plus_cone, membership
 from toricmult.ideals import _same_ring, newton_polyhedron, product
-from toricmult.multiplier import _canonical_shift
 from toricmult.rings import require_exponent
 from toricmult.subadditivity import Decomposition2D, Side
 
@@ -341,7 +340,7 @@ def decompose_2d(p, a, b):
     ring = _same_ring(a, b)
     if ring.dim != 2:
         raise NotDimension2(f"boundary-walk decomposition needs dimension 2, not {ring.dim}")
-    u0 = _canonical_shift(ring)
+    u0 = ring.canonical_shift()
     pt = require_exponent(ring, p)
     poly = newton_polyhedron(product(a, b))
     x = vadd(pt, u0)
@@ -363,5 +362,5 @@ def decompose_2d(p, a, b):
         remainder = vsub(x, witness)
         report = membership(newton_polyhedron(other), remainder, relative_interior=True)
         assert report.contained, "edge region interior must land in the factor's interior"
-        return Decomposition2D(pt, side, witness, remainder, idx, report)
+        return Decomposition2D(side, witness, remainder, idx, report)
     raise AssertionError("interior point escaped every edge region")

@@ -114,7 +114,7 @@ class TestArithmetic:
             for _ in range(12):
                 a = random_ideal(rng, ring, pairing_bound=4)
                 for w in points:
-                    expected = any(semigroup_contains(ring, vsub(w, g)).contained for g in a.gens)
+                    expected = any(semigroup_contains(ring, vsub(w, g)) for g in a.gens)
                     assert contains_monomial(a, w) == expected, (ring.dual_rays, a.gens, w)
 
 

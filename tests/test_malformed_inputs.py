@@ -1,16 +1,18 @@
-"""Malformed inputs: every bad file or flag value is a one-line usage error.
+"""Malformed inputs: every bad file, flag or flag value is a one-line usage error.
 
 Each case runs the CLI in-process on one bad problem file, search config,
-facet fixture, --target string or --threads value. Exit code 1 means a
+facet fixture, --target string, --threads value or argument list. Exit code 1 means a
 mathematical negative, so a refused input must exit 2, print nothing on
 stdout and exactly one line on stderr, and never a traceback.
 """
 
 import json
+import random
 
 import pytest
 
-from test_cli import PROBLEM, RECIPE, SEARCH_CONFIG
+from test_cli import PROBLEM, PROBLEM_2D, RECIPE, SEARCH_CONFIG
+from toricmult.builtin_example import EXPECTED_A_FACETS, EXPECTED_B_FACETS
 from toricmult.cli import main
 
 NOT_UTF8 = b"\xff\xfe\x00"
@@ -80,6 +82,12 @@ CASES = [
      {**SEARCH_CONFIG, "explicit_recipes": [{**RECIPE, "z_exponent": [10, 6, 0]}]}, SEARCH),
     ("threads-zero", SEARCH_CONFIG, SEARCH + ["--threads", "0"]),
     ("threads-negative", SEARCH_CONFIG, SEARCH + ["--threads", "-3"]),
+    # argument errors argparse reports
+    ("usage-cap-not-an-int", SEARCH_CONFIG, SEARCH + ["--cap", "abc"]),
+    ("usage-refute-without-target", PROBLEM, REFUTE[:-1]),
+    ("usage-unknown-command", PROBLEM, ["frobnicate", "--input", "{file}"]),
+    ("usage-unknown-format", SEARCH_CONFIG, SEARCH + ["--format", "xml"]),
+    ("usage-unknown-flag", SEARCH_CONFIG, SEARCH + ["--verbose"]),
     # facet fixtures
     ("fixture-not-utf8", NOT_UTF8, VERIFY),
     ("fixture-deeply-nested", DEEPLY_NESTED, VERIFY),
@@ -108,3 +116,77 @@ def test_malformed_input_is_a_one_line_usage_error(contents, argv, tmp_path, cap
     assert (code, out) == (2, "")
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith("\n"), err
+
+
+# ---------------------------------------------------------------------------
+# Seeded mutations of the valid documents
+# ---------------------------------------------------------------------------
+
+FIXTURE = {
+    key: [{"normal": list(n), "offset": c} for n, c in facets]
+    for key, facets in (("a", EXPECTED_A_FACETS), ("b", EXPECTED_B_FACETS))
+}
+
+# (valid document, argv with {file}, allowed exit codes). A 2D ring always
+# satisfies subadditivity, so only refute and verify-paper may exit 1.
+TARGETS = [
+    (PROBLEM_2D, ["newton", "--input", "{file}", "--ideals", "i"], {0, 2}),
+    (PROBLEM_2D, ["closure", "--input", "{file}", "--ideals", "j"], {0, 2}),
+    (PROBLEM_2D, ["multiplier", "--input", "{file}", "--ideals", "i"], {0, 2}),
+    (PROBLEM_2D, ["subadd", "--input", "{file}", "--ideals", "i", "j"], {0, 2}),
+    # small bounds, so that a deleted candidate cap still enumerates quickly
+    ({**SEARCH_CONFIG, "gen_pairing_bound": 2, "z_pairing_bound": 2}, SEARCH, {0, 2}),
+    (PROBLEM, REFUTE + ["18,12,2"], {0, 1, 2}),
+    (FIXTURE, VERIFY, {0, 1, 2}),
+]
+MUTATIONS_PER_TARGET = 15
+
+
+def _slots(doc, path=()):
+    """Every (path) to a value inside doc, the root's children included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _slots(value, path + (key,))
+
+
+def _mutate(rng, doc):
+    """A copy of doc with one value deleted or replaced by a small, likely wrong one."""
+    doc = json.loads(json.dumps(doc))
+    *parent_path, key = rng.choice(list(_slots(doc)))
+    parent = doc
+    for k in parent_path:
+        parent = parent[k]
+    replacements = [
+        True, False, 0.5, "x", "", [], rng.randint(-1, 2),
+        [rng.randint(-1, 2) for _ in range(rng.randint(1, 4))],
+    ]
+    choice = rng.randrange(len(replacements) + 1)
+    if choice == len(replacements):
+        del parent[key]
+    else:
+        parent[key] = replacements[choice]
+    return doc
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mutated_documents_exit_cleanly(seed, tmp_path, capsys):
+    rng = random.Random(seed)
+    path = tmp_path / "input.json"
+    for valid, argv, allowed in TARGETS:
+        for _ in range(MUTATIONS_PER_TARGET):
+            doc = valid
+            for _ in range(rng.randint(1, 3)):
+                doc = _mutate(rng, doc) if list(_slots(doc)) else doc
+            path.write_text(json.dumps(doc))
+            label = f"{argv[0]} on {json.dumps(doc)}"
+            try:
+                code = main([a.format(file=path) for a in argv] + ["--format", "json"])
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:
+                pytest.fail(f"{label}: {exc!r} escaped")
+            _, err = capsys.readouterr()
+            assert code in allowed, label
+            if code == 2:
+                assert len(err.splitlines()) == 1 and err.startswith("error: "), (label, err)

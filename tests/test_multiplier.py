@@ -12,6 +12,7 @@ from toricmult.errors import NotQGorenstein, ZeroIdeal
 from toricmult.ideals import contains_monomial, ideal_sum, integral_closure, monomial_ideal, product
 from toricmult.multiplier import multiplier_ideal, multiplier_membership
 from toricmult.rings import ring_from_dual_rays
+from toricmult.subadditivity import check_subadditivity, exhaustive_refute
 
 
 @pytest.fixture(scope="module")
@@ -188,11 +189,19 @@ class TestStructuralLaws:
 class TestErrors:
     def test_rings_without_canonical_point_are_refused(self):
         ring = ring_from_dual_rays(NOT_Q_GORENSTEIN_DUAL_RAYS)
-        i = monomial_ideal(ring, (ring.dual_rays[0],))
-        with pytest.raises(NotQGorenstein):
-            multiplier_ideal(i)
-        with pytest.raises(NotQGorenstein):
-            multiplier_membership(i, ring.dual_rays[0])
+        w = ring.dual_rays[0]
+        i = monomial_ideal(ring, (w,))
+        refusals = [
+            ring.canonical_shift,
+            lambda: multiplier_ideal(i),
+            lambda: multiplier_membership(i, w),
+            lambda: check_subadditivity(i, i),
+            lambda: exhaustive_refute(w, i, i),
+        ]
+        for refuse in refusals:
+            with pytest.raises(NotQGorenstein) as exc:
+                refuse()
+            assert str(exc.value) == "ring has no canonical point; multiplier ideals are undefined"
 
     def test_zero_ideal_is_refused(self, ring):
         with pytest.raises(ZeroIdeal):

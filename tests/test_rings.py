@@ -10,7 +10,7 @@ import pytest
 from instances import NOT_Q_GORENSTEIN_DUAL_RAYS, POOL, pool_rings, random_2d_ring
 from oracles import box_points, det, sigma_box_walk
 
-from toricmult.errors import DimensionMismatch, NotFullDimensional, NotInSemigroup
+from toricmult.errors import DimensionMismatch, NotFullDimensional, NotInSemigroup, NotQGorenstein
 from toricmult.linalg import hermite_normal_form
 from toricmult.rings import (
     lattice_points_in_box,
@@ -67,7 +67,8 @@ class TestCanonicalData:
 
     def test_inconsistent_facet_system_has_no_canonical_point(self):
         ring = ring_from_dual_rays(NOT_Q_GORENSTEIN_DUAL_RAYS)
-        assert ring.canonical_shift() is None
+        with pytest.raises(NotQGorenstein, match="ring has no canonical point"):
+            ring.canonical_shift()
         assert ring.q_gorenstein is None
         assert not ring.is_gorenstein
 
@@ -77,9 +78,7 @@ class TestSemigroupMembership:
         ring = ring_from_dual_rays(((2, 1, 0), (1, 2, 0), (0, 0, 1)))
         assert semigroup_contains(ring, (1, 1, 0))
         assert semigroup_contains(ring, (2, 1, 0))
-        report = semigroup_contains(ring, (1, 0, 0))
-        assert not report
-        assert report.violated_ray == (-1, 2, 0)
+        assert semigroup_contains(ring, (1, 0, 0)) is False
 
     def test_require_exponent_names_the_violated_ray(self):
         ring = ring_from_dual_rays(((2, 1, 0), (1, 2, 0), (0, 0, 1)))

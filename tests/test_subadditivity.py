@@ -34,7 +34,7 @@ from toricmult.ideals import (
     newton_polyhedron,
     product,
 )
-from toricmult.multiplier import multiplier_ideal
+from toricmult.multiplier import multiplier_ideal, multiplier_membership
 from toricmult.problemio import load_search_config
 from toricmult.rings import lattice_points_in_box, ring_from_dual_rays, semigroup_points
 from toricmult.subadditivity import (
@@ -97,6 +97,7 @@ class TestVerdict:
             assert cert.contained and cert.strict
             shifted = tuple(c + u for c, u in zip(w, u0))
             assert membership(region, shifted, relative_interior=True).contained
+            assert cert == multiplier_membership(product(a, b), w)
 
     def test_two_dimensional_instances_always_hold(self):
         rng = random.Random(2024)
@@ -494,3 +495,34 @@ class TestSkeletonStream:
         )
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["count"] == 0
+
+
+SMALL_HITS = Path(__file__).with_name("small_hits_search.json")
+
+
+class TestSmallestHits:
+    """The smallest bounds with hits. The default ray_bound=1 reaches only
+    smooth bases, where subadditivity is a theorem; ray_bound=2 reaches the
+    A1 singularity, and a z of height 2 lifts its closure gap."""
+
+    def test_search_finds_exactly_the_two_mirror_hits(self):
+        hits = search_counterexamples(load_search_config(str(SMALL_HITS)))
+        assert [(h.construction.recipe.base_ring.dual_rays, h.construction.a.gens, h.construction.b.gens)
+                for h in hits] == [
+            (((0, 1), (2, 1)), ((0, 0, 2), (2, 1, 0)), ((0, 0, 2), (0, 1, 0))),
+            (((1, 0), (1, 2)), ((0, 0, 2), (1, 0, 0)), ((0, 0, 2), (1, 2, 0))),
+        ]
+        for hit in hits:
+            built, verdict = hit.construction, hit.verdict
+            ring = built.ring
+            for ideal, j in ((built.a, verdict.j_a), (built.b, verdict.j_b), (product(built.a, built.b), verdict.j_ab)):
+                assert j.gens == oracles.multiplier_scan(
+                    ideal.gens, ring.dual_rays, ring.sigma_rays, ring.canonical_shift()
+                )
+            assert verdict.witnesses == ((1, 1, 0),)
+            report = exhaustive_refute(vadd((1, 1, 0), ring.gorenstein_point()), built.a, built.b)
+            assert (report.scanned, report.decompositions) == (24, ())
+
+    def test_height_one_finds_nothing(self):
+        config = replace(load_search_config(str(SMALL_HITS)), z_height_bound=1)
+        assert search_counterexamples(config) == ()
