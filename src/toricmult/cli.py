@@ -12,6 +12,7 @@ text reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import fields, replace
@@ -66,6 +67,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="toricmult",

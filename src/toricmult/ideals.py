@@ -2,10 +2,10 @@
 
 Minimal generating sets are lex-sorted antichains under divisibility (w
 divides w' when no sigma pairing of w exceeds that of w'), all reduced by one
-routine. Integral closures and multiplier ideals share one enumeration
-engine: it walks the lattice points of a sigma-coordinate box around the
-Newton polyhedron's vertices (rings.lattice_points_in_box) and keeps those
-that pass the integer facet thresholds of geometry.lattice_thresholds.
+routine. Integral closures and multiplier ideals share one enumeration engine
+over a sigma-coordinate box around the Newton polyhedron's vertices, on the
+facet thresholds of geometry.lattice_thresholds: one candidate per Hermite
+run on simplicial sigma (rings.run_starts), else every box point that passes.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 
 from .errors import RingMismatch, ZeroIdeal
 from .geometry import LatticePoint, NewtonPolyhedron, RatPoint, hull_plus_cone, lattice_thresholds
-from .linalg import dot, vadd
-from .rings import ToricRing, lattice_points_in_box, require_exponent
+from .linalg import dot, vadd, vscale
+from .rings import ToricRing, first_in_run, lattice_points_in_box, require_exponent, run_starts
 
 # Entries kept by each memoized ideal operation (newton_polyhedron,
 # integral_closure, multiplier.multiplier_ideal); see their cache_info().
@@ -121,13 +121,13 @@ def region_minimal_generators(
 ) -> tuple[LatticePoint, ...]:
     """Minimal generators of an upward-closed lattice region.
 
-    With shift=None the region is {w in the semigroup : w in poly}; with a
-    shift u0 it is {w : w + u0 interior to poly}, where u0 pairs to exactly 1
-    with every sigma ray. Candidates pair with each sigma ray n to at most
-    the largest vertex pairing plus the slack sum of <r, n> over the dual
-    rays r (minus 1 with the shift). That suffices: write w (or w + u0) as
-    p + sum c_r r, p in the vertex hull, c_r >= 0 (> 0 if interior); beyond
-    the bound some c_r > 1, so w - r is in the region and divides w.
+    With shift=None the region is {w in the semigroup : w in poly}; with
+    shift=u0 it is {w : w + u0 interior to poly}. Candidates pair with each
+    sigma ray n to at most the largest vertex pairing plus the sum of <r, n>
+    over the dual rays r (minus 1 with the shift): beyond, w (+ u0) = p + sum
+    c_r r with p in the vertex hull has some c_r > 1, so w - r divides w in
+    the region. On simplicial sigma a run w + k u climbs every facet, so it
+    enters the region at first_in_run, its only member that can be minimal.
     """
     off = 0 if shift is None else 1
     bounds = tuple(
@@ -135,7 +135,9 @@ def region_minimal_generators(
         for n in ring.sigma_rays
     )
     tests = lattice_thresholds(poly, shift)
-    return _antichain(
-        (w, t) for w, t in lattice_points_in_box(ring, bounds)
-        if all(dot(w, f) >= m for f, m in tests)
-    )
+    if ring.run_step is None:
+        points = lattice_points_in_box(ring, bounds)
+        return _antichain((w, t) for w, t in points if all(dot(w, f) >= m for f, m in tests))
+    u, h = ring.run_step
+    firsts = ((w, t, first_in_run(w, u, n, tests)) for w, t, n in run_starts(ring, bounds))
+    return _antichain((vadd(w, vscale(k, u)), (*t[:-1], t[-1] + k * h)) for w, t, k in firsts if k is not None)

@@ -5,12 +5,12 @@ pointed rational cone (the dual of the defining cone sigma). The primitive
 generators of sigma are the facet normals of C; pairing against them is the
 grading used everywhere else in the package.
 
-Lattice points are enumerated in sigma-coordinates, the pairing vectors
-t = (<w, n_i>). Those vectors form the lattice H Z^d, where H is the
-Hermite normal form of a basis of sigma rays (ToricRing.sigma_lattice),
-and lattice_points_in_box walks that lattice directly: every point it
-visits is a lattice point, in lexicographic order of t (simplicial sigma)
-or of w (otherwise).
+Lattice points are enumerated in sigma-coordinates t = (<w, n_i>), the
+lattice H Z^d for H the Hermite normal form of a basis of sigma rays
+(ToricRing.sigma_lattice), which lattice_points_in_box walks directly in
+lexicographic order of t (simplicial sigma) or of w (otherwise). On
+simplicial sigma the walk is runs w + k u: run_starts visits one point per
+run, and first_in_run finds where a run enters a region that u climbs into.
 """
 
 from __future__ import annotations
@@ -84,6 +84,13 @@ class ToricRing:
         basis = tuple(independent_rows(ns))
         hnf, uni = hermite_normal_form([ns[i] for i in basis])
         return basis, hnf, uni
+
+    @cached_property
+    def run_step(self) -> tuple[LatticePoint, int] | None:
+        """(u, h), the step of every run of lattice_points_in_box, on simplicial
+        sigma (else None): u pairs to h > 0 with the last sigma ray, 0 with the rest."""
+        _, hnf, uni = self.sigma_lattice
+        return (tuple(row[-1] for row in uni), hnf[-1][-1]) if len(self.sigma_rays) == self.dim else None
 
     def pairings(self, w: Sequence) -> tuple:
         return tuple(dot(w, n) for n in self.sigma_rays)
@@ -218,6 +225,28 @@ def _hermite_walk(hnf, uni, bounds) -> Iterator[tuple[LatticePoint, tuple[int, .
         ts = [repeat(a, n) for a in t[:last]]
         ts.append(range(t[last] + lo * h, t[last] + (hi + 1) * h, h))
         yield from zip(zip(*ws), zip(*ts))
+
+
+def run_starts(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tuple[LatticePoint, tuple[int, ...], int]]:
+    """(w, t, n) per nonempty run w + k u, 0 <= k < n, of lattice_points_in_box(ring,
+    bounds) on simplicial sigma, in walk order; (u, h) = ring.run_step. A run starts
+    below h on the last sigma ray, so the box cut there walks the starts alone."""
+    h = ring.run_step[1]
+    for w, t in lattice_points_in_box(ring, (*bounds[:-1], min(bounds[-1], h - 1))):
+        yield w, t, (bounds[-1] - t[-1]) // h + 1
+
+
+def first_in_run(w: LatticePoint, u: LatticePoint, n: int, tests) -> int | None:
+    """Least k in [0, n) with <w + k u, f> >= m for all (f, m) in tests, or None if none.
+    Every <u, f> must be >= 0, as for u = ring.run_step[0] and facet normals in sigma."""
+    k = 0
+    for f, m in tests:
+        if (gap := m - dot(w, f)) > 0:
+            step = dot(u, f)
+            k = max(k, -(-gap // step)) if step else n
+            if k >= n:
+                return None
+    return k
 
 
 def semigroup_points(ring: ToricRing, bound: int) -> list[LatticePoint]:

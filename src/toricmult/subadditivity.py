@@ -35,13 +35,15 @@ from .ideals import (
     newton_polyhedron,
     product,
 )
-from .linalg import dot, vadd, vsub
+from .linalg import dot, vadd, vscale, vsub
 from .multiplier import multiplier_ideal, multiplier_membership
 from .rings import (
     ToricRing,
+    first_in_run,
     lattice_points_in_box,
     require_exponent,
     ring_from_dual_rays,
+    run_starts,
     semigroup_points,
 )
 
@@ -251,12 +253,12 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
 def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> RefutationReport:
     """Scan every candidate splitting v = alpha + beta against the two interiors.
 
-    alpha runs over all lattice points with 0 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ + 1 for
-    every sigma ray n; a decomposition is recorded when alpha is interior to
-    N(a) and beta + u0 = (v − alpha) + u0 is interior to N(b), both tested on
-    integer facet thresholds. The bounds are sound: both interiors lie in σ^∨,
-    so both summands pair nonnegatively with n, and their pairings add up to
-    ⟨v + u0, n⟩ = ⟨v, n⟩ + 1 (u0 pairs to exactly 1 with every sigma ray).
+    alpha runs over the lattice points with 0 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ + 1 for every
+    sigma ray n (both summands pair ≥ 0 with n, and the pairings add up to
+    ⟨v + u0, n⟩ = ⟨v, n⟩ + 1); a decomposition is alpha interior to N(a) with
+    beta + u0 = (v − alpha) + u0 interior to N(b), on integer facet thresholds.
+    On simplicial σ, along a run alpha = w + k·u the first holds from one k on
+    and the second up to another, counted back from the run's end.
     """
     ring = _same_ring(a, b)
     u0 = ring.canonical_shift()
@@ -265,15 +267,22 @@ def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> R
     inside_b = lattice_thresholds(newton_polyhedron(b), u0)
     bounds = tuple(t + 1 for t in ring.pairings(target))
 
-    found = []
-    scanned = 0
-    for alpha, _ in lattice_points_in_box(ring, bounds):
-        scanned += 1
-        if not all(dot(alpha, f) >= m for f, m in inside_a):
-            continue
-        beta = vsub(target, alpha)
-        if all(dot(beta, f) >= m for f, m in inside_b):
-            found.append((alpha, beta))
+    found, scanned = [], 0
+    if ring.run_step is None:
+        for alpha, _ in lattice_points_in_box(ring, bounds):
+            scanned += 1
+            if all(dot(alpha, f) >= m for f, m in inside_a):
+                beta = vsub(target, alpha)
+                if all(dot(beta, f) >= m for f, m in inside_b):
+                    found.append((alpha, beta))
+        return RefutationReport(target, bounds, scanned, tuple(found))
+    u = ring.run_step[0]
+    for w, _, n in run_starts(ring, bounds):
+        scanned += n
+        lo = first_in_run(w, u, n, inside_a)
+        back = None if lo is None else first_in_run(vsub(target, vadd(w, vscale(n - 1, u))), u, n - lo, inside_b)
+        if back is not None:
+            found += ((a, vsub(target, a)) for a in (vadd(w, vscale(k, u)) for k in range(lo, n - back)))
     return RefutationReport(target, bounds, scanned, tuple(found))
 
 

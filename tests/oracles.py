@@ -7,10 +7,15 @@ cones, and Gaussian elimination over `Fraction` for the few matrix inverses
 involved.  None of it shares code with the library's double-description engine
 or its lattice walker, so agreement is evidence rather than tautology.
 
-The one exception is `decompose_2d`, the per-generator boundary walk the
-library's cached version replaced: it builds every edge region with the
-library's double description and tests it with `Fraction` membership, so it
-pins the cached integer thresholds to the path they stand in for.
+Three exceptions keep a replaced library path as the reference for its
+replacement. `decompose_2d` is the per-generator boundary walk the library's
+cached version replaced: it builds every edge region with the library's
+double description and tests it with `Fraction` membership, so it pins the
+cached integer thresholds to the path they stand in for.
+`region_minimal_generators` and `exhaustive_refute` are the per-point scans
+that run-start enumeration replaced on simplicial rings: they walk the
+library's `lattice_points_in_box` and test every point on the library's
+integer thresholds, so they pin the run arithmetic to the points it skips.
 """
 
 from __future__ import annotations
@@ -20,10 +25,10 @@ import math
 from fractions import Fraction
 
 from toricmult.errors import NotDimension2, NotInMultiplierIdeal
-from toricmult.geometry import hull_plus_cone, membership
-from toricmult.ideals import _same_ring, newton_polyhedron, product
-from toricmult.rings import require_exponent
-from toricmult.subadditivity import Decomposition2D, Side
+from toricmult.geometry import hull_plus_cone, lattice_thresholds, membership
+from toricmult.ideals import _antichain, _same_ring, newton_polyhedron, product
+from toricmult.rings import lattice_points_in_box, require_exponent
+from toricmult.subadditivity import Decomposition2D, RefutationReport, Side
 
 # A linear inequality over the first `dim` coordinates: (normal, rhs) encodes
 # normal . x >= rhs.  Normals are primitive integer tuples, rhs is a Fraction.
@@ -364,3 +369,40 @@ def decompose_2d(p, a, b):
         assert report.contained, "edge region interior must land in the factor's interior"
         return Decomposition2D(side, witness, remainder, idx, report)
     raise AssertionError("interior point escaped every edge region")
+
+
+def region_minimal_generators(ring, poly, shift):
+    """Minimal generators of the region, testing every point of the sigma box.
+
+    Same box and thresholds as the library's engine (shift=None: w in poly;
+    shift u0: w + u0 interior to poly), without the run arithmetic.
+    """
+    off = 0 if shift is None else 1
+    bounds = tuple(
+        max(dot(v, n) for v in poly.vertices) + sum(dot(r, n) for r in ring.dual_rays) - off
+        for n in ring.sigma_rays
+    )
+    tests = lattice_thresholds(poly, shift)
+    return _antichain(
+        (w, t) for w, t in lattice_points_in_box(ring, bounds)
+        if all(dot(w, f) >= m for f, m in tests)
+    )
+
+
+def exhaustive_refute(v, a, b):
+    """Every splitting v = alpha + beta, alpha interior to N(a) and beta + u0
+    interior to N(b), found by testing every alpha of the walk in turn."""
+    ring = _same_ring(a, b)
+    u0 = ring.canonical_shift()
+    target = require_exponent(ring, v)
+    inside_a = lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim)
+    inside_b = lattice_thresholds(newton_polyhedron(b), u0)
+    bounds = tuple(t + 1 for t in ring.pairings(target))
+    found = []
+    scanned = 0
+    for alpha, _ in lattice_points_in_box(ring, bounds):
+        scanned += 1
+        beta = vsub(target, alpha)
+        if all(dot(alpha, f) >= m for f, m in inside_a) and all(dot(beta, f) >= m for f, m in inside_b):
+            found.append((alpha, beta))
+    return RefutationReport(target, bounds, scanned, tuple(found))

@@ -138,6 +138,12 @@ class TestClosureAndMultiplier:
         assert code == 0
         assert out == (Path(__file__).parent / "skewed_multiplier.json").read_text()
 
+    def test_large_exponents_multiplier(self, capsys):
+        problem = Path(__file__).parent / "plane_large_exponents.json"
+        code, out, _ = run(capsys, "multiplier", "--input", str(problem), "--ideals", "a", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["multiplier_generators"] == [[i, 599 - i] for i in range(600)]
+
 
 class TestSubadd:
     def test_failure_exits_one_with_witnesses(self, capsys, paths):

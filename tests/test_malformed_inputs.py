@@ -139,7 +139,7 @@ TARGETS = [
     (PROBLEM, REFUTE + ["18,12,2"], {0, 1, 2}),
     (FIXTURE, VERIFY, {0, 1, 2}),
 ]
-MUTATIONS_PER_TARGET = 15
+MUTATIONS_PER_TARGET = 60
 
 
 def _slots(doc, path=()):

@@ -143,6 +143,18 @@ class TestEnumerationSlack:
             assert multiplier_ideal(i).gens == _wide_box_scan(i.gens, ring, shift)
 
 
+class TestLargeExponents:
+    """J(<x^e, y^e>) on the plane is <x^i y^j : i + j = e - 1>: w + (1, 1) is
+    interior to {i + j >= e} exactly when i + j >= e - 1. Its sigma box holds
+    (e + 1)^2 points but only e + 1 runs, one candidate each."""
+
+    @pytest.mark.parametrize("e", [400, 600])
+    def test_closed_form(self, e):
+        plane = ring_from_dual_rays(((1, 0), (0, 1)))
+        j = multiplier_ideal(monomial_ideal(plane, [(e, 0), (0, e)]))
+        assert j.gens == tuple((i, e - 1 - i) for i in range(e))
+
+
 class TestStructuralLaws:
     def test_closure_is_contained_in_the_multiplier_ideal(self):
         # the containment runs this way around: adding u0 pushes every Newton
