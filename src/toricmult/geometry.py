@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotFullDimensional, NotInterior, NotPointed
@@ -246,11 +246,14 @@ def lattice_thresholds(p: NewtonPolyhedron, shift: Sequence | None = None) -> tu
 
     With shift=None, m is the facet offset and passing means w in p. With a
     shift s, m = floor(offset - <normal, s>) + 1 and passing means w + s is
-    interior to p.
+    interior to p. s is read once as integers num / D (for u0, the ring's
+    (w0, r)), so m = (offset D - <normal, num>) // D + 1 in integers.
     """
     if shift is None:
         return tuple((h.normal, h.offset) for h in p.facets)
-    return tuple((h.normal, floor(h.offset - dot(h.normal, shift)) + 1) for h in p.facets)
+    den = lcm(*(c.denominator for c in shift))
+    num = [c.numerator * (den // c.denominator) for c in shift]
+    return tuple((h.normal, (h.offset * den - dot(h.normal, num)) // den + 1) for h in p.facets)
 
 
 def relint_certificate(p: NewtonPolyhedron, x: Sequence) -> ConvexCertificate:

@@ -8,9 +8,11 @@ grading used everywhere else in the package.
 Lattice points are enumerated in sigma-coordinates t = (<w, n_i>), the
 lattice H Z^d for H the Hermite normal form of a basis of sigma rays
 (ToricRing.sigma_lattice), which lattice_points_in_box walks directly in
-lexicographic order of t (simplicial sigma) or of w (otherwise). On
-simplicial sigma the walk is runs w + k u: run_starts visits one point per
-run, and first_in_run finds where a run enters a region that u climbs into.
+lexicographic order of t (simplicial sigma) or of w (otherwise). The walk
+is runs w + k u. On simplicial sigma run_starts visits one point per run,
+and first_in_run finds where a run enters a region that u climbs into.
+Otherwise each run is clipped to the other sigma rays' bounds by integer
+division, and callers test each point of the clipped run.
 """
 
 from __future__ import annotations
@@ -167,63 +169,73 @@ def lattice_points_in_box(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tu
     runs over the integer vectors k with H k inside the box of a basis of
     sigma rays, where H is the lower-triangular Hermite normal form of their
     matrix (see ToricRing.sigma_lattice), and yields w = U k. When sigma is
-    simplicial the pairings come out in lexicographic order; otherwise the
-    points are filtered on the remaining sigma rays and yielded in
-    lexicographic order of w.
+    simplicial the pairings come out in lexicographic order; otherwise each
+    run is clipped to the bounds of the remaining sigma rays, so only points
+    of the box are visited, and they are yielded in lexicographic order of w.
     """
     ns = ring.sigma_rays
     if len(bounds) != len(ns):
         raise ValueError("one bound per sigma ray is required")
     if any(b < 0 for b in bounds):
         return
-    basis, hnf, uni = ring.sigma_lattice
-    points = _hermite_walk(hnf, uni, [bounds[i] for i in basis])
-    if len(ns) == ring.dim:
-        yield from points
-        return
-    kept = []
-    for w, _ in points:
-        t = ring.pairings(w)
-        if all(0 <= ti <= bi for ti, bi in zip(t, bounds)):
-            kept.append((w, t))
-    kept.sort()
-    yield from kept
+    points = _hermite_walk(ring, bounds)
+    yield from points if len(ns) == ring.dim else sorted(points)
 
 
-def _hermite_walk(hnf, uni, bounds) -> Iterator[tuple[LatticePoint, tuple[int, ...]]]:
-    """(U k, H k) for every integer k with 0 <= (H k)_i <= bounds[i].
+def _hermite_walk(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tuple[LatticePoint, tuple[int, ...]]]:
+    """(U k, pairings) for every integer k with H k inside the basis box and the
+    pairings with the other sigma rays inside theirs.
 
     H is lower triangular with a positive diagonal, so once k_0..k_{i-1} are
     fixed, (H k)_i is increasing in k_i and bounds k_i to a range; walking
     k lexicographically walks H k lexicographically. The last coordinate is
-    emitted as arithmetic progressions, one run per prefix.
+    emitted as runs w + k u, one per prefix. A sigma ray n outside the basis
+    pairs to a + k s along a run (a = <w, n>, s = <u, n>), which clips k to
+    an interval with one division per bound, and is emitted as a progression.
     """
+    ns = ring.sigma_rays
+    basis, hnf, uni = ring.sigma_lattice
+    box = [bounds[i] for i in basis]
     d = len(hnf)
     last = d - 1
     hcols = [tuple(row[j] for row in hnf) for j in range(d)]
     ucols = [tuple(row[j] for row in uni) for j in range(d)]
+    h, b, ulast = hnf[last][last], box[last], ucols[last]
+    others = [j for j in range(len(ns)) if j not in basis]
+    extra = [(ns[j], dot(ulast, ns[j]), bounds[j]) for j in others]
+    order = [[*basis, *others].index(j) for j in range(len(ns))]  # emitted column of sigma ray j
 
     def prefixes(i, t, w):
         if i == last:
             yield t, w
             return
         h = hnf[i][i]
-        for k in range(-(t[i] // h), (bounds[i] - t[i]) // h + 1):
+        for k in range(-(t[i] // h), (box[i] - t[i]) // h + 1):
             yield from prefixes(
                 i + 1,
                 [a + k * c for a, c in zip(t, hcols[i])],
                 [a + k * c for a, c in zip(w, ucols[i])],
             )
 
-    h, b, ulast = hnf[last][last], bounds[last], ucols[last]
     for t, w in prefixes(0, [0] * d, [0] * d):
         lo, hi = -(t[last] // h), (b - t[last]) // h
+        if extra:
+            cut = [(dot(w, ray), s, bn) for ray, s, bn in extra]
+            for a, s, bn in cut:
+                if s:  # 0 <= a + k s <= bn; the endpoints swap when s < 0
+                    p, q = (-a, bn - a) if s > 0 else (bn - a, -a)
+                    lo, hi = max(lo, -(-p // s)), min(hi, q // s)
+                elif not 0 <= a <= bn:
+                    hi = lo - 1
         n = hi - lo + 1
         if n <= 0:
             continue
         ws = [range(a + lo * u, a + (hi + 1) * u, u) if u else repeat(a, n) for a, u in zip(w, ulast)]
         ts = [repeat(a, n) for a in t[:last]]
         ts.append(range(t[last] + lo * h, t[last] + (hi + 1) * h, h))
+        if extra:
+            ts += [range(a + lo * s, a + (hi + 1) * s, s) if s else repeat(a, n) for a, s, _ in cut]
+            ts = [ts[j] for j in order]
         yield from zip(zip(*ws), zip(*ts))
 
 

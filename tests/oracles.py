@@ -16,6 +16,8 @@ cached integer thresholds to the path they stand in for.
 that run-start enumeration replaced on simplicial rings: they walk the
 library's `lattice_points_in_box` and test every point on the library's
 integer thresholds, so they pin the run arithmetic to the points it skips.
+`shifted_thresholds` is the per-facet `Fraction` formula that the library's
+integer `lattice_thresholds` replaced.
 """
 
 from __future__ import annotations
@@ -198,6 +200,12 @@ def box_points(sigma_rays, bounds):
         if all(0 <= dot(w, s) <= b for s, b in zip(sigma_rays, bounds)):
             out.append(w)
     return out
+
+
+def shifted_thresholds(poly, shift):
+    """(normal, floor(offset - <normal, shift>) + 1) per facet, in Fraction arithmetic."""
+    s = [Fraction(c) for c in shift]
+    return tuple((h.normal, math.floor(h.offset - dot(h.normal, s)) + 1) for h in poly.facets)
 
 
 def sigma_box_walk(sigma_rays, bounds):

@@ -1,5 +1,6 @@
 """End-to-end command-line coverage, run in-process via main(argv)."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -202,6 +203,25 @@ class TestRefute:
         assert doc["decompositions"]
         for d in doc["decompositions"]:
             assert [x + y for x, y in zip(d["alpha"], d["beta"])] == [14, 11, 2]
+
+    def test_large_target_on_the_square_cone_is_frozen(self, capsys):
+        # a non-simplicial ring, so every Hermite run of the sigma box is
+        # clipped by the fourth sigma ray; the digest was taken from the
+        # per-point filtered walk that the clipping replaced
+        problem = Path(__file__).parent / "square_cone_refute.json"
+        code, out, _ = run(
+            capsys, "refute", "--input", str(problem), "--ideals", "a", "b",
+            "--target", "0,0,80", "--format", "json",
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["bounds"] == [81, 81, 81, 81]
+        assert doc["scanned"] == 91_922
+        assert len(doc["decompositions"]) == 82_160
+        assert doc["decompositions"][0] == {"alpha": [-38, 1, 40], "beta": [38, -1, 40]}
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "91ea43fd4328281ccc6fc4db7c07482033d1dded4dc8c57aa7ec57026fcaffb4"
+        )
 
 
 class TestVerifyPaper:

@@ -2,11 +2,12 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from oracles import dot, hull_region, sigma_rays_2d
-from instances import POOL, pool_rings, random_2d_dual_rays
+from oracles import dot, hull_region, shifted_thresholds, sigma_rays_2d
+from instances import POOL, pool_rings, random_2d_dual_rays, random_ideal
 
 from toricmult.errors import (
     DimensionMismatch,
@@ -140,6 +141,27 @@ class TestNewtonPolyhedron:
                     assert all(dot(w, f) >= m for f, m in inside) == membership(poly, w, True).contained
                     w_u0 = tuple(c + u for c, u in zip(w, u0))
                     assert all(dot(w, f) >= m for f, m in shifted) == membership(poly, w_u0, True).contained
+
+    def test_integer_thresholds_equal_the_fraction_formula(self):
+        # u0 on every pool ring (fractional on index-three-2d), then random
+        # shifts: negative, integral, and over unreduced or mixed denominators
+        rng = random.Random(6151)
+        negative_fractional = 0
+        for name, ring in pool_rings():
+            u0 = ring.canonical_shift()
+            for _ in range(6):
+                poly = newton_polyhedron(random_ideal(rng, ring, 3, 8))
+                assert lattice_thresholds(poly, u0) == shifted_thresholds(poly, u0), name
+                for _ in range(8):
+                    shift = [
+                        rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-40, 40), rng.randint(1, 12))))
+                        for _ in range(ring.dim)
+                    ]
+                    got = lattice_thresholds(poly, shift)
+                    assert got == shifted_thresholds(poly, shift), (name, shift)
+                    assert all(type(m) is int for _, m in got)
+                    negative_fractional += any(c < 0 and c.denominator > 1 for c in shift)
+        assert negative_fractional > 0
 
     def test_membership_agrees_with_fourier_motzkin_in_2d(self):
         rng = random.Random(7)

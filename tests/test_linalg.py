@@ -7,7 +7,7 @@ import pytest
 
 from oracles import _rank, det
 
-from toricmult.linalg import adjugate_int, independent_rows, invert, kernel_basis, rank
+from toricmult.linalg import adjugate_int, dot, independent_rows, invert, kernel_basis, rank
 
 
 def matmul(a, b):
@@ -107,3 +107,23 @@ def test_degenerate_shapes():
     assert kernel_basis([(0, 0)]) == [(1, 0), (0, 1)]
     with pytest.raises(ValueError):
         adjugate_int([(1, 2), (2, 4)])
+
+
+def test_dot_equals_the_generator_form():
+    # map truncates to the shorter input exactly as zip does
+    def generator_dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    rng = random.Random(29)
+    cases = [((), ()), ((), (1, 2)), ((3,), ()), ((1, 2, 3), (4, 5)), ((7,), (-2, 9, 9))]
+    for _ in range(300):
+        n, m = rng.randint(0, 5), rng.randint(0, 5)
+        cases.append(([rng.randint(-9, 9) for _ in range(n)], [rng.randint(-9, 9) for _ in range(m)]))
+        cases.append((
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)],
+            [rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 6)))) for _ in range(m)],
+        ))
+    for u, v in cases:
+        got, want = dot(u, v), generator_dot(u, v)
+        assert got == want and type(got) is type(want), (u, v)
+    assert type(dot((), ())) is int
