@@ -4,20 +4,21 @@ Minimal generating sets are lex-sorted antichains under divisibility (w
 divides w' when no sigma pairing of w exceeds that of w'), all reduced by one
 routine. Integral closures and multiplier ideals share one enumeration engine
 over a sigma-coordinate box around the Newton polyhedron's vertices, on the
-facet thresholds of geometry.lattice_thresholds: one candidate per Hermite
-run on simplicial sigma (rings.run_starts), else every box point that passes.
+facet thresholds of geometry.lattice_thresholds: each Hermite run
+(rings.run_starts) meets the region in one interval (rings.run_interval).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter, le
 from typing import Iterable, Sequence
 
 from .errors import RingMismatch, ZeroIdeal
 from .geometry import LatticePoint, NewtonPolyhedron, RatPoint, hull_plus_cone, lattice_thresholds
 from .linalg import dot, vadd, vscale
-from .rings import ToricRing, first_in_run, lattice_points_in_box, require_exponent, run_starts
+from .rings import ToricRing, require_exponent, run_interval, run_starts
 
 # Entries kept by each memoized ideal operation (newton_polyhedron,
 # integral_closure, multiplier.multiplier_ideal); see their cache_info().
@@ -54,14 +55,14 @@ def minimalize(ring: ToricRing, gens: Sequence[LatticePoint]) -> tuple[LatticePo
 def _antichain(points: Iterable[tuple[LatticePoint, tuple[int, ...]]]) -> tuple[LatticePoint, ...]:
     """Minimal points of (w, sigma pairings) pairs, lex-sorted.
 
-    The pairing sum strictly increases along divisibility (the sigma rays
-    span), so taken in order of pairing sum, a point is minimal exactly when
-    no point kept before it divides it; a repeat is divided by its first copy.
+    A divisor's pairings are componentwise, so lexicographically, <= those of
+    its multiple. So in lexicographic order of pairings (linear on presorted
+    input), a point is minimal exactly when no point kept before divides it.
     """
     gens: list[LatticePoint] = []
     gen_ts: list[tuple[int, ...]] = []
-    for w, t in sorted(points, key=lambda wt: (sum(wt[1]), wt[1])):
-        if not any(all(a <= b for a, b in zip(gt, t)) for gt in gen_ts):
+    for w, t in sorted(points, key=itemgetter(1)):
+        if not any(all(map(le, g, t)) for g in gen_ts):
             gens.append(w)
             gen_ts.append(t)
     return tuple(sorted(gens))
@@ -126,8 +127,9 @@ def region_minimal_generators(
     sigma ray n to at most the largest vertex pairing plus the sum of <r, n>
     over the dual rays r (minus 1 with the shift): beyond, w (+ u0) = p + sum
     c_r r with p in the vertex hull has some c_r > 1, so w - r divides w in
-    the region. On simplicial sigma a run w + k u climbs every facet, so it
-    enters the region at first_in_run, its only member that can be minimal.
+    the region. A run's members form an interval (rings.run_interval), and
+    when the step u lies in the semigroup, as on simplicial sigma, the first
+    member divides the rest; otherwise every member is a candidate.
     """
     off = 0 if shift is None else 1
     bounds = tuple(
@@ -135,9 +137,11 @@ def region_minimal_generators(
         for n in ring.sigma_rays
     )
     tests = lattice_thresholds(poly, shift)
-    if ring.run_step is None:
-        points = lattice_points_in_box(ring, bounds)
-        return _antichain((w, t) for w, t in points if all(dot(w, f) >= m for f, m in tests))
-    u, h = ring.run_step
-    firsts = ((w, t, first_in_run(w, u, n, tests)) for w, t, n in run_starts(ring, bounds))
-    return _antichain((vadd(w, vscale(k, u)), (*t[:-1], t[-1] + k * h)) for w, t, k in firsts if k is not None)
+    u, ut = ring.run_step
+    climbs = min(ut) >= 0
+    runs = ((w, t, *run_interval(w, u, n, tests)) for w, t, n in run_starts(ring, bounds))
+    return _antichain(
+        (vadd(w, vscale(k, u)), tuple(a + k * s for a, s in zip(t, ut)))
+        for w, t, lo, hi in runs
+        for k in range(lo, (min(lo, hi) if climbs else hi) + 1)
+    )

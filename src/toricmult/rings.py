@@ -9,10 +9,9 @@ Lattice points are enumerated in sigma-coordinates t = (<w, n_i>), the
 lattice H Z^d for H the Hermite normal form of a basis of sigma rays
 (ToricRing.sigma_lattice), which lattice_points_in_box walks directly in
 lexicographic order of t (simplicial sigma) or of w (otherwise). The walk
-is runs w + k u. On simplicial sigma run_starts visits one point per run,
-and first_in_run finds where a run enters a region that u climbs into.
-Otherwise each run is clipped to the other sigma rays' bounds by integer
-division, and callers test each point of the clipped run.
+is runs w + k u, clipped to the other sigma rays' bounds by integer
+division on non-simplicial sigma. run_starts yields the runs, not their
+points, and run_interval places the points of a run passing facet tests.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, NotInSemigroup, NotQGorenstein
@@ -88,11 +88,11 @@ class ToricRing:
         return basis, hnf, uni
 
     @cached_property
-    def run_step(self) -> tuple[LatticePoint, int] | None:
-        """(u, h), the step of every run of lattice_points_in_box, on simplicial
-        sigma (else None): u pairs to h > 0 with the last sigma ray, 0 with the rest."""
-        _, hnf, uni = self.sigma_lattice
-        return (tuple(row[-1] for row in uni), hnf[-1][-1]) if len(self.sigma_rays) == self.dim else None
+    def run_step(self) -> tuple[LatticePoint, tuple[int, ...]]:
+        """(u, ut): the step u of every run of lattice_points_in_box and its sigma pairings
+        ut, 0 on the basis rays but h > 0 on the last; (0, ..., 0, h) on simplicial sigma."""
+        u = tuple(row[-1] for row in self.sigma_lattice[2])
+        return u, self.pairings(u)
 
     def pairings(self, w: Sequence) -> tuple:
         return tuple(dot(w, n) for n in self.sigma_rays)
@@ -173,27 +173,37 @@ def lattice_points_in_box(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tu
     run is clipped to the bounds of the remaining sigma rays, so only points
     of the box are visited, and they are yielded in lexicographic order of w.
     """
+    points = _run_points(ring, _hermite_walk(ring, bounds))
+    yield from points if len(ring.sigma_rays) == ring.dim else sorted(points)
+
+
+def _run_points(ring: ToricRing, runs) -> Iterator[tuple[LatticePoint, tuple[int, ...]]]:
+    """(w + k u, t + k ut) for 0 <= k < n, per run (w, t, n) in order; (u, ut) = ring.run_step."""
+    u, ut = ring.run_step
+    for w, t, n in runs:
+        if n == 1:
+            yield w, t
+            continue
+        ws, ts = ([range(a, a + n * s, s) if s else repeat(a, n) for a, s in zip(v, dv)] for v, dv in ((w, u), (t, ut)))
+        yield from zip(zip(*ws), zip(*ts))
+
+
+def _hermite_walk(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tuple[LatticePoint, tuple[int, ...], int]]:
+    """(w, t, n) per nonempty run w + k u, 0 <= k < n, of the integer k with H k in
+    the basis box and the other pairings in theirs; t pairs w with every sigma ray.
+
+    H is lower triangular with a positive diagonal, so once k_0..k_{i-1} are
+    fixed, (H k)_i is increasing in k_i and bounds k_i to a range; walking
+    k lexicographically walks H k lexicographically. The last coordinate is
+    walked as runs, one per prefix. A sigma ray n outside the basis pairs to
+    a + k s along a run (a = <w, n>, s = <u, n>), which clips k to an
+    interval with one division per bound.
+    """
     ns = ring.sigma_rays
     if len(bounds) != len(ns):
         raise ValueError("one bound per sigma ray is required")
     if any(b < 0 for b in bounds):
         return
-    points = _hermite_walk(ring, bounds)
-    yield from points if len(ns) == ring.dim else sorted(points)
-
-
-def _hermite_walk(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tuple[LatticePoint, tuple[int, ...]]]:
-    """(U k, pairings) for every integer k with H k inside the basis box and the
-    pairings with the other sigma rays inside theirs.
-
-    H is lower triangular with a positive diagonal, so once k_0..k_{i-1} are
-    fixed, (H k)_i is increasing in k_i and bounds k_i to a range; walking
-    k lexicographically walks H k lexicographically. The last coordinate is
-    emitted as runs w + k u, one per prefix. A sigma ray n outside the basis
-    pairs to a + k s along a run (a = <w, n>, s = <u, n>), which clips k to
-    an interval with one division per bound, and is emitted as a progression.
-    """
-    ns = ring.sigma_rays
     basis, hnf, uni = ring.sigma_lattice
     box = [bounds[i] for i in basis]
     d = len(hnf)
@@ -206,59 +216,60 @@ def _hermite_walk(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tuple[Latt
     order = [[*basis, *others].index(j) for j in range(len(ns))]  # emitted column of sigma ray j
 
     def prefixes(i, t, w):
-        if i == last:
-            yield t, w
-            return
-        h = hnf[i][i]
+        h, hcol, ucol = hnf[i][i], hcols[i], ucols[i]
         for k in range(-(t[i] // h), (box[i] - t[i]) // h + 1):
-            yield from prefixes(
-                i + 1,
-                [a + k * c for a, c in zip(t, hcols[i])],
-                [a + k * c for a, c in zip(w, ucols[i])],
-            )
+            nt, nw = [a + k * c for a, c in zip(t, hcol)], [a + k * c for a, c in zip(w, ucol)]
+            if i + 1 == last:
+                yield nt, nw
+            else:
+                yield from prefixes(i + 1, nt, nw)
 
-    for t, w in prefixes(0, [0] * d, [0] * d):
+    for t, w in prefixes(0, [0] * d, [0] * d) if last else [([0], [0])]:
         lo, hi = -(t[last] // h), (b - t[last]) // h
-        if extra:
-            cut = [(dot(w, ray), s, bn) for ray, s, bn in extra]
-            for a, s, bn in cut:
-                if s:  # 0 <= a + k s <= bn; the endpoints swap when s < 0
-                    p, q = (-a, bn - a) if s > 0 else (bn - a, -a)
-                    lo, hi = max(lo, -(-p // s)), min(hi, q // s)
-                elif not 0 <= a <= bn:
-                    hi = lo - 1
-        n = hi - lo + 1
-        if n <= 0:
+        cut = [(dot(w, ray), s, bn) for ray, s, bn in extra]
+        for a, s, bn in cut:
+            if s:  # 0 <= a + k s <= bn; the endpoints swap when s < 0
+                p, q = (-a, bn - a) if s > 0 else (bn - a, -a)
+                lo, hi = max(lo, -(-p // s)), min(hi, q // s)
+            elif not 0 <= a <= bn:
+                hi = lo - 1
+        if hi < lo:
             continue
-        ws = [range(a + lo * u, a + (hi + 1) * u, u) if u else repeat(a, n) for a, u in zip(w, ulast)]
-        ts = [repeat(a, n) for a in t[:last]]
-        ts.append(range(t[last] + lo * h, t[last] + (hi + 1) * h, h))
-        if extra:
-            ts += [range(a + lo * s, a + (hi + 1) * s, s) if s else repeat(a, n) for a, s, _ in cut]
-            ts = [ts[j] for j in order]
-        yield from zip(zip(*ws), zip(*ts))
+        t[last] += lo * h
+        if cut:
+            t += [a + lo * s for a, s, _ in cut]
+            t = [t[j] for j in order]
+        yield tuple(a + lo * c for a, c in zip(w, ulast)), tuple(t), hi - lo + 1
 
 
 def run_starts(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tuple[LatticePoint, tuple[int, ...], int]]:
     """(w, t, n) per nonempty run w + k u, 0 <= k < n, of lattice_points_in_box(ring,
-    bounds) on simplicial sigma, in walk order; (u, h) = ring.run_step. A run starts
-    below h on the last sigma ray, so the box cut there walks the starts alone."""
-    h = ring.run_step[1]
+    bounds), t the pairings of w, in walk order. On simplicial sigma a run starts
+    below h = ring.run_step[1][-1] on the last sigma ray: the box cut there walks the starts."""
+    if len(ring.sigma_rays) > ring.dim:
+        yield from _hermite_walk(ring, bounds)
+        return
+    h = ring.run_step[1][-1]
     for w, t in lattice_points_in_box(ring, (*bounds[:-1], min(bounds[-1], h - 1))):
         yield w, t, (bounds[-1] - t[-1]) // h + 1
 
 
-def first_in_run(w: LatticePoint, u: LatticePoint, n: int, tests) -> int | None:
-    """Least k in [0, n) with <w + k u, f> >= m for all (f, m) in tests, or None if none.
-    Every <u, f> must be >= 0, as for u = ring.run_step[0] and facet normals in sigma."""
-    k = 0
+def run_interval(w: LatticePoint, u: LatticePoint, n: int, tests) -> tuple[int, int]:
+    """(lo, hi): lo <= k <= hi for exactly the k in [0, n) with <w + k u, f> >= m for
+    every (f, m) in tests, none when lo > hi. A step <u, f> > 0 bounds k below,
+    < 0 bounds it above, and 0 passes every k or none."""
+    lo, hi = 0, n - 1
     for f, m in tests:
-        if (gap := m - dot(w, f)) > 0:
-            step = dot(u, f)
-            k = max(k, -(-gap // step)) if step else n
-            if k >= n:
-                return None
-    return k
+        gap, s = m - sum(map(mul, w, f)), sum(map(mul, u, f))
+        if s > 0:
+            lo = max(lo, -(-gap // s))
+        elif s < 0:
+            hi = min(hi, gap // s)
+        elif gap > 0:
+            return lo, lo - 1
+        if lo > hi:
+            break
+    return lo, hi
 
 
 def semigroup_points(ring: ToricRing, bound: int) -> list[LatticePoint]:

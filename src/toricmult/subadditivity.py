@@ -39,10 +39,9 @@ from .linalg import dot, vadd, vscale, vsub
 from .multiplier import multiplier_ideal, multiplier_membership
 from .rings import (
     ToricRing,
-    first_in_run,
-    lattice_points_in_box,
     require_exponent,
     ring_from_dual_rays,
+    run_interval,
     run_starts,
     semigroup_points,
 )
@@ -257,8 +256,9 @@ def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> R
     sigma ray n (both summands pair ≥ 0 with n, and the pairings add up to
     ⟨v + u0, n⟩ = ⟨v, n⟩ + 1); a decomposition is alpha interior to N(a) with
     beta + u0 = (v − alpha) + u0 interior to N(b), on integer facet thresholds.
-    On simplicial σ, along a run alpha = w + k·u the first holds from one k on
-    and the second up to another, counted back from the run's end.
+    Along a run alpha = w + k·u (rings.run_starts) each holds on an interval
+    of k (rings.run_interval), so the splittings are their intersection; they
+    are listed in walk order on simplicial σ and by alpha otherwise.
     """
     ring = _same_ring(a, b)
     u0 = ring.canonical_shift()
@@ -267,22 +267,17 @@ def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> R
     inside_b = lattice_thresholds(newton_polyhedron(b), u0)
     bounds = tuple(t + 1 for t in ring.pairings(target))
 
+    u, ut = ring.run_step
     found, scanned = [], 0
-    if ring.run_step is None:
-        for alpha, _ in lattice_points_in_box(ring, bounds):
-            scanned += 1
-            if all(dot(alpha, f) >= m for f, m in inside_a):
-                beta = vsub(target, alpha)
-                if all(dot(beta, f) >= m for f, m in inside_b):
-                    found.append((alpha, beta))
-        return RefutationReport(target, bounds, scanned, tuple(found))
-    u = ring.run_step[0]
     for w, _, n in run_starts(ring, bounds):
         scanned += n
-        lo = first_in_run(w, u, n, inside_a)
-        back = None if lo is None else first_in_run(vsub(target, vadd(w, vscale(n - 1, u))), u, n - lo, inside_b)
-        if back is not None:
-            found += ((a, vsub(target, a)) for a in (vadd(w, vscale(k, u)) for k in range(lo, n - back)))
+        lo, hi = run_interval(w, u, n, inside_a)
+        if lo <= hi:
+            blo, bhi = run_interval(vsub(target, w), vscale(-1, u), n, inside_b)
+            alphas = (vadd(w, vscale(k, u)) for k in range(max(lo, blo), min(hi, bhi) + 1))
+            found += ((alpha, vsub(target, alpha)) for alpha in alphas)
+    if len(ut) > ring.dim:
+        found.sort()
     return RefutationReport(target, bounds, scanned, tuple(found))
 
 

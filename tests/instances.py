@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from toricmult.errors import NotFullDimensional
 from toricmult.ideals import monomial_ideal
 from toricmult.rings import ring_from_dual_rays, semigroup_points
 
@@ -43,6 +44,31 @@ NOT_Q_GORENSTEIN_DUAL_RAYS = ((-1, -1, 1), (-1, 3, 1), (2, -1, 1), (2, 3, 1))
 
 def pool_rings():
     return [(name, ring_from_dual_rays(dual)) for name, dual, _, _ in POOL]
+
+
+def random_non_simplicial_rings(seed: int, dim: int, ray_counts: tuple[int, int], count: int):
+    """Cones on random rays with last coordinate >= 1 (so pointed) that have
+    more facets than dimensions, and sigma rays small enough for a box scan."""
+    rng = random.Random(seed)
+    rings = []
+    while len(rings) < count:
+        rays = [
+            (*(rng.randint(-3, 3) for _ in range(dim - 1)), rng.randint(1, 3))
+            for _ in range(rng.randint(*ray_counts))
+        ]
+        try:
+            ring = ring_from_dual_rays(rays)
+        except NotFullDimensional:
+            continue
+        if len(ring.sigma_rays) > ring.dim and max(max(map(abs, n)) for n in ring.sigma_rays) <= 12:
+            rings.append(ring)
+    return rings
+
+
+# Sigma rays (-2, 2, 1), (-1, -1, 0), (-1, 0, 0), (2, 0, 1): the first three
+# are the basis, the run step is u = (-1, 1, -4), and the last ray pairs to
+# -6 with u, which only a few random cones do.
+STEPPING_DOWN = ring_from_dual_rays(((-1, -2, 2), (-1, 1, 2), (0, -1, 2), (0, 0, 1)))
 
 
 def random_2d_dual_rays(rng: random.Random, bound: int = 7):

@@ -13,9 +13,10 @@ cached version replaced: it builds every edge region with the library's
 double description and tests it with `Fraction` membership, so it pins the
 cached integer thresholds to the path they stand in for.
 `region_minimal_generators` and `exhaustive_refute` are the per-point scans
-that run-start enumeration replaced on simplicial rings: they walk the
-library's `lattice_points_in_box` and test every point on the library's
-integer thresholds, so they pin the run arithmetic to the points it skips.
+that run intervals replaced: they walk the library's `lattice_points_in_box`
+and test every point on the library's integer thresholds, so they pin the
+run arithmetic to the points it skips. The region scan reduces its points
+with `minimal_points` below, not with the library's antichain pass.
 `shifted_thresholds` is the per-facet `Fraction` formula that the library's
 integer `lattice_thresholds` replaced.
 """
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 from toricmult.errors import NotDimension2, NotInMultiplierIdeal
 from toricmult.geometry import hull_plus_cone, lattice_thresholds, membership
-from toricmult.ideals import _antichain, _same_ring, newton_polyhedron, product
+from toricmult.ideals import _same_ring, newton_polyhedron, product
 from toricmult.rings import lattice_points_in_box, require_exponent
 from toricmult.subadditivity import Decomposition2D, RefutationReport, Side
 
@@ -391,10 +392,8 @@ def region_minimal_generators(ring, poly, shift):
         for n in ring.sigma_rays
     )
     tests = lattice_thresholds(poly, shift)
-    return _antichain(
-        (w, t) for w, t in lattice_points_in_box(ring, bounds)
-        if all(dot(w, f) >= m for f, m in tests)
-    )
+    hits = [w for w, _ in lattice_points_in_box(ring, bounds) if all(dot(w, f) >= m for f, m in tests)]
+    return minimal_points(hits, ring.sigma_rays)
 
 
 def exhaustive_refute(v, a, b):

@@ -145,6 +145,13 @@ class TestClosureAndMultiplier:
         assert code == 0
         assert json.loads(out)["multiplier_generators"] == [[i, 599 - i] for i in range(600)]
 
+    def test_square_cone_multiplier(self, capsys):
+        # non-simplicial, so its runs are clipped; 2 e^2 + 2 e + 1 generators at e = 20
+        problem = Path(__file__).parent / "square_cone_multiplier.json"
+        code, out, _ = run(capsys, "multiplier", "--input", str(problem), "--ideals", "a", "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["multiplier_generators"]) == 841
+
 
 class TestSubadd:
     def test_failure_exits_one_with_witnesses(self, capsys, paths):

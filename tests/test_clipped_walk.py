@@ -20,39 +20,15 @@ from collections import defaultdict
 
 import pytest
 
+from instances import STEPPING_DOWN, random_non_simplicial_rings
 from oracles import box_points, dot
 
-from toricmult.errors import NotFullDimensional
-from toricmult.rings import lattice_points_in_box, ring_from_dual_rays
-
-
-def _random_non_simplicial_rings(seed, dim, ray_counts, count):
-    """Cones on random rays with last coordinate >= 1 (so pointed) that have
-    more facets than dimensions, and sigma rays small enough for the scan."""
-    rng = random.Random(seed)
-    rings = []
-    while len(rings) < count:
-        rays = [
-            (*(rng.randint(-3, 3) for _ in range(dim - 1)), rng.randint(1, 3))
-            for _ in range(rng.randint(*ray_counts))
-        ]
-        try:
-            ring = ring_from_dual_rays(rays)
-        except NotFullDimensional:
-            continue
-        if len(ring.sigma_rays) > ring.dim and max(max(map(abs, n)) for n in ring.sigma_rays) <= 12:
-            rings.append(ring)
-    return rings
-
-
-# Sigma rays (-2, 2, 1), (-1, -1, 0), (-1, 0, 0), (2, 0, 1): the first three
-# are the basis, u = (-1, 1, -4), and the last ray pairs to -6 with u.
-STEPPING_DOWN = ring_from_dual_rays(((-1, -2, 2), (-1, 1, 2), (0, -1, 2), (0, 0, 1)))
+from toricmult.rings import lattice_points_in_box
 
 
 def _cases():
     rng = random.Random(131)
-    rings = _random_non_simplicial_rings(71, 3, (4, 6), 30) + _random_non_simplicial_rings(73, 4, (5, 6), 12)
+    rings = random_non_simplicial_rings(71, 3, (4, 6), 30) + random_non_simplicial_rings(73, 4, (5, 6), 12)
     rings.append(STEPPING_DOWN)
     cases = []
     for ring in rings:

@@ -155,6 +155,20 @@ class TestLargeExponents:
         assert j.gens == tuple((i, e - 1 - i) for i in range(e))
 
 
+class TestSquareCone:
+    """J(<x^e z^e, y^e z^e, x^-e z^e, y^-e z^e>) on the cone over a square, a
+    non-simplicial ring whose run step (1, 0, 1) lies in the semigroup, so each
+    run offers only its first member of the region."""
+
+    @pytest.mark.parametrize("e", [3, 5])
+    def test_matches_the_scan(self, e):
+        square = ring_from_dual_rays(((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)))
+        a = monomial_ideal(square, [(e, 0, e), (0, e, e), (-e, 0, e), (0, -e, e)])
+        expected = multiplier_scan(a.gens, square.dual_rays, square.sigma_rays, square.canonical_shift())
+        assert multiplier_ideal(a).gens == expected
+        assert len(expected) == 2 * e * e + 2 * e + 1
+
+
 class TestStructuralLaws:
     def test_closure_is_contained_in_the_multiplier_ideal(self):
         # the containment runs this way around: adding u0 pushes every Newton
