@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
-from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, NotInSemigroup, NotQGorenstein
@@ -260,7 +259,7 @@ def run_interval(w: LatticePoint, u: LatticePoint, n: int, tests) -> tuple[int, 
     < 0 bounds it above, and 0 passes every k or none."""
     lo, hi = 0, n - 1
     for f, m in tests:
-        gap, s = m - sum(map(mul, w, f)), sum(map(mul, u, f))
+        gap, s = m - dot(w, f), dot(u, f)
         if s > 0:
             lo = max(lo, -(-gap // s))
         elif s < 0:
