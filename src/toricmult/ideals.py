@@ -6,6 +6,8 @@ routine. Integral closures and multiplier ideals share one enumeration engine
 over a sigma-coordinate box around the Newton polyhedron's vertices, on the
 facet thresholds of geometry.lattice_thresholds: each Hermite run
 (rings.run_starts) meets the region in one interval (rings.run_interval).
+It runs only where a closure's generators are needed: a lattice point lies in
+closure(a) iff it lies in N(a), a facet test on the memoized newton_polyhedron.
 """
 
 from __future__ import annotations
@@ -104,8 +106,9 @@ def newton_polyhedron(a: MonomialIdeal) -> NewtonPolyhedron:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
-    """Lattice points of the Newton polyhedron, as an ideal."""
-    if a.is_zero:
+    """Lattice points of N(a), as an ideal. A principal ideal ⟨g⟩ is its own
+    closure: the ring is normal, so (g + cone) ∩ M = g + semigroup."""
+    if len(a.gens) <= 1:
         return a
     gens = region_minimal_generators(a.ring, newton_polyhedron(a), shift=None)
     return MonomialIdeal(a.ring, gens)

@@ -292,9 +292,10 @@ def huneke_swanson_construct(recipe: ConstructionRecipe) -> Construction:
     shape of z_exponent — and raises RecipeInvalid naming the first one that
     fails. rZ ∈ closure(a·b) then holds unconditionally (split a convex
     combination for r over the generators of i_prime + j_prime and add z to
-    each term) and is asserted. Whether a and b come out integrally closed
-    and whether rZ escapes closure(a)·closure(b) depends on the choice of z;
-    both facts are computed exactly and reported on the result.
+    each term) and is asserted; both closure memberships are facet tests on
+    N(i_prime + j_prime) and N(a·b). Whether a and b come out integrally
+    closed and whether rZ escapes closure(a)·closure(b) depends on z; both
+    facts are computed exactly and reported on the result.
     """
     base = recipe.base_ring
     d = base.dim
@@ -308,7 +309,7 @@ def huneke_swanson_construct(recipe: ConstructionRecipe) -> Construction:
         raise RecipeInvalid("base ideals must be nonzero")
     r = require_exponent(base, recipe.r)
     ci, cj = integral_closure(recipe.i_prime), integral_closure(recipe.j_prime)
-    if not contains_monomial(integral_closure(ideal_sum(recipe.i_prime, recipe.j_prime)), r):
+    if not membership(newton_polyhedron(ideal_sum(recipe.i_prime, recipe.j_prime)), r).contained:
         raise RecipeInvalid("r is not in the closure of i_prime + j_prime")
     if contains_monomial(ideal_sum(ci, cj), r):
         raise RecipeInvalid("r lies in closure(i_prime) + closure(j_prime)")
@@ -320,7 +321,7 @@ def huneke_swanson_construct(recipe: ConstructionRecipe) -> Construction:
     r_z = vadd(r + (0,), z)
 
     ca, cb = integral_closure(a), integral_closure(b)
-    assert contains_monomial(integral_closure(product(a, b)), r_z)
+    assert membership(newton_polyhedron(product(a, b)), r_z).contained
     in_closure_product = contains_monomial(product(ca, cb), r_z)
     return Construction(recipe, ring, a, b, r_z, ca == a, cb == b, in_closure_product)
 
@@ -398,18 +399,14 @@ def _skeletons(config: SearchConfig) -> Iterator[tuple[ToricRing, LatticePoint, 
 
 
 def _gap_generators(ring: ToricRing, g1: LatticePoint, g2: LatticePoint):
-    """Recipe candidates for r between ⟨g1⟩ and ⟨g2⟩: minimal generators of
-    closure(⟨g1⟩ + ⟨g2⟩) outside closure(⟨g1⟩) + closure(⟨g2⟩). If any point
-    has the recipe's gap property, some minimal closure generator does too.
+    """Recipe candidates for r between ⟨g1⟩ and ⟨g2⟩, which are principal and
+    so closed: minimal generators of closure(⟨g1⟩ + ⟨g2⟩) outside ⟨g1⟩ + ⟨g2⟩.
+    If any point has the recipe's gap property, some minimal closure generator does too.
     """
     i_prime = monomial_ideal(ring, [g1])
     j_prime = monomial_ideal(ring, [g2])
-    gap_sum = ideal_sum(integral_closure(i_prime), integral_closure(j_prime))
-    rs = tuple(
-        r
-        for r in integral_closure(ideal_sum(i_prime, j_prime)).gens
-        if not contains_monomial(gap_sum, r)
-    )
+    both = ideal_sum(i_prime, j_prime)
+    rs = tuple(r for r in integral_closure(both).gens if not contains_monomial(both, r))
     return i_prime, j_prime, rs
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from oracles import det
 from toricmult.errors import NotFullDimensional
 from toricmult.ideals import monomial_ideal
 from toricmult.rings import ring_from_dual_rays, semigroup_points
@@ -89,6 +90,14 @@ def random_2d_dual_rays(rng: random.Random, bound: int = 7):
 
 def random_2d_ring(rng: random.Random, bound: int = 7):
     return ring_from_dual_rays(random_2d_dual_rays(rng, bound))
+
+
+def random_3d_ring(rng: random.Random):
+    """A simplicial cone on three independent rays with small entries."""
+    while True:
+        rays = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3)]
+        if 0 < abs(det(rays)) <= 5:
+            return ring_from_dual_rays(rays)
 
 
 def random_ideal(rng: random.Random, ring, max_gens: int = 4, pairing_bound: int = 30):

@@ -256,16 +256,17 @@ def _rank(vectors):
     return rank
 
 
+def in_ideal(gens, w, sigma_rays):
+    """Does some generator g divide w, i.e. does w - g pair >= 0 with every sigma ray?"""
+    return any(all(dot(vsub(w, g), s) >= 0 for s in sigma_rays) for g in gens)
+
+
 def minimal_points(points, sigma_rays):
     """Minimal elements under semigroup divisibility (w - g in the dual cone)."""
-
-    def divides(g, w):
-        return all(dot(vsub(w, g), s) >= 0 for s in sigma_rays)
-
     ordered = sorted(points, key=lambda w: (sum(dot(w, s) for s in sigma_rays), w))
     minimal: list[tuple[int, ...]] = []
     for w in ordered:
-        if not any(divides(m, w) for m in minimal):
+        if not in_ideal(minimal, w, sigma_rays):
             minimal.append(w)
     return tuple(sorted(minimal))
 
@@ -285,6 +286,20 @@ def closure_scan(gens, dual_rays, sigma_rays):
     ]
     hits = [w for w in box_points(sigma_rays, bounds) if region.contains(w)]
     return minimal_points(hits, sigma_rays)
+
+
+def gap_generators(ring, g1, g2):
+    """Recipe points between <g1> and <g2> by the three-closure formula.
+
+    Minimal generators of closure(<g1> + <g2>) outside closure(<g1>) +
+    closure(<g2>), with every closure found by grid scan. The library's
+    _gap_generators shortens it by taking principal ideals as closed.
+    """
+    def scan(gens):
+        return closure_scan(gens, ring.dual_rays, ring.sigma_rays)
+
+    gap_sum = scan([g1]) + scan([g2])
+    return tuple(r for r in scan([g1, g2]) if not in_ideal(gap_sum, r, ring.sigma_rays))
 
 
 def multiplier_scan(gens, dual_rays, sigma_rays, shift):

@@ -8,10 +8,11 @@ import random
 
 import pytest
 
-from instances import pool_rings, random_2d_ring, random_ideal
-from oracles import closure_scan, minimal_points, vsub
+from instances import pool_rings, random_2d_ring, random_3d_ring, random_ideal, random_non_simplicial_rings
+from oracles import box_points, closure_scan, dot, in_ideal, minimal_points, vsub
 
 from toricmult.errors import NotInSemigroup, RingMismatch, ZeroIdeal
+from toricmult.geometry import membership
 from toricmult.ideals import (
     contains_monomial,
     ideal_sum,
@@ -141,11 +142,34 @@ class TestIntegralClosure:
         assert integral_closure(unit) == unit
 
     def test_principal_ideals_are_integrally_closed(self):
-        base = ring_from_dual_rays(((2, 1), (1, 2)))
-        i_prime = monomial_ideal(base, ((2, 4),))
-        j_prime = monomial_ideal(base, ((12, 7),))
-        assert integral_closure(i_prime) == i_prime
-        assert integral_closure(j_prime) == j_prime
+        # integral_closure returns a principal ideal unchanged, so the grid
+        # scan is the only independent check that it is closed; every nonzero
+        # semigroup point pairing at most 3 with each sigma ray is a generator
+        rng = random.Random(61)
+        rings = [ring for _, ring in pool_rings()]
+        rings += [random_2d_ring(rng, bound=5) for _ in range(4)]
+        rings += [random_3d_ring(rng) for _ in range(3)]
+        rings += random_non_simplicial_rings(71, 3, (4, 6), 3) + random_non_simplicial_rings(73, 4, (5, 6), 1)
+        for ring in rings:
+            for g in semigroup_points(ring, 3):
+                if any(g):
+                    principal = monomial_ideal(ring, (g,))
+                    assert integral_closure(principal) == principal
+                    assert closure_scan((g,), ring.dual_rays, ring.sigma_rays) == (g,)
+
+    def test_membership_in_the_newton_polyhedron_is_closure_membership(self):
+        # huneke_swanson_construct tests closure membership on N(a) alone
+        rng = random.Random(2203)
+        for _, ring in pool_rings():
+            for _ in range(3):
+                a = random_ideal(rng, ring, max_gens=3, pairing_bound=6)
+                closure = closure_scan(a.gens, ring.dual_rays, ring.sigma_rays)
+                poly = newton_polyhedron(a)
+                reach = max(dot(g, n) for g in closure for n in ring.sigma_rays) + 1
+                box = box_points(ring.sigma_rays, [reach] * len(ring.sigma_rays))
+                inside = [membership(poly, w).contained for w in box]
+                assert inside == [in_ideal(closure, w, ring.sigma_rays) for w in box]
+                assert True in inside and False in inside
 
     def test_sum_closure_gap_at_the_recipe_point(self):
         base = ring_from_dual_rays(((2, 1), (1, 2)))

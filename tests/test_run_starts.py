@@ -19,8 +19,7 @@ import random
 import pytest
 
 import oracles
-from instances import POOL, STEPPING_DOWN, random_2d_ring, random_ideal, random_non_simplicial_rings
-from oracles import det
+from instances import POOL, STEPPING_DOWN, random_2d_ring, random_3d_ring, random_ideal, random_non_simplicial_rings
 from toricmult.geometry import lattice_thresholds
 from toricmult.ideals import monomial_ideal, newton_polyhedron, product, region_minimal_generators
 from toricmult.linalg import dot, vadd, vscale, vsub
@@ -35,14 +34,6 @@ from toricmult.rings import (
 from toricmult.subadditivity import exhaustive_refute
 
 
-def _random_3d_ring(rng):
-    """A simplicial cone on three independent rays with small entries."""
-    while True:
-        rays = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3)]
-        if 0 < abs(det(rays)) <= 5:
-            return ring_from_dual_rays(rays)
-
-
 # The cone over a lattice polytope at height 1, so Gorenstein with u0 = e_4;
 # its run step (1, 2, 4, -1) pairs to -2 with the last sigma ray.
 GORENSTEIN_STEPPING_DOWN = ring_from_dual_rays(
@@ -54,7 +45,7 @@ def _rings():
     rng = random.Random(83)
     rings = [(name, ring_from_dual_rays(dual)) for name, dual, _, _ in POOL]
     rings += [(f"random-2d-{i}", random_2d_ring(rng, 5)) for i in range(8)]
-    rings += [(f"random-3d-{i}", _random_3d_ring(rng)) for i in range(5)]
+    rings += [(f"random-3d-{i}", random_3d_ring(rng)) for i in range(5)]
     cones = random_non_simplicial_rings(71, 3, (4, 6), 30) + random_non_simplicial_rings(73, 4, (5, 6), 12)
     rings += [(f"non-simplicial-{ring.dim}d-{i}", ring) for i, ring in enumerate(cones)]
     rings += [("stepping-down-3d", STEPPING_DOWN), ("gorenstein-stepping-down-4d", GORENSTEIN_STEPPING_DOWN)]

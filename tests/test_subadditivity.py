@@ -1,5 +1,7 @@
 """The subadditivity question: verdicts, 2D decompositions, refutation, search."""
 
+import hashlib
+import itertools
 import json
 import math
 import random
@@ -15,6 +17,7 @@ from instances import pool_rings, random_2d_ring, random_ideal
 import oracles
 from oracles import dot, skeletons, vadd, vsub
 
+from toricmult.cli import main
 from toricmult.errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -48,11 +51,16 @@ from toricmult.subadditivity import (
     huneke_swanson_construct,
     _candidate_rings,
     _enumerated_recipes,
+    _gap_generators,
     _skeleton,
     _skeleton_space,
     _skeletons,
     search_counterexamples,
 )
+
+PAPER_BOUNDS = Path(__file__).with_name("paper_bounds_search.json")
+SMALL_HITS = Path(__file__).with_name("small_hits_search.json")
+SINGULAR_BASES = Path(__file__).with_name("singular_bases_search.json")
 
 
 @pytest.fixture(scope="module")
@@ -416,6 +424,40 @@ class TestSearch:
         with pytest.raises(ConfigInvalid):
             search_counterexamples(SearchConfig(dim=4))
 
+    def test_gap_generators_match_the_three_closure_formula(self):
+        # ray_bound 2 reaches the smooth bases and the A1 and A2 singularities
+        config = SearchConfig(ray_bound=2, gen_pairing_bound=3)
+        gaps = 0
+        for ring in _candidate_rings(config):
+            gens = [g for g in semigroup_points(ring, config.gen_pairing_bound) if any(g)]
+            for g1, g2 in itertools.combinations_with_replacement(gens, 2):
+                rs = _gap_generators(ring, g1, g2)[2]
+                assert rs == oracles.gap_generators(ring, g1, g2)
+                gaps += len(rs)
+        assert gaps > 0
+
+    def test_constructions_at_the_small_hits_bounds_match_the_closure_scan(self):
+        # the construction tests rZ on N(ab) alone; the scan enumerates closure(ab)
+        recipes = list(_enumerated_recipes(load_search_config(str(SMALL_HITS))))
+        assert len(recipes) == 18
+        flags = set()
+        for recipe in recipes:
+            built = huneke_swanson_construct(recipe)
+            ring = built.ring
+            sigma = ring.sigma_rays
+
+            def scan(gens):
+                return oracles.closure_scan(gens, ring.dual_rays, sigma)
+
+            ca, cb = scan(built.a.gens), scan(built.b.gens)
+            assert oracles.in_ideal(scan([vadd(g, h) for g in built.a.gens for h in built.b.gens]), built.r_z, sigma)
+            assert built.a_integrally_closed == (ca == built.a.gens)
+            assert built.b_integrally_closed == (cb == built.b.gens)
+            in_product = oracles.in_ideal([vadd(g, h) for g in ca for h in cb], built.r_z, sigma)
+            assert built.rz_in_product_of_closures == in_product
+            flags.add((built.a_integrally_closed, built.b_integrally_closed, in_product))
+        assert len(flags) > 1
+
     def test_every_enumerated_recipe_meets_the_recipe_conditions(self):
         # search builds enumerated recipes without catching RecipeInvalid
         config = SearchConfig(ray_bound=2, gen_pairing_bound=3, z_pairing_bound=1, z_height_bound=2)
@@ -423,9 +465,6 @@ class TestSearch:
         assert len(recipes) == 580
         for recipe in recipes:
             huneke_swanson_construct(recipe)
-
-
-PAPER_BOUNDS = Path(__file__).with_name("paper_bounds_search.json")
 
 
 def oracle_skeletons(config):
@@ -497,9 +536,6 @@ class TestSkeletonStream:
         assert json.loads(done.stdout)["count"] == 0
 
 
-SMALL_HITS = Path(__file__).with_name("small_hits_search.json")
-
-
 class TestSmallestHits:
     """The smallest bounds with hits. The default ray_bound=1 reaches only
     smooth bases, where subadditivity is a theorem; ray_bound=2 reaches the
@@ -526,3 +562,29 @@ class TestSmallestHits:
     def test_height_one_finds_nothing(self):
         config = replace(load_search_config(str(SMALL_HITS)), z_height_bound=1)
         assert search_counterexamples(config) == ()
+
+
+class TestSingularBases:
+    """An uncapped search over every base ring with dual rays in [0, 2]^2:
+    the smooth ones and the A1 and A2 singularities."""
+
+    def test_search_finds_the_five_pinned_hits(self, capsys):
+        code = main(["search", "--input", str(SINGULAR_BASES), "--format", "json"])
+        out = capsys.readouterr().out
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["count"] == 5
+        assert [
+            (h["construction"]["recipe"]["base_ring"]["dual_cone_rays"], h["construction"]["a"], h["construction"]["b"])
+            for h in doc["hits"]
+        ] == [
+            ([[0, 1], [2, 1]], [[0, 0, 2], [2, 1, 0]], [[0, 0, 2], [0, 1, 0]]),
+            ([[0, 1], [2, 1]], [[1, 1, 2], [3, 2, 0]], [[1, 1, 2], [1, 2, 0]]),
+            ([[1, 0], [1, 2]], [[0, 0, 2], [1, 0, 0]], [[0, 0, 2], [1, 2, 0]]),
+            ([[1, 0], [1, 2]], [[1, 1, 2], [2, 1, 0]], [[1, 1, 2], [2, 3, 0]]),
+            ([[1, 2], [2, 1]], [[1, 1, 2], [2, 1, 0]], [[1, 1, 2], [1, 2, 0]]),
+        ]
+        # taken when closure membership was still decided by enumerating the closure
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "50b5c416502ca2a8e519013e409a66e73f09afba09bcaa59d1c051f3ffd8b899"
+        )
