@@ -49,12 +49,15 @@ def primitivize(u: Sequence) -> tuple[int, ...]:
 
 
 def _integral(u: Sequence) -> Sequence[int]:
-    """u scaled by the lcm of its denominators: integers on the same ray."""
+    """u scaled by the lcm of its denominators: integers on the same ray.
+
+    int and Fraction entries both carry numerator and denominator, so mixed
+    rows are read as they are, without converting each entry to a Fraction.
+    """
     if all(isinstance(a, int) for a in u):
         return u
-    fracs = [Fraction(a) for a in u]
-    den = lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs]
+    den = lcm(*(a.denominator for a in u))
+    return [a.numerator * (den // a.denominator) for a in u]
 
 
 def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:

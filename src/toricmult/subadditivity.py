@@ -14,7 +14,7 @@ import enum
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -119,7 +119,9 @@ class Construction:
     When z_exponent is the new coordinate axis itself, a and b are always
     integrally closed and rZ escapes closure(a)·closure(b). For a general
     monomial z both properties can fail even though the gap conditions on r
-    hold, so they are computed and reported here instead of being assumed.
+    hold, so they are computed exactly instead of being assumed. The three
+    flags are functions of (a, b, r_z), computed on first read and kept:
+    building a construction enumerates neither closure(a) nor closure(b).
     """
 
     recipe: ConstructionRecipe
@@ -127,9 +129,18 @@ class Construction:
     a: MonomialIdeal
     b: MonomialIdeal
     r_z: LatticePoint
-    a_integrally_closed: bool
-    b_integrally_closed: bool
-    rz_in_product_of_closures: bool
+
+    @cached_property
+    def a_integrally_closed(self) -> bool:
+        return integral_closure(self.a) == self.a
+
+    @cached_property
+    def b_integrally_closed(self) -> bool:
+        return integral_closure(self.b) == self.b
+
+    @cached_property
+    def rz_in_product_of_closures(self) -> bool:
+        return contains_monomial(product(integral_closure(self.a), integral_closure(self.b)), self.r_z)
 
 
 @dataclass(frozen=True)
@@ -294,8 +305,8 @@ def huneke_swanson_construct(recipe: ConstructionRecipe) -> Construction:
     combination for r over the generators of i_prime + j_prime and add z to
     each term) and is asserted; both closure memberships are facet tests on
     N(i_prime + j_prime) and N(a·b). Whether a and b come out integrally
-    closed and whether rZ escapes closure(a)·closure(b) depends on z; both
-    facts are computed exactly and reported on the result.
+    closed and whether rZ escapes closure(a)·closure(b) depends on z; the
+    result computes both exactly when they are first read.
     """
     base = recipe.base_ring
     d = base.dim
@@ -319,11 +330,8 @@ def huneke_swanson_construct(recipe: ConstructionRecipe) -> Construction:
     a = monomial_ideal(ring, [g + (0,) for g in ci.gens] + [z])
     b = monomial_ideal(ring, [g + (0,) for g in cj.gens] + [z])
     r_z = vadd(r + (0,), z)
-
-    ca, cb = integral_closure(a), integral_closure(b)
     assert membership(newton_polyhedron(product(a, b)), r_z).contained
-    in_closure_product = contains_monomial(product(ca, cb), r_z)
-    return Construction(recipe, ring, a, b, r_z, ca == a, cb == b, in_closure_product)
+    return Construction(recipe, ring, a, b, r_z)
 
 
 # ---------------------------------------------------------------------------
@@ -341,27 +349,35 @@ def _primitive_rays_2d(bound: int) -> list[LatticePoint]:
     )
 
 
-def _candidate_rings(config: SearchConfig) -> list[ToricRing]:
-    if config.dim == 1:
+def _candidate_rings(dim: int, ray_bound: int) -> list[ToricRing]:
+    if dim == 1:
         return [ring_from_dual_rays([(1,)])]
-    rays = _primitive_rays_2d(config.ray_bound)
+    rays = _primitive_rays_2d(ray_bound)
     return [ring_from_dual_rays([r1, r2]) for r1, r2 in itertools.combinations(rays, 2)]
 
 
-def _skeleton_space(config: SearchConfig) -> tuple[list[tuple[ToricRing, list, list, int]], int]:
+def _space_bounds(config: SearchConfig) -> tuple[int, int, int, int, int]:
+    """The config fields that fix the skeleton space; seed, cap and explicit recipes do not."""
+    return config.dim, config.ray_bound, config.gen_pairing_bound, config.z_pairing_bound, config.z_height_bound
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _skeleton_space(dim: int, ray_bound: int, gen_pairing_bound: int, z_pairing_bound: int, z_height_bound: int):
     """One block (ring, gens, zs, size) per base ring, and the total size.
 
     A block holds size = C(|gens| + 1, 2) · |zs| · z_height_bound skeletons:
     every pair of generators with repetition, then every adjoined exponent,
     then every height. Only the point lists are built, never the skeletons.
+    Memoized on the bounds (_space_bounds), so capped searches that differ
+    in seed or cap share one space.
     """
     blocks = []
-    for ring in _candidate_rings(config):
-        gens = [g for g in semigroup_points(ring, config.gen_pairing_bound) if any(g)]
-        zs = semigroup_points(ring, config.z_pairing_bound)
+    for ring in _candidate_rings(dim, ray_bound):
+        gens = tuple(g for g in semigroup_points(ring, gen_pairing_bound) if any(g))
+        zs = tuple(semigroup_points(ring, z_pairing_bound))
         n = len(gens)
-        blocks.append((ring, gens, zs, n * (n + 1) // 2 * len(zs) * config.z_height_bound))
-    return blocks, sum(block[3] for block in blocks)
+        blocks.append((ring, gens, zs, n * (n + 1) // 2 * len(zs) * z_height_bound))
+    return tuple(blocks), sum(block[3] for block in blocks)
 
 
 def _skeleton(blocks, z_height_bound: int, index: int) -> tuple[ToricRing, LatticePoint, LatticePoint, LatticePoint]:
@@ -389,7 +405,7 @@ def _skeletons(config: SearchConfig) -> Iterator[tuple[ToricRing, LatticePoint, 
     Under a cap smaller than the enumeration, the seeded sample is drawn from
     the index range, so the space is counted but never materialized.
     """
-    blocks, total = _skeleton_space(config)
+    blocks, total = _skeleton_space(*_space_bounds(config))
     indices = range(total)
     cap = config.max_candidates
     if cap is not None and total > cap:
@@ -398,10 +414,12 @@ def _skeletons(config: SearchConfig) -> Iterator[tuple[ToricRing, LatticePoint, 
         yield _skeleton(blocks, config.z_height_bound, index)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _gap_generators(ring: ToricRing, g1: LatticePoint, g2: LatticePoint):
     """Recipe candidates for r between ⟨g1⟩ and ⟨g2⟩, which are principal and
     so closed: minimal generators of closure(⟨g1⟩ + ⟨g2⟩) outside ⟨g1⟩ + ⟨g2⟩.
     If any point has the recipe's gap property, some minimal closure generator does too.
+    Memoized on (ring, g1, g2), which skeletons and capped searches share.
     """
     i_prime = monomial_ideal(ring, [g1])
     j_prime = monomial_ideal(ring, [g2])
@@ -436,11 +454,6 @@ def search_counterexamples(config: SearchConfig) -> tuple[SearchHit, ...]:
 
 
 def _enumerated_recipes(config: SearchConfig) -> Iterator[ConstructionRecipe]:
-    # Skeletons sharing (ring, g1, g2) are consecutive, so the gap points of
-    # the last pair are all that needs keeping.
-    key = gaps = None
     for ring, g1, g2, z in _skeletons(config):
-        if (ring, g1, g2) != key:
-            key, gaps = (ring, g1, g2), _gap_generators(ring, g1, g2)
-        i_prime, j_prime, rs = gaps
+        i_prime, j_prime, rs = _gap_generators(ring, g1, g2)
         yield from (ConstructionRecipe(ring, i_prime, j_prime, r, z) for r in rs)

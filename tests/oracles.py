@@ -18,7 +18,9 @@ and test every point on the library's integer thresholds, so they pin the
 run arithmetic to the points it skips. The region scan reduces its points
 with `minimal_points` below, not with the library's antichain pass.
 `shifted_thresholds` is the per-facet `Fraction` formula that the library's
-integer `lattice_thresholds` replaced.
+integer `lattice_thresholds` replaced. `construction_flags` is the eager
+computation of a construction's three closure flags that the library's
+on-read properties replaced.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 
 from toricmult.errors import NotDimension2, NotInMultiplierIdeal
 from toricmult.geometry import hull_plus_cone, lattice_thresholds, membership
-from toricmult.ideals import _same_ring, newton_polyhedron, product
+from toricmult.ideals import _same_ring, contains_monomial, integral_closure, newton_polyhedron, product
 from toricmult.rings import lattice_points_in_box, require_exponent
 from toricmult.subadditivity import Decomposition2D, RefutationReport, Side
 
@@ -300,6 +302,13 @@ def gap_generators(ring, g1, g2):
 
     gap_sum = scan([g1]) + scan([g2])
     return tuple(r for r in scan([g1, g2]) if not in_ideal(gap_sum, r, ring.sigma_rays))
+
+
+def construction_flags(built):
+    """(a closed, b closed, rZ in closure(a)*closure(b)) of a construction,
+    computed as huneke_swanson_construct once did before returning it."""
+    ca, cb = integral_closure(built.a), integral_closure(built.b)
+    return ca == built.a, cb == built.b, contains_monomial(product(ca, cb), built.r_z)
 
 
 def multiplier_scan(gens, dual_rays, sigma_rays, shift):

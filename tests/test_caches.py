@@ -1,14 +1,18 @@
 """Memoized layers: bounded caches that return what a fresh computation returns.
 
-Rings, Newton polyhedra, integral closures, multiplier ideals and the 2D edge
-regions of an ideal pair are pure functions of frozen values, so each is
-memoized by value; a ring's canonical point and sigma lattice are computed
-once and held by the ring itself. The checks here pin that every cache is
-bounded, that a cached answer equals the undecorated function's, and that
-errors are raised again rather than remembered.
+Rings, Newton polyhedra, integral closures, multiplier ideals, the 2D edge
+regions of an ideal pair, and the two search stages (the skeleton space of a
+config's bounds and the gap points of a generator pair) are pure functions
+of frozen values, so each is memoized by value; a ring's canonical point and
+sigma lattice are computed once and held by the ring itself. The checks here
+pin that every cache is bounded, that a cached answer equals the undecorated
+function's, that configs differing only in seed or cap share one skeleton
+space, and that errors are raised again rather than remembered.
 """
 
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import random
 
@@ -27,10 +31,34 @@ from toricmult.errors import (
 from toricmult.ideals import integral_closure, monomial_ideal, newton_polyhedron
 from toricmult.linalg import hermite_normal_form, independent_rows
 from toricmult.multiplier import multiplier_ideal
+from toricmult.problemio import load_search_config
 from toricmult.rings import ring_from_dual_rays
-from toricmult.subadditivity import _edge_regions, decompose_2d
+from toricmult.subadditivity import (
+    SearchConfig,
+    _edge_regions,
+    _gap_generators,
+    _skeleton_space,
+    _skeletons,
+    _space_bounds,
+    decompose_2d,
+)
 
-MEMOIZED = (ring_from_dual_rays, newton_polyhedron, integral_closure, multiplier_ideal, _edge_regions)
+MEMOIZED = (
+    ring_from_dual_rays,
+    newton_polyhedron,
+    integral_closure,
+    multiplier_ideal,
+    _edge_regions,
+    _skeleton_space,
+    _gap_generators,
+)
+
+TESTS = Path(__file__).parent
+SEARCH_CONFIGS = {
+    "default": SearchConfig(),
+    "small-hits": load_search_config(str(TESTS / "small_hits_search.json")),
+    "singular": load_search_config(str(TESTS / "singular_bases_search.json")),
+}
 
 
 @pytest.mark.parametrize("layer", MEMOIZED, ids=lambda f: f.__name__)
@@ -149,3 +177,29 @@ def test_refused_decompositions_are_refused_again():
     # the refused point did not poison the pair's cached regions
     d = decompose_2d((14, 11), a, b)
     assert (d.witness, d.region_index) == ((2, 4), 0)
+
+
+@pytest.mark.parametrize("name", SEARCH_CONFIGS)
+def test_cached_search_stages_equal_fresh_ones(name):
+    bounds = _space_bounds(SEARCH_CONFIGS[name])
+    space = _skeleton_space(*bounds)
+    assert space == _skeleton_space.__wrapped__(*bounds)
+    assert _skeleton_space(*bounds) is space
+    blocks, _ = space
+    for ring, gens, _, _ in blocks:
+        for i, g1 in enumerate(gens):
+            for g2 in gens[i:]:
+                gaps = _gap_generators(ring, g1, g2)
+                assert gaps == _gap_generators.__wrapped__(ring, g1, g2)
+                assert _gap_generators(ring, g1, g2) is gaps
+
+
+def test_configs_differing_in_seed_or_cap_share_one_skeleton_space():
+    config = SearchConfig(max_candidates=16, seed=1)
+    next(_skeletons(config))
+    for other in (replace(config, seed=2), replace(config, max_candidates=3), replace(config, max_candidates=None)):
+        info = _skeleton_space.cache_info()
+        next(_skeletons(other))
+        assert _skeleton_space.cache_info().hits == info.hits + 1
+        assert _skeleton_space.cache_info().currsize == info.currsize
+        assert _skeleton_space(*_space_bounds(other)) is _skeleton_space(*_space_bounds(config))

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import _rank, det
 
-from toricmult.linalg import adjugate_int, dot, independent_rows, invert, kernel_basis, rank
+from toricmult.linalg import adjugate_int, dot, independent_rows, invert, kernel_basis, primitivize, rank
 
 
 def matmul(a, b):
@@ -59,6 +59,21 @@ def test_rank_takes_fraction_rows():
         factors = [Fraction(rng.choice((-2, 1, 3)), rng.randint(1, 12)) for _ in a]
         scaled = [[x * f for x in row] for row, f in zip(a, factors)]
         assert rank(scaled) == _rank(scaled) == _rank(a)
+
+
+def test_mixed_rows_match_the_fraction_route():
+    # int entries are read as they are; converting every entry to a Fraction
+    # first must change nothing
+    rng = random.Random(7)
+    for a in matrices(8):
+        mixed = [[rng.choice((x, Fraction(x * rng.randint(1, 5), rng.randint(1, 6)))) for x in row] for row in a]
+        fractions = [[Fraction(x) for x in row] for row in mixed]
+        assert rank(mixed) == rank(fractions)
+        assert kernel_basis(mixed) == kernel_basis(fractions)
+        for row, as_fractions in zip(mixed, fractions):
+            if any(row):
+                assert primitivize(row) == primitivize(as_fractions)
+                assert all(type(c) is int for c in primitivize(row))
 
 
 def test_kernel_basis_spans_the_kernel_with_unit_free_columns():

@@ -55,12 +55,14 @@ from toricmult.subadditivity import (
     _skeleton,
     _skeleton_space,
     _skeletons,
+    _space_bounds,
     search_counterexamples,
 )
 
 PAPER_BOUNDS = Path(__file__).with_name("paper_bounds_search.json")
 SMALL_HITS = Path(__file__).with_name("small_hits_search.json")
 SINGULAR_BASES = Path(__file__).with_name("singular_bases_search.json")
+FLAGS = ("a_integrally_closed", "b_integrally_closed", "rz_in_product_of_closures")
 
 
 @pytest.fixture(scope="module")
@@ -376,6 +378,30 @@ class TestConstruction:
             built_count += 1
         assert built_count >= 3  # the loop must actually exercise the claim
 
+    def test_closure_flags_are_computed_on_first_read(self, base_recipe):
+        # search reads no flag, so its hits carry none until their JSON is built
+        twin = replace(base_recipe, z_exponent=(0, 0, 1))
+        hits = search_counterexamples(load_search_config(str(SINGULAR_BASES)))
+        assert len(hits) == 5
+        # on the orthant these z close exactly one of a and b, or both
+        orthant = ring_from_dual_rays(((0, 1), (1, 0)))
+        i, j = monomial_ideal(orthant, ((2, 0),)), monomial_ideal(orthant, ((0, 2),))
+        lopsided = [ConstructionRecipe(orthant, i, j, (1, 1), z) for z in ((1, 0, 2), (0, 1, 2), (1, 1, 1))]
+        built = [huneke_swanson_construct(r) for r in [base_recipe, twin] + lopsided]
+        for construction in built + [hit.construction for hit in hits]:
+            assert not set(FLAGS) & set(vars(construction))
+            expected = oracles.construction_flags(construction)
+            for name, value in zip(FLAGS, expected):
+                assert getattr(construction, name) == value
+                assert vars(construction)[name] == value
+        assert [oracles.construction_flags(c) for c in built] == [
+            (False, False, True),
+            (True, True, False),
+            (True, False, False),
+            (False, True, False),
+            (True, True, True),
+        ]
+
     @pytest.mark.parametrize(
         "r,z,message",
         [
@@ -428,7 +454,7 @@ class TestSearch:
         # ray_bound 2 reaches the smooth bases and the A1 and A2 singularities
         config = SearchConfig(ray_bound=2, gen_pairing_bound=3)
         gaps = 0
-        for ring in _candidate_rings(config):
+        for ring in _candidate_rings(config.dim, config.ray_bound):
             gens = [g for g in semigroup_points(ring, config.gen_pairing_bound) if any(g)]
             for g1, g2 in itertools.combinations_with_replacement(gens, 2):
                 rs = _gap_generators(ring, g1, g2)[2]
@@ -475,7 +501,7 @@ def oracle_skeletons(config):
             [g for g in semigroup_points(ring, config.gen_pairing_bound) if any(g)],
             semigroup_points(ring, config.z_pairing_bound),
         )
-        for ring in _candidate_rings(config)
+        for ring in _candidate_rings(config.dim, config.ray_bound)
     ]
     return list(skeletons(blocks, config.z_height_bound))
 
@@ -492,7 +518,7 @@ class TestSkeletonStream:
     @pytest.mark.parametrize("config", STREAM_CONFIGS, ids=STREAM_IDS)
     def test_decoder_matches_the_nested_walk_at_every_index(self, config):
         expected = oracle_skeletons(config)
-        blocks, total = _skeleton_space(config)
+        blocks, total = _skeleton_space(*_space_bounds(config))
         assert total == len(expected)
         assert [_skeleton(blocks, config.z_height_bound, i) for i in range(total)] == expected
         assert list(_skeletons(config)) == expected
@@ -509,14 +535,14 @@ class TestSkeletonStream:
 
     def test_empty_dimensions_of_the_space_give_no_skeletons(self):
         for config in (SearchConfig(z_height_bound=0), SearchConfig(ray_bound=0), SearchConfig(gen_pairing_bound=0)):
-            assert _skeleton_space(config)[1] == 0
+            assert _skeleton_space(*_space_bounds(config))[1] == 0
             assert list(_skeletons(config)) == []
 
     def test_paper_bounds_are_counted_not_materialized(self):
         config = load_search_config(str(PAPER_BOUNDS))
         assert (config.ray_bound, config.gen_pairing_bound, config.z_pairing_bound, config.z_height_bound) == (2, 17, 14, 2)
         assert config.max_candidates == 3
-        assert _skeleton_space(config)[1] == 171_588_132
+        assert _skeleton_space(*_space_bounds(config))[1] == 171_588_132
         assert len(list(_skeletons(config))) == 3
 
     def test_paper_bounds_search_runs_in_bounded_memory(self):
