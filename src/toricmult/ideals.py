@@ -5,8 +5,9 @@ divides w' when no sigma pairing of w exceeds that of w'), all reduced by one
 routine. Integral closures and multiplier ideals share one enumeration engine
 over a sigma-coordinate box around the Newton polyhedron's vertices, on the
 facet thresholds of geometry.lattice_thresholds: each Hermite run
-(rings.run_starts) meets the region in one interval (rings.run_interval).
-It runs only where a closure's generators are needed: a lattice point lies in
+(rings.run_starts) meets the region in one interval (rings.run_interval),
+and the walk stops at the first candidate dividing every later one. It runs
+only where a closure's generators are needed: a lattice point lies in
 closure(a) iff it lies in N(a), a facet test on the memoized newton_polyhedron.
 """
 
@@ -133,6 +134,12 @@ def region_minimal_generators(
     the region. A run's members form an interval (rings.run_interval), and
     when the step u lies in the semigroup, as on simplicial sigma, the first
     member divides the rest; otherwise every member is a candidate.
+
+    The floor of sigma ray n_j is the threshold of the facet with normal n_j,
+    or 0 without one: no region point of the box pairs below it. Runs come in
+    walk order, so the pairing with sigma ray 0 never decreases. The walk
+    stops at a candidate pairing to the floor with every sigma ray n_1, ...:
+    it divides every candidate after it.
     """
     off = 0 if shift is None else 1
     bounds = tuple(
@@ -141,10 +148,17 @@ def region_minimal_generators(
     )
     tests = lattice_thresholds(poly, shift)
     u, ut = ring.run_step
+    steps = tuple((f, m, dot(u, f)) for f, m in tests)
+    floors = tuple(dict(tests).get(n, 0) for n in ring.sigma_rays[1:])
     climbs = min(ut) >= 0
-    runs = ((w, t, *run_interval(w, u, n, tests)) for w, t, n in run_starts(ring, bounds))
-    return _antichain(
-        (vadd(w, vscale(k, u)), tuple(a + k * s for a, s in zip(t, ut)))
-        for w, t, lo, hi in runs
-        for k in range(lo, (min(lo, hi) if climbs else hi) + 1)
-    )
+
+    def candidates():
+        for w, t, n in run_starts(ring, bounds):
+            lo, hi = run_interval(w, n, steps)
+            for k in range(lo, (min(lo, hi) if climbs else hi) + 1):
+                ct = tuple(a + k * s for a, s in zip(t, ut))
+                yield vadd(w, vscale(k, u)), ct
+                if ct[1:] == floors:
+                    return
+
+    return _antichain(candidates())

@@ -11,7 +11,9 @@ lattice H Z^d for H the Hermite normal form of a basis of sigma rays
 lexicographic order of t (simplicial sigma) or of w (otherwise). The walk
 is runs w + k u, clipped to the other sigma rays' bounds by integer
 division on non-simplicial sigma. run_starts yields the runs, not their
-points, and run_interval places the points of a run passing facet tests.
+points, in walk order, so the pairing with sigma ray 0 never decreases from
+one run to the next; run_interval places the points of a run passing facet
+tests, given each facet's step along the run.
 """
 
 from __future__ import annotations
@@ -253,13 +255,14 @@ def run_starts(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tuple[Lattice
         yield w, t, (bounds[-1] - t[-1]) // h + 1
 
 
-def run_interval(w: LatticePoint, u: LatticePoint, n: int, tests) -> tuple[int, int]:
+def run_interval(w: LatticePoint, n: int, tests) -> tuple[int, int]:
     """(lo, hi): lo <= k <= hi for exactly the k in [0, n) with <w + k u, f> >= m for
-    every (f, m) in tests, none when lo > hi. A step <u, f> > 0 bounds k below,
-    < 0 bounds it above, and 0 passes every k or none."""
+    every (f, m, s) in tests, none when lo > hi. s = <u, f> is the facet's step along
+    the run, computed once per step u by the caller: s > 0 bounds k below, s < 0
+    bounds it above, and 0 passes every k or none."""
     lo, hi = 0, n - 1
-    for f, m in tests:
-        gap, s = m - dot(w, f), dot(u, f)
+    for f, m, s in tests:
+        gap = m - dot(w, f)
         if s > 0:
             lo = max(lo, -(-gap // s))
         elif s < 0:

@@ -269,22 +269,24 @@ def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> R
     beta + u0 = (v − alpha) + u0 interior to N(b), on integer facet thresholds.
     Along a run alpha = w + k·u (rings.run_starts) each holds on an interval
     of k (rings.run_interval), so the splittings are their intersection; they
-    are listed in walk order on simplicial σ and by alpha otherwise.
+    are listed in walk order on simplicial σ and by alpha otherwise. Each
+    facet's step along a run is computed once: ⟨u, f⟩ for N(a), and its
+    negative for N(b), along which beta = (v − w) − k·u moves.
     """
     ring = _same_ring(a, b)
     u0 = ring.canonical_shift()
     target = require_exponent(ring, v)
-    inside_a = lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim)
-    inside_b = lattice_thresholds(newton_polyhedron(b), u0)
+    u, ut = ring.run_step
+    inside_a = [(f, m, dot(u, f)) for f, m in lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim)]
+    inside_b = [(f, m, -dot(u, f)) for f, m in lattice_thresholds(newton_polyhedron(b), u0)]
     bounds = tuple(t + 1 for t in ring.pairings(target))
 
-    u, ut = ring.run_step
     found, scanned = [], 0
     for w, _, n in run_starts(ring, bounds):
         scanned += n
-        lo, hi = run_interval(w, u, n, inside_a)
+        lo, hi = run_interval(w, n, inside_a)
         if lo <= hi:
-            blo, bhi = run_interval(vsub(target, w), vscale(-1, u), n, inside_b)
+            blo, bhi = run_interval(vsub(target, w), n, inside_b)
             alphas = (vadd(w, vscale(k, u)) for k in range(max(lo, blo), min(hi, bhi) + 1))
             found += ((alpha, vsub(target, alpha)) for alpha in alphas)
     if len(ut) > ring.dim:

@@ -11,6 +11,12 @@ seeded random simplicial rings in two and three dimensions, the seeded random
 non-simplicial cones in three and four dimensions of test_clipped_walk, and
 a Gorenstein cone whose run step leaves the exponent cone, so that a
 refutation meets runs whose later members are not multiples of the first.
+Seeded random plane pairs of the two-dimensional property suite add their
+products.
+
+The region walk stops at a candidate pairing to its floor with every sigma
+ray after the first, which is exact because the pairing with sigma ray 0
+never decreases along the walk; both the stop and that order are tested.
 """
 
 import itertools
@@ -20,7 +26,7 @@ import pytest
 
 import oracles
 from instances import POOL, STEPPING_DOWN, random_2d_ring, random_3d_ring, random_ideal, random_non_simplicial_rings
-from toricmult.geometry import lattice_thresholds
+from toricmult.geometry import PolyCone, hull_plus_cone, lattice_thresholds
 from toricmult.ideals import monomial_ideal, newton_polyhedron, product, region_minimal_generators
 from toricmult.linalg import dot, vadd, vscale, vsub
 from toricmult.rings import (
@@ -126,7 +132,7 @@ def test_run_interval_matches_the_per_point_scan():
     steps, shapes = set(), set()
     for w, u, n, tests in itertools.chain(empty, _random_runs(random.Random(97), 3000)):
         steps.update((s > 0) - (s < 0) for s in (dot(u, f) for f, _ in tests))
-        lo, hi = run_interval(w, u, n, tests)
+        lo, hi = run_interval(w, n, [(f, m, dot(u, f)) for f, m in tests])
         passing = _scan(w, u, n, tests)
         assert list(range(lo, hi + 1)) == passing, (w, u, n, tests)
         if not passing:
@@ -142,10 +148,11 @@ def test_run_interval_is_where_the_run_meets_the_region(name, ring):
     for a in _ideals(name, ring, 2):
         for shift in (None, ring.canonical_shift()) if ring.q_gorenstein else (None,):
             tests = lattice_thresholds(newton_polyhedron(a), shift)
+            steps = [(f, m, dot(u, f)) for f, m in tests]
             for w in semigroup_points(ring, 2):
                 passing = _scan(w, u, 12, tests)
                 for n in range(13):
-                    lo, hi = run_interval(w, u, n, tests)
+                    lo, hi = run_interval(w, n, steps)
                     assert list(range(lo, hi + 1)) == [j for j in passing if j < n], (w, n)
 
 
@@ -156,6 +163,68 @@ def test_region_generators_match_the_per_point_scan(name, ring):
         poly = newton_polyhedron(a)
         for shift in (None, ring.canonical_shift()) if ring.q_gorenstein else (None,):
             assert region_minimal_generators(ring, poly, shift) == oracles.region_minimal_generators(ring, poly, shift)
+
+
+def test_region_generators_match_the_per_point_scan_on_random_plane_pairs():
+    """a, b and ab of sixty pairs drawn as in the two-dimensional property
+    suite, as closures and as multiplier regions."""
+    rng = random.Random(4111)
+    for _ in range(60):
+        ring = random_2d_ring(rng, bound=7)
+        a, b = (random_ideal(rng, ring, max_gens=4, pairing_bound=30) for _ in range(2))
+        for ideal in (a, b, product(a, b)):
+            poly = newton_polyhedron(ideal)
+            for shift in (None, ring.canonical_shift()):
+                assert region_minimal_generators(ring, poly, shift) == oracles.region_minimal_generators(ring, poly, shift)
+
+
+@pytest.mark.parametrize("name, ring", RINGS, ids=IDS)
+def test_runs_come_in_order_of_the_first_sigma_pairing(name, ring):
+    """Sigma ray 0 leads the Hermite basis, and a run's step does not move its pairing."""
+    assert ring.sigma_lattice[0][0] == 0
+    if ring.dim >= 2:
+        assert ring.run_step[1][0] == 0
+    rays = len(ring.sigma_rays)
+    for bounds in itertools.product(range(0, 7, 3), repeat=rays) if ring.dim < 4 else [(4,) * rays]:
+        firsts = [t[0] for _, t, _ in run_starts(ring, bounds)]
+        assert firsts == sorted(firsts), bounds
+
+
+def _region_runs(monkeypatch, ring, poly, shift):
+    """(generators, runs the region read, runs of its walk) of one region call."""
+    read, walked = [], []
+
+    def counted(ring, bounds):
+        walked.append(len(list(run_starts(ring, bounds))))
+        for run in run_starts(ring, bounds):
+            read.append(run)
+            yield run
+
+    monkeypatch.setattr("toricmult.ideals.run_starts", counted)
+    gens = region_minimal_generators(ring, poly, shift)
+    assert gens == oracles.region_minimal_generators(ring, poly, shift)
+    return gens, len(read), walked[0]
+
+
+def test_the_region_walk_stops_at_a_candidate_on_every_floor(monkeypatch):
+    """The walk goes by powers of y. J(<x^2, y^3>) = <x, y>: y lies on the
+    floor 0 of the facet x >= 0, so the walk stops on its second run. The
+    closure region of <x> stops on its first run, at x on the floor 1 of the
+    facet x >= 1; the facet y >= 0 has the lower threshold 0."""
+    plane = ring_from_dual_rays(((1, 0), (0, 1)))
+    poly = newton_polyhedron(monomial_ideal(plane, [(2, 0), (0, 3)]))
+    assert _region_runs(monkeypatch, plane, poly, plane.canonical_shift()) == (((0, 1), (1, 0)), 2, 4)
+    poly = newton_polyhedron(monomial_ideal(plane, [(1, 0)]))
+    assert _region_runs(monkeypatch, plane, poly, None) == (((1, 0),), 1, 2)
+
+
+def test_a_region_without_a_floor_facet_reads_every_run(monkeypatch):
+    """No facet of (2, 2) + cone((2, -1), (-1, 2)) has a sigma ray as normal,
+    and no region point of the box lies on the floor 0 of either sigma ray."""
+    plane = ring_from_dual_rays(((1, 0), (0, 1)))
+    wide = hull_plus_cone([(2, 2)], PolyCone.from_rays([(2, -1), (-1, 2)]))
+    assert not {f for f, _ in lattice_thresholds(wide)} & set(plane.sigma_rays)
+    assert _region_runs(monkeypatch, plane, wide, None) == (((2, 2),), 4, 4)
 
 
 def test_later_members_of_a_run_can_be_minimal():
