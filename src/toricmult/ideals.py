@@ -132,8 +132,8 @@ def region_minimal_generators(
     over the dual rays r (minus 1 with the shift): beyond, w (+ u0) = p + sum
     c_r r with p in the vertex hull has some c_r > 1, so w - r divides w in
     the region. A run's members form an interval (rings.run_interval), and
-    when the step u lies in the semigroup, as on simplicial sigma, the first
-    member divides the rest; otherwise every member is a candidate.
+    the step u lies in the semigroup (ToricRing.run_step), so the first
+    member divides the rest and is the run's one candidate.
 
     The floor of sigma ray n_j is the threshold of the facet with normal n_j,
     or 0 without one: no region point of the box pairs below it. Runs come in
@@ -150,14 +150,13 @@ def region_minimal_generators(
     u, ut = ring.run_step
     steps = tuple((f, m, dot(u, f)) for f, m in tests)
     floors = tuple(dict(tests).get(n, 0) for n in ring.sigma_rays[1:])
-    climbs = min(ut) >= 0
 
     def candidates():
         for w, t, n in run_starts(ring, bounds):
             lo, hi = run_interval(w, n, steps)
-            for k in range(lo, (min(lo, hi) if climbs else hi) + 1):
-                ct = tuple(a + k * s for a, s in zip(t, ut))
-                yield vadd(w, vscale(k, u)), ct
+            if lo <= hi:
+                ct = tuple(a + lo * s for a, s in zip(t, ut))
+                yield vadd(w, vscale(lo, u)), ct
                 if ct[1:] == floors:
                     return
 

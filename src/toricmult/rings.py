@@ -10,10 +10,10 @@ lattice H Z^d for H the Hermite normal form of a basis of sigma rays
 (ToricRing.sigma_lattice), which lattice_points_in_box walks directly in
 lexicographic order of t (simplicial sigma) or of w (otherwise). The walk
 is runs w + k u, clipped to the other sigma rays' bounds by integer
-division on non-simplicial sigma. run_starts yields the runs, not their
-points, in walk order, so the pairing with sigma ray 0 never decreases from
-one run to the next; run_interval places the points of a run passing facet
-tests, given each facet's step along the run.
+division on non-simplicial sigma; u lies in the semigroup. run_starts
+yields the runs, not their points, in walk order, so the pairing with sigma
+ray 0 never decreases from one run to the next; run_interval places the
+points of a run passing facet tests, given each facet's step along the run.
 """
 
 from __future__ import annotations
@@ -77,21 +77,23 @@ class ToricRing:
     def sigma_lattice(self) -> tuple[tuple[int, ...], tuple, tuple]:
         """(basis, H, U) for the lattice of sigma-pairing vectors.
 
-        basis indexes the first d linearly independent sigma rays, greedily in
-        sigma-ray order (all of them when sigma is simplicial); with N their
-        matrix, H is the column Hermite normal form of N and U = N^-1 H, so the
-        pairing vectors N w of lattice points w are exactly H k for integer k,
-        with w = U k.
+        basis indexes d sigma rays, facet first: greedily, d - 1 rays of the facet
+        orthogonal to the dual ray r0 with the least list of orthogonal ray indices
+        (ray 0 is on a facet, so it leads), then the first ray off it; rays 0..d-1 on
+        simplicial sigma. With N their matrix, H is the column Hermite normal form of
+        N and U = N^-1 H: the pairing vectors N w of lattice w are H k, w = U k, k integer.
         """
         ns = self.sigma_rays
-        basis = tuple(independent_rows(ns))
+        facet = min([i for i, n in enumerate(ns) if not dot(r, n)] for r in self.dual_rays)
+        order = facet + [i for i in range(len(ns)) if i not in facet]
+        basis = tuple(order[i] for i in independent_rows([ns[i] for i in order]))
         hnf, uni = hermite_normal_form([ns[i] for i in basis])
         return basis, hnf, uni
 
     @cached_property
     def run_step(self) -> tuple[LatticePoint, tuple[int, ...]]:
-        """(u, ut): the step u of every run of lattice_points_in_box and its sigma pairings
-        ut, 0 on the basis rays but h > 0 on the last; (0, ..., 0, h) on simplicial sigma."""
+        """(u, ut): the step u of every run of lattice_points_in_box and its sigma pairings ut,
+        0 on the basis facet, h > 0 on the last basis ray: u is k r0, k > 0, in the semigroup."""
         u = tuple(row[-1] for row in self.sigma_lattice[2])
         return u, self.pairings(u)
 
@@ -229,9 +231,8 @@ def _hermite_walk(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tuple[Latt
         lo, hi = -(t[last] // h), (b - t[last]) // h
         cut = [(dot(w, ray), s, bn) for ray, s, bn in extra]
         for a, s, bn in cut:
-            if s:  # 0 <= a + k s <= bn; the endpoints swap when s < 0
-                p, q = (-a, bn - a) if s > 0 else (bn - a, -a)
-                lo, hi = max(lo, -(-p // s)), min(hi, q // s)
+            if s:  # 0 <= a + k s <= bn; s > 0 as u lies in the semigroup
+                lo, hi = max(lo, -(a // s)), min(hi, (bn - a) // s)
             elif not 0 <= a <= bn:
                 hi = lo - 1
         if hi < lo:

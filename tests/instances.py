@@ -66,9 +66,10 @@ def random_non_simplicial_rings(seed: int, dim: int, ray_counts: tuple[int, int]
     return rings
 
 
-# Sigma rays (-2, 2, 1), (-1, -1, 0), (-1, 0, 0), (2, 0, 1): the first three
-# are the basis, the run step is u = (-1, 1, -4), and the last ray pairs to
-# -6 with u, which only a few random cones do.
+# Sigma rays (-2, 2, 1), (-1, -1, 0), (-1, 0, 0), (2, 0, 1). The greedy basis,
+# the first three, had the run step u = (-1, 1, -4), and the last ray paired to
+# -6 with it, which only a few random cones do. The facet-first basis (0, 2, 1)
+# spans the facet of the dual ray (0, -1, 2), which is the run step.
 STEPPING_DOWN = ring_from_dual_rays(((-1, -2, 2), (-1, 1, 2), (0, -1, 2), (0, 0, 1)))
 
 

@@ -258,6 +258,18 @@ def _rank(vectors):
     return rank
 
 
+def facet_first_basis(sigma_rays, dual_rays):
+    """Indices of the facet-first basis of sigma rays: of the facets of sigma,
+    one per dual ray, the one whose sorted ray indices come first, then each of
+    its rays not in the span of those taken before, then the least ray off it."""
+    facet = min(sorted(i for i, n in enumerate(sigma_rays) if dot(r, n) == 0) for r in dual_rays)
+    basis = []
+    for i in facet:
+        if _rank([sigma_rays[j] for j in basis + [i]]) > len(basis):
+            basis.append(i)
+    return (*basis, min(set(range(len(sigma_rays))) - set(facet)))
+
+
 def in_ideal(gens, w, sigma_rays):
     """Does some generator g divide w, i.e. does w - g pair >= 0 with every sigma ray?"""
     return any(all(dot(vsub(w, g), s) >= 0 for s in sigma_rays) for g in gens)

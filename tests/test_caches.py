@@ -18,7 +18,8 @@ import random
 
 import pytest
 
-from instances import NOT_Q_GORENSTEIN_DUAL_RAYS, POOL, pool_rings, random_ideal
+import oracles
+from instances import NOT_Q_GORENSTEIN_DUAL_RAYS, POOL, STEPPING_DOWN, pool_rings, random_ideal
 
 from toricmult.errors import (
     DimensionMismatch,
@@ -29,7 +30,7 @@ from toricmult.errors import (
     NotQGorenstein,
 )
 from toricmult.ideals import integral_closure, monomial_ideal, newton_polyhedron
-from toricmult.linalg import hermite_normal_form, independent_rows
+from toricmult.linalg import hermite_normal_form
 from toricmult.multiplier import multiplier_ideal
 from toricmult.problemio import load_search_config
 from toricmult.rings import ring_from_dual_rays
@@ -131,8 +132,8 @@ def test_refused_multiplier_ideals_are_refused_again():
 
 
 def test_cached_sigma_lattices_equal_fresh_ones():
-    for name, ring in pool_rings():
-        basis = tuple(independent_rows(ring.sigma_rays))
+    for name, ring in [*pool_rings(), ("stepping-down-3d", STEPPING_DOWN)]:
+        basis = oracles.facet_first_basis(ring.sigma_rays, ring.dual_rays)
         fresh = (basis, *hermite_normal_form([ring.sigma_rays[i] for i in basis]))
         assert ring.sigma_lattice == fresh, name
         assert ring.sigma_lattice is ring.sigma_lattice

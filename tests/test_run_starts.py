@@ -9,8 +9,10 @@ must agree exactly: the same generators, and the same refutation report
 (bounds, scanned count, decompositions in order). Rings cover the pool,
 seeded random simplicial rings in two and three dimensions, the seeded random
 non-simplicial cones in three and four dimensions of test_clipped_walk, and
-a Gorenstein cone whose run step leaves the exponent cone, so that a
-refutation meets runs whose later members are not multiples of the first.
+two cones, STEPPING_DOWN and a Gorenstein one in four dimensions, whose run
+step left the exponent cone under the greedy basis of sigma rays in ray
+order. The facet-first basis (ToricRing.sigma_lattice) steps along a dual
+ray on every ring, which is tested on these and on seeded random cones.
 Seeded random plane pairs of the two-dimensional property suite add their
 products.
 
@@ -28,7 +30,7 @@ import oracles
 from instances import POOL, STEPPING_DOWN, random_2d_ring, random_3d_ring, random_ideal, random_non_simplicial_rings
 from toricmult.geometry import PolyCone, hull_plus_cone, lattice_thresholds
 from toricmult.ideals import monomial_ideal, newton_polyhedron, product, region_minimal_generators
-from toricmult.linalg import dot, vadd, vscale, vsub
+from toricmult.linalg import dot, primitivize, vadd, vscale, vsub
 from toricmult.rings import (
     lattice_points_in_box,
     ring_from_dual_rays,
@@ -40,8 +42,10 @@ from toricmult.rings import (
 from toricmult.subadditivity import exhaustive_refute
 
 
-# The cone over a lattice polytope at height 1, so Gorenstein with u0 = e_4;
-# its run step (1, 2, 4, -1) pairs to -2 with the last sigma ray.
+# The cone over a lattice polytope at height 1, so Gorenstein with u0 = e_4.
+# The greedy basis, sigma rays 0 to 3, stepped by (1, 2, 4, -1), which pairs to
+# -2 with the last sigma ray; the facet basis (0, 1, 3, 2) steps by the dual
+# ray (1, -2, -4, 3).
 GORENSTEIN_STEPPING_DOWN = ring_from_dual_rays(
     ((-1, -4, -2, 3), (-1, 0, 0, 1), (-1, 2, 0, 1), (0, 1, 1, 0), (1, -2, -4, 3), (1, 1, 2, 0))
 )
@@ -79,18 +83,19 @@ def _ideals(name, ring, count):
 
 
 def test_the_rings_reach_every_kind_of_run():
+    """Every ring's run step pairs >= 0 with every sigma ray: none steps down."""
     rings = dict(RINGS)
     assert not rings["index-three-2d"].is_gorenstein
     assert sum(_simplicial(ring) for ring in rings.values()) == 18
     assert {ring.dim for ring in rings.values() if not _simplicial(ring)} == {3, 4}
-    assert sum(not _climbs(ring) for ring in rings.values()) == 4
+    assert sum(not _climbs(ring) for ring in rings.values()) == 0
     assert {name for name, ring in Q_GORENSTEIN if not _simplicial(ring)} == {
         "square-cone-3d",
         "non-simplicial-3d-11",
         "non-simplicial-3d-28",
         "gorenstein-stepping-down-4d",
     }
-    assert not _climbs(rings["gorenstein-stepping-down-4d"])
+    assert _climbs(rings["stepping-down-3d"]) and _climbs(rings["gorenstein-stepping-down-4d"])
 
 
 @pytest.mark.parametrize("name, ring", RINGS, ids=IDS)
@@ -190,6 +195,25 @@ def test_runs_come_in_order_of_the_first_sigma_pairing(name, ring):
         assert firsts == sorted(firsts), bounds
 
 
+def test_the_run_step_lies_on_a_dual_ray_of_every_ring():
+    """The facet-first basis on every ring above and 210 more seeded random
+    non-simplicial cones: sigma ray 0 leads, the basis rays but the last are
+    orthogonal to one dual ray, and the run step is a positive multiple of it,
+    pairing >= 0 with every sigma ray and 0 with sigma ray 0. On simplicial
+    sigma the basis is every ray in order."""
+    cones = random_non_simplicial_rings(179, 3, (4, 7), 150) + random_non_simplicial_rings(181, 4, (5, 7), 60)
+    for ring in [ring for _, ring in RINGS] + cones:
+        basis = ring.sigma_lattice[0]
+        assert basis[0] == 0
+        if _simplicial(ring):
+            assert basis == tuple(range(ring.dim))
+        facet = [ring.sigma_rays[i] for i in basis[:-1]]
+        assert any(all(dot(r, n) == 0 for n in facet) for r in ring.dual_rays)
+        u, ut = ring.run_step
+        assert primitivize(u) in ring.dual_rays
+        assert min(ut) >= 0 and ut[0] == 0
+
+
 def _region_runs(monkeypatch, ring, poly, shift):
     """(generators, runs the region read, runs of its walk) of one region call."""
     read, walked = [], []
@@ -227,17 +251,18 @@ def test_a_region_without_a_floor_facet_reads_every_run(monkeypatch):
     assert _region_runs(monkeypatch, plane, wide, None) == (((2, 2),), 4, 4)
 
 
-def test_later_members_of_a_run_can_be_minimal():
-    """The run step of STEPPING_DOWN leaves the exponent cone, so the first
-    region member of a run need not divide the others: four of the five
-    closure generators here follow another region member of their run."""
+def test_only_the_first_member_of_a_run_can_be_minimal():
+    """The run step u of STEPPING_DOWN lies in the exponent cone, as on every
+    ring, so g - u in the region would divide g: no closure generator follows
+    another region member of its run."""
     a = monomial_ideal(STEPPING_DOWN, [(-2, -3, 4), (0, -1, 4)])
     poly = newton_polyhedron(a)
     gens = region_minimal_generators(STEPPING_DOWN, poly, None)
     assert gens == oracles.closure_scan(a.gens, STEPPING_DOWN.dual_rays, STEPPING_DOWN.sigma_rays)
     tests = lattice_thresholds(poly, None)
     before = [vsub(g, STEPPING_DOWN.run_step[0]) for g in gens]
-    assert sum(semigroup_contains(STEPPING_DOWN, p) and all(dot(p, f) >= m for f, m in tests) for p in before) == 4
+    assert len(gens) == 5
+    assert sum(semigroup_contains(STEPPING_DOWN, p) and all(dot(p, f) >= m for f, m in tests) for p in before) == 0
 
 
 @pytest.mark.parametrize("name, ring", Q_GORENSTEIN, ids=[name for name, _ in Q_GORENSTEIN])
