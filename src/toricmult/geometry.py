@@ -2,8 +2,11 @@
 
 V-representations (generating points and rays) are converted to
 H-representations (facet halfspaces) with the double description method on
-primitive integer rays, so every facet normal and offset is an integer.
-Fractions enter only with rational points such as w + u0 and convex
+primitive integer rays, so every facet normal and offset is an integer. Its
+one insertion loop keeps zero sets as int bitsets and drops, before the
+adjacency scan, pairs whose common zero set is too small. A cone starts cold
+from a basis of its generators, a Newton polyhedron warm from its recession
+cone. Fractions enter only with rational points such as w + u0 and convex
 certificates. All arithmetic is exact; no tolerances anywhere.
 """
 
@@ -51,61 +54,55 @@ class Halfspace:
 # Double description: extreme rays of {y : <row, y> >= 0 for every row}.
 # ---------------------------------------------------------------------------
 
+def _insert_rows(rays: list[tuple[LatticePoint, int]], rows: Iterable[LatticePoint], dim: int, bit: int) -> list:
+    """Cut a pointed cone in dimension dim by <row, y> >= 0 for each row in turn.
+
+    rays pairs each extreme ray with its zero set, an int whose bit k is set
+    when the ray is tight on the k-th row inserted so far; the given rows take
+    bits bit, bit + 1, ... A row keeps the rays that pair nonnegatively with
+    it and adds one primitive ray on it per adjacent pair of a positive and a
+    negative ray: no third ray's zero set holds the pair's common zero set.
+    A common zero set of fewer than dim - 2 rows spans no 2-face, so such a
+    pair is skipped before that scan (Fukuda-Prodon 1996).
+    """
+    for k, row in enumerate(rows, bit):
+        b = 1 << k
+        scored = [(r, z, dot(row, r)) for r, z in rays]
+        pos = [t for t in scored if t[2] > 0]
+        neg = [t for t in scored if t[2] < 0]
+        kept = [(r, z if s else z | b) for r, z, s in scored if s >= 0]
+        zero_sets = [z for _, z in rays]
+        for rp, zp, sp in pos:
+            for rn, zn, sn in neg:
+                common = zp & zn
+                if common.bit_count() < dim - 2:
+                    continue
+                for z in zero_sets:
+                    if z & common == common and z != zp and z != zn:
+                        break
+                else:
+                    kept.append((primitivize(tuple(sp * x - sn * y for x, y in zip(rn, rp))), common | b))
+        rays = kept
+    return rays
+
+
 def _extreme_rays(rows: Sequence[LatticePoint], dim: int) -> list[LatticePoint]:
-    """Extreme rays of the cone dual to the given generators.
+    """Extreme rays of the cone dual to the given generators, from a cold start.
 
     Requires the rows to span the ambient space, so the result is pointed;
-    raises NotFullDimensional otherwise. Rows are inserted in input order
-    after an initial greedy basis; the output is primitive and sorted
-    lexicographically.
+    raises NotFullDimensional otherwise. The start is the simplicial cone of
+    a greedy basis B of the rows, whose rays are the columns of B^-1; the
+    other rows are then inserted in input order by `_insert_rows`. The output
+    is primitive and sorted lexicographically.
     """
     basis_idx = independent_rows(rows)
     if len(basis_idx) != dim:
         raise NotFullDimensional(f"cone spans only {len(basis_idx)} of {dim} dimensions")
-    basis = [rows[i] for i in basis_idx]
-    inv = invert(basis)
-
-    # Rays of the simplicial cone {y : B y >= 0} are the columns of B^{-1};
-    # column j is tight on every basis row except the j-th. Zero sets number
-    # the rows in insertion order, basis rows first.
-    rays: list[tuple[LatticePoint, frozenset[int]]] = []
-    for j in range(dim):
-        col = primitivize(tuple(inv[i][j] for i in range(dim)))
-        zero = frozenset(i for i in range(dim) if i != j)
-        rays.append((col, zero))
-
-    a_idx = dim
-    for i, row in enumerate(rows):
-        if i in basis_idx:
-            continue
-        pos, zer, neg = [], [], []
-        for r, z in rays:
-            s = dot(row, r)
-            if s > 0:
-                pos.append((r, z, s))
-            elif s == 0:
-                zer.append((r, z | {a_idx}))
-            else:
-                neg.append((r, z, s))
-        new_rays: list[tuple[LatticePoint, frozenset[int]]] = [
-            (r, z) for r, z, _ in pos
-        ] + zer
-        all_zero_sets = [z for _, z in rays]
-        for rp, zp, sp in pos:
-            for rn, zn, sn in neg:
-                common = zp & zn
-                adjacent = not any(
-                    common <= z3 for k, z3 in enumerate(all_zero_sets)
-                    if rays[k][0] is not rp and rays[k][0] is not rn
-                )
-                if not adjacent:
-                    continue
-                vec = primitivize(vsub(vscale(sp, rn), vscale(sn, rp)))
-                new_rays.append((vec, common | {a_idx}))
-        rays = new_rays
-        a_idx += 1
-
-    return sorted({r for r, _ in rays})
+    inv = invert([rows[i] for i in basis_idx])
+    # column j is tight on every basis row but the j-th; basis row i holds bit i
+    rays = [(primitivize([row[j] for row in inv]), (1 << dim) - 1 - (1 << j)) for j in range(dim)]
+    rest = (row for i, row in enumerate(rows) if i not in basis_idx)
+    return sorted(r for r, _ in _insert_rows(rays, rest, dim, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +185,14 @@ class NewtonPolyhedron:
 def hull_plus_cone(points: Iterable[Sequence[int]], recession: PolyCone) -> NewtonPolyhedron:
     """Newton polyhedron conv(points) + recession, via double description.
 
-    The lifted cone over (point, 1) and (ray, 0) rows is dualized; its extreme
-    rays are the facets. The recession cone must be full-dimensional and
-    pointed, which PolyCone already guarantees.
+    The facets are the rays (f, -c), f nonzero, of the cone dual to the rows
+    (p, 1) for the points and (r, 0) for the recession rays. The dual of the
+    rows of the first point p0 and of the recession rays is {(f, c) : f in
+    the recession cone's dual, c >= -<f, p0>}, with extreme rays (0, ..., 0, 1)
+    and (n, -<n, p0>) for each facet normal n of the recession cone. Starting
+    there, `_insert_rows` adds the other points, and no intermediate cone is
+    the dual of a bounded polytope. The recession cone must be
+    full-dimensional and pointed, which PolyCone already guarantees.
     """
     pts: list[LatticePoint] = []
     for p in points:
@@ -201,17 +203,15 @@ def hull_plus_cone(points: Iterable[Sequence[int]], recession: PolyCone) -> Newt
             pts.append(q)
     if not pts:
         raise ValueError("at least one point is required")
-    dim = recession.dim
-    lifted = [p + (1,) for p in pts] + [r + (0,) for r in recession.rays]
-    dual_rays = _extreme_rays(lifted, dim + 1)
-
-    facets = []
-    for ray in dual_rays:
-        f, c = ray[:dim], ray[dim]
-        if is_zero(f):
-            continue
-        facets.append(Halfspace(f, -c))
-    facets.sort()
+    dim, p0, m = recession.dim, pts[0], len(recession.rays)
+    # bit 0 is the row of p0, bit k the row of recession ray k - 1
+    seed = [
+        (n + (-dot(n, p0),), sum(2 << k for k, r in enumerate(recession.rays) if dot(n, r) == 0) | 1)
+        for n in recession.facet_normals
+    ]
+    seed.append(((0,) * dim + (1,), (2 << m) - 2))
+    dual = _insert_rows(seed, (p + (1,) for p in pts[1:]), dim + 1, m + 1)
+    facets = sorted(Halfspace(r[:dim], -r[dim]) for r, _ in dual if not is_zero(r[:dim]))
 
     vertices = []
     for p in pts:

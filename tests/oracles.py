@@ -7,7 +7,7 @@ cones, and Gaussian elimination over `Fraction` for the few matrix inverses
 involved.  None of it shares code with the library's double-description engine
 or its lattice walker, so agreement is evidence rather than tautology.
 
-Three exceptions keep a replaced library path as the reference for its
+Seven exceptions keep a replaced library path as the reference for its
 replacement. `decompose_2d` is the per-generator boundary walk the library's
 cached version replaced: it builds every edge region with the library's
 double description and tests it with `Fraction` membership, so it pins the
@@ -20,7 +20,12 @@ with `minimal_points` below, not with the library's antichain pass.
 `shifted_thresholds` is the per-facet `Fraction` formula that the library's
 integer `lattice_thresholds` replaced. `construction_flags` is the eager
 computation of a construction's three closure flags that the library's
-on-read properties replaced.
+on-read properties replaced. `cold_extreme_rays` and `cold_hull_plus_cone`
+are the double description that the library's bitset insertion loop and
+its warm start from the recession cone replaced: every Newton polyhedron
+dualized from a greedy basis of its lifted rows, points first, with
+`frozenset` zero sets and no pre-check before the adjacency scan. They use
+the library's `linalg`.
 """
 
 from __future__ import annotations
@@ -29,9 +34,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from toricmult.errors import NotDimension2, NotInMultiplierIdeal
-from toricmult.geometry import hull_plus_cone, lattice_thresholds, membership
+from toricmult.errors import NotDimension2, NotFullDimensional, NotInMultiplierIdeal
+from toricmult.geometry import Halfspace, NewtonPolyhedron, hull_plus_cone, lattice_thresholds, membership
 from toricmult.ideals import _same_ring, contains_monomial, integral_closure, newton_polyhedron, product
+from toricmult.linalg import independent_rows, invert, primitivize, rank
 from toricmult.rings import lattice_points_in_box, require_exponent
 from toricmult.subadditivity import Decomposition2D, RefutationReport, Side
 
@@ -449,3 +455,61 @@ def exhaustive_refute(v, a, b):
         if all(dot(alpha, f) >= m for f, m in inside_a) and all(dot(beta, f) >= m for f, m in inside_b):
             found.append((alpha, beta))
     return RefutationReport(target, bounds, scanned, tuple(found))
+
+
+def cold_extreme_rays(rows, dim):
+    """Extreme rays of the cone dual to the rows, sorted: the double description
+    from the columns of B^-1 for a greedy basis B, inserting the other rows in
+    input order and testing every positive-negative pair for adjacency."""
+    basis_idx = independent_rows(rows)
+    if len(basis_idx) != dim:
+        raise NotFullDimensional(f"cone spans only {len(basis_idx)} of {dim} dimensions")
+    inv = invert([rows[i] for i in basis_idx])
+    rays = [
+        (primitivize(tuple(inv[i][j] for i in range(dim))), frozenset(i for i in range(dim) if i != j))
+        for j in range(dim)
+    ]
+    a_idx = dim
+    for i, row in enumerate(rows):
+        if i in basis_idx:
+            continue
+        pos, zer, neg = [], [], []
+        for r, z in rays:
+            s = dot(row, r)
+            if s > 0:
+                pos.append((r, z, s))
+            elif s == 0:
+                zer.append((r, z | {a_idx}))
+            else:
+                neg.append((r, z, s))
+        new_rays = [(r, z) for r, z, _ in pos] + zer
+        for rp, zp, sp in pos:
+            for rn, zn, sn in neg:
+                common = zp & zn
+                if any(common <= z for r, z in rays if r is not rp and r is not rn):
+                    continue
+                vec = primitivize(tuple(sp * x - sn * y for x, y in zip(rn, rp)))
+                new_rays.append((vec, common | {a_idx}))
+        rays = new_rays
+        a_idx += 1
+    return sorted({r for r, _ in rays})
+
+
+def cold_hull_plus_cone(points, recession):
+    """conv(points) + recession from the cold double description of the lifted
+    rows, points first; vertices are the points whose tight normals have full rank."""
+    pts = []
+    for p in points:
+        if tuple(p) not in pts:
+            pts.append(tuple(p))
+    dim = recession.dim
+    lifted = [p + (1,) for p in pts] + [r + (0,) for r in recession.rays]
+    facets = sorted(
+        Halfspace(ray[:dim], -ray[dim]) for ray in cold_extreme_rays(lifted, dim + 1) if any(ray[:dim])
+    )
+    vertices = []
+    for p in pts:
+        tight = [h.normal for h in facets if dot(h.normal, p) == h.offset]
+        if tight and rank(tight) == dim:
+            vertices.append(p)
+    return NewtonPolyhedron(dim, tuple(sorted(vertices)), tuple(facets))

@@ -94,6 +94,21 @@ class TestNewton:
         ]
         assert "elapsed" not in out
 
+    def test_four_dimensional_antichain_is_frozen(self, capsys):
+        # the 600 points of the sphere |w - (22, 22, 22, 22)|^2 = 462 inside
+        # the box [0, 22]^4: an antichain whose points are all vertices. The
+        # double description runs warm from the orthant, so no cone on the
+        # way is dual to a polytope with hundreds of vertices; the digest was
+        # taken from the points-first cold start that this replaced
+        problem = Path(__file__).parent / "newton_4d_antichain.json"
+        code, out, _ = run(capsys, "newton", "--input", str(problem), "--ideals", "a", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (len(doc["generators"]), len(doc["facets"]), len(doc["vertices"])) == (600, 907, 600)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ede37978d720b01e881cbdc0a66105b1b58021195115a6621ca13441d791ee5d"
+        )
+
 
 class TestClosureAndMultiplier:
     def test_closure_reports_the_gap(self, capsys, paths):
