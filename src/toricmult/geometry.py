@@ -6,7 +6,9 @@ primitive integer rays, so every facet normal and offset is an integer. Its
 one insertion loop keeps zero sets as int bitsets and drops, before the
 adjacency scan, pairs whose common zero set is too small. A cone starts cold
 from a basis of its generators, a Newton polyhedron warm from its recession
-cone. Fractions enter only with rational points such as w + u0 and convex
+cone; each takes one insertion pass, and the zero sets it returns say which
+generators are extreme rays or vertices, with no rank test per point.
+Fractions enter only with rational points such as w + u0 and convex
 certificates. All arithmetic is exact; no tolerances anywhere.
 """
 
@@ -86,23 +88,15 @@ def _insert_rows(rays: list[tuple[LatticePoint, int]], rows: Iterable[LatticePoi
     return rays
 
 
-def _extreme_rays(rows: Sequence[LatticePoint], dim: int) -> list[LatticePoint]:
-    """Extreme rays of the cone dual to the given generators, from a cold start.
+def _extreme_generators(dual: list[tuple[LatticePoint, int]], count: int) -> list[int]:
+    """Indices of the extreme generators of a cone, read off `_insert_rows`' final list.
 
-    Requires the rows to span the ambient space, so the result is pointed;
-    raises NotFullDimensional otherwise. The start is the simplicial cone of
-    a greedy basis B of the rows, whose rays are the columns of B^-1; the
-    other rows are then inserted in input order by `_insert_rows`. The output
-    is primitive and sorted lexicographically.
+    Generator k is extreme exactly when no other generator is tight on every
+    facet that k is tight on; this holds for distinct primitive generators of
+    a pointed cone when every facet is in the list.
     """
-    basis_idx = independent_rows(rows)
-    if len(basis_idx) != dim:
-        raise NotFullDimensional(f"cone spans only {len(basis_idx)} of {dim} dimensions")
-    inv = invert([rows[i] for i in basis_idx])
-    # column j is tight on every basis row but the j-th; basis row i holds bit i
-    rays = [(primitivize([row[j] for row in inv]), (1 << dim) - 1 - (1 << j)) for j in range(dim)]
-    rest = (row for i, row in enumerate(rows) if i not in basis_idx)
-    return sorted(r for r, _ in _insert_rows(rays, rest, dim, dim))
+    tight = [sum(1 << i for i, (_, z) in enumerate(dual) if z >> k & 1) for k in range(count)]
+    return [k for k, t in enumerate(tight) if not any(j != k and u & t == t for j, u in enumerate(tight))]
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +118,12 @@ class PolyCone:
 
     @staticmethod
     def from_rays(rays: Iterable[Sequence[int]]) -> "PolyCone":
+        """The cone of rays, by one double description cold from a greedy basis of them.
+
+        Raises NotFullDimensional when the rays span less than the space, and
+        NotPointed when the cone holds a line; the extreme rays are read off the
+        facet normals' zero sets.
+        """
         rs = [as_lattice_point(r) for r in rays]
         if not rs:
             raise ValueError("a cone needs at least one generating ray")
@@ -132,17 +132,20 @@ class PolyCone:
             raise DimensionMismatch("rays of mixed dimension")
         if any(is_zero(r) for r in rs):
             raise ValueError("zero vector is not a ray")
-        prim: list[LatticePoint] = []
-        for r in rs:
-            p = primitivize(r)
-            if p not in prim:
-                prim.append(p)
-        normals = _extreme_rays(prim, dim)
-        try:
-            # the facet normals span exactly when the cone has no line
-            extreme = _extreme_rays(normals, dim)
-        except NotFullDimensional:
-            raise NotPointed("cone contains a line") from None
+        prim = list(dict.fromkeys(map(primitivize, rs)))
+        basis = independent_rows(prim)
+        if len(basis) != dim:
+            raise NotFullDimensional(f"cone spans only {len(basis)} of {dim} dimensions")
+        order = basis + [i for i in range(len(prim)) if i not in basis]
+        inv = invert([prim[i] for i in basis])
+        # column j is tight on every basis row but the j-th; row order[k] holds bit k
+        seed = [(primitivize([row[j] for row in inv]), (1 << dim) - 1 - (1 << j)) for j in range(dim)]
+        dual = _insert_rows(seed, (prim[i] for i in order[dim:]), dim, dim)
+        normals = sorted(r for r, _ in dual)
+        # the facet normals span exactly when the cone has no line
+        if rank(normals) < dim:
+            raise NotPointed("cone contains a line")
+        extreme = sorted(prim[order[k]] for k in _extreme_generators(dual, len(prim)))
         return PolyCone(dim, tuple(extreme), tuple(normals))
 
 
@@ -193,6 +196,9 @@ def hull_plus_cone(points: Iterable[Sequence[int]], recession: PolyCone) -> Newt
     there, `_insert_rows` adds the other points, and no intermediate cone is
     the dual of a bounded polytope. The recession cone must be
     full-dimensional and pointed, which PolyCone already guarantees.
+    Vertices are read off the zero sets, with the facet at infinity
+    (0, ..., 0, 1) kept in: bit 0 is pts[0], bits 1..m are the recession rays,
+    which are never vertices, and bit m + k is pts[k].
     """
     pts: list[LatticePoint] = []
     for p in points:
@@ -212,14 +218,7 @@ def hull_plus_cone(points: Iterable[Sequence[int]], recession: PolyCone) -> Newt
     seed.append(((0,) * dim + (1,), (2 << m) - 2))
     dual = _insert_rows(seed, (p + (1,) for p in pts[1:]), dim + 1, m + 1)
     facets = sorted(Halfspace(r[:dim], -r[dim]) for r, _ in dual if not is_zero(r[:dim]))
-
-    vertices = []
-    for p in pts:
-        tight = [h.normal for h in facets if dot(h.normal, p) == h.offset]
-        if tight and rank(tight) == dim:
-            vertices.append(p)
-    vertices.sort()
-
+    vertices = sorted(pts[max(k - m, 0)] for k in _extreme_generators(dual, m + len(pts)) if k == 0 or k > m)
     return NewtonPolyhedron(dim, tuple(vertices), tuple(facets))
 
 

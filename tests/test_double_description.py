@@ -2,9 +2,13 @@
 
 `hull_plus_cone` starts warm from the recession cone and the first point, and
 `PolyCone.from_rays` cold from a greedy basis; both run the one bitset
-insertion loop. `oracles.cold_extreme_rays` and `oracles.cold_hull_plus_cone`
-are the points-first double description with `frozenset` zero sets that the
-loop replaced, so each case here must give the same rays, facets and vertices.
+insertion loop once and read their vertices or extreme rays off the zero sets
+it returns. `oracles.cold_extreme_rays` and `oracles.cold_hull_plus_cone` are
+the points-first double description with `frozenset` zero sets that the loop
+replaced: the vertices there are the points whose tight normals have full
+rank, and `_cold_cone` below runs a second double description over the facet
+normals for the extreme rays. Each case here must give the same rays, facets
+and vertices.
 """
 
 import random
@@ -52,6 +56,7 @@ def _point_sets(ring, rng):
         [(0,) * d, p, q],
         [_scaled(k, ray) for k in (3, 0, 1, 5)],  # on one recession ray
         [tuple(a + b for a, b in zip(p, _scaled(k, ray))) for k in (2, 0, 4)],
+        [p, q, tuple(2 * b - a for a, b in zip(p, q))],  # a segment: q is tight on its faces, never a vertex
     ]
     for _ in range(12):
         sets.append([tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(rng.randint(1, 9))])
@@ -104,6 +109,17 @@ def test_polycone_from_rays_equals_the_cold_start():
         assert (cone.rays, cone.facet_normals) == expected, rows
         outcomes["cone"] += 1
     assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_polycone_from_rays_keeps_only_the_extreme_rays():
+    # the square cone's rays, (1, 1, 2) on the facet through (1, 0, 1) and
+    # (0, 1, 1), and (0, 0, 1) in the interior; the greedy basis skips
+    # (1, 1, 2), so the rows are not inserted in input order
+    square = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+    cone = PolyCone.from_rays(square[:2] + [(1, 1, 2), (0, 0, 1)] + square[2:])
+    assert cone.rays == tuple(sorted(square))
+    normals = ((-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1))
+    assert cone.facet_normals == PolyCone.from_rays(square).facet_normals == normals
 
 
 def _rotations_and_shuffles(pts, rng):
