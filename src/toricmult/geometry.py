@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotFullDimensional, NotInterior, NotPointed
-from .linalg import dot, independent_rows, invert, is_zero, primitivize, rank, vadd, vscale, vsub
+from .linalg import _scaled, dot, independent_rows, invert, is_zero, primitivize, rank, vadd, vscale, vsub
 
 LatticePoint = tuple[int, ...]
 RatPoint = tuple[Fraction, ...]
@@ -250,8 +249,7 @@ def lattice_thresholds(p: NewtonPolyhedron, shift: Sequence | None = None) -> tu
     """
     if shift is None:
         return tuple((h.normal, h.offset) for h in p.facets)
-    den = lcm(*(c.denominator for c in shift))
-    num = [c.numerator * (den // c.denominator) for c in shift]
+    num, den = _scaled(shift)
     return tuple((h.normal, (h.offset * den - dot(h.normal, num)) // den + 1) for h in p.facets)
 
 

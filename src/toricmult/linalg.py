@@ -41,23 +41,23 @@ def primitivize(u: Sequence) -> tuple[int, ...]:
 
     The direction is preserved (never negated). Raises on the zero vector.
     """
-    ints = _integral(u)
+    ints, _ = _scaled(u)
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(a // g for a in ints)
 
 
-def _integral(u: Sequence) -> Sequence[int]:
-    """u scaled by the lcm of its denominators: integers on the same ray.
+def _scaled(u: Sequence) -> tuple[Sequence[int], int]:
+    """(u D, D) for D the lcm of u's denominators: integers on the same ray.
 
     int and Fraction entries both carry numerator and denominator, so mixed
     rows are read as they are, without converting each entry to a Fraction.
     """
     if all(isinstance(a, int) for a in u):
-        return u
+        return u, 1
     den = lcm(*(a.denominator for a in u))
-    return [a.numerator * (den // a.denominator) for a in u]
+    return [a.numerator * (den // a.denominator) for a in u], den
 
 
 def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
@@ -97,7 +97,7 @@ def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int],
 
 def rank(rows: Sequence[Sequence]) -> int:
     """Rank of a matrix given as a sequence of int or Fraction rows."""
-    return len(_echelon([_integral(row) for row in rows])[1])
+    return len(_echelon([_scaled(row)[0] for row in rows])[1])
 
 
 def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -111,7 +111,7 @@ def kernel_basis(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
     One vector per free column f, with x[f] = 1 and the pivot entries read
     from the reduced rows.
     """
-    m, pivots, _ = _echelon([_integral(row) for row in rows])
+    m, pivots, _ = _echelon([_scaled(row)[0] for row in rows])
     ncols = len(m[0]) if m else 0
     d = m[0][pivots[0]] if pivots else 1
     basis = []

@@ -15,6 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import gcd
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
     NotInMultiplierIdeal,
     RecipeInvalid,
 )
-from .geometry import LatticePoint, MembershipReport, RatPoint, hull_plus_cone, lattice_thresholds, membership
+from .geometry import LatticePoint, MembershipReport, RatPoint, lattice_thresholds, membership
 from .ideals import (
     CACHE_SIZE,
     MonomialIdeal,
@@ -194,21 +195,23 @@ def check_subadditivity(a: MonomialIdeal, b: MonomialIdeal) -> SubadditivityVerd
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _edge_regions(a: MonomialIdeal, b: MonomialIdeal):
-    """Integer interior tests of N(ab) and of its edge regions, with witnesses.
+    """Integer interior test of N(ab) and the sigma-pairing floors of its edge regions.
 
-    Vertices of N(ab), ordered by their pairing with the first sigma ray, are
-    tagged with the lex-smallest (a-generator, b-generator) pair summing to
-    them. Between consecutive vertices whose tags share no component, the
-    mixed point a_i + b_{i+1} is inserted; it lies strictly inside the
-    connecting edge, so afterwards every consecutive pair shares a component,
-    which gives the side and witness of its region conv(v1, v2) + cone.
-    Returns lattice_thresholds(N(ab), u0) and, per region in walk order,
-    (lattice_thresholds(region, u0), side, witness).
+    Vertices of N(ab), ordered by t0 = ⟨v, n0⟩, are tagged with the
+    lex-smallest (a-generator, b-generator) pair summing to them. Between
+    consecutive vertices whose tags share no component, the mixed point
+    a_i + b_{i+1} is inserted; it lies strictly inside the connecting edge,
+    so afterwards every consecutive pair shares a component, which gives the
+    side and witness of its region conv(v1, v2) + σ^∨. The sigma rays n0, n1
+    are a basis, so σ^∨ is the quadrant t0, t1 ≥ 0 and t1 = ⟨v, n1⟩ falls
+    along the walk: the region is t0 ≥ t0(v1), t1 ≥ t1(v2) on the inner side
+    of an edge of N(ab). As ⟨u0, n0⟩ = ⟨u0, n1⟩ = 1, p + u0 interior to N(ab)
+    is interior to the region iff t0(p) ≥ t0(v1) and t1(p) ≥ t1(v2). Returns
+    lattice_thresholds(N(ab), u0) and, per region, (t0(v1), t1(v2), side, witness).
     """
     ring = a.ring
-    u0 = ring.canonical_shift()
+    n0, n1 = ring.sigma_rays
     poly = newton_polyhedron(product(a, b))
-    n0 = ring.sigma_rays[0]
     seq = [
         (v, min((ga, gb) for ga in a.gens for gb in b.gens if vadd(ga, gb) == v))
         for v in sorted(poly.vertices, key=lambda v: dot(v, n0))
@@ -223,8 +226,8 @@ def _edge_regions(a: MonomialIdeal, b: MonomialIdeal):
     for (v1, (a1, b1)), (v2, (a2, b2)) in list(zip(walk, walk[1:])) or [(walk[0], walk[0])]:
         assert a1 == a2 or b1 == b2, "consecutive tags must share a component"
         side, witness = (Side.FROM_A, a1) if a1 == a2 else (Side.FROM_B, b1)
-        regions.append((lattice_thresholds(hull_plus_cone([v1, v2], ring.cone), u0), side, witness))
-    return lattice_thresholds(poly, u0), tuple(regions)
+        regions.append((dot(v1, n0), dot(v2, n1), side, witness))
+    return lattice_thresholds(poly, ring.canonical_shift()), tuple(regions)
 
 
 def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomposition2D:
@@ -232,8 +235,8 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
 
     Walks the boundary of N(ab), finds the first edge region whose interior
     holds p + u0, and reads the witness off the region's shared tag component.
-    The regions and their integer thresholds are built once per (a, b) and
-    memoized (_edge_regions); p is tested on them with integer comparisons.
+    The regions' sigma-pairing floors are found once per (a, b) and memoized
+    (_edge_regions); p is tested on each with two integer comparisons.
     The remainder membership is re-verified exactly and returned. Only for
     two-dimensional rings.
     """
@@ -246,8 +249,9 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
     if not all(dot(pt, f) >= m for f, m in interior):
         raise NotInMultiplierIdeal(f"{pt} + u0 is not interior to the product's Newton polyhedron")
 
-    for idx, (tests, side, witness) in enumerate(regions):
-        if all(dot(pt, f) >= m for f, m in tests):
+    t0, t1 = ring.pairings(pt)
+    for idx, (floor0, floor1, side, witness) in enumerate(regions):
+        if t0 >= floor0 and t1 >= floor1:
             remainder = vsub(vadd(pt, u0), witness)
             other = b if side is Side.FROM_A else a
             report = membership(newton_polyhedron(other), remainder, relative_interior=True)
@@ -341,8 +345,6 @@ def huneke_swanson_construct(recipe: ConstructionRecipe) -> Construction:
 # ---------------------------------------------------------------------------
 
 def _primitive_rays_2d(bound: int) -> list[LatticePoint]:
-    from math import gcd
-
     return sorted(
         (x, y)
         for x in range(bound + 1)

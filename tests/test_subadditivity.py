@@ -17,6 +17,7 @@ from instances import pool_rings, random_2d_ring, random_ideal
 import oracles
 from oracles import dot, skeletons, vadd, vsub
 
+from toricmult import geometry
 from toricmult.cli import main
 from toricmult.errors import (
     ConfigInvalid,
@@ -38,7 +39,7 @@ from toricmult.ideals import (
     product,
 )
 from toricmult.multiplier import multiplier_ideal, multiplier_membership
-from toricmult.problemio import load_search_config
+from toricmult.problemio import load_problem, load_search_config
 from toricmult.rings import lattice_points_in_box, ring_from_dual_rays, semigroup_points
 from toricmult.subadditivity import (
     ConstructionRecipe,
@@ -50,6 +51,7 @@ from toricmult.subadditivity import (
     exhaustive_refute,
     huneke_swanson_construct,
     _candidate_rings,
+    _edge_regions,
     _enumerated_recipes,
     _gap_generators,
     _skeleton,
@@ -62,6 +64,7 @@ from toricmult.subadditivity import (
 PAPER_BOUNDS = Path(__file__).with_name("paper_bounds_search.json")
 SMALL_HITS = Path(__file__).with_name("small_hits_search.json")
 SINGULAR_BASES = Path(__file__).with_name("singular_bases_search.json")
+SQUARE_CONE_VIOLATION = Path(__file__).with_name("square_cone_violation.json")
 FLAGS = ("a_integrally_closed", "b_integrally_closed", "rz_in_product_of_closures")
 
 
@@ -125,6 +128,41 @@ class TestVerdict:
             check_subadditivity(a, other)
 
 
+class TestSquareConeViolation:
+    """The smallest known violation: two-generator ideals on the cone over a
+    square, with dual rays (±1, 0, 1) and (0, ±1, 1)."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return load_problem(str(SQUARE_CONE_VIOLATION))
+
+    def test_one_witness_escapes_the_product(self, problem):
+        a, b = problem.ideal("a"), problem.ideal("b")
+        verdict = check_subadditivity(a, b)
+        assert (verdict.j_a, verdict.j_b) == (a, b)
+        assert not verdict.holds
+        assert verdict.witnesses == ((-1, 0, 2),)
+        assert verdict.j_ab.gens == ((-2, 0, 2), (-1, -1, 2), (-1, 0, 2), (-1, 1, 2), (0, 0, 2))
+
+    def test_the_witness_has_no_splitting(self, problem):
+        # u0 = (0, 0, 1), so the target is the witness plus u0
+        report = exhaustive_refute((-1, 0, 3), problem.ideal("a"), problem.ideal("b"))
+        assert report.scanned == 20
+        assert report.decompositions == ()
+
+    def test_the_multiplier_ideals_match_the_scan(self, problem):
+        ring, a, b = problem.ring, problem.ideal("a"), problem.ideal("b")
+        u0 = ring.canonical_shift()
+        for i in (a, b, product(a, b)):
+            expected = oracles.multiplier_scan(i.gens, ring.dual_rays, ring.sigma_rays, u0)
+            assert multiplier_ideal(i).gens == expected
+
+    def test_the_cli_exits_one_with_the_witness(self, capsys):
+        code = main(["subadd", "--input", str(SQUARE_CONE_VIOLATION), "--ideals", "a", "b", "--format", "json"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["witnesses"] == [[-1, 0, 2]]
+
+
 class TestDecompose2D:
     def test_the_recipe_base_instance(self, base_recipe):
         d = decompose_2d((14, 11), base_recipe.i_prime, base_recipe.j_prime)
@@ -141,23 +179,36 @@ class TestDecompose2D:
         assert d.remainder == (3, 5)
 
     def test_every_multiplier_generator_decomposes(self):
-        rng = random.Random(1718)
-        for _ in range(12):
-            ring = random_2d_ring(rng, bound=5)
-            a = random_ideal(rng, ring, max_gens=3, pairing_bound=14)
-            b = random_ideal(rng, ring, max_gens=3, pairing_bound=14)
-            j_ab = multiplier_ideal(product(a, b))
-            for g in j_ab.gens:
+        for a, b in _decomposable_pairs():
+            u0 = a.ring.canonical_shift()
+            for g in multiplier_ideal(product(a, b)).gens:
                 d = decompose_2d(g, a, b)
                 assert d.remainder_check.contained
                 source = a if d.side is Side.FROM_A else b
                 assert d.witness in source.gens
                 # witness + (remainder - u0) reassembles the generator
-                u0 = ring.canonical_shift()
                 reassembled = tuple(
                     w + r - u for w, r, u in zip(d.witness, d.remainder, u0)
                 )
                 assert reassembled == g
+
+    def test_decomposing_builds_no_polyhedron(self, monkeypatch):
+        # check_subadditivity builds N(a), N(b) and N(ab); the edge regions
+        # are then read off sigma pairings, with no double description
+        pairs = _decomposable_pairs()
+        verdicts = [check_subadditivity(a, b) for a, b in pairs]
+        _edge_regions.cache_clear()
+        insert_rows, calls = geometry._insert_rows, []
+
+        def counted(*args):
+            calls.append(args)
+            return insert_rows(*args)
+
+        monkeypatch.setattr(geometry, "_insert_rows", counted)
+        for (a, b), verdict in zip(pairs, verdicts):
+            for g in verdict.j_ab.gens:
+                decompose_2d(g, a, b)
+        assert calls == []
 
     def test_points_outside_the_multiplier_ideal_are_refused(self, base_recipe):
         with pytest.raises(NotInMultiplierIdeal):
@@ -167,6 +218,17 @@ class TestDecompose2D:
         a, b = pair
         with pytest.raises(NotDimension2):
             decompose_2d((17, 11, 1), a, b)
+
+
+def _decomposable_pairs():
+    """Twelve seeded pairs of ideals on random 2D rings."""
+    rng = random.Random(1718)
+    pairs = []
+    for _ in range(12):
+        ring = random_2d_ring(rng, bound=5)
+        a = random_ideal(rng, ring, max_gens=3, pairing_bound=14)
+        pairs.append((a, random_ideal(rng, ring, max_gens=3, pairing_bound=14)))
+    return pairs
 
 
 def _outcome(decompose, p, a, b):
@@ -223,6 +285,25 @@ class TestDecompose2DAgainstReference:
                     outcomes = self.assert_agree(a, b, semigroup_points(ring, 14))
                     assert NotInMultiplierIdeal in outcomes
                     assert any(isinstance(d, Decomposition2D) for d in outcomes)
+
+    def test_a_principal_pair_has_one_region(self, base_recipe):
+        # N(ab) is one vertex plus the cone, so its one region is all of it
+        a, b = base_recipe.i_prime, base_recipe.j_prime
+        assert len(_edge_regions(a, b)[1]) == 1
+        self.assert_agree(a, b, semigroup_points(a.ring, 30))
+
+    def test_equal_ideals_insert_a_mixed_point(self):
+        # the edges of N(a) and N(b) are parallel, so the walk meets 2g1 and
+        # 2g2 with disjoint tags and inserts g1 + g2 between them
+        ring = ring_from_dual_rays(((1, 0), (1, 3)))
+        a = monomial_ideal(ring, ((5, 0), (1, 2)))
+        _, regions = _edge_regions(a, a)
+        assert [(side, witness) for _, _, side, witness in regions] == [
+            (Side.FROM_A, (5, 0)),
+            (Side.FROM_B, (1, 2)),
+        ]
+        outcomes = self.assert_agree(a, a, semigroup_points(ring, 24))
+        assert {d.region_index for d in outcomes if isinstance(d, Decomposition2D)} == {0, 1}
 
     def test_refusals_come_in_the_same_order(self, pair, base_recipe):
         a3, b3 = pair
