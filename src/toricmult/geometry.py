@@ -222,18 +222,20 @@ def hull_plus_cone(points: Iterable[Sequence[int]], recession: PolyCone) -> Newt
 
 
 def membership(p: NewtonPolyhedron, x: Sequence, relative_interior: bool = False) -> MembershipReport:
-    """Exact containment report for x against every facet of p."""
+    """Exact containment report for x against every facet of p, in integers on x = num / D (linalg._scaled)."""
     if len(x) != p.dim:
         raise DimensionMismatch(f"point of dimension {len(x)} in polyhedron of dimension {p.dim}")
+    num, den = _scaled(x)
+    lattice = all(isinstance(a, int) for a in x)
     pairings = []
     violated = []
     tight = []
     for h in p.facets:
-        v = dot(h.normal, x)
-        pairings.append((h, v))
-        if v < h.offset:
+        s, m = dot(h.normal, num), h.offset * den
+        pairings.append((h, s if lattice else Fraction(s, den)))
+        if s < m:
             violated.append(h)
-        elif v == h.offset:
+        elif s == m:
             tight.append(h)
     contained = not violated and (not relative_interior or not tight)
     return MembershipReport(contained, relative_interior, tuple(pairings), tuple(violated), tuple(tight))

@@ -2,11 +2,13 @@
 
 Minimal generating sets are lex-sorted antichains under divisibility (w
 divides w' when no sigma pairing of w exceeds that of w'), all reduced by one
-routine. Integral closures and multiplier ideals share one enumeration engine
-over a sigma-coordinate box around the Newton polyhedron's vertices, on the
-facet thresholds of geometry.lattice_thresholds: each Hermite run
-(rings.run_starts) meets the region in one interval (rings.run_interval),
-and the walk stops at the first candidate dividing every later one. It runs
+routine, a linear staircase on two sigma rays. Integral closures and
+multiplier ideals share one enumeration engine over a sigma-coordinate box
+around the Newton polyhedron's vertices, on the facet thresholds of
+geometry.lattice_thresholds: the walk starts at the thresholds of the facets
+on the sigma rays, each Hermite run (rings.run_starts) meets the region in
+one interval (rings.run_interval), and the walk stops at the first candidate
+dividing every later one. It runs
 only where a closure's generators are needed: a lattice point lies in
 closure(a) iff it lies in N(a), a facet test on the memoized newton_polyhedron.
 """
@@ -61,11 +63,17 @@ def _antichain(points: Iterable[tuple[LatticePoint, tuple[int, ...]]]) -> tuple[
     A divisor's pairings are componentwise, so lexicographically, <= those of
     its multiple. So in lexicographic order of pairings (linear on presorted
     input), a point is minimal exactly when no point kept before divides it.
+    On two sigma rays that is a staircase: t is minimal when t[1] is below the
+    least second pairing kept, the last one's.
     """
     gens: list[LatticePoint] = []
     gen_ts: list[tuple[int, ...]] = []
     for w, t in sorted(points, key=itemgetter(1)):
-        if not any(all(map(le, g, t)) for g in gen_ts):
+        if len(t) == 2:
+            minimal = not gen_ts or t[1] < gen_ts[-1][1]
+        else:
+            minimal = not any(all(map(le, g, t)) for g in gen_ts)
+        if minimal:
             gens.append(w)
             gen_ts.append(t)
     return tuple(sorted(gens))
@@ -136,10 +144,10 @@ def region_minimal_generators(
     member divides the rest and is the run's one candidate.
 
     The floor of sigma ray n_j is the threshold of the facet with normal n_j,
-    or 0 without one: no region point of the box pairs below it. Runs come in
-    walk order, so the pairing with sigma ray 0 never decreases. The walk
-    stops at a candidate pairing to the floor with every sigma ray n_1, ...:
-    it divides every candidate after it.
+    or 0 without one: no region point of the box pairs below it, so the walk
+    starts there (rings.run_starts). Runs come in walk order, so the pairing
+    with sigma ray 0 never decreases. The walk stops at a candidate pairing to
+    the floor with every sigma ray n_1, ...: it divides every candidate after it.
     """
     off = 0 if shift is None else 1
     bounds = tuple(
@@ -147,17 +155,19 @@ def region_minimal_generators(
         for n in ring.sigma_rays
     )
     tests = lattice_thresholds(poly, shift)
+    floors = tuple(max(dict(tests).get(n, 0), 0) for n in ring.sigma_rays)
+    # a run may start below a floor (rings.run_starts): the semigroup tests it where no facet does
+    guards = tuple((n, 0) for n, m in zip(ring.sigma_rays, floors) if (n, m) not in tests)
     u, ut = ring.run_step
-    steps = tuple((f, m, dot(u, f)) for f, m in tests)
-    floors = tuple(dict(tests).get(n, 0) for n in ring.sigma_rays[1:])
+    steps = tuple((f, m, dot(u, f)) for f, m in tests + guards)
 
     def candidates():
-        for w, t, n in run_starts(ring, bounds):
+        for w, t, n in run_starts(ring, bounds, floors):
             lo, hi = run_interval(w, n, steps)
             if lo <= hi:
                 ct = tuple(a + lo * s for a, s in zip(t, ut))
                 yield vadd(w, vscale(lo, u)), ct
-                if ct[1:] == floors:
+                if ct[1:] == floors[1:]:
                     return
 
     return _antichain(candidates())

@@ -12,8 +12,9 @@ lexicographic order of t (simplicial sigma) or of w (otherwise). The walk
 is runs w + k u, clipped to the other sigma rays' bounds by integer
 division on non-simplicial sigma; u lies in the semigroup. run_starts
 yields the runs, not their points, in walk order, so the pairing with sigma
-ray 0 never decreases from one run to the next; run_interval places the
-points of a run passing facet tests, given each facet's step along the run.
+ray 0 never decreases from one run to the next, and starts at given floors
+on the pairings; run_interval places the points of a run passing facet
+tests, given each facet's step along the run.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, NotInSemigroup, NotQGorenstein
@@ -165,6 +167,9 @@ def require_exponent(ring: ToricRing, w: Sequence[int]) -> LatticePoint:
 # Lattice enumeration in sigma-coordinates
 # ---------------------------------------------------------------------------
 
+Run = tuple[LatticePoint, tuple[int, ...], int]  # (w, t, n): w + k u for 0 <= k < n, t the pairings of w
+
+
 def lattice_points_in_box(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tuple[LatticePoint, tuple[int, ...]]]:
     """All lattice w with 0 <= <w, n_i> <= bounds[i] for every sigma ray n_i.
 
@@ -176,7 +181,7 @@ def lattice_points_in_box(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tu
     run is clipped to the bounds of the remaining sigma rays, so only points
     of the box are visited, and they are yielded in lexicographic order of w.
     """
-    points = _run_points(ring, _hermite_walk(ring, bounds))
+    points = _run_points(ring, _hermite_walk(ring, bounds, (0,) * len(bounds)))
     yield from points if len(ring.sigma_rays) == ring.dim else sorted(points)
 
 
@@ -191,9 +196,10 @@ def _run_points(ring: ToricRing, runs) -> Iterator[tuple[LatticePoint, tuple[int
         yield from zip(zip(*ws), zip(*ts))
 
 
-def _hermite_walk(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tuple[LatticePoint, tuple[int, ...], int]]:
+def _hermite_walk(ring: ToricRing, bounds: Sequence[int], floors: Sequence[int]) -> Iterator[Run]:
     """(w, t, n) per nonempty run w + k u, 0 <= k < n, of the integer k with H k in
-    the basis box and the other pairings in theirs; t pairs w with every sigma ray.
+    the basis box and the other pairings in theirs, floors[i] <= <w, n_i> <= bounds[i];
+    t pairs w with every sigma ray.
 
     H is lower triangular with a positive diagonal, so once k_0..k_{i-1} are
     fixed, (H k)_i is increasing in k_i and bounds k_i to a range; walking
@@ -205,22 +211,22 @@ def _hermite_walk(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tuple[Latt
     ns = ring.sigma_rays
     if len(bounds) != len(ns):
         raise ValueError("one bound per sigma ray is required")
-    if any(b < 0 for b in bounds):
+    if any(b < f for b, f in zip(bounds, floors)):
         return
     basis, hnf, uni = ring.sigma_lattice
-    box = [bounds[i] for i in basis]
+    box = [(floors[i], bounds[i]) for i in basis]
     d = len(hnf)
     last = d - 1
     hcols = [tuple(row[j] for row in hnf) for j in range(d)]
     ucols = [tuple(row[j] for row in uni) for j in range(d)]
-    h, b, ulast = hnf[last][last], box[last], ucols[last]
+    h, (f, b), ulast = hnf[last][last], box[last], ucols[last]
     others = [j for j in range(len(ns)) if j not in basis]
-    extra = [(ns[j], dot(ulast, ns[j]), bounds[j]) for j in others]
+    extra = [(ns[j], dot(ulast, ns[j]), floors[j], bounds[j]) for j in others]
     order = [[*basis, *others].index(j) for j in range(len(ns))]  # emitted column of sigma ray j
 
     def prefixes(i, t, w):
-        h, hcol, ucol = hnf[i][i], hcols[i], ucols[i]
-        for k in range(-(t[i] // h), (box[i] - t[i]) // h + 1):
+        h, hcol, ucol, (f, b) = hnf[i][i], hcols[i], ucols[i], box[i]
+        for k in range(-((t[i] - f) // h), (b - t[i]) // h + 1):
             nt, nw = [a + k * c for a, c in zip(t, hcol)], [a + k * c for a, c in zip(w, ucol)]
             if i + 1 == last:
                 yield nt, nw
@@ -228,31 +234,42 @@ def _hermite_walk(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tuple[Latt
                 yield from prefixes(i + 1, nt, nw)
 
     for t, w in prefixes(0, [0] * d, [0] * d) if last else [([0], [0])]:
-        lo, hi = -(t[last] // h), (b - t[last]) // h
-        cut = [(dot(w, ray), s, bn) for ray, s, bn in extra]
-        for a, s, bn in cut:
-            if s:  # 0 <= a + k s <= bn; s > 0 as u lies in the semigroup
-                lo, hi = max(lo, -(a // s)), min(hi, (bn - a) // s)
-            elif not 0 <= a <= bn:
+        lo, hi = -((t[last] - f) // h), (b - t[last]) // h
+        cut = [(dot(w, ray), s, fn, bn) for ray, s, fn, bn in extra]
+        for a, s, fn, bn in cut:
+            if s:  # fn <= a + k s <= bn; s > 0 as u lies in the semigroup
+                lo, hi = max(lo, -((a - fn) // s)), min(hi, (bn - a) // s)
+            elif not fn <= a <= bn:
                 hi = lo - 1
         if hi < lo:
             continue
         t[last] += lo * h
         if cut:
-            t += [a + lo * s for a, s, _ in cut]
+            t += [a + lo * s for a, s, _, _ in cut]
             t = [t[j] for j in order]
         yield tuple(a + lo * c for a, c in zip(w, ulast)), tuple(t), hi - lo + 1
 
 
-def run_starts(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tuple[LatticePoint, tuple[int, ...], int]]:
-    """(w, t, n) per nonempty run w + k u, 0 <= k < n, of lattice_points_in_box(ring,
-    bounds), t the pairings of w, in walk order. On simplicial sigma a run starts
-    below h = ring.run_step[1][-1] on the last sigma ray: the box cut there walks the starts."""
+def run_starts(ring: ToricRing, bounds: Sequence[int], floors: Sequence[int] | None = None) -> Iterator[Run]:
+    """(w, t, n) per nonempty run w + k u, 0 <= k < n, t the pairings of w, in walk order, covering the
+    points of lattice_points_in_box(ring, bounds) that pair to at least floors[i] (default 0) with every
+    sigma ray n_i. On non-simplicial sigma the runs start on the floors. On simplicial sigma a run starts
+    below h = ring.run_step[1][-1] above the point p = U k, k_i = floor((floors_i - sum_{j<i} H_ij k_j) /
+    H_ii), which pairs to more than floors_i - H_ii with n_i: the box cut there above p walks the starts,
+    and the caller tests the points of a run below a floor."""
+    floors = floors or (0,) * len(bounds)
     if len(ring.sigma_rays) > ring.dim:
-        yield from _hermite_walk(ring, bounds)
+        yield from _hermite_walk(ring, bounds, floors)
         return
+    _, hnf, uni = ring.sigma_lattice
+    k: list[int] = []
+    for row, f in zip(hnf, floors):
+        k.append((f - dot(row, k)) // row[len(k)])
+    p, tp = tuple(dot(row, k) for row in uni), tuple(dot(row, k) for row in hnf)
     h = ring.run_step[1][-1]
-    for w, t in lattice_points_in_box(ring, (*bounds[:-1], min(bounds[-1], h - 1))):
+    for w, t in lattice_points_in_box(ring, (*map(sub, bounds[:-1], tp), min(bounds[-1] - tp[-1], h - 1))):
+        if any(k):
+            w, t = tuple(map(add, w, p)), tuple(map(add, t, tp))
         yield w, t, (bounds[-1] - t[-1]) // h + 1
 
 

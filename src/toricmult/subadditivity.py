@@ -252,7 +252,7 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
     t0, t1 = ring.pairings(pt)
     for idx, (floor0, floor1, side, witness) in enumerate(regions):
         if t0 >= floor0 and t1 >= floor1:
-            remainder = vsub(vadd(pt, u0), witness)
+            remainder = vadd(vsub(pt, witness), u0)
             other = b if side is Side.FROM_A else a
             report = membership(newton_polyhedron(other), remainder, relative_interior=True)
             assert report.contained, "edge region interior must land in the factor's interior"

@@ -7,7 +7,7 @@ cones, and Gaussian elimination over `Fraction` for the few matrix inverses
 involved.  None of it shares code with the library's double-description engine
 or its lattice walker, so agreement is evidence rather than tautology.
 
-Seven exceptions keep a replaced library path as the reference for its
+Nine exceptions keep a replaced library path as the reference for its
 replacement. `decompose_2d` is the per-generator boundary walk the library's
 cached version replaced: it builds every edge region with the library's
 double description and tests it with `Fraction` membership, so it pins the
@@ -25,7 +25,10 @@ are the double description that the library's bitset insertion loop and
 its warm start from the recession cone replaced: every Newton polyhedron
 dualized from a greedy basis of its lifted rows, points first, with
 `frozenset` zero sets and no pre-check before the adjacency scan. They use
-the library's `linalg`.
+the library's `linalg`. `antichain_scan` is the quadratic divisibility scan
+that the library's two-ray staircase replaced, and `dot_membership` the
+`Fraction` pairing of every facet with x that its fraction-free membership
+test replaced.
 """
 
 from __future__ import annotations
@@ -35,7 +38,14 @@ import math
 from fractions import Fraction
 
 from toricmult.errors import NotDimension2, NotFullDimensional, NotInMultiplierIdeal
-from toricmult.geometry import Halfspace, NewtonPolyhedron, hull_plus_cone, lattice_thresholds, membership
+from toricmult.geometry import (
+    Halfspace,
+    MembershipReport,
+    NewtonPolyhedron,
+    hull_plus_cone,
+    lattice_thresholds,
+    membership,
+)
 from toricmult.ideals import _same_ring, contains_monomial, integral_closure, newton_polyhedron, product
 from toricmult.linalg import independent_rows, invert, primitivize, rank
 from toricmult.rings import lattice_points_in_box, require_exponent
@@ -289,6 +299,26 @@ def minimal_points(points, sigma_rays):
         if not in_ideal(minimal, w, sigma_rays):
             minimal.append(w)
     return tuple(sorted(minimal))
+
+
+def antichain_scan(points):
+    """Minimal (w, pairings) pairs, lex-sorted: in lexicographic order of
+    pairings, keep a point when no kept point pairs at most as much with every ray."""
+    kept = []
+    for w, t in sorted(points, key=lambda p: p[1]):
+        if not any(all(a <= b for a, b in zip(g, t)) for _, g in kept):
+            kept.append((w, t))
+    return tuple(sorted(w for w, _ in kept))
+
+
+def dot_membership(p, x, relative_interior=False):
+    """membership's report with each pairing <normal, x> summed as it comes:
+    an int for an int point, a Fraction once an entry is a Fraction."""
+    pairings = tuple((h, dot(h.normal, x)) for h in p.facets)
+    violated = tuple(h for h, v in pairings if v < h.offset)
+    tight = tuple(h for h, v in pairings if v == h.offset)
+    contained = not violated and (not relative_interior or not tight)
+    return MembershipReport(contained, relative_interior, pairings, violated, tight)
 
 
 def closure_scan(gens, dual_rays, sigma_rays):

@@ -160,6 +160,20 @@ class TestClosureAndMultiplier:
         assert code == 0
         assert json.loads(out)["multiplier_generators"] == [[i, 599 - i] for i in range(600)]
 
+    def test_far_from_origin_multiplier(self, capsys):
+        # the paper's ideal moved k = 600 steps out; the region walk starts at
+        # the facet thresholds on the sigma rays, not at the origin
+        problem = Path(__file__).parent / "far_from_origin_multiplier.json"
+        code, out, _ = run(capsys, "multiplier", "--input", str(problem), "--ideals", "a", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["multiplier_generators"] == [
+            [3600, 3600, 1802],
+            [3601, 3601, 1801],
+            [3601, 3602, 1800],
+            [3602, 3601, 1800],
+            [3602, 3602, 1800],
+        ]
+
     def test_square_cone_multiplier(self, capsys):
         # non-simplicial, so its runs are clipped; 2 e^2 + 2 e + 1 generators at e = 20
         problem = Path(__file__).parent / "square_cone_multiplier.json"

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from oracles import dot, hull_region, shifted_thresholds, sigma_rays_2d
 from instances import POOL, pool_rings, random_2d_dual_rays, random_ideal
 
@@ -210,6 +211,31 @@ class TestMembershipReport:
         a = monomial_ideal(counterexample_ring, ((2, 4, 0), (10, 6, 2)))
         report = membership(newton_polyhedron(a), (8, 6, 1))
         assert report.contained and not report.strict
+
+    def test_reports_equal_the_fraction_pairing_report(self):
+        """Fraction-free membership reports the pairings that summing <normal,
+        x> gives, in value and type: ints for a lattice point, Fractions once
+        an entry is a Fraction, denominator 1 or mixed with ints included."""
+        rng = random.Random(3401)
+        kinds = set()
+        for _, ring in pool_rings():
+            u0 = ring.canonical_shift() if ring.q_gorenstein else None
+            for _ in range(3):
+                poly = hull_plus_cone(_sample_gens(rng, ring), ring.cone)
+                for w in _sample_box(rng, poly.vertices, ring.dim, count=40):
+                    halves = tuple(Fraction(c, rng.choice((1, 2, 3))) for c in w)
+                    mixed = tuple(Fraction(c) if i % 2 else c for i, c in enumerate(w))
+                    points = [w, tuple(map(Fraction, w)), halves, mixed]
+                    if u0 is not None:
+                        points.append(tuple(c + u for c, u in zip(w, u0)))
+                    for x in points:
+                        for strict in (False, True):
+                            report = membership(poly, x, strict)
+                            expected = oracles.dot_membership(poly, x, strict)
+                            assert report == expected, x
+                            assert [type(v) for _, v in report.pairings] == [type(v) for _, v in expected.pairings]
+                            kinds.add((type(report.pairings[0][1]), report.contained))
+        assert kinds == {(t, c) for t in (int, Fraction) for c in (False, True)}
 
 
 class TestCertificates:

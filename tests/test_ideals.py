@@ -8,12 +8,14 @@ import random
 
 import pytest
 
+import oracles
 from instances import pool_rings, random_2d_ring, random_3d_ring, random_ideal, random_non_simplicial_rings
-from oracles import box_points, closure_scan, dot, in_ideal, minimal_points, vsub
+from oracles import box_points, closure_scan, dot, in_ideal, minimal_points, vadd, vsub
 
 from toricmult.errors import NotInSemigroup, RingMismatch, ZeroIdeal
 from toricmult.geometry import membership
 from toricmult.ideals import (
+    _antichain,
     contains_monomial,
     ideal_sum,
     integral_closure,
@@ -59,6 +61,29 @@ class TestConstruction:
                 for _ in range(3):
                     rng.shuffle(sample)
                     assert minimalize(ring, sample) == expected
+
+    def test_the_two_ray_staircase_equals_the_quadratic_scan(self):
+        """Random pairs of pairings, drawn from a narrow first range so that
+        ties in the first pairing are common, with repeated points; the points
+        are any labels, as _antichain reads only the pairings."""
+        rng = random.Random(3319)
+        ties = 0
+        for _ in range(400):
+            points = [((i,), (rng.randint(0, 5), rng.randint(0, 20))) for i in range(rng.randint(0, 16))]
+            points += rng.choices(points, k=rng.randint(0, 4)) if points else []
+            rng.shuffle(points)
+            assert _antichain(points) == oracles.antichain_scan(points)
+            ties += len({t[0] for _, t in points}) < len({t for _, t in points})
+        assert ties > 300
+
+    def test_two_dimensional_products_minimalize_as_the_quadratic_scan(self):
+        rng = random.Random(3323)
+        for _ in range(60):
+            ring = random_2d_ring(rng, 7)
+            a, b = (random_ideal(rng, ring, max_gens=5, pairing_bound=30) for _ in range(2))
+            sums = [(vadd(g, h), ring.pairings(vadd(g, h))) for g in a.gens for h in b.gens]
+            expected = minimal_points([w for w, _ in sums], ring.sigma_rays)
+            assert product(a, b).gens == oracles.antichain_scan(sums) == expected
 
     def test_exponents_outside_the_semigroup_are_rejected(self, ring):
         with pytest.raises(NotInSemigroup):

@@ -1,0 +1,158 @@
+"""The region walk from its floors against the walk of the whole box.
+
+Every sigma ray n is a facet normal of a Newton polyhedron N(a), and the
+facet's threshold is the region's floor on n: no region point pairs below
+it. region_minimal_generators passes its floors to rings.run_starts, which
+starts the walk there: exactly on non-simplicial sigma, and on simplicial
+sigma from the lattice point p that rounds the floors down on the Hermite
+basis, so a run may start below a floor by less than the diagonal entry H_ii.
+oracles.region_minimal_generators tests every point of the box from the
+origin instead; the two must give the same generators. A region whose
+recession cone is wider than the exponent cone may have no facet on a sigma
+ray, and there p may pair negatively with it, so the walk tests the
+semigroup on such a ray; one such region is checked by hand.
+"""
+
+import itertools
+import random
+
+import pytest
+
+import oracles
+from instances import POOL, random_2d_ring, random_3d_ring, random_non_simplicial_rings
+from toricmult.geometry import PolyCone, hull_plus_cone, lattice_thresholds
+from toricmult.ideals import monomial_ideal, newton_polyhedron, region_minimal_generators
+from toricmult.linalg import dot, vadd, vscale
+from toricmult.rings import lattice_points_in_box, ring_from_dual_rays, run_starts, semigroup_points
+
+
+def _rings():
+    rng = random.Random(5527)
+    rings = [(name, ring_from_dual_rays(dual)) for name, dual, _, _ in POOL]
+    rings += [(f"random-2d-{i}", random_2d_ring(rng, 7)) for i in range(12)]
+    rings += [(f"random-3d-{i}", random_3d_ring(rng)) for i in range(4)]
+    cones = random_non_simplicial_rings(5503, 3, (4, 6), 8) + random_non_simplicial_rings(5507, 4, (5, 6), 3)
+    rings += [(f"non-simplicial-{ring.dim}d-{i}", ring) for i, ring in enumerate(cones)]
+    return rings
+
+
+RINGS = _rings()
+IDS = [name for name, _ in RINGS]
+
+
+def _simplicial(ring):
+    return len(ring.sigma_rays) == ring.dim
+
+
+def test_the_rings_reach_large_determinants_and_every_kind_of_cone():
+    dets = [abs(oracles.det(ring.dual_rays)) for _, ring in RINGS if ring.dim == 2]
+    assert 40 < max(dets) <= 62
+    assert {ring.dim for _, ring in RINGS if not _simplicial(ring)} == {3, 4}
+
+
+@pytest.mark.parametrize("name, ring", RINGS, ids=IDS)
+def test_runs_from_the_floors_cover_the_box_above_them(name, ring):
+    """The run points pairing at least the floors are the box points above them,
+    in walk order; every start pairs at most the bounds, and lies on the floors
+    on non-simplicial sigma and less than H_ii below floor i otherwise."""
+    rng = random.Random(name)
+    u, ut = ring.run_step
+    _, hnf, _ = ring.sigma_lattice
+    rays = len(ring.sigma_rays)
+    side = 12 if ring.dim == 2 else 5
+    for _ in range(12):
+        bounds = tuple(rng.randint(0, side) for _ in range(rays))
+        floors = tuple(rng.randint(0, b + 1) for b in bounds)
+        runs = list(run_starts(ring, bounds, floors))
+        points = [
+            (vadd(w, vscale(k, u)), tuple(a + k * s for a, s in zip(t, ut))) for w, t, n in runs for k in range(n)
+        ]
+        assert all(t == ring.pairings(w) and all(map(int.__le__, t, bounds)) for w, t in points)
+        above = [(w, t) for w, t in points if all(map(int.__ge__, t, floors))]
+        box = [(w, t) for w, t in lattice_points_in_box(ring, bounds) if all(map(int.__ge__, t, floors))]
+        assert (above if _simplicial(ring) else sorted(above)) == box, (bounds, floors)
+        for _, t, _ in runs:
+            if _simplicial(ring):
+                assert all(f - hnf[i][i] < a for i, (a, f) in enumerate(zip(t, floors))), (bounds, floors, t)
+            else:
+                assert all(map(int.__ge__, t, floors)), (bounds, floors, t)
+
+
+def _far_ideals(name, ring):
+    """Small random ideals moved away from the origin by multiples of the sum of the dual rays."""
+    rng = random.Random(name + "-far")
+    c = tuple(map(sum, zip(*ring.dual_rays)))
+    bound = next(b for b in itertools.count(12 if ring.dim == 2 else 2) if len(semigroup_points(ring, b)) > 4)
+    points = [w for w in semigroup_points(ring, bound) if any(w)]
+    for m in (1, 3) if ring.dim == 2 else (1,):
+        gens = rng.sample(points, min(3, len(points)))
+        yield monomial_ideal(ring, [vadd(g, vscale(m, c)) for g in gens])
+
+
+@pytest.mark.parametrize("name, ring", RINGS, ids=IDS)
+def test_regions_far_from_the_origin_match_the_per_point_scan(name, ring):
+    """Closures on every ring; multiplier regions where u0 exists."""
+    for a in _far_ideals(name, ring):
+        poly = newton_polyhedron(a)
+        assert {f for f, _ in lattice_thresholds(poly)} >= set(ring.sigma_rays)
+        for shift in (None, ring.canonical_shift()) if ring.q_gorenstein else (None,):
+            assert region_minimal_generators(ring, poly, shift) == oracles.region_minimal_generators(ring, poly, shift)
+
+
+def _read_runs(monkeypatch):
+    """The list to which each run that region_minimal_generators reads is appended."""
+    read = []
+
+    def recorded(ring, bounds, floors):
+        for run in run_starts(ring, bounds, floors):
+            read.append(run)
+            yield run
+
+    monkeypatch.setattr("toricmult.ideals.run_starts", recorded)
+    return read
+
+
+def test_a_sigma_ray_without_a_facet_keeps_the_walk_in_the_semigroup(monkeypatch):
+    """On the cusp (det 3), N = (2, 3) + cone((2, 1), (-1, 0)) has the facet
+    <w, (-1, 2)> >= 4 on sigma ray 0 but none on sigma ray 1 = (2, -1). p
+    rounds the floors (4, 0) down to pairings (4, -2), and the run at first
+    pairing 5 starts at (1, 3), which lies in N but pairs -1 with sigma ray 1:
+    only the walk's semigroup test on that ray keeps it out of the
+    generators."""
+    cusp = ring_from_dual_rays(((2, 1), (1, 2)))
+    assert cusp.sigma_rays == ((-1, 2), (2, -1))
+    wide = hull_plus_cone([(2, 3)], PolyCone.from_rays([(2, 1), (-1, 0)]))
+    assert lattice_thresholds(wide) == (((-1, 2), 4), ((0, 1), 3))
+    read = _read_runs(monkeypatch)
+    gens = region_minimal_generators(cusp, wide, None)
+    assert gens == oracles.region_minimal_generators(cusp, wide, None) == ((2, 3), (2, 4))
+    assert [run[:2] for run in read[:2]] == [((0, 2), (4, -2)), ((1, 3), (5, -1))]
+    assert all(dot((1, 3), f) >= m for f, m in lattice_thresholds(wide))
+
+
+def _paper_ideal(k):
+    """a = <(6k+2, 6k+4, 3k), (6k+4, 6k+2, 3k), (6k, 6k, 3k+3)> on the paper's ring."""
+    ring = ring_from_dual_rays(((2, 1, 0), (1, 2, 0), (0, 0, 1)))
+    gens = [(6 * k + 2, 6 * k + 4, 3 * k), (6 * k + 4, 6 * k + 2, 3 * k), (6 * k, 6 * k, 3 * k + 3)]
+    return monomial_ideal(ring, gens)
+
+
+def test_the_walk_from_the_floors_does_not_grow_with_the_distance(monkeypatch):
+    """The paper's ideal moved k steps out is x^(6k, 6k, 3k) times the ideal at
+    k = 0, and so are its closure and multiplier regions; they match the
+    per-point scan at k = 2 and read as many runs at k = 200 as at k = 2,
+    where the walk from the origin read about k^2 more."""
+    read = _read_runs(monkeypatch)
+    runs, base = {}, {}
+    for k in (0, 2, 200):
+        a = _paper_ideal(k)
+        ring, poly = a.ring, newton_polyhedron(a)
+        for shift in (None, ring.canonical_shift()):
+            read.clear()
+            gens = region_minimal_generators(ring, poly, shift)
+            runs[k, shift is None] = len(read)
+            base.setdefault(shift is None, gens)
+            assert gens == tuple(vadd(g, vscale(k, (6, 6, 3))) for g in base[shift is None])
+            if k == 2:
+                assert gens == oracles.region_minimal_generators(ring, poly, shift)
+    assert runs[2, True] == runs[200, True] and runs[2, False] == runs[200, False]

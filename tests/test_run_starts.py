@@ -16,9 +16,12 @@ ray on every ring, which is tested on these and on seeded random cones.
 Seeded random plane pairs of the two-dimensional property suite add their
 products.
 
-The region walk stops at a candidate pairing to its floor with every sigma
-ray after the first, which is exact because the pairing with sigma ray 0
-never decreases along the walk; both the stop and that order are tested.
+The region walk starts at its floors, the thresholds of the facets on the
+sigma rays (test_region_floors checks the walk from them), and stops at a
+candidate pairing to its floor with every sigma ray after the first, which
+is exact because the pairing with sigma ray 0 never decreases along the
+walk; the start, the stop and that order are tested, with the runs a region
+walks and reads pinned on small plane regions.
 """
 
 import itertools
@@ -218,9 +221,9 @@ def _region_runs(monkeypatch, ring, poly, shift):
     """(generators, runs the region read, runs of its walk) of one region call."""
     read, walked = [], []
 
-    def counted(ring, bounds):
-        walked.append(len(list(run_starts(ring, bounds))))
-        for run in run_starts(ring, bounds):
+    def counted(ring, bounds, floors):
+        walked.append(len(list(run_starts(ring, bounds, floors))))
+        for run in run_starts(ring, bounds, floors):
             read.append(run)
             yield run
 
@@ -240,6 +243,17 @@ def test_the_region_walk_stops_at_a_candidate_on_every_floor(monkeypatch):
     assert _region_runs(monkeypatch, plane, poly, plane.canonical_shift()) == (((0, 1), (1, 0)), 2, 4)
     poly = newton_polyhedron(monomial_ideal(plane, [(1, 0)]))
     assert _region_runs(monkeypatch, plane, poly, None) == (((1, 0),), 1, 2)
+
+
+def test_the_region_walk_starts_at_its_floors(monkeypatch):
+    """N(<x^3 y^5, x^5 y^3>) has the facets y >= 3 and x >= 3, so its regions'
+    walks start at y = 3: the closure walks the 4 runs y = 3..6 and reads 3,
+    stopping at x^3 y^5 on the floor 3 of x; from the origin it walked 7 and
+    read 6. J walks 3 runs and reads 2, where it walked 6 and read 5."""
+    plane = ring_from_dual_rays(((1, 0), (0, 1)))
+    poly = newton_polyhedron(monomial_ideal(plane, [(3, 5), (5, 3)]))
+    assert _region_runs(monkeypatch, plane, poly, None) == (((3, 5), (4, 4), (5, 3)), 3, 4)
+    assert _region_runs(monkeypatch, plane, poly, plane.canonical_shift()) == (((3, 4), (4, 3)), 2, 3)
 
 
 def test_a_region_without_a_floor_facet_reads_every_run(monkeypatch):
