@@ -5,18 +5,19 @@ divides w' when no sigma pairing of w exceeds that of w'), all reduced by one
 routine, a linear staircase on two sigma rays. Integral closures and
 multiplier ideals share one enumeration engine over a sigma-coordinate box
 around the Newton polyhedron's vertices, on the facet thresholds of
-geometry.lattice_thresholds: the walk starts at the thresholds of the facets
-on the sigma rays, each Hermite run (rings.run_starts) meets the region in
-one interval (rings.run_interval), and the walk stops at the first candidate
-dividing every later one. It runs
-only where a closure's generators are needed: a lattice point lies in
-closure(a) iff it lies in N(a), a facet test on the memoized newton_polyhedron.
+geometry.lattice_thresholds: the walk starts at the least generator pairing
+with each sigma ray, the offset of that ray's facet of N(a), each Hermite
+run (rings.run_starts) meets the region in one interval
+(rings.run_interval), and the walk stops at the first candidate dividing
+every later one. It runs only where a closure's generators are needed: a
+lattice point lies in closure(a) iff it lies in N(a), a facet test on the
+memoized newton_polyhedron.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter, le
 from typing import Iterable, Sequence
 
@@ -44,6 +45,11 @@ class MonomialIdeal:
     @property
     def is_zero(self) -> bool:
         return not self.gens
+
+    @cached_property
+    def pairings(self) -> tuple[tuple[int, ...], ...]:
+        """Each generator's sigma pairings, computed once for the ideal's divisibility tests."""
+        return tuple(map(self.ring.pairings, self.gens))
 
 
 def monomial_ideal(ring: ToricRing, gens: Iterable[Sequence[int]]) -> MonomialIdeal:
@@ -100,9 +106,8 @@ def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 def contains_monomial(a: MonomialIdeal, w: Sequence[int]) -> bool:
     """Does x^w lie in the ideal, i.e. does some generator divide w?"""
-    ring = a.ring
-    t = ring.pairings(require_exponent(ring, w))
-    return any(all(dot(g, n) <= s for n, s in zip(ring.sigma_rays, t)) for g in a.gens)
+    t = a.ring.pairings(require_exponent(a.ring, w))
+    return any(all(map(le, g, t)) for g in a.pairings)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -119,7 +124,7 @@ def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
     closure: the ring is normal, so (g + cone) ∩ M = g + semigroup."""
     if len(a.gens) <= 1:
         return a
-    gens = region_minimal_generators(a.ring, newton_polyhedron(a), shift=None)
+    gens = region_minimal_generators(a, None)
     return MonomialIdeal(a.ring, gens)
 
 
@@ -127,15 +132,11 @@ def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
 # Shared enumeration engine (integral closure and multiplier ideals)
 # ---------------------------------------------------------------------------
 
-def region_minimal_generators(
-    ring: ToricRing,
-    poly: NewtonPolyhedron,
-    shift: RatPoint | None,
-) -> tuple[LatticePoint, ...]:
-    """Minimal generators of an upward-closed lattice region.
+def region_minimal_generators(a: MonomialIdeal, shift: RatPoint | None) -> tuple[LatticePoint, ...]:
+    """Minimal generators of an upward-closed lattice region of N = N(a).
 
-    With shift=None the region is {w in the semigroup : w in poly}; with
-    shift=u0 it is {w : w + u0 interior to poly}. Candidates pair with each
+    With shift=None the region is {w in the semigroup : w in N}; with
+    shift=u0 it is {w : w + u0 interior to N}. Candidates pair with each
     sigma ray n to at most the largest vertex pairing plus the sum of <r, n>
     over the dual rays r (minus 1 with the shift): beyond, w (+ u0) = p + sum
     c_r r with p in the vertex hull has some c_r > 1, so w - r divides w in
@@ -143,29 +144,28 @@ def region_minimal_generators(
     the step u lies in the semigroup (ToricRing.run_step), so the first
     member divides the rest and is the run's one candidate.
 
-    The floor of sigma ray n_j is the threshold of the facet with normal n_j,
-    or 0 without one: no region point of the box pairs below it, so the walk
-    starts there (rings.run_starts). Runs come in walk order, so the pairing
-    with sigma ray 0 never decreases. The walk stops at a candidate pairing to
-    the floor with every sigma ray n_1, ...: it divides every candidate after it.
+    N = conv(a) + σ^∨, so each sigma ray n is a facet normal of N with offset
+    min <g, n> over the generators g, the region's floor on n (<u0, n> = 1):
+    no region point pairs below it, so the walk starts there (rings.run_starts).
+    Runs come in walk order, so the pairing with sigma ray 0 never decreases,
+    and the walk stops at a candidate pairing to the floor with every sigma
+    ray n_1, ...: it divides every candidate after it.
     """
+    ring, poly = a.ring, newton_polyhedron(a)
     off = 0 if shift is None else 1
     bounds = tuple(
         max(dot(v, n) for v in poly.vertices) + sum(dot(r, n) for r in ring.dual_rays) - off
         for n in ring.sigma_rays
     )
-    tests = lattice_thresholds(poly, shift)
-    floors = tuple(max(dict(tests).get(n, 0), 0) for n in ring.sigma_rays)
-    # a run may start below a floor (rings.run_starts): the semigroup tests it where no facet does
-    guards = tuple((n, 0) for n, m in zip(ring.sigma_rays, floors) if (n, m) not in tests)
+    floors = tuple(map(min, zip(*map(ring.pairings, a.gens))))
     u, ut = ring.run_step
-    steps = tuple((f, m, dot(u, f)) for f, m in tests + guards)
+    steps = tuple((f, m, dot(u, f)) for f, m in lattice_thresholds(poly, shift))
 
     def candidates():
         for w, t, n in run_starts(ring, bounds, floors):
             lo, hi = run_interval(w, n, steps)
             if lo <= hi:
-                ct = tuple(a + lo * s for a, s in zip(t, ut))
+                ct = tuple(x + lo * s for x, s in zip(t, ut))
                 yield vadd(w, vscale(lo, u)), ct
                 if ct[1:] == floors[1:]:
                     return

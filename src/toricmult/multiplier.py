@@ -23,7 +23,7 @@ def multiplier_ideal(a: MonomialIdeal) -> MonomialIdeal:
     u0 = a.ring.canonical_shift()
     if a.is_zero:
         raise ZeroIdeal("the multiplier ideal of the zero ideal is undefined")
-    gens = region_minimal_generators(a.ring, newton_polyhedron(a), shift=u0)
+    gens = region_minimal_generators(a, u0)
     return MonomialIdeal(a.ring, gens)
 
 

@@ -9,7 +9,8 @@ Lattice points are enumerated in sigma-coordinates t = (<w, n_i>), the
 lattice H Z^d for H the Hermite normal form of a basis of sigma rays
 (ToricRing.sigma_lattice), which lattice_points_in_box walks directly in
 lexicographic order of t (simplicial sigma) or of w (otherwise). The walk
-is runs w + k u, clipped to the other sigma rays' bounds by integer
+is runs w + k u, each carrying the pairings of w with every sigma ray in
+sigma-ray order, clipped to the other sigma rays' bounds by integer
 division on non-simplicial sigma; u lies in the semigroup. run_starts
 yields the runs, not their points, in walk order, so the pairing with sigma
 ray 0 never decreases from one run to the next, and starts at given floors
@@ -197,57 +198,48 @@ def _run_points(ring: ToricRing, runs) -> Iterator[tuple[LatticePoint, tuple[int
 
 
 def _hermite_walk(ring: ToricRing, bounds: Sequence[int], floors: Sequence[int]) -> Iterator[Run]:
-    """(w, t, n) per nonempty run w + k u, 0 <= k < n, of the integer k with H k in
-    the basis box and the other pairings in theirs, floors[i] <= <w, n_i> <= bounds[i];
-    t pairs w with every sigma ray.
+    """(w, t, n) per nonempty run w + k u, 0 <= k < n, of the integer k with
+    floors[i] <= <w, n_i> <= bounds[i] for every sigma ray n_i; t pairs w with
+    every sigma ray, in sigma-ray order.
 
-    H is lower triangular with a positive diagonal, so once k_0..k_{i-1} are
-    fixed, (H k)_i is increasing in k_i and bounds k_i to a range; walking
-    k lexicographically walks H k lexicographically. The last coordinate is
-    walked as runs, one per prefix. A sigma ray n outside the basis pairs to
-    a + k s along a run (a = <w, n>, s = <u, n>), which clips k to an
-    interval with one division per bound.
+    Column j of U pairs to H_ij with sigma ray basis[i] (N U = H), H lower
+    triangular with a positive diagonal: once k_0..k_{j-1} are fixed, the
+    pairing with basis[j] bounds k_j to a range, so k and the basis pairings
+    are walked in the same lexicographic order, w and t advancing by k_j times
+    column j and its pairings. The last coordinate is walked as runs, one per
+    prefix, clipped by the last basis ray and every ray outside the basis: n_i
+    pairs to t_i + k s along a run, s = <u, n_i> >= 0 (ring.run_step).
     """
-    ns = ring.sigma_rays
-    if len(bounds) != len(ns):
+    if len(bounds) != len(ring.sigma_rays):
         raise ValueError("one bound per sigma ray is required")
     if any(b < f for b, f in zip(bounds, floors)):
         return
     basis, hnf, uni = ring.sigma_lattice
-    box = [(floors[i], bounds[i]) for i in basis]
-    d = len(hnf)
-    last = d - 1
-    hcols = [tuple(row[j] for row in hnf) for j in range(d)]
-    ucols = [tuple(row[j] for row in uni) for j in range(d)]
-    h, (f, b), ulast = hnf[last][last], box[last], ucols[last]
-    others = [j for j in range(len(ns)) if j not in basis]
-    extra = [(ns[j], dot(ulast, ns[j]), floors[j], bounds[j]) for j in others]
-    order = [[*basis, *others].index(j) for j in range(len(ns))]  # emitted column of sigma ray j
+    u, ut = ring.run_step
+    last = len(u) - 1
+    cols = [(c, ring.pairings(c)) for c in zip(*(row[:last] for row in uni))]  # prefix columns of U
+    i0, s0 = basis[last], ut[basis[last]]  # the last diagonal entry of H, > 0
+    clip = [(i, ut[i]) for i in range(len(ut)) if i not in basis]
 
-    def prefixes(i, t, w):
-        h, hcol, ucol, (f, b) = hnf[i][i], hcols[i], ucols[i], box[i]
-        for k in range(-((t[i] - f) // h), (b - t[i]) // h + 1):
-            nt, nw = [a + k * c for a, c in zip(t, hcol)], [a + k * c for a, c in zip(w, ucol)]
-            if i + 1 == last:
+    def prefixes(j, t, w):
+        i, h, (ucol, tcol) = basis[j], hnf[j][j], cols[j]
+        for k in range(-((t[i] - floors[i]) // h), (bounds[i] - t[i]) // h + 1):
+            nt, nw = [a + k * c for a, c in zip(t, tcol)], [a + k * c for a, c in zip(w, ucol)]
+            if j + 1 == last:
                 yield nt, nw
             else:
-                yield from prefixes(i + 1, nt, nw)
+                yield from prefixes(j + 1, nt, nw)
 
-    for t, w in prefixes(0, [0] * d, [0] * d) if last else [([0], [0])]:
-        lo, hi = -((t[last] - f) // h), (b - t[last]) // h
-        cut = [(dot(w, ray), s, fn, bn) for ray, s, fn, bn in extra]
-        for a, s, fn, bn in cut:
-            if s:  # fn <= a + k s <= bn; s > 0 as u lies in the semigroup
-                lo, hi = max(lo, -((a - fn) // s)), min(hi, (bn - a) // s)
-            elif not fn <= a <= bn:
+    origin = [0] * len(ut), [0] * len(u)
+    for t, w in prefixes(0, *origin) if last else [origin]:
+        lo, hi = -((t[i0] - floors[i0]) // s0), (bounds[i0] - t[i0]) // s0
+        for i, s in clip:
+            if s:  # floors[i] <= t[i] + k s <= bounds[i]
+                lo, hi = max(lo, -((t[i] - floors[i]) // s)), min(hi, (bounds[i] - t[i]) // s)
+            elif not floors[i] <= t[i] <= bounds[i]:
                 hi = lo - 1
-        if hi < lo:
-            continue
-        t[last] += lo * h
-        if cut:
-            t += [a + lo * s for a, s, _, _ in cut]
-            t = [t[j] for j in order]
-        yield tuple(a + lo * c for a, c in zip(w, ulast)), tuple(t), hi - lo + 1
+        if lo <= hi:
+            yield tuple(a + lo * c for a, c in zip(w, u)), tuple(a + lo * s for a, s in zip(t, ut)), hi - lo + 1
 
 
 def run_starts(ring: ToricRing, bounds: Sequence[int], floors: Sequence[int] | None = None) -> Iterator[Run]:

@@ -3,7 +3,8 @@
 check_subadditivity decides J(ab) ⊆ J(a)·J(b) by testing every generator of
 J(ab). In dimension two the containment always holds and decompose_2d returns
 the constructive witness from a boundary walk of N(ab). exhaustive_refute
-certifies a failure by scanning every candidate splitting of a target point.
+certifies a failure by scanning every candidate splitting of a target point,
+one interval of splittings per Hermite run.
 The remaining operations build and search for counterexample instances by
 adjoining a variable to a smaller ring.
 """
@@ -271,28 +272,27 @@ def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> R
     sigma ray n (both summands pair ≥ 0 with n, and the pairings add up to
     ⟨v + u0, n⟩ = ⟨v, n⟩ + 1); a decomposition is alpha interior to N(a) with
     beta + u0 = (v − alpha) + u0 interior to N(b), on integer facet thresholds.
-    Along a run alpha = w + k·u (rings.run_starts) each holds on an interval
-    of k (rings.run_interval), so the splittings are their intersection; they
-    are listed in walk order on simplicial σ and by alpha otherwise. Each
-    facet's step along a run is computed once: ⟨u, f⟩ for N(a), and its
-    negative for N(b), along which beta = (v − w) − k·u moves.
+    beta + u0 interior to N(b) is a threshold on alpha as well: ⟨alpha, −f⟩ ≥
+    m − ⟨v, f⟩ for each threshold (f, m) of N(b). Along a run alpha = w + k·u
+    (rings.run_starts) the splittings are then one interval of k
+    (rings.run_interval), each facet's step ⟨u, f⟩ computed once; they are
+    listed in walk order on simplicial σ and by alpha otherwise.
     """
     ring = _same_ring(a, b)
     u0 = ring.canonical_shift()
     target = require_exponent(ring, v)
     u, ut = ring.run_step
-    inside_a = [(f, m, dot(u, f)) for f, m in lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim)]
-    inside_b = [(f, m, -dot(u, f)) for f, m in lattice_thresholds(newton_polyhedron(b), u0)]
+    inside_a = lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim)
+    inside_b = tuple((vscale(-1, f), m - dot(target, f)) for f, m in lattice_thresholds(newton_polyhedron(b), u0))
+    tests = [(f, m, dot(u, f)) for f, m in inside_a + inside_b]
     bounds = tuple(t + 1 for t in ring.pairings(target))
 
     found, scanned = [], 0
     for w, _, n in run_starts(ring, bounds):
         scanned += n
-        lo, hi = run_interval(w, n, inside_a)
-        if lo <= hi:
-            blo, bhi = run_interval(vsub(target, w), n, inside_b)
-            alphas = (vadd(w, vscale(k, u)) for k in range(max(lo, blo), min(hi, bhi) + 1))
-            found += ((alpha, vsub(target, alpha)) for alpha in alphas)
+        lo, hi = run_interval(w, n, tests)
+        alphas = (vadd(w, vscale(k, u)) for k in range(lo, hi + 1))
+        found += ((alpha, vsub(target, alpha)) for alpha in alphas)
     if len(ut) > ring.dim:
         found.sort()
     return RefutationReport(target, bounds, scanned, tuple(found))

@@ -7,7 +7,7 @@ cones, and Gaussian elimination over `Fraction` for the few matrix inverses
 involved.  None of it shares code with the library's double-description engine
 or its lattice walker, so agreement is evidence rather than tautology.
 
-Nine exceptions keep a replaced library path as the reference for its
+Ten exceptions keep a replaced library path as the reference for its
 replacement. `decompose_2d` is the per-generator boundary walk the library's
 cached version replaced: it builds every edge region with the library's
 double description and tests it with `Fraction` membership, so it pins the
@@ -28,7 +28,10 @@ dualized from a greedy basis of its lifted rows, points first, with
 the library's `linalg`. `antichain_scan` is the quadratic divisibility scan
 that the library's two-ray staircase replaced, and `dot_membership` the
 `Fraction` pairing of every facet with x that its fraction-free membership
-test replaced.
+test replaced. `hermite_walk` is the walk of Hermite runs that kept the
+basis pairings apart, paired each run with the rays outside the basis by
+`dot` and permuted the pairings into sigma-ray order; the library's walk
+carries every sigma pairing instead, and must emit the same runs in order.
 """
 
 from __future__ import annotations
@@ -485,6 +488,61 @@ def exhaustive_refute(v, a, b):
         if all(dot(alpha, f) >= m for f, m in inside_a) and all(dot(beta, f) >= m for f, m in inside_b):
             found.append((alpha, beta))
     return RefutationReport(target, bounds, scanned, tuple(found))
+
+
+def hermite_walk(ring, bounds, floors):
+    """The library's walk of Hermite runs before it carried every sigma pairing:
+    (w, t, n) per nonempty run w + k u, 0 <= k < n, of the integer k with H k in
+    the basis box and the other pairings in theirs, floors[i] <= <w, n_i> <= bounds[i];
+    t pairs w with every sigma ray.
+
+    H is lower triangular with a positive diagonal, so once k_0..k_{i-1} are
+    fixed, (H k)_i is increasing in k_i and bounds k_i to a range; walking
+    k lexicographically walks H k lexicographically. The last coordinate is
+    walked as runs, one per prefix. A sigma ray n outside the basis pairs to
+    a + k s along a run (a = <w, n>, s = <u, n>), which clips k to an
+    interval with one division per bound.
+    """
+    ns = ring.sigma_rays
+    if len(bounds) != len(ns):
+        raise ValueError("one bound per sigma ray is required")
+    if any(b < f for b, f in zip(bounds, floors)):
+        return
+    basis, hnf, uni = ring.sigma_lattice
+    box = [(floors[i], bounds[i]) for i in basis]
+    d = len(hnf)
+    last = d - 1
+    hcols = [tuple(row[j] for row in hnf) for j in range(d)]
+    ucols = [tuple(row[j] for row in uni) for j in range(d)]
+    h, (f, b), ulast = hnf[last][last], box[last], ucols[last]
+    others = [j for j in range(len(ns)) if j not in basis]
+    extra = [(ns[j], dot(ulast, ns[j]), floors[j], bounds[j]) for j in others]
+    order = [[*basis, *others].index(j) for j in range(len(ns))]  # emitted column of sigma ray j
+
+    def prefixes(i, t, w):
+        h, hcol, ucol, (f, b) = hnf[i][i], hcols[i], ucols[i], box[i]
+        for k in range(-((t[i] - f) // h), (b - t[i]) // h + 1):
+            nt, nw = [a + k * c for a, c in zip(t, hcol)], [a + k * c for a, c in zip(w, ucol)]
+            if i + 1 == last:
+                yield nt, nw
+            else:
+                yield from prefixes(i + 1, nt, nw)
+
+    for t, w in prefixes(0, [0] * d, [0] * d) if last else [([0], [0])]:
+        lo, hi = -((t[last] - f) // h), (b - t[last]) // h
+        cut = [(dot(w, ray), s, fn, bn) for ray, s, fn, bn in extra]
+        for a, s, fn, bn in cut:
+            if s:  # fn <= a + k s <= bn; s > 0 as u lies in the semigroup
+                lo, hi = max(lo, -((a - fn) // s)), min(hi, (bn - a) // s)
+            elif not fn <= a <= bn:
+                hi = lo - 1
+        if hi < lo:
+            continue
+        t[last] += lo * h
+        if cut:
+            t += [a + lo * s for a, s, _, _ in cut]
+            t = [t[j] for j in order]
+        yield tuple(a + lo * c for a, c in zip(w, ulast)), tuple(t), hi - lo + 1
 
 
 def cold_extreme_rays(rows, dim):

@@ -1,16 +1,18 @@
 """The region walk from its floors against the walk of the whole box.
 
-Every sigma ray n is a facet normal of a Newton polyhedron N(a), and the
-facet's threshold is the region's floor on n: no region point pairs below
-it. region_minimal_generators passes its floors to rings.run_starts, which
+N(a) = conv(a) + σ^∨, so every sigma ray n is a facet normal of N(a), with
+offset the least pairing <g, n> of a generator g; that offset is the
+facet's threshold with or without the shift u0 (<u0, n> = 1), and the
+region's floor on n: no region point pairs below it. This is checked on
+every ring below and on one without a canonical point.
+region_minimal_generators passes its floors to rings.run_starts, which
 starts the walk there: exactly on non-simplicial sigma, and on simplicial
 sigma from the lattice point p that rounds the floors down on the Hermite
 basis, so a run may start below a floor by less than the diagonal entry H_ii.
 oracles.region_minimal_generators tests every point of the box from the
-origin instead; the two must give the same generators. A region whose
-recession cone is wider than the exponent cone may have no facet on a sigma
-ray, and there p may pair negatively with it, so the walk tests the
-semigroup on such a ray; one such region is checked by hand.
+origin instead; the two must give the same generators. The walk carries
+every sigma pairing of its runs; oracles.hermite_walk, the walk that kept
+the basis pairings apart, must give the same runs in the same order.
 """
 
 import itertools
@@ -19,11 +21,11 @@ import random
 import pytest
 
 import oracles
-from instances import POOL, random_2d_ring, random_3d_ring, random_non_simplicial_rings
-from toricmult.geometry import PolyCone, hull_plus_cone, lattice_thresholds
+from instances import NOT_Q_GORENSTEIN_DUAL_RAYS, POOL, random_2d_ring, random_3d_ring, random_non_simplicial_rings
+from toricmult.geometry import lattice_thresholds
 from toricmult.ideals import monomial_ideal, newton_polyhedron, region_minimal_generators
-from toricmult.linalg import dot, vadd, vscale
-from toricmult.rings import lattice_points_in_box, ring_from_dual_rays, run_starts, semigroup_points
+from toricmult.linalg import vadd, vscale
+from toricmult.rings import _hermite_walk, lattice_points_in_box, ring_from_dual_rays, run_starts, semigroup_points
 
 
 def _rings():
@@ -78,25 +80,79 @@ def test_runs_from_the_floors_cover_the_box_above_them(name, ring):
                 assert all(map(int.__ge__, t, floors)), (bounds, floors, t)
 
 
-def _far_ideals(name, ring):
-    """Small random ideals moved away from the origin by multiples of the sum of the dual rays."""
+# The walk's rings and a ring of dimension one, whose walk is a single run.
+WALK_RINGS = RINGS + [("line-1d", ring_from_dual_rays([(1,)]))]
+
+
+def _walk_cases(name, ring):
+    """Random floors <= bounds; one box with bounds below the floors on one ray."""
+    rng = random.Random(name + "-walk")
+    rays = len(ring.sigma_rays)
+    side = 12 if ring.dim <= 2 else 5
+    for _ in range(12):
+        bounds = tuple(rng.randint(0, side) for _ in range(rays))
+        yield bounds, tuple(rng.randint(0, b) for b in bounds)
+    i = rng.randrange(rays)
+    yield bounds, tuple(b + (j == i) for j, b in enumerate(bounds))
+
+
+@pytest.mark.parametrize("name, ring", WALK_RINGS, ids=[name for name, _ in WALK_RINGS])
+def test_the_walk_matches_the_walk_it_replaced(name, ring):
+    """The same runs (w, t, n), in the same order, as the walk that kept the basis
+    pairings apart and permuted the others in (oracles.hermite_walk)."""
+    for bounds, floors in _walk_cases(name, ring):
+        assert list(_hermite_walk(ring, bounds, floors)) == list(oracles.hermite_walk(ring, bounds, floors))
+
+
+def test_the_walk_cases_reach_every_kind_of_clip():
+    """Rays outside the basis with step 0 and with a positive step, empty boxes and one-run walks."""
+    steps, kinds = set(), set()
+    for name, ring in WALK_RINGS:
+        basis = ring.sigma_lattice[0]
+        steps.update(s > 0 for i, s in enumerate(ring.run_step[1]) if i not in basis)
+        for bounds, floors in _walk_cases(name, ring):
+            kinds.add(min(len(list(_hermite_walk(ring, bounds, floors))), 2))
+    assert steps == {False, True}
+    assert kinds == {0, 1, 2}
+
+
+def _moved_ideals(name, ring, moves):
+    """Small random ideals moved away from the origin by multiples m of the sum of the dual rays."""
     rng = random.Random(name + "-far")
     c = tuple(map(sum, zip(*ring.dual_rays)))
     bound = next(b for b in itertools.count(12 if ring.dim == 2 else 2) if len(semigroup_points(ring, b)) > 4)
     points = [w for w in semigroup_points(ring, bound) if any(w)]
-    for m in (1, 3) if ring.dim == 2 else (1,):
+    for m in moves:
         gens = rng.sample(points, min(3, len(points)))
         yield monomial_ideal(ring, [vadd(g, vscale(m, c)) for g in gens])
+
+
+# The rings above, with the ring that has no canonical point.
+FACET_RINGS = RINGS + [("not-q-gorenstein-3d", ring_from_dual_rays(NOT_Q_GORENSTEIN_DUAL_RAYS))]
+
+
+@pytest.mark.parametrize("name, ring", FACET_RINGS, ids=[name for name, _ in FACET_RINGS])
+def test_every_sigma_ray_is_a_facet_normal_at_the_least_generator_pairing(name, ring):
+    """N(a) = conv(a) + σ^∨, so each sigma ray n is a facet normal of N(a) with
+    offset min <g, n> over the generators g, the region's floor on n. As
+    <u0, n> = 1, the shifted threshold of that facet is the offset too."""
+    for a in _moved_ideals(name, ring, (0, 1, 3) if ring.dim == 2 else (0, 1)):
+        floors = [min(oracles.dot(g, n) for g in a.gens) for n in ring.sigma_rays]
+        poly = newton_polyhedron(a)
+        offsets = {h.normal: h.offset for h in poly.facets}
+        assert [offsets.get(n) for n in ring.sigma_rays] == floors, a.gens
+        for shift in (None, ring.canonical_shift()) if ring.q_gorenstein else (None,):
+            thresholds = dict(lattice_thresholds(poly, shift))
+            assert [thresholds[n] for n in ring.sigma_rays] == floors, (a.gens, shift)
 
 
 @pytest.mark.parametrize("name, ring", RINGS, ids=IDS)
 def test_regions_far_from_the_origin_match_the_per_point_scan(name, ring):
     """Closures on every ring; multiplier regions where u0 exists."""
-    for a in _far_ideals(name, ring):
+    for a in _moved_ideals(name, ring, (1, 3) if ring.dim == 2 else (1,)):
         poly = newton_polyhedron(a)
-        assert {f for f, _ in lattice_thresholds(poly)} >= set(ring.sigma_rays)
         for shift in (None, ring.canonical_shift()) if ring.q_gorenstein else (None,):
-            assert region_minimal_generators(ring, poly, shift) == oracles.region_minimal_generators(ring, poly, shift)
+            assert region_minimal_generators(a, shift) == oracles.region_minimal_generators(ring, poly, shift)
 
 
 def _read_runs(monkeypatch):
@@ -110,24 +166,6 @@ def _read_runs(monkeypatch):
 
     monkeypatch.setattr("toricmult.ideals.run_starts", recorded)
     return read
-
-
-def test_a_sigma_ray_without_a_facet_keeps_the_walk_in_the_semigroup(monkeypatch):
-    """On the cusp (det 3), N = (2, 3) + cone((2, 1), (-1, 0)) has the facet
-    <w, (-1, 2)> >= 4 on sigma ray 0 but none on sigma ray 1 = (2, -1). p
-    rounds the floors (4, 0) down to pairings (4, -2), and the run at first
-    pairing 5 starts at (1, 3), which lies in N but pairs -1 with sigma ray 1:
-    only the walk's semigroup test on that ray keeps it out of the
-    generators."""
-    cusp = ring_from_dual_rays(((2, 1), (1, 2)))
-    assert cusp.sigma_rays == ((-1, 2), (2, -1))
-    wide = hull_plus_cone([(2, 3)], PolyCone.from_rays([(2, 1), (-1, 0)]))
-    assert lattice_thresholds(wide) == (((-1, 2), 4), ((0, 1), 3))
-    read = _read_runs(monkeypatch)
-    gens = region_minimal_generators(cusp, wide, None)
-    assert gens == oracles.region_minimal_generators(cusp, wide, None) == ((2, 3), (2, 4))
-    assert [run[:2] for run in read[:2]] == [((0, 2), (4, -2)), ((1, 3), (5, -1))]
-    assert all(dot((1, 3), f) >= m for f, m in lattice_thresholds(wide))
 
 
 def _paper_ideal(k):
@@ -149,7 +187,7 @@ def test_the_walk_from_the_floors_does_not_grow_with_the_distance(monkeypatch):
         ring, poly = a.ring, newton_polyhedron(a)
         for shift in (None, ring.canonical_shift()):
             read.clear()
-            gens = region_minimal_generators(ring, poly, shift)
+            gens = region_minimal_generators(a, shift)
             runs[k, shift is None] = len(read)
             base.setdefault(shift is None, gens)
             assert gens == tuple(vadd(g, vscale(k, (6, 6, 3))) for g in base[shift is None])

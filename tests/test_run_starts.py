@@ -16,8 +16,8 @@ ray on every ring, which is tested on these and on seeded random cones.
 Seeded random plane pairs of the two-dimensional property suite add their
 products.
 
-The region walk starts at its floors, the thresholds of the facets on the
-sigma rays (test_region_floors checks the walk from them), and stops at a
+The region walk starts at its floors, the least generator pairings with
+the sigma rays (test_region_floors checks the walk from them), and stops at a
 candidate pairing to its floor with every sigma ray after the first, which
 is exact because the pairing with sigma ray 0 never decreases along the
 walk; the start, the stop and that order are tested, with the runs a region
@@ -31,7 +31,7 @@ import pytest
 
 import oracles
 from instances import POOL, STEPPING_DOWN, random_2d_ring, random_3d_ring, random_ideal, random_non_simplicial_rings
-from toricmult.geometry import PolyCone, hull_plus_cone, lattice_thresholds
+from toricmult.geometry import lattice_thresholds
 from toricmult.ideals import monomial_ideal, newton_polyhedron, product, region_minimal_generators
 from toricmult.linalg import dot, primitivize, vadd, vscale, vsub
 from toricmult.rings import (
@@ -170,7 +170,7 @@ def test_region_generators_match_the_per_point_scan(name, ring):
     for a in _ideals(name, ring, 4):
         poly = newton_polyhedron(a)
         for shift in (None, ring.canonical_shift()) if ring.q_gorenstein else (None,):
-            assert region_minimal_generators(ring, poly, shift) == oracles.region_minimal_generators(ring, poly, shift)
+            assert region_minimal_generators(a, shift) == oracles.region_minimal_generators(ring, poly, shift)
 
 
 def test_region_generators_match_the_per_point_scan_on_random_plane_pairs():
@@ -183,7 +183,7 @@ def test_region_generators_match_the_per_point_scan_on_random_plane_pairs():
         for ideal in (a, b, product(a, b)):
             poly = newton_polyhedron(ideal)
             for shift in (None, ring.canonical_shift()):
-                assert region_minimal_generators(ring, poly, shift) == oracles.region_minimal_generators(ring, poly, shift)
+                assert region_minimal_generators(ideal, shift) == oracles.region_minimal_generators(ring, poly, shift)
 
 
 @pytest.mark.parametrize("name, ring", RINGS, ids=IDS)
@@ -217,7 +217,7 @@ def test_the_run_step_lies_on_a_dual_ray_of_every_ring():
         assert min(ut) >= 0 and ut[0] == 0
 
 
-def _region_runs(monkeypatch, ring, poly, shift):
+def _region_runs(monkeypatch, a, shift):
     """(generators, runs the region read, runs of its walk) of one region call."""
     read, walked = [], []
 
@@ -228,8 +228,8 @@ def _region_runs(monkeypatch, ring, poly, shift):
             yield run
 
     monkeypatch.setattr("toricmult.ideals.run_starts", counted)
-    gens = region_minimal_generators(ring, poly, shift)
-    assert gens == oracles.region_minimal_generators(ring, poly, shift)
+    gens = region_minimal_generators(a, shift)
+    assert gens == oracles.region_minimal_generators(a.ring, newton_polyhedron(a), shift)
     return gens, len(read), walked[0]
 
 
@@ -239,10 +239,9 @@ def test_the_region_walk_stops_at_a_candidate_on_every_floor(monkeypatch):
     closure region of <x> stops on its first run, at x on the floor 1 of the
     facet x >= 1; the facet y >= 0 has the lower threshold 0."""
     plane = ring_from_dual_rays(((1, 0), (0, 1)))
-    poly = newton_polyhedron(monomial_ideal(plane, [(2, 0), (0, 3)]))
-    assert _region_runs(monkeypatch, plane, poly, plane.canonical_shift()) == (((0, 1), (1, 0)), 2, 4)
-    poly = newton_polyhedron(monomial_ideal(plane, [(1, 0)]))
-    assert _region_runs(monkeypatch, plane, poly, None) == (((1, 0),), 1, 2)
+    a = monomial_ideal(plane, [(2, 0), (0, 3)])
+    assert _region_runs(monkeypatch, a, plane.canonical_shift()) == (((0, 1), (1, 0)), 2, 4)
+    assert _region_runs(monkeypatch, monomial_ideal(plane, [(1, 0)]), None) == (((1, 0),), 1, 2)
 
 
 def test_the_region_walk_starts_at_its_floors(monkeypatch):
@@ -251,18 +250,9 @@ def test_the_region_walk_starts_at_its_floors(monkeypatch):
     stopping at x^3 y^5 on the floor 3 of x; from the origin it walked 7 and
     read 6. J walks 3 runs and reads 2, where it walked 6 and read 5."""
     plane = ring_from_dual_rays(((1, 0), (0, 1)))
-    poly = newton_polyhedron(monomial_ideal(plane, [(3, 5), (5, 3)]))
-    assert _region_runs(monkeypatch, plane, poly, None) == (((3, 5), (4, 4), (5, 3)), 3, 4)
-    assert _region_runs(monkeypatch, plane, poly, plane.canonical_shift()) == (((3, 4), (4, 3)), 2, 3)
-
-
-def test_a_region_without_a_floor_facet_reads_every_run(monkeypatch):
-    """No facet of (2, 2) + cone((2, -1), (-1, 2)) has a sigma ray as normal,
-    and no region point of the box lies on the floor 0 of either sigma ray."""
-    plane = ring_from_dual_rays(((1, 0), (0, 1)))
-    wide = hull_plus_cone([(2, 2)], PolyCone.from_rays([(2, -1), (-1, 2)]))
-    assert not {f for f, _ in lattice_thresholds(wide)} & set(plane.sigma_rays)
-    assert _region_runs(monkeypatch, plane, wide, None) == (((2, 2),), 4, 4)
+    a = monomial_ideal(plane, [(3, 5), (5, 3)])
+    assert _region_runs(monkeypatch, a, None) == (((3, 5), (4, 4), (5, 3)), 3, 4)
+    assert _region_runs(monkeypatch, a, plane.canonical_shift()) == (((3, 4), (4, 3)), 2, 3)
 
 
 def test_only_the_first_member_of_a_run_can_be_minimal():
@@ -271,7 +261,7 @@ def test_only_the_first_member_of_a_run_can_be_minimal():
     another region member of its run."""
     a = monomial_ideal(STEPPING_DOWN, [(-2, -3, 4), (0, -1, 4)])
     poly = newton_polyhedron(a)
-    gens = region_minimal_generators(STEPPING_DOWN, poly, None)
+    gens = region_minimal_generators(a, None)
     assert gens == oracles.closure_scan(a.gens, STEPPING_DOWN.dual_rays, STEPPING_DOWN.sigma_rays)
     tests = lattice_thresholds(poly, None)
     before = [vsub(g, STEPPING_DOWN.run_step[0]) for g in gens]
