@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 from .errors import RingMismatch, ZeroIdeal
 from .geometry import LatticePoint, NewtonPolyhedron, RatPoint, hull_plus_cone, lattice_thresholds
 from .linalg import dot, vadd, vscale
-from .rings import ToricRing, require_exponent, run_interval, run_starts
+from .rings import ToricRing, exponent_pairings, run_interval, run_starts
 
 # Entries kept by each memoized ideal operation (newton_polyhedron,
 # integral_closure, multiplier.multiplier_ideal); see their cache_info().
@@ -54,8 +54,7 @@ class MonomialIdeal:
 
 def monomial_ideal(ring: ToricRing, gens: Iterable[Sequence[int]]) -> MonomialIdeal:
     """Ideal generated by the given exponents, reduced to minimal generators."""
-    pts = [require_exponent(ring, g) for g in gens]
-    return MonomialIdeal(ring, minimalize(ring, pts))
+    return MonomialIdeal(ring, _antichain(exponent_pairings(ring, g) for g in gens))
 
 
 def minimalize(ring: ToricRing, gens: Sequence[LatticePoint]) -> tuple[LatticePoint, ...]:
@@ -85,6 +84,12 @@ def _antichain(points: Iterable[tuple[LatticePoint, tuple[int, ...]]]) -> tuple[
     return tuple(sorted(gens))
 
 
+def sigma_floors(a: MonomialIdeal) -> tuple[int, ...]:
+    """The least generator pairing with each sigma ray: N(a) = conv(a) + σ^∨, so every
+    sigma ray is a facet normal of N(a), and this is its facet's offset."""
+    return tuple(map(min, zip(*map(a.ring.pairings, a.gens))))
+
+
 def _same_ring(a: MonomialIdeal, b: MonomialIdeal) -> ToricRing:
     if a.ring != b.ring:
         raise RingMismatch("ideals live in different rings")
@@ -106,7 +111,7 @@ def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 def contains_monomial(a: MonomialIdeal, w: Sequence[int]) -> bool:
     """Does x^w lie in the ideal, i.e. does some generator divide w?"""
-    t = a.ring.pairings(require_exponent(a.ring, w))
+    _, t = exponent_pairings(a.ring, w)
     return any(all(map(le, g, t)) for g in a.pairings)
 
 
@@ -145,8 +150,9 @@ def region_minimal_generators(a: MonomialIdeal, shift: RatPoint | None) -> tuple
     member divides the rest and is the run's one candidate.
 
     N = conv(a) + σ^∨, so each sigma ray n is a facet normal of N with offset
-    min <g, n> over the generators g, the region's floor on n (<u0, n> = 1):
-    no region point pairs below it, so the walk starts there (rings.run_starts).
+    min <g, n> over the generators g (sigma_floors), the region's floor on n
+    (<u0, n> = 1): no region point pairs below it, so the walk starts there
+    (rings.run_starts).
     Runs come in walk order, so the pairing with sigma ray 0 never decreases,
     and the walk stops at a candidate pairing to the floor with every sigma
     ray n_1, ...: it divides every candidate after it.
@@ -157,7 +163,7 @@ def region_minimal_generators(a: MonomialIdeal, shift: RatPoint | None) -> tuple
         max(dot(v, n) for v in poly.vertices) + sum(dot(r, n) for r in ring.dual_rays) - off
         for n in ring.sigma_rays
     )
-    floors = tuple(map(min, zip(*map(ring.pairings, a.gens))))
+    floors = sigma_floors(a)
     u, ut = ring.run_step
     steps = tuple((f, m, dot(u, f)) for f, m in lattice_thresholds(poly, shift))
 

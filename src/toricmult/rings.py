@@ -20,7 +20,7 @@ tests, given each facet's step along the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -40,12 +40,20 @@ class ToricRing:
     the primitive generators of sigma itself. q_gorenstein is (w0, r) with
     <w0, n> = r for every sigma ray n, w0 primitive and r >= 1 minimal, or
     None when no such lattice point exists. The canonical point u0 and the
-    sigma lattice are computed once per ring object, on first use.
+    sigma lattice are computed once per ring object, on first use, and the
+    hash on construction: every memo keyed on the ring or its ideals reads it.
     """
 
     dim: int
     cone: PolyCone
     q_gorenstein: tuple[LatticePoint, int] | None
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.dim, self.cone, self.q_gorenstein)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dual_rays(self) -> tuple[LatticePoint, ...]:
@@ -99,6 +107,12 @@ class ToricRing:
         0 on the basis facet, h > 0 on the last basis ray: u is k r0, k > 0, in the semigroup."""
         u = tuple(row[-1] for row in self.sigma_lattice[2])
         return u, self.pairings(u)
+
+    @cached_property
+    def prefix_steps(self) -> tuple[tuple[LatticePoint, tuple[int, ...]], ...]:
+        """(c, ct) per column c of U but the last, the run step, with its sigma pairings ct:
+        the steps of the coordinates k_0..k_{d-2} that _hermite_walk walks before its runs."""
+        return tuple((c, self.pairings(c)) for c in zip(*(row[:-1] for row in self.sigma_lattice[2])))
 
     def pairings(self, w: Sequence) -> tuple:
         return tuple(dot(w, n) for n in self.sigma_rays)
@@ -155,13 +169,20 @@ def semigroup_contains(ring: ToricRing, w: Sequence[int]) -> bool:
 
 def require_exponent(ring: ToricRing, w: Sequence[int]) -> LatticePoint:
     """w as a lattice point of the ring; NotInSemigroup names a sigma ray it pairs negatively with."""
+    return exponent_pairings(ring, w)[0]
+
+
+def exponent_pairings(ring: ToricRing, w: Sequence[int]) -> tuple[LatticePoint, tuple[int, ...]]:
+    """(p, t): w as a lattice point p of the ring and its sigma pairings t, each computed once;
+    raises as require_exponent does, naming the first sigma ray that p pairs negatively with."""
     p = as_lattice_point(w)
     if len(p) != ring.dim:
         raise DimensionMismatch(f"point of dimension {len(p)} in ring of dimension {ring.dim}")
-    for n in ring.sigma_rays:
-        if dot(p, n) < 0:
-            raise NotInSemigroup(f"{p} pairs {dot(p, n)} with sigma ray {n}")
-    return p
+    t = ring.pairings(p)
+    for x, n in zip(t, ring.sigma_rays):
+        if x < 0:
+            raise NotInSemigroup(f"{p} pairs {x} with sigma ray {n}")
+    return p, t
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +235,10 @@ def _hermite_walk(ring: ToricRing, bounds: Sequence[int], floors: Sequence[int])
         raise ValueError("one bound per sigma ray is required")
     if any(b < f for b, f in zip(bounds, floors)):
         return
-    basis, hnf, uni = ring.sigma_lattice
+    basis, hnf, _ = ring.sigma_lattice
     u, ut = ring.run_step
     last = len(u) - 1
-    cols = [(c, ring.pairings(c)) for c in zip(*(row[:last] for row in uni))]  # prefix columns of U
+    cols = ring.prefix_steps
     i0, s0 = basis[last], ut[basis[last]]  # the last diagonal entry of H, > 0
     clip = [(i, ut[i]) for i in range(len(ut)) if i not in basis]
 
@@ -248,8 +269,10 @@ def run_starts(ring: ToricRing, bounds: Sequence[int], floors: Sequence[int] | N
     sigma ray n_i. On non-simplicial sigma the runs start on the floors. On simplicial sigma a run starts
     below h = ring.run_step[1][-1] above the point p = U k, k_i = floor((floors_i - sum_{j<i} H_ij k_j) /
     H_ii), which pairs to more than floors_i - H_ii with n_i: the box cut there above p walks the starts,
-    and the caller tests the points of a run below a floor."""
+    and the caller tests the points of a run below a floor. A bound below its floor yields no run."""
     floors = floors or (0,) * len(bounds)
+    if any(b < f for b, f in zip(bounds, floors)):
+        return
     if len(ring.sigma_rays) > ring.dim:
         yield from _hermite_walk(ring, bounds, floors)
         return

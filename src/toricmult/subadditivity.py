@@ -3,8 +3,9 @@
 check_subadditivity decides J(ab) ⊆ J(a)·J(b) by testing every generator of
 J(ab). In dimension two the containment always holds and decompose_2d returns
 the constructive witness from a boundary walk of N(ab). exhaustive_refute
-certifies a failure by scanning every candidate splitting of a target point,
-one interval of splittings per Hermite run.
+certifies a failure by scanning every candidate splitting of a target point:
+it walks the Hermite runs of the box where a splitting can lie, one interval
+of splittings per run, and counts the box it reports once per distinct box.
 The remaining operations build and search for counterexample instances by
 adjoining a variable to a smaller ring.
 """
@@ -17,6 +18,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -36,11 +38,13 @@ from .ideals import (
     monomial_ideal,
     newton_polyhedron,
     product,
+    sigma_floors,
 )
 from .linalg import dot, vadd, vscale, vsub
 from .multiplier import multiplier_ideal, multiplier_membership
 from .rings import (
     ToricRing,
+    exponent_pairings,
     require_exponent,
     ring_from_dual_rays,
     run_interval,
@@ -245,12 +249,11 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
     if ring.dim != 2:
         raise NotDimension2(f"boundary-walk decomposition needs dimension 2, not {ring.dim}")
     u0 = ring.canonical_shift()
-    pt = require_exponent(ring, p)
+    pt, (t0, t1) = exponent_pairings(ring, p)
     interior, regions = _edge_regions(a, b)
     if not all(dot(pt, f) >= m for f, m in interior):
         raise NotInMultiplierIdeal(f"{pt} + u0 is not interior to the product's Newton polyhedron")
 
-    t0, t1 = ring.pairings(pt)
     for idx, (floor0, floor1, side, witness) in enumerate(regions):
         if t0 >= floor0 and t1 >= floor1:
             remainder = vadd(vsub(pt, witness), u0)
@@ -265,37 +268,47 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
 # Refutation by exhaustive scan
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _box_size(ring: ToricRing, bounds: tuple[int, ...]) -> int:
+    """The number of lattice points w with 0 ≤ ⟨w, n_i⟩ ≤ bounds[i] for every sigma ray n_i,
+    summed over the Hermite runs of the box; memoized, as refutations share their boxes."""
+    return sum(n for _, _, n in run_starts(ring, bounds))
+
+
 def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> RefutationReport:
     """Scan every candidate splitting v = alpha + beta against the two interiors.
 
-    alpha runs over the lattice points with 0 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ + 1 for every
-    sigma ray n (both summands pair ≥ 0 with n, and the pairings add up to
-    ⟨v + u0, n⟩ = ⟨v, n⟩ + 1); a decomposition is alpha interior to N(a) with
-    beta + u0 = (v − alpha) + u0 interior to N(b), on integer facet thresholds.
-    beta + u0 interior to N(b) is a threshold on alpha as well: ⟨alpha, −f⟩ ≥
-    m − ⟨v, f⟩ for each threshold (f, m) of N(b). Along a run alpha = w + k·u
-    (rings.run_starts) the splittings are then one interval of k
-    (rings.run_interval), each facet's step ⟨u, f⟩ computed once; they are
-    listed in walk order on simplicial σ and by alpha otherwise.
+    A decomposition is alpha interior to N(a) with beta + u0 = (v − alpha) + u0
+    interior to N(b), on integer facet thresholds; the latter is a threshold
+    ⟨alpha, −f⟩ ≥ m − ⟨v, f⟩ on alpha for each threshold (f, m) of N(b). Each
+    sigma ray n bounds N(a) and N(b) below at their least generator pairings,
+    and ⟨u0, n⟩ = 1, so only the runs alpha = w + k·u (rings.run_starts) of the
+    splitting box floor_a(n) + 1 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ − floor_b(n) are walked.
+    On a run the splittings are one interval of k on every facet test, as a run
+    may start below a floor (rings.run_interval); they are listed in walk order
+    on simplicial σ and by alpha otherwise. bounds is the box of every
+    candidate, 0 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ + 1, and scanned its lattice-point count
+    (_box_size).
     """
     ring = _same_ring(a, b)
     u0 = ring.canonical_shift()
-    target = require_exponent(ring, v)
+    target, tv = exponent_pairings(ring, v)
     u, ut = ring.run_step
     inside_a = lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim)
     inside_b = tuple((vscale(-1, f), m - dot(target, f)) for f, m in lattice_thresholds(newton_polyhedron(b), u0))
     tests = [(f, m, dot(u, f)) for f, m in inside_a + inside_b]
-    bounds = tuple(t + 1 for t in ring.pairings(target))
+    floors = tuple(m + 1 for m in sigma_floors(a))
+    ceilings = tuple(map(sub, tv, sigma_floors(b)))
 
-    found, scanned = [], 0
-    for w, _, n in run_starts(ring, bounds):
-        scanned += n
+    found = []
+    for w, _, n in run_starts(ring, ceilings, floors):
         lo, hi = run_interval(w, n, tests)
         alphas = (vadd(w, vscale(k, u)) for k in range(lo, hi + 1))
         found += ((alpha, vsub(target, alpha)) for alpha in alphas)
     if len(ut) > ring.dim:
         found.sort()
-    return RefutationReport(target, bounds, scanned, tuple(found))
+    bounds = tuple(t + 1 for t in tv)
+    return RefutationReport(target, bounds, _box_size(ring, bounds), tuple(found))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Memoized layers: bounded caches that return what a fresh computation returns.
 
 Rings, Newton polyhedra, integral closures, multiplier ideals, the 2D edge
-regions of an ideal pair, and the two search stages (the skeleton space of a
-config's bounds and the gap points of a generator pair) are pure functions
-of frozen values, so each is memoized by value; a ring's canonical point and
-sigma lattice are computed once and held by the ring itself. The checks here
-pin that every cache is bounded, that a cached answer equals the undecorated
-function's, that configs differing only in seed or cap share one skeleton
-space, and that errors are raised again rather than remembered.
+regions of an ideal pair, the lattice-point count of a refutation's box, and
+the two search stages (the skeleton space of a config's bounds and the gap
+points of a generator pair) are pure functions of frozen values, so each is
+memoized by value; a ring's canonical point, sigma lattice and walk steps
+are computed once and held by the ring itself, as is its hash. The checks
+here pin that every cache is bounded, that a cached answer equals the
+undecorated function's, that equal values built apart share one entry, that
+configs differing only in seed or cap share one skeleton space, and that
+errors are raised again rather than remembered.
 """
 
 from dataclasses import replace
@@ -29,13 +31,14 @@ from toricmult.errors import (
     NotPointed,
     NotQGorenstein,
 )
-from toricmult.ideals import integral_closure, monomial_ideal, newton_polyhedron
-from toricmult.linalg import hermite_normal_form
+from toricmult.ideals import MonomialIdeal, integral_closure, monomial_ideal, newton_polyhedron
+from toricmult.linalg import dot, hermite_normal_form
 from toricmult.multiplier import multiplier_ideal
 from toricmult.problemio import load_search_config
-from toricmult.rings import ring_from_dual_rays
+from toricmult.rings import ToricRing, _ring_from_rays, ring_from_dual_rays
 from toricmult.subadditivity import (
     SearchConfig,
+    _box_size,
     _edge_regions,
     _gap_generators,
     _skeleton_space,
@@ -52,6 +55,7 @@ MEMOIZED = (
     _edge_regions,
     _skeleton_space,
     _gap_generators,
+    _box_size,
 )
 
 TESTS = Path(__file__).parent
@@ -129,6 +133,40 @@ def test_refused_multiplier_ideals_are_refused_again():
     for _ in range(2):
         with pytest.raises(NotQGorenstein):
             multiplier_ideal(a)
+
+
+@pytest.mark.parametrize("name, dual", [(name, dual) for name, dual, _, _ in POOL])
+def test_equal_rings_and_ideals_built_apart_share_one_memo_entry(name, dual):
+    """A ring built again past the ring memo, and one built from its fields, hash
+    and compare equal to the memoized ring, as do ideals on them; each pair
+    hits the entry the other made."""
+    ring = ring_from_dual_rays(dual)
+    rebuilt = _ring_from_rays.__wrapped__(ring.dual_rays)
+    copied = ToricRing(ring.dim, ring.cone, ring.q_gorenstein)
+    for other in (rebuilt, copied):
+        assert other is not ring and other == ring and hash(other) == hash(ring)
+    a = random_ideal(random.Random(name), ring, max_gens=3, pairing_bound=6)
+    poly = newton_polyhedron(a)
+    bounds = (3,) * len(ring.sigma_rays)
+    count = _box_size(ring, bounds)
+    for other in (rebuilt, copied):
+        twin = MonomialIdeal(other, a.gens)
+        assert twin is not a and twin == a and hash(twin) == hash(a)
+        for layer, args, cached in ((newton_polyhedron, (twin,), poly), (_box_size, (other, bounds), count)):
+            info = layer.cache_info()
+            assert layer(*args) is cached
+            assert (layer.cache_info().hits, layer.cache_info().currsize) == (info.hits + 1, info.currsize)
+
+
+def test_walk_steps_are_computed_once_per_ring():
+    """The columns of U before the run step, each with its sigma pairings."""
+    for name, ring in [*pool_rings(), ("stepping-down-3d", STEPPING_DOWN)]:
+        uni = ring.sigma_lattice[2]
+        fresh = tuple(
+            (c, tuple(dot(c, n) for n in ring.sigma_rays)) for c in zip(*(row[: ring.dim - 1] for row in uni))
+        )
+        assert ring.prefix_steps == fresh, name
+        assert ring.prefix_steps is ring.prefix_steps
 
 
 def test_cached_sigma_lattices_equal_fresh_ones():
