@@ -15,7 +15,7 @@ import argparse
 import functools
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import replace
 from typing import Sequence
 
 from .builtin_example import RING_DUAL_RAYS, verification_checklist
@@ -34,10 +34,10 @@ from .problemio import (
     parse_point_arg,
     point_json,
     rat_point_json,
-    recipe_json,
     render_monomial,
     render_report,
     ring_json,
+    search_config_json,
 )
 from .subadditivity import SearchConfig, check_subadditivity, exhaustive_refute, search_counterexamples
 
@@ -75,32 +75,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def command(name, handler, render, help_, ideals=0, problem=False):
+    def command(name, handler, render, help_, ideals=0):
         sp = sub.add_parser(name, help=help_, description=help_)
         sp.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
-        if problem:
+        if ideals:
             sp.add_argument("--input", required=True, metavar="FILE",
                             help="problem JSON file (ring + named ideals)")
-        if ideals:
             plural = "s" if ideals > 1 else ""
             sp.add_argument("--ideals", required=True, nargs="+", metavar="NAME",
                             help=f"name{plural} of {ideals} ideal{plural} from the problem file")
         sp.set_defaults(handler=handler, render=render, ideal_count=ideals)
         return sp
 
-    command("newton", _cmd_newton, _text_newton, "Facets and vertices of an ideal's Newton polyhedron.",
-            ideals=1, problem=True)
-    command("closure", _cmd_closure, _text_closure, "Minimal generators of an ideal's integral closure.",
-            ideals=1, problem=True)
+    command("newton", _cmd_newton, _text_newton, "Facets and vertices of an ideal's Newton polyhedron.", ideals=1)
+    command("closure", _cmd_closure, _text_closure, "Minimal generators of an ideal's integral closure.", ideals=1)
     command("multiplier", _cmd_multiplier, _text_multiplier, "Minimal generators of an ideal's multiplier ideal.",
-            ideals=1, problem=True)
+            ideals=1)
     command("subadd", _cmd_subadd, _text_subadd,
-            "Check J(a·b) ⊆ J(a)·J(b); exit 1 with witnesses when it fails.",
-            ideals=2, problem=True)
+            "Check J(a·b) ⊆ J(a)·J(b); exit 1 with witnesses when it fails.", ideals=2)
     refute = command("refute", _cmd_refute, _text_refute,
-                     "Scan all splittings of a target point; exit 0 when none exists.",
-                     ideals=2, problem=True)
+                     "Scan all splittings of a target point; exit 0 when none exists.", ideals=2)
     refute.add_argument("--target", required=True, metavar="POINT",
                         help="lattice point, e.g. '18,12,2' or 'x^18y^12z^2'")
     verify = command("verify-paper", _cmd_verify_paper, _text_verify,
@@ -126,8 +121,6 @@ def _named_ideals(args) -> tuple[Problem, list[str]]:
         raise ConfigInvalid(
             f"{args.command} takes exactly {args.ideal_count} ideal name(s), got {len(names)}"
         )
-    for name in names:
-        problem.ideal(name)
     return problem, names
 
 
@@ -215,12 +208,6 @@ def _cmd_verify_paper(args) -> tuple[dict, int]:
     return report, 0 if all_passed else 1
 
 
-def _config_json(config: SearchConfig) -> dict:
-    doc = {f.name: getattr(config, f.name) for f in fields(SearchConfig)}
-    doc["explicit_recipes"] = [recipe_json(r) for r in config.explicit_recipes]
-    return doc
-
-
 def _cmd_search(args) -> tuple[dict, int]:
     if args.threads < 1:
         raise ConfigInvalid("threads must be at least 1")
@@ -232,7 +219,7 @@ def _cmd_search(args) -> tuple[dict, int]:
     hits = search_counterexamples(config)
     report = {
         "command": "search",
-        "config": _config_json(config),
+        "config": search_config_json(config),
         "hits": [
             {
                 "construction": construction_json(h.construction),

@@ -4,11 +4,10 @@ Minimal generating sets are lex-sorted antichains under divisibility (w
 divides w' when no sigma pairing of w exceeds that of w'), all reduced by one
 routine, a linear staircase on two sigma rays. Integral closures and
 multiplier ideals share one enumeration engine over a sigma-coordinate box
-around the Newton polyhedron's vertices, on the facet thresholds of
-geometry.lattice_thresholds: the walk starts at the least generator pairing
-with each sigma ray, the offset of that ray's facet of N(a), each Hermite
-run (rings.run_starts) meets the region in one interval
-(rings.run_interval), and the walk stops at the first candidate dividing
+around the Newton polyhedron's vertices: the walk (rings.run_starts) starts
+at the least generator pairing with each sigma ray, the offset of that ray's
+facet of N(a), cuts each Hermite run to the region on the facet thresholds
+of geometry.lattice_thresholds, and stops at the first candidate dividing
 every later one. It runs only where a closure's generators are needed: a
 lattice point lies in closure(a) iff it lies in N(a), a facet test on the
 memoized newton_polyhedron.
@@ -23,8 +22,8 @@ from typing import Iterable, Sequence
 
 from .errors import RingMismatch, ZeroIdeal
 from .geometry import LatticePoint, NewtonPolyhedron, RatPoint, hull_plus_cone, lattice_thresholds
-from .linalg import dot, vadd, vscale
-from .rings import ToricRing, exponent_pairings, run_interval, run_starts
+from .linalg import dot, vadd
+from .rings import ToricRing, exponent_pairings, run_starts
 
 # Entries kept by each memoized ideal operation (newton_polyhedron,
 # integral_closure, multiplier.multiplier_ideal); see their cache_info().
@@ -145,9 +144,9 @@ def region_minimal_generators(a: MonomialIdeal, shift: RatPoint | None) -> tuple
     sigma ray n to at most the largest vertex pairing plus the sum of <r, n>
     over the dual rays r (minus 1 with the shift): beyond, w (+ u0) = p + sum
     c_r r with p in the vertex hull has some c_r > 1, so w - r divides w in
-    the region. A run's members form an interval (rings.run_interval), and
-    the step u lies in the semigroup (ToricRing.run_step), so the first
-    member divides the rest and is the run's one candidate.
+    the region. rings.run_starts cuts each run to its members, and the step
+    u lies in the semigroup (ToricRing.run_step), so a run's first member
+    divides the rest and is its one candidate.
 
     N = conv(a) + σ^∨, so each sigma ray n is a facet normal of N with offset
     min <g, n> over the generators g (sigma_floors), the region's floor on n
@@ -164,16 +163,11 @@ def region_minimal_generators(a: MonomialIdeal, shift: RatPoint | None) -> tuple
         for n in ring.sigma_rays
     )
     floors = sigma_floors(a)
-    u, ut = ring.run_step
-    steps = tuple((f, m, dot(u, f)) for f, m in lattice_thresholds(poly, shift))
 
     def candidates():
-        for w, t, n in run_starts(ring, bounds, floors):
-            lo, hi = run_interval(w, n, steps)
-            if lo <= hi:
-                ct = tuple(x + lo * s for x, s in zip(t, ut))
-                yield vadd(w, vscale(lo, u)), ct
-                if ct[1:] == floors[1:]:
-                    return
+        for w, t, _ in run_starts(ring, bounds, floors, lattice_thresholds(poly, shift)):
+            yield w, t
+            if t[1:] == floors[1:]:
+                return
 
     return _antichain(candidates())

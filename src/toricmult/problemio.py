@@ -222,6 +222,13 @@ def parse_search_config(doc) -> SearchConfig:
     return SearchConfig(**kwargs)
 
 
+def search_config_json(config: SearchConfig) -> dict:
+    """The config as a JSON object on the keys parse_search_config reads back."""
+    doc = {key: getattr(config, key) for key in _CONFIG_KEYS}
+    doc["explicit_recipes"] = [recipe_json(r) for r in config.explicit_recipes]
+    return doc
+
+
 def load_search_config(path: str) -> SearchConfig:
     return parse_search_config(_load_json(path))
 

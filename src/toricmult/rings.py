@@ -13,9 +13,9 @@ is runs w + k u, each carrying the pairings of w with every sigma ray in
 sigma-ray order, clipped to the other sigma rays' bounds by integer
 division on non-simplicial sigma; u lies in the semigroup. run_starts
 yields the runs, not their points, in walk order, so the pairing with sigma
-ray 0 never decreases from one run to the next, and starts at given floors
-on the pairings; run_interval places the points of a run passing facet
-tests, given each facet's step along the run.
+ray 0 never decreases from one run to the next; it starts at given floors
+on the pairings and cuts each run to the interval passing a region's facet
+thresholds (run_interval). run_points expands runs into their points.
 """
 
 from __future__ import annotations
@@ -203,11 +203,11 @@ def lattice_points_in_box(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tu
     run is clipped to the bounds of the remaining sigma rays, so only points
     of the box are visited, and they are yielded in lexicographic order of w.
     """
-    points = _run_points(ring, _hermite_walk(ring, bounds, (0,) * len(bounds)))
+    points = run_points(ring, _hermite_walk(ring, bounds, (0,) * len(bounds)))
     yield from points if len(ring.sigma_rays) == ring.dim else sorted(points)
 
 
-def _run_points(ring: ToricRing, runs) -> Iterator[tuple[LatticePoint, tuple[int, ...]]]:
+def run_points(ring: ToricRing, runs) -> Iterator[tuple[LatticePoint, tuple[int, ...]]]:
     """(w + k u, t + k ut) for 0 <= k < n, per run (w, t, n) in order; (u, ut) = ring.run_step."""
     u, ut = ring.run_step
     for w, t, n in runs:
@@ -263,35 +263,47 @@ def _hermite_walk(ring: ToricRing, bounds: Sequence[int], floors: Sequence[int])
             yield tuple(a + lo * c for a, c in zip(w, u)), tuple(a + lo * s for a, s in zip(t, ut)), hi - lo + 1
 
 
-def run_starts(ring: ToricRing, bounds: Sequence[int], floors: Sequence[int] | None = None) -> Iterator[Run]:
-    """(w, t, n) per nonempty run w + k u, 0 <= k < n, t the pairings of w, in walk order, covering the
-    points of lattice_points_in_box(ring, bounds) that pair to at least floors[i] (default 0) with every
-    sigma ray n_i. On non-simplicial sigma the runs start on the floors. On simplicial sigma a run starts
-    below h = ring.run_step[1][-1] above the point p = U k, k_i = floor((floors_i - sum_{j<i} H_ij k_j) /
-    H_ii), which pairs to more than floors_i - H_ii with n_i: the box cut there above p walks the starts,
-    and the caller tests the points of a run below a floor. A bound below its floor yields no run."""
+def run_starts(
+    ring: ToricRing, bounds: Sequence[int], floors: Sequence[int] | None = None, thresholds: Sequence = ()
+) -> Iterator[Run]:
+    """(w, t, n) per run w + k u, 0 <= k < n, t the pairings of w, in walk order, covering the points of
+    lattice_points_in_box(ring, bounds) that pair to at least floors[i] (default 0) with every sigma ray
+    n_i and pass every integer facet threshold <w, f> >= m, (f, m) in thresholds (lattice_thresholds).
+    Each run is cut to its passing interval (run_interval): it is nonempty and starts at its first
+    passing point. On non-simplicial sigma the runs start on the floors. On simplicial sigma a run starts
+    below h = ring.run_step[1][-1] above p = U k, k_i = floor((floors_i - sum_{j<i} H_ij k_j) / H_ii),
+    which pairs to more than floors_i - H_ii with n_i: the box cut at p walks the starts, and a run may
+    start below a floor that no threshold implies. A bound below its floor yields no run."""
     floors = floors or (0,) * len(bounds)
     if any(b < f for b, f in zip(bounds, floors)):
         return
+    u, ut = ring.run_step
     if len(ring.sigma_rays) > ring.dim:
-        yield from _hermite_walk(ring, bounds, floors)
-        return
-    _, hnf, uni = ring.sigma_lattice
-    k: list[int] = []
-    for row, f in zip(hnf, floors):
-        k.append((f - dot(row, k)) // row[len(k)])
-    p, tp = tuple(dot(row, k) for row in uni), tuple(dot(row, k) for row in hnf)
-    h = ring.run_step[1][-1]
-    for w, t in lattice_points_in_box(ring, (*map(sub, bounds[:-1], tp), min(bounds[-1] - tp[-1], h - 1))):
+        runs = _hermite_walk(ring, bounds, floors)
+    else:
+        _, hnf, uni = ring.sigma_lattice
+        k: list[int] = []
+        for row, f in zip(hnf, floors):
+            k.append((f - dot(row, k)) // row[len(k)])
+        p, tp = tuple(dot(row, k) for row in uni), tuple(dot(row, k) for row in hnf)
+        starts = lattice_points_in_box(ring, (*map(sub, bounds[:-1], tp), min(bounds[-1] - tp[-1], ut[-1] - 1)))
         if any(k):
-            w, t = tuple(map(add, w, p)), tuple(map(add, t, tp))
-        yield w, t, (bounds[-1] - t[-1]) // h + 1
+            starts = ((tuple(map(add, w, p)), tuple(map(add, t, tp))) for w, t in starts)
+        runs = ((w, t, (bounds[-1] - t[-1]) // ut[-1] + 1) for w, t in starts)
+    tests = [(f, m, dot(u, f)) for f, m in thresholds]
+    for w, t, n in runs:
+        lo, hi = run_interval(w, n, tests)
+        if lo > hi:
+            continue
+        if lo:
+            w, t = tuple(a + lo * c for a, c in zip(w, u)), tuple(a + lo * s for a, s in zip(t, ut))
+        yield w, t, hi - lo + 1
 
 
 def run_interval(w: LatticePoint, n: int, tests) -> tuple[int, int]:
     """(lo, hi): lo <= k <= hi for exactly the k in [0, n) with <w + k u, f> >= m for
     every (f, m, s) in tests, none when lo > hi. s = <u, f> is the facet's step along
-    the run, computed once per step u by the caller: s > 0 bounds k below, s < 0
+    the run, computed once per walk by run_starts: s > 0 bounds k below, s < 0
     bounds it above, and 0 passes every k or none."""
     lo, hi = 0, n - 1
     for f, m, s in tests:

@@ -4,8 +4,8 @@ check_subadditivity decides J(ab) ⊆ J(a)·J(b) by testing every generator of
 J(ab). In dimension two the containment always holds and decompose_2d returns
 the constructive witness from a boundary walk of N(ab). exhaustive_refute
 certifies a failure by scanning every candidate splitting of a target point:
-it walks the Hermite runs of the box where a splitting can lie, one interval
-of splittings per run, and counts the box it reports once per distinct box.
+it walks the Hermite runs of the box where a splitting can lie, each cut to
+its splittings, and counts the box it reports once per distinct box.
 The remaining operations build and search for counterexample instances by
 adjoining a variable to a smaller ring.
 """
@@ -47,7 +47,7 @@ from .rings import (
     exponent_pairings,
     require_exponent,
     ring_from_dual_rays,
-    run_interval,
+    run_points,
     run_starts,
     semigroup_points,
 )
@@ -282,30 +282,23 @@ def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> R
     interior to N(b), on integer facet thresholds; the latter is a threshold
     ⟨alpha, −f⟩ ≥ m − ⟨v, f⟩ on alpha for each threshold (f, m) of N(b). Each
     sigma ray n bounds N(a) and N(b) below at their least generator pairings,
-    and ⟨u0, n⟩ = 1, so only the runs alpha = w + k·u (rings.run_starts) of the
-    splitting box floor_a(n) + 1 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ − floor_b(n) are walked.
-    On a run the splittings are one interval of k on every facet test, as a run
-    may start below a floor (rings.run_interval); they are listed in walk order
-    on simplicial σ and by alpha otherwise. bounds is the box of every
-    candidate, 0 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ + 1, and scanned its lattice-point count
-    (_box_size).
+    and ⟨u0, n⟩ = 1, so only the Hermite runs of the splitting box
+    floor_a(n) + 1 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ − floor_b(n) are walked, each cut by
+    rings.run_starts to the splittings, whose facet tests also hold the floors
+    where a run starts below one; they are listed in walk order on simplicial
+    σ and by alpha otherwise. bounds is the box of every candidate,
+    0 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ + 1, and scanned its lattice-point count (_box_size).
     """
     ring = _same_ring(a, b)
     u0 = ring.canonical_shift()
     target, tv = exponent_pairings(ring, v)
-    u, ut = ring.run_step
     inside_a = lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim)
     inside_b = tuple((vscale(-1, f), m - dot(target, f)) for f, m in lattice_thresholds(newton_polyhedron(b), u0))
-    tests = [(f, m, dot(u, f)) for f, m in inside_a + inside_b]
     floors = tuple(m + 1 for m in sigma_floors(a))
     ceilings = tuple(map(sub, tv, sigma_floors(b)))
-
-    found = []
-    for w, _, n in run_starts(ring, ceilings, floors):
-        lo, hi = run_interval(w, n, tests)
-        alphas = (vadd(w, vscale(k, u)) for k in range(lo, hi + 1))
-        found += ((alpha, vsub(target, alpha)) for alpha in alphas)
-    if len(ut) > ring.dim:
+    runs = run_starts(ring, ceilings, floors, inside_a + inside_b)
+    found = [(alpha, vsub(target, alpha)) for alpha, _ in run_points(ring, runs)]
+    if len(tv) > ring.dim:
         found.sort()
     bounds = tuple(t + 1 for t in tv)
     return RefutationReport(target, bounds, _box_size(ring, bounds), tuple(found))

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from toricmult.multiplier import multiplier_membership
 from toricmult.problemio import (
     format_point,
     load_problem,
+    load_search_config,
     membership_json,
     parse_monomial,
     parse_point,
@@ -27,6 +29,7 @@ from toricmult.problemio import (
     render_rational,
     render_report,
     ring_json,
+    search_config_json,
 )
 from toricmult.rings import ring_from_dual_rays
 from toricmult.subadditivity import SearchConfig
@@ -187,6 +190,26 @@ class TestRecipesAndConfigs:
         assert config.seed == 11
         assert config.max_candidates is None
         assert config.explicit_recipes == (parse_recipe(RECIPE_DOC),)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            {},
+            {"seed": 11, "max_candidates": 3, "explicit_recipes": [RECIPE_DOC]},
+            "small_hits_search.json",
+            "singular_bases_search.json",
+            "paper_bounds_search.json",
+        ],
+    )
+    def test_a_search_report_config_parses_back(self, source):
+        """The config block of a search report, as rendered, is a config file for the same
+        search: the default config, one with an explicit recipe, and the test fixtures."""
+        if isinstance(source, dict):
+            config = parse_search_config(source)
+        else:
+            config = load_search_config(str(Path(__file__).parent / source))
+        block = json.loads(render_report(search_config_json(config)))
+        assert parse_search_config(block) == config
 
     @pytest.mark.parametrize(
         "doc,message",

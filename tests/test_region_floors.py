@@ -8,7 +8,8 @@ every ring below and on one without a canonical point.
 region_minimal_generators passes its floors to rings.run_starts, which
 starts the walk there: exactly on non-simplicial sigma, and on simplicial
 sigma from the lattice point p that rounds the floors down on the Hermite
-basis, so a run may start below a floor by less than the diagonal entry H_ii.
+basis, so a run may start below a floor by less than the diagonal entry H_ii,
+and cuts every run to the region's facet thresholds.
 oracles.region_minimal_generators tests every point of the box from the
 origin instead; the two must give the same generators. The walk carries
 every sigma pairing of its runs; oracles.hermite_walk, the walk that kept
@@ -21,10 +22,17 @@ import random
 import pytest
 
 import oracles
-from instances import NOT_Q_GORENSTEIN_DUAL_RAYS, POOL, random_2d_ring, random_3d_ring, random_non_simplicial_rings
+from instances import (
+    NOT_Q_GORENSTEIN_DUAL_RAYS,
+    POOL,
+    random_2d_ring,
+    random_3d_ring,
+    random_ideal,
+    random_non_simplicial_rings,
+)
 from toricmult.geometry import lattice_thresholds
 from toricmult.ideals import monomial_ideal, newton_polyhedron, region_minimal_generators
-from toricmult.linalg import vadd, vscale
+from toricmult.linalg import dot, vadd, vscale
 from toricmult.rings import _hermite_walk, lattice_points_in_box, ring_from_dual_rays, run_starts, semigroup_points
 
 
@@ -52,32 +60,47 @@ def test_the_rings_reach_large_determinants_and_every_kind_of_cone():
     assert {ring.dim for _, ring in RINGS if not _simplicial(ring)} == {3, 4}
 
 
+def _passes(t, floors):
+    return all(map(int.__ge__, t, floors))
+
+
 @pytest.mark.parametrize("name, ring", RINGS, ids=IDS)
 def test_runs_from_the_floors_cover_the_box_above_them(name, ring):
     """The run points pairing at least the floors are the box points above them,
     in walk order; every start pairs at most the bounds, and lies on the floors
-    on non-simplicial sigma and less than H_ii below floor i otherwise."""
+    on non-simplicial sigma and less than H_ii below floor i otherwise. With the
+    integer facet thresholds of random ideals, with and without u0, the runs are
+    cut to them: each is nonempty, every run point passes, and the points above
+    the floors are the box points above them that pass every threshold."""
     rng = random.Random(name)
     u, ut = ring.run_step
     _, hnf, _ = ring.sigma_lattice
     rays = len(ring.sigma_rays)
     side = 12 if ring.dim == 2 else 5
+    shifts = (None, ring.canonical_shift()) if ring.q_gorenstein else (None,)
+    bound = next(b for b in itertools.count(side // 2) if len(semigroup_points(ring, b)) > 4)
+    ideals = [random_ideal(rng, ring, 3, bound) for _ in range(2)]
+    cuts = [()] + [lattice_thresholds(newton_polyhedron(a), shift) for a in ideals for shift in shifts]
     for _ in range(12):
         bounds = tuple(rng.randint(0, side) for _ in range(rays))
         floors = tuple(rng.randint(0, b + 1) for b in bounds)
-        runs = list(run_starts(ring, bounds, floors))
-        points = [
-            (vadd(w, vscale(k, u)), tuple(a + k * s for a, s in zip(t, ut))) for w, t, n in runs for k in range(n)
-        ]
-        assert all(t == ring.pairings(w) and all(map(int.__le__, t, bounds)) for w, t in points)
-        above = [(w, t) for w, t in points if all(map(int.__ge__, t, floors))]
-        box = [(w, t) for w, t in lattice_points_in_box(ring, bounds) if all(map(int.__ge__, t, floors))]
-        assert (above if _simplicial(ring) else sorted(above)) == box, (bounds, floors)
-        for _, t, _ in runs:
-            if _simplicial(ring):
-                assert all(f - hnf[i][i] < a for i, (a, f) in enumerate(zip(t, floors))), (bounds, floors, t)
-            else:
-                assert all(map(int.__ge__, t, floors)), (bounds, floors, t)
+        box = [(w, t) for w, t in lattice_points_in_box(ring, bounds) if _passes(t, floors)]
+        for thresholds in cuts:
+            runs = list(run_starts(ring, bounds, floors, thresholds))
+            points = [
+                (vadd(w, vscale(k, u)), tuple(a + k * s for a, s in zip(t, ut))) for w, t, n in runs for k in range(n)
+            ]
+            assert all(n > 0 for _, _, n in runs)
+            assert all(t == ring.pairings(w) and all(map(int.__le__, t, bounds)) for w, t in points)
+            assert all(dot(w, f) >= m for w, _ in points for f, m in thresholds)
+            above = [(w, t) for w, t in points if _passes(t, floors)]
+            passing = [(w, t) for w, t in box if all(dot(w, f) >= m for f, m in thresholds)]
+            assert (above if _simplicial(ring) else sorted(above)) == passing, (bounds, floors, thresholds)
+            for _, t, _ in runs:
+                if _simplicial(ring):
+                    assert all(f - hnf[i][i] < a for i, (a, f) in enumerate(zip(t, floors))), (bounds, floors, t)
+                else:
+                    assert _passes(t, floors), (bounds, floors, t)
 
 
 # The walk's rings and a ring of dimension one, whose walk is a single run.
@@ -156,11 +179,11 @@ def test_regions_far_from_the_origin_match_the_per_point_scan(name, ring):
 
 
 def _read_runs(monkeypatch):
-    """The list to which each run that region_minimal_generators reads is appended."""
+    """The list to which each run that region_minimal_generators reads, cut to its thresholds, is appended."""
     read = []
 
-    def recorded(ring, bounds, floors):
-        for run in run_starts(ring, bounds, floors):
+    def recorded(ring, bounds, floors, thresholds):
+        for run in run_starts(ring, bounds, floors, thresholds):
             read.append(run)
             yield run
 

@@ -1,9 +1,9 @@
 """Run intervals against the per-point scans they replaced.
 
 The lattice walk is a sequence of runs w + k u (rings.run_starts), and along
-a run every facet test is a half-line in k, so the library's region and
-refutation scans place a run's passing points by integer division
-(rings.run_interval). oracles.region_minimal_generators and
+a run every facet test is a half-line in k, so the walk cuts each run to
+its passing points by integer division (rings.run_interval) for the
+library's region and refutation scans. oracles.region_minimal_generators and
 oracles.exhaustive_refute test every point of the same walk instead; the two
 must agree exactly: the same generators, and the same refutation report
 (bounds, scanned count, decompositions in order). Rings cover the pool,
@@ -218,12 +218,13 @@ def test_the_run_step_lies_on_a_dual_ray_of_every_ring():
 
 
 def _region_runs(monkeypatch, a, shift):
-    """(generators, runs the region read, runs of its walk) of one region call."""
+    """(generators, runs the region read, runs of its walk) of one region call: the walk
+    counted without the region's thresholds, the runs read as cut to them."""
     read, walked = [], []
 
-    def counted(ring, bounds, floors):
+    def counted(ring, bounds, floors, thresholds):
         walked.append(len(list(run_starts(ring, bounds, floors))))
-        for run in run_starts(ring, bounds, floors):
+        for run in run_starts(ring, bounds, floors, thresholds):
             read.append(run)
             yield run
 

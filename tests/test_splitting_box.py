@@ -44,13 +44,14 @@ def _splitting_box(v, a, b):
 
 
 def _walks(monkeypatch):
-    """The (bounds, floors, runs, points) of every run_starts walk exhaustive_refute makes."""
+    """The (bounds, floors, runs, points) of every run_starts walk exhaustive_refute makes,
+    counted without its thresholds; the runs read are cut to them."""
     walks = []
 
-    def counted(ring, bounds, floors=None):
+    def counted(ring, bounds, floors=None, thresholds=()):
         runs = list(run_starts(ring, bounds, floors))
         walks.append((tuple(bounds), floors, len(runs), sum(n for _, _, n in runs)))
-        yield from runs
+        yield from run_starts(ring, bounds, floors, thresholds)
 
     monkeypatch.setattr("toricmult.subadditivity.run_starts", counted)
     return walks
