@@ -159,8 +159,7 @@ def region_minimal_generators(a: MonomialIdeal, shift: RatPoint | None) -> tuple
     ring, poly = a.ring, newton_polyhedron(a)
     off = 0 if shift is None else 1
     bounds = tuple(
-        max(dot(v, n) for v in poly.vertices) + sum(dot(r, n) for r in ring.dual_rays) - off
-        for n in ring.sigma_rays
+        max(dot(v, n) for v in poly.vertices) + reach - off for n, reach in zip(ring.sigma_rays, ring.dual_ray_pairings)
     )
     floors = sigma_floors(a)
 

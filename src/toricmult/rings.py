@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, NotInSemigroup, NotQGorenstein
@@ -107,6 +107,12 @@ class ToricRing:
         0 on the basis facet, h > 0 on the last basis ray: u is k r0, k > 0, in the semigroup."""
         u = tuple(row[-1] for row in self.sigma_lattice[2])
         return u, self.pairings(u)
+
+    @cached_property
+    def dual_ray_pairings(self) -> tuple[int, ...]:
+        """sum_r <r, n> over the dual rays r, per sigma ray n: how far past its vertices a
+        region's minimal generators can reach (ideals.region_minimal_generators)."""
+        return self.pairings(tuple(map(sum, zip(*self.dual_rays))))
 
     @cached_property
     def prefix_steps(self) -> tuple[tuple[LatticePoint, tuple[int, ...]], ...]:
@@ -226,8 +232,8 @@ def _hermite_walk(ring: ToricRing, bounds: Sequence[int], floors: Sequence[int])
     Column j of U pairs to H_ij with sigma ray basis[i] (N U = H), H lower
     triangular with a positive diagonal: once k_0..k_{j-1} are fixed, the
     pairing with basis[j] bounds k_j to a range, so k and the basis pairings
-    are walked in the same lexicographic order, w and t advancing by k_j times
-    column j and its pairings. The last coordinate is walked as runs, one per
+    are walked in the same lexicographic order, w and t adding column j and
+    its pairings per step of k_j. The last coordinate is walked as runs, one per
     prefix, clipped by the last basis ray and every ray outside the basis: n_i
     pairs to t_i + k s along a run, s = <u, n_i> >= 0 (ring.run_step).
     """
@@ -244,14 +250,16 @@ def _hermite_walk(ring: ToricRing, bounds: Sequence[int], floors: Sequence[int])
 
     def prefixes(j, t, w):
         i, h, (ucol, tcol) = basis[j], hnf[j][j], cols[j]
-        for k in range(-((t[i] - floors[i]) // h), (bounds[i] - t[i]) // h + 1):
-            nt, nw = [a + k * c for a, c in zip(t, tcol)], [a + k * c for a, c in zip(w, ucol)]
+        lo = -((t[i] - floors[i]) // h)
+        t, w = _moved(t, lo, tcol), _moved(w, lo, ucol)
+        for _ in range((bounds[i] - t[i]) // h + 1):
             if j + 1 == last:
-                yield nt, nw
+                yield t, w
             else:
-                yield from prefixes(j + 1, nt, nw)
+                yield from prefixes(j + 1, t, w)
+            t, w = tuple(map(add, t, tcol)), tuple(map(add, w, ucol))
 
-    origin = [0] * len(ut), [0] * len(u)
+    origin = (0,) * len(ut), (0,) * len(u)
     for t, w in prefixes(0, *origin) if last else [origin]:
         lo, hi = -((t[i0] - floors[i0]) // s0), (bounds[i0] - t[i0]) // s0
         for i, s in clip:
@@ -260,7 +268,12 @@ def _hermite_walk(ring: ToricRing, bounds: Sequence[int], floors: Sequence[int])
             elif not floors[i] <= t[i] <= bounds[i]:
                 hi = lo - 1
         if lo <= hi:
-            yield tuple(a + lo * c for a, c in zip(w, u)), tuple(a + lo * s for a, s in zip(t, ut)), hi - lo + 1
+            yield _moved(w, lo, u), _moved(t, lo, ut), hi - lo + 1
+
+
+def _moved(w: Sequence[int], k: int, step: Sequence[int]) -> tuple[int, ...]:
+    """w + k step, with no Python-level loop per entry."""
+    return tuple(map(add, w, map(mul, step, repeat(k)))) if k else tuple(w)
 
 
 def run_starts(
@@ -296,7 +309,7 @@ def run_starts(
         if lo > hi:
             continue
         if lo:
-            w, t = tuple(a + lo * c for a, c in zip(w, u)), tuple(a + lo * s for a, s in zip(t, ut))
+            w, t = _moved(w, lo, u), _moved(t, lo, ut)
         yield w, t, hi - lo + 1
 
 

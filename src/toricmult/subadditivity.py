@@ -5,7 +5,8 @@ J(ab). In dimension two the containment always holds and decompose_2d returns
 the constructive witness from a boundary walk of N(ab). exhaustive_refute
 certifies a failure by scanning every candidate splitting of a target point:
 it walks the Hermite runs of the box where a splitting can lie, each cut to
-its splittings, and counts the box it reports once per distinct box.
+its splittings, reading each ideal pair's facet thresholds once, and counts
+the box it reports once per distinct box.
 The remaining operations build and search for counterexample instances by
 adjoining a variable to a smaller ring.
 """
@@ -275,6 +276,26 @@ def _box_size(ring: ToricRing, bounds: tuple[int, ...]) -> int:
     return sum(n for _, _, n in run_starts(ring, bounds))
 
 
+# Pairs kept by _splitting_data; callers refute one pair's targets together.
+SPLITTING_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=SPLITTING_CACHE_SIZE)
+def _splitting_data(a: MonomialIdeal, b: MonomialIdeal):
+    """(inside_a, outside_b, floor_a + 1, floor_b): N(a)'s interior thresholds, and (-f, m) per
+    u0-shifted threshold (f, m) of N(b), less the tests the splitting box makes. A sigma ray n is
+    a facet normal of N(b) at floor_b(n), ⟨u0, n⟩ = 1, which negates to the ceiling on ⟨alpha, n⟩;
+    on non-simplicial σ, where rings.run_starts starts on its floors, n's facet of N(a) is the floor.
+    """
+    ring = _same_ring(a, b)
+    sigma = set(ring.sigma_rays)
+    floored = sigma if len(sigma) > ring.dim else ()
+    inside_a = tuple((f, m) for f, m in lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim) if f not in floored)
+    shifted_b = lattice_thresholds(newton_polyhedron(b), ring.canonical_shift())
+    outside_b = tuple((vscale(-1, f), m) for f, m in shifted_b if f not in sigma)
+    return inside_a, outside_b, tuple(m + 1 for m in sigma_floors(a)), sigma_floors(b)
+
+
 def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> RefutationReport:
     """Scan every candidate splitting v = alpha + beta against the two interiors.
 
@@ -286,17 +307,16 @@ def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> R
     floor_a(n) + 1 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ − floor_b(n) are walked, each cut by
     rings.run_starts to the splittings, whose facet tests also hold the floors
     where a run starts below one; they are listed in walk order on simplicial
-    σ and by alpha otherwise. bounds is the box of every candidate,
+    σ and by alpha otherwise. The thresholds and floors are read once per pair
+    (_splitting_data); per target only the offsets m − ⟨v, f⟩ and the
+    ceilings are computed. bounds is the box of every candidate,
     0 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ + 1, and scanned its lattice-point count (_box_size).
     """
     ring = _same_ring(a, b)
-    u0 = ring.canonical_shift()
     target, tv = exponent_pairings(ring, v)
-    inside_a = lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim)
-    inside_b = tuple((vscale(-1, f), m - dot(target, f)) for f, m in lattice_thresholds(newton_polyhedron(b), u0))
-    floors = tuple(m + 1 for m in sigma_floors(a))
-    ceilings = tuple(map(sub, tv, sigma_floors(b)))
-    runs = run_starts(ring, ceilings, floors, inside_a + inside_b)
+    inside_a, outside_b, floors, floor_b = _splitting_data(a, b)
+    inside_b = tuple((f, m + dot(target, f)) for f, m in outside_b)
+    runs = run_starts(ring, tuple(map(sub, tv, floor_b)), floors, inside_a + inside_b)
     found = [(alpha, vsub(target, alpha)) for alpha, _ in run_points(ring, runs)]
     if len(tv) > ring.dim:
         found.sort()

@@ -1,11 +1,12 @@
 """Memoized layers: bounded caches that return what a fresh computation returns.
 
 Rings, Newton polyhedra, integral closures, multiplier ideals, the 2D edge
-regions of an ideal pair, the lattice-point count of a refutation's box, and
-the two search stages (the skeleton space of a config's bounds and the gap
-points of a generator pair) are pure functions of frozen values, so each is
-memoized by value; a ring's canonical point, sigma lattice and walk steps
-are computed once and held by the ring itself, as is its hash. The checks
+regions of an ideal pair, the lattice-point count of a refutation's box, the
+splitting data of an ideal pair, and the two search stages (the skeleton
+space of a config's bounds and the gap points of a generator pair) are pure
+functions of frozen values, so each is memoized by value; a ring's canonical
+point, sigma lattice, walk steps and dual-ray reach are computed once and
+held by the ring itself, as is its hash. The checks
 here pin that every cache is bounded, that a cached answer equals the
 undecorated function's, that equal values built apart share one entry, that
 configs differing only in seed or cap share one skeleton space, and that
@@ -44,6 +45,7 @@ from toricmult.subadditivity import (
     _skeleton_space,
     _skeletons,
     _space_bounds,
+    _splitting_data,
     decompose_2d,
 )
 
@@ -56,6 +58,7 @@ MEMOIZED = (
     _skeleton_space,
     _gap_generators,
     _box_size,
+    _splitting_data,
 )
 
 TESTS = Path(__file__).parent
@@ -167,6 +170,14 @@ def test_walk_steps_are_computed_once_per_ring():
         )
         assert ring.prefix_steps == fresh, name
         assert ring.prefix_steps is ring.prefix_steps
+
+
+def test_the_dual_ray_reach_is_computed_once_per_ring():
+    """sum_r <r, n> over the dual rays r, per sigma ray n: the region walk's bound past its vertices."""
+    for name, ring in [*pool_rings(), ("stepping-down-3d", STEPPING_DOWN)]:
+        fresh = tuple(sum(dot(r, n) for r in ring.dual_rays) for n in ring.sigma_rays)
+        assert ring.dual_ray_pairings == fresh, name
+        assert ring.dual_ray_pairings is ring.dual_ray_pairings
 
 
 def test_cached_sigma_lattices_equal_fresh_ones():

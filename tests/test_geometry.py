@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from oracles import dot, hull_region, shifted_thresholds, sigma_rays_2d
+from oracles import dot, hull_region, shifted_thresholds, sigma_rays_2d, vadd
 from instances import POOL, pool_rings, random_2d_dual_rays, random_ideal
 
 from toricmult.errors import (
@@ -253,24 +253,47 @@ class TestCertificates:
                 assert all(c > 0 for c in cert.coefficients)
                 assert affinely_independent(cert.points)
 
+    def test_round_trip_on_interior_rational_points(self):
+        """Lattice points moved by u0 (fractional on the index-three ring) and by
+        (1/2, 1/3, ...): the points the multiplier ideal tests are rational."""
+        rng = random.Random(11)
+        for name, ring in pool_rings():
+            gens = _sample_gens(rng, ring)
+            poly = hull_plus_cone(gens, ring.cone)
+            fm = hull_region(gens, ring.dual_rays)
+            shifts = (ring.canonical_shift(), tuple(Fraction(1, i + 2) for i in range(ring.dim)))
+            moved = [vadd(w, s) for w in _sample_box(rng, gens, ring.dim) for s in shifts]
+            interior = [x for x in moved if fm.contains(x, strict=True)]
+            assert any(not all(c.denominator == 1 for c in x) for x in interior), name
+            for x in interior[:10]:
+                cert = relint_certificate(poly, x)
+                assert verify_certificate(poly, x, cert)
+                assert all(c > 0 for c in cert.coefficients)
+
     def test_boundary_and_exterior_points_are_refused(self):
+        """A vertex, a rational point inside a facet, and lattice and rational points outside."""
         ring = ring_from_dual_rays(((2, 1, 0), (1, 2, 0), (0, 0, 1)))
         a = monomial_ideal(ring, ((2, 4, 0), (10, 6, 2)))
         poly = newton_polyhedron(a)
-        with pytest.raises(NotInterior):
-            relint_certificate(poly, (2, 4, 0))
-        with pytest.raises(NotInterior):
-            relint_certificate(poly, (0, 0, 0))
+        on_facet = tuple(Fraction(p + q, 2) for p, q in zip((2, 4, 0), (10, 6, 2)))
+        assert membership(poly, on_facet).contained and membership(poly, on_facet, relative_interior=True).tight
+        for x in ((2, 4, 0), on_facet, (0, 0, 0), (Fraction(1, 2), Fraction(1, 3), 0)):
+            with pytest.raises(NotInterior):
+                relint_certificate(poly, x)
 
     def test_tampered_certificate_fails_verification(self):
+        """A coefficient moved between two points keeps the sum at 1 but moves the
+        combination off x; a coefficient changed alone breaks the sum."""
         ring = ring_from_dual_rays(((2, 1, 0), (1, 2, 0), (0, 0, 1)))
         a = monomial_ideal(ring, ((2, 4, 0), (10, 6, 2)))
         poly = newton_polyhedron(a)
-        cert = relint_certificate(poly, (8, 6, 2))
-        wrong = type(cert)(cert.points, tuple(reversed(cert.coefficients)))
-        if wrong.coefficients != cert.coefficients:
-            assert not verify_certificate(poly, (8, 6, 2), wrong)
-        assert not verify_certificate(poly, (9, 6, 2), cert)
+        for x in ((8, 6, 2), (Fraction(17, 2), 6, Fraction(7, 3))):
+            cert = relint_certificate(poly, x)
+            c = cert.coefficients
+            eps = c[0] / 2
+            for coefficients in ((c[0] + eps, c[1] - eps, *c[2:]), (c[0] + eps, *c[1:])):
+                assert not verify_certificate(poly, x, type(cert)(cert.points, coefficients))
+            assert not verify_certificate(poly, vadd(x, (1, 0, 0)), cert)
 
 
 class TestTwoDimensionalDuals:
