@@ -151,7 +151,7 @@ def region_minimal_generators(a: MonomialIdeal, shift: RatPoint | None) -> tuple
     N = conv(a) + σ^∨, so each sigma ray n is a facet normal of N with offset
     min <g, n> over the generators g (sigma_floors), the region's floor on n
     (<u0, n> = 1): no region point pairs below it, so the walk starts there
-    (rings.run_starts).
+    (rings.run_starts, which drops that facet's threshold).
     Runs come in walk order, so the pairing with sigma ray 0 never decreases,
     and the walk stops at a candidate pairing to the floor with every sigma
     ray n_1, ...: it divides every candidate after it.

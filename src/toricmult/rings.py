@@ -13,9 +13,9 @@ is runs w + k u, each carrying the pairings of w with every sigma ray in
 sigma-ray order, clipped to the other sigma rays' bounds by integer
 division on non-simplicial sigma; u lies in the semigroup. run_starts
 yields the runs, not their points, in walk order, so the pairing with sigma
-ray 0 never decreases from one run to the next; it starts at given floors
-on the pairings and cuts each run to the interval passing a region's facet
-thresholds (run_interval). run_points expands runs into their points.
+ray 0 never decreases from one run to the next; every run starts on or above
+given floors on the pairings, on every cone, and is cut to the interval passing
+a region's facet thresholds (run_interval). run_points expands runs into points.
 """
 
 from __future__ import annotations
@@ -283,27 +283,28 @@ def run_starts(
     lattice_points_in_box(ring, bounds) that pair to at least floors[i] (default 0) with every sigma ray
     n_i and pass every integer facet threshold <w, f> >= m, (f, m) in thresholds (lattice_thresholds).
     Each run is cut to its passing interval (run_interval): it is nonempty and starts at its first
-    passing point. On non-simplicial sigma the runs start on the floors. On simplicial sigma a run starts
-    below h = ring.run_step[1][-1] above p = U k, k_i = floor((floors_i - sum_{j<i} H_ij k_j) / H_ii),
-    which pairs to more than floors_i - H_ii with n_i: the box cut at p walks the starts, and a run may
-    start below a floor that no threshold implies. A bound below its floor yields no run."""
+    passing point, on or above the floors. The thresholds the box implies, (n_i, m) with m <= floors[i]
+    and (-n_i, m) with m <= -bounds[i], are dropped. A bound below its floor yields no run."""
     floors = floors or (0,) * len(bounds)
     if any(b < f for b, f in zip(bounds, floors)):
         return
     u, ut = ring.run_step
+    box = dict(zip(ring.sigma_rays, floors)) | {vscale(-1, n): -b for n, b in zip(ring.sigma_rays, bounds)}
+    tests = [(f, m, dot(u, f)) for f, m in thresholds if f not in box or m > box[f]]
     if len(ring.sigma_rays) > ring.dim:
         runs = _hermite_walk(ring, bounds, floors)
     else:
+        # Stays until ROADMAP 1b/1c: bench/predictions.json needs lattice_points_in_box to work on plane2d.
         _, hnf, uni = ring.sigma_lattice
-        k: list[int] = []
+        k: list[int] = []  # p = U k: the floors rounded down on the Hermite basis, where the cut box starts
         for row, f in zip(hnf, floors):
             k.append((f - dot(row, k)) // row[len(k)])
         p, tp = tuple(dot(row, k) for row in uni), tuple(dot(row, k) for row in hnf)
+        tests += [(n, f, s) for n, f, a, s in zip(ring.sigma_rays, floors, tp, ut) if a < f]  # floors p is below
         starts = lattice_points_in_box(ring, (*map(sub, bounds[:-1], tp), min(bounds[-1] - tp[-1], ut[-1] - 1)))
         if any(k):
             starts = ((tuple(map(add, w, p)), tuple(map(add, t, tp))) for w, t in starts)
         runs = ((w, t, (bounds[-1] - t[-1]) // ut[-1] + 1) for w, t in starts)
-    tests = [(f, m, dot(u, f)) for f, m in thresholds]
     for w, t, n in runs:
         lo, hi = run_interval(w, n, tests)
         if lo > hi:

@@ -283,16 +283,12 @@ SPLITTING_CACHE_SIZE = 16
 @lru_cache(maxsize=SPLITTING_CACHE_SIZE)
 def _splitting_data(a: MonomialIdeal, b: MonomialIdeal):
     """(inside_a, outside_b, floor_a + 1, floor_b): N(a)'s interior thresholds, and (-f, m) per
-    u0-shifted threshold (f, m) of N(b), less the tests the splitting box makes. A sigma ray n is
-    a facet normal of N(b) at floor_b(n), ⟨u0, n⟩ = 1, which negates to the ceiling on ⟨alpha, n⟩;
-    on non-simplicial σ, where rings.run_starts starts on its floors, n's facet of N(a) is the floor.
-    """
+    u0-shifted threshold (f, m) of N(b), whole: rings.run_starts drops those of the splitting box,
+    N(a)'s sigma-ray facets at its floors and N(b)'s, negated, at its ceilings (⟨u0, n⟩ = 1)."""
     ring = _same_ring(a, b)
-    sigma = set(ring.sigma_rays)
-    floored = sigma if len(sigma) > ring.dim else ()
-    inside_a = tuple((f, m) for f, m in lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim) if f not in floored)
+    inside_a = lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim)
     shifted_b = lattice_thresholds(newton_polyhedron(b), ring.canonical_shift())
-    outside_b = tuple((vscale(-1, f), m) for f, m in shifted_b if f not in sigma)
+    outside_b = tuple((vscale(-1, f), m) for f, m in shifted_b)
     return inside_a, outside_b, tuple(m + 1 for m in sigma_floors(a)), sigma_floors(b)
 
 
@@ -305,11 +301,10 @@ def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> R
     sigma ray n bounds N(a) and N(b) below at their least generator pairings,
     and ⟨u0, n⟩ = 1, so only the Hermite runs of the splitting box
     floor_a(n) + 1 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ − floor_b(n) are walked, each cut by
-    rings.run_starts to the splittings, whose facet tests also hold the floors
-    where a run starts below one; they are listed in walk order on simplicial
-    σ and by alpha otherwise. The thresholds and floors are read once per pair
-    (_splitting_data); per target only the offsets m − ⟨v, f⟩ and the
-    ceilings are computed. bounds is the box of every candidate,
+    rings.run_starts to the splittings; they are listed in walk order on
+    simplicial σ and by alpha otherwise. The thresholds and floors are read
+    once per pair (_splitting_data); per target only the offsets m − ⟨v, f⟩
+    and the ceilings are computed. bounds is the box of every candidate,
     0 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ + 1, and scanned its lattice-point count (_box_size).
     """
     ring = _same_ring(a, b)

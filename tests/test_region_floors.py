@@ -6,10 +6,8 @@ facet's threshold with or without the shift u0 (<u0, n> = 1), and the
 region's floor on n: no region point pairs below it. This is checked on
 every ring below and on one without a canonical point.
 region_minimal_generators passes its floors to rings.run_starts, which
-starts the walk there: exactly on non-simplicial sigma, and on simplicial
-sigma from the lattice point p that rounds the floors down on the Hermite
-basis, so a run may start below a floor by less than the diagonal entry H_ii,
-and cuts every run to the region's facet thresholds.
+starts every run on or above them, on every cone, and cuts every run to the
+region's facet thresholds.
 oracles.region_minimal_generators tests every point of the box from the
 origin instead; the two must give the same generators. The walk carries
 every sigma pairing of its runs; oracles.hermite_walk, the walk that kept
@@ -66,15 +64,14 @@ def _passes(t, floors):
 
 @pytest.mark.parametrize("name, ring", RINGS, ids=IDS)
 def test_runs_from_the_floors_cover_the_box_above_them(name, ring):
-    """The run points pairing at least the floors are the box points above them,
-    in walk order; every start pairs at most the bounds, and lies on the floors
-    on non-simplicial sigma and less than H_ii below floor i otherwise. With the
-    integer facet thresholds of random ideals, with and without u0, the runs are
-    cut to them: each is nonempty, every run point passes, and the points above
-    the floors are the box points above them that pass every threshold."""
+    """The run points are the box points pairing at least the floors, in walk
+    order, on every cone: no run starts below a floor, with or without
+    thresholds. With the integer facet thresholds of random ideals, with and
+    without u0, the runs are cut to them: each is nonempty, every run point
+    passes, and the points are the box points above the floors that pass
+    every threshold."""
     rng = random.Random(name)
     u, ut = ring.run_step
-    _, hnf, _ = ring.sigma_lattice
     rays = len(ring.sigma_rays)
     side = 12 if ring.dim == 2 else 5
     shifts = (None, ring.canonical_shift()) if ring.q_gorenstein else (None,)
@@ -92,15 +89,21 @@ def test_runs_from_the_floors_cover_the_box_above_them(name, ring):
             ]
             assert all(n > 0 for _, _, n in runs)
             assert all(t == ring.pairings(w) and all(map(int.__le__, t, bounds)) for w, t in points)
+            assert all(_passes(t, floors) for _, t in points), (bounds, floors, thresholds)
             assert all(dot(w, f) >= m for w, _ in points for f, m in thresholds)
-            above = [(w, t) for w, t in points if _passes(t, floors)]
             passing = [(w, t) for w, t in box if all(dot(w, f) >= m for f, m in thresholds)]
-            assert (above if _simplicial(ring) else sorted(above)) == passing, (bounds, floors, thresholds)
-            for _, t, _ in runs:
-                if _simplicial(ring):
-                    assert all(f - hnf[i][i] < a for i, (a, f) in enumerate(zip(t, floors))), (bounds, floors, t)
-                else:
-                    assert _passes(t, floors), (bounds, floors, t)
+            assert (points if _simplicial(ring) else sorted(points)) == passing, (bounds, floors, thresholds)
+
+
+def test_runs_start_on_the_floors_of_the_paper_ring():
+    """The Hermite point rounding the floors (1, 0, 0) down pairs -2 with the
+    sigma ray (2, -1, 0); the walk from it reads no run below that floor."""
+    ring = ring_from_dual_rays(((2, 1, 0), (1, 2, 0), (0, 0, 1)))
+    assert ring.sigma_rays == ((-1, 2, 0), (0, 0, 1), (2, -1, 0))
+    assert list(run_starts(ring, (1, 0, 0), (1, 0, 0))) == []
+    runs = list(run_starts(ring, (2, 2, 2), (1, 0, 0)))
+    assert [w for w, _, _ in runs] == [(1, 1, 0), (1, 1, 1), (1, 1, 2), (2, 2, 0), (2, 2, 1), (2, 2, 2)]
+    assert all(n == 1 and min(t) >= 0 for _, t, n in runs)
 
 
 # The walk's rings and a ring of dimension one, whose walk is a single run.

@@ -14,7 +14,10 @@ step left the exponent cone under the greedy basis of sigma rays in ray
 order. The facet-first basis (ToricRing.sigma_lattice) steps along a dual
 ray on every ring, which is tested on these and on seeded random cones.
 Seeded random plane pairs of the two-dimensional property suite add their
-products.
+products. run_starts drops the thresholds its box implies, on a sigma ray at
+or under its floor or on a negated sigma ray at or under minus its bound;
+that it drops exactly those, and that they change no run, is tested on every
+ring.
 
 The region walk starts at its floors, the least generator pairings with
 the sigma rays (test_region_floors checks the walk from them), and stops at a
@@ -116,6 +119,69 @@ def test_runs_expand_to_the_walk(name, ring):
         ]
         assert all(t == ring.pairings(w) for w, t in expanded)
         assert (expanded if _simplicial(ring) else sorted(expanded)) == list(lattice_points_in_box(ring, bounds)), bounds
+
+
+def _box_tests(ring, bounds, floors):
+    """Thresholds on the box's own facets: (n_i, m) around floors[i] and (-n_i, m) around -bounds[i]."""
+    for n, f, b in zip(ring.sigma_rays, floors, bounds):
+        yield from ((n, m) for m in (f - 1, f, f + 1))
+        yield from ((vscale(-1, n), m) for m in (-b - 1, -b, -b + 1))
+
+
+def _implied(ring, bounds, floors, test):
+    f, m = test
+    box = zip(ring.sigma_rays, floors, bounds)
+    return any(f == n and m <= lo or f == vscale(-1, n) and m <= -hi for n, lo, hi in box)
+
+
+@pytest.mark.parametrize("name, ring", RINGS, ids=IDS)
+def test_run_starts_drops_exactly_the_tests_of_its_box(monkeypatch, name, ring):
+    """Boxes around small semigroup points. A threshold that a floor or a bound
+    implies is dropped before the walk and every other one reaches run_interval,
+    after the floor tests the cut box adds on simplicial sigma; the runs are the
+    same with and without the implied thresholds, and are the box points above
+    the floors that pass them all."""
+    rng = random.Random(name + "-box-tests")
+    u, ut = ring.run_step
+    points = semigroup_points(ring, 6 if ring.dim == 2 else 3)
+    handed = []
+
+    def recorded(w, n, tests):
+        handed.append(tests)
+        return run_interval(w, n, tests)
+
+    checked = 0
+    for ideal in _ideals(name, ring, 2):
+        polyhedron = lattice_thresholds(newton_polyhedron(ideal), None)
+        for _ in range(3):
+            center = ring.pairings(rng.choice(points))
+            floors = tuple(max(0, a - rng.randint(0, 2)) for a in center)
+            bounds = tuple(a + rng.randint(0, 3) for a in center)
+            thresholds = list(polyhedron + tuple(_box_tests(ring, bounds, floors)))
+            rng.shuffle(thresholds)
+            kept = [test for test in thresholds if not _implied(ring, bounds, floors, test)]
+            assert len(kept) < len(thresholds)
+            handed.clear()
+            monkeypatch.setattr("toricmult.rings.run_interval", recorded)
+            runs = list(run_starts(ring, bounds, floors, thresholds))
+            monkeypatch.undo()
+            assert runs == list(run_starts(ring, bounds, floors, kept))
+            walked = [
+                (vadd(w, vscale(k, u)), tuple(a + k * s for a, s in zip(t, ut))) for w, t, n in runs for k in range(n)
+            ]
+            box = [
+                (w, t)
+                for w, t in lattice_points_in_box(ring, bounds)
+                if all(map(int.__ge__, t, floors)) and all(dot(w, f) >= m for f, m in thresholds)
+            ]
+            assert (walked if _simplicial(ring) else sorted(walked)) == box, (bounds, floors)
+            if handed:
+                floor_tests = set(zip(ring.sigma_rays, floors))
+                tests = [(f, m) for f, m, _ in handed[0]]
+                assert [test for test in tests if test not in floor_tests] == kept, (bounds, floors)
+                assert _simplicial(ring) or len(tests) == len(kept)
+                checked += 1
+    assert checked
 
 
 def _scan(w, u, n, tests):

@@ -109,9 +109,9 @@ def test_an_empty_splitting_box_walks_nothing(monkeypatch, name, ring):
 
 
 def test_run_starts_returns_at_once_below_a_floor():
-    """On simplicial sigma the walk begins up to a Hermite diagonal entry below
-    its floors, so without the check a bound just under its floor would still
-    yield runs on the pool rings whose diagonal entries exceed 1."""
+    """A bound just under its floor yields no run, also on the pool rings whose
+    Hermite diagonal entries exceed 1, where the cut point of the simplicial
+    walk pairs up to a diagonal entry below the floors."""
     for name, ring in RINGS:
         rays = len(ring.sigma_rays)
         for i, floor in itertools.product(range(rays), range(1, 8)):
@@ -131,16 +131,17 @@ def test_the_box_count_is_the_number_of_box_points():
 
 def test_the_paper_target_walks_four_runs(monkeypatch):
     """(18, 12, 2) still reports the box (7, 3, 25) of 280 points and no
-    splitting, but the walk reads the 4 runs (16 points) of the splitting box
-    (3, 1, 1)..(4, 2, 10) where the reported box has 32 runs. A second
-    refutation of the same box does not walk the reported box again."""
+    splitting, but the walk reads the 4 runs (14 points, each on or above the
+    floors) of the splitting box (3, 1, 1)..(4, 2, 10) where the reported box
+    has 32 runs. A second refutation of the same box does not walk the
+    reported box again."""
     ring, a, b = instance()
     assert TARGET == (18, 12, 2)
     walks = _walks(monkeypatch)
     for _ in range(2):
         report = exhaustive_refute(TARGET, a, b)
         assert (report.bounds, report.scanned, report.decompositions) == ((7, 3, 25), 280, ())
-    assert [walk for walk in walks if walk[1] is not None] == [((4, 2, 10), (3, 1, 1), 4, 16)] * 2
+    assert [walk for walk in walks if walk[1] is not None] == [((4, 2, 10), (3, 1, 1), 4, 14)] * 2
     assert [walk for walk in walks if walk[1] is None] in ([], [((7, 3, 25), None, 32, 280)])
     full = list(run_starts(ring, (7, 3, 25)))
     assert (len(full), sum(n for _, _, n in full)) == (32, 280)

@@ -3,13 +3,13 @@
 subadditivity._splitting_data keeps, per (a, b), the thresholds of N(a)'s
 interior and of N(b)'s u0-shifted interior (negated), and the floors of the
 splitting box; exhaustive_refute computes only the per-target offsets and
-ceilings. The thresholds the walk already makes are left out: N(b)'s
-sigma-ray facets are the box's ceilings on every cone, and on non-simplicial
-sigma N(a)'s sigma-ray facets are its floors. Reports must equal
+ceilings. rings.run_starts drops the thresholds its box makes (N(a)'s
+sigma-ray facets are its floors and N(b)'s its ceilings, on every cone;
+test_run_starts checks the drop). Reports must equal
 oracles.exhaustive_refute, which tests every point of the reported box on
 every facet, in any order of targets and pairs, also after the memo has
-evicted a pair; and every other facet must stay: dropping any one of them
-makes some report differ from the oracle's.
+evicted a pair; and every facet off the box must stay: dropping any one of
+them makes some report differ from the oracle's.
 """
 
 import itertools
@@ -75,18 +75,13 @@ def test_shuffled_and_interleaved_targets_match_the_oracle():
 
 
 @pytest.mark.parametrize("name, ring", RINGS, ids=[name for name, _ in RINGS])
-def test_the_data_leaves_out_exactly_the_tests_of_the_box(name, ring):
-    """N(b) loses one threshold per sigma ray on every cone, N(a) only on
-    non-simplicial sigma; the rest are the polyhedra's own, N(b)'s negated."""
-    sigma = set(ring.sigma_rays)
-    simplicial = len(sigma) == ring.dim
+def test_the_data_holds_the_polyhedra_thresholds_whole(name, ring):
+    """N(a)'s thresholds and N(b)'s u0-shifted ones, negated, with the box's floors and ceilings."""
     for a, b in {(a, b) for _, a, b in _jobs(name, ring)}:
         inside_a, outside_b, floors, floor_b = _splitting_data(a, b)
         shifted_b = lattice_thresholds(newton_polyhedron(b), ring.canonical_shift())
-        assert outside_b == tuple((vscale(-1, f), m) for f, m in shifted_b if f not in sigma)
-        assert len(outside_b) == len(shifted_b) - len(sigma)
-        interior_a = lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim)
-        assert inside_a == tuple(test for test in interior_a if simplicial or test[0] not in sigma)
+        assert outside_b == tuple((vscale(-1, f), m) for f, m in shifted_b)
+        assert inside_a == lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim)
         assert floors == tuple(min(t) + 1 for t in zip(*a.pairings))
         assert floor_b == tuple(map(min, zip(*b.pairings)))
 
@@ -125,16 +120,18 @@ NEEDED = [
 
 @pytest.mark.parametrize("name, ring, a, b, bound", NEEDED, ids=[case[0] for case in NEEDED])
 def test_dropping_one_more_facet_disagrees_with_the_oracle(monkeypatch, name, ring, a, b, bound):
-    """Leave out also one threshold of a facet off the sigma rays, of N(a) or of
-    N(b), and some target among the product generators moved by small semigroup
-    points gets a report other than the oracle's."""
+    """Leave out one threshold of a facet off the sigma rays, which the splitting
+    box does not imply, of N(a) or of N(b), and some target among the product
+    generators moved by small semigroup points gets a report other than the
+    oracle's."""
     sigma = set(ring.sigma_rays)
     inside_a, outside_b, floors, floor_b = _splitting_data(a, b)
     off_sigma_a = [test for test in inside_a if test[0] not in sigma]
-    assert off_sigma_a and outside_b
+    off_sigma_b = [test for test in outside_b if vscale(-1, test[0]) not in sigma]
+    assert off_sigma_a and off_sigma_b
     targets = [vadd(g, p) for g in product(a, b).gens for p in semigroup_points(ring, bound)]
     expected = {}
-    drops = [("a", test) for test in off_sigma_a] + [("b", test) for test in outside_b]
+    drops = [("a", test) for test in off_sigma_a] + [("b", test) for test in off_sigma_b]
     for side, test in drops:
         data = (
             tuple(t for t in inside_a if t != test) if side == "a" else inside_a,
