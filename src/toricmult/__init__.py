@@ -19,6 +19,7 @@ from .errors import (
     RecipeInvalid,
     RingMismatch,
     ToricmultError,
+    TooLarge,
     ZeroIdeal,
 )
 from .geometry import (
@@ -34,7 +35,7 @@ from .geometry import (
 )
 from .rings import (
     ToricRing,
-    require_exponent,
+    exponent_pairings,
     ring_from_dual_rays,
     semigroup_contains,
     semigroup_points,
@@ -96,11 +97,13 @@ __all__ = [
     "SubadditivityVerdict",
     "ToricRing",
     "ToricmultError",
+    "TooLarge",
     "ZeroIdeal",
     "check_subadditivity",
     "contains_monomial",
     "decompose_2d",
     "exhaustive_refute",
+    "exponent_pairings",
     "huneke_swanson_construct",
     "hull_plus_cone",
     "ideal_sum",
@@ -113,7 +116,6 @@ __all__ = [
     "newton_polyhedron",
     "product",
     "relint_certificate",
-    "require_exponent",
     "ring_from_dual_rays",
     "search_counterexamples",
     "semigroup_contains",

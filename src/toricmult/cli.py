@@ -23,7 +23,6 @@ from .errors import ToricmultError, ConfigInvalid
 from .ideals import MonomialIdeal, integral_closure, newton_polyhedron
 from .multiplier import multiplier_ideal
 from .problemio import (
-    Problem,
     construction_json,
     format_point,
     halfspace_json,
@@ -83,9 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--input", required=True, metavar="FILE",
                             help="problem JSON file (ring + named ideals)")
             plural = "s" if ideals > 1 else ""
-            sp.add_argument("--ideals", required=True, nargs="+", metavar="NAME",
+            sp.add_argument("--ideals", required=True, nargs=ideals, metavar="NAME",
                             help=f"name{plural} of {ideals} ideal{plural} from the problem file")
-        sp.set_defaults(handler=handler, render=render, ideal_count=ideals)
+        sp.set_defaults(handler=handler, render=render)
         return sp
 
     command("newton", _cmd_newton, _text_newton, "Facets and vertices of an ideal's Newton polyhedron.", ideals=1)
@@ -114,19 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _named_ideals(args) -> tuple[Problem, list[str]]:
-    problem = load_problem(args.input)
-    names = list(args.ideals)
-    if len(names) != args.ideal_count:
-        raise ConfigInvalid(
-            f"{args.command} takes exactly {args.ideal_count} ideal name(s), got {len(names)}"
-        )
-    return problem, names
-
-
 def _one_ideal(args) -> tuple[MonomialIdeal, dict]:
     """The named ideal, and the report fields every one-ideal command starts with."""
-    problem, (name,) = _named_ideals(args)
+    problem, (name,) = load_problem(args.input), args.ideals
     ideal = problem.ideal(name)
     return ideal, {
         "command": args.command,
@@ -138,7 +127,7 @@ def _one_ideal(args) -> tuple[MonomialIdeal, dict]:
 
 def _two_ideals(args) -> tuple[MonomialIdeal, MonomialIdeal, dict]:
     """The two named ideals, and the report fields every two-ideal command starts with."""
-    problem, (name_a, name_b) = _named_ideals(args)
+    problem, (name_a, name_b) = load_problem(args.input), args.ideals
     return problem.ideal(name_a), problem.ideal(name_b), {
         "command": args.command,
         "ring": ring_json(problem.ring),

@@ -51,3 +51,7 @@ class RecipeInvalid(ToricmultError):
 
 class ConfigInvalid(ToricmultError):
     """Problem file or search configuration is malformed."""
+
+
+class TooLarge(ToricmultError):
+    """Computation would enumerate more points than the machine can index."""

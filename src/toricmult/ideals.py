@@ -86,7 +86,7 @@ def _antichain(points: Iterable[tuple[LatticePoint, tuple[int, ...]]]) -> tuple[
 def sigma_floors(a: MonomialIdeal) -> tuple[int, ...]:
     """The least generator pairing with each sigma ray: N(a) = conv(a) + σ^∨, so every
     sigma ray is a facet normal of N(a), and this is its facet's offset."""
-    return tuple(map(min, zip(*map(a.ring.pairings, a.gens))))
+    return tuple(map(min, zip(*a.pairings)))
 
 
 def _same_ring(a: MonomialIdeal, b: MonomialIdeal) -> ToricRing:

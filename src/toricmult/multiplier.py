@@ -14,7 +14,7 @@ from .errors import ZeroIdeal
 from .geometry import MembershipReport, membership
 from .ideals import CACHE_SIZE, MonomialIdeal, newton_polyhedron, region_minimal_generators
 from .linalg import vadd
-from .rings import require_exponent
+from .rings import exponent_pairings
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -32,5 +32,5 @@ def multiplier_membership(a: MonomialIdeal, w: Sequence[int]) -> MembershipRepor
     u0 = a.ring.canonical_shift()
     if a.is_zero:
         raise ZeroIdeal("the multiplier ideal of the zero ideal is undefined")
-    p = require_exponent(a.ring, w)
+    p, _ = exponent_pairings(a.ring, w)
     return membership(newton_polyhedron(a), vadd(p, u0), relative_interior=True)

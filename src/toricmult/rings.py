@@ -20,6 +20,7 @@ a region's facet thresholds (run_interval). run_points expands runs into points.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -27,7 +28,7 @@ from itertools import repeat
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DimensionMismatch, NotInSemigroup, NotQGorenstein
+from .errors import DimensionMismatch, NotInSemigroup, NotQGorenstein, TooLarge
 from .geometry import LatticePoint, PolyCone, RatPoint, as_lattice_point
 from .linalg import dot, hermite_normal_form, independent_rows, kernel_basis, primitivize, vscale, vsub
 
@@ -167,20 +168,16 @@ def _q_gorenstein_datum(cone: PolyCone) -> tuple[LatticePoint, int] | None:
 def semigroup_contains(ring: ToricRing, w: Sequence[int]) -> bool:
     """Is x^w a monomial of the ring, i.e. does w pair >= 0 with every sigma ray?"""
     try:
-        require_exponent(ring, w)
+        exponent_pairings(ring, w)
     except NotInSemigroup:
         return False
     return True
 
 
-def require_exponent(ring: ToricRing, w: Sequence[int]) -> LatticePoint:
-    """w as a lattice point of the ring; NotInSemigroup names a sigma ray it pairs negatively with."""
-    return exponent_pairings(ring, w)[0]
-
-
 def exponent_pairings(ring: ToricRing, w: Sequence[int]) -> tuple[LatticePoint, tuple[int, ...]]:
-    """(p, t): w as a lattice point p of the ring and its sigma pairings t, each computed once;
-    raises as require_exponent does, naming the first sigma ray that p pairs negatively with."""
+    """(p, t): w as a lattice point p of the ring and its sigma pairings t, each computed once.
+    DimensionMismatch when w lives in another dimension; NotInSemigroup names the first
+    sigma ray that p pairs negatively with."""
     p = as_lattice_point(w)
     if len(p) != ring.dim:
         raise DimensionMismatch(f"point of dimension {len(p)} in ring of dimension {ring.dim}")
@@ -220,6 +217,8 @@ def run_points(ring: ToricRing, runs) -> Iterator[tuple[LatticePoint, tuple[int,
         if n == 1:
             yield w, t
             continue
+        if n > sys.maxsize:
+            raise TooLarge(f"a run of {n} points from {w} is too long to enumerate")
         ws, ts = ([range(a, a + n * s, s) if s else repeat(a, n) for a, s in zip(v, dv)] for v, dv in ((w, u), (t, ut)))
         yield from zip(zip(*ws), zip(*ts))
 

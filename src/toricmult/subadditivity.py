@@ -46,7 +46,6 @@ from .multiplier import multiplier_ideal, multiplier_membership
 from .rings import (
     ToricRing,
     exponent_pairings,
-    require_exponent,
     ring_from_dual_rays,
     run_points,
     run_starts,
@@ -345,7 +344,7 @@ def huneke_swanson_construct(recipe: ConstructionRecipe) -> Construction:
         raise RecipeInvalid("z_exponent must have a positive last coordinate")
     if recipe.i_prime.is_zero or recipe.j_prime.is_zero:
         raise RecipeInvalid("base ideals must be nonzero")
-    r = require_exponent(base, recipe.r)
+    r, _ = exponent_pairings(base, recipe.r)
     ci, cj = integral_closure(recipe.i_prime), integral_closure(recipe.j_prime)
     if not membership(newton_polyhedron(ideal_sum(recipe.i_prime, recipe.j_prime)), r).contained:
         raise RecipeInvalid("r is not in the closure of i_prime + j_prime")
@@ -353,7 +352,7 @@ def huneke_swanson_construct(recipe: ConstructionRecipe) -> Construction:
         raise RecipeInvalid("r lies in closure(i_prime) + closure(j_prime)")
 
     ring = ring_from_dual_rays([q + (0,) for q in base.dual_rays] + [(0,) * d + (1,)])
-    z = require_exponent(ring, recipe.z_exponent)
+    z, _ = exponent_pairings(ring, recipe.z_exponent)
     a = monomial_ideal(ring, [g + (0,) for g in ci.gens] + [z])
     b = monomial_ideal(ring, [g + (0,) for g in cj.gens] + [z])
     r_z = vadd(r + (0,), z)

@@ -51,7 +51,7 @@ from toricmult.geometry import (
 )
 from toricmult.ideals import _same_ring, contains_monomial, integral_closure, newton_polyhedron, product
 from toricmult.linalg import independent_rows, invert, primitivize, rank
-from toricmult.rings import lattice_points_in_box, require_exponent
+from toricmult.rings import exponent_pairings, lattice_points_in_box
 from toricmult.subadditivity import Decomposition2D, RefutationReport, Side
 
 # A linear inequality over the first `dim` coordinates: (normal, rhs) encodes
@@ -430,7 +430,7 @@ def decompose_2d(p, a, b):
     if ring.dim != 2:
         raise NotDimension2(f"boundary-walk decomposition needs dimension 2, not {ring.dim}")
     u0 = ring.canonical_shift()
-    pt = require_exponent(ring, p)
+    pt, _ = exponent_pairings(ring, p)
     poly = newton_polyhedron(product(a, b))
     x = vadd(pt, u0)
     if not membership(poly, x, relative_interior=True).contained:
@@ -476,7 +476,7 @@ def exhaustive_refute(v, a, b):
     interior to N(b), found by testing every alpha of the walk in turn."""
     ring = _same_ring(a, b)
     u0 = ring.canonical_shift()
-    target = require_exponent(ring, v)
+    target, _ = exponent_pairings(ring, v)
     inside_a = lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim)
     inside_b = lattice_thresholds(newton_polyhedron(b), u0)
     bounds = tuple(t + 1 for t in ring.pairings(target))

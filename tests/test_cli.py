@@ -42,6 +42,10 @@ SEARCH_CONFIG = {
 }
 
 
+# Every command that reads named ideals, with the number of names it takes.
+NAMES_TAKEN = [("newton", 1), ("closure", 1), ("multiplier", 1), ("subadd", 2), ("refute", 2)]
+
+
 @pytest.fixture(scope="module")
 def paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -333,10 +337,23 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err.strip() == "error: no ideal named 'zz' (defined: a, ab, b)"
 
-    def test_wrong_ideal_count(self, capsys, paths):
-        code, _, err = run(capsys, "subadd", "--input", paths["problem"], "--ideals", "a")
+    @pytest.mark.parametrize("command, count", NAMES_TAKEN)
+    @pytest.mark.parametrize("offset", (-1, 1), ids=("too-few", "too-many"))
+    def test_a_wrong_number_of_ideal_names(self, capsys, paths, command, count, offset):
+        names = ["a"] * (count + offset)
+        extra = ["--target", "18,12,2"] if command == "refute" else []
+        code, out, err = run(capsys, command, "--input", paths["problem"], "--ideals", *names, *extra)
+        assert (code, out) == (2, "")
+        if offset < 0:
+            plural = "s" if count > 1 else ""
+            assert err == f"error: argument --ideals: expected {count} argument{plural}\n"
+        else:
+            assert err == "error: unrecognized arguments: a\n"
+
+    def test_the_name_count_is_checked_before_the_file_is_read(self, capsys):
+        code, _, err = run(capsys, "newton", "--input", "/no/such/file.json", "--ideals", "a", "b")
         assert code == 2
-        assert "subadd takes exactly 2 ideal name(s), got 1" in err
+        assert err == "error: unrecognized arguments: b\n"
 
     def test_unknown_problem_keys(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -80,6 +80,10 @@ CASES = [
     ("recipe-r-outside-the-closure", {**SEARCH_CONFIG, "explicit_recipes": [{**RECIPE, "r": [1, 1]}]}, SEARCH),
     ("recipe-z-without-new-coordinate",
      {**SEARCH_CONFIG, "explicit_recipes": [{**RECIPE, "z_exponent": [10, 6, 0]}]}, SEARCH),
+    # runs longer than sys.maxsize points
+    ("search-run-past-maxsize", {"gen_pairing_bound": 10**20, "max_candidates": 1}, SEARCH),
+    ("refute-run-past-maxsize", _problem([[1, 0], [1, 3]], a=[[1, 0], [1, 1]]),
+     ["refute", "--input", "{file}", "--ideals", "a", "a", "--target", "99999999999999999999999,1"]),
     ("threads-zero", SEARCH_CONFIG, SEARCH + ["--threads", "0"]),
     ("threads-negative", SEARCH_CONFIG, SEARCH + ["--threads", "-3"]),
     # argument errors argparse reports

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,13 @@ import pytest
 from instances import NOT_Q_GORENSTEIN_DUAL_RAYS, POOL, pool_rings, random_2d_ring
 from oracles import box_points, det, sigma_box_walk
 
-from toricmult.errors import DimensionMismatch, NotFullDimensional, NotInSemigroup, NotQGorenstein
+import toricmult
+from toricmult.errors import DimensionMismatch, NotFullDimensional, NotInSemigroup, NotQGorenstein, TooLarge
 from toricmult.linalg import hermite_normal_form
 from toricmult.rings import (
     lattice_points_in_box,
-    require_exponent,
     ring_from_dual_rays,
+    run_points,
     semigroup_contains,
     semigroup_points,
 )
@@ -80,14 +82,22 @@ class TestSemigroupMembership:
         assert semigroup_contains(ring, (2, 1, 0))
         assert semigroup_contains(ring, (1, 0, 0)) is False
 
-    def test_require_exponent_names_the_violated_ray(self):
-        ring = ring_from_dual_rays(((2, 1, 0), (1, 2, 0), (0, 0, 1)))
-        assert require_exponent(ring, (1, 1, 0)) == (1, 1, 0)
-        with pytest.raises(NotInSemigroup, match=r"\(-1, 2, 0\)"):
-            require_exponent(ring, (1, 0, 0))
+    def test_exponent_pairings_names_the_violated_ray(self):
+        ring = toricmult.ring_from_dual_rays(((2, 1, 0), (1, 2, 0), (0, 0, 1)))
+        p, t = toricmult.exponent_pairings(ring, [1, 1, 0])
+        assert p == (1, 1, 0) and t == ring.pairings(p)
+        with pytest.raises(NotInSemigroup, match=r"\(1, 0, 0\) pairs -1 with sigma ray \(-1, 2, 0\)"):
+            toricmult.exponent_pairings(ring, (1, 0, 0))
+        with pytest.raises(DimensionMismatch, match="point of dimension 2 in ring of dimension 3"):
+            toricmult.exponent_pairings(ring, (1, 1))
 
 
 class TestEnumeration:
+    def test_a_run_past_sys_maxsize_refuses(self):
+        ring = ring_from_dual_rays(((1, 0), (1, 3)))
+        with pytest.raises(TooLarge, match="too long to enumerate"):
+            next(run_points(ring, [((0, 0), (0, 0), sys.maxsize + 1)]))
+
     def test_box_walk_matches_the_parallelepiped_scan(self):
         for _, ring in pool_rings():
             bounds = tuple(5 for _ in ring.sigma_rays)
