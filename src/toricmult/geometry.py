@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotFullDimensional, NotInterior, NotPointed
@@ -27,7 +29,7 @@ RatPoint = tuple[Fraction, ...]
 
 def as_lattice_point(p: Sequence[int]) -> LatticePoint:
     q = tuple(p)
-    if not q or not all(isinstance(a, int) for a in q):
+    if not q or not all(map(isinstance, q, repeat(int))):
         raise ValueError(f"not a lattice point: {p!r}")
     return q
 
@@ -87,15 +89,21 @@ def _insert_rows(rays: list[tuple[LatticePoint, int]], rows: Iterable[LatticePoi
     return rays
 
 
-def _extreme_generators(dual: list[tuple[LatticePoint, int]], count: int) -> list[int]:
-    """Indices of the extreme generators of a cone, read off `_insert_rows`' final list.
+def _extreme_generators(dual: list[tuple[LatticePoint, int]], count: int, asked: Iterable[int]) -> list[int]:
+    """The indices in asked of extreme generators of a cone, read off `_insert_rows`' final list.
 
     Generator k is extreme exactly when no other generator is tight on every
     facet that k is tight on; this holds for distinct primitive generators of
-    a pointed cone when every facet is in the list.
+    a pointed cone when every facet is in the list, that is when k is the one
+    generator whose facet set holds k's. Each zero set's bits are read once,
+    into the facet sets of the count generators.
     """
-    tight = [sum(1 << i for i, (_, z) in enumerate(dual) if z >> k & 1) for k in range(count)]
-    return [k for k, t in enumerate(tight) if not any(j != k and u & t == t for j, u in enumerate(tight))]
+    tight = [0] * count
+    for i, (_, z) in enumerate(dual):
+        while z:
+            tight[(z & -z).bit_length() - 1] |= 1 << i
+            z &= z - 1
+    return [k for k in asked if list(map(tight[k].__and__, tight)).count(tight[k]) == 1]
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +122,12 @@ class PolyCone:
     dim: int
     rays: tuple[LatticePoint, ...]
     facet_normals: tuple[LatticePoint, ...]
+
+    @cached_property
+    def facet_ray_bits(self) -> tuple[int, ...]:
+        """Per facet normal, the bitset of the rays it is tight on (bit k for rays[k]);
+        computed once per cone, for the seed of every hull_plus_cone over it."""
+        return tuple(sum(1 << k for k, r in enumerate(self.rays) if dot(n, r) == 0) for n in self.facet_normals)
 
     @staticmethod
     def from_rays(rays: Iterable[Sequence[int]]) -> "PolyCone":
@@ -144,7 +158,7 @@ class PolyCone:
         # the facet normals span exactly when the cone has no line
         if rank(normals) < dim:
             raise NotPointed("cone contains a line")
-        extreme = sorted(prim[order[k]] for k in _extreme_generators(dual, len(prim)))
+        extreme = sorted(prim[order[k]] for k in _extreme_generators(dual, len(prim), range(len(prim))))
         return PolyCone(dim, tuple(extreme), tuple(normals))
 
 
@@ -197,7 +211,8 @@ def hull_plus_cone(points: Iterable[Sequence[int]], recession: PolyCone) -> Newt
     full-dimensional and pointed, which PolyCone already guarantees.
     Vertices are read off the zero sets, with the facet at infinity
     (0, ..., 0, 1) kept in: bit 0 is pts[0], bits 1..m are the recession rays,
-    which are never vertices, and bit m + k is pts[k].
+    which are never vertices and are not asked about, and bit m + k is
+    pts[k]. The seed's zero sets are the cone's facet_ray_bits, moved past bit 0.
     """
     pts: list[LatticePoint] = []
     for p in points:
@@ -210,15 +225,13 @@ def hull_plus_cone(points: Iterable[Sequence[int]], recession: PolyCone) -> Newt
         raise ValueError("at least one point is required")
     dim, p0, m = recession.dim, pts[0], len(recession.rays)
     # bit 0 is the row of p0, bit k the row of recession ray k - 1
-    seed = [
-        (n + (-dot(n, p0),), sum(2 << k for k, r in enumerate(recession.rays) if dot(n, r) == 0) | 1)
-        for n in recession.facet_normals
-    ]
+    seed = [(n + (-dot(n, p0),), bits << 1 | 1) for n, bits in zip(recession.facet_normals, recession.facet_ray_bits)]
     seed.append(((0,) * dim + (1,), (2 << m) - 2))
     dual = _insert_rows(seed, (p + (1,) for p in pts[1:]), dim + 1, m + 1)
-    facets = sorted(Halfspace(r[:dim], -r[dim]) for r, _ in dual if not is_zero(r[:dim]))
-    vertices = sorted(pts[max(k - m, 0)] for k in _extreme_generators(dual, m + len(pts)) if k == 0 or k > m)
-    return NewtonPolyhedron(dim, tuple(vertices), tuple(facets))
+    facets = tuple(Halfspace(*h) for h in sorted((r[:dim], -r[dim]) for r, _ in dual if any(r[:dim])))
+    point_rows = [0, *range(m + 1, m + len(pts))]
+    vertices = sorted(pts[max(k - m, 0)] for k in _extreme_generators(dual, m + len(pts), point_rows))
+    return NewtonPolyhedron(dim, tuple(vertices), facets)
 
 
 def membership(p: NewtonPolyhedron, x: Sequence, relative_interior: bool = False) -> MembershipReport:
@@ -226,7 +239,7 @@ def membership(p: NewtonPolyhedron, x: Sequence, relative_interior: bool = False
     if len(x) != p.dim:
         raise DimensionMismatch(f"point of dimension {len(x)} in polyhedron of dimension {p.dim}")
     num, den = _scaled(x)
-    lattice = all(isinstance(a, int) for a in x)
+    lattice = all(map(isinstance, x, repeat(int)))
     pairings = []
     violated = []
     tight = []

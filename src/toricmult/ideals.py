@@ -25,8 +25,9 @@ from .geometry import LatticePoint, NewtonPolyhedron, RatPoint, hull_plus_cone, 
 from .linalg import dot, vadd
 from .rings import ToricRing, exponent_pairings, run_starts
 
-# Entries kept by each memoized ideal operation (newton_polyhedron,
-# integral_closure, multiplier.multiplier_ideal); see their cache_info().
+# Entries kept by each memoized ideal operation (product, ideal_sum,
+# newton_polyhedron, integral_closure, multiplier.multiplier_ideal,
+# subadditivity.check_subadditivity); see their cache_info().
 CACHE_SIZE = 1024
 
 
@@ -68,11 +69,17 @@ def _antichain(points: Iterable[tuple[LatticePoint, tuple[int, ...]]]) -> tuple[
     its multiple. So in lexicographic order of pairings (linear on presorted
     input), a point is minimal exactly when no point kept before divides it.
     On two sigma rays that is a staircase: t is minimal when t[1] is below the
-    least second pairing kept, the last one's.
+    least second pairing kept, the last one's. The sort puts equal pairings
+    next to each other, and a point equal to the one before it is skipped
+    untested: that one was kept, or a kept point divides both.
     """
     gens: list[LatticePoint] = []
     gen_ts: list[tuple[int, ...]] = []
+    last = None
     for w, t in sorted(points, key=itemgetter(1)):
+        if t == last:
+            continue
+        last = t
         if len(t) == 2:
             minimal = not gen_ts or t[1] < gen_ts[-1][1]
         else:
@@ -95,7 +102,10 @@ def _same_ring(a: MonomialIdeal, b: MonomialIdeal) -> ToricRing:
     return a.ring
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
+    """a·b, minimalized from every sum of a generator of a and one of b; memoized, as a
+    construction and the check of its pair both multiply the pair."""
     ring = _same_ring(a, b)
     if a.is_zero or b.is_zero:
         return MonomialIdeal(ring, ())
@@ -103,7 +113,10 @@ def product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(ring, minimalize(ring, sums))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
+    """a + b, minimalized; memoized, as a search sums each generator pair once for its gap
+    points and again for every construction lifted from it."""
     ring = _same_ring(a, b)
     return MonomialIdeal(ring, minimalize(ring, list(a.gens) + list(b.gens)))
 

@@ -11,6 +11,7 @@ floats and no tolerances anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -54,7 +55,7 @@ def _scaled(u: Sequence) -> tuple[Sequence[int], int]:
     int and Fraction entries both carry numerator and denominator, so mixed
     rows are read as they are, without converting each entry to a Fraction.
     """
-    if all(isinstance(a, int) for a in u):
+    if all(map(isinstance, u, repeat(int))):
         return u, 1
     den = lcm(*(a.denominator for a in u))
     return [a.numerator * (den // a.denominator) for a in u], den

@@ -121,6 +121,13 @@ class ToricRing:
         the steps of the coordinates k_0..k_{d-2} that _hermite_walk walks before its runs."""
         return tuple((c, self.pairings(c)) for c in zip(*(row[:-1] for row in self.sigma_lattice[2])))
 
+    @cached_property
+    def box_facets(self) -> dict[LatticePoint, int]:
+        """i for sigma ray n_i and ~i for -n_i: the normals of the thresholds a sigma box
+        implies, indexed for run_starts."""
+        ns = self.sigma_rays
+        return {n: i for i, n in enumerate(ns)} | {vscale(-1, n): ~i for i, n in enumerate(ns)}
+
     def pairings(self, w: Sequence) -> tuple:
         return tuple(dot(w, n) for n in self.sigma_rays)
 
@@ -288,8 +295,8 @@ def run_starts(
     if any(b < f for b, f in zip(bounds, floors)):
         return
     u, ut = ring.run_step
-    box = dict(zip(ring.sigma_rays, floors)) | {vscale(-1, n): -b for n, b in zip(ring.sigma_rays, bounds)}
-    tests = [(f, m, dot(u, f)) for f, m in thresholds if f not in box or m > box[f]]
+    box, limits = ring.box_facets, (*floors, *(-b for b in reversed(bounds)))  # limits[~i] = -bounds[i]
+    tests = [(f, m, dot(u, f)) for f, m in thresholds if f not in box or m > limits[box[f]]]
     if len(ring.sigma_rays) > ring.dim:
         runs = _hermite_walk(ring, bounds, floors)
     else:

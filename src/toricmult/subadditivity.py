@@ -1,8 +1,11 @@
 """Subadditivity of multiplier ideals: checks, 2D proofs, refutation, search.
 
 check_subadditivity decides J(ab) ⊆ J(a)·J(b) by testing every generator of
-J(ab). In dimension two the containment always holds and decompose_2d returns
-the constructive witness from a boundary walk of N(ab). exhaustive_refute
+J(ab) for a factor: a generator g of J(a) dividing it with the rest in J(b).
+The product J(a)·J(b) itself is built only when a verdict's j_product is
+read, and each ideal pair is decided once (memoized). In dimension two the
+containment always holds and decompose_2d returns the constructive witness
+from a boundary walk of N(ab). exhaustive_refute
 certifies a failure by scanning every candidate splitting of a target point:
 it walks the Hermite runs of the box where a splitting can lie, each cut to
 its splittings, reading each ideal pair's facet thresholds once, and counts
@@ -19,7 +22,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
-from operator import sub
+from operator import le, sub
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -58,8 +61,11 @@ class SubadditivityVerdict:
     """Whether J(ab) ⊆ J(a)·J(b), with the generators that escape.
 
     certificates[i] is the strict membership report placing witnesses[i] + u0
-    inside the interior of N(ab); the non-membership in the product ideal can
-    be replayed with contains_monomial.
+    inside the interior of N(ab). The non-membership in the product ideal can
+    be replayed two ways: for every generator g of j_a dividing witnesses[i],
+    contains_monomial(j_b, witnesses[i] − g) is false (the factor test that
+    decided it), or contains_monomial(j_product, witnesses[i]) is false.
+    j_product = J(a)·J(b) is not a field: it is built on first read and kept.
     """
 
     holds: bool
@@ -68,7 +74,10 @@ class SubadditivityVerdict:
     j_ab: MonomialIdeal
     j_a: MonomialIdeal
     j_b: MonomialIdeal
-    j_product: MonomialIdeal
+
+    @cached_property
+    def j_product(self) -> MonomialIdeal:
+        return product(self.j_a, self.j_b)
 
 
 class Side(enum.Enum):
@@ -182,16 +191,27 @@ class SearchHit:
     verdict: SubadditivityVerdict
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def check_subadditivity(a: MonomialIdeal, b: MonomialIdeal) -> SubadditivityVerdict:
-    """Compare J(ab) against J(a)·J(b) generator by generator."""
+    """Compare J(ab) against J(a)·J(b) generator by generator, building no product.
+
+    A generator w of J(ab) lies in J(a)·J(b) exactly when some generator g of
+    J(a) divides it (no sigma pairing of g exceeds that of w) with w − g in
+    J(b): a product generator g + h dividing w leaves w − g = h + (w − g − h).
+    Memoized on the pair, which a search meets once per gap point of a skeleton.
+    """
     ab = product(a, b)
     j_ab = multiplier_ideal(ab)
     j_a = multiplier_ideal(a)
     j_b = multiplier_ideal(b)
-    j_prod = product(j_a, j_b)
-    witnesses = tuple(g for g in j_ab.gens if not contains_monomial(j_prod, g))
+
+    def in_product(w, t):
+        factors = zip(j_a.gens, j_a.pairings)
+        return any(all(map(le, tg, t)) and contains_monomial(j_b, vsub(w, g)) for g, tg in factors)
+
+    witnesses = tuple(w for w, t in zip(j_ab.gens, j_ab.pairings) if not in_product(w, t))
     certs = tuple(multiplier_membership(ab, w) for w in witnesses)
-    return SubadditivityVerdict(not witnesses, witnesses, certs, j_ab, j_a, j_b, j_prod)
+    return SubadditivityVerdict(not witnesses, witnesses, certs, j_ab, j_a, j_b)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +350,7 @@ def huneke_swanson_construct(recipe: ConstructionRecipe) -> Construction:
     fails. rZ ∈ closure(a·b) then holds unconditionally (split a convex
     combination for r over the generators of i_prime + j_prime and add z to
     each term) and is asserted; both closure memberships are facet tests on
-    N(i_prime + j_prime) and N(a·b). Whether a and b come out integrally
+    N(i_prime + j_prime) and N(a·b) (_in_closure). Whether a and b come out integrally
     closed and whether rZ escapes closure(a)·closure(b) depends on z; the
     result computes both exactly when they are first read.
     """
@@ -346,7 +366,7 @@ def huneke_swanson_construct(recipe: ConstructionRecipe) -> Construction:
         raise RecipeInvalid("base ideals must be nonzero")
     r, _ = exponent_pairings(base, recipe.r)
     ci, cj = integral_closure(recipe.i_prime), integral_closure(recipe.j_prime)
-    if not membership(newton_polyhedron(ideal_sum(recipe.i_prime, recipe.j_prime)), r).contained:
+    if not _in_closure(ideal_sum(recipe.i_prime, recipe.j_prime), r):
         raise RecipeInvalid("r is not in the closure of i_prime + j_prime")
     if contains_monomial(ideal_sum(ci, cj), r):
         raise RecipeInvalid("r lies in closure(i_prime) + closure(j_prime)")
@@ -356,8 +376,13 @@ def huneke_swanson_construct(recipe: ConstructionRecipe) -> Construction:
     a = monomial_ideal(ring, [g + (0,) for g in ci.gens] + [z])
     b = monomial_ideal(ring, [g + (0,) for g in cj.gens] + [z])
     r_z = vadd(r + (0,), z)
-    assert membership(newton_polyhedron(product(a, b)), r_z).contained
+    assert _in_closure(product(a, b), r_z)
     return Construction(recipe, ring, a, b, r_z)
+
+
+def _in_closure(a: MonomialIdeal, w: LatticePoint) -> bool:
+    """Does the lattice point w lie in closure(a), that is in N(a)? A facet test, with no report."""
+    return all(dot(w, h.normal) >= h.offset for h in newton_polyhedron(a).facets)
 
 
 # ---------------------------------------------------------------------------

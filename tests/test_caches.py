@@ -1,16 +1,18 @@
 """Memoized layers: bounded caches that return what a fresh computation returns.
 
-Rings, Newton polyhedra, integral closures, multiplier ideals, the 2D edge
-regions of an ideal pair, the lattice-point count of a refutation's box, the
-splitting data of an ideal pair, and the two search stages (the skeleton
-space of a config's bounds and the gap points of a generator pair) are pure
-functions of frozen values, so each is memoized by value; a ring's canonical
-point, sigma lattice, walk steps and dual-ray reach are computed once and
-held by the ring itself, as is its hash. The checks
-here pin that every cache is bounded, that a cached answer equals the
-undecorated function's, that equal values built apart share one entry, that
-configs differing only in seed or cap share one skeleton space, and that
-errors are raised again rather than remembered.
+Rings, products and sums of ideals, Newton polyhedra, integral closures,
+multiplier ideals, subadditivity verdicts, the 2D edge regions of an ideal
+pair, the lattice-point count of a refutation's box, the splitting data of
+an ideal pair, and the two search stages (the skeleton space of a config's
+bounds and the gap points of a generator pair) are pure functions of frozen
+values, so each is memoized by value; a ring's canonical point, sigma
+lattice, walk steps, dual-ray reach and box-facet index are computed once
+and held by the ring itself, as is its hash, and a cone holds which rays
+each facet normal is tight on. The checks here pin that every cache is
+bounded, that a cached answer equals the undecorated function's, that equal
+values built apart share one entry, that configs differing only in seed or
+cap share one skeleton space, and that errors are raised again rather than
+remembered.
 """
 
 from dataclasses import replace
@@ -32,7 +34,7 @@ from toricmult.errors import (
     NotPointed,
     NotQGorenstein,
 )
-from toricmult.ideals import MonomialIdeal, integral_closure, monomial_ideal, newton_polyhedron
+from toricmult.ideals import MonomialIdeal, ideal_sum, integral_closure, monomial_ideal, newton_polyhedron, product
 from toricmult.linalg import dot, hermite_normal_form
 from toricmult.multiplier import multiplier_ideal
 from toricmult.problemio import load_search_config
@@ -46,14 +48,18 @@ from toricmult.subadditivity import (
     _skeletons,
     _space_bounds,
     _splitting_data,
+    check_subadditivity,
     decompose_2d,
 )
 
 MEMOIZED = (
     ring_from_dual_rays,
+    product,
+    ideal_sum,
     newton_polyhedron,
     integral_closure,
     multiplier_ideal,
+    check_subadditivity,
     _edge_regions,
     _skeleton_space,
     _gap_generators,
@@ -95,6 +101,40 @@ def test_cached_multiplier_ideals_equal_fresh_ones():
         hits = multiplier_ideal.cache_info().hits
         assert multiplier_ideal(a) is multiplier_ideal(a)
         assert multiplier_ideal.cache_info().hits == hits + 2
+
+
+def pool_pairs():
+    rng = random.Random(29)
+    for name, ring in pool_rings():
+        for _ in range(4):
+            yield name, random_ideal(rng, ring, max_gens=3, pairing_bound=6), random_ideal(rng, ring, 3, 6)
+
+
+@pytest.mark.parametrize("layer", (product, ideal_sum, check_subadditivity), ids=lambda f: f.__name__)
+def test_cached_pair_results_equal_fresh_ones(layer):
+    for name, a, b in pool_pairs():
+        for x, y in ((a, b), (b, a)):
+            assert layer(x, y) == layer.__wrapped__(x, y), name
+            hits = layer.cache_info().hits
+            assert layer(x, y) is layer(x, y)
+            assert layer.cache_info().hits == hits + 2
+
+
+@pytest.mark.parametrize("name, dual", [(name, dual) for name, dual, _, _ in POOL])
+def test_equal_pairs_built_apart_share_one_verdict(name, dual):
+    """Ideals rebuilt on a ring built past the ring memo, from generators listed
+    in another order, hit the product, the sum and the verdict the first pair made."""
+    ring = ring_from_dual_rays(dual)
+    rebuilt = _ring_from_rays.__wrapped__(ring.dual_rays)
+    rng = random.Random(f"{name}-pairs")
+    a, b = (random_ideal(rng, ring, max_gens=3, pairing_bound=6) for _ in "ab")
+    verdict, ab, both = check_subadditivity(a, b), product(a, b), ideal_sum(a, b)
+    twins = [monomial_ideal(rebuilt, reversed(x.gens)) for x in (a, b)]
+    assert twins == [a, b] and twins[0].ring is not a.ring
+    for layer, cached in ((product, ab), (ideal_sum, both), (check_subadditivity, verdict)):
+        info = layer.cache_info()
+        assert layer(*twins) is cached
+        assert (layer.cache_info().hits, layer.cache_info().currsize) == (info.hits + 1, info.currsize)
 
 
 @pytest.mark.parametrize("name, dual", [(name, dual) for name, dual, _, _ in POOL])

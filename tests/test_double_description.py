@@ -19,7 +19,7 @@ from instances import POOL, STEPPING_DOWN, random_2d_ring, random_non_simplicial
 from oracles import cold_extreme_rays, cold_hull_plus_cone
 
 from toricmult.errors import NotFullDimensional, NotPointed
-from toricmult.geometry import PolyCone, hull_plus_cone
+from toricmult.geometry import PolyCone, _extreme_generators, _insert_rows, hull_plus_cone
 from toricmult.linalg import primitivize
 from toricmult.rings import ring_from_dual_rays
 
@@ -142,3 +142,64 @@ def test_newton_polyhedron_does_not_depend_on_point_order(group):
             for order in _rotations_and_shuffles(pts, rng):
                 assert hull_plus_cone(order, ring.cone) == expected, (ring.dual_rays, order)
 
+
+
+def _orthant_duals(rng, count):
+    """(dual, rows) for cones in the orthant: the unit rows first, then random
+    nonnegative rows, distinct and primitive, cut in as PolyCone.from_rays cuts them."""
+    for _ in range(count):
+        dim = rng.randint(2, 4)
+        rows = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+        for _ in range(rng.randint(0, 6)):
+            r = tuple(rng.randint(0, 3) for _ in range(dim))
+            if any(r) and primitivize(r) not in rows:
+                rows.append(primitivize(r))
+        seed = [(rows[j], (1 << dim) - 1 - (1 << j)) for j in range(dim)]
+        yield _insert_rows(seed, rows[dim:], dim, dim), rows
+
+
+def test_extreme_generators_asked_of_a_subset_are_the_full_answer_restricted():
+    rng = random.Random(419)
+    inner = 0
+    for dual, rows in _orthant_duals(rng, 300):
+        count = len(rows)
+        full = _extreme_generators(dual, count, range(count))
+        inner += count - len(full)
+        assert sorted(rows[k] for k in full) == list(PolyCone.from_rays(rows).rays), rows
+        for _ in range(4):
+            asked = rng.sample(range(count), rng.randint(0, count))
+            assert _extreme_generators(dual, count, asked) == [k for k in asked if k in full], (rows, asked)
+    assert inner > 300
+
+
+def test_newton_vertices_are_asked_only_of_the_points(monkeypatch):
+    """hull_plus_cone asks for bit 0 (the first point) and the bits past the
+    recession rays, never a recession ray, on the square cone's four rays."""
+    square = ring_from_dual_rays(((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))).cone
+    asked_of = []
+
+    def recorded(dual, count, asked):
+        asked_of.append((count, list(asked)))
+        return _extreme_generators(dual, count, asked_of[-1][1])
+
+    monkeypatch.setattr("toricmult.geometry._extreme_generators", recorded)
+    poly = hull_plus_cone([(1, 0, 1), (0, 1, 1), (1, 0, 1), (5, 0, 5)], square)
+    assert asked_of == [(7, [0, 5, 6])]
+    assert poly.vertices == ((0, 1, 1), (1, 0, 1))
+
+
+@pytest.mark.parametrize("group", sorted(RING_GROUPS))
+def test_a_cone_holds_the_rays_each_facet_normal_is_tight_on(group):
+    """Bit k of facet_ray_bits[i] is set exactly when normal i pairs to 0 with ray k;
+    a facet holds at least dim - 1 rays. The bits are built once and are no
+    field: equality and hash of the cone are those of a fresh one."""
+    for ring in RING_GROUPS[group]:
+        cone = ring.cone
+        fresh = PolyCone(cone.dim, cone.rays, cone.facet_normals)
+        tight = [
+            {k for k, r in enumerate(cone.rays) if sum(a * b for a, b in zip(n, r)) == 0} for n in cone.facet_normals
+        ]
+        assert [{k for k in range(len(cone.rays)) if bits >> k & 1} for bits in cone.facet_ray_bits] == tight
+        assert all(len(ks) >= cone.dim - 1 for ks in tight)
+        assert cone.facet_ray_bits is cone.facet_ray_bits
+        assert "facet_ray_bits" not in vars(fresh) and cone == fresh and hash(cone) == hash(fresh)

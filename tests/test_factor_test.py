@@ -1,0 +1,114 @@
+"""The factor test of check_subadditivity against the product scan it replaced.
+
+A generator w of J(ab) lies in J(a)·J(b) exactly when some generator g of
+J(a) divides it with w − g in J(b). The verdict used to build the product
+J(a)·J(b) and ask contains_monomial of it for every generator of J(ab); that
+scan is the reference here. The two must give the same witnesses, in the same
+order, on seeded pairs over every pool ring (the index-three ring included),
+on the pairs of acceptance criterion 4, on the search hits of the small-hits
+and singular-bases configs, on the square-cone violation and on the paper's
+example. The product is still a verdict's j_product, built on first read.
+"""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from instances import POOL, random_2d_ring, random_ideal
+from toricmult.builtin_example import instance
+from toricmult.ideals import contains_monomial, monomial_ideal, product
+from toricmult.problemio import load_problem, load_search_config
+from toricmult.rings import ring_from_dual_rays, semigroup_points
+from toricmult.subadditivity import check_subadditivity, search_counterexamples
+
+TESTS = Path(__file__).parent
+
+
+def _scan_witnesses(verdict):
+    j_product = product(verdict.j_a, verdict.j_b)
+    return tuple(w for w in verdict.j_ab.gens if not contains_monomial(j_product, w))
+
+
+def _pool_pairs():
+    rng = random.Random(61)
+    for name, dual, _, _ in POOL:
+        ring = ring_from_dual_rays(dual)
+        if ring.dim == 2:
+            for i in range(8):
+                yield f"{name}-{i}", random_ideal(rng, ring, 4, 12), random_ideal(rng, ring, 4, 12)
+            continue
+        # as the solid3d benchmark draws them: a shared generator makes witnesses common
+        pts = [w for w in semigroup_points(ring, 3) if any(w)]
+        for i in range(30):
+            shared = rng.choice(pts)
+            a, b = (monomial_ideal(ring, rng.sample(pts, rng.randint(1, 2)) + [shared]) for _ in "ab")
+            yield f"{name}-{i}", a, b
+
+
+def _criterion_4_pairs():
+    """The 200 random plane pairs of acceptance criterion 4, drawn with its seed."""
+    rng = random.Random(41)
+    for i in range(200):
+        ring = random_2d_ring(rng, bound=7)
+        a = random_ideal(rng, ring, max_gens=4, pairing_bound=30)
+        yield f"criterion-4-{i}", a, random_ideal(rng, ring, max_gens=4, pairing_bound=30)
+
+
+def _pinned_pairs():
+    for config in ("small_hits_search.json", "singular_bases_search.json"):
+        for i, hit in enumerate(search_counterexamples(load_search_config(str(TESTS / config)))):
+            yield f"{config}-hit-{i}", hit.construction.a, hit.construction.b
+    violation = load_problem(str(TESTS / "square_cone_violation.json"))
+    yield "square-cone-violation", violation.ideal("a"), violation.ideal("b")
+    _, a, b = instance()
+    yield "paper", a, b
+
+
+GROUPS = {
+    "pool": list(_pool_pairs()),
+    "criterion-4": list(_criterion_4_pairs()),
+    "pinned": list(_pinned_pairs()),
+}
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_the_factor_test_finds_the_witnesses_of_the_product_scan(group):
+    for name, a, b in GROUPS[group]:
+        verdict = check_subadditivity(a, b)
+        assert verdict.witnesses == _scan_witnesses(verdict), name
+        assert verdict.holds == (not verdict.witnesses), name
+
+
+def test_the_pairs_reach_both_verdicts():
+    failing = {group: sum(not check_subadditivity(a, b).holds for _, a, b in pairs) for group, pairs in GROUPS.items()}
+    # 2D subadditivity is a theorem; the pool's 3D pairs and the pinned ones fail often
+    assert failing["criterion-4"] == 0
+    assert failing["pool"] > 0
+    assert failing["pinned"] == len(GROUPS["pinned"]) == 9
+
+
+def test_the_witnesses_have_no_factor():
+    """Replaying a witness as the verdict's docstring says: no generator of J(a)
+    dividing it leaves the rest in J(b), and it is not in j_product."""
+    for name, a, b in GROUPS["pinned"]:
+        verdict = check_subadditivity(a, b)
+        ring = a.ring
+        for w in verdict.witnesses:
+            t = ring.pairings(w)
+            for g, tg in zip(verdict.j_a.gens, verdict.j_a.pairings):
+                if all(x <= y for x, y in zip(tg, t)):
+                    assert not contains_monomial(verdict.j_b, tuple(p - q for p, q in zip(w, g))), (name, w, g)
+            assert not contains_monomial(verdict.j_product, w), (name, w)
+
+
+def test_the_product_is_built_on_first_read():
+    """A fresh verdict (past the memo) holds no j_product until it is read; then it
+    holds J(a)·J(b) and keeps it, and equality of verdicts ignores it."""
+    for name, a, b in GROUPS["pinned"] + GROUPS["pool"][:6]:
+        verdict = check_subadditivity.__wrapped__(a, b)
+        assert "j_product" not in vars(verdict), name
+        unread = check_subadditivity.__wrapped__(a, b)
+        assert verdict.j_product == product(verdict.j_a, verdict.j_b), name
+        assert vars(verdict)["j_product"] is verdict.j_product
+        assert verdict == unread and "j_product" not in vars(unread), name

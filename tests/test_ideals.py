@@ -24,6 +24,7 @@ from toricmult.ideals import (
     newton_polyhedron,
     product,
 )
+from toricmult.multiplier import multiplier_ideal
 from toricmult.rings import ring_from_dual_rays, semigroup_contains, semigroup_points
 
 
@@ -75,6 +76,37 @@ class TestConstruction:
             assert _antichain(points) == oracles.antichain_scan(points)
             ties += len({t[0] for _, t in points}) < len({t for _, t in points})
         assert ties > 300
+
+    @pytest.mark.parametrize("rays", (3, 4))
+    def test_repeated_pairings_are_skipped_as_the_quadratic_scan_drops_them(self, rays):
+        """Multisets of a few distinct pairings, each repeated many times: the
+        sort puts the repeats of a point after it, where they are skipped. The
+        repeats carry other labels, which the scan drops with them."""
+        rng = random.Random(3329 + rays)
+        for _ in range(200):
+            distinct = [tuple(rng.randint(0, 4) for _ in range(rays)) for _ in range(rng.randint(1, 8))]
+            points = [((i,), rng.choice(distinct)) for i in range(rng.randint(1, 60))]
+            rng.shuffle(points)
+            assert _antichain(points) == oracles.antichain_scan(points)
+
+    @pytest.mark.parametrize("name", ("orthant-3d", "counterexample-3d", "square-cone-3d"))
+    def test_products_with_repeated_sums_minimalize_as_the_quadratic_scan(self, name):
+        """A product of an ideal with itself repeats every sum g + h as h + g."""
+        ring = dict(pool_rings())[name]
+        rng = random.Random(name)
+        for _ in range(10):
+            a = random_ideal(rng, ring, max_gens=6, pairing_bound=5)
+            sums = [(vadd(g, h), ring.pairings(vadd(g, h))) for g in a.gens for h in a.gens]
+            assert product(a, a).gens == oracles.antichain_scan(sums)
+
+    def test_the_square_cone_product_at_exponent_ten(self):
+        """J(a) of the square-cone multiplier fixture's ideal at exponent 10 has
+        221 generators, so J(a)·J(a) has 48,841 sums but 841 distinct ones."""
+        ring = ring_from_dual_rays(((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)))
+        j = multiplier_ideal(monomial_ideal(ring, ((10, 0, 10), (0, 10, 10), (-10, 0, 10), (0, -10, 10))))
+        assert len(j.gens) ** 2 == 48841
+        assert len({vadd(g, h) for g in j.gens for h in j.gens}) == 841
+        assert len(product(j, j).gens) == 841
 
     def test_two_dimensional_products_minimalize_as_the_quadratic_scan(self):
         rng = random.Random(3323)

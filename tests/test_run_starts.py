@@ -184,6 +184,18 @@ def test_run_starts_drops_exactly_the_tests_of_its_box(monkeypatch, name, ring):
     assert checked
 
 
+@pytest.mark.parametrize("name, ring", RINGS, ids=IDS)
+def test_the_box_index_names_each_sigma_ray_and_its_negation(name, ring):
+    """ring.box_facets maps n_i to i and -n_i to ~i, built once per ring: the index
+    run_starts reads the box's floors and bounds through (the test above checks
+    that it drops exactly the thresholds they imply)."""
+    rays = ring.sigma_rays
+    assert len(ring.box_facets) == 2 * len(rays)
+    for i, n in enumerate(rays):
+        assert ring.box_facets[n] == i and ring.box_facets[tuple(-a for a in n)] == -i - 1
+    assert ring.box_facets is ring.box_facets
+
+
 def _scan(w, u, n, tests):
     return [k for k in range(n) if all(dot(vadd(w, vscale(k, u)), f) >= m for f, m in tests)]
 

@@ -54,6 +54,7 @@ from toricmult.subadditivity import (
     _edge_regions,
     _enumerated_recipes,
     _gap_generators,
+    _in_closure,
     _skeleton,
     _skeleton_space,
     _skeletons,
@@ -510,6 +511,21 @@ class TestConstruction:
         )
         with pytest.raises(RecipeInvalid):
             huneke_swanson_construct(bad)
+
+    def test_the_closure_facet_test_matches_the_closure_generators(self):
+        """_in_closure, the construction's facet test on N(a), against divisibility by
+        the generators of closure(a) and against the membership report, on seeded
+        ideals over the pool and every semigroup point of a small box."""
+        rng = random.Random(67)
+        for name, ring in pool_rings():
+            points = semigroup_points(ring, 8 if ring.dim == 2 else 4)
+            for _ in range(4):
+                a = random_ideal(rng, ring, max_gens=3, pairing_bound=6 if ring.dim == 2 else 3)
+                closure, poly = integral_closure(a), newton_polyhedron(a)
+                inside = [w for w in points if _in_closure(a, w)]
+                assert inside == [w for w in points if contains_monomial(closure, w)], name
+                assert inside == [w for w in points if membership(poly, w).contained], name
+                assert 0 < len(inside) < len(points), name
 
 
 class TestSearch:
