@@ -197,6 +197,13 @@ class NewtonPolyhedron:
     vertices: tuple[LatticePoint, ...]
     facets: tuple[Halfspace, ...]
 
+    def moved(self, c: LatticePoint) -> "NewtonPolyhedron":
+        """c + self: every vertex moved by c and every facet offset by <normal, c>. Translation
+        keeps the lex order of the vertices and the normals, so both stay sorted."""
+        vertices = tuple(vadd(v, c) for v in self.vertices)
+        facets = tuple(Halfspace(h.normal, h.offset + dot(h.normal, c)) for h in self.facets)
+        return NewtonPolyhedron(self.dim, vertices, facets)
+
 
 def hull_plus_cone(points: Iterable[Sequence[int]], recession: PolyCone) -> NewtonPolyhedron:
     """Newton polyhedron conv(points) + recession, via double description.

@@ -11,18 +11,24 @@ of geometry.lattice_thresholds, and stops at the first candidate dividing
 every later one. It runs only where a closure's generators are needed: a
 lattice point lies in closure(a) iff it lies in N(a), a facet test on the
 memoized newton_polyhedron.
+
+Newton polyhedra, closures and (in multiplier) multiplier ideals are built
+once per translation class: for a lattice vector c, N(c + a) = c + N(a), and
+divisibility is translation-invariant, so closure(c + a) = c + closure(a).
+An ideal whose lex-first generator g0 is not the origin is answered from its
+representative a - g0 (_anchored), memoized like any ideal, moved back by g0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter, le
+from operator import add, itemgetter, le
 from typing import Iterable, Sequence
 
 from .errors import RingMismatch, ZeroIdeal
 from .geometry import LatticePoint, NewtonPolyhedron, RatPoint, hull_plus_cone, lattice_thresholds
-from .linalg import dot, vadd
+from .linalg import dot, vadd, vscale
 from .rings import ToricRing, exponent_pairings, run_starts
 
 # Entries kept by each memoized ideal operation (product, ideal_sum,
@@ -36,11 +42,20 @@ class MonomialIdeal:
     """Monomial ideal given by its minimal monomial exponents.
 
     gens is a lex-sorted antichain; the empty tuple is the zero ideal and
-    the single origin generator is the unit ideal.
+    the single origin generator is the unit ideal. The hash is computed on
+    first use and kept, as every memo keyed on an ideal reads it; an ideal
+    that is never a key, such as a large J(ab), never pays for it.
     """
 
     ring: ToricRing
     gens: tuple[LatticePoint, ...]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.ring, self.gens))
 
     @property
     def is_zero(self) -> bool:
@@ -50,6 +65,16 @@ class MonomialIdeal:
     def pairings(self) -> tuple[tuple[int, ...], ...]:
         """Each generator's sigma pairings, computed once for the ideal's divisibility tests."""
         return tuple(map(self.ring.pairings, self.gens))
+
+    def moved(self, c: LatticePoint) -> "MonomialIdeal":
+        """c + a: every generator moved by c, which keeps them a lex-sorted antichain."""
+        return MonomialIdeal(self.ring, tuple(tuple(map(add, g, c)) for g in self.gens))
+
+
+def _anchored(a: MonomialIdeal) -> MonomialIdeal:
+    """a - g0, g0 the lex-first generator: the representative of a's translation class.
+    Its points may pair negatively with sigma rays, so it is never returned to a caller."""
+    return a.moved(vscale(-1, a.gens[0]))
 
 
 def monomial_ideal(ring: ToricRing, gens: Iterable[Sequence[int]]) -> MonomialIdeal:
@@ -129,20 +154,27 @@ def contains_monomial(a: MonomialIdeal, w: Sequence[int]) -> bool:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def newton_polyhedron(a: MonomialIdeal) -> NewtonPolyhedron:
-    """conv(generators) + exponent cone. Undefined for the zero ideal."""
+    """conv(generators) + exponent cone. Undefined for the zero ideal.
+    N(c + a) = c + N(a), so one double description serves a translation class."""
     if a.is_zero:
         raise ZeroIdeal("the zero ideal has no Newton polyhedron")
+    g0 = a.gens[0]
+    if any(g0):
+        return newton_polyhedron(_anchored(a)).moved(g0)
     return hull_plus_cone(a.gens, a.ring.cone)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
     """Lattice points of N(a), as an ideal. A principal ideal ⟨g⟩ is its own
-    closure: the ring is normal, so (g + cone) ∩ M = g + semigroup."""
+    closure: the ring is normal, so (g + cone) ∩ M = g + semigroup.
+    closure(c + a) = c + closure(a), so one region walk serves a translation class."""
     if len(a.gens) <= 1:
         return a
-    gens = region_minimal_generators(a, None)
-    return MonomialIdeal(a.ring, gens)
+    g0 = a.gens[0]
+    if any(g0):
+        return integral_closure(_anchored(a)).moved(g0)
+    return MonomialIdeal(a.ring, region_minimal_generators(a, None))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, isqrt
 from operator import le, sub
 from typing import Iterator, Sequence
 
@@ -352,7 +352,8 @@ def huneke_swanson_construct(recipe: ConstructionRecipe) -> Construction:
     each term) and is asserted; both closure memberships are facet tests on
     N(i_prime + j_prime) and N(a·b) (_in_closure). Whether a and b come out integrally
     closed and whether rZ escapes closure(a)·closure(b) depends on z; the
-    result computes both exactly when they are first read.
+    result computes both exactly when they are first read. The lift does not
+    depend on r, so it is built once per (base, closures, z) (_lift).
     """
     base = recipe.base_ring
     d = base.dim
@@ -371,13 +372,23 @@ def huneke_swanson_construct(recipe: ConstructionRecipe) -> Construction:
     if contains_monomial(ideal_sum(ci, cj), r):
         raise RecipeInvalid("r lies in closure(i_prime) + closure(j_prime)")
 
-    ring = ring_from_dual_rays([q + (0,) for q in base.dual_rays] + [(0,) * d + (1,)])
-    z, _ = exponent_pairings(ring, recipe.z_exponent)
-    a = monomial_ideal(ring, [g + (0,) for g in ci.gens] + [z])
-    b = monomial_ideal(ring, [g + (0,) for g in cj.gens] + [z])
+    ring, z, a, b = _lift(base, ci, cj, tuple(recipe.z_exponent))
     r_z = vadd(r + (0,), z)
     assert _in_closure(product(a, b), r_z)
     return Construction(recipe, ring, a, b, r_z)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _lift(base: ToricRing, ci: MonomialIdeal, cj: MonomialIdeal, z_exponent: LatticePoint):
+    """(ring, z, a, b): base with a coordinate adjoined, z_exponent as its lattice point, and
+    a = closure(i_prime) + ⟨z⟩, b = closure(j_prime) + ⟨z⟩ upstairs. Memoized, as every gap
+    point r of a skeleton lifts the same closures and z, explicit recipes alike."""
+    d = base.dim
+    ring = ring_from_dual_rays([q + (0,) for q in base.dual_rays] + [(0,) * d + (1,)])
+    z, _ = exponent_pairings(ring, z_exponent)
+    a = monomial_ideal(ring, [g + (0,) for g in ci.gens] + [z])
+    b = monomial_ideal(ring, [g + (0,) for g in cj.gens] + [z])
+    return ring, z, a, b
 
 
 def _in_closure(a: MonomialIdeal, w: LatticePoint) -> bool:
@@ -434,6 +445,9 @@ def _skeleton(blocks, z_height_bound: int, index: int) -> tuple[ToricRing, Latti
 
     The digits are, outermost first: the ring block, the pair (g1, g2) in
     combinations_with_replacement order, the adjoined exponent, its height.
+    Row i of the pairs holds (gens[i], gens[j]), j >= i, so counted from the
+    last pair, the q-th lies in the row k = (isqrt(8q + 1) - 1) // 2 from the
+    end, which holds k + 1 pairs and starts after k(k + 1)/2 of them.
     """
     for ring, gens, zs, size in blocks:
         if index < size:
@@ -441,11 +455,11 @@ def _skeleton(blocks, z_height_bound: int, index: int) -> tuple[ToricRing, Latti
         index -= size
     index, height = divmod(index, z_height_bound)
     pair, z = divmod(index, len(zs))
-    i = 0
-    while pair >= len(gens) - i:  # row i holds the pairs (gens[i], gens[j]), j >= i
-        pair -= len(gens) - i
-        i += 1
-    return ring, gens[i], gens[i + pair], zs[z] + (height + 1,)
+    n = len(gens)
+    q = n * (n + 1) // 2 - 1 - pair
+    k = (isqrt(8 * q + 1) - 1) // 2
+    i = n - 1 - k
+    return ring, gens[i], gens[i + k - (q - k * (k + 1) // 2)], zs[z] + (height + 1,)
 
 
 def _skeletons(config: SearchConfig) -> Iterator[tuple[ToricRing, LatticePoint, LatticePoint, LatticePoint]]:

@@ -3,16 +3,18 @@
 Rings, products and sums of ideals, Newton polyhedra, integral closures,
 multiplier ideals, subadditivity verdicts, the 2D edge regions of an ideal
 pair, the lattice-point count of a refutation's box, the splitting data of
-an ideal pair, and the two search stages (the skeleton space of a config's
-bounds and the gap points of a generator pair) are pure functions of frozen
-values, so each is memoized by value; a ring's canonical point, sigma
-lattice, walk steps, dual-ray reach and box-facet index are computed once
-and held by the ring itself, as is its hash, and a cone holds which rays
-each facet normal is tight on. The checks here pin that every cache is
-bounded, that a cached answer equals the undecorated function's, that equal
-values built apart share one entry, that configs differing only in seed or
-cap share one skeleton space, and that errors are raised again rather than
-remembered.
+an ideal pair, the lift of a construction, and the two search stages (the
+skeleton space of a config's bounds and the gap points of a generator pair)
+are pure functions of frozen values, so each is memoized by value; a ring's
+canonical point, sigma lattice, walk steps, dual-ray reach and box-facet
+index are computed once and held by the ring itself, as is its hash and an
+ideal's, and a cone holds which rays each facet normal is tight on. Newton
+polyhedra, closures and multiplier ideals are computed once per translation
+class, from the class's representative. The checks here pin that every
+cache is bounded, that a cached answer equals the undecorated function's,
+that equal values built apart share one entry, that configs differing only
+in seed or cap share one skeleton space, and that errors are raised again
+rather than remembered.
 """
 
 from dataclasses import replace
@@ -26,6 +28,8 @@ import pytest
 import oracles
 from instances import NOT_Q_GORENSTEIN_DUAL_RAYS, POOL, STEPPING_DOWN, pool_rings, random_ideal
 
+import toricmult.ideals
+import toricmult.multiplier
 from toricmult.errors import (
     DimensionMismatch,
     NotDimension2,
@@ -33,23 +37,29 @@ from toricmult.errors import (
     NotInMultiplierIdeal,
     NotPointed,
     NotQGorenstein,
+    RecipeInvalid,
+    ZeroIdeal,
 )
 from toricmult.ideals import MonomialIdeal, ideal_sum, integral_closure, monomial_ideal, newton_polyhedron, product
 from toricmult.linalg import dot, hermite_normal_form
 from toricmult.multiplier import multiplier_ideal
 from toricmult.problemio import load_search_config
-from toricmult.rings import ToricRing, _ring_from_rays, ring_from_dual_rays
+from toricmult.rings import ToricRing, _ring_from_rays, ring_from_dual_rays, semigroup_points
 from toricmult.subadditivity import (
+    ConstructionRecipe,
     SearchConfig,
     _box_size,
     _edge_regions,
+    _enumerated_recipes,
     _gap_generators,
+    _lift,
     _skeleton_space,
     _skeletons,
     _space_bounds,
     _splitting_data,
     check_subadditivity,
     decompose_2d,
+    huneke_swanson_construct,
 )
 
 MEMOIZED = (
@@ -65,6 +75,7 @@ MEMOIZED = (
     _gap_generators,
     _box_size,
     _splitting_data,
+    _lift,
 )
 
 TESTS = Path(__file__).parent
@@ -192,6 +203,7 @@ def test_equal_rings_and_ideals_built_apart_share_one_memo_entry(name, dual):
     poly = newton_polyhedron(a)
     bounds = (3,) * len(ring.sigma_rays)
     count = _box_size(ring, bounds)
+    assert a._hash == hash((ring, a.gens)) and "_hash" not in repr(a)
     for other in (rebuilt, copied):
         twin = MonomialIdeal(other, a.gens)
         assert twin is not a and twin == a and hash(twin) == hash(a)
@@ -293,3 +305,92 @@ def test_configs_differing_in_seed_or_cap_share_one_skeleton_space():
         assert _skeleton_space.cache_info().hits == info.hits + 1
         assert _skeleton_space.cache_info().currsize == info.currsize
         assert _skeleton_space(*_space_bounds(other)) is _skeleton_space(*_space_bounds(config))
+
+
+PAPER_RING = ((2, 1, 0), (1, 2, 0), (0, 0, 1))
+PAPER_IDEAL = ((2, 4, 0), (4, 2, 0), (0, 0, 3))
+
+
+def _counting(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_translates_cost_one_double_description_and_one_walk_per_class(monkeypatch):
+    """N(a), closure(a) and J(a) of the paper's ideal and of its translates by the semigroup
+    points pairing at most 2 with every sigma ray: one hull_plus_cone, one closure
+    walk and one multiplier walk, all on the representative, whose results every
+    translate moves; each layer's memo holds the translates and the representative."""
+    calls = []
+    _counting(monkeypatch, toricmult.ideals, "hull_plus_cone", calls)
+    for module in (toricmult.ideals, toricmult.multiplier):
+        _counting(monkeypatch, module, "region_minimal_generators", calls)
+    layers = (newton_polyhedron, integral_closure, multiplier_ideal)
+    for layer in layers:
+        layer.cache_clear()
+    ring = ring_from_dual_rays(PAPER_RING)
+    a = monomial_ideal(ring, PAPER_IDEAL)
+    shifts = semigroup_points(ring, 2)
+    assert len(shifts) > 4 and shifts[0] == (0, 0, 0)
+    translates = [a.moved(c) for c in shifts]
+    results = [[layer(x) for x in translates] for layer in layers]
+    assert sorted(calls) == ["hull_plus_cone", "region_minimal_generators", "region_minimal_generators"]
+    for layer, found in zip(layers, results):
+        assert layer.cache_info().currsize == len(translates) + 1
+        assert all(y == found[0].moved(c) for y, c in zip(found, shifts))
+    assert results[2][0].gens == ((0, 0, 2), (1, 1, 1), (1, 2, 0), (2, 1, 0), (2, 2, 0))
+
+
+def test_refused_translates_are_refused_again():
+    """The zero ideal is refused before its first generator is read, and a translate on a
+    ring with no canonical point before any representative is made; neither is remembered."""
+    ring = ring_from_dual_rays(NOT_Q_GORENSTEIN_DUAL_RAYS)
+    a = random_ideal(random.Random(37), ring, max_gens=3, pairing_bound=4)
+    assert len(a.gens) > 1 and any(a.gens[0])
+    zero = MonomialIdeal(ring, ())
+    sizes = [layer.cache_info().currsize for layer in (newton_polyhedron, multiplier_ideal)]
+    for _ in range(2):
+        with pytest.raises(NotQGorenstein):
+            multiplier_ideal(a)
+        with pytest.raises(ZeroIdeal):
+            newton_polyhedron(zero)
+    assert [layer.cache_info().currsize for layer in (newton_polyhedron, multiplier_ideal)] == sizes
+    assert newton_polyhedron(a).vertices == tuple(sorted(a.gens))
+
+
+def test_recipes_of_one_skeleton_share_one_lift():
+    """Every gap point r of a skeleton lifts the same closures and z: the constructions share
+    a and b, and an explicit recipe built apart from an enumerated one hits its lift. A bad
+    r is refused on every recipe that carries it, lifted before or not."""
+    config = SearchConfig(ray_bound=2, gen_pairing_bound=3, z_pairing_bound=1, z_height_bound=2)
+    recipes = list(_enumerated_recipes(config))
+    built = {}
+    for recipe in recipes:  # enumerated base ideals are principal, so their own closures
+        key = (recipe.base_ring, recipe.i_prime, recipe.j_prime, recipe.z_exponent)
+        c = huneke_swanson_construct(recipe)
+        assert _lift(*key) == _lift.__wrapped__(*key)
+        if key in built:
+            assert c.a is built[key][0] and c.b is built[key][1]
+        built[key] = (c.a, c.b)
+    assert len(built) < len(recipes)
+    first = recipes[0]
+    rebuilt = _ring_from_rays.__wrapped__(first.base_ring.dual_rays)
+    explicit = ConstructionRecipe(
+        rebuilt,
+        MonomialIdeal(rebuilt, first.i_prime.gens),
+        MonomialIdeal(rebuilt, first.j_prime.gens),
+        first.r,
+        list(first.z_exponent),
+    )
+    info = _lift.cache_info()
+    assert huneke_swanson_construct(explicit).a is huneke_swanson_construct(first).a
+    assert (_lift.cache_info().hits, _lift.cache_info().currsize) == (info.hits + 2, info.currsize)
+    bad = replace(first, r=first.i_prime.gens[0])
+    for _ in range(2):
+        with pytest.raises(RecipeInvalid):
+            huneke_swanson_construct(bad)

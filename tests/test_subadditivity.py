@@ -609,6 +609,9 @@ STREAM_CONFIGS = [
     for height in (1, 2, 3)
 ]
 STREAM_IDS = [f"dim{c.dim}-rays{c.ray_bound}-height{c.z_height_bound}" for c in STREAM_CONFIGS]
+# The spaces the default search and the singular-bases search walk.
+STREAM_CONFIGS += [SearchConfig(), load_search_config(str(SINGULAR_BASES))]
+STREAM_IDS += ["default", "singular-bases"]
 
 
 class TestSkeletonStream:
@@ -619,6 +622,16 @@ class TestSkeletonStream:
         assert total == len(expected)
         assert [_skeleton(blocks, config.z_height_bound, i) for i in range(total)] == expected
         assert list(_skeletons(config)) == expected
+
+    def test_decoder_reaches_both_ends_of_every_block_at_the_paper_bounds(self):
+        config = load_search_config(str(PAPER_BOUNDS))
+        blocks, _ = _skeleton_space(*_space_bounds(config))
+        start, height = 0, config.z_height_bound
+        for ring, gens, zs, size in blocks:
+            first, last = _skeleton(blocks, height, start), _skeleton(blocks, height, start + size - 1)
+            assert first == (ring, gens[0], gens[0], zs[0] + (1,))
+            assert last == (ring, gens[-1], gens[-1], zs[-1] + (height,))
+            start += size
 
     @pytest.mark.parametrize("config", STREAM_CONFIGS, ids=STREAM_IDS)
     def test_seeded_samples_pick_the_same_skeletons_in_order(self, config):
