@@ -11,11 +11,16 @@ lattice H Z^d for H the Hermite normal form of a basis of sigma rays
 lexicographic order of t (simplicial sigma) or of w (otherwise). The walk
 is runs w + k u, each carrying the pairings of w with every sigma ray in
 sigma-ray order, clipped to the other sigma rays' bounds by integer
-division on non-simplicial sigma; u lies in the semigroup. run_starts
-yields the runs, not their points, in walk order, so the pairing with sigma
-ray 0 never decreases from one run to the next; every run starts on or above
-given floors on the pairings, on every cone, and is cut to the interval passing
-a region's facet thresholds (run_interval). run_points expands runs into points.
+division on non-simplicial sigma; u lies in the semigroup. The walk is one
+lazy odometer over the Hermite coordinates before the runs, reading a plan
+the ring holds (ToricRing.walk_plan), so a walk of one run costs little more
+than the run. run_starts yields the runs, not their points, in walk order,
+so the pairing with sigma ray 0 never decreases from one run to the next;
+every run starts on or above given floors on the pairings, on every cone,
+and is cut to the interval passing a region's facet thresholds
+(run_interval). cut_runs does the same for facet tests that a caller has
+prepared with their steps along a run, as refutation does once per ideal
+pair. run_points expands runs into points.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
-from operator import add, mul, sub
+from operator import add, lt, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, NotInSemigroup, NotQGorenstein, TooLarge
@@ -116,10 +121,19 @@ class ToricRing:
         return self.pairings(tuple(map(sum, zip(*self.dual_rays))))
 
     @cached_property
-    def prefix_steps(self) -> tuple[tuple[LatticePoint, tuple[int, ...]], ...]:
-        """(c, ct) per column c of U but the last, the run step, with its sigma pairings ct:
-        the steps of the coordinates k_0..k_{d-2} that _hermite_walk walks before its runs."""
-        return tuple((c, self.pairings(c)) for c in zip(*(row[:-1] for row in self.sigma_lattice[2])))
+    def walk_plan(self) -> tuple:
+        """(step, levels, i0, s0, clip): what _hermite_walk reads, on the joined vector t + w of a
+        point's sigma pairings t and the point w, so that t_i is entry i. A run steps by
+        step = ut + u (run_step). levels holds (i, h, ct + c) per coordinate k_j walked before the
+        runs, j < d - 1: basis ray i = basis[j], the diagonal entry h = H_jj, and column c of U
+        after its sigma pairings ct. A run is bounded by the last basis ray i0, paired s0 = ut[i0] > 0,
+        and clipped by each ray i outside the basis, (i, s) in clip with s = ut[i] >= 0."""
+        basis, hnf, uni = self.sigma_lattice
+        u, ut = self.run_step
+        columns = zip(*(row[:-1] for row in uni))
+        levels = tuple((basis[j], hnf[j][j], self.pairings(c) + c) for j, c in enumerate(columns))
+        clip = tuple((i, s) for i, s in enumerate(ut) if i not in basis)
+        return ut + u, levels, basis[-1], ut[basis[-1]], clip
 
     @cached_property
     def box_facets(self) -> dict[LatticePoint, int]:
@@ -238,43 +252,50 @@ def _hermite_walk(ring: ToricRing, bounds: Sequence[int], floors: Sequence[int])
     Column j of U pairs to H_ij with sigma ray basis[i] (N U = H), H lower
     triangular with a positive diagonal: once k_0..k_{j-1} are fixed, the
     pairing with basis[j] bounds k_j to a range, so k and the basis pairings
-    are walked in the same lexicographic order, w and t adding column j and
-    its pairings per step of k_j. The last coordinate is walked as runs, one per
-    prefix, clipped by the last basis ray and every ray outside the basis: n_i
-    pairs to t_i + k s along a run, s = <u, n_i> >= 0 (ring.run_step).
+    are walked in the same lexicographic order, t + w adding column j after
+    its pairings per step of k_j. The prefix k_0..k_{d-2} is one odometer,
+    holding per level its t + w and steps left, so the walk stays lazy and
+    keeps no generator per level. The last coordinate is walked as runs, one
+    per prefix, clipped by the last basis ray and every ray outside the basis:
+    n_i pairs to t_i + k s along a run, s = <u, n_i> >= 0 (ToricRing.walk_plan).
     """
     if len(bounds) != len(ring.sigma_rays):
         raise ValueError("one bound per sigma ray is required")
-    if any(b < f for b, f in zip(bounds, floors)):
+    if any(map(lt, bounds, floors)):
         return
-    basis, hnf, _ = ring.sigma_lattice
-    u, ut = ring.run_step
-    last = len(u) - 1
-    cols = ring.prefix_steps
-    i0, s0 = basis[last], ut[basis[last]]  # the last diagonal entry of H, > 0
-    clip = [(i, ut[i]) for i in range(len(ut)) if i not in basis]
-
-    def prefixes(j, t, w):
-        i, h, (ucol, tcol) = basis[j], hnf[j][j], cols[j]
-        lo = -((t[i] - floors[i]) // h)
-        t, w = _moved(t, lo, tcol), _moved(w, lo, ucol)
-        for _ in range((bounds[i] - t[i]) // h + 1):
-            if j + 1 == last:
-                yield t, w
-            else:
-                yield from prefixes(j + 1, t, w)
-            t, w = tuple(map(add, t, tcol)), tuple(map(add, w, ucol))
-
-    origin = (0,) * len(ut), (0,) * len(u)
-    for t, w in prefixes(0, *origin) if last else [origin]:
-        lo, hi = -((t[i0] - floors[i0]) // s0), (bounds[i0] - t[i0]) // s0
-        for i, s in clip:
-            if s:  # floors[i] <= t[i] + k s <= bounds[i]
-                lo, hi = max(lo, -((t[i] - floors[i]) // s)), min(hi, (bounds[i] - t[i]) // s)
-            elif not floors[i] <= t[i] <= bounds[i]:
-                hi = lo - 1
-        if lo <= hi:
-            yield _moved(w, lo, u), _moved(t, lo, ut), hi - lo + 1
+    step, levels, i0, s0, clip = ring.walk_plan
+    rays, depth = len(bounds), len(levels)
+    tws, left = [()] * depth, [0] * depth  # per prefix level: its t + w, and the steps left after it
+    tw, j = (0,) * len(step), 0
+    while True:
+        while j < depth:  # set levels j.. at their first k_j
+            i, h, c = levels[j]
+            k = -((tw[i] - floors[i]) // h)
+            if k:
+                tw = _moved(tw, k, c)
+            n = (bounds[i] - tw[i]) // h
+            if n < 0:
+                break
+            tws[j], left[j] = tw, n
+            j += 1
+        else:
+            lo, hi = -((tw[i0] - floors[i0]) // s0), (bounds[i0] - tw[i0]) // s0
+            for i, s in clip:
+                if s:  # floors[i] <= t[i] + k s <= bounds[i]
+                    lo, hi = max(lo, -((tw[i] - floors[i]) // s)), min(hi, (bounds[i] - tw[i]) // s)
+                elif not floors[i] <= tw[i] <= bounds[i]:
+                    hi = lo - 1
+            if lo <= hi:
+                run = _moved(tw, lo, step) if lo else tw
+                yield run[rays:], run[:rays], hi - lo + 1
+        j -= 1  # the deepest level set; step the deepest one with steps left
+        while j >= 0 and not left[j]:
+            j -= 1
+        if j < 0:
+            return
+        tw = tws[j] = tuple(map(add, tws[j], levels[j][2]))
+        left[j] -= 1
+        j += 1
 
 
 def _moved(w: Sequence[int], k: int, step: Sequence[int]) -> tuple[int, ...]:
@@ -290,27 +311,36 @@ def run_starts(
     n_i and pass every integer facet threshold <w, f> >= m, (f, m) in thresholds (lattice_thresholds).
     Each run is cut to its passing interval (run_interval): it is nonempty and starts at its first
     passing point, on or above the floors. The thresholds the box implies, (n_i, m) with m <= floors[i]
-    and (-n_i, m) with m <= -bounds[i], are dropped. A bound below its floor yields no run."""
-    floors = floors or (0,) * len(bounds)
-    if any(b < f for b, f in zip(bounds, floors)):
-        return
-    u, ut = ring.run_step
+    and (-n_i, m) with m <= -bounds[i], are dropped, and the others handed to cut_runs with their steps.
+    A bound below its floor yields no run."""
+    floors = tuple(floors) if floors else (0,) * len(bounds)
+    u = ring.run_step[0]
     box, limits = ring.box_facets, (*floors, *(-b for b in reversed(bounds)))  # limits[~i] = -bounds[i]
     tests = [(f, m, dot(u, f)) for f, m in thresholds if f not in box or m > limits[box[f]]]
+    return cut_runs(ring, bounds, floors, tests)
+
+
+def cut_runs(ring: ToricRing, bounds: Sequence[int], floors: tuple[int, ...], tests: Sequence) -> Iterator[Run]:
+    """The runs of run_starts(ring, bounds, floors, ...), each cut to its interval passing every facet
+    test (f, m, s) (run_interval), s = <u, f> its step along a run, prepared by the caller once per
+    walk or per ideal pair; floors is a tuple, the key of the cut point's memo (_cut_point). A bound
+    below its floor yields no run."""
+    if any(map(lt, bounds, floors)):
+        return
+    u, ut = ring.run_step
     if len(ring.sigma_rays) > ring.dim:
         runs = _hermite_walk(ring, bounds, floors)
     else:
         # Stays until ROADMAP 1b/1c: bench/predictions.json needs lattice_points_in_box to work on plane2d.
-        _, hnf, uni = ring.sigma_lattice
-        k: list[int] = []  # p = U k: the floors rounded down on the Hermite basis, where the cut box starts
-        for row, f in zip(hnf, floors):
-            k.append((f - dot(row, k)) // row[len(k)])
-        p, tp = tuple(dot(row, k) for row in uni), tuple(dot(row, k) for row in hnf)
-        tests += [(n, f, s) for n, f, a, s in zip(ring.sigma_rays, floors, tp, ut) if a < f]  # floors p is below
-        starts = lattice_points_in_box(ring, (*map(sub, bounds[:-1], tp), min(bounds[-1] - tp[-1], ut[-1] - 1)))
-        if any(k):
-            starts = ((tuple(map(add, w, p)), tuple(map(add, t, tp))) for w, t in starts)
-        runs = ((w, t, (bounds[-1] - t[-1]) // ut[-1] + 1) for w, t in starts)
+        p, tp, below = _cut_point(ring, floors)
+        if below:
+            tests = [*tests, *below]
+        top, s = bounds[-1] - tp[-1], ut[-1]  # a start t of the cut box pairs t[-1] < s with the last ray
+        starts = lattice_points_in_box(ring, (*map(sub, bounds[:-1], tp), min(top, s - 1)))
+        if any(tp):
+            runs = ((tuple(map(add, w, p)), tuple(map(add, t, tp)), (top - t[-1]) // s + 1) for w, t in starts)
+        else:
+            runs = ((w, t, (top - t[-1]) // s + 1) for w, t in starts)
     for w, t, n in runs:
         lo, hi = run_interval(w, n, tests)
         if lo > hi:
@@ -318,6 +348,24 @@ def run_starts(
         if lo:
             w, t = _moved(w, lo, u), _moved(t, lo, ut)
         yield w, t, hi - lo + 1
+
+
+# (ring, floors) kept by _cut_point: the bench's search and solid3d workloads each meet under a hundred.
+CUT_POINT_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=CUT_POINT_CACHE_SIZE)
+def _cut_point(ring: ToricRing, floors: tuple[int, ...]) -> tuple[LatticePoint, tuple[int, ...], tuple]:
+    """(p, tp, below) on simplicial sigma: p = U k for k the floors rounded down on the Hermite
+    basis, where the cut box of cut_runs starts, tp its sigma pairings (H k), and the floor test
+    (n_i, floors[i], <u, n_i>) of each floor that tp falls short of. Memoized on (ring, floors)."""
+    _, hnf, uni = ring.sigma_lattice
+    k: list[int] = []
+    for row, f in zip(hnf, floors):
+        k.append((f - dot(row, k)) // row[len(k)])
+    p, tp = tuple(dot(row, k) for row in uni), tuple(dot(row, k) for row in hnf)
+    below = tuple((n, f, s) for n, f, a, s in zip(ring.sigma_rays, floors, tp, ring.run_step[1]) if a < f)
+    return p, tp, below
 
 
 def run_interval(w: LatticePoint, n: int, tests) -> tuple[int, int]:

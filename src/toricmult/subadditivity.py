@@ -8,8 +8,10 @@ containment always holds and decompose_2d returns the constructive witness
 from a boundary walk of N(ab). exhaustive_refute
 certifies a failure by scanning every candidate splitting of a target point:
 it walks the Hermite runs of the box where a splitting can lie, each cut to
-its splittings, reading each ideal pair's facet thresholds once, and counts
-the box it reports once per distinct box.
+its splittings. Each ideal pair's facet tests, with their steps along a run
+and less the sigma-ray facets that box implies, and its floors are prepared
+once; a target adds only its offsets and ceilings. The box it reports is
+counted once per distinct box.
 The remaining operations build and search for counterexample instances by
 adjoining a variable to a smaller ring.
 """
@@ -42,16 +44,16 @@ from .ideals import (
     monomial_ideal,
     newton_polyhedron,
     product,
-    sigma_floors,
 )
 from .linalg import dot, vadd, vscale, vsub
 from .multiplier import multiplier_ideal, multiplier_membership
 from .rings import (
     ToricRing,
+    _hermite_walk,
+    cut_runs,
     exponent_pairings,
     ring_from_dual_rays,
     run_points,
-    run_starts,
     semigroup_points,
 )
 
@@ -291,8 +293,9 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
 @lru_cache(maxsize=CACHE_SIZE)
 def _box_size(ring: ToricRing, bounds: tuple[int, ...]) -> int:
     """The number of lattice points w with 0 ≤ ⟨w, n_i⟩ ≤ bounds[i] for every sigma ray n_i,
-    summed over the Hermite runs of the box; memoized, as refutations share their boxes."""
-    return sum(n for _, _, n in run_starts(ring, bounds))
+    summed over the Hermite runs of the box, uncut (rings._hermite_walk); memoized, as
+    refutations share their boxes."""
+    return sum(n for _, _, n in _hermite_walk(ring, bounds, (0,) * len(bounds)))
 
 
 # Pairs kept by _splitting_data; callers refute one pair's targets together.
@@ -301,14 +304,25 @@ SPLITTING_CACHE_SIZE = 16
 
 @lru_cache(maxsize=SPLITTING_CACHE_SIZE)
 def _splitting_data(a: MonomialIdeal, b: MonomialIdeal):
-    """(inside_a, outside_b, floor_a + 1, floor_b): N(a)'s interior thresholds, and (-f, m) per
-    u0-shifted threshold (f, m) of N(b), whole: rings.run_starts drops those of the splitting box,
-    N(a)'s sigma-ray facets at its floors and N(b)'s, negated, at its ceilings (⟨u0, n⟩ = 1)."""
+    """(inside_a, outside_b, floor_a + 1, floor_b): N(a)'s interior tests (f, m, ⟨u, f⟩), and
+    (−f, m, −⟨u, f⟩) per u0-shifted threshold (f, m) of N(b), u the run step (rings.run_interval).
+    Every sigma ray n is a facet normal of N(a) and of N(b) (sigma_floors), and ⟨u0, n⟩ = 1, so
+    the thresholds of those facets are floor_a(n) + 1 and floor_b(n): they are read off as the
+    floors, and left out of the tests, as the splitting box implies them for every target."""
     ring = _same_ring(a, b)
-    inside_a = lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim)
-    shifted_b = lattice_thresholds(newton_polyhedron(b), ring.canonical_shift())
-    outside_b = tuple((vscale(-1, f), m) for f, m in shifted_b)
-    return inside_a, outside_b, tuple(m + 1 for m in sigma_floors(a)), sigma_floors(b)
+    sigma, u = ring.sigma_rays, ring.run_step[0]
+    floor_a, floor_b, inside_a, outside_b = [None] * len(sigma), [None] * len(sigma), [], []
+    for f, m in lattice_thresholds(newton_polyhedron(a)):
+        if f in sigma:
+            floor_a[sigma.index(f)] = m + 1
+        else:
+            inside_a.append((f, m + 1, dot(u, f)))
+    for f, m in lattice_thresholds(newton_polyhedron(b), ring.canonical_shift()):
+        if f in sigma:
+            floor_b[sigma.index(f)] = m
+        else:
+            outside_b.append((vscale(-1, f), m, -dot(u, f)))
+    return tuple(inside_a), tuple(outside_b), tuple(floor_a), tuple(floor_b)
 
 
 def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> RefutationReport:
@@ -320,17 +334,18 @@ def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> R
     sigma ray n bounds N(a) and N(b) below at their least generator pairings,
     and ⟨u0, n⟩ = 1, so only the Hermite runs of the splitting box
     floor_a(n) + 1 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ − floor_b(n) are walked, each cut by
-    rings.run_starts to the splittings; they are listed in walk order on
-    simplicial σ and by alpha otherwise. The thresholds and floors are read
-    once per pair (_splitting_data); per target only the offsets m − ⟨v, f⟩
-    and the ceilings are computed. bounds is the box of every candidate,
+    rings.cut_runs to the splittings; they are listed in walk order on
+    simplicial σ and by alpha otherwise. The facet tests with their run steps,
+    less the sigma-ray facets that box implies, and the floors are read once
+    per pair (_splitting_data); per target only N(b)'s offsets m − ⟨v, f⟩ and
+    the ceilings are computed. bounds is the box of every candidate,
     0 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ + 1, and scanned its lattice-point count (_box_size).
     """
     ring = _same_ring(a, b)
     target, tv = exponent_pairings(ring, v)
     inside_a, outside_b, floors, floor_b = _splitting_data(a, b)
-    inside_b = tuple((f, m + dot(target, f)) for f, m in outside_b)
-    runs = run_starts(ring, tuple(map(sub, tv, floor_b)), floors, inside_a + inside_b)
+    inside_b = tuple((f, m + dot(target, f), s) for f, m, s in outside_b)
+    runs = cut_runs(ring, tuple(map(sub, tv, floor_b)), floors, inside_a + inside_b)
     found = [(alpha, vsub(target, alpha)) for alpha, _ in run_points(ring, runs)]
     if len(tv) > ring.dim:
         found.sort()

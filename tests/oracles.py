@@ -7,7 +7,7 @@ cones, and Gaussian elimination over `Fraction` for the few matrix inverses
 involved.  None of it shares code with the library's double-description engine
 or its lattice walker, so agreement is evidence rather than tautology.
 
-Ten exceptions keep a replaced library path as the reference for its
+Eleven exceptions keep a replaced library path as the reference for its
 replacement. `decompose_2d` is the per-generator boundary walk the library's
 cached version replaced: it builds every edge region with the library's
 double description and tests it with `Fraction` membership, so it pins the
@@ -32,6 +32,9 @@ test replaced. `hermite_walk` is the walk of Hermite runs that kept the
 basis pairings apart, paired each run with the rays outside the basis by
 `dot` and permuted the pairings into sigma-ray order; the library's walk
 carries every sigma pairing instead, and must emit the same runs in order.
+`recursive_hermite_walk` is that walk as it stood before its prefix became
+one odometer over a walk plan cached on the ring: a nested generator per
+level, its steps rebuilt per call.
 """
 
 from __future__ import annotations
@@ -543,6 +546,51 @@ def hermite_walk(ring, bounds, floors):
             t += [a + lo * s for a, s, _, _ in cut]
             t = [t[j] for j in order]
         yield tuple(a + lo * c for a, c in zip(w, ulast)), tuple(t), hi - lo + 1
+
+
+def recursive_hermite_walk(ring, bounds, floors):
+    """The library's walk of Hermite runs before its prefix became one odometer:
+    one nested generator per level k_0..k_{d-2}, each step of a level moving
+    w and t by that column of U and its pairings, and the walk's columns,
+    diagonal and clip list rebuilt per call. (w, t, n) per nonempty run
+    w + k u, 0 <= k < n, with floors[i] <= <w, n_i> <= bounds[i]; t pairs w
+    with every sigma ray, in sigma-ray order.
+    """
+    if len(bounds) != len(ring.sigma_rays):
+        raise ValueError("one bound per sigma ray is required")
+    if any(b < f for b, f in zip(bounds, floors)):
+        return
+    basis, hnf, uni = ring.sigma_lattice
+    u, ut = ring.run_step
+    last = len(u) - 1
+    cols = [(c, ring.pairings(c)) for c in zip(*(row[:-1] for row in uni))]
+    i0, s0 = basis[last], ut[basis[last]]  # the last diagonal entry of H, > 0
+    clip = [(i, ut[i]) for i in range(len(ut)) if i not in basis]
+
+    def moved(w, k, step):
+        return tuple(a + k * s for a, s in zip(w, step))
+
+    def prefixes(j, t, w):
+        i, h, (ucol, tcol) = basis[j], hnf[j][j], cols[j]
+        lo = -((t[i] - floors[i]) // h)
+        t, w = moved(t, lo, tcol), moved(w, lo, ucol)
+        for _ in range((bounds[i] - t[i]) // h + 1):
+            if j + 1 == last:
+                yield t, w
+            else:
+                yield from prefixes(j + 1, t, w)
+            t, w = moved(t, 1, tcol), moved(w, 1, ucol)
+
+    origin = (0,) * len(ut), (0,) * len(u)
+    for t, w in prefixes(0, *origin) if last else [origin]:
+        lo, hi = -((t[i0] - floors[i0]) // s0), (bounds[i0] - t[i0]) // s0
+        for i, s in clip:
+            if s:  # floors[i] <= t[i] + k s <= bounds[i]
+                lo, hi = max(lo, -((t[i] - floors[i]) // s)), min(hi, (bounds[i] - t[i]) // s)
+            elif not floors[i] <= t[i] <= bounds[i]:
+                hi = lo - 1
+        if lo <= hi:
+            yield moved(w, lo, u), moved(t, lo, ut), hi - lo + 1
 
 
 def cold_extreme_rays(rows, dim):

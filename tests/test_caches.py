@@ -3,11 +3,12 @@
 Rings, products and sums of ideals, Newton polyhedra, integral closures,
 multiplier ideals, subadditivity verdicts, the 2D edge regions of an ideal
 pair, the lattice-point count of a refutation's box, the splitting data of
-an ideal pair, the lift of a construction, and the two search stages (the
-skeleton space of a config's bounds and the gap points of a generator pair)
-are pure functions of frozen values, so each is memoized by value; a ring's
-canonical point, sigma lattice, walk steps, dual-ray reach and box-facet
-index are computed once and held by the ring itself, as is its hash and an
+an ideal pair, the cut point of a simplicial walk from its floors, the lift
+of a construction, and the two search stages (the skeleton space of a
+config's bounds and the gap points of a generator pair) are pure functions
+of frozen values, so each is memoized by value; a ring's canonical point,
+sigma lattice, walk plan, dual-ray reach and box-facet index are computed
+once and held by the ring itself, as is its hash and an
 ideal's, and a cone holds which rays each facet normal is tight on. Newton
 polyhedra, closures and multiplier ideals are computed once per translation
 class, from the class's representative. The checks here pin that every
@@ -44,7 +45,7 @@ from toricmult.ideals import MonomialIdeal, ideal_sum, integral_closure, monomia
 from toricmult.linalg import dot, hermite_normal_form
 from toricmult.multiplier import multiplier_ideal
 from toricmult.problemio import load_search_config
-from toricmult.rings import ToricRing, _ring_from_rays, ring_from_dual_rays, semigroup_points
+from toricmult.rings import ToricRing, _cut_point, _ring_from_rays, ring_from_dual_rays, semigroup_points
 from toricmult.subadditivity import (
     ConstructionRecipe,
     SearchConfig,
@@ -75,6 +76,7 @@ MEMOIZED = (
     _gap_generators,
     _box_size,
     _splitting_data,
+    _cut_point,
     _lift,
 )
 
@@ -214,14 +216,52 @@ def test_equal_rings_and_ideals_built_apart_share_one_memo_entry(name, dual):
 
 
 def test_walk_steps_are_computed_once_per_ring():
-    """The columns of U before the run step, each with its sigma pairings."""
+    """The walk plan, on the joined vector of a point's sigma pairings and the point:
+    the run step, and per column c of U before it, its basis ray, the diagonal entry of H
+    and c after its sigma pairings; the last basis ray with its step, and the step of
+    every ray outside the basis."""
     for name, ring in [*pool_rings(), ("stepping-down-3d", STEPPING_DOWN)]:
-        uni = ring.sigma_lattice[2]
-        fresh = tuple(
-            (c, tuple(dot(c, n) for n in ring.sigma_rays)) for c in zip(*(row[: ring.dim - 1] for row in uni))
+        basis, hnf, uni = ring.sigma_lattice
+        u = tuple(row[-1] for row in uni)
+        ut = tuple(dot(u, n) for n in ring.sigma_rays)
+        assert ring.run_step == (u, ut), name
+        levels = tuple(
+            (basis[j], hnf[j][j], tuple(dot(c, n) for n in ring.sigma_rays) + c)
+            for j, c in enumerate(zip(*(row[: ring.dim - 1] for row in uni)))
         )
-        assert ring.prefix_steps == fresh, name
-        assert ring.prefix_steps is ring.prefix_steps
+        clip = tuple((i, ut[i]) for i in range(len(ring.sigma_rays)) if i not in basis)
+        assert ring.walk_plan == (ut + u, levels, basis[-1], ut[basis[-1]], clip), name
+        assert len(levels) == ring.dim - 1 and ut[basis[-1]] == hnf[-1][-1] > 0
+        assert ring.walk_plan is ring.walk_plan
+
+
+SIMPLICIAL_RINGS = [(name, ring) for name, ring in pool_rings() if len(ring.sigma_rays) == ring.dim]
+
+
+def _floors(name, ring):
+    rng = random.Random(f"{name}-floors")
+    return [tuple(rng.randint(0, 9) for _ in ring.sigma_rays) for _ in range(12)] + [(0,) * ring.dim]
+
+
+@pytest.mark.parametrize("name, ring", SIMPLICIAL_RINGS, ids=[name for name, _ in SIMPLICIAL_RINGS])
+def test_cached_cut_points_equal_fresh_ones_and_equal_rings_share_them(name, ring):
+    """The cut point of random floors, and of the origin, equals a fresh one; a ring built
+    past the ring memo and one built from the fields hit the entry the ring made. The cut
+    point rounds the floors down on the Hermite basis, and its floor tests name exactly
+    the floors it falls short of."""
+    rebuilt = _ring_from_rays.__wrapped__(ring.dual_rays)
+    copied = ToricRing(ring.dim, ring.cone, ring.q_gorenstein)
+    for floors in _floors(name, ring):
+        cut = _cut_point(ring, floors)
+        assert cut == _cut_point.__wrapped__(ring, floors), floors
+        p, tp, below = cut
+        assert tp == ring.pairings(p)
+        assert all(0 <= f - a < row[i] for i, (row, f, a) in enumerate(zip(ring.sigma_lattice[1], floors, tp)))
+        assert below == tuple((n, f, s) for n, f, a, s in zip(ring.sigma_rays, floors, tp, ring.run_step[1]) if a < f)
+        for other in (rebuilt, copied):
+            info = _cut_point.cache_info()
+            assert _cut_point(other, floors) is cut
+            assert (_cut_point.cache_info().hits, _cut_point.cache_info().currsize) == (info.hits + 1, info.currsize)
 
 
 def test_the_dual_ray_reach_is_computed_once_per_ring():

@@ -26,7 +26,14 @@ from toricmult.builtin_example import TARGET, instance
 from toricmult.errors import DimensionMismatch, NotInSemigroup
 from toricmult.ideals import monomial_ideal, product
 from toricmult.linalg import dot, vadd, vscale
-from toricmult.rings import exponent_pairings, lattice_points_in_box, ring_from_dual_rays, run_starts, semigroup_points
+from toricmult.rings import (
+    cut_runs,
+    exponent_pairings,
+    lattice_points_in_box,
+    ring_from_dual_rays,
+    run_starts,
+    semigroup_points,
+)
 from toricmult.subadditivity import _box_size, exhaustive_refute
 
 RINGS = [(name, ring_from_dual_rays(dual)) for name, dual, _, _ in POOL]
@@ -44,16 +51,16 @@ def _splitting_box(v, a, b):
 
 
 def _walks(monkeypatch):
-    """The (bounds, floors, runs, points) of every run_starts walk exhaustive_refute makes,
-    counted without its thresholds; the runs read are cut to them."""
+    """The (bounds, floors, runs, points) of every cut_runs walk exhaustive_refute makes,
+    counted without its facet tests; the runs read are cut to them."""
     walks = []
 
-    def counted(ring, bounds, floors=None, thresholds=()):
-        runs = list(run_starts(ring, bounds, floors))
+    def counted(ring, bounds, floors, tests):
+        runs = list(cut_runs(ring, bounds, floors, ()))
         walks.append((tuple(bounds), floors, len(runs), sum(n for _, _, n in runs)))
-        yield from run_starts(ring, bounds, floors, thresholds)
+        yield from cut_runs(ring, bounds, floors, tests)
 
-    monkeypatch.setattr("toricmult.subadditivity.run_starts", counted)
+    monkeypatch.setattr("toricmult.subadditivity.cut_runs", counted)
     return walks
 
 
@@ -97,7 +104,7 @@ def test_refutation_reports_match_the_point_scan_from_the_origin(name, ring):
 @pytest.mark.parametrize("name, ring", RINGS, ids=IDS)
 def test_an_empty_splitting_box_walks_nothing(monkeypatch, name, ring):
     """The origin splits under no pair of nonzero ideals: the box's floors are >= 1
-    and its ceilings <= 0, so run_starts returns before its first run."""
+    and its ceilings <= 0, so cut_runs returns before its first run."""
     a = random_ideal(random.Random(name), ring, 3, 4)
     walks = _walks(monkeypatch)
     origin = (0,) * ring.dim

@@ -1,15 +1,17 @@
 """Refutation reads each ideal pair's splitting data once.
 
-subadditivity._splitting_data keeps, per (a, b), the thresholds of N(a)'s
-interior and of N(b)'s u0-shifted interior (negated), and the floors of the
-splitting box; exhaustive_refute computes only the per-target offsets and
-ceilings. rings.run_starts drops the thresholds its box makes (N(a)'s
-sigma-ray facets are its floors and N(b)'s its ceilings, on every cone;
-test_run_starts checks the drop). Reports must equal
+subadditivity._splitting_data keeps, per (a, b), the facet tests of N(a)'s
+interior and of N(b)'s u0-shifted interior (negated), each with its step
+<u, f> along a run, and the floors of the splitting box; exhaustive_refute
+computes only the per-target offsets of N(b) and the ceilings, and hands the
+tests to rings.cut_runs. The sigma-ray facets are left out of the data: the
+splitting box implies them for every target (N(a)'s are its floors and
+N(b)'s its ceilings, on every cone). Reports must equal
 oracles.exhaustive_refute, which tests every point of the reported box on
 every facet, in any order of targets and pairs, also after the memo has
-evicted a pair; and every facet off the box must stay: dropping any one of
-them makes some report differ from the oracle's.
+evicted a pair; and every facet off the sigma rays must stay, with the sign
+of its step: dropping any one of them, or flipping the sign of its step,
+makes some report differ from the oracle's.
 """
 
 import itertools
@@ -22,7 +24,7 @@ from instances import POOL, random_ideal, random_non_simplicial_rings
 from toricmult.builtin_example import instance
 from toricmult.geometry import lattice_thresholds
 from toricmult.ideals import monomial_ideal, newton_polyhedron, product
-from toricmult.linalg import vadd, vscale
+from toricmult.linalg import dot, vadd, vscale
 from toricmult.rings import ring_from_dual_rays, semigroup_points
 from toricmult.subadditivity import SPLITTING_CACHE_SIZE, _splitting_data, exhaustive_refute
 
@@ -76,14 +78,27 @@ def test_shuffled_and_interleaved_targets_match_the_oracle():
 
 @pytest.mark.parametrize("name, ring", RINGS, ids=[name for name, _ in RINGS])
 def test_the_data_holds_the_polyhedra_thresholds_whole(name, ring):
-    """N(a)'s thresholds and N(b)'s u0-shifted ones, negated, with the box's floors and ceilings."""
+    """N(a)'s thresholds and N(b)'s u0-shifted ones, negated, in facet order, less exactly
+    their sigma-ray facets, each with its step <u, f>, and the box's floors and ceilings.
+    With the sigma-ray facets, whose thresholds are the floors floor_a + 1 on N(a) and
+    floor_b on N(b), the data makes both polyhedra's thresholds whole."""
+    sigma = set(ring.sigma_rays)
+    u = ring.run_step[0]
     for a, b in {(a, b) for _, a, b in _jobs(name, ring)}:
         inside_a, outside_b, floors, floor_b = _splitting_data(a, b)
-        shifted_b = lattice_thresholds(newton_polyhedron(b), ring.canonical_shift())
-        assert outside_b == tuple((vscale(-1, f), m) for f, m in shifted_b)
-        assert inside_a == lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim)
         assert floors == tuple(min(t) + 1 for t in zip(*a.pairings))
         assert floor_b == tuple(map(min, zip(*b.pairings)))
+        whole_a = lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim)
+        shifted_b = lattice_thresholds(newton_polyhedron(b), ring.canonical_shift())
+        whole_b = tuple((vscale(-1, f), m) for f, m in shifted_b)
+        assert [(f, m) for f, m, _ in inside_a] == [(f, m) for f, m in whole_a if f not in sigma]
+        assert [(f, m) for f, m, _ in outside_b] == [(f, m) for f, m in whole_b if vscale(-1, f) not in sigma]
+        assert all(s == dot(u, f) for f, _, s in inside_a + outside_b)
+        dropped_a = {f: m for f, m in whole_a if f in sigma}
+        dropped_b = {vscale(-1, f): m for f, m in whole_b if vscale(-1, f) in sigma}
+        assert set(dropped_a) == set(dropped_b) == sigma
+        for n, floor, low in zip(ring.sigma_rays, floors, floor_b):
+            assert (dropped_a[n], dropped_b[n]) == (floor, low)
 
 
 @pytest.mark.parametrize("name, ring", RINGS, ids=[name for name, _ in RINGS])
@@ -147,3 +162,29 @@ def test_dropping_one_more_facet_disagrees_with_the_oracle(monkeypatch, name, ri
                 break
         else:
             pytest.fail(f"dropping {test} of N({side}) changed no report")
+
+
+@pytest.mark.parametrize("name, ring, a, b, bound", NEEDED, ids=[case[0] for case in NEEDED])
+def test_a_wrong_step_sign_disagrees_with_the_oracle(monkeypatch, name, ring, a, b, bound):
+    """Flip the sign of one facet test's step along a run, of N(a) or of N(b), where the
+    step is not 0, and some target among the product generators moved by small semigroup
+    points gets a report other than the oracle's."""
+    inside_a, outside_b, floors, floor_b = _splitting_data(a, b)
+    targets = [vadd(g, p) for g in product(a, b).gens for p in semigroup_points(ring, bound)]
+    expected = {}
+    flips = [("a", i) for i, test in enumerate(inside_a) if test[2]]
+    flips += [("b", i) for i, test in enumerate(outside_b) if test[2]]
+    assert flips
+    for side, i in flips:
+        tests = list(inside_a if side == "a" else outside_b)
+        f, m, s = tests[i]
+        tests[i] = (f, m, -s)
+        data = (tuple(tests), outside_b, floors, floor_b) if side == "a" else (inside_a, tuple(tests), floors, floor_b)
+        monkeypatch.setattr("toricmult.subadditivity._splitting_data", lambda a, b, data=data: data)
+        for v in targets:
+            if v not in expected:
+                expected[v] = oracles.exhaustive_refute(v, a, b)
+            if exhaustive_refute(v, a, b) != expected[v]:
+                break
+        else:
+            pytest.fail(f"flipping the step of {(f, m, s)} of N({side}) changed no report")
