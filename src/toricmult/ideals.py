@@ -4,11 +4,12 @@ Minimal generating sets are lex-sorted antichains under divisibility (w
 divides w' when no sigma pairing of w exceeds that of w'), all reduced by one
 routine, a linear staircase on two sigma rays. Integral closures and
 multiplier ideals share one enumeration engine over a sigma-coordinate box
-around the Newton polyhedron's vertices: the walk (rings.run_starts) starts
-at the least generator pairing with each sigma ray, the offset of that ray's
-facet of N(a), cuts each Hermite run to the region on the facet thresholds
-of geometry.lattice_thresholds, and stops at the first candidate dividing
-every later one. It runs only where a closure's generators are needed: a
+around the Newton polyhedron's vertices: rings.region_tests splits the
+region's facet thresholds (geometry.lattice_thresholds) into the walk's
+floors, the thresholds of the sigma-ray facets of N(a), and the tests of the
+others; rings.cut_runs starts every Hermite run on the floors and cuts it to
+the region, and the walk stops at the first candidate dividing every later
+one. It runs only where a closure's generators are needed: a
 lattice point lies in closure(a) iff it lies in N(a), a facet test on the
 memoized newton_polyhedron.
 
@@ -29,7 +30,7 @@ from typing import Iterable, Sequence
 from .errors import RingMismatch, ZeroIdeal
 from .geometry import LatticePoint, NewtonPolyhedron, RatPoint, hull_plus_cone, lattice_thresholds
 from .linalg import dot, vadd, vscale
-from .rings import ToricRing, exponent_pairings, run_starts
+from .rings import ToricRing, cut_runs, exponent_pairings, region_tests
 
 # Entries kept by each memoized ideal operation (product, ideal_sum,
 # newton_polyhedron, integral_closure, multiplier.multiplier_ideal,
@@ -115,12 +116,6 @@ def _antichain(points: Iterable[tuple[LatticePoint, tuple[int, ...]]]) -> tuple[
     return tuple(sorted(gens))
 
 
-def sigma_floors(a: MonomialIdeal) -> tuple[int, ...]:
-    """The least generator pairing with each sigma ray: N(a) = conv(a) + σ^∨, so every
-    sigma ray is a facet normal of N(a), and this is its facet's offset."""
-    return tuple(map(min, zip(*a.pairings)))
-
-
 def _same_ring(a: MonomialIdeal, b: MonomialIdeal) -> ToricRing:
     if a.ring != b.ring:
         raise RingMismatch("ideals live in different rings")
@@ -189,27 +184,27 @@ def region_minimal_generators(a: MonomialIdeal, shift: RatPoint | None) -> tuple
     sigma ray n to at most the largest vertex pairing plus the sum of <r, n>
     over the dual rays r (minus 1 with the shift): beyond, w (+ u0) = p + sum
     c_r r with p in the vertex hull has some c_r > 1, so w - r divides w in
-    the region. rings.run_starts cuts each run to its members, and the step
+    the region. rings.cut_runs cuts each run to its members, and the step
     u lies in the semigroup (ToricRing.run_step), so a run's first member
     divides the rest and is its one candidate.
 
     N = conv(a) + σ^∨, so each sigma ray n is a facet normal of N with offset
-    min <g, n> over the generators g (sigma_floors), the region's floor on n
-    (<u0, n> = 1): no region point pairs below it, so the walk starts there
-    (rings.run_starts, which drops that facet's threshold).
-    Runs come in walk order, so the pairing with sigma ray 0 never decreases,
-    and the walk stops at a candidate pairing to the floor with every sigma
-    ray n_1, ...: it divides every candidate after it.
+    min <g, n> over the generators g, whose threshold is that offset too
+    (<u0, n> = 1): it is the region's floor on n, where the walk starts
+    (rings.region_tests reads it off the thresholds). Runs come in walk
+    order, so the pairing with sigma ray 0 never decreases, and the walk
+    stops at a candidate pairing to the floor with every sigma ray n_1, ...:
+    it divides every candidate after it.
     """
     ring, poly = a.ring, newton_polyhedron(a)
     off = 0 if shift is None else 1
     bounds = tuple(
         max(dot(v, n) for v in poly.vertices) + reach - off for n, reach in zip(ring.sigma_rays, ring.dual_ray_pairings)
     )
-    floors = sigma_floors(a)
+    floors, tests = region_tests(ring, lattice_thresholds(poly, shift))
 
     def candidates():
-        for w, t, _ in run_starts(ring, bounds, floors, lattice_thresholds(poly, shift)):
+        for w, t, _ in cut_runs(ring, bounds, floors, tests):
             yield w, t
             if t[1:] == floors[1:]:
                 return

@@ -14,13 +14,14 @@ sigma-ray order, clipped to the other sigma rays' bounds by integer
 division on non-simplicial sigma; u lies in the semigroup. The walk is one
 lazy odometer over the Hermite coordinates before the runs, reading a plan
 the ring holds (ToricRing.walk_plan), so a walk of one run costs little more
-than the run. run_starts yields the runs, not their points, in walk order,
-so the pairing with sigma ray 0 never decreases from one run to the next;
-every run starts on or above given floors on the pairings, on every cone,
-and is cut to the interval passing a region's facet thresholds
-(run_interval). cut_runs does the same for facet tests that a caller has
-prepared with their steps along a run, as refutation does once per ideal
-pair. run_points expands runs into points.
+than the run. A region of integer facet thresholds of a polyhedron
+conv(...) + C, such as a Newton polyhedron, is handed to the walk one way:
+region_tests reads its floors off the sigma-ray facets and turns every other
+facet into a test with its step along a run, and cut_runs yields the runs,
+not their points, in walk order, so the pairing with sigma ray 0 never
+decreases from one run to the next; every run starts on or above the floors,
+on every cone, and is cut to the interval passing the tests (run_interval).
+run_points expands runs into points.
 """
 
 from __future__ import annotations
@@ -134,13 +135,6 @@ class ToricRing:
         levels = tuple((basis[j], hnf[j][j], self.pairings(c) + c) for j, c in enumerate(columns))
         clip = tuple((i, s) for i, s in enumerate(ut) if i not in basis)
         return ut + u, levels, basis[-1], ut[basis[-1]], clip
-
-    @cached_property
-    def box_facets(self) -> dict[LatticePoint, int]:
-        """i for sigma ray n_i and ~i for -n_i: the normals of the thresholds a sigma box
-        implies, indexed for run_starts."""
-        ns = self.sigma_rays
-        return {n: i for i, n in enumerate(ns)} | {vscale(-1, n): ~i for i, n in enumerate(ns)}
 
     def pairings(self, w: Sequence) -> tuple:
         return tuple(dot(w, n) for n in self.sigma_rays)
@@ -303,27 +297,27 @@ def _moved(w: Sequence[int], k: int, step: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(add, w, map(mul, step, repeat(k)))) if k else tuple(w)
 
 
-def run_starts(
-    ring: ToricRing, bounds: Sequence[int], floors: Sequence[int] | None = None, thresholds: Sequence = ()
-) -> Iterator[Run]:
-    """(w, t, n) per run w + k u, 0 <= k < n, t the pairings of w, in walk order, covering the points of
-    lattice_points_in_box(ring, bounds) that pair to at least floors[i] (default 0) with every sigma ray
-    n_i and pass every integer facet threshold <w, f> >= m, (f, m) in thresholds (lattice_thresholds).
-    Each run is cut to its passing interval (run_interval): it is nonempty and starts at its first
-    passing point, on or above the floors. The thresholds the box implies, (n_i, m) with m <= floors[i]
-    and (-n_i, m) with m <= -bounds[i], are dropped, and the others handed to cut_runs with their steps.
-    A bound below its floor yields no run."""
-    floors = tuple(floors) if floors else (0,) * len(bounds)
-    u = ring.run_step[0]
-    box, limits = ring.box_facets, (*floors, *(-b for b in reversed(bounds)))  # limits[~i] = -bounds[i]
-    tests = [(f, m, dot(u, f)) for f, m in thresholds if f not in box or m > limits[box[f]]]
-    return cut_runs(ring, bounds, floors, tests)
+def region_tests(ring: ToricRing, thresholds: Sequence) -> tuple[tuple[int, ...], tuple]:
+    """(floors, tests) of the region <w, f> >= m, (f, m) in the integer facet thresholds of a
+    polyhedron P + C (geometry.lattice_thresholds), for cut_runs. Every sigma ray n_i is a facet
+    normal of P + C, as it is of C, and that facet's threshold is floors[i], the walk's floor on
+    n_i; every other facet becomes a test (f, m, <u, f>), in facet order, u the run step."""
+    sigma, u = ring.sigma_rays, ring.run_step[0]
+    floors, tests = [None] * len(sigma), []
+    for f, m in thresholds:
+        if f in sigma:
+            floors[sigma.index(f)] = m
+        else:
+            tests.append((f, m, dot(u, f)))
+    return tuple(floors), tuple(tests)
 
 
 def cut_runs(ring: ToricRing, bounds: Sequence[int], floors: tuple[int, ...], tests: Sequence) -> Iterator[Run]:
-    """The runs of run_starts(ring, bounds, floors, ...), each cut to its interval passing every facet
-    test (f, m, s) (run_interval), s = <u, f> its step along a run, prepared by the caller once per
-    walk or per ideal pair; floors is a tuple, the key of the cut point's memo (_cut_point). A bound
+    """(w, t, n) per run w + k u, 0 <= k < n, t the pairings of w, in walk order, covering the points of
+    lattice_points_in_box(ring, bounds) that pair to at least floors[i] with every sigma ray n_i and
+    pass every facet test (f, m, s), s = <u, f> its step along a run (region_tests). Each run is cut
+    to its passing interval (run_interval): it is nonempty and starts at its first passing point,
+    on or above the floors. floors is a tuple, the key of the cut point's memo (_cut_point). A bound
     below its floor yields no run."""
     if any(map(lt, bounds, floors)):
         return
@@ -371,7 +365,7 @@ def _cut_point(ring: ToricRing, floors: tuple[int, ...]) -> tuple[LatticePoint, 
 def run_interval(w: LatticePoint, n: int, tests) -> tuple[int, int]:
     """(lo, hi): lo <= k <= hi for exactly the k in [0, n) with <w + k u, f> >= m for
     every (f, m, s) in tests, none when lo > hi. s = <u, f> is the facet's step along
-    the run, computed once per walk by run_starts: s > 0 bounds k below, s < 0
+    the run, computed once per region by region_tests: s > 0 bounds k below, s < 0
     bounds it above, and 0 passes every k or none."""
     lo, hi = 0, n - 1
     for f, m, s in tests:

@@ -5,13 +5,13 @@ J(ab) for a factor: a generator g of J(a) dividing it with the rest in J(b).
 The product J(a)·J(b) itself is built only when a verdict's j_product is
 read, and each ideal pair is decided once (memoized). In dimension two the
 containment always holds and decompose_2d returns the constructive witness
-from a boundary walk of N(ab). exhaustive_refute
-certifies a failure by scanning every candidate splitting of a target point:
-it walks the Hermite runs of the box where a splitting can lie, each cut to
-its splittings. Each ideal pair's facet tests, with their steps along a run
-and less the sigma-ray facets that box implies, and its floors are prepared
-once; a target adds only its offsets and ceilings. The box it reports is
-counted once per distinct box.
+from a boundary walk of N(ab). exhaustive_refute certifies a failure by
+scanning every candidate splitting of a target point: it walks the Hermite
+runs of the box where a splitting can lie, each cut to its splittings. Each
+ideal pair's floors and facet tests, with their steps along a run, are read
+once by rings.region_tests, whose floors are the sigma-ray facets; a target
+adds only its offsets and ceilings. The box it reports is counted once per
+distinct box.
 The remaining operations build and search for counterexample instances by
 adjoining a variable to a smaller ring.
 """
@@ -52,6 +52,7 @@ from .rings import (
     _hermite_walk,
     cut_runs,
     exponent_pairings,
+    region_tests,
     ring_from_dual_rays,
     run_points,
     semigroup_points,
@@ -304,25 +305,15 @@ SPLITTING_CACHE_SIZE = 16
 
 @lru_cache(maxsize=SPLITTING_CACHE_SIZE)
 def _splitting_data(a: MonomialIdeal, b: MonomialIdeal):
-    """(inside_a, outside_b, floor_a + 1, floor_b): N(a)'s interior tests (f, m, ⟨u, f⟩), and
-    (−f, m, −⟨u, f⟩) per u0-shifted threshold (f, m) of N(b), u the run step (rings.run_interval).
-    Every sigma ray n is a facet normal of N(a) and of N(b) (sigma_floors), and ⟨u0, n⟩ = 1, so
-    the thresholds of those facets are floor_a(n) + 1 and floor_b(n): they are read off as the
-    floors, and left out of the tests, as the splitting box implies them for every target."""
+    """(inside_a, outside_b, floor_a + 1, floor_b) from rings.region_tests: N(a)'s interior
+    tests (f, m + 1, ⟨u, f⟩) and floors, and N(b)'s u0-shifted tests (f, m, ⟨u, f⟩), negated to
+    (−f, m, −⟨u, f⟩), and floors, u the run step. Every sigma ray n is a facet normal of N(a)
+    and of N(b), and ⟨u0, n⟩ = 1, so those facets' thresholds are floor_a(n) + 1 and floor_b(n),
+    the least generator pairings: the splitting box's floors and, less ⟨v, n⟩, its ceilings."""
     ring = _same_ring(a, b)
-    sigma, u = ring.sigma_rays, ring.run_step[0]
-    floor_a, floor_b, inside_a, outside_b = [None] * len(sigma), [None] * len(sigma), [], []
-    for f, m in lattice_thresholds(newton_polyhedron(a)):
-        if f in sigma:
-            floor_a[sigma.index(f)] = m + 1
-        else:
-            inside_a.append((f, m + 1, dot(u, f)))
-    for f, m in lattice_thresholds(newton_polyhedron(b), ring.canonical_shift()):
-        if f in sigma:
-            floor_b[sigma.index(f)] = m
-        else:
-            outside_b.append((vscale(-1, f), m, -dot(u, f)))
-    return tuple(inside_a), tuple(outside_b), tuple(floor_a), tuple(floor_b)
+    floors, inside_a = region_tests(ring, lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim))
+    floor_b, shifted_b = region_tests(ring, lattice_thresholds(newton_polyhedron(b), ring.canonical_shift()))
+    return inside_a, tuple((vscale(-1, f), m, -s) for f, m, s in shifted_b), floors, floor_b
 
 
 def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> RefutationReport:
@@ -335,9 +326,9 @@ def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> R
     and ⟨u0, n⟩ = 1, so only the Hermite runs of the splitting box
     floor_a(n) + 1 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ − floor_b(n) are walked, each cut by
     rings.cut_runs to the splittings; they are listed in walk order on
-    simplicial σ and by alpha otherwise. The facet tests with their run steps,
-    less the sigma-ray facets that box implies, and the floors are read once
-    per pair (_splitting_data); per target only N(b)'s offsets m − ⟨v, f⟩ and
+    simplicial σ and by alpha otherwise. The floors and the facet tests off the
+    sigma rays, with their run steps, are read once per pair by rings.region_tests
+    (_splitting_data); per target only N(b)'s offsets m − ⟨v, f⟩ and
     the ceilings are computed. bounds is the box of every candidate,
     0 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ + 1, and scanned its lattice-point count (_box_size).
     """

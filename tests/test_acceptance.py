@@ -11,8 +11,6 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import pytest
-
 from instances import POOL, random_2d_ring, random_ideal
 from oracles import closure_scan, multiplier_scan
 

@@ -19,7 +19,7 @@ import pytest
 import oracles
 from instances import POOL, random_2d_ring, random_3d_ring, random_non_simplicial_rings
 from toricmult.errors import NotFullDimensional
-from toricmult.rings import _hermite_walk, ring_from_dual_rays, run_starts
+from toricmult.rings import _hermite_walk, cut_runs, ring_from_dual_rays
 
 
 def _random_4d_rings(seed, count):
@@ -130,7 +130,7 @@ def _first_run_peak(walk):
 @pytest.mark.parametrize("name, ring, bounds", BIG, ids=[name for name, _, _ in BIG])
 def test_the_first_run_of_a_large_box_costs_one_prefix(name, ring, bounds):
     """Taking the first run of a box of about 10^5 prefixes stays under 1 MB of traced
-    memory, through the walk and through run_starts; the walk plan is built first."""
+    memory, through the walk and through cut_runs; the walk plan is built first."""
     basis, hnf, _ = ring.sigma_lattice
     prefixes = 1
     for j, i in enumerate(basis[:-1]):
@@ -140,7 +140,7 @@ def test_the_first_run_of_a_large_box_costs_one_prefix(name, ring, bounds):
     floors = (0,) * len(bounds)
     expected = next(oracles.recursive_hermite_walk(ring, bounds, floors))
     assert expected == ((0,) * ring.dim, floors, 1)
-    for walk in (_hermite_walk(ring, bounds, floors), run_starts(ring, bounds)):
+    for walk in (_hermite_walk(ring, bounds, floors), cut_runs(ring, bounds, floors, ())):
         first, peak = _first_run_peak(walk)
         assert first == expected
         assert peak < 2**20, peak

@@ -1,6 +1,5 @@
 """Exact polyhedral geometry: double description vs. Fourier-Motzkin."""
 
-import itertools
 import random
 from fractions import Fraction
 

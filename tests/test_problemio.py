@@ -21,7 +21,6 @@ from toricmult.problemio import (
     parse_point_arg,
     parse_problem,
     parse_recipe,
-    parse_ring,
     parse_search_config,
     point_json,
     rat_point_json,

@@ -5,9 +5,9 @@ offset the least pairing <g, n> of a generator g; that offset is the
 facet's threshold with or without the shift u0 (<u0, n> = 1), and the
 region's floor on n: no region point pairs below it. This is checked on
 every ring below and on one without a canonical point.
-region_minimal_generators passes its floors to rings.run_starts, which
-starts every run on or above them, on every cone, and cuts every run to the
-region's facet thresholds.
+region_minimal_generators reads its floors and tests off those thresholds
+(rings.region_tests) and passes them to rings.cut_runs, which starts every
+run on or above the floors, on every cone, and cuts every run to the tests.
 oracles.region_minimal_generators tests every point of the box from the
 origin instead; the two must give the same generators. The walk carries
 every sigma pairing of its runs; oracles.hermite_walk, the walk that kept
@@ -31,7 +31,7 @@ from instances import (
 from toricmult.geometry import lattice_thresholds
 from toricmult.ideals import monomial_ideal, newton_polyhedron, region_minimal_generators
 from toricmult.linalg import dot, vadd, vscale
-from toricmult.rings import _hermite_walk, lattice_points_in_box, ring_from_dual_rays, run_starts, semigroup_points
+from toricmult.rings import _hermite_walk, cut_runs, lattice_points_in_box, ring_from_dual_rays, semigroup_points
 
 
 def _rings():
@@ -83,7 +83,7 @@ def test_runs_from_the_floors_cover_the_box_above_them(name, ring):
         floors = tuple(rng.randint(0, b + 1) for b in bounds)
         box = [(w, t) for w, t in lattice_points_in_box(ring, bounds) if _passes(t, floors)]
         for thresholds in cuts:
-            runs = list(run_starts(ring, bounds, floors, thresholds))
+            runs = list(cut_runs(ring, bounds, floors, [(f, m, dot(u, f)) for f, m in thresholds]))
             points = [
                 (vadd(w, vscale(k, u)), tuple(a + k * s for a, s in zip(t, ut))) for w, t, n in runs for k in range(n)
             ]
@@ -100,8 +100,8 @@ def test_runs_start_on_the_floors_of_the_paper_ring():
     sigma ray (2, -1, 0); the walk from it reads no run below that floor."""
     ring = ring_from_dual_rays(((2, 1, 0), (1, 2, 0), (0, 0, 1)))
     assert ring.sigma_rays == ((-1, 2, 0), (0, 0, 1), (2, -1, 0))
-    assert list(run_starts(ring, (1, 0, 0), (1, 0, 0))) == []
-    runs = list(run_starts(ring, (2, 2, 2), (1, 0, 0)))
+    assert list(cut_runs(ring, (1, 0, 0), (1, 0, 0), ())) == []
+    runs = list(cut_runs(ring, (2, 2, 2), (1, 0, 0), ()))
     assert [w for w, _, _ in runs] == [(1, 1, 0), (1, 1, 1), (1, 1, 2), (2, 2, 0), (2, 2, 1), (2, 2, 2)]
     assert all(n == 1 and min(t) >= 0 for _, t, n in runs)
 
@@ -185,12 +185,12 @@ def _read_runs(monkeypatch):
     """The list to which each run that region_minimal_generators reads, cut to its thresholds, is appended."""
     read = []
 
-    def recorded(ring, bounds, floors, thresholds):
-        for run in run_starts(ring, bounds, floors, thresholds):
+    def recorded(ring, bounds, floors, tests):
+        for run in cut_runs(ring, bounds, floors, tests):
             read.append(run)
             yield run
 
-    monkeypatch.setattr("toricmult.ideals.run_starts", recorded)
+    monkeypatch.setattr("toricmult.ideals.cut_runs", recorded)
     return read
 
 

@@ -1,6 +1,6 @@
 """Run intervals against the per-point scans they replaced.
 
-The lattice walk is a sequence of runs w + k u (rings.run_starts), and along
+The lattice walk is a sequence of runs w + k u (rings.cut_runs), and along
 a run every facet test is a half-line in k, so the walk cuts each run to
 its passing points by integer division (rings.run_interval) for the
 library's region and refutation scans. oracles.region_minimal_generators and
@@ -14,9 +14,11 @@ step left the exponent cone under the greedy basis of sigma rays in ray
 order. The facet-first basis (ToricRing.sigma_lattice) steps along a dual
 ray on every ring, which is tested on these and on seeded random cones.
 Seeded random plane pairs of the two-dimensional property suite add their
-products. run_starts drops the thresholds its box implies, on a sigma ray at
-or under its floor or on a negated sigma ray at or under minus its bound;
-that it drops exactly those, and that they change no run, is tested on every
+products. rings.region_tests hands a region to the walk: the thresholds of
+the sigma-ray facets are its floors, the least generator pairings (plus 1 on
+the interior), and every other facet is a test with its step; that no facet
+normal is a negated sigma ray, and that the runs from those floors cut to
+those tests are the box points passing every threshold, is tested on every
 ring.
 
 The region walk starts at its floors, the least generator pairings with
@@ -40,8 +42,9 @@ from toricmult.linalg import dot, primitivize, vadd, vscale, vsub
 from toricmult.rings import (
     lattice_points_in_box,
     ring_from_dual_rays,
+    cut_runs,
+    region_tests,
     run_interval,
-    run_starts,
     semigroup_contains,
     semigroup_points,
 )
@@ -114,86 +117,50 @@ def test_runs_expand_to_the_walk(name, ring):
     for bounds in itertools.product(range(0, 7, 3), repeat=len(ut)) if ring.dim < 4 else [(4,) * len(ut)]:
         expanded = [
             (vadd(w, vscale(k, u)), tuple(a + k * s for a, s in zip(t, ut)))
-            for w, t, n in run_starts(ring, bounds)
+            for w, t, n in cut_runs(ring, bounds, (0,) * len(bounds), ())
             for k in range(n)
         ]
         assert all(t == ring.pairings(w) for w, t in expanded)
         assert (expanded if _simplicial(ring) else sorted(expanded)) == list(lattice_points_in_box(ring, bounds)), bounds
 
 
-def _box_tests(ring, bounds, floors):
-    """Thresholds on the box's own facets: (n_i, m) around floors[i] and (-n_i, m) around -bounds[i]."""
-    for n, f, b in zip(ring.sigma_rays, floors, bounds):
-        yield from ((n, m) for m in (f - 1, f, f + 1))
-        yield from ((vscale(-1, n), m) for m in (-b - 1, -b, -b + 1))
-
-
-def _implied(ring, bounds, floors, test):
-    f, m = test
-    box = zip(ring.sigma_rays, floors, bounds)
-    return any(f == n and m <= lo or f == vscale(-1, n) and m <= -hi for n, lo, hi in box)
-
-
 @pytest.mark.parametrize("name, ring", RINGS, ids=IDS)
-def test_run_starts_drops_exactly_the_tests_of_its_box(monkeypatch, name, ring):
-    """Boxes around small semigroup points. A threshold that a floor or a bound
-    implies is dropped before the walk and every other one reaches run_interval,
-    after the floor tests the cut box adds on simplicial sigma; the runs are the
-    same with and without the implied thresholds, and are the box points above
-    the floors that pass them all."""
-    rng = random.Random(name + "-box-tests")
+def test_region_tests_read_the_floors_off_the_sigma_ray_facets(name, ring):
+    """Closure, interior and u0-shifted thresholds of small ideals. The floors are the
+    least generator pairings, plus 1 on the interior; the tests are the other
+    thresholds in facet order, with their steps; no facet normal is a negated sigma
+    ray; and the runs of boxes reaching a little past the generators, from the floors
+    and cut to the tests, are the box points that pass every threshold."""
+    rng = random.Random(name + "-region-tests")
     u, ut = ring.run_step
-    points = semigroup_points(ring, 6 if ring.dim == 2 else 3)
-    handed = []
-
-    def recorded(w, n, tests):
-        handed.append(tests)
-        return run_interval(w, n, tests)
-
-    checked = 0
+    sigma = ring.sigma_rays
+    shifts = [None, (0,) * ring.dim] + ([ring.canonical_shift()] if ring.q_gorenstein else [])
+    slack = 4 if ring.dim == 2 else 2
+    nonempty = 0
     for ideal in _ideals(name, ring, 2):
-        polyhedron = lattice_thresholds(newton_polyhedron(ideal), None)
-        for _ in range(3):
-            center = ring.pairings(rng.choice(points))
-            floors = tuple(max(0, a - rng.randint(0, 2)) for a in center)
-            bounds = tuple(a + rng.randint(0, 3) for a in center)
-            thresholds = list(polyhedron + tuple(_box_tests(ring, bounds, floors)))
-            rng.shuffle(thresholds)
-            kept = [test for test in thresholds if not _implied(ring, bounds, floors, test)]
-            assert len(kept) < len(thresholds)
-            handed.clear()
-            monkeypatch.setattr("toricmult.rings.run_interval", recorded)
-            runs = list(run_starts(ring, bounds, floors, thresholds))
-            monkeypatch.undo()
-            assert runs == list(run_starts(ring, bounds, floors, kept))
-            walked = [
-                (vadd(w, vscale(k, u)), tuple(a + k * s for a, s in zip(t, ut))) for w, t, n in runs for k in range(n)
-            ]
-            box = [
-                (w, t)
-                for w, t in lattice_points_in_box(ring, bounds)
-                if all(map(int.__ge__, t, floors)) and all(dot(w, f) >= m for f, m in thresholds)
-            ]
-            assert (walked if _simplicial(ring) else sorted(walked)) == box, (bounds, floors)
-            if handed:
-                floor_tests = set(zip(ring.sigma_rays, floors))
-                tests = [(f, m) for f, m, _ in handed[0]]
-                assert [test for test in tests if test not in floor_tests] == kept, (bounds, floors)
-                assert _simplicial(ring) or len(tests) == len(kept)
-                checked += 1
-    assert checked
-
-
-@pytest.mark.parametrize("name, ring", RINGS, ids=IDS)
-def test_the_box_index_names_each_sigma_ray_and_its_negation(name, ring):
-    """ring.box_facets maps n_i to i and -n_i to ~i, built once per ring: the index
-    run_starts reads the box's floors and bounds through (the test above checks
-    that it drops exactly the thresholds they imply)."""
-    rays = ring.sigma_rays
-    assert len(ring.box_facets) == 2 * len(rays)
-    for i, n in enumerate(rays):
-        assert ring.box_facets[n] == i and ring.box_facets[tuple(-a for a in n)] == -i - 1
-    assert ring.box_facets is ring.box_facets
+        least, most = (tuple(map(extreme, zip(*ideal.pairings))) for extreme in (min, max))
+        for shift in shifts:
+            thresholds = lattice_thresholds(newton_polyhedron(ideal), shift)
+            floors, tests = region_tests(ring, thresholds)
+            assert floors == tuple(m + (shift == (0,) * ring.dim) for m in least), shift
+            assert tests == tuple((f, m, dot(u, f)) for f, m in thresholds if f not in sigma), shift
+            assert not any(vscale(-1, f) in sigma for f, _ in thresholds), shift
+            for _ in range(2):
+                bounds = tuple(m + rng.randint(0, slack) for m in most)
+                runs = list(cut_runs(ring, bounds, floors, tests))
+                walked = [
+                    (vadd(w, vscale(k, u)), tuple(a + k * s for a, s in zip(t, ut)))
+                    for w, t, n in runs
+                    for k in range(n)
+                ]
+                box = [
+                    (w, t)
+                    for w, t in lattice_points_in_box(ring, bounds)
+                    if all(dot(w, f) >= m for f, m in thresholds)
+                ]
+                assert (walked if _simplicial(ring) else sorted(walked)) == box, (shift, bounds)
+                nonempty += bool(box)
+    assert nonempty
 
 
 def _scan(w, u, n, tests):
@@ -272,7 +239,7 @@ def test_runs_come_in_order_of_the_first_sigma_pairing(name, ring):
         assert ring.run_step[1][0] == 0
     rays = len(ring.sigma_rays)
     for bounds in itertools.product(range(0, 7, 3), repeat=rays) if ring.dim < 4 else [(4,) * rays]:
-        firsts = [t[0] for _, t, _ in run_starts(ring, bounds)]
+        firsts = [t[0] for _, t, _ in cut_runs(ring, bounds, (0,) * rays, ())]
         assert firsts == sorted(firsts), bounds
 
 
@@ -300,13 +267,13 @@ def _region_runs(monkeypatch, a, shift):
     counted without the region's thresholds, the runs read as cut to them."""
     read, walked = [], []
 
-    def counted(ring, bounds, floors, thresholds):
-        walked.append(len(list(run_starts(ring, bounds, floors))))
-        for run in run_starts(ring, bounds, floors, thresholds):
+    def counted(ring, bounds, floors, tests):
+        walked.append(len(list(cut_runs(ring, bounds, floors, ()))))
+        for run in cut_runs(ring, bounds, floors, tests):
             read.append(run)
             yield run
 
-    monkeypatch.setattr("toricmult.ideals.run_starts", counted)
+    monkeypatch.setattr("toricmult.ideals.cut_runs", counted)
     gens = region_minimal_generators(a, shift)
     assert gens == oracles.region_minimal_generators(a.ring, newton_polyhedron(a), shift)
     return gens, len(read), walked[0]

@@ -31,7 +31,6 @@ from toricmult.rings import (
     exponent_pairings,
     lattice_points_in_box,
     ring_from_dual_rays,
-    run_starts,
     semigroup_points,
 )
 from toricmult.subadditivity import _box_size, exhaustive_refute
@@ -115,7 +114,7 @@ def test_an_empty_splitting_box_walks_nothing(monkeypatch, name, ring):
     assert splitting == [(_splitting_box(origin, a, a)[1], _splitting_box(origin, a, a)[0], 0, 0)]
 
 
-def test_run_starts_returns_at_once_below_a_floor():
+def test_cut_runs_returns_at_once_below_a_floor():
     """A bound just under its floor yields no run, also on the pool rings whose
     Hermite diagonal entries exceed 1, where the cut point of the simplicial
     walk pairs up to a diagonal entry below the floors."""
@@ -124,7 +123,7 @@ def test_run_starts_returns_at_once_below_a_floor():
         for i, floor in itertools.product(range(rays), range(1, 8)):
             floors = tuple(floor if j == i else 0 for j in range(rays))
             bounds = tuple(floor - 1 if j == i else 6 for j in range(rays))
-            assert list(run_starts(ring, bounds, floors)) == [], (name, i, floor)
+            assert list(cut_runs(ring, bounds, floors, ())) == [], (name, i, floor)
 
 
 def test_the_box_count_is_the_number_of_box_points():
@@ -150,7 +149,7 @@ def test_the_paper_target_walks_four_runs(monkeypatch):
         assert (report.bounds, report.scanned, report.decompositions) == ((7, 3, 25), 280, ())
     assert [walk for walk in walks if walk[1] is not None] == [((4, 2, 10), (3, 1, 1), 4, 14)] * 2
     assert [walk for walk in walks if walk[1] is None] in ([], [((7, 3, 25), None, 32, 280)])
-    full = list(run_starts(ring, (7, 3, 25)))
+    full = list(cut_runs(ring, (7, 3, 25), (0, 0, 0), ()))
     assert (len(full), sum(n for _, _, n in full)) == (32, 280)
 
 
