@@ -124,42 +124,60 @@ def test_runs_expand_to_the_walk(name, ring):
         assert (expanded if _simplicial(ring) else sorted(expanded)) == list(lattice_points_in_box(ring, bounds)), bounds
 
 
-@pytest.mark.parametrize("name, ring", RINGS, ids=IDS)
-def test_region_tests_read_the_floors_off_the_sigma_ray_facets(name, ring):
-    """Closure, interior and u0-shifted thresholds of small ideals. The floors are the
+def _interior_pairings(ring):
+    """Sigma pairings of a lattice point c interior to the exponent cone, one of least
+    largest pairing. Each is >= 1, so g + c is interior to N(a) for a generator g."""
+    for bound in itertools.count(1):
+        inner = [t for t in map(ring.pairings, semigroup_points(ring, bound)) if min(t) > 0]
+        if inner:
+            return min(inner, key=max)
+
+
+# Each ring with each region a walk is handed: the closure N(a) ∩ M, the interior
+# of N(a) and, on Q-Gorenstein rings, the u0-shifted region of J(a).
+REGIONS = [
+    (name, ring, region)
+    for name, ring in RINGS
+    for region in ("closure", "interior") + (("u0",) if ring.q_gorenstein is not None else ())
+]
+
+
+@pytest.mark.parametrize("name, ring, region", REGIONS, ids=[f"{name}-{region}" for name, _, region in REGIONS])
+def test_region_tests_read_the_floors_off_the_sigma_ray_facets(name, ring, region):
+    """Closure, interior or u0-shifted thresholds of small ideals. The floors are the
     least generator pairings, plus 1 on the interior; the tests are the other
     thresholds in facet order, with their steps; no facet normal is a negated sigma
     ray; and the runs of boxes reaching a little past the generators, from the floors
     and cut to the tests, are the box points that pass every threshold."""
-    rng = random.Random(name + "-region-tests")
+    rng = random.Random(f"{name}-{region}-region-tests")
     u, ut = ring.run_step
     sigma = ring.sigma_rays
-    shifts = [None, (0,) * ring.dim] + ([ring.canonical_shift()] if ring.q_gorenstein else [])
+    shift = ring.canonical_shift() if region == "u0" else (0,) * ring.dim if region == "interior" else None
     slack = 4 if ring.dim == 2 else 2
+    reach = _interior_pairings(ring) if region == "interior" else (0,) * len(sigma)
     nonempty = 0
     for ideal in _ideals(name, ring, 2):
         least, most = (tuple(map(extreme, zip(*ideal.pairings))) for extreme in (min, max))
-        for shift in shifts:
-            thresholds = lattice_thresholds(newton_polyhedron(ideal), shift)
-            floors, tests = region_tests(ring, thresholds)
-            assert floors == tuple(m + (shift == (0,) * ring.dim) for m in least), shift
-            assert tests == tuple((f, m, dot(u, f)) for f, m in thresholds if f not in sigma), shift
-            assert not any(vscale(-1, f) in sigma for f, _ in thresholds), shift
-            for _ in range(2):
-                bounds = tuple(m + rng.randint(0, slack) for m in most)
-                runs = list(cut_runs(ring, bounds, floors, tests))
-                walked = [
-                    (vadd(w, vscale(k, u)), tuple(a + k * s for a, s in zip(t, ut)))
-                    for w, t, n in runs
-                    for k in range(n)
-                ]
-                box = [
-                    (w, t)
-                    for w, t in lattice_points_in_box(ring, bounds)
-                    if all(dot(w, f) >= m for f, m in thresholds)
-                ]
-                assert (walked if _simplicial(ring) else sorted(walked)) == box, (shift, bounds)
-                nonempty += bool(box)
+        thresholds = lattice_thresholds(newton_polyhedron(ideal), shift)
+        floors, tests = region_tests(ring, thresholds)
+        assert floors == tuple(m + (region == "interior") for m in least)
+        assert tests == tuple((f, m, dot(u, f)) for f, m in thresholds if f not in sigma)
+        assert not any(vscale(-1, f) in sigma for f, _ in thresholds)
+        for _ in range(2):
+            bounds = tuple(m + r + rng.randint(0, slack) for m, r in zip(most, reach))
+            runs = list(cut_runs(ring, bounds, floors, tests))
+            walked = [
+                (vadd(w, vscale(k, u)), tuple(a + k * s for a, s in zip(t, ut)))
+                for w, t, n in runs
+                for k in range(n)
+            ]
+            box = [
+                (w, t)
+                for w, t in lattice_points_in_box(ring, bounds)
+                if all(dot(w, f) >= m for f, m in thresholds)
+            ]
+            assert (walked if _simplicial(ring) else sorted(walked)) == box, bounds
+            nonempty += bool(box)
     assert nonempty
 
 
