@@ -16,14 +16,14 @@ memoized newton_polyhedron.
 Newton polyhedra, closures and (in multiplier) multiplier ideals are built
 once per translation class: for a lattice vector c, N(c + a) = c + N(a), and
 divisibility is translation-invariant, so closure(c + a) = c + closure(a).
-An ideal whose lex-first generator g0 is not the origin is answered from its
-representative a - g0 (_anchored), memoized like any ideal, moved back by g0.
+One decorator, per_translation_class, owns the rule: an ideal whose lex-first
+generator g0 is not the origin is answered from a - g0, moved back by g0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from operator import add, itemgetter, le
 from typing import Iterable, Sequence
 
@@ -72,10 +72,20 @@ class MonomialIdeal:
         return MonomialIdeal(self.ring, tuple(tuple(map(add, g, c)) for g in self.gens))
 
 
-def _anchored(a: MonomialIdeal) -> MonomialIdeal:
-    """a - g0, g0 the lex-first generator: the representative of a's translation class.
-    Its points may pair negatively with sigma rays, so it is never returned to a caller."""
-    return a.moved(vscale(-1, a.gens[0]))
+def per_translation_class(compute):
+    """Memoize compute, with f(c + a) = c + f(a), once per translation class: an ideal whose
+    lex-first generator g0 is not the origin gets the answer for a - g0 (never returned: it
+    may leave the semigroup), moved back by g0. The recursion reads this memo, not a module
+    name, so a wrapper bound in place of the public name sees one call per call."""
+
+    @lru_cache(maxsize=CACHE_SIZE)
+    @wraps(compute)
+    def memo(a: MonomialIdeal):
+        if a.gens and any(g0 := a.gens[0]):
+            return memo(a.moved(vscale(-1, g0))).moved(g0)
+        return compute(a)
+
+    return memo
 
 
 def monomial_ideal(ring: ToricRing, gens: Iterable[Sequence[int]]) -> MonomialIdeal:
@@ -147,28 +157,22 @@ def contains_monomial(a: MonomialIdeal, w: Sequence[int]) -> bool:
     return any(all(map(le, g, t)) for g in a.pairings)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@per_translation_class
 def newton_polyhedron(a: MonomialIdeal) -> NewtonPolyhedron:
     """conv(generators) + exponent cone. Undefined for the zero ideal.
     N(c + a) = c + N(a), so one double description serves a translation class."""
     if a.is_zero:
         raise ZeroIdeal("the zero ideal has no Newton polyhedron")
-    g0 = a.gens[0]
-    if any(g0):
-        return newton_polyhedron(_anchored(a)).moved(g0)
     return hull_plus_cone(a.gens, a.ring.cone)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@per_translation_class
 def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
     """Lattice points of N(a), as an ideal. A principal ideal ⟨g⟩ is its own
     closure: the ring is normal, so (g + cone) ∩ M = g + semigroup.
     closure(c + a) = c + closure(a), so one region walk serves a translation class."""
     if len(a.gens) <= 1:
         return a
-    g0 = a.gens[0]
-    if any(g0):
-        return integral_closure(_anchored(a)).moved(g0)
     return MonomialIdeal(a.ring, region_minimal_generators(a, None))
 
 

@@ -3,32 +3,27 @@
 J(a) is generated by the monomials whose exponent, shifted by the canonical
 point u0, lands in the interior of the Newton polyhedron of a. The shift u0
 pairs to exactly 1 with every sigma ray, integrally so on Gorenstein rings.
-For a lattice vector c, J(c + a) = c + J(a): u0 is fixed and N(c + a) = c + N(a).
+For a lattice vector c, J(c + a) = c + J(a): u0 is fixed and N(c + a) = c + N(a),
+so ideals.per_translation_class memoizes J once per translation class.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import ZeroIdeal
 from .geometry import MembershipReport, membership
-from .ideals import CACHE_SIZE, MonomialIdeal, _anchored, newton_polyhedron, region_minimal_generators
+from .ideals import MonomialIdeal, newton_polyhedron, per_translation_class, region_minimal_generators
 from .linalg import vadd
 from .rings import exponent_pairings
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@per_translation_class
 def multiplier_ideal(a: MonomialIdeal) -> MonomialIdeal:
-    """The multiplier ideal J(a), by enumeration of the shifted interior region, once per
-    translation class: an ideal whose lex-first generator g0 is not the origin gets
-    J(a - g0) moved by g0."""
+    """The multiplier ideal J(a), by enumeration of the shifted interior region of N(a)."""
     u0 = a.ring.canonical_shift()
     if a.is_zero:
         raise ZeroIdeal("the multiplier ideal of the zero ideal is undefined")
-    g0 = a.gens[0]
-    if any(g0):
-        return multiplier_ideal(_anchored(a)).moved(g0)
     return MonomialIdeal(a.ring, region_minimal_generators(a, u0))
 
 

@@ -7,11 +7,14 @@ an ideal pair, the cut point of a simplicial walk from its floors, the lift
 of a construction, and the two search stages (the skeleton space of a
 config's bounds and the gap points of a generator pair) are pure functions
 of frozen values, so each is memoized by value; a ring's canonical point,
-sigma lattice, walk plan, dual-ray reach and box-facet index are computed
-once and held by the ring itself, as is its hash and an
-ideal's, and a cone holds which rays each facet normal is tight on. Newton
-polyhedra, closures and multiplier ideals are computed once per translation
-class, from the class's representative. The checks here pin that every
+sigma lattice, walk plan and dual-ray reach are computed once and held by
+the ring itself, as is its hash and an ideal's, and a cone holds which rays
+each facet normal is tight on. Newton polyhedra, closures and multiplier
+ideals are computed once per translation class: one decorator,
+ideals.per_translation_class, gives each of the three one memo that holds
+every translate and the class's representative, and answers the
+representative through that memo, so a wrapper bound in place of a layer
+sees one call per public call. The checks here pin that every
 cache is bounded, that a cached answer equals the undecorated function's,
 that equal values built apart share one entry, that configs differing only
 in seed or cap share one skeleton space, and that errors are raised again
@@ -23,6 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import random
+import sys
 
 import pytest
 
@@ -386,9 +390,40 @@ def test_translates_cost_one_double_description_and_one_walk_per_class(monkeypat
     assert results[2][0].gens == ((0, 0, 2), (1, 1, 1), (1, 2, 0), (2, 1, 0), (2, 2, 0))
 
 
+def test_a_wrapper_bound_in_place_of_a_layer_sees_one_call_per_public_call(monkeypatch):
+    """A counting wrapper bound in place of N, closure and J on every loaded toricmult
+    module, as a tracer binds one, records one call when a translate of the paper's ideal
+    is asked for on empty memos: the representative is answered through the layer's own
+    memo, not through its module-level name."""
+    layers = (newton_polyhedron, integral_closure, multiplier_ideal)
+    modules = [m for n, m in sys.modules.items() if n == "toricmult" or n.startswith("toricmult.")]
+    calls = []
+    wrappers = []
+    for layer in layers:
+
+        def counted(a, layer=layer):
+            calls.append((layer, a))
+            return layer(a)
+
+        for module in modules:
+            for binding, value in list(vars(module).items()):
+                if value is layer:
+                    monkeypatch.setattr(module, binding, counted)
+        wrappers.append(counted)
+        layer.cache_clear()
+    assert toricmult.ideals.newton_polyhedron is wrappers[0] and toricmult.multiplier.multiplier_ideal is wrappers[2]
+    x = monomial_ideal(ring_from_dual_rays(PAPER_RING), PAPER_IDEAL).moved((3, 3, 1))
+    for layer, counted in zip(layers, wrappers):
+        calls.clear()
+        found = counted(x)
+        assert [a for called, a in calls if called is layer] == [x], layer.__name__
+        assert found == layer(monomial_ideal(x.ring, PAPER_IDEAL)).moved((3, 3, 1))
+
+
 def test_refused_translates_are_refused_again():
-    """The zero ideal is refused before its first generator is read, and a translate on a
-    ring with no canonical point before any representative is made; neither is remembered."""
+    """The zero ideal is refused before its first generator is read. A translate on a ring
+    with no canonical point is refused when its representative is computed, after the
+    representative is built; neither is remembered, so the memo sizes hold."""
     ring = ring_from_dual_rays(NOT_Q_GORENSTEIN_DUAL_RAYS)
     a = random_ideal(random.Random(37), ring, max_gens=3, pairing_bound=4)
     assert len(a.gens) > 1 and any(a.gens[0])

@@ -2,8 +2,9 @@
 
 For a lattice vector c, N(c + a) = c + N(a); divisibility and the canonical
 point u0 do not move, so closure(c + a) = c + closure(a) and
-J(c + a) = c + J(a). The library answers an ideal whose lex-first generator
-g0 is not the origin from its representative a - g0, moved back by g0. Here
+J(c + a) = c + J(a). The library (ideals.per_translation_class) answers an
+ideal whose lex-first generator g0 is not the origin from its representative
+a - g0, moved back by g0. Here
 the answers for translates c + a, c a random semigroup point, are checked
 field by field against the translated answers for a, against a fresh double
 description and a walk of c + a itself, and against the grid scans of
@@ -22,12 +23,7 @@ import oracles
 from instances import POOL, STEPPING_DOWN, random_2d_ring, random_3d_ring, random_ideal, random_non_simplicial_rings
 
 from toricmult.geometry import hull_plus_cone
-from toricmult.ideals import (
-    _anchored,
-    integral_closure,
-    newton_polyhedron,
-    region_minimal_generators,
-)
+from toricmult.ideals import integral_closure, newton_polyhedron, region_minimal_generators
 from toricmult.linalg import vscale, vsub
 from toricmult.multiplier import multiplier_ideal
 from toricmult.rings import ring_from_dual_rays, semigroup_points
@@ -110,7 +106,8 @@ def test_the_representative_walks_from_negative_floors(name, ring):
     below g0 with some sigma ray, so some floor is negative."""
     for a, c in _translates(name, ring):
         for x in (a, a.moved(c)):
-            g0, rep = x.gens[0], _anchored(x)
+            g0 = x.gens[0]
+            rep = x.moved(vscale(-1, g0))
             assert rep.gens[0] == (0,) * ring.dim and rep.moved(g0) == x
             if len(x.gens) > 1:
                 assert min(map(min, rep.pairings)) < 0, x
