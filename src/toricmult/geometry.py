@@ -21,7 +21,7 @@ from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotFullDimensional, NotInterior, NotPointed
-from .linalg import _scaled, dot, independent_rows, invert, is_zero, primitivize, rank, vadd, vscale, vsub
+from .linalg import _scaled, dot, independent_rows, invert, primitivize, rank, vadd, vscale, vsub
 
 LatticePoint = tuple[int, ...]
 RatPoint = tuple[Fraction, ...]
@@ -143,7 +143,7 @@ class PolyCone:
         dim = len(rs[0])
         if any(len(r) != dim for r in rs):
             raise DimensionMismatch("rays of mixed dimension")
-        if any(is_zero(r) for r in rs):
+        if any(not any(r) for r in rs):
             raise ValueError("zero vector is not a ray")
         prim = list(dict.fromkeys(map(primitivize, rs)))
         basis = independent_rows(prim)

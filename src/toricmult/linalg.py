@@ -33,10 +33,6 @@ def vscale(c, u: Sequence) -> tuple:
     return tuple(c * a for a in u)
 
 
-def is_zero(u: Sequence) -> bool:
-    return all(a == 0 for a in u)
-
-
 def primitivize(u: Sequence) -> tuple[int, ...]:
     """Scale a rational vector to the primitive integer vector on the same ray.
 

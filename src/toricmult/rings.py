@@ -3,7 +3,8 @@
 A ring is the semigroup algebra of M ∩ C where C is a full-dimensional
 pointed rational cone (the dual of the defining cone sigma). The primitive
 generators of sigma are the facet normals of C; pairing against them is the
-grading used everywhere else in the package.
+grading used everywhere else in the package. A ring holds C and nothing
+else: its canonical point and Hermite data are derived from C on first use.
 
 Lattice points are enumerated in sigma-coordinates t = (<w, n_i>), the
 lattice H Z^d for H the Hermite normal form of a basis of sigma rays
@@ -41,26 +42,28 @@ from .linalg import dot, hermite_normal_form, independent_rows, kernel_basis, pr
 
 @dataclass(frozen=True)
 class ToricRing:
-    """Semigroup ring of the lattice points of a cone.
+    """Semigroup ring of the lattice points of a cone, which is all it holds.
 
-    dual_rays generate the exponent cone (the dual of sigma); sigma_rays are
-    the primitive generators of sigma itself. q_gorenstein is (w0, r) with
+    dual_rays generate the cone (the dual of sigma); sigma_rays are the
+    primitive generators of sigma itself. q_gorenstein is (w0, r) with
     <w0, n> = r for every sigma ray n, w0 primitive and r >= 1 minimal, or
-    None when no such lattice point exists. The canonical point u0 and the
-    sigma lattice are computed once per ring object, on first use, and the
-    hash on construction: every memo keyed on the ring or its ideals reads it.
+    None when no such lattice point exists; it, u0 = w0 / r and the sigma
+    lattice are derived once per ring object, on first use. Equality is the
+    cone's, and so is the hash, taken on construction for every memo's key.
     """
 
-    dim: int
     cone: PolyCone
-    q_gorenstein: tuple[LatticePoint, int] | None
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.dim, self.cone, self.q_gorenstein)))
+        object.__setattr__(self, "_hash", hash(self.cone))
 
     def __hash__(self) -> int:
         return self._hash
+
+    @property
+    def dim(self) -> int:
+        return self.cone.dim
 
     @property
     def dual_rays(self) -> tuple[LatticePoint, ...]:
@@ -69,6 +72,23 @@ class ToricRing:
     @property
     def sigma_rays(self) -> tuple[LatticePoint, ...]:
         return self.cone.facet_normals
+
+    @cached_property
+    def q_gorenstein(self) -> tuple[LatticePoint, int] | None:
+        ns = self.sigma_rays
+        diffs = [vsub(n, ns[0]) for n in ns[1:]]
+        basis = kernel_basis(diffs or [(0,) * self.dim])
+        # sigma spans the ambient space, so the solution space is a line at most
+        if not basis:
+            return None
+        assert len(basis) == 1
+        w0 = primitivize(basis[0])
+        r = dot(w0, ns[0])
+        if r < 0:
+            w0 = vscale(-1, w0)
+            r = -r
+        assert r > 0
+        return w0, int(r)
 
     @property
     def is_gorenstein(self) -> bool:
@@ -156,28 +176,10 @@ def ring_from_dual_rays(rays: Iterable[Sequence[int]]) -> ToricRing:
 
 @lru_cache(maxsize=RING_CACHE_SIZE)
 def _ring_from_rays(rays: tuple[LatticePoint, ...]) -> ToricRing:
-    cone = PolyCone.from_rays(rays)
-    return ToricRing(cone.dim, cone, _q_gorenstein_datum(cone))
+    return ToricRing(PolyCone.from_rays(rays))
 
 
 ring_from_dual_rays.cache_info = _ring_from_rays.cache_info
-
-
-def _q_gorenstein_datum(cone: PolyCone) -> tuple[LatticePoint, int] | None:
-    ns = cone.facet_normals
-    diffs = [vsub(n, ns[0]) for n in ns[1:]]
-    basis = kernel_basis(diffs or [(0,) * cone.dim])
-    # sigma spans the ambient space, so the solution space is a line at most
-    if not basis:
-        return None
-    assert len(basis) == 1
-    w0 = primitivize(basis[0])
-    r = dot(w0, ns[0])
-    if r < 0:
-        w0 = vscale(-1, w0)
-        r = -r
-    assert r > 0
-    return w0, int(r)
 
 
 def semigroup_contains(ring: ToricRing, w: Sequence[int]) -> bool:
@@ -293,8 +295,8 @@ def _hermite_walk(ring: ToricRing, bounds: Sequence[int], floors: Sequence[int])
 
 
 def _moved(w: Sequence[int], k: int, step: Sequence[int]) -> tuple[int, ...]:
-    """w + k step, with no Python-level loop per entry."""
-    return tuple(map(add, w, map(mul, step, repeat(k)))) if k else tuple(w)
+    """w + k step, k != 0 (every caller skips a zero count), with no Python-level loop per entry."""
+    return tuple(map(add, w, map(mul, step, repeat(k))))
 
 
 def region_tests(ring: ToricRing, thresholds: Sequence) -> tuple[tuple[int, ...], tuple]:

@@ -226,24 +226,25 @@ def _edge_regions(a: MonomialIdeal, b: MonomialIdeal):
     """Integer interior test of N(ab) and the sigma-pairing floors of its edge regions.
 
     Vertices of N(ab), ordered by t0 = ⟨v, n0⟩, are tagged with the
-    lex-smallest (a-generator, b-generator) pair summing to them. Between
-    consecutive vertices whose tags share no component, the mixed point
-    a_i + b_{i+1} is inserted; it lies strictly inside the connecting edge,
-    so afterwards every consecutive pair shares a component, which gives the
-    side and witness of its region conv(v1, v2) + σ^∨. The sigma rays n0, n1
-    are a basis, so σ^∨ is the quadrant t0, t1 ≥ 0 and t1 = ⟨v, n1⟩ falls
-    along the walk: the region is t0 ≥ t0(v1), t1 ≥ t1(v2) on the inner side
-    of an edge of N(ab). As ⟨u0, n0⟩ = ⟨u0, n1⟩ = 1, p + u0 interior to N(ab)
+    lex-smallest (a-generator, b-generator) pair summing to them, the first
+    met in one pass over the pairs in lex order. Between consecutive
+    vertices whose tags share no component, the mixed point a_i + b_{i+1}
+    is inserted; it lies strictly inside the connecting edge, so afterwards
+    every consecutive pair shares a component, which gives the side and
+    witness of its region conv(v1, v2) + σ^∨. The sigma rays n0, n1 are a
+    basis, so σ^∨ is the quadrant t0, t1 ≥ 0 and t1 = ⟨v, n1⟩ falls along
+    the walk: the region is t0 ≥ t0(v1), t1 ≥ t1(v2) on the inner side of
+    an edge of N(ab). As ⟨u0, n0⟩ = ⟨u0, n1⟩ = 1, p + u0 interior to N(ab)
     is interior to the region iff t0(p) ≥ t0(v1) and t1(p) ≥ t1(v2). Returns
     lattice_thresholds(N(ab), u0) and, per region, (t0(v1), t1(v2), side, witness).
     """
     ring = a.ring
     n0, n1 = ring.sigma_rays
     poly = newton_polyhedron(product(a, b))
-    seq = [
-        (v, min((ga, gb) for ga in a.gens for gb in b.gens if vadd(ga, gb) == v))
-        for v in sorted(poly.vertices, key=lambda v: dot(v, n0))
-    ]
+    tags = {}
+    for ga, gb in itertools.product(a.gens, b.gens):
+        tags.setdefault(vadd(ga, gb), (ga, gb))
+    seq = [(v, tags[v]) for v in sorted(poly.vertices, key=lambda v: dot(v, n0))]
     walk = [seq[0]]
     for (v1, (a1, b1)), (v2, (a2, b2)) in zip(seq, seq[1:]):
         if a1 != a2 and b1 != b2:

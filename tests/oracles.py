@@ -4,8 +4,10 @@ Everything here is deliberately naive: Fourier-Motzkin projection for half-space
 descriptions, parallelepiped grid scans for generator sets, a filtered walk of
 the whole sigma-coordinate box, 90-degree rotations for two-dimensional dual
 cones, and Gaussian elimination over `Fraction` for the few matrix inverses
-involved.  None of it shares code with the library's double-description engine
-or its lattice walker, so agreement is evidence rather than tautology.
+involved, among them the canonical point u0 solved on a basis of sigma rays
+(`q_gorenstein`, against the library's kernel route).  None of it shares
+code with the library's double-description engine or its lattice walker,
+so agreement is evidence rather than tautology.
 
 Eleven exceptions keep a replaced library path as the reference for its
 replacement. `decompose_2d` is the per-generator boundary walk the library's
@@ -194,6 +196,24 @@ def inverse(mat):
                 factor = aug[r][col]
                 aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def q_gorenstein(sigma_rays):
+    """(w0, r) with <w0, n> = r for every sigma ray n, w0 primitive and r >= 1 least, or None.
+
+    u0 solves <u0, n> = 1 over the first basis of sigma rays, by an exact
+    inverse over Fraction, and must pair to 1 with every other sigma ray; r is
+    the lcm of u0's denominators and w0 = r u0.
+    """
+    basis = []
+    for n in sigma_rays:
+        if _rank(basis + [n]) > len(basis):
+            basis.append(n)
+    u0 = [sum(row) for row in inverse(basis)]
+    if any(dot(u0, n) != 1 for n in sigma_rays):
+        return None
+    r = math.lcm(*(c.denominator for c in u0))
+    return tuple(int(c * r) for c in u0), r
 
 
 def box_points(sigma_rays, bounds):

@@ -197,12 +197,12 @@ def test_refused_multiplier_ideals_are_refused_again():
 
 @pytest.mark.parametrize("name, dual", [(name, dual) for name, dual, _, _ in POOL])
 def test_equal_rings_and_ideals_built_apart_share_one_memo_entry(name, dual):
-    """A ring built again past the ring memo, and one built from its fields, hash
+    """A ring built again past the ring memo, and one built from its cone, hash
     and compare equal to the memoized ring, as do ideals on them; each pair
     hits the entry the other made."""
     ring = ring_from_dual_rays(dual)
     rebuilt = _ring_from_rays.__wrapped__(ring.dual_rays)
-    copied = ToricRing(ring.dim, ring.cone, ring.q_gorenstein)
+    copied = ToricRing(ring.cone)
     for other in (rebuilt, copied):
         assert other is not ring and other == ring and hash(other) == hash(ring)
     a = random_ideal(random.Random(name), ring, max_gens=3, pairing_bound=6)
@@ -250,11 +250,11 @@ def _floors(name, ring):
 @pytest.mark.parametrize("name, ring", SIMPLICIAL_RINGS, ids=[name for name, _ in SIMPLICIAL_RINGS])
 def test_cached_cut_points_equal_fresh_ones_and_equal_rings_share_them(name, ring):
     """The cut point of random floors, and of the origin, equals a fresh one; a ring built
-    past the ring memo and one built from the fields hit the entry the ring made. The cut
+    past the ring memo and one built from its cone hit the entry the ring made. The cut
     point rounds the floors down on the Hermite basis, and its floor tests name exactly
     the floors it falls short of."""
     rebuilt = _ring_from_rays.__wrapped__(ring.dual_rays)
-    copied = ToricRing(ring.dim, ring.cone, ring.q_gorenstein)
+    copied = ToricRing(ring.cone)
     for floors in _floors(name, ring):
         cut = _cut_point(ring, floors)
         assert cut == _cut_point.__wrapped__(ring, floors), floors
@@ -289,6 +289,20 @@ def test_the_canonical_point_is_built_once_per_ring(name, dual, u0):
     ring = ring_from_dual_rays(dual)
     assert ring.canonical_shift() == tuple(Fraction(c) for c in u0)
     assert ring.canonical_shift() is ring.canonical_shift()
+
+
+@pytest.mark.parametrize("name, dual", [(name, dual) for name, dual, _, _ in POOL])
+def test_a_ring_used_only_for_closures_solves_for_no_canonical_point(name, dual):
+    """A ring derives its Q-Gorenstein datum from its cone on first use: closing an ideal on
+    a fresh ring, its Newton polyhedron computed afresh, leaves it and u0 unsolved."""
+    ring = _ring_from_rays.__wrapped__(ring_from_dual_rays(dual).dual_rays)
+    a = random_ideal(random.Random(f"{name}-closure"), ring, max_gens=3, pairing_bound=6)
+    newton_polyhedron.cache_clear()
+    integral_closure.cache_clear()
+    assert integral_closure(a) == integral_closure.__wrapped__(a)
+    assert "q_gorenstein" not in ring.__dict__ and "_u0" not in ring.__dict__
+    ring.canonical_shift()
+    assert "q_gorenstein" in ring.__dict__
 
 
 def pool_pairs_2d():

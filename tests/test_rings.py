@@ -8,11 +8,26 @@ from fractions import Fraction
 
 import pytest
 
-from instances import NOT_Q_GORENSTEIN_DUAL_RAYS, POOL, pool_rings, random_2d_ring
-from oracles import box_points, det, sigma_box_walk
+from instances import (
+    NOT_Q_GORENSTEIN_DUAL_RAYS,
+    POOL,
+    pool_rings,
+    random_2d_ring,
+    random_3d_ring,
+    random_non_simplicial_rings,
+)
+from oracles import box_points, det, dot, q_gorenstein, sigma_box_walk
 
 import toricmult
-from toricmult.errors import DimensionMismatch, NotFullDimensional, NotInSemigroup, NotQGorenstein, TooLarge
+from toricmult.errors import (
+    DimensionMismatch,
+    NotFullDimensional,
+    NotInSemigroup,
+    NotPointed,
+    NotQGorenstein,
+    TooLarge,
+)
+from toricmult.geometry import PolyCone
 from toricmult.linalg import hermite_normal_form
 from toricmult.rings import (
     lattice_points_in_box,
@@ -45,7 +60,50 @@ def test_low_dimensional_dual_cone_is_rejected():
         ring_from_dual_rays(((1, 2, 0), (2, 1, 0)))
 
 
+def _random_4d_simplicial_ring(rng):
+    while True:
+        rays = [tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(4)]
+        if 0 < abs(det(rays)) <= 8:
+            return ring_from_dual_rays(rays)
+
+
+def _cone_over_points(rng, dim):
+    """The ring whose sigma is the cone over random points (x, h + <c, x>), one height h in
+    1..3 and one shear c: Q-Gorenstein of index h when its extreme rays are primitive."""
+    while True:
+        h, c = rng.randint(1, 3), [rng.randint(-1, 1) for _ in range(dim - 1)]
+        xs = [[rng.randint(-2, 2) for _ in range(dim - 1)] for _ in range(rng.randint(dim + 1, dim + 3))]
+        try:
+            sigma = PolyCone.from_rays([(*x, h + dot(c, x)) for x in xs])
+        except (NotFullDimensional, NotPointed):
+            continue
+        return ring_from_dual_rays(sigma.facet_normals)
+
+
+def _seeded_rings():
+    """The pool, the inconsistent cone, and seeded 2D, 3D and 4D cones: simplicial ones on
+    random rays, non-simplicial ones on random rays (mostly not Q-Gorenstein) and cones
+    over points at one height."""
+    rng = random.Random(34)
+    rings = [ring for _, ring in pool_rings()] + [ring_from_dual_rays(NOT_Q_GORENSTEIN_DUAL_RAYS)]
+    rings += [random_2d_ring(rng) for _ in range(12)] + [random_3d_ring(rng) for _ in range(8)]
+    rings += [_random_4d_simplicial_ring(rng) for _ in range(6)]
+    rings += random_non_simplicial_rings(3, 3, (4, 6), 6) + random_non_simplicial_rings(4, 4, (5, 7), 4)
+    return rings + [_cone_over_points(rng, dim) for dim in (3, 4) for _ in range(6)]
+
+
 class TestCanonicalData:
+    def test_the_kernel_route_agrees_with_a_basis_solve(self):
+        """ring.q_gorenstein against the oracle that solves <u0, n> = 1 on a basis of sigma
+        rays and checks the rest, on rings of every shape on both sides of Q-Gorenstein."""
+        rings = _seeded_rings()
+        for ring in rings:
+            assert ring.q_gorenstein == q_gorenstein(ring.sigma_rays), ring.dual_rays
+        shapes = {(ring.dim, len(ring.sigma_rays) > ring.dim, ring.q_gorenstein is not None) for ring in rings}
+        simplicial = {(d, False, True) for d in (2, 3, 4)}
+        assert shapes == simplicial | set(itertools.product((3, 4), (True,), (True, False)))
+        assert {ring.q_gorenstein[1] for ring in rings if ring.q_gorenstein} >= {1, 2, 3}
+
     def test_gorenstein_rings_expose_an_integral_point(self):
         orthant = ring_from_dual_rays(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         assert orthant.is_gorenstein
