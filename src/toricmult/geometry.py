@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotFullDimensional, NotInterior, NotPointed
 from .linalg import _scaled, dot, independent_rows, invert, primitivize, rank, vadd, vscale, vsub
@@ -41,9 +41,8 @@ def as_rat_point(p: Sequence) -> RatPoint:
     return q
 
 
-@dataclass(frozen=True, order=True)
-class Halfspace:
-    """The set of x with <normal, x> >= offset, ordered by (normal, offset).
+class Halfspace(NamedTuple):
+    """The set of x with <normal, x> >= offset: the pair (normal, offset), ordered as one.
 
     The normal is a primitive integer vector and the offset an integer: every
     facet of a Newton polyhedron holds a lattice vertex.
@@ -201,7 +200,7 @@ class NewtonPolyhedron:
         """c + self: every vertex moved by c and every facet offset by <normal, c>. Translation
         keeps the lex order of the vertices and the normals, so both stay sorted."""
         vertices = tuple(vadd(v, c) for v in self.vertices)
-        facets = tuple(Halfspace(h.normal, h.offset + dot(h.normal, c)) for h in self.facets)
+        facets = tuple(Halfspace(f, m + dot(f, c)) for f, m in self.facets)
         return NewtonPolyhedron(self.dim, vertices, facets)
 
 
@@ -221,13 +220,10 @@ def hull_plus_cone(points: Iterable[Sequence[int]], recession: PolyCone) -> Newt
     which are never vertices and are not asked about, and bit m + k is
     pts[k]. The seed's zero sets are the cone's facet_ray_bits, moved past bit 0.
     """
-    pts: list[LatticePoint] = []
-    for p in points:
-        q = as_lattice_point(p)
+    pts = list(dict.fromkeys(map(as_lattice_point, points)))
+    for q in pts:
         if len(q) != recession.dim:
             raise DimensionMismatch(f"point {q} in dimension-{recession.dim} space")
-        if q not in pts:
-            pts.append(q)
     if not pts:
         raise ValueError("at least one point is required")
     dim, p0, m = recession.dim, pts[0], len(recession.rays)
@@ -261,18 +257,18 @@ def membership(p: NewtonPolyhedron, x: Sequence, relative_interior: bool = False
     return MembershipReport(contained, relative_interior, tuple(pairings), tuple(violated), tuple(tight))
 
 
-def lattice_thresholds(p: NewtonPolyhedron, shift: Sequence | None = None) -> tuple[tuple[LatticePoint, int], ...]:
-    """One (normal, m) per facet of p: a lattice w passes when <w, normal> >= m for all.
+def lattice_thresholds(p: NewtonPolyhedron, shift: Sequence | None = None) -> tuple[Halfspace, ...]:
+    """One Halfspace (normal, m) per facet of p: a lattice w passes when <w, normal> >= m for all.
 
-    With shift=None, m is the facet offset and passing means w in p. With a
-    shift s, m = floor(offset - <normal, s>) + 1 and passing means w + s is
-    interior to p. s is read once as integers num / D (for u0, the ring's
+    With shift=None these are p.facets themselves, and passing means w in p.
+    With a shift s, m = floor(offset - <normal, s>) + 1 and passing means w + s
+    is interior to p. s is read once as integers num / D (for u0, the ring's
     (w0, r)), so m = (offset D - <normal, num>) // D + 1 in integers.
     """
     if shift is None:
-        return tuple((h.normal, h.offset) for h in p.facets)
+        return p.facets
     num, den = _scaled(shift)
-    return tuple((h.normal, (h.offset * den - dot(h.normal, num)) // den + 1) for h in p.facets)
+    return tuple(Halfspace(f, (m * den - dot(f, num)) // den + 1) for f, m in p.facets)
 
 
 def relint_certificate(p: NewtonPolyhedron, x: Sequence) -> ConvexCertificate:

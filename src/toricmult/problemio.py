@@ -150,8 +150,6 @@ def parse_ring(doc) -> ToricRing:
     rays = doc.get("dual_cone_rays")
     if not isinstance(rays, list) or not rays or not all(isinstance(r, list) for r in rays):
         raise ConfigInvalid("ring.dual_cone_rays must be a nonempty list of integer vectors")
-    if len({len(r) for r in rays}) != 1:
-        raise ConfigInvalid("ring.dual_cone_rays must all have the same length")
     points = [parse_point(r, len(rays[0]), "dual cone ray") for r in rays]
     for i, p in enumerate(points):
         if not any(p):

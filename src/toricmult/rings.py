@@ -8,11 +8,14 @@ else: its canonical point and Hermite data are derived from C on first use.
 
 Lattice points are enumerated in sigma-coordinates t = (<w, n_i>), the
 lattice H Z^d for H the Hermite normal form of a basis of sigma rays
-(ToricRing.sigma_lattice), which lattice_points_in_box walks directly in
-lexicographic order of t (simplicial sigma) or of w (otherwise). The walk
-is runs w + k u, each carrying the pairings of w with every sigma ray in
-sigma-ray order, clipped to the other sigma rays' bounds by integer
-division on non-simplicial sigma; u lies in the semigroup. The walk is one
+(ToricRing.sigma_lattice). On simplicial sigma the walk comes out in
+lexicographic order of t, and lattice_points_in_box yields it as walked. On
+non-simplicial sigma it is in lexicographic order of neither t nor w, so
+lattice_points_in_box sorts its points by w, holding the whole box, and
+exhaustive_refute sorts its decompositions. The walk is runs w + k u, each
+carrying the pairings of w with every sigma ray in sigma-ray order, clipped
+to the other sigma rays' bounds by integer division on non-simplicial
+sigma; u lies in the semigroup. The walk is one
 lazy odometer over the Hermite coordinates before the runs, reading a plan
 the ring holds (ToricRing.walk_plan), so a walk of one run costs little more
 than the run. A region of integer facet thresholds of a polyhedron
@@ -221,7 +224,8 @@ def lattice_points_in_box(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tu
     matrix (see ToricRing.sigma_lattice), and yields w = U k. When sigma is
     simplicial the pairings come out in lexicographic order; otherwise each
     run is clipped to the bounds of the remaining sigma rays, so only points
-    of the box are visited, and they are yielded in lexicographic order of w.
+    of the box are visited, and they are sorted, all at once, to be yielded in
+    lexicographic order of w.
     """
     points = run_points(ring, _hermite_walk(ring, bounds, (0,) * len(bounds)))
     yield from points if len(ring.sigma_rays) == ring.dim else sorted(points)

@@ -18,9 +18,12 @@ sees one call per public call. The checks here pin that every
 cache is bounded, that a cached answer equals the undecorated function's,
 that equal values built apart share one entry, that configs differing only
 in seed or cap share one skeleton space, and that errors are raised again
-rather than remembered.
+rather than remembered. The bound is also checked by scanning the package's
+source for every memo decorator, so a memo missing from MEMOIZED cannot
+escape it.
 """
 
+import ast
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -85,6 +88,12 @@ MEMOIZED = (
 )
 
 TESTS = Path(__file__).parent
+PACKAGE = sorted((TESTS.parent / "src" / "toricmult").glob("*.py"))
+MAX_CACHE_SIZE = 1024
+# (module, function) of every memo the source scan allows without a bound, with the reason.
+UNBOUNDED_MEMOS = {
+    ("cli", "_build_parser"): "takes no arguments, so its cache holds one entry",
+}
 SEARCH_CONFIGS = {
     "default": SearchConfig(),
     "small-hits": load_search_config(str(TESTS / "small_hits_search.json")),
@@ -95,7 +104,59 @@ SEARCH_CONFIGS = {
 @pytest.mark.parametrize("layer", MEMOIZED, ids=lambda f: f.__name__)
 def test_every_cache_is_bounded(layer):
     maxsize = layer.cache_info().maxsize
-    assert maxsize is not None and 0 < maxsize <= 1024
+    assert maxsize is not None and 0 < maxsize <= MAX_CACHE_SIZE
+
+
+def _int_constants(path):
+    """Module-level `NAME = <int>` of the file at path, and those it imports from a file beside it."""
+    found = {}
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant) and type(node.value.value) is int:
+            found.update((t.id, node.value.value) for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            source = _int_constants(path.with_name(node.module + ".py"))
+            found.update((a.asname or a.name, source[a.name]) for a in node.names if a.name in source)
+    return found
+
+
+def unbounded_memos(path):
+    """(function, line) per functools.cache or lru_cache decorator in the file, at any depth,
+    whose maxsize is not given as a literal or module constant in 1..MAX_CACHE_SIZE."""
+    constants = _int_constants(path)
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        for dec in node.decorator_list if isinstance(node, ast.FunctionDef) else ():
+            call = dec if isinstance(dec, ast.Call) else ast.Call(dec, [], [])
+            name = getattr(call.func, "attr", getattr(call.func, "id", None))
+            if name not in ("cache", "lru_cache"):
+                continue
+            given = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args[:1]
+            arg = given[0] if name == "lru_cache" and given else None
+            size = arg.value if isinstance(arg, ast.Constant) else constants.get(getattr(arg, "id", None))
+            if not (type(size) is int and 0 < size <= MAX_CACHE_SIZE):
+                found.append((node.name, node.lineno))
+    return sorted(found, key=lambda f: f[1])
+
+
+def test_the_scan_sees_an_unbounded_memo(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "import functools\nfrom functools import cache, lru_cache\nSIZE = 64\nBIG = 4096\n\n"
+        "@lru_cache(maxsize=None)\ndef a(x): pass\n"
+        "@lru_cache\ndef b(x): pass\n"
+        "@functools.cache\ndef c(x): pass\n"
+        "@cache\ndef d(x): pass\n"
+        "@lru_cache(maxsize=BIG)\ndef e(x): pass\n"
+        "@functools.lru_cache(maxsize=SIZE)\ndef f(x): pass\n"
+        "@lru_cache(32)\ndef g(x): pass\n"
+        "def outer():\n    @lru_cache(maxsize=2000)\n    def h(x): pass\n"
+    )
+    assert unbounded_memos(path) == [("a", 7), ("b", 9), ("c", 11), ("d", 13), ("e", 15), ("h", 22)]
+
+
+def test_every_memo_in_the_package_source_is_bounded():
+    found = {(path.stem, name) for path in PACKAGE for name, _ in unbounded_memos(path)}
+    assert found == set(UNBOUNDED_MEMOS)
 
 
 def pool_ideals():

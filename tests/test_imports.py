@@ -5,10 +5,14 @@ Each file of src/toricmult and tests is parsed with ast; a name bound by a
 module-level import must be read somewhere in the file, or be listed in the
 module's __all__ (a re-export). `from __future__` imports bind no name. A
 package module imports an `_`-prefixed name from another package module only
-where PRIVATE_IMPORTS lists it with its reason.
+where PRIVATE_IMPORTS lists it with its reason. `import toricmult` loads none
+of the modules only the command line needs, so a library caller does not pay
+for their import.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,8 +25,10 @@ FILES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 PRIVATE_IMPORTS = {
     ("geometry", "linalg", "_scaled"): "membership scales exact points to integers as linalg's elimination does",
     ("subadditivity", "ideals", "_same_ring"): "pair operations refuse ideals of different rings as product does",
-    ("subadditivity", "rings", "_hermite_walk"): "a refutation's box size counts the uncut runs that the walk cuts",
 }
+
+# Modules only the command line needs, none of which `import toricmult` may load.
+COMMAND_LINE_ONLY = ("toricmult.cli", "toricmult.problemio", "toricmult.builtin_example", "argparse", "json")
 
 
 def _imported(tree):
@@ -78,3 +84,13 @@ def test_the_check_sees_a_private_import(tmp_path):
 
 def test_package_modules_import_only_the_listed_private_names():
     assert sorted(imp for path in PACKAGE for imp in private_imports(path)) == sorted(PRIVATE_IMPORTS)
+
+
+def test_importing_the_package_loads_no_command_line_module():
+    """In a fresh interpreter without site, so that no .pth file imports a listed module first."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import toricmult; "
+        f"print(*[name for name in {COMMAND_LINE_ONLY!r} if name in sys.modules])"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.split() == []

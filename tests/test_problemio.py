@@ -125,7 +125,7 @@ class TestProblemFiles:
             ({"ideals": {}}, "needs a 'ring' entry"),
             ({"ring": {"dual_rays": [[1, 0]]}}, "unknown ring keys: dual_rays"),
             ({"ring": {"dual_cone_rays": []}}, "nonempty list"),
-            ({"ring": {"dual_cone_rays": [[1, 0], [1, 2, 0]]}}, "same length"),
+            ({"ring": {"dual_cone_rays": [[1, 0], [1, 2, 0]]}}, "dual cone ray must be a list of 2 integers"),
             ({"ring": PROBLEM_DOC["ring"], "ideals": {"a": 3}}, "list of generators"),
             ({"ring": {"dual_cone_rays": [[1, 1], [0, 0]]}}, r"dual_cone_rays\[1\] is the zero vector"),
         ],

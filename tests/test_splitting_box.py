@@ -51,7 +51,8 @@ def _splitting_box(v, a, b):
 
 def _walks(monkeypatch):
     """The (bounds, floors, runs, points) of every cut_runs walk exhaustive_refute makes,
-    counted without its facet tests; the runs read are cut to them."""
+    counted without its facet tests; the runs read are cut to them. Splitting walks have
+    floors >= 1; the count of the reported box walks from floors 0 (_box_size)."""
     walks = []
 
     def counted(ring, bounds, floors, tests):
@@ -110,7 +111,7 @@ def test_an_empty_splitting_box_walks_nothing(monkeypatch, name, ring):
     report = exhaustive_refute(origin, a, a)
     assert report.decompositions == ()
     assert report.scanned == sum(1 for _ in lattice_points_in_box(ring, report.bounds))
-    splitting = [walk for walk in walks if walk[1] is not None]
+    splitting = [walk for walk in walks if any(walk[1])]
     assert splitting == [(_splitting_box(origin, a, a)[1], _splitting_box(origin, a, a)[0], 0, 0)]
 
 
@@ -147,8 +148,8 @@ def test_the_paper_target_walks_four_runs(monkeypatch):
     for _ in range(2):
         report = exhaustive_refute(TARGET, a, b)
         assert (report.bounds, report.scanned, report.decompositions) == ((7, 3, 25), 280, ())
-    assert [walk for walk in walks if walk[1] is not None] == [((4, 2, 10), (3, 1, 1), 4, 14)] * 2
-    assert [walk for walk in walks if walk[1] is None] in ([], [((7, 3, 25), None, 32, 280)])
+    assert [walk for walk in walks if any(walk[1])] == [((4, 2, 10), (3, 1, 1), 4, 14)] * 2
+    assert [walk for walk in walks if not any(walk[1])] in ([], [((7, 3, 25), (0, 0, 0), 32, 280)])
     full = list(cut_runs(ring, (7, 3, 25), (0, 0, 0), ()))
     assert (len(full), sum(n for _, _, n in full)) == (32, 280)
 
