@@ -16,20 +16,21 @@ memoized newton_polyhedron.
 Newton polyhedra, closures and (in multiplier) multiplier ideals are built
 once per translation class: for a lattice vector c, N(c + a) = c + N(a), and
 divisibility is translation-invariant, so closure(c + a) = c + closure(a).
-One decorator, per_translation_class, owns the rule: an ideal whose lex-first
-generator g0 is not the origin is answered from a - g0, moved back by g0.
+One decorator, per_translation_class, owns the rule: the first member of a
+class met is computed as it is, and a later member gets its answer moved by
+the difference of their lex-first generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
-from operator import add, itemgetter, le
+from operator import add, itemgetter, le, sub
 from typing import Iterable, Sequence
 
 from .errors import RingMismatch, ZeroIdeal
 from .geometry import LatticePoint, NewtonPolyhedron, RatPoint, hull_plus_cone, lattice_thresholds
-from .linalg import dot, vadd, vscale
+from .linalg import dot, vadd
 from .rings import ToricRing, cut_runs, exponent_pairings, region_tests
 
 # Entries kept by each memoized ideal operation (product, ideal_sum,
@@ -73,19 +74,41 @@ class MonomialIdeal:
 
 
 def per_translation_class(compute):
-    """Memoize compute, with f(c + a) = c + f(a), once per translation class: an ideal whose
-    lex-first generator g0 is not the origin gets the answer for a - g0 (never returned: it
-    may leave the semigroup), moved back by g0. The recursion reads this memo, not a module
-    name, so a wrapper bound in place of the public name sees one call per call."""
+    """Memoize compute, with f(c + a) = c + f(a), once per translation class.
+
+    Each ideal asked for is a key of one memo. On a miss, the cell of its class, keyed on
+    (ring, gens - g0) for g0 the lex-first generator, holds the answer of the first member
+    met, computed as it is, with that member's g0; a member with lex-first generator g0' gets
+    it moved by g0' - g0. So compute only ever sees an ideal that was asked for, and no memo
+    holds an ideal of its own making. An error leaves the cell empty. cache_clear empties the
+    cells (.classes) too, and __wrapped__ is compute.
+    """
 
     @lru_cache(maxsize=CACHE_SIZE)
-    @wraps(compute)
-    def memo(a: MonomialIdeal):
-        if a.gens and any(g0 := a.gens[0]):
-            return memo(a.moved(vscale(-1, g0))).moved(g0)
-        return compute(a)
+    def classes(ring: ToricRing, gens: tuple[LatticePoint, ...]) -> list:
+        return []
 
-    return memo
+    @lru_cache(maxsize=CACHE_SIZE)
+    def memo(a: MonomialIdeal):
+        if not a.gens:
+            return compute(a)
+        g0 = a.gens[0]
+        cell = classes(a.ring, tuple(tuple(map(sub, g, g0)) for g in a.gens))
+        if cell:
+            first, answer = cell
+            return answer.moved(tuple(map(sub, g0, first)))
+        answer = compute(a)
+        cell[:] = g0, answer
+        return answer
+
+    clear_members = memo.cache_clear
+
+    def cache_clear() -> None:
+        clear_members()
+        classes.cache_clear()
+
+    memo.cache_clear, memo.classes = cache_clear, classes
+    return wraps(compute)(memo)
 
 
 def monomial_ideal(ring: ToricRing, gens: Iterable[Sequence[int]]) -> MonomialIdeal:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Sequence
 
 
@@ -22,11 +22,11 @@ def dot(u: Sequence, v: Sequence):
 
 
 def vadd(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vsub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vscale(c, u: Sequence) -> tuple:

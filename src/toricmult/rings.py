@@ -25,7 +25,8 @@ facet into a test with its step along a run, and cut_runs yields the runs,
 not their points, in walk order, so the pairing with sigma ray 0 never
 decreases from one run to the next; every run starts on or above the floors,
 on every cone, and is cut to the interval passing the tests (run_interval).
-run_points expands runs into points.
+run_points expands runs into points, and box_point_count sums the run lengths
+of a box from zero floors.
 """
 
 from __future__ import annotations
@@ -64,15 +65,15 @@ class ToricRing:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.cone.dim
 
-    @property
+    @cached_property
     def dual_rays(self) -> tuple[LatticePoint, ...]:
         return self.cone.rays
 
-    @property
+    @cached_property
     def sigma_rays(self) -> tuple[LatticePoint, ...]:
         return self.cone.facet_normals
 
@@ -160,7 +161,7 @@ class ToricRing:
         return ut + u, levels, basis[-1], ut[basis[-1]], clip
 
     def pairings(self, w: Sequence) -> tuple:
-        return tuple(dot(w, n) for n in self.sigma_rays)
+        return tuple([sum(map(mul, w, n)) for n in self.sigma_rays])
 
 
 # Distinct rings kept by ring_from_dual_rays; a search meets a few dozen.
@@ -202,9 +203,9 @@ def exponent_pairings(ring: ToricRing, w: Sequence[int]) -> tuple[LatticePoint, 
     if len(p) != ring.dim:
         raise DimensionMismatch(f"point of dimension {len(p)} in ring of dimension {ring.dim}")
     t = ring.pairings(p)
-    for x, n in zip(t, ring.sigma_rays):
-        if x < 0:
-            raise NotInSemigroup(f"{p} pairs {x} with sigma ray {n}")
+    if min(t) < 0:
+        x, n = next((x, n) for x, n in zip(t, ring.sigma_rays) if x < 0)
+        raise NotInSemigroup(f"{p} pairs {x} with sigma ray {n}")
     return p, t
 
 
@@ -229,6 +230,12 @@ def lattice_points_in_box(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tu
     """
     points = run_points(ring, _hermite_walk(ring, bounds, (0,) * len(bounds)))
     yield from points if len(ring.sigma_rays) == ring.dim else sorted(points)
+
+
+def box_point_count(ring: ToricRing, bounds: Sequence[int]) -> int:
+    """The number of lattice w with 0 <= <w, n_i> <= bounds[i] for every sigma ray n_i: the
+    lengths of the box's Hermite runs from zero floors, summed, with no point enumerated."""
+    return sum(n for _, _, n in _hermite_walk(ring, bounds, (0,) * len(bounds)))
 
 
 def run_points(ring: ToricRing, runs) -> Iterator[tuple[LatticePoint, tuple[int, ...]]]:

@@ -49,6 +49,7 @@ from .linalg import dot, vadd, vscale, vsub
 from .multiplier import multiplier_ideal, multiplier_membership
 from .rings import (
     ToricRing,
+    box_point_count,
     cut_runs,
     exponent_pairings,
     region_tests,
@@ -293,10 +294,9 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _box_size(ring: ToricRing, bounds: tuple[int, ...]) -> int:
-    """The number of lattice points w with 0 ≤ ⟨w, n_i⟩ ≤ bounds[i] for every sigma ray n_i,
-    summed over the runs of the box with no floor above 0 and no test (rings.cut_runs);
-    memoized, as refutations share their boxes."""
-    return sum(n for _, _, n in cut_runs(ring, bounds, (0,) * len(bounds), ()))
+    """The number of lattice points w with 0 ≤ ⟨w, n_i⟩ ≤ bounds[i] for every sigma ray n_i
+    (rings.box_point_count); memoized, as refutations share their boxes."""
+    return box_point_count(ring, bounds)
 
 
 # Pairs kept by _splitting_data; callers refute one pair's targets together.

@@ -11,10 +11,11 @@ sigma lattice, walk plan and dual-ray reach are computed once and held by
 the ring itself, as is its hash and an ideal's, and a cone holds which rays
 each facet normal is tight on. Newton polyhedra, closures and multiplier
 ideals are computed once per translation class: one decorator,
-ideals.per_translation_class, gives each of the three one memo that holds
-every translate and the class's representative, and answers the
-representative through that memo, so a wrapper bound in place of a layer
-sees one call per public call. The checks here pin that every
+ideals.per_translation_class, gives each of the three one memo of the ideals
+asked for and a bounded cell per class that holds the first member met with
+its answer, which the later members move; no other ideal is computed, so a
+wrapper bound in place of a layer sees one call per public call. The checks
+here pin that every
 cache is bounded, that a cached answer equals the undecorated function's,
 that equal values built apart share one entry, that configs differing only
 in seed or cap share one skeleton space, and that errors are raised again
@@ -25,6 +26,7 @@ escape it.
 
 import ast
 from dataclasses import replace
+from functools import cache
 from fractions import Fraction
 from pathlib import Path
 
@@ -107,8 +109,10 @@ def test_every_cache_is_bounded(layer):
     assert maxsize is not None and 0 < maxsize <= MAX_CACHE_SIZE
 
 
+@cache
 def _int_constants(path):
-    """Module-level `NAME = <int>` of the file at path, and those it imports from a file beside it."""
+    """Module-level `NAME = <int>` of the file at path, and those it imports from a file beside it;
+    memoized by path, as the package's modules import each other's names many times over."""
     found = {}
     for node in ast.parse(path.read_text(), str(path)).body:
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant) and type(node.value.value) is int:
@@ -443,8 +447,9 @@ def _counting(monkeypatch, module, name, calls):
 def test_translates_cost_one_double_description_and_one_walk_per_class(monkeypatch):
     """N(a), closure(a) and J(a) of the paper's ideal and of its translates by the semigroup
     points pairing at most 2 with every sigma ray: one hull_plus_cone, one closure
-    walk and one multiplier walk, all on the representative, whose results every
-    translate moves; each layer's memo holds the translates and the representative."""
+    walk and one multiplier walk, all on the paper's ideal, the first member met,
+    whose results every other translate moves; each layer's memo holds the
+    translates and nothing else, and its class cells the one class."""
     calls = []
     _counting(monkeypatch, toricmult.ideals, "hull_plus_cone", calls)
     for module in (toricmult.ideals, toricmult.multiplier):
@@ -460,7 +465,8 @@ def test_translates_cost_one_double_description_and_one_walk_per_class(monkeypat
     results = [[layer(x) for x in translates] for layer in layers]
     assert sorted(calls) == ["hull_plus_cone", "region_minimal_generators", "region_minimal_generators"]
     for layer, found in zip(layers, results):
-        assert layer.cache_info().currsize == len(translates) + 1
+        assert layer.cache_info().currsize == len(translates)
+        assert layer.classes.cache_info().currsize == 1
         assert all(y == found[0].moved(c) for y, c in zip(found, shifts))
     assert results[2][0].gens == ((0, 0, 2), (1, 1, 1), (1, 2, 0), (2, 1, 0), (2, 2, 0))
 
@@ -468,8 +474,8 @@ def test_translates_cost_one_double_description_and_one_walk_per_class(monkeypat
 def test_a_wrapper_bound_in_place_of_a_layer_sees_one_call_per_public_call(monkeypatch):
     """A counting wrapper bound in place of N, closure and J on every loaded toricmult
     module, as a tracer binds one, records one call when a translate of the paper's ideal
-    is asked for on empty memos: the representative is answered through the layer's own
-    memo, not through its module-level name."""
+    is asked for on empty memos: the layer computes the translate itself, and calls
+    neither its own memo nor its module-level name again."""
     layers = (newton_polyhedron, integral_closure, multiplier_ideal)
     modules = [m for n, m in sys.modules.items() if n == "toricmult" or n.startswith("toricmult.")]
     calls = []
@@ -497,8 +503,8 @@ def test_a_wrapper_bound_in_place_of_a_layer_sees_one_call_per_public_call(monke
 
 def test_refused_translates_are_refused_again():
     """The zero ideal is refused before its first generator is read. A translate on a ring
-    with no canonical point is refused when its representative is computed, after the
-    representative is built; neither is remembered, so the memo sizes hold."""
+    with no canonical point is refused when it is computed; neither is remembered, so
+    the memo sizes hold."""
     ring = ring_from_dual_rays(NOT_Q_GORENSTEIN_DUAL_RAYS)
     a = random_ideal(random.Random(37), ring, max_gens=3, pairing_bound=4)
     assert len(a.gens) > 1 and any(a.gens[0])
