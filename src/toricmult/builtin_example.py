@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import ConvexCertificate, lattice_thresholds, membership, verify_certificate
+from .geometry import ConvexCertificate, membership, verify_certificate
 from .ideals import MonomialIdeal, contains_monomial, monomial_ideal, newton_polyhedron, product
 from .multiplier import multiplier_membership
 from .problemio import format_point, render_monomial
@@ -101,7 +101,7 @@ FacetExpectations = dict[str, tuple[tuple[tuple[int, ...], int], ...]]
 
 
 def _facet_check(name: str, poly, expected) -> Check:
-    got = lattice_thresholds(poly)
+    got = poly.facets
     want = tuple((tuple(n), int(c)) for n, c in expected)
     if got == want:
         detail = "; ".join(f"{format_point(n)}·w >= {c}" for n, c in got)

@@ -66,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="toricmult",

@@ -33,9 +33,9 @@ from .geometry import LatticePoint, NewtonPolyhedron, RatPoint, hull_plus_cone, 
 from .linalg import dot, vadd
 from .rings import ToricRing, cut_runs, exponent_pairings, region_tests
 
-# Entries kept by each memoized ideal operation (product, ideal_sum,
-# newton_polyhedron, integral_closure, multiplier.multiplier_ideal,
-# subadditivity.check_subadditivity); see their cache_info().
+# Entries kept by each of these memos: product, ideal_sum, newton_polyhedron, integral_closure and
+# multiplier.multiplier_ideal (and each one's class cells), and subadditivity's check_subadditivity,
+# _edge_regions, _box_size, _lift, _skeleton_space and _gap_generators; see their cache_info().
 CACHE_SIZE = 1024
 
 

@@ -115,12 +115,10 @@ def parse_point_arg(text: str, dim: int) -> LatticePoint:
     if any(v in text for v in _VARS):
         return parse_monomial(text, dim)
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        parts = [int(p) for p in text.split(",")]
     except ValueError:
         raise ConfigInvalid(f"cannot parse point {text!r}") from None
-    if len(parts) != dim:
-        raise ConfigInvalid(f"point {text!r} has {len(parts)} coordinates, ring has {dim}")
-    return parts
+    return parse_point(parts, dim, f"point {text!r}")
 
 
 def format_point(w: Sequence) -> str:
@@ -144,6 +142,12 @@ def _reject_unknown(doc: dict, allowed: set[str], what: str) -> None:
         raise ConfigInvalid(f"unknown {what} keys: {', '.join(sorted(unknown))}")
 
 
+def _require_keys(doc: dict, required: Sequence[str], what: str) -> None:
+    for key in required:
+        if key not in doc:
+            raise ConfigInvalid(f"{what} needs a {key!r} entry")
+
+
 def parse_ring(doc) -> ToricRing:
     doc = _require_mapping(doc, "ring")
     _reject_unknown(doc, {"dual_cone_rays"}, "ring")
@@ -160,8 +164,7 @@ def parse_ring(doc) -> ToricRing:
 def parse_problem(doc) -> Problem:
     doc = _require_mapping(doc, "problem")
     _reject_unknown(doc, {"ring", "ideals"}, "problem")
-    if "ring" not in doc:
-        raise ConfigInvalid("problem needs a 'ring' entry")
+    _require_keys(doc, ("ring",), "problem")
     ring = parse_ring(doc["ring"])
     ideals_doc = _require_mapping(doc.get("ideals", {}), "ideals")
     ideals = {}
@@ -179,10 +182,9 @@ def load_problem(path: str) -> Problem:
 
 def parse_recipe(doc) -> ConstructionRecipe:
     doc = _require_mapping(doc, "recipe")
-    _reject_unknown(doc, {"base_ring", "i_prime", "j_prime", "r", "z_exponent"}, "recipe")
-    for key in ("base_ring", "i_prime", "j_prime", "r", "z_exponent"):
-        if key not in doc:
-            raise ConfigInvalid(f"recipe needs a {key!r} entry")
+    keys = ("base_ring", "i_prime", "j_prime", "r", "z_exponent")
+    _reject_unknown(doc, set(keys), "recipe")
+    _require_keys(doc, keys, "recipe")
     ring = parse_ring(doc["base_ring"])
     def ideal_of(key):
         gens = doc[key]
@@ -234,29 +236,23 @@ def load_search_config(path: str) -> SearchConfig:
 def load_facet_fixture(path: str, dim: int) -> dict[str, tuple[tuple[LatticePoint, int], ...]]:
     """Expected facets for verify-paper: (normal, offset) pairs under keys "a" and/or "b".
 
-    Every normal must have dim integer entries, the dimension of the ring.
+    Every normal must be a list of dim integers, the dimension of the ring.
     """
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or not set(doc) <= {"a", "b"}:
-        raise ConfigInvalid("facet fixture must be an object with keys 'a' and/or 'b'")
+    doc = _require_mapping(_load_json(path), "facet fixture")
+    _reject_unknown(doc, {"a", "b"}, "facet fixture")
     out = {}
     for key, facets in doc.items():
         if not isinstance(facets, list):
             raise ConfigInvalid(f"facet fixture {key!r} must be a list")
+        what = f"facet fixture {key!r} entry"
         pairs = []
         for entry in facets:
-            if (
-                not isinstance(entry, dict)
-                or set(entry) != {"normal", "offset"}
-                or not isinstance(entry["normal"], list)
-                or len(entry["normal"]) != dim
-                or not all(_is_int(c) for c in entry["normal"])
-                or not _is_int(entry["offset"])
-            ):
-                raise ConfigInvalid(
-                    f"facet fixture {key!r} entries need a normal of {dim} integers and an integer offset"
-                )
-            pairs.append((tuple(entry["normal"]), entry["offset"]))
+            entry = _require_mapping(entry, what)
+            _reject_unknown(entry, {"normal", "offset"}, what)
+            _require_keys(entry, ("normal", "offset"), what)
+            if not isinstance(entry["normal"], list) or not _is_int(entry["offset"]):
+                raise ConfigInvalid(f"{what} needs a normal list of {dim} integers and an integer offset")
+            pairs.append((parse_point(entry["normal"], dim, f"{what} normal"), entry["offset"]))
         out[key] = tuple(pairs)
     return out
 

@@ -357,7 +357,8 @@ def cut_runs(ring: ToricRing, bounds: Sequence[int], floors: tuple[int, ...], te
         yield w, t, hi - lo + 1
 
 
-# (ring, floors) kept by _cut_point: the bench's search and solid3d workloads each meet under a hundred.
+# (ring, floors) kept by _cut_point. In 400 seed-0 bench items, search meets 110 keys (349 hits),
+# solid3d 71, and plane2d, which draws a fresh ring per item, 786 keys with 3 hits.
 CUT_POINT_CACHE_SIZE = 256
 
 

@@ -168,12 +168,12 @@ class SearchConfig:
     Enumerated candidates use principal base ideals. The order is fixed:
     base rings over primitive dual-ray pairs with entries in [0, ray_bound],
     then the two generator exponents, then the adjoined exponent and its new
-    coordinate, each innermost level in the deterministic order of
-    lattice_points_in_box. explicit_recipes are evaluated before any
-    enumeration and are never capped. max_candidates caps how many enumerated
-    (ring, generators, adjoined exponent) skeletons are examined; when the
-    enumeration is larger, a subset of that size is drawn with the seed and
-    kept in enumeration order.
+    coordinate, each innermost level in the order of rings.semigroup_points.
+    explicit_recipes are evaluated before any enumeration and are never
+    capped. max_candidates caps how many enumerated (ring, generators,
+    adjoined exponent) skeletons are examined; when the enumeration is
+    larger, a subset of that size is drawn with the seed and kept in
+    enumeration order.
     """
 
     dim: int = 2
@@ -317,20 +317,22 @@ def _splitting_data(a: MonomialIdeal, b: MonomialIdeal):
 
 
 def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> RefutationReport:
-    """Scan every candidate splitting v = alpha + beta against the two interiors.
+    """Scan every splitting v = alpha + beta into lattice points alpha interior to
+    N(a) and beta with beta + u0 interior to N(b).
 
-    A decomposition is alpha interior to N(a) with beta + u0 = (v − alpha) + u0
-    interior to N(b), on integer facet thresholds; the latter is a threshold
-    ⟨alpha, −f⟩ ≥ m − ⟨v, f⟩ on alpha for each threshold (f, m) of N(b). Each
-    sigma ray n bounds N(a) and N(b) below at their least generator pairings,
-    and ⟨u0, n⟩ = 1, so only the Hermite runs of the splitting box
+    With v = w + u0 on a Gorenstein ring, v splits exactly when w ∈ J(a)·J(b)
+    (alpha − u0 ∈ J(a), beta ∈ J(b)). Where u0 is not a lattice point, the scan
+    answers the question above, which is not membership in J(a)·J(b).
+    The test on beta is ⟨alpha, −f⟩ ≥ m − ⟨v, f⟩ per integer threshold (f, m) of
+    N(b). Each sigma ray n bounds N(a) and N(b) below at their least generator
+    pairings, and ⟨u0, n⟩ = 1, so only the Hermite runs of the splitting box
     floor_a(n) + 1 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ − floor_b(n) are walked, each cut by
-    rings.cut_runs to the splittings; they are listed in walk order on
-    simplicial σ and by alpha otherwise. The floors and the facet tests off the
+    rings.cut_runs to the splittings, listed in walk order on simplicial σ and
+    by alpha otherwise. The floors and the facet tests off the
     sigma rays, with their run steps, are read once per pair by rings.region_tests
-    (_splitting_data); per target only N(b)'s offsets m − ⟨v, f⟩ and
-    the ceilings are computed. bounds is the box of every candidate,
-    0 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ + 1, and scanned its lattice-point count (_box_size).
+    (_splitting_data); per target only N(b)'s offsets m − ⟨v, f⟩ and the ceilings
+    are computed. bounds is the box of every candidate, 0 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ + 1,
+    and scanned its lattice-point count (_box_size).
     """
     ring = _same_ring(a, b)
     target, tv = exponent_pairings(ring, v)

@@ -119,13 +119,24 @@ def _project(rows, keep, total):
 
 
 class FMRegion:
-    """conv(points) + cone(rays), held as projected inequalities."""
+    """conv(points) + cone(rays), held as projected inequalities.
+
+    A rational point is tested on the Fraction rows. An integer point is tested
+    on integer thresholds computed once per row: n.x >= b holds exactly when
+    n.x >= ceil(b), and n.x > b exactly when n.x >= floor(b) + 1.
+    """
 
     def __init__(self, dim: int, rows: list[Row]):
         self.dim = dim
         self.rows = rows
+        self.int_thresholds = {
+            False: [(n, math.ceil(b)) for n, b in rows],
+            True: [(n, math.floor(b) + 1) for n, b in rows],
+        }
 
     def contains(self, x, strict: bool = False) -> bool:
+        if all(type(c) is int for c in x):
+            return all(dot(n, x) >= m for n, m in self.int_thresholds[strict])
         if strict:
             return all(dot(n, x) > b for n, b in self.rows)
         return all(dot(n, x) >= b for n, b in self.rows)
@@ -388,12 +399,12 @@ def construction_flags(built):
 def multiplier_scan(gens, dual_rays, sigma_rays, shift):
     """Minimal generators of {w : w + shift strictly inside N(gens)}, by scan."""
     region = hull_region(gens, dual_rays)
-    rows = region.shifted_rows(shift)
+    shifted = FMRegion(region.dim, region.shifted_rows(shift))
     bounds = [
         max(dot(g, s) for g in gens) + sum(dot(r, s) for r in dual_rays) + math.ceil(dot(shift, s))
         for s in sigma_rays
     ]
-    hits = [w for w in box_points(sigma_rays, bounds) if all(dot(n, w) > b for n, b in rows)]
+    hits = [w for w in box_points(sigma_rays, bounds) if shifted.contains(w, strict=True)]
     return minimal_points(hits, sigma_rays)
 
 

@@ -62,6 +62,8 @@ CASES = [
     ("target-wrong-length", PROBLEM, REFUTE + ["1,1"]),
     ("target-not-a-point", PROBLEM, REFUTE + ["one"]),
     ("target-outside-the-cone", PROBLEM, REFUTE + ["0,0,-1"]),
+    ("target-letter-in-a-coordinate", PROBLEM, REFUTE + ["1,x2,3"]),
+    ("target-fractional-coordinate", PROBLEM, REFUTE + ["1,2.5,3"]),
     # search configs
     ("config-not-utf8", NOT_UTF8, SEARCH),
     ("config-deeply-nested", DEEPLY_NESTED, SEARCH),
@@ -102,6 +104,9 @@ CASES = [
     ("fixture-true-offset", {"a": [{"normal": [0, 0, 1], "offset": False}]}, VERIFY),
     ("fixture-short-normal", {"a": [{"normal": [1, 2], "offset": 0}]}, VERIFY),
     ("fixture-empty-normal", {"a": [{"normal": [], "offset": 0}]}, VERIFY),
+    ("fixture-entry-not-an-object", {"a": [5]}, VERIFY),
+    ("fixture-entry-unknown-key", {"a": [{"normal": [0, 0, 1], "offset": 0, "tight": True}]}, VERIFY),
+    ("fixture-monomial-normal", {"a": [{"normal": "z", "offset": 0}]}, VERIFY),
 ]
 
 

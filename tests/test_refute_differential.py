@@ -6,13 +6,22 @@ N(a) and beta + u0 interior to N(b): alpha - u0 is then the J(a) factor.
 exhaustive_refute scans those splittings; contains_monomial decides the same
 question through the generators of J(a)·J(b). The two must agree on every
 generator of J(ab), failing verdicts included.
+
+Elsewhere u0 is not a lattice point, and refute answers only its own question:
+the splittings of a lattice point v into lattice points alpha interior to N(a)
+and beta with beta + u0 interior to N(b). On the index-three plane ring and
+seeded plane rings of index r > 1, its splittings must be those of a Fraction
+scan of the reported box over Fourier-Motzkin rows of N(a) and N(b).
 """
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from instances import POOL, random_ideal
+import oracles
+from instances import POOL, random_2d_dual_rays, random_ideal
 from toricmult.builtin_example import instance
 from toricmult.ideals import contains_monomial, monomial_ideal
 from toricmult.linalg import vadd
@@ -66,3 +75,51 @@ def test_product_membership_agrees_with_exhaustive_refutation(a, b):
 
 def test_the_pairs_include_a_failing_verdict():
     assert not check_subadditivity(*PAIRS[0][1:]).holds
+
+
+def _non_gorenstein_plane_rings():
+    """(name, dual rays) of the index-three pool ring and seven seeded plane rings of index > 1."""
+    rings = [(name, dual) for name, dual, _, _ in POOL if name == "index-three-2d"]
+    rng = random.Random(61)
+    while len(rings) < 8:
+        dual = random_2d_dual_rays(rng, 4)
+        if ring_from_dual_rays(dual).q_gorenstein[1] > 1:
+            rings.append((f"random-2d-{len(rings)}", dual))
+    return rings
+
+
+NON_GORENSTEIN = _non_gorenstein_plane_rings()
+TARGETS_PER_RING = 24
+
+
+@pytest.mark.parametrize("name, dual", NON_GORENSTEIN, ids=[name for name, _ in NON_GORENSTEIN])
+def test_refute_off_gorenstein_rings_finds_the_lattice_splittings(name, dual):
+    """Every splitting v = alpha + beta with alpha interior to N(a) and beta + u0 interior to
+    N(b), alpha and beta lattice points, over the reported box 0 <= <alpha, n> <= bounds,
+    tested on Fraction rows with u0 solved independently."""
+    ring = ring_from_dual_rays(dual)
+    sigma = oracles.sigma_rays_2d(*dual)
+    assert sigma == ring.sigma_rays
+    w0, r = oracles.q_gorenstein(sigma)
+    assert r > 1
+    u0 = tuple(Fraction(c, r) for c in w0)
+    rng = random.Random(name)
+    a, b = random_ideal(rng, ring, 3, 8), random_ideal(rng, ring, 3, 8)
+    region_a, region_b = (oracles.hull_region(x.gens, dual) for x in (a, b))
+    k = next(k for k in itertools.count(16) if len(oracles.box_points(sigma, (k, k))) > 2 * TARGETS_PER_RING)
+    targets = rng.sample(oracles.box_points(sigma, (k, k)), TARGETS_PER_RING)
+    split = 0
+    for v in targets:
+        report = exhaustive_refute(v, a, b)
+        box = oracles.box_points(sigma, report.bounds)
+        expected = sorted(
+            (alpha, oracles.vsub(v, alpha))
+            for alpha in box
+            if region_a.contains(alpha, strict=True)
+            and region_b.contains(oracles.vadd(oracles.vsub(v, alpha), u0), strict=True)
+        )
+        assert sorted(report.decompositions) == expected, v
+        assert report.bounds == tuple(oracles.dot(v, n) + 1 for n in sigma), v
+        assert report.scanned == len(box), v
+        split += bool(expected)
+    assert 0 < split < TARGETS_PER_RING

@@ -11,7 +11,8 @@ fresh double description and a walk of c + a itself, and against the grid
 scans of oracles. The memo itself must hand its computation only the ideals
 asked for, compute a class once however far from the origin it is first met,
 serve the Newton polyhedron built for J(a) to N(a) as it is, compute again
-after a clear or an eviction, and keep no answer of a refused class. An
+after a clear or an eviction, and keep no answer of a refused class. For a
+principal a = <g>, a·b = g + b, so J(a·b) is a class hit once J(b) is cached. An
 ideal moved by -g0 may leave the semigroup, and its region walk starts on
 negative floors; it must still find the box scan's generators of the region
 of a, moved by -g0.
@@ -37,6 +38,7 @@ from toricmult.ideals import (
     monomial_ideal,
     newton_polyhedron,
     per_translation_class,
+    product,
     region_minimal_generators,
 )
 from toricmult.linalg import vscale, vsub
@@ -239,6 +241,33 @@ def test_the_newton_polyhedron_built_for_j_is_a_hit(monkeypatch, name, ring):
             poly = newton_polyhedron(x)
         assert calls == [], x
         assert _fields(poly) == _fields(hull_plus_cone(x.gens, ring.cone)), x
+
+
+POOL_RINGS = RINGS[: len(POOL)]
+
+
+@pytest.mark.parametrize("name, ring", POOL_RINGS, ids=[name for name, _ in POOL_RINGS])
+def test_a_principal_factor_makes_the_product_a_class_hit(monkeypatch, name, ring):
+    """For a = <g>, a·b = g + b. So once J(b) is cached, J(a·b) is one class hit: no double
+    description and no region walk, and the answer is J(b) moved by g. A pair with one
+    principal factor is how most class hits of random plane pairs arise."""
+    rng = random.Random(name)
+    shifts = [c for c in semigroup_points(ring, 4) if any(c)]
+    for _ in range(4):
+        b = random_ideal(rng, ring, max_gens=3, pairing_bound=6)
+        g = rng.choice(shifts)
+        ab = product(monomial_ideal(ring, [g]), b)
+        assert ab == b.moved(g), (b, g)
+        multiplier_ideal.cache_clear()
+        j_b = multiplier_ideal(b)
+        hits = multiplier_ideal.classes.cache_info().hits
+        calls = []
+        with monkeypatch.context() as patched:
+            _recorded(patched, calls)
+            j_ab = multiplier_ideal(ab)
+        assert calls == [], (b, g)
+        assert multiplier_ideal.classes.cache_info().hits == hits + 1, (b, g)
+        assert j_ab == j_b.moved(g), (b, g)
 
 
 @pytest.mark.parametrize("name, ring", RINGS, ids=IDS)
