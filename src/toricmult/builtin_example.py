@@ -10,8 +10,8 @@ frozen expected values and returns one named result per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .geometry import ConvexCertificate, membership, verify_certificate
 from .ideals import MonomialIdeal, contains_monomial, monomial_ideal, newton_polyhedron, product
@@ -90,8 +90,7 @@ def recipe() -> ConstructionRecipe:
     )
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     detail: str

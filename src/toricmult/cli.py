@@ -15,7 +15,6 @@ import argparse
 import functools
 import sys
 import time
-from dataclasses import replace
 from typing import Sequence
 
 from .builtin_example import RING_DUAL_RAYS, verification_checklist
@@ -202,9 +201,9 @@ def _cmd_search(args) -> tuple[dict, int]:
         raise ConfigInvalid("threads must be at least 1")
     config = load_search_config(args.input) if args.input else SearchConfig()
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        config = config._replace(seed=args.seed)
     if args.cap is not None:
-        config = replace(config, max_candidates=args.cap)
+        config = config._replace(max_candidates=args.cap)
     hits = search_counterexamples(config)
     report = {
         "command": "search",

@@ -14,7 +14,6 @@ certificates. All arithmetic is exact; no tolerances anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -109,18 +108,20 @@ def _extreme_generators(dual: list[tuple[LatticePoint, int]], count: int, asked:
 # Cones
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolyCone:
+class _Cone(NamedTuple):
+    dim: int
+    rays: tuple[LatticePoint, ...]
+    facet_normals: tuple[LatticePoint, ...]
+
+
+class PolyCone(_Cone):
     """Full-dimensional pointed rational cone, with both representations.
 
     rays are the primitive extreme rays, facet_normals the primitive inner
     normals of the facets; both are sorted lexicographically. The facets are
-    the halfspaces <f, x> >= 0.
+    the halfspaces <f, x> >= 0. The cone is the tuple (dim, rays,
+    facet_normals); facet_ray_bits is not a field but derived on first use.
     """
-
-    dim: int
-    rays: tuple[LatticePoint, ...]
-    facet_normals: tuple[LatticePoint, ...]
 
     @cached_property
     def facet_ray_bits(self) -> tuple[int, ...]:
@@ -165,8 +166,7 @@ class PolyCone:
 # Newton polyhedra: convex hull of lattice points plus a recession cone
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     """Outcome of a containment test, with the exact pairing per facet."""
 
     contained: bool
@@ -176,16 +176,14 @@ class MembershipReport:
     tight: tuple[Halfspace, ...]
 
 
-@dataclass(frozen=True)
-class ConvexCertificate:
+class ConvexCertificate(NamedTuple):
     """Points of a polyhedron and positive convex coefficients for a target."""
 
     points: tuple[RatPoint, ...]
     coefficients: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class NewtonPolyhedron:
+class NewtonPolyhedron(NamedTuple):
     """conv(points) + recession cone, always full-dimensional.
 
     facets is the irredundant list of halfspaces, sorted by

@@ -23,10 +23,9 @@ the difference of their lex-first generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from operator import add, itemgetter, le, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import RingMismatch, ZeroIdeal
 from .geometry import LatticePoint, NewtonPolyhedron, RatPoint, hull_plus_cone, lattice_thresholds
@@ -35,29 +34,33 @@ from .rings import ToricRing, cut_runs, exponent_pairings, region_tests
 
 # Entries kept by each of these memos: product, ideal_sum, newton_polyhedron, integral_closure and
 # multiplier.multiplier_ideal (and each one's class cells), and subadditivity's check_subadditivity,
-# _edge_regions, _box_size, _lift, _skeleton_space and _gap_generators; see their cache_info().
+# _edge_regions, _box_size, _splitting_data, _lift, _skeleton_space and _gap_generators; see their
+# cache_info().
 CACHE_SIZE = 1024
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class _Ideal(NamedTuple):
+    ring: ToricRing
+    gens: tuple[LatticePoint, ...]
+
+
+class MonomialIdeal(_Ideal):
     """Monomial ideal given by its minimal monomial exponents.
 
     gens is a lex-sorted antichain; the empty tuple is the zero ideal and
-    the single origin generator is the unit ideal. The hash is computed on
-    first use and kept, as every memo keyed on an ideal reads it; an ideal
-    that is never a key, such as a large J(ab), never pays for it.
+    the single origin generator is the unit ideal. An ideal is the tuple
+    (ring, gens), equal to another with the same ring and generators. Its
+    hash is the tuple's, computed on first use and kept, as every memo keyed
+    on an ideal reads it; an ideal that is never a key, such as a large
+    J(ab), never pays for it.
     """
-
-    ring: ToricRing
-    gens: tuple[LatticePoint, ...]
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.ring, self.gens))
+        return tuple.__hash__(self)
 
     @property
     def is_zero(self) -> bool:

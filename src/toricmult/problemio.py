@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConfigInvalid
 from .geometry import Halfspace, LatticePoint, MembershipReport
@@ -31,8 +30,7 @@ _VARS = "xyz"
 _MONOMIAL_TERM = re.compile(r"([xyz])(?:\^(-?\d+))?")
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     """A parsed problem file: one ring and its named ideals."""
 
     ring: ToricRing
@@ -100,14 +98,16 @@ def render_monomial(w: Sequence[int]) -> str:
 
 
 def parse_point(value, dim: int, what: str = "point") -> LatticePoint:
-    """A lattice point from an integer list or (dim <= 3) a monomial string."""
+    """A lattice point from an integer list or (dim <= 3) a monomial string.
+
+    A refusal shows the value as JSON writes it (true, null), as in the file."""
     if isinstance(value, str):
         return parse_monomial(value, dim)
     if isinstance(value, (list, tuple)):
         if len(value) != dim or not all(_is_int(c) for c in value):
-            raise ConfigInvalid(f"{what} must be a list of {dim} integers, got {value!r}")
+            raise ConfigInvalid(f"{what} must be a list of {dim} integers, got {json.dumps(value)}")
         return tuple(value)
-    raise ConfigInvalid(f"{what} must be a list of integers or a monomial string, got {value!r}")
+    raise ConfigInvalid(f"{what} must be a list of integers or a monomial string, got {json.dumps(value)}")
 
 
 def parse_point_arg(text: str, dim: int) -> LatticePoint:
@@ -200,7 +200,7 @@ def parse_recipe(doc) -> ConstructionRecipe:
     )
 
 
-_CONFIG_KEYS = tuple(f.name for f in fields(SearchConfig))
+_CONFIG_KEYS = SearchConfig._fields
 
 
 def parse_search_config(doc) -> SearchConfig:

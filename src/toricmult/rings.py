@@ -32,38 +32,39 @@ of a box from zero floors.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import add, lt, mul, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotInSemigroup, NotQGorenstein, TooLarge
 from .geometry import LatticePoint, PolyCone, RatPoint, as_lattice_point
 from .linalg import dot, hermite_normal_form, independent_rows, kernel_basis, primitivize, vscale, vsub
 
 
-@dataclass(frozen=True)
-class ToricRing:
+class _Ring(NamedTuple):
+    cone: PolyCone
+
+
+class ToricRing(_Ring):
     """Semigroup ring of the lattice points of a cone, which is all it holds.
 
     dual_rays generate the cone (the dual of sigma); sigma_rays are the
     primitive generators of sigma itself. q_gorenstein is (w0, r) with
     <w0, n> = r for every sigma ray n, w0 primitive and r >= 1 minimal, or
     None when no such lattice point exists; it, u0 = w0 / r and the sigma
-    lattice are derived once per ring object, on first use. Equality is the
-    cone's, and so is the hash, taken on construction for every memo's key.
+    lattice are derived once per ring object, on first use. A ring is the
+    one-field tuple (cone,), so two rings are equal when their cones are. Its
+    hash is the tuple's, computed on first use and kept for every memo's key.
     """
-
-    cone: PolyCone
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.cone))
 
     def __hash__(self) -> int:
         return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return tuple.__hash__(self)
 
     @cached_property
     def dim(self) -> int:

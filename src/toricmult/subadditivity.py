@@ -21,11 +21,10 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, isqrt
 from operator import le, sub
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     ConfigInvalid,
@@ -59,8 +58,16 @@ from .rings import (
 )
 
 
-@dataclass(frozen=True)
-class SubadditivityVerdict:
+class _Verdict(NamedTuple):
+    holds: bool
+    witnesses: tuple[LatticePoint, ...]
+    certificates: tuple[MembershipReport, ...]
+    j_ab: MonomialIdeal
+    j_a: MonomialIdeal
+    j_b: MonomialIdeal
+
+
+class SubadditivityVerdict(_Verdict):
     """Whether J(ab) ⊆ J(a)·J(b), with the generators that escape.
 
     certificates[i] is the strict membership report placing witnesses[i] + u0
@@ -70,13 +77,6 @@ class SubadditivityVerdict:
     decided it), or contains_monomial(j_product, witnesses[i]) is false.
     j_product = J(a)·J(b) is not a field: it is built on first read and kept.
     """
-
-    holds: bool
-    witnesses: tuple[LatticePoint, ...]
-    certificates: tuple[MembershipReport, ...]
-    j_ab: MonomialIdeal
-    j_a: MonomialIdeal
-    j_b: MonomialIdeal
 
     @cached_property
     def j_product(self) -> MonomialIdeal:
@@ -88,8 +88,7 @@ class Side(enum.Enum):
     FROM_B = "b"
 
 
-@dataclass(frozen=True)
-class Decomposition2D:
+class Decomposition2D(NamedTuple):
     """Constructive split p + u0 = witness + remainder of the point p, remainder interior.
 
     witness is a generator of a (side FROM_A) or of b (side FROM_B), and
@@ -104,8 +103,7 @@ class Decomposition2D:
     remainder_check: MembershipReport
 
 
-@dataclass(frozen=True)
-class RefutationReport:
+class RefutationReport(NamedTuple):
     """Result of scanning every candidate splitting of a target point."""
 
     target: LatticePoint
@@ -114,8 +112,7 @@ class RefutationReport:
     decompositions: tuple[tuple[LatticePoint, LatticePoint], ...]
 
 
-@dataclass(frozen=True)
-class ConstructionRecipe:
+class ConstructionRecipe(NamedTuple):
     """Data for adjoining a variable to lift a closure gap to a J-gap.
 
     r must lie in the closure of i_prime + j_prime but not in
@@ -130,23 +127,25 @@ class ConstructionRecipe:
     z_exponent: LatticePoint
 
 
-@dataclass(frozen=True)
-class Construction:
+class _Construction(NamedTuple):
+    recipe: ConstructionRecipe
+    ring: ToricRing
+    a: MonomialIdeal
+    b: MonomialIdeal
+    r_z: LatticePoint
+
+
+class Construction(_Construction):
     """Extended ring and ideals produced from a ConstructionRecipe.
 
     When z_exponent is the new coordinate axis itself, a and b are always
     integrally closed and rZ escapes closure(a)·closure(b). For a general
     monomial z both properties can fail even though the gap conditions on r
     hold, so they are computed exactly instead of being assumed. The three
-    flags are functions of (a, b, r_z), computed on first read and kept:
-    building a construction enumerates neither closure(a) nor closure(b).
+    flags are functions of (a, b, r_z), not fields, computed on first read
+    and kept: building a construction enumerates neither closure(a) nor
+    closure(b).
     """
-
-    recipe: ConstructionRecipe
-    ring: ToricRing
-    a: MonomialIdeal
-    b: MonomialIdeal
-    r_z: LatticePoint
 
     @cached_property
     def a_integrally_closed(self) -> bool:
@@ -161,8 +160,7 @@ class Construction:
         return contains_monomial(product(integral_closure(self.a), integral_closure(self.b)), self.r_z)
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(NamedTuple):
     """Bounds and determinism knobs for the counterexample search.
 
     Enumerated candidates use principal base ideals. The order is fixed:
@@ -186,8 +184,7 @@ class SearchConfig:
     explicit_recipes: tuple[ConstructionRecipe, ...] = ()
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(NamedTuple):
     """A recipe whose constructed instance violates subadditivity."""
 
     construction: Construction
@@ -299,11 +296,7 @@ def _box_size(ring: ToricRing, bounds: tuple[int, ...]) -> int:
     return box_point_count(ring, bounds)
 
 
-# Pairs kept by _splitting_data; callers refute one pair's targets together.
-SPLITTING_CACHE_SIZE = 16
-
-
-@lru_cache(maxsize=SPLITTING_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _splitting_data(a: MonomialIdeal, b: MonomialIdeal):
     """(inside_a, outside_b, floor_a + 1, floor_b) from rings.region_tests: N(a)'s interior
     tests (f, m + 1, ⟨u, f⟩) and floors, and N(b)'s u0-shifted tests (f, m, ⟨u, f⟩), negated to

@@ -25,7 +25,6 @@ escape it.
 """
 
 import ast
-from dataclasses import replace
 from functools import cache
 from fractions import Fraction
 from pathlib import Path
@@ -417,7 +416,7 @@ def test_cached_search_stages_equal_fresh_ones(name):
 def test_configs_differing_in_seed_or_cap_share_one_skeleton_space():
     config = SearchConfig(max_candidates=16, seed=1)
     next(_skeletons(config))
-    for other in (replace(config, seed=2), replace(config, max_candidates=3), replace(config, max_candidates=None)):
+    for other in (config._replace(seed=2), config._replace(max_candidates=3), config._replace(max_candidates=None)):
         info = _skeleton_space.cache_info()
         next(_skeletons(other))
         assert _skeleton_space.cache_info().hits == info.hits + 1
@@ -541,7 +540,7 @@ def test_recipes_of_one_skeleton_share_one_lift():
     info = _lift.cache_info()
     assert huneke_swanson_construct(explicit).a is huneke_swanson_construct(first).a
     assert (_lift.cache_info().hits, _lift.cache_info().currsize) == (info.hits + 2, info.currsize)
-    bad = replace(first, r=first.i_prime.gens[0])
+    bad = first._replace(r=first.i_prime.gens[0])
     for _ in range(2):
         with pytest.raises(RecipeInvalid):
             huneke_swanson_construct(bad)

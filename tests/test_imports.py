@@ -7,7 +7,9 @@ module's __all__ (a re-export). `from __future__` imports bind no name. A
 package module imports an `_`-prefixed name from another package module only
 where PRIVATE_IMPORTS lists it with its reason. `import toricmult` loads none
 of the modules only the command line needs, so a library caller does not pay
-for their import.
+for their import, and neither it nor `import toricmult.cli` loads the
+dataclass code generator or the `inspect` module it pulls in: every record
+type is a NamedTuple.
 """
 
 import ast
@@ -29,6 +31,8 @@ PRIVATE_IMPORTS = {
 
 # Modules only the command line needs, none of which `import toricmult` may load.
 COMMAND_LINE_ONLY = ("toricmult.cli", "toricmult.problemio", "toricmult.builtin_example", "argparse", "json")
+# Modules that neither the package nor its command line may load, for their start-up cost.
+NEVER_LOADED = ("dataclasses", "inspect")
 
 
 def _imported(tree):
@@ -86,11 +90,21 @@ def test_package_modules_import_only_the_listed_private_names():
     assert sorted(imp for path in PACKAGE for imp in private_imports(path)) == sorted(PRIVATE_IMPORTS)
 
 
-def test_importing_the_package_loads_no_command_line_module():
-    """In a fresh interpreter without site, so that no .pth file imports a listed module first."""
+def _loaded_after(module, names):
+    """The names among names that `import module` leaves in sys.modules, in a fresh
+    interpreter without site, so that no .pth file imports one of them first."""
     code = (
-        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import toricmult; "
-        f"print(*[name for name in {COMMAND_LINE_ONLY!r} if name in sys.modules])"
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import {module}; "
+        f"print(*[name for name in {names!r} if name in sys.modules])"
     )
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
-    assert result.stdout.split() == []
+    return result.stdout.split()
+
+
+def test_importing_the_package_loads_no_command_line_module():
+    assert _loaded_after("toricmult", COMMAND_LINE_ONLY) == []
+
+
+@pytest.mark.parametrize("module", ["toricmult", "toricmult.cli"])
+def test_importing_loads_no_dataclass_machinery(module):
+    assert _loaded_after(module, NEVER_LOADED) == []

@@ -45,6 +45,7 @@ CASES = [
     ("ring-true-entry", _problem([[True, 0], [0, 1]]), NEWTON),
     ("ring-fractional-entry", _problem([[0.5, 0], [0, 1]]), NEWTON),
     ("ideal-true-entry", _problem([[1, 0], [0, 1]], a=[[True, 1]]), NEWTON),
+    ("ideal-null-entry", _problem([[1, 0], [0, 1]], a=[[1, None]]), NEWTON),
     ("ideal-empty", _problem([[1, 0], [0, 1]], a=[]), NEWTON),
     ("ideal-not-a-list", _problem([[1, 0], [0, 1]], a="x"), NEWTON),
     ("ideal-outside-the-cone", _problem([[2, 1], [1, 2]], a=[[1, 0]]), NEWTON),
@@ -110,8 +111,15 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("contents, argv", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
-def test_malformed_input_is_a_one_line_usage_error(contents, argv, tmp_path, capsys):
+# The error line of some cases: a refused value is shown as JSON writes it, as in the file.
+MESSAGES = {
+    "fixture-true-normal-entry": "error: facet fixture 'a' entry normal must be a list of 3 integers, got [0, 0, true]\n",
+    "ideal-null-entry": "error: generator of 'a' must be a list of 2 integers, got [1, null]\n",
+}
+
+
+def _run(contents, argv, tmp_path, capsys):
+    """(exit code, stdout, stderr) of the CLI on argv, with {file} holding contents."""
     path = tmp_path / "input.json"
     if isinstance(contents, bytes):
         path.write_bytes(contents)
@@ -121,10 +129,21 @@ def test_malformed_input_is_a_one_line_usage_error(contents, argv, tmp_path, cap
         code = main([a.format(file=path) for a in argv])
     except SystemExit as exc:
         code = exc.code
-    out, err = capsys.readouterr()
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("contents, argv", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_malformed_input_is_a_one_line_usage_error(contents, argv, tmp_path, capsys):
+    code, out, err = _run(contents, argv, tmp_path, capsys)
     assert (code, out) == (2, "")
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith("\n"), err
+
+
+@pytest.mark.parametrize("case", sorted(MESSAGES))
+def test_a_refused_value_is_shown_as_json(case, tmp_path, capsys):
+    (contents, argv), = [c[1:] for c in CASES if c[0] == case]
+    assert _run(contents, argv, tmp_path, capsys) == (2, "", MESSAGES[case])
 
 
 # ---------------------------------------------------------------------------

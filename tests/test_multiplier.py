@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from instances import NOT_Q_GORENSTEIN_DUAL_RAYS, pool_rings, random_2d_ring, random_ideal
-from oracles import box_points, dot, hull_region, minimal_points, multiplier_scan
+from oracles import FMRegion, box_points, dot, hull_region, minimal_points, multiplier_scan
 
 from toricmult.errors import NotQGorenstein, ZeroIdeal
 from toricmult.ideals import contains_monomial, ideal_sum, integral_closure, monomial_ideal, product
@@ -111,12 +111,9 @@ def _wide_box_scan(gens, ring, shift=None):
         max(dot(g, s) for g in gens) + 3 * sum(dot(r, s) for r in ring.dual_rays)
         for s in ring.sigma_rays
     ]
-    box = box_points(ring.sigma_rays, bounds)
-    if shift is None:
-        hits = [w for w in box if region.contains(w)]
-    else:
-        rows = region.shifted_rows(shift)
-        hits = [w for w in box if all(dot(n, w) > b for n, b in rows)]
+    if shift is not None:
+        region = FMRegion(ring.dim, region.shifted_rows(shift))
+    hits = [w for w in box_points(ring.sigma_rays, bounds) if region.contains(w, strict=shift is not None)]
     return minimal_points(hits, ring.sigma_rays)
 
 

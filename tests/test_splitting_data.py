@@ -16,6 +16,7 @@ makes some report differ from the oracle's.
 
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -23,10 +24,10 @@ import oracles
 from instances import POOL, random_ideal, random_non_simplicial_rings
 from toricmult.builtin_example import instance
 from toricmult.geometry import lattice_thresholds
-from toricmult.ideals import monomial_ideal, newton_polyhedron, product
+from toricmult.ideals import CACHE_SIZE, monomial_ideal, newton_polyhedron, product
 from toricmult.linalg import dot, vadd, vscale
 from toricmult.rings import ring_from_dual_rays, semigroup_points
-from toricmult.subadditivity import SPLITTING_CACHE_SIZE, _splitting_data, exhaustive_refute
+from toricmult.subadditivity import _splitting_data, exhaustive_refute
 
 SQUARE_CONE = ring_from_dual_rays(((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)))
 
@@ -42,6 +43,10 @@ def _rings():
 
 
 RINGS = _rings()
+
+# Pairs kept by the memo that the shuffled test binds in place of _splitting_data's own,
+# so that it evicts pairs and rebuilds them.
+SMALL_MEMO = 16
 
 
 def _jobs(name, ring):
@@ -63,17 +68,18 @@ def test_the_rings_cover_both_walks():
     assert {len(ring.sigma_rays) > ring.dim for _, ring in RINGS} == {False, True}
 
 
-def test_shuffled_and_interleaved_targets_match_the_oracle():
-    """Every ring's pairs in one shuffled list, so a pair's targets are met apart
-    and the memo, holding fewer pairs than the list has, evicts and rebuilds."""
+def test_shuffled_and_interleaved_targets_match_the_oracle(monkeypatch):
+    """Every ring's pairs in one shuffled list, so a pair's targets are met apart, refuted
+    through a memo holding fewer pairs than the list has, so that it evicts and rebuilds."""
     jobs = [job for name, ring in RINGS for job in _jobs(name, ring)]
     random.Random(17).shuffle(jobs)
     pairs = {(a, b) for _, a, b in jobs}
-    assert len(pairs) > SPLITTING_CACHE_SIZE
-    _splitting_data.cache_clear()
+    assert len(pairs) > SMALL_MEMO
+    small = lru_cache(maxsize=SMALL_MEMO)(_splitting_data.__wrapped__)
+    monkeypatch.setattr("toricmult.subadditivity._splitting_data", small)
     for v, a, b in jobs:
         assert exhaustive_refute(v, a, b) == oracles.exhaustive_refute(v, a, b), (v, a.gens, b.gens)
-    assert _splitting_data.cache_info().misses > len(pairs)
+    assert small.cache_info().misses > len(pairs)
 
 
 @pytest.mark.parametrize("name, ring", RINGS, ids=[name for name, _ in RINGS])
@@ -116,7 +122,7 @@ def test_the_data_is_read_once_per_pair(name, ring):
             exhaustive_refute(v, a, b)
     info = _splitting_data.cache_info()
     assert (info.misses, info.hits) == (len(groups), len(jobs) - len(groups))
-    assert info.currsize == min(len(groups), SPLITTING_CACHE_SIZE)
+    assert info.currsize == min(len(groups), CACHE_SIZE) and info.maxsize == CACHE_SIZE
 
 
 # (ring, a, b) on whose N(a) and N(b) every facet off the sigma rays decides some

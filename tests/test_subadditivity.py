@@ -8,7 +8,6 @@ import random
 import resource
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -462,7 +461,7 @@ class TestConstruction:
 
     def test_closure_flags_are_computed_on_first_read(self, base_recipe):
         # search reads no flag, so its hits carry none until their JSON is built
-        twin = replace(base_recipe, z_exponent=(0, 0, 1))
+        twin = base_recipe._replace(z_exponent=(0, 0, 1))
         hits = search_counterexamples(load_search_config(str(SINGULAR_BASES)))
         assert len(hits) == 5
         # on the orthant these z close exactly one of a and b, or both
@@ -637,7 +636,7 @@ class TestSkeletonStream:
     def test_seeded_samples_pick_the_same_skeletons_in_order(self, config):
         expected = oracle_skeletons(config)
         for seed, cap in ((0, 1), (3, 17), (11, 200), (5, len(expected)), (7, len(expected) + 5)):
-            capped = replace(config, max_candidates=cap, seed=seed)
+            capped = config._replace(max_candidates=cap, seed=seed)
             keep = range(len(expected))
             if len(expected) > cap:
                 keep = sorted(random.Random(seed).sample(range(len(expected)), cap))
@@ -696,7 +695,7 @@ class TestSmallestHits:
             assert (report.scanned, report.decompositions) == (24, ())
 
     def test_height_one_finds_nothing(self):
-        config = replace(load_search_config(str(SMALL_HITS)), z_height_bound=1)
+        config = load_search_config(str(SMALL_HITS))._replace(z_height_bound=1)
         assert search_counterexamples(config) == ()
 
 
