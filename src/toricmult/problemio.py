@@ -31,16 +31,17 @@ _MONOMIAL_TERM = re.compile(r"([xyz])(?:\^(-?\d+))?")
 
 
 class Problem(NamedTuple):
-    """A parsed problem file: one ring and its named ideals."""
+    """A parsed problem file: one ring and its named ideals, as (name, ideal) pairs in file order."""
 
     ring: ToricRing
-    ideals: dict[str, MonomialIdeal]
+    ideals: tuple[tuple[str, MonomialIdeal], ...]
 
     def ideal(self, name: str) -> MonomialIdeal:
-        if name not in self.ideals:
-            known = ", ".join(sorted(self.ideals)) or "none"
+        ideals = dict(self.ideals)
+        if name not in ideals:
+            known = ", ".join(sorted(ideals)) or "none"
             raise ConfigInvalid(f"no ideal named {name!r} (defined: {known})")
-        return self.ideals[name]
+        return ideals[name]
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +168,13 @@ def parse_problem(doc) -> Problem:
     _require_keys(doc, ("ring",), "problem")
     ring = parse_ring(doc["ring"])
     ideals_doc = _require_mapping(doc.get("ideals", {}), "ideals")
-    ideals = {}
+    ideals = []
     for name, gens in ideals_doc.items():
         if not isinstance(gens, list):
             raise ConfigInvalid(f"ideal {name!r} must be a list of generators")
         points = [parse_point(g, ring.dim, f"generator of {name!r}") for g in gens]
-        ideals[name] = monomial_ideal(ring, points)
-    return Problem(ring, ideals)
+        ideals.append((name, monomial_ideal(ring, points)))
+    return Problem(ring, tuple(ideals))
 
 
 def load_problem(path: str) -> Problem:

@@ -198,12 +198,18 @@ def check_subadditivity(a: MonomialIdeal, b: MonomialIdeal) -> SubadditivityVerd
     A generator w of J(ab) lies in J(a)·J(b) exactly when some generator g of
     J(a) divides it (no sigma pairing of g exceeds that of w) with w − g in
     J(b): a product generator g + h dividing w leaves w − g = h + (w − g − h).
+    A principal factor decides the pair with no test: J(⟨g⟩) = ⟨g⟩, as
+    N(⟨g⟩) = g + σ^∨ and ⟨u0, n⟩ = 1 on every sigma ray n, so for a lattice
+    point w, ⟨w − g + u0, n⟩ > 0 iff ⟨w − g, n⟩ ≥ 0; and
+    J(g + b) = g + J(b) = J(⟨g⟩)·J(b), so the pair holds with no witness.
     Memoized on the pair, which a search meets once per gap point of a skeleton.
     """
     ab = product(a, b)
     j_ab = multiplier_ideal(ab)
     j_a = multiplier_ideal(a)
     j_b = multiplier_ideal(b)
+    if len(a.gens) == 1 or len(b.gens) == 1:
+        return SubadditivityVerdict(True, (), (), j_ab, j_a, j_b)
 
     def in_product(w, t):
         factors = zip(j_a.gens, j_a.pairings)

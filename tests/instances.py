@@ -47,6 +47,16 @@ def pool_rings():
     return [(name, ring_from_dual_rays(dual)) for name, dual, _, _ in POOL]
 
 
+def principal_check_rings():
+    """Pool rings, then seeded 2D, 3D and non-simplicial (3D and 4D) ones: the rings on
+    which principal ideals are checked to be their own closures and multiplier ideals."""
+    rng = random.Random(61)
+    rings = [ring for _, ring in pool_rings()]
+    rings += [random_2d_ring(rng, bound=5) for _ in range(4)]
+    rings += [random_3d_ring(rng) for _ in range(3)]
+    return rings + random_non_simplicial_rings(71, 3, (4, 6), 3) + random_non_simplicial_rings(73, 4, (5, 6), 1)
+
+
 def random_non_simplicial_rings(seed: int, dim: int, ray_counts: tuple[int, int], count: int):
     """Cones on random rays with last coordinate >= 1 (so pointed) that have
     more facets than dimensions, and sigma rays small enough for a box scan."""

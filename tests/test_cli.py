@@ -158,6 +158,14 @@ class TestClosureAndMultiplier:
         assert code == 0
         assert out == (Path(__file__).parent / "skewed_multiplier.json").read_text()
 
+    def test_large_determinant_multiplier_walks(self, capsys):
+        # the principal ideal above is its own multiplier ideal and needs no walk; adding
+        # x^2 y^3 on the same ring makes J a region walk over the det-200 lattice
+        problem = Path(__file__).parent / "skewed_pair_multiplier.json"
+        code, out, _ = run(capsys, "multiplier", "--input", str(problem), "--ideals", "b", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["multiplier_generators"] == [[2, 2], [2, 3], [101, 1]]
+
     def test_large_exponents_multiplier(self, capsys):
         problem = Path(__file__).parent / "plane_large_exponents.json"
         code, out, _ = run(capsys, "multiplier", "--input", str(problem), "--ideals", "a", "--format", "json")

@@ -8,16 +8,20 @@ order, on seeded pairs over every pool ring (the index-three ring included),
 on the pairs of acceptance criterion 4, on the search hits of the small-hits
 and singular-bases configs, on the square-cone violation and on the paper's
 example. The product is still a verdict's j_product, built on first read.
+A pair with a principal factor holds with no factor test: J(<g>) = <g> and
+J(g + b) = g + J(b) = J(<g>)·J(b).
 """
 
+import itertools
 import random
+from operator import le
 from pathlib import Path
 
 import pytest
 
-from instances import POOL, random_2d_ring, random_ideal
+from instances import POOL, pool_rings, random_2d_ring, random_3d_ring, random_ideal, random_non_simplicial_rings
 from toricmult.builtin_example import instance
-from toricmult.ideals import contains_monomial, monomial_ideal, product
+from toricmult.ideals import contains_monomial, monomial_ideal, product, region_minimal_generators
 from toricmult.problemio import load_problem, load_search_config
 from toricmult.rings import ring_from_dual_rays, semigroup_points
 from toricmult.subadditivity import check_subadditivity, search_counterexamples
@@ -112,3 +116,47 @@ def test_the_product_is_built_on_first_read():
         assert verdict.j_product == product(verdict.j_a, verdict.j_b), name
         assert vars(verdict)["j_product"] is verdict.j_product
         assert verdict == unread and "j_product" not in vars(unread), name
+
+
+def _principal_factor_pairs():
+    """30 seeded pairs per ring, with a principal factor on one side or the other, over the
+    Q-Gorenstein rings of the pool and seeded 2D, 3D and non-simplicial ones."""
+    rng = random.Random(67)
+    rings = [ring for _, ring in pool_rings()]
+    rings += [random_2d_ring(rng, bound=5) for _ in range(4)]
+    rings += [random_3d_ring(rng) for _ in range(3)]
+    rings += [ring for ring in random_non_simplicial_rings(3011, 3, (4, 5), 60) if ring.q_gorenstein][:2]
+    for ring in rings:
+        bound = next(b for b in itertools.count(6 if ring.dim == 2 else 3) if len(semigroup_points(ring, b)) > 4)
+        points = [w for w in semigroup_points(ring, bound) if any(w)]
+        for i in range(30):
+            principal = monomial_ideal(ring, [rng.choice(points)])
+            other = random_ideal(rng, ring, max_gens=3, pairing_bound=bound)
+            yield (principal, other) if i % 2 else (other, principal)
+
+
+PRINCIPAL_PAIRS = list(_principal_factor_pairs())
+
+
+def test_a_pair_with_a_principal_factor_holds_with_nothing_to_report():
+    assert len(PRINCIPAL_PAIRS) == 450
+    for a, b in PRINCIPAL_PAIRS:
+        verdict = check_subadditivity(a, b)
+        assert verdict.holds and verdict.witnesses == () and verdict.certificates == (), (a, b)
+        assert verdict.j_product == verdict.j_ab, (a, b)
+
+
+def test_the_factor_test_finds_a_factor_when_one_factor_is_principal():
+    """Replayed on J's computed by region walks, not by the closed form, the factor test
+    finds for every generator w of J(ab) a generator g of J(a) dividing it with w − g in J(b)."""
+    for a, b in PRINCIPAL_PAIRS:
+        verdict = check_subadditivity(a, b)
+        u0 = a.ring.canonical_shift()
+        for x, j in ((product(a, b), verdict.j_ab), (a, verdict.j_a), (b, verdict.j_b)):
+            assert j.gens == region_minimal_generators(x, u0), (a, b, x)
+        factors = list(zip(verdict.j_a.gens, verdict.j_a.pairings))
+        for w, t in zip(verdict.j_ab.gens, verdict.j_ab.pairings):
+            assert any(
+                all(map(le, tg, t)) and contains_monomial(verdict.j_b, tuple(p - q for p, q in zip(w, g)))
+                for g, tg in factors
+            ), (a, b, w)

@@ -9,7 +9,7 @@ import random
 import pytest
 
 import oracles
-from instances import pool_rings, random_2d_ring, random_3d_ring, random_ideal, random_non_simplicial_rings
+from instances import pool_rings, principal_check_rings, random_2d_ring, random_ideal
 from oracles import box_points, closure_scan, dot, in_ideal, minimal_points, vadd, vsub
 
 from toricmult.errors import NotInSemigroup, RingMismatch, ZeroIdeal
@@ -202,12 +202,7 @@ class TestIntegralClosure:
         # integral_closure returns a principal ideal unchanged, so the grid
         # scan is the only independent check that it is closed; every nonzero
         # semigroup point pairing at most 3 with each sigma ray is a generator
-        rng = random.Random(61)
-        rings = [ring for _, ring in pool_rings()]
-        rings += [random_2d_ring(rng, bound=5) for _ in range(4)]
-        rings += [random_3d_ring(rng) for _ in range(3)]
-        rings += random_non_simplicial_rings(71, 3, (4, 6), 3) + random_non_simplicial_rings(73, 4, (5, 6), 1)
-        for ring in rings:
+        for ring in principal_check_rings():
             for g in semigroup_points(ring, 3):
                 if any(g):
                     principal = monomial_ideal(ring, (g,))

@@ -5,13 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from instances import NOT_Q_GORENSTEIN_DUAL_RAYS, pool_rings, random_2d_ring, random_ideal
+from instances import NOT_Q_GORENSTEIN_DUAL_RAYS, pool_rings, principal_check_rings, random_2d_ring, random_ideal
 from oracles import FMRegion, box_points, dot, hull_region, minimal_points, multiplier_scan
 
 from toricmult.errors import NotQGorenstein, ZeroIdeal
-from toricmult.ideals import contains_monomial, ideal_sum, integral_closure, monomial_ideal, product
+from toricmult.ideals import (
+    contains_monomial,
+    ideal_sum,
+    integral_closure,
+    monomial_ideal,
+    product,
+    region_minimal_generators,
+)
 from toricmult.multiplier import multiplier_ideal, multiplier_membership
-from toricmult.rings import ring_from_dual_rays
+from toricmult.rings import ring_from_dual_rays, semigroup_points
 from toricmult.subadditivity import check_subadditivity, exhaustive_refute
 
 
@@ -207,6 +214,39 @@ class TestStructuralLaws:
         for _, ring in pool_rings():
             unit = monomial_ideal(ring, ((0,) * ring.dim,))
             assert multiplier_ideal(unit) == unit
+
+
+class TestPrincipalIdeals:
+    """J(<g>) = <g>: N(<g>) = g + σ^∨, and <u0, n> = 1 on every sigma ray n, so for a
+    lattice point w, <w - g + u0, n> > 0 iff <w - g, n> >= 0. multiplier_ideal returns a
+    principal ideal unchanged, so the region walk it skips and the grid scan are the
+    independent checks; the refusals keep their order."""
+
+    RINGS = principal_check_rings()
+
+    def test_principal_ideals_are_their_own_multiplier_ideals(self):
+        # every nonzero semigroup point pairing at most 3 with each sigma ray is a generator
+        rng = random.Random(67)
+        for ring in filter(lambda ring: ring.q_gorenstein, self.RINGS):
+            u0 = ring.canonical_shift()
+            principals = [monomial_ideal(ring, (g,)) for g in semigroup_points(ring, 3) if any(g)]
+            for principal in principals:
+                assert multiplier_ideal(principal) == principal
+                assert region_minimal_generators(principal, u0) == principal.gens
+            for principal in rng.sample(principals, min(5, len(principals))):
+                assert multiplier_scan(principal.gens, ring.dual_rays, ring.sigma_rays, u0) == principal.gens
+
+    def test_the_refusals_come_first(self):
+        refused = [ring for ring in self.RINGS if not ring.q_gorenstein]
+        assert len(refused) == 4
+        for ring in refused:
+            with pytest.raises(NotQGorenstein):
+                multiplier_ideal(monomial_ideal(ring, ring.dual_rays[:1]))
+            with pytest.raises(NotQGorenstein):
+                multiplier_ideal(monomial_ideal(ring, ()))
+        for ring in filter(lambda ring: ring.q_gorenstein, self.RINGS):
+            with pytest.raises(ZeroIdeal):
+                multiplier_ideal(monomial_ideal(ring, ()))
 
 
 class TestErrors:

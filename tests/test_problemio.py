@@ -137,7 +137,7 @@ class TestProblemFiles:
     def test_loading_from_disk(self, tmp_path):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(PROBLEM_DOC))
-        assert load_problem(str(path)).ideals.keys() == {"a", "b"}
+        assert [name for name, _ in load_problem(str(path)).ideals] == ["a", "b"]
         with pytest.raises(ConfigInvalid, match="cannot read"):
             load_problem(str(tmp_path / "absent.json"))
         broken = tmp_path / "broken.json"

@@ -201,9 +201,9 @@ def test_a_class_memo_computes_only_the_ideals_asked_for(name, ring):
 @pytest.mark.parametrize("name, ring", RINGS, ids=IDS)
 def test_a_class_first_met_off_the_origin_is_computed_once(monkeypatch, name, ring):
     """On empty memos, a layer asked for c + a first, then a and 2c + a, makes one double
-    description and one walk at most (none for the closure of a principal ideal), all on
-    c + a, whose lex-first generator is not the origin; a and 2c + a get answers equal to
-    a direct double description or walk."""
+    description and one walk at most (none for the closure or the multiplier ideal of a
+    principal ideal, which is the ideal itself), all on c + a, whose lex-first generator is
+    not the origin; a and 2c + a get answers equal to a direct double description or walk."""
     calls = []
     _recorded(monkeypatch, calls)
     for layer in _layers(ring):
@@ -215,7 +215,7 @@ def test_a_class_first_met_off_the_origin_is_computed_once(monkeypatch, name, ri
             calls.clear()
             answers = [layer(x) for x in (first, a, first.moved(c))]
             expected = ["hull_plus_cone", "region_minimal_generators"]
-            if layer is newton_polyhedron or layer is integral_closure and len(a.gens) == 1:
+            if layer is newton_polyhedron or layer in (integral_closure, multiplier_ideal) and len(a.gens) == 1:
                 expected = expected[: layer is newton_polyhedron]
             assert sorted(called for called, _ in calls) == expected, (layer.__name__, a, c)
             assert all(x in (first, first.gens) for _, x in calls), (layer.__name__, a, c)
@@ -226,19 +226,26 @@ def test_a_class_first_met_off_the_origin_is_computed_once(monkeypatch, name, ri
 @pytest.mark.parametrize("name, ring", Q_GORENSTEIN, ids=[name for name, _ in Q_GORENSTEIN])
 def test_the_newton_polyhedron_built_for_j_is_a_hit(monkeypatch, name, ring):
     """N(a) after J(a), on a fresh class, is the polyhedron J(a) built: it makes no double
-    description and moves no polyhedron."""
+    description and moves no polyhedron. J(<g>) = <g> builds no polyhedron and makes no call."""
     for a, c in _translates(name, ring):
         x = a.moved(c)
         for layer in LAYERS:
             layer.cache_clear()
-        multiplier_ideal(x)
         calls = []
-        with monkeypatch.context() as patched:
-            _recorded(patched, calls)
-            moved = NewtonPolyhedron.moved
-            patched.setattr(NewtonPolyhedron, "moved", lambda p, d: calls.append(("moved", d)) or moved(p, d))
+        if len(x.gens) == 1:
+            with monkeypatch.context() as patched:
+                _recorded(patched, calls)
+                assert multiplier_ideal(x) == x
+            assert calls == [], x
             poly = newton_polyhedron(x)
-        assert calls == [], x
+        else:
+            multiplier_ideal(x)
+            with monkeypatch.context() as patched:
+                _recorded(patched, calls)
+                moved = NewtonPolyhedron.moved
+                patched.setattr(NewtonPolyhedron, "moved", lambda p, d: calls.append(("moved", d)) or moved(p, d))
+                poly = newton_polyhedron(x)
+            assert calls == [], x
         assert _fields(poly) == _fields(hull_plus_cone(x.gens, ring.cone)), x
 
 
