@@ -37,7 +37,6 @@ from .rings import (
     ToricRing,
     exponent_pairings,
     ring_from_dual_rays,
-    semigroup_contains,
     semigroup_points,
 )
 from .ideals import (
@@ -118,7 +117,6 @@ __all__ = [
     "relint_certificate",
     "ring_from_dual_rays",
     "search_counterexamples",
-    "semigroup_contains",
     "semigroup_points",
     "verify_certificate",
 ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 import time
 from typing import Sequence
@@ -58,7 +59,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Prints a usage error as one `error:` line, without the usage block."""
+    """Prints a usage error as one `error:` line, without the usage block. No option name
+    starts with '-' and a digit, so an argument that does, such as the point -1,0,3, is
+    read as a value, as argparse reads a negative number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)

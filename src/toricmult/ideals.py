@@ -30,13 +30,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import RingMismatch, ZeroIdeal
 from .geometry import LatticePoint, NewtonPolyhedron, RatPoint, hull_plus_cone, lattice_thresholds
 from .linalg import dot, vadd
-from .rings import ToricRing, cut_runs, exponent_pairings, region_tests
-
-# Entries kept by each of these memos: product, ideal_sum, newton_polyhedron, integral_closure and
-# multiplier.multiplier_ideal (and each one's class cells), and subadditivity's check_subadditivity,
-# _edge_regions, _box_size, _splitting_data, _lift, _skeleton_space and _gap_generators; see their
-# cache_info().
-CACHE_SIZE = 1024
+from .rings import CACHE_SIZE, ToricRing, cut_runs, exponent_pairings, region_tests
 
 
 class _Ideal(NamedTuple):

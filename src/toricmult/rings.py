@@ -95,15 +95,10 @@ class ToricRing(_Ring):
         assert r > 0
         return w0, int(r)
 
-    @property
-    def is_gorenstein(self) -> bool:
-        return self.q_gorenstein is not None and self.q_gorenstein[1] == 1
-
     def gorenstein_point(self) -> LatticePoint | None:
         """The lattice point pairing to 1 with every sigma ray, if it exists."""
-        if self.is_gorenstein:
-            return self.q_gorenstein[0]
-        return None
+        q = self.q_gorenstein
+        return q[0] if q is not None and q[1] == 1 else None
 
     def canonical_shift(self) -> RatPoint:
         """u0 = w0 / r as an exact rational point; NotQGorenstein if there is none."""
@@ -165,8 +160,8 @@ class ToricRing(_Ring):
         return tuple([sum(map(mul, w, n)) for n in self.sigma_rays])
 
 
-# Distinct rings kept by ring_from_dual_rays; a search meets a few dozen.
-RING_CACHE_SIZE = 64
+# Entries kept by each memo of a computed value, in every module; see its cache_info().
+CACHE_SIZE = 1024
 
 
 def ring_from_dual_rays(rays: Iterable[Sequence[int]]) -> ToricRing:
@@ -179,21 +174,12 @@ def ring_from_dual_rays(rays: Iterable[Sequence[int]]) -> ToricRing:
     return _ring_from_rays(tuple(as_lattice_point(r) for r in rays))
 
 
-@lru_cache(maxsize=RING_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _ring_from_rays(rays: tuple[LatticePoint, ...]) -> ToricRing:
     return ToricRing(PolyCone.from_rays(rays))
 
 
 ring_from_dual_rays.cache_info = _ring_from_rays.cache_info
-
-
-def semigroup_contains(ring: ToricRing, w: Sequence[int]) -> bool:
-    """Is x^w a monomial of the ring, i.e. does w pair >= 0 with every sigma ray?"""
-    try:
-        exponent_pairings(ring, w)
-    except NotInSemigroup:
-        return False
-    return True
 
 
 def exponent_pairings(ring: ToricRing, w: Sequence[int]) -> tuple[LatticePoint, tuple[int, ...]]:
@@ -233,9 +219,11 @@ def lattice_points_in_box(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tu
     yield from points if len(ring.sigma_rays) == ring.dim else sorted(points)
 
 
-def box_point_count(ring: ToricRing, bounds: Sequence[int]) -> int:
+@lru_cache(maxsize=CACHE_SIZE)
+def box_point_count(ring: ToricRing, bounds: tuple[int, ...]) -> int:
     """The number of lattice w with 0 <= <w, n_i> <= bounds[i] for every sigma ray n_i: the
-    lengths of the box's Hermite runs from zero floors, summed, with no point enumerated."""
+    lengths of the box's Hermite runs from zero floors, summed, with no point enumerated.
+    Memoized, as refutations share their reported boxes."""
     return sum(n for _, _, n in _hermite_walk(ring, bounds, (0,) * len(bounds)))
 
 
@@ -358,12 +346,7 @@ def cut_runs(ring: ToricRing, bounds: Sequence[int], floors: tuple[int, ...], te
         yield w, t, hi - lo + 1
 
 
-# (ring, floors) kept by _cut_point. In 400 seed-0 bench items, search meets 110 keys (349 hits),
-# solid3d 71, and plane2d, which draws a fresh ring per item, 786 keys with 3 hits.
-CUT_POINT_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=CUT_POINT_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _cut_point(ring: ToricRing, floors: tuple[int, ...]) -> tuple[LatticePoint, tuple[int, ...], tuple]:
     """(p, tp, below) on simplicial sigma: p = U k for k the floors rounded down on the Hermite
     basis, where the cut box of cut_runs starts, tp its sigma pairings (H k), and the floor test

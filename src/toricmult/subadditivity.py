@@ -296,13 +296,6 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _box_size(ring: ToricRing, bounds: tuple[int, ...]) -> int:
-    """The number of lattice points w with 0 ≤ ⟨w, n_i⟩ ≤ bounds[i] for every sigma ray n_i
-    (rings.box_point_count); memoized, as refutations share their boxes."""
-    return box_point_count(ring, bounds)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
 def _splitting_data(a: MonomialIdeal, b: MonomialIdeal):
     """(inside_a, outside_b, floor_a + 1, floor_b) from rings.region_tests: N(a)'s interior
     tests (f, m + 1, ⟨u, f⟩) and floors, and N(b)'s u0-shifted tests (f, m, ⟨u, f⟩), negated to
@@ -331,7 +324,7 @@ def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> R
     sigma rays, with their run steps, are read once per pair by rings.region_tests
     (_splitting_data); per target only N(b)'s offsets m − ⟨v, f⟩ and the ceilings
     are computed. bounds is the box of every candidate, 0 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ + 1,
-    and scanned its lattice-point count (_box_size).
+    and scanned its lattice-point count (rings.box_point_count).
     """
     ring = _same_ring(a, b)
     target, tv = exponent_pairings(ring, v)
@@ -342,7 +335,7 @@ def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> R
     if len(tv) > ring.dim:
         found.sort()
     bounds = tuple(t + 1 for t in tv)
-    return RefutationReport(target, bounds, _box_size(ring, bounds), tuple(found))
+    return RefutationReport(target, bounds, box_point_count(ring, bounds), tuple(found))
 
 
 # ---------------------------------------------------------------------------

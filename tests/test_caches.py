@@ -16,7 +16,7 @@ asked for and a bounded cell per class that holds the first member met with
 its answer, which the later members move; no other ideal is computed, so a
 wrapper bound in place of a layer sees one call per public call. The checks
 here pin that every
-cache is bounded, that a cached answer equals the undecorated function's,
+cache is bounded, each by the package's one bound rings.CACHE_SIZE, that a cached answer equals the undecorated function's,
 that equal values built apart share one entry, that configs differing only
 in seed or cap share one skeleton space, and that errors are raised again
 rather than remembered. The bound is also checked by scanning the package's
@@ -53,11 +53,18 @@ from toricmult.ideals import MonomialIdeal, ideal_sum, integral_closure, monomia
 from toricmult.linalg import dot, hermite_normal_form
 from toricmult.multiplier import multiplier_ideal
 from toricmult.problemio import load_search_config
-from toricmult.rings import ToricRing, _cut_point, _ring_from_rays, ring_from_dual_rays, semigroup_points
+from toricmult.rings import (
+    CACHE_SIZE,
+    ToricRing,
+    _cut_point,
+    _ring_from_rays,
+    box_point_count,
+    ring_from_dual_rays,
+    semigroup_points,
+)
 from toricmult.subadditivity import (
     ConstructionRecipe,
     SearchConfig,
-    _box_size,
     _edge_regions,
     _enumerated_recipes,
     _gap_generators,
@@ -82,7 +89,7 @@ MEMOIZED = (
     _edge_regions,
     _skeleton_space,
     _gap_generators,
-    _box_size,
+    box_point_count,
     _splitting_data,
     _cut_point,
     _lift,
@@ -102,6 +109,17 @@ SEARCH_CONFIGS = {
 def test_every_cache_is_bounded(layer):
     maxsize = layer.cache_info().maxsize
     assert maxsize is not None and 0 < maxsize <= MAX_CACHE_SIZE
+
+
+def test_every_memo_holds_the_one_bound():
+    """Every memoized layer, and the class cells of each per_translation_class layer, keeps
+    rings.CACHE_SIZE entries, the package's one memo bound, assigned once in its source."""
+    per_class = [layer for layer in MEMOIZED if hasattr(layer, "classes")]
+    assert per_class == [newton_polyhedron, integral_closure, multiplier_ideal]
+    for layer in [*MEMOIZED, *(layer.classes for layer in per_class)]:
+        assert layer.cache_info().maxsize == CACHE_SIZE, layer
+    assigned = [path.stem for path in PACKAGE for line in path.read_text().splitlines() if "CACHE_SIZE = " in line]
+    assert assigned == ["rings"]
 
 
 @cache
@@ -267,12 +285,12 @@ def test_equal_rings_and_ideals_built_apart_share_one_memo_entry(name, dual):
     a = random_ideal(random.Random(name), ring, max_gens=3, pairing_bound=6)
     poly = newton_polyhedron(a)
     bounds = (3,) * len(ring.sigma_rays)
-    count = _box_size(ring, bounds)
+    count = box_point_count(ring, bounds)
     assert a._hash == hash((ring, a.gens)) and "_hash" not in repr(a)
     for other in (rebuilt, copied):
         twin = MonomialIdeal(other, a.gens)
         assert twin is not a and twin == a and hash(twin) == hash(a)
-        for layer, args, cached in ((newton_polyhedron, (twin,), poly), (_box_size, (other, bounds), count)):
+        for layer, args, cached in ((newton_polyhedron, (twin,), poly), (box_point_count, (other, bounds), count)):
             info = layer.cache_info()
             assert layer(*args) is cached
             assert (layer.cache_info().hits, layer.cache_info().currsize) == (info.hits + 1, info.currsize)

@@ -252,6 +252,23 @@ class TestRefute:
         for d in doc["decompositions"]:
             assert [x + y for x, y in zip(d["alpha"], d["beta"])] == [14, 11, 2]
 
+    def test_a_negative_first_coordinate_is_a_target(self, capsys):
+        # x^-1 z^3 on the square cone: a comma-form value starting with '-' is the
+        # target, not an option, and reads as the --target=-1,0,3 form does
+        problem = str(Path(__file__).parent / "square_cone_violation.json")
+        spaced, joined = (
+            run(capsys, "refute", "--input", problem, "--ideals", "a", "b", *target, "--format", "json")
+            for target in (["--target", "-1,0,3"], ["--target=-1,0,3"])
+        )
+        assert spaced == joined
+        code, out, _ = spaced
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["target"] == [-1, 0, 3]
+        assert doc["bounds"] == [5, 5, 3, 3]
+        assert doc["scanned"] == 20
+        assert doc["decompositions"] == []
+
     def test_large_target_on_the_square_cone_is_frozen(self, capsys):
         # a non-simplicial ring, so every Hermite run of the sigma box is
         # clipped by the fourth sigma ray; the digest was taken from the

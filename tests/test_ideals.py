@@ -25,7 +25,7 @@ from toricmult.ideals import (
     product,
 )
 from toricmult.multiplier import multiplier_ideal
-from toricmult.rings import ring_from_dual_rays, semigroup_contains, semigroup_points
+from toricmult.rings import ring_from_dual_rays, semigroup_points
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +172,7 @@ class TestArithmetic:
             for _ in range(12):
                 a = random_ideal(rng, ring, pairing_bound=4)
                 for w in points:
-                    expected = any(semigroup_contains(ring, vsub(w, g)) for g in a.gens)
+                    expected = any(min(ring.pairings(vsub(w, g))) >= 0 for g in a.gens)
                     assert contains_monomial(a, w) == expected, (ring.dual_rays, a.gens, w)
 
 

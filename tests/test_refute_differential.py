@@ -45,7 +45,7 @@ def _gorenstein_pairs():
     rng = random.Random(59)
     for name, dual, _, _ in POOL:
         ring = ring_from_dual_rays(dual)
-        if not ring.is_gorenstein:
+        if ring.gorenstein_point() is None:
             continue
         if ring.dim == 2:
             for i in range(8):

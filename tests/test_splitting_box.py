@@ -6,7 +6,7 @@ v = alpha + beta, alpha interior to N(a) and beta + u0 interior to N(b), has
 floor_a(n) + 1 <= <alpha, n> <= <v, n> - floor_b(n). exhaustive_refute walks
 the Hermite runs of that box only; its report keeps the box
 0 <= <alpha, n> <= <v, n> + 1 of every candidate, whose lattice points are
-counted once per distinct box (subadditivity._box_size). The reports must
+counted once per distinct box (rings.box_point_count). The reports must
 equal oracles.exhaustive_refute, which tests every point of the reported box
 from the origin: on every pool ring (the index-three ring's u0 is
 fractional), on split, unsplit and empty-box targets. The box count must
@@ -27,13 +27,14 @@ from toricmult.errors import DimensionMismatch, NotInSemigroup
 from toricmult.ideals import monomial_ideal, product
 from toricmult.linalg import dot, vadd, vscale
 from toricmult.rings import (
+    box_point_count,
     cut_runs,
     exponent_pairings,
     lattice_points_in_box,
     ring_from_dual_rays,
     semigroup_points,
 )
-from toricmult.subadditivity import _box_size, exhaustive_refute
+from toricmult.subadditivity import exhaustive_refute
 
 RINGS = [(name, ring_from_dual_rays(dual)) for name, dual, _, _ in POOL]
 IDS = [name for name, _ in RINGS]
@@ -52,7 +53,7 @@ def _splitting_box(v, a, b):
 def _walks(monkeypatch):
     """The (bounds, floors, runs, points) of every cut_runs walk exhaustive_refute makes,
     counted without its facet tests; the runs read are cut to them. Splitting walks have
-    floors >= 1; the count of the reported box walks from floors 0 (_box_size)."""
+    floors >= 1; the count of the reported box walks from floors 0 (rings.box_point_count)."""
     walks = []
 
     def counted(ring, bounds, floors, tests):
@@ -133,7 +134,7 @@ def test_the_box_count_is_the_number_of_box_points():
     for ring in [ring for _, ring in RINGS] + cones:
         rays = len(ring.sigma_rays)
         for bounds in itertools.product(range(0, 7, 3), repeat=rays) if ring.dim < 4 else [(4,) * rays, (2,) * rays]:
-            assert _box_size(ring, bounds) == sum(1 for _ in lattice_points_in_box(ring, bounds)), bounds
+            assert box_point_count(ring, bounds) == sum(1 for _ in lattice_points_in_box(ring, bounds)), bounds
 
 
 def test_the_paper_target_walks_four_runs(monkeypatch):
