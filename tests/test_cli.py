@@ -256,12 +256,9 @@ class TestRefute:
         # x^-1 z^3 on the square cone: a comma-form value starting with '-' is the
         # target, not an option, and reads as the --target=-1,0,3 form does
         problem = str(Path(__file__).parent / "square_cone_violation.json")
-        spaced, joined = (
-            run(capsys, "refute", "--input", problem, "--ideals", "a", "b", *target, "--format", "json")
-            for target in (["--target", "-1,0,3"], ["--target=-1,0,3"])
-        )
-        assert spaced == joined
-        code, out, _ = spaced
+        argv = ["refute", "--input", problem, "--ideals", "a", "b", "--format", "json"]
+        code, out, _ = run(capsys, *argv, "--target", "-1,0,3")
+        assert (code, out) == run(capsys, *argv, "--target=-1,0,3")[:2]
         assert code == 0
         doc = json.loads(out)
         assert doc["target"] == [-1, 0, 3]
