@@ -285,16 +285,9 @@ def relint_certificate(p: NewtonPolyhedron, x: Sequence) -> ConvexCertificate:
     dirs = [tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d)]
     dirs.append(tuple(Fraction(-1) for _ in range(d)))
 
-    eps = None
-    for h in p.facets:
-        slack = dot(h.normal, xs) - h.offset
-        reach = max(abs(Fraction(dot(h.normal, u))) for u in dirs)
-        bound = slack / (2 * reach) if reach > 0 else None
-        if bound is not None and (eps is None or bound < eps):
-            eps = bound
-    if eps is None:
-        eps = Fraction(1)
-
+    # eps is the least slack / (2 reach) over the facets, reach the largest |<normal, u>| over
+    # the directions u: at least 1, as a facet normal is nonzero
+    eps = min((dot(h.normal, xs) - h.offset) / (2 * max(abs(dot(h.normal, u)) for u in dirs)) for h in p.facets)
     points = tuple(vadd(xs, vscale(eps, u)) for u in dirs)
     coeff = Fraction(1, d + 1)
     cert = ConvexCertificate(points, tuple(coeff for _ in points))

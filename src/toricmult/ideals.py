@@ -2,7 +2,8 @@
 
 Minimal generating sets are lex-sorted antichains under divisibility (w
 divides w' when no sigma pairing of w exceeds that of w'), all reduced by one
-routine, a linear staircase on two sigma rays. Integral closures and
+routine, minimalize, which takes each point with its sigma pairings; it is
+a linear staircase on two sigma rays. Integral closures and
 multiplier ideals share one enumeration engine over a sigma-coordinate box
 around the Newton polyhedron's vertices: rings.region_tests splits the
 region's facet thresholds (geometry.lattice_thresholds) into the walk's
@@ -110,33 +111,30 @@ def per_translation_class(compute):
 
 def monomial_ideal(ring: ToricRing, gens: Iterable[Sequence[int]]) -> MonomialIdeal:
     """Ideal generated by the given exponents, reduced to minimal generators."""
-    return MonomialIdeal(ring, _antichain(exponent_pairings(ring, g) for g in gens))
+    return MonomialIdeal(ring, minimalize(ring, [exponent_pairings(ring, g) for g in gens]))
 
 
-def minimalize(ring: ToricRing, gens: Sequence[LatticePoint]) -> tuple[LatticePoint, ...]:
-    """Drop generators divisible by another one; sort the survivors."""
-    return _antichain((g, ring.pairings(g)) for g in gens)
-
-
-def _antichain(points: Iterable[tuple[LatticePoint, tuple[int, ...]]]) -> tuple[LatticePoint, ...]:
+def minimalize(ring: ToricRing, points: Iterable[tuple[LatticePoint, tuple[int, ...]]]) -> tuple[LatticePoint, ...]:
     """Minimal points of (w, sigma pairings) pairs, lex-sorted.
 
     A divisor's pairings are componentwise, so lexicographically, <= those of
     its multiple. So in lexicographic order of pairings (linear on presorted
     input), a point is minimal exactly when no point kept before divides it.
     On two sigma rays that is a staircase: t is minimal when t[1] is below the
-    least second pairing kept, the last one's. The sort puts equal pairings
-    next to each other, and a point equal to the one before it is skipped
-    untested: that one was kept, or a kept point divides both.
+    least second pairing kept, the last one's. Pairings are injective, so
+    equal pairings are equal points; the stable sort puts them next to each
+    other in input order, and a point equal to the one before it is skipped
+    untested: the first met was kept, or a kept point divides both.
     """
     gens: list[LatticePoint] = []
     gen_ts: list[tuple[int, ...]] = []
+    staircase = len(ring.sigma_rays) == 2
     last = None
     for w, t in sorted(points, key=itemgetter(1)):
         if t == last:
             continue
         last = t
-        if len(t) == 2:
+        if staircase:
             minimal = not gen_ts or t[1] < gen_ts[-1][1]
         else:
             minimal = not any(all(map(le, g, t)) for g in gen_ts)
@@ -154,12 +152,14 @@ def _same_ring(a: MonomialIdeal, b: MonomialIdeal) -> ToricRing:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """a·b, minimalized from every sum of a generator of a and one of b; memoized, as a
-    construction and the check of its pair both multiply the pair."""
+    """a·b, minimalized from every sum g + h of a generator of a and one of b, whose
+    pairings are those of g plus those of h; memoized, as a construction and the check
+    of its pair both multiply the pair. The factors' pairings are computed here, not read
+    from a.pairings: that would compute and keep them on ideals that never test divisibility."""
     ring = _same_ring(a, b)
-    if a.is_zero or b.is_zero:
-        return MonomialIdeal(ring, ())
-    sums = [vadd(g, h) for g in a.gens for h in b.gens]
+    gs = [(g, ring.pairings(g)) for g in a.gens]
+    hs = [(h, ring.pairings(h)) for h in b.gens]
+    sums = [(vadd(g, h), vadd(tg, th)) for g, tg in gs for h, th in hs]
     return MonomialIdeal(ring, minimalize(ring, sums))
 
 
@@ -168,7 +168,7 @@ def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """a + b, minimalized; memoized, as a search sums each generator pair once for its gap
     points and again for every construction lifted from it."""
     ring = _same_ring(a, b)
-    return MonomialIdeal(ring, minimalize(ring, list(a.gens) + list(b.gens)))
+    return MonomialIdeal(ring, minimalize(ring, [(g, ring.pairings(g)) for g in a.gens + b.gens]))
 
 
 def contains_monomial(a: MonomialIdeal, w: Sequence[int]) -> bool:
@@ -233,4 +233,5 @@ def region_minimal_generators(a: MonomialIdeal, shift: RatPoint | None) -> tuple
             if t[1:] == floors[1:]:
                 return
 
-    return _antichain(candidates())
+    # walked in full first, so that the walk's time is not charged to minimalize
+    return minimalize(ring, list(candidates()))

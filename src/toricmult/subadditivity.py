@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, isqrt
 from operator import le, sub
 from typing import Iterator, NamedTuple, Sequence
@@ -58,16 +58,7 @@ from .rings import (
 )
 
 
-class _Verdict(NamedTuple):
-    holds: bool
-    witnesses: tuple[LatticePoint, ...]
-    certificates: tuple[MembershipReport, ...]
-    j_ab: MonomialIdeal
-    j_a: MonomialIdeal
-    j_b: MonomialIdeal
-
-
-class SubadditivityVerdict(_Verdict):
+class SubadditivityVerdict(NamedTuple):
     """Whether J(ab) ⊆ J(a)·J(b), with the generators that escape.
 
     certificates[i] is the strict membership report placing witnesses[i] + u0
@@ -75,10 +66,18 @@ class SubadditivityVerdict(_Verdict):
     be replayed two ways: for every generator g of j_a dividing witnesses[i],
     contains_monomial(j_b, witnesses[i] − g) is false (the factor test that
     decided it), or contains_monomial(j_product, witnesses[i]) is false.
-    j_product = J(a)·J(b) is not a field: it is built on first read and kept.
+    j_product = J(a)·J(b) is not a field: it is read through the product memo,
+    which builds it on first read.
     """
 
-    @cached_property
+    holds: bool
+    witnesses: tuple[LatticePoint, ...]
+    certificates: tuple[MembershipReport, ...]
+    j_ab: MonomialIdeal
+    j_a: MonomialIdeal
+    j_b: MonomialIdeal
+
+    @property
     def j_product(self) -> MonomialIdeal:
         return product(self.j_a, self.j_b)
 
@@ -127,35 +126,33 @@ class ConstructionRecipe(NamedTuple):
     z_exponent: LatticePoint
 
 
-class _Construction(NamedTuple):
-    recipe: ConstructionRecipe
-    ring: ToricRing
-    a: MonomialIdeal
-    b: MonomialIdeal
-    r_z: LatticePoint
-
-
-class Construction(_Construction):
+class Construction(NamedTuple):
     """Extended ring and ideals produced from a ConstructionRecipe.
 
     When z_exponent is the new coordinate axis itself, a and b are always
     integrally closed and rZ escapes closure(a)·closure(b). For a general
     monomial z both properties can fail even though the gap conditions on r
     hold, so they are computed exactly instead of being assumed. The three
-    flags are functions of (a, b, r_z), not fields, computed on first read
-    and kept: building a construction enumerates neither closure(a) nor
-    closure(b).
+    flags are functions of (a, b, r_z), not fields, read through the
+    integral_closure and product memos: building a construction enumerates
+    neither closure(a) nor closure(b).
     """
 
-    @cached_property
+    recipe: ConstructionRecipe
+    ring: ToricRing
+    a: MonomialIdeal
+    b: MonomialIdeal
+    r_z: LatticePoint
+
+    @property
     def a_integrally_closed(self) -> bool:
         return integral_closure(self.a) == self.a
 
-    @cached_property
+    @property
     def b_integrally_closed(self) -> bool:
         return integral_closure(self.b) == self.b
 
-    @cached_property
+    @property
     def rz_in_product_of_closures(self) -> bool:
         return contains_monomial(product(integral_closure(self.a), integral_closure(self.b)), self.r_z)
 

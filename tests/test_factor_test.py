@@ -107,15 +107,20 @@ def test_the_witnesses_have_no_factor():
 
 
 def test_the_product_is_built_on_first_read():
-    """A fresh verdict (past the memo) holds no j_product until it is read; then it
-    holds J(a)·J(b) and keeps it, and equality of verdicts ignores it."""
+    """Building a verdict (past the memo) asks the product memo for ab alone, not for
+    J(a)·J(b); the first read of j_product builds it there, a second read is a memo hit,
+    and equality of verdicts ignores it."""
     for name, a, b in GROUPS["pinned"] + GROUPS["pool"][:6]:
+        product.cache_clear()
         verdict = check_subadditivity.__wrapped__(a, b)
-        assert "j_product" not in vars(verdict), name
-        unread = check_subadditivity.__wrapped__(a, b)
-        assert verdict.j_product == product(verdict.j_a, verdict.j_b), name
-        assert vars(verdict)["j_product"] is verdict.j_product
-        assert verdict == unread and "j_product" not in vars(unread), name
+        assert product.cache_info()[:2] == (0, 1), name  # (hits, misses): ab
+        product.cache_clear()
+        first = verdict.j_product
+        assert product.cache_info()[:2] == (0, 1), name
+        assert verdict.j_product is first
+        assert product.cache_info()[:2] == (1, 1), name
+        assert first == product.__wrapped__(verdict.j_a, verdict.j_b), name
+        assert verdict == check_subadditivity.__wrapped__(a, b), name
 
 
 def _principal_factor_pairs():

@@ -9,6 +9,7 @@ import oracles
 from oracles import dot, hull_region, shifted_thresholds, sigma_rays_2d, vadd
 from instances import POOL, pool_rings, random_2d_dual_rays, random_ideal
 
+from toricmult.builtin_example import CERTIFICATE_COEFFICIENTS, CERTIFICATE_POINTS, TARGET, instance
 from toricmult.errors import (
     DimensionMismatch,
     NotFullDimensional,
@@ -16,8 +17,10 @@ from toricmult.errors import (
     NotPointed,
 )
 from toricmult.geometry import (
+    ConvexCertificate,
     PolyCone,
     affinely_independent,
+    as_rat_point,
     hull_plus_cone,
     lattice_thresholds,
     membership,
@@ -189,6 +192,12 @@ class TestNewtonPolyhedron:
         with pytest.raises(DimensionMismatch):
             membership(poly, (1, 2))
 
+    def test_hull_plus_cone_refuses_no_points_and_points_of_another_dimension(self, counterexample_ring):
+        with pytest.raises(ValueError, match="at least one point"):
+            hull_plus_cone([], counterexample_ring.cone)
+        with pytest.raises(DimensionMismatch):
+            hull_plus_cone([(2, 4, 0), (1, 2)], counterexample_ring.cone)
+
 
 class TestMembershipReport:
     def test_tight_facet_is_named(self, counterexample_ring):
@@ -294,6 +303,25 @@ class TestCertificates:
                 assert not verify_certificate(poly, x, type(cert)(cert.points, coefficients))
             assert not verify_certificate(poly, vadd(x, (1, 0, 0)), cert)
 
+    @pytest.mark.parametrize(
+        "points,coefficients",
+        [
+            # three points, one short of dim + 1
+            (CERTIFICATE_POINTS[:3], CERTIFICATE_COEFFICIENTS[:3]),
+            # the last point moved to the midpoint of the first two, inside N(ab)
+            (CERTIFICATE_POINTS[:3] + ((16, 12, 0),), CERTIFICATE_COEFFICIENTS),
+            # the first point moved below the facet z >= 0
+            (((14, 11, -1),) + CERTIFICATE_POINTS[1:], CERTIFICATE_COEFFICIENTS),
+        ],
+        ids=["too-few-points", "affinely-dependent", "point-outside"],
+    )
+    def test_the_papers_certificate_mutated_is_refused(self, points, coefficients):
+        """The packaged certificate of TARGET in N(ab) holds; each mutation breaks one condition."""
+        _, a, b = instance()
+        poly = newton_polyhedron(product(a, b))
+        assert verify_certificate(poly, TARGET, ConvexCertificate(CERTIFICATE_POINTS, CERTIFICATE_COEFFICIENTS))
+        assert not verify_certificate(poly, TARGET, ConvexCertificate(points, coefficients))
+
 
 class TestTwoDimensionalDuals:
     """The rotation trick must agree with the library's dual-cone rays."""
@@ -310,6 +338,14 @@ def test_affinely_independent():
     assert affinely_independent([(0, 0), (1, 0), (0, 1)])
     assert not affinely_independent([(0, 0), (1, 1), (2, 2)])
     assert affinely_independent([(3, 7)])
+    with pytest.raises(ValueError, match="no points"):
+        affinely_independent([])
+
+
+def test_as_rat_point_refuses_the_empty_point():
+    assert as_rat_point((1, Fraction(1, 2))) == (Fraction(1), Fraction(1, 2))
+    with pytest.raises(ValueError, match="empty point"):
+        as_rat_point(())
 
 
 def _sample_gens(rng, ring, count=3, bound=12):

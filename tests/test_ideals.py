@@ -15,7 +15,6 @@ from oracles import box_points, closure_scan, dot, in_ideal, minimal_points, vad
 from toricmult.errors import NotInSemigroup, RingMismatch, ZeroIdeal
 from toricmult.geometry import membership
 from toricmult.ideals import (
-    _antichain,
     contains_monomial,
     ideal_sum,
     integral_closure,
@@ -48,7 +47,8 @@ class TestConstruction:
 
     def test_minimalize_is_idempotent(self, ring):
         gens = ((2, 4, 0), (10, 6, 2))
-        assert minimalize(ring, minimalize(ring, gens)) == gens
+        once = minimalize(ring, [(g, ring.pairings(g)) for g in gens])
+        assert minimalize(ring, [(g, ring.pairings(g)) for g in once]) == once == gens
 
     def test_minimalize_matches_the_oracle_in_any_input_order(self):
         rng = random.Random(3307)
@@ -58,22 +58,24 @@ class TestConstruction:
                 sample = rng.sample(points, rng.randint(1, min(14, len(points))))
                 sample += rng.choices(sample, k=4)  # repeats
                 expected = minimal_points(sample, ring.sigma_rays)
-                assert minimalize(ring, sample) == expected
+                assert minimalize(ring, [(g, ring.pairings(g)) for g in sample]) == expected
                 for _ in range(3):
                     rng.shuffle(sample)
-                    assert minimalize(ring, sample) == expected
+                    assert minimalize(ring, [(g, ring.pairings(g)) for g in sample]) == expected
 
     def test_the_two_ray_staircase_equals_the_quadratic_scan(self):
         """Random pairs of pairings, drawn from a narrow first range so that
         ties in the first pairing are common, with repeated points; the points
-        are any labels, as _antichain reads only the pairings."""
+        are any labels, as minimalize reads only the pairings, and the ring, a
+        pool surface, only for its two sigma rays."""
+        ring = dict(pool_rings())["plane-cusp-2d"]
         rng = random.Random(3319)
         ties = 0
         for _ in range(400):
             points = [((i,), (rng.randint(0, 5), rng.randint(0, 20))) for i in range(rng.randint(0, 16))]
             points += rng.choices(points, k=rng.randint(0, 4)) if points else []
             rng.shuffle(points)
-            assert _antichain(points) == oracles.antichain_scan(points)
+            assert minimalize(ring, points) == oracles.antichain_scan(points)
             ties += len({t[0] for _, t in points}) < len({t for _, t in points})
         assert ties > 300
 
@@ -81,13 +83,16 @@ class TestConstruction:
     def test_repeated_pairings_are_skipped_as_the_quadratic_scan_drops_them(self, rays):
         """Multisets of a few distinct pairings, each repeated many times: the
         sort puts the repeats of a point after it, where they are skipped. The
-        repeats carry other labels, which the scan drops with them."""
+        repeats carry other labels, which the scan drops with them. The ring
+        has as many sigma rays as the points have pairings."""
+        ring = dict(pool_rings())["counterexample-3d" if rays == 3 else "square-cone-3d"]
+        assert len(ring.sigma_rays) == rays
         rng = random.Random(3329 + rays)
         for _ in range(200):
             distinct = [tuple(rng.randint(0, 4) for _ in range(rays)) for _ in range(rng.randint(1, 8))]
             points = [((i,), rng.choice(distinct)) for i in range(rng.randint(1, 60))]
             rng.shuffle(points)
-            assert _antichain(points) == oracles.antichain_scan(points)
+            assert minimalize(ring, points) == oracles.antichain_scan(points)
 
     @pytest.mark.parametrize("name", ("orthant-3d", "counterexample-3d", "square-cone-3d"))
     def test_products_with_repeated_sums_minimalize_as_the_quadratic_scan(self, name):
@@ -148,6 +153,17 @@ class TestArithmetic:
         a, _ = pair
         unit = monomial_ideal(ring, ((0, 0, 0),))
         assert product(a, unit) == a
+
+    @pytest.mark.parametrize("name", ("counterexample-3d", "square-cone-3d"))
+    def test_the_zero_ideal_annihilates_products_and_is_neutral_for_sums(self, name):
+        """Simplicial and non-simplicial: a product with no sums is the zero ideal."""
+        ring = dict(pool_rings())[name]
+        zero = monomial_ideal(ring, ())
+        a = random_ideal(random.Random(name), ring, max_gens=4, pairing_bound=5)
+        assert not a.is_zero
+        assert product(zero, a) == product(a, zero) == zero
+        assert product(zero, a).is_zero
+        assert ideal_sum(zero, a) == ideal_sum(a, zero) == a
 
     def test_sum_collapses_dominated_generators(self, ring, pair):
         a, b = pair

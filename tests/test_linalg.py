@@ -122,6 +122,8 @@ def test_degenerate_shapes():
     assert kernel_basis([(0, 0)]) == [(1, 0), (0, 1)]
     with pytest.raises(ValueError):
         adjugate_int([(1, 2), (2, 4)])
+    with pytest.raises(ValueError, match="zero vector"):
+        primitivize((0, Fraction(0), 0))
 
 
 def test_dot_equals_the_generator_form():

@@ -269,3 +269,5 @@ class TestErrors:
     def test_zero_ideal_is_refused(self, ring):
         with pytest.raises(ZeroIdeal):
             multiplier_ideal(monomial_ideal(ring, ()))
+        with pytest.raises(ZeroIdeal):
+            multiplier_membership(monomial_ideal(ring, ()), (2, 4, 0))

@@ -75,6 +75,8 @@ class TestMonomials:
         assert render_monomial((2, 0, 1)) == "x^2z"
         assert render_monomial((1, 1, 1)) == "xyz"
         assert render_monomial((0, 0)) == "1"
+        with pytest.raises(ConfigInvalid, match="dimension <= 3"):
+            render_monomial((1, 0, 0, 1))
 
     def test_round_trip(self):
         rng = random.Random(8)

@@ -460,7 +460,7 @@ class TestConstruction:
         assert built_count >= 3  # the loop must actually exercise the claim
 
     def test_closure_flags_are_computed_on_first_read(self, base_recipe):
-        # search reads no flag, so its hits carry none until their JSON is built
+        # search reads no flag, so it computes none for its hits until their JSON is built
         twin = base_recipe._replace(z_exponent=(0, 0, 1))
         hits = search_counterexamples(load_search_config(str(SINGULAR_BASES)))
         assert len(hits) == 5
@@ -469,12 +469,31 @@ class TestConstruction:
         i, j = monomial_ideal(orthant, ((2, 0),)), monomial_ideal(orthant, ((0, 2),))
         lopsided = [ConstructionRecipe(orthant, i, j, (1, 1), z) for z in ((1, 0, 2), (0, 1, 2), (1, 1, 1))]
         built = [huneke_swanson_construct(r) for r in [base_recipe, twin] + lopsided]
+
+        def read(construction, name):
+            """The flag, and what reading it added to the (hits, misses) of the
+            integral_closure and product memos."""
+            before = [memo.cache_info()[:2] for memo in (integral_closure, product)]
+            value = getattr(construction, name)
+            after = [memo.cache_info()[:2] for memo in (integral_closure, product)]
+            return value, tuple((h1 - h0, m1 - m0) for (h0, m0), (h1, m1) in zip(before, after))
+
+        closure_miss, closure_hit, product_miss, product_hit = ((0, 1), (0, 0)), ((1, 0), (0, 0)), (0, 1), (1, 0)
         for construction in built + [hit.construction for hit in hits]:
-            assert not set(FLAGS) & set(vars(construction))
             expected = oracles.construction_flags(construction)
-            for name, value in zip(FLAGS, expected):
-                assert getattr(construction, name) == value
-                assert vars(construction)[name] == value
+            integral_closure.cache_clear()
+            product.cache_clear()
+            construction = huneke_swanson_construct(construction.recipe)
+            # building enumerated neither closure(a) nor closure(b)
+            assert read(construction, FLAGS[0]) == (expected[0], closure_miss)
+            assert read(construction, FLAGS[0]) == (expected[0], closure_hit)
+            assert read(construction, FLAGS[1]) == (expected[1], closure_miss)
+            assert read(construction, FLAGS[1]) == (expected[1], closure_hit)
+            # closure(a)·closure(b) is computed on first read, unless it is a·b, which
+            # building multiplies for its own check
+            first = product_hit if expected[:2] == (True, True) else product_miss
+            assert read(construction, FLAGS[2]) == (expected[2], ((2, 0), first))
+            assert read(construction, FLAGS[2]) == (expected[2], ((2, 0), product_hit))
         assert [oracles.construction_flags(c) for c in built] == [
             (False, False, True),
             (True, True, False),
@@ -498,6 +517,12 @@ class TestConstruction:
         )
         with pytest.raises(RecipeInvalid, match=message):
             huneke_swanson_construct(bad)
+
+    def test_recipes_with_a_zero_base_ideal_are_refused(self, base_recipe):
+        zero = monomial_ideal(base_recipe.base_ring, ())
+        for bad in (base_recipe._replace(i_prime=zero), base_recipe._replace(j_prime=zero)):
+            with pytest.raises(RecipeInvalid, match="nonzero"):
+                huneke_swanson_construct(bad)
 
     def test_recipes_mixing_rings_are_refused(self, base_recipe):
         orthant = ring_from_dual_rays(((1, 0), (0, 1)))
@@ -545,6 +570,8 @@ class TestSearch:
     def test_unsupported_dimension_is_refused(self):
         with pytest.raises(ConfigInvalid):
             search_counterexamples(SearchConfig(dim=4))
+        with pytest.raises(ConfigInvalid, match="at least 1"):
+            search_counterexamples(SearchConfig(dim=0))
 
     def test_gap_generators_match_the_three_closure_formula(self):
         # ray_bound 2 reaches the smooth bases and the A1 and A2 singularities
