@@ -45,17 +45,9 @@ class MonomialIdeal(_Ideal):
     gens is a lex-sorted antichain; the empty tuple is the zero ideal and
     the single origin generator is the unit ideal. An ideal is the tuple
     (ring, gens), equal to another with the same ring and generators. Its
-    hash is the tuple's, computed on first use and kept, as every memo keyed
-    on an ideal reads it; an ideal that is never a key, such as a large
-    J(ab), never pays for it.
+    pairings are derived, not a field, so they are not compared, hashed or
+    carried over by _replace.
     """
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return tuple.__hash__(self)
 
     @property
     def is_zero(self) -> bool:
@@ -77,9 +69,11 @@ def per_translation_class(compute):
     Each ideal asked for is a key of one memo. On a miss, the cell of its class, keyed on
     (ring, gens - g0) for g0 the lex-first generator, holds the answer of the first member
     met, computed as it is, with that member's g0; a member with lex-first generator g0' gets
-    it moved by g0' - g0. So compute only ever sees an ideal that was asked for, and no memo
-    holds an ideal of its own making. An error leaves the cell empty. cache_clear empties the
-    cells (.classes) too, and __wrapped__ is compute.
+    it moved by g0' - g0. So compute only ever sees an ideal that was asked for, called directly
+    rather than through the memo or a module-level name, and no memo holds an ideal of its own
+    making: the N(a) built for J(a) is the entry that decompose_2d and refutations read.
+    An error leaves the cell empty. cache_clear empties the cells (.classes) too, and
+    __wrapped__ is compute.
     """
 
     @lru_cache(maxsize=CACHE_SIZE)

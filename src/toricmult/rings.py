@@ -54,17 +54,10 @@ class ToricRing(_Ring):
     primitive generators of sigma itself. q_gorenstein is (w0, r) with
     <w0, n> = r for every sigma ray n, w0 primitive and r >= 1 minimal, or
     None when no such lattice point exists; it, u0 = w0 / r and the sigma
-    lattice are derived once per ring object, on first use. A ring is the
-    one-field tuple (cone,), so two rings are equal when their cones are. Its
-    hash is the tuple's, computed on first use and kept for every memo's key.
+    lattice are derived once per ring object, on first use, so a ring used
+    only for closures never solves for u0. A ring is the one-field tuple
+    (cone,), so two rings are equal when their cones are.
     """
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return tuple.__hash__(self)
 
     @cached_property
     def dim(self) -> int:
@@ -101,7 +94,8 @@ class ToricRing(_Ring):
         return q[0] if q is not None and q[1] == 1 else None
 
     def canonical_shift(self) -> RatPoint:
-        """u0 = w0 / r as an exact rational point; NotQGorenstein if there is none."""
+        """u0 = w0 / r as an exact rational point; NotQGorenstein if there is none, the one
+        place that raises it, so every multiplier-ideal operation refuses the same way."""
         return self._u0
 
     @cached_property

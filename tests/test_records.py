@@ -3,10 +3,10 @@
 Cones, rings, ideals, polyhedra, reports, recipes, constructions, configs,
 search hits, parsed problems and checklist entries are tuples of their
 fields: two values built apart with equal fields are equal and hash equal,
-a field cannot be set, and `_replace` makes a changed copy. Rings and ideals
-keep their hash once computed, and it is the tuple's hash, so that equal
-values hash equal. The repr of the packaged ring and of the default search
-config is pinned byte for byte.
+a field cannot be set, and `_replace` makes a changed copy. Every record
+hashes through the tuple's own hash, none through a method of its type, so
+equal values hash equal. The repr of the packaged ring and of the default
+search config is pinned byte for byte.
 """
 
 import copy
@@ -65,6 +65,7 @@ def test_a_record_is_a_tuple_of_its_fields(x):
     twin = type(x)(*copy.deepcopy(tuple(x)))
     assert twin is not x and twin == x and tuple(twin) == tuple(x)
     assert hash(x) == hash(twin) == tuple.__hash__(x)
+    assert type(x).__hash__ is tuple.__hash__
     name = x._fields[0]
     with pytest.raises(AttributeError):
         setattr(x, name, getattr(x, name))
