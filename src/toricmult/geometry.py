@@ -7,9 +7,11 @@ one insertion loop keeps zero sets as int bitsets and drops, before the
 adjacency scan, pairs whose common zero set is too small. A cone starts cold
 from a basis of its generators, a Newton polyhedron warm from its recession
 cone; each takes one insertion pass, and the zero sets it returns say which
-generators are extreme rays or vertices, with no rank test per point.
-Fractions enter only with rational points such as w + u0 and convex
-certificates. All arithmetic is exact; no tolerances anywhere.
+generators are extreme rays or vertices, with no rank test per point. A
+plane cone on two rays is read off the rays, with no elimination: its facet
+normals are their quarter turns. Fractions enter only with rational points
+such as w + u0 and convex certificates. All arithmetic is exact; no
+tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -135,7 +137,8 @@ class PolyCone(_Cone):
 
         Raises NotFullDimensional when the rays span less than the space, and
         NotPointed when the cone holds a line; the extreme rays are read off the
-        facet normals' zero sets.
+        facet normals' zero sets. Two independent plane rays need no elimination:
+        the facet normals are their quarter turns.
         """
         rs = [as_lattice_point(r) for r in rays]
         if not rs:
@@ -146,6 +149,14 @@ class PolyCone(_Cone):
         if any(not any(r) for r in rs):
             raise ValueError("zero vector is not a ray")
         prim = list(dict.fromkeys(map(primitivize, rs)))
+        if dim == 2 and len(prim) == 2:
+            # the columns of adj B times sign det B: each ray's quarter turn, facing the other ray
+            (a, b), (c, d) = prim
+            det = a * d - b * c
+            if not det:
+                raise NotFullDimensional("cone spans only 1 of 2 dimensions")
+            s = 1 if det > 0 else -1
+            return PolyCone(2, tuple(sorted(prim)), tuple(sorted([(s * d, -s * c), (-s * b, s * a)])))
         basis = independent_rows(prim)
         if len(basis) != dim:
             raise NotFullDimensional(f"cone spans only {len(basis)} of {dim} dimensions")
@@ -240,7 +251,7 @@ def membership(p: NewtonPolyhedron, x: Sequence, relative_interior: bool = False
     if len(x) != p.dim:
         raise DimensionMismatch(f"point of dimension {len(x)} in polyhedron of dimension {p.dim}")
     num, den = _scaled(x)
-    lattice = all(map(isinstance, x, repeat(int)))
+    lattice = num is x  # _scaled hands back an all-int point as it is
     pairings = []
     violated = []
     tight = []

@@ -197,29 +197,33 @@ def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
 def region_minimal_generators(a: MonomialIdeal, shift: RatPoint | None) -> tuple[LatticePoint, ...]:
     """Minimal generators of an upward-closed lattice region of N = N(a).
 
-    With shift=None the region is {w in the semigroup : w in N}; with
-    shift=u0 it is {w : w + u0 interior to N}. Candidates pair with each
-    sigma ray n to at most the largest vertex pairing plus the sum of <r, n>
-    over the dual rays r (minus 1 with the shift): beyond, w (+ u0) = p + sum
-    c_r r with p in the vertex hull has some c_r > 1, so w - r divides w in
-    the region. rings.cut_runs cuts each run to its members, and the step
-    u lies in the semigroup (ToricRing.run_step), so a run's first member
-    divides the rest and is its one candidate.
+    With shift=None the region is {w in the semigroup : w in N}; with a
+    shift s it is {w : w + s interior to N}, s = u0 for a multiplier ideal.
+    Candidates pair with each sigma ray n to at most the largest vertex
+    pairing plus the sum of <r, n> over the dual rays r, less the ceiling of
+    <s, n> (0 with no shift, 1 at u0): beyond, w + s = p + sum c_r r with p
+    in the vertex hull has some c_r > 1, so w - r divides w in the region, as
+    w - r + s lies on the segment from w + s to w + s - c_r r, a point of N.
+    rings.cut_runs cuts each run to its members, and the step u lies in the
+    semigroup (ToricRing.run_step), so a run's first member divides the rest
+    and is its one candidate.
 
     N = conv(a) + σ^∨, so each sigma ray n is a facet normal of N with offset
-    min <g, n> over the generators g, whose threshold is that offset too
-    (<u0, n> = 1): it is the region's floor on n, where the walk starts
-    (rings.region_tests reads it off the thresholds). Runs come in walk
-    order, so the pairing with sigma ray 0 never decreases, and the walk
-    stops at a candidate pairing to the floor with every sigma ray n_1, ...:
-    it divides every candidate after it.
+    m = min <g, n> over the generators g. Its threshold, m with no shift and
+    m + 1 - ceil(<s, n>) with one (m at u0), is the region's floor on n, where
+    the walk starts (rings.region_tests reads it off the thresholds); the
+    bound above is read off it. Runs come in walk order, so the pairing with
+    sigma ray 0 never decreases, and the walk stops at a candidate pairing to
+    the floor with every sigma ray n_1, ...: it divides every candidate after
+    it.
     """
     ring, poly = a.ring, newton_polyhedron(a)
-    off = 0 if shift is None else 1
-    bounds = tuple(
-        max(dot(v, n) for v in poly.vertices) + reach - off for n, reach in zip(ring.sigma_rays, ring.dual_ray_pairings)
-    )
     floors, tests = region_tests(ring, lattice_thresholds(poly, shift))
+    bounds = []
+    for n, floor, reach in zip(ring.sigma_rays, floors, ring.dual_ray_pairings):
+        # the bound less the floor: the vertex pairings' spread and the reach, less 1 with a shift
+        pairings = [dot(v, n) for v in poly.vertices]
+        bounds.append(floor + max(pairings) - min(pairings) + reach - (shift is not None))
 
     def candidates():
         for w, t, _ in cut_runs(ring, bounds, floors, tests):

@@ -5,6 +5,9 @@ pointed rational cone (the dual of the defining cone sigma). The primitive
 generators of sigma are the facet normals of C; pairing against them is the
 grading used everywhere else in the package. A ring holds C and nothing
 else: its canonical point and Hermite data are derived from C on first use.
+In the plane both are read off the two rays, with no elimination: the sigma
+rays are the dual rays' quarter turns (geometry.PolyCone.from_rays), and
+u0 = w0 / r for w0 the primitive quarter turn of n1 - n2.
 
 Lattice points are enumerated in sigma-coordinates t = (<w, n_i>), the
 lattice H Z^d for H the Hermite normal form of a basis of sigma rays
@@ -74,13 +77,16 @@ class ToricRing(_Ring):
     @cached_property
     def q_gorenstein(self) -> tuple[LatticePoint, int] | None:
         ns = self.sigma_rays
-        diffs = [vsub(n, ns[0]) for n in ns[1:]]
-        basis = kernel_basis(diffs or [(0,) * self.dim])
-        # sigma spans the ambient space, so the solution space is a line at most
-        if not basis:
-            return None
-        assert len(basis) == 1
-        w0 = primitivize(basis[0])
+        if self.dim == 2:
+            (a, b), (c, d) = ns
+            w0 = primitivize((d - b, a - c))  # the quarter turn of n1 - n2 pairs equally with both
+        else:
+            basis = kernel_basis([vsub(n, ns[0]) for n in ns[1:]] or [(0,) * self.dim])
+            # sigma spans the ambient space, so the solution space is a line at most
+            if not basis:
+                return None
+            assert len(basis) == 1
+            w0 = primitivize(basis[0])
         r = dot(w0, ns[0])
         if r < 0:
             w0 = vscale(-1, w0)
@@ -112,13 +118,17 @@ class ToricRing(_Ring):
         basis indexes d sigma rays, facet first: greedily, d - 1 rays of the facet
         orthogonal to the dual ray r0 with the least list of orthogonal ray indices
         (ray 0 is on a facet, so it leads), then the first ray off it; rays 0..d-1 on
-        simplicial sigma. With N their matrix, H is the column Hermite normal form of
-        N and U = N^-1 H: the pairing vectors N w of lattice w are H k, w = U k, k integer.
+        simplicial sigma, taken with no rank test. With N their matrix, H is the column
+        Hermite normal form of N and U = N^-1 H: the pairing vectors N w of lattice w are
+        H k, w = U k, k integer.
         """
         ns = self.sigma_rays
-        facet = min([i for i, n in enumerate(ns) if not dot(r, n)] for r in self.dual_rays)
-        order = facet + [i for i in range(len(ns)) if i not in facet]
-        basis = tuple(order[i] for i in independent_rows([ns[i] for i in order]))
+        if len(ns) == self.dim:
+            basis = tuple(range(self.dim))
+        else:
+            facet = min([i for i, n in enumerate(ns) if not dot(r, n)] for r in self.dual_rays)
+            order = facet + [i for i in range(len(ns)) if i not in facet]
+            basis = tuple(order[i] for i in independent_rows([ns[i] for i in order]))
         hnf, uni = hermite_normal_form([ns[i] for i in basis])
         return basis, hnf, uni
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import itertools
 import random
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 from operator import le, sub
@@ -272,7 +273,7 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
     ring = _same_ring(a, b)
     if ring.dim != 2:
         raise NotDimension2(f"boundary-walk decomposition needs dimension 2, not {ring.dim}")
-    u0 = ring.canonical_shift()
+    w0, r = ring.q_gorenstein
     pt, (t0, t1) = exponent_pairings(ring, p)
     interior, regions = _edge_regions(a, b)
     if not all(dot(pt, f) >= m for f, m in interior):
@@ -280,7 +281,7 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
 
     for idx, (floor0, floor1, side, witness) in enumerate(regions):
         if t0 >= floor0 and t1 >= floor1:
-            remainder = vadd(vsub(pt, witness), u0)
+            remainder = tuple(Fraction(r * (x - g) + w, r) for x, g, w in zip(pt, witness, w0))
             other = b if side is Side.FROM_A else a
             report = membership(newton_polyhedron(other), remainder, relative_interior=True)
             assert report.contained, "edge region interior must land in the factor's interior"

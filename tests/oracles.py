@@ -495,9 +495,10 @@ def region_minimal_generators(ring, poly, shift):
     Same box and thresholds as the library's engine (shift=None: w in poly;
     shift u0: w + u0 interior to poly), without the run arithmetic.
     """
-    off = 0 if shift is None else 1
     bounds = tuple(
-        max(dot(v, n) for v in poly.vertices) + sum(dot(r, n) for r in ring.dual_rays) - off
+        max(dot(v, n) for v in poly.vertices)
+        + sum(dot(r, n) for r in ring.dual_rays)
+        - (0 if shift is None else math.ceil(dot(shift, n)))
         for n in ring.sigma_rays
     )
     tests = lattice_thresholds(poly, shift)

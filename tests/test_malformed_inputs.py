@@ -40,6 +40,7 @@ CASES = [
     ("ring-no-rays", _problem([]), NEWTON),
     ("ring-mixed-dimensions", _problem([[1, 0], [0, 1, 0]]), NEWTON),
     ("ring-dependent-rays", _problem([[1, 0], [2, 0]]), NEWTON),
+    ("ring-opposite-rays", _problem([[1, 2], [-1, -2]]), NEWTON),
     ("ring-contains-a-line", _problem([[1, 0], [-1, 0], [0, 1]]), NEWTON),
     ("ring-zero-ray", _problem([[0, 0], [1, 1]]), NEWTON),
     ("ring-true-entry", _problem([[True, 0], [0, 1]]), NEWTON),

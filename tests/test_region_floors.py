@@ -220,3 +220,34 @@ def test_the_walk_from_the_floors_does_not_grow_with_the_distance(monkeypatch):
             if k == 2:
                 assert gens == oracles.region_minimal_generators(ring, poly, shift)
     assert runs[2, True] == runs[200, True] and runs[2, False] == runs[200, False]
+
+
+def _interior_scan(a, shift):
+    """Minimal lattice w with w + shift interior to N(a), testing every point of a box two
+    steps past each sigma ray's largest vertex pairing plus the dual rays' pairings with it."""
+    ring, poly = a.ring, newton_polyhedron(a)
+    bounds = [
+        max(dot(v, n) for v in poly.vertices) + sum(dot(r, n) for r in ring.dual_rays) + 2 for n in ring.sigma_rays
+    ]
+    hits = [
+        w
+        for w in oracles.box_points(ring.sigma_rays, bounds)
+        if oracles.dot_membership(poly, vadd(w, shift), relative_interior=True).contained
+    ]
+    return oracles.minimal_points(hits, ring.sigma_rays)
+
+
+def test_the_region_bound_drops_by_the_ceiling_of_the_shift_pairing():
+    """At the zero shift the region is the strict interior of N(a), whose generators
+    reach one step further than those at u0 (<u0, n> = 1): J-like regions of seeded
+    pool ideals match a brute-force scan of a wider box at both shifts, and the
+    interior of N(<x^2 y^2>) on the plane orthant is <x^3 y^3>."""
+    orthant = ring_from_dual_rays(((1, 0), (0, 1)))
+    assert region_minimal_generators(monomial_ideal(orthant, [(2, 2)]), (0, 0)) == ((3, 3),)
+    rng = random.Random(5531)
+    for _, dual, _, _ in POOL:
+        ring = ring_from_dual_rays(dual)
+        for _ in range(6):
+            a = random_ideal(rng, ring, max_gens=3, pairing_bound=4)
+            for shift in ((0,) * ring.dim, ring.canonical_shift()):
+                assert region_minimal_generators(a, shift) == _interior_scan(a, shift), (dual, a.gens, shift)
