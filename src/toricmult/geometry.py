@@ -9,15 +9,20 @@ from a basis of its generators, a Newton polyhedron warm from its recession
 cone; each takes one insertion pass, and the zero sets it returns say which
 generators are extreme rays or vertices, with no rank test per point. A
 plane cone on two rays is read off the rays, with no elimination: its facet
-normals are their quarter turns. Fractions enter only with rational points
-such as w + u0 and convex certificates. All arithmetic is exact; no
-tolerances anywhere.
+normals are their quarter turns. A plane Newton polygon needs no
+elimination either: its facets are the cone's two facets and the edges of
+the lower convex chain of its points in the cone's pairings, so the double
+description serves cones and polyhedra of dimension d >= 3 and cones on
+three or more plane rays. Fractions enter only with rational points such
+as w + u0 and convex certificates; membership reads such a point as
+integers num / den (membership_scaled). All arithmetic is exact; no
+tolerances anywhere. Derived attributes of the records are filled on first
+read by cached_property, which stores without taking a lock.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -51,6 +56,25 @@ class Halfspace(NamedTuple):
 
     normal: LatticePoint
     offset: int
+
+
+class cached_property:
+    """functools.cached_property without its lock: the first read on an instance computes the
+    value and stores it in vars(obj), which every later read finds before this descriptor. An
+    exception is raised on every read and stored on none. Python 3.11's functools version
+    takes a class-wide RLock on each first read."""
+
+    def __init__(self, compute):
+        self.compute, self.__doc__ = compute, compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = vars(obj)[self.name] = self.compute(obj)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +152,7 @@ class PolyCone(_Cone):
     @cached_property
     def facet_ray_bits(self) -> tuple[int, ...]:
         """Per facet normal, the bitset of the rays it is tight on (bit k for rays[k]);
-        computed once per cone, for the seed of every hull_plus_cone over it."""
+        computed once per cone, for the seed of every hull_plus_cone over it in dimension d >= 3."""
         return tuple(sum(1 << k for k, r in enumerate(self.rays) if dot(n, r) == 0) for n in self.facet_normals)
 
     @staticmethod
@@ -214,9 +238,11 @@ class NewtonPolyhedron(NamedTuple):
 
 
 def hull_plus_cone(points: Iterable[Sequence[int]], recession: PolyCone) -> NewtonPolyhedron:
-    """Newton polyhedron conv(points) + recession, via double description.
+    """Newton polyhedron conv(points) + recession: a plane polygon read off the points'
+    pairings with the cone's two facet normals (_plane_polygon), and in dimension d >= 3
+    a double description.
 
-    The facets are the rays (f, -c), f nonzero, of the cone dual to the rows
+    There the facets are the rays (f, -c), f nonzero, of the cone dual to the rows
     (p, 1) for the points and (r, 0) for the recession rays. The dual of the
     rows of the first point p0 and of the recession rays is {(f, c) : f in
     the recession cone's dual, c >= -<f, p0>}, with extreme rays (0, ..., 0, 1)
@@ -235,6 +261,8 @@ def hull_plus_cone(points: Iterable[Sequence[int]], recession: PolyCone) -> Newt
             raise DimensionMismatch(f"point {q} in dimension-{recession.dim} space")
     if not pts:
         raise ValueError("at least one point is required")
+    if recession.dim == 2:
+        return _plane_polygon(pts, recession)
     dim, p0, m = recession.dim, pts[0], len(recession.rays)
     # bit 0 is the row of p0, bit k the row of recession ray k - 1
     seed = [(n + (-dot(n, p0),), bits << 1 | 1) for n, bits in zip(recession.facet_normals, recession.facet_ray_bits)]
@@ -246,18 +274,63 @@ def hull_plus_cone(points: Iterable[Sequence[int]], recession: PolyCone) -> Newt
     return NewtonPolyhedron(dim, tuple(vertices), facets)
 
 
+def _plane_polygon(pts: list[LatticePoint], cone: PolyCone) -> NewtonPolyhedron:
+    """conv(pts) + cone for distinct plane points, with no elimination.
+
+    The pairings t = (<p, n0>, <p, n1>) with the cone's facet normals map the
+    cone onto the quadrant t >= 0, so the polygon is the quadrant over the
+    lower convex chain of its points' staircase. Sorted by t, a point joins
+    the staircase when its t1 is below the last one kept, and the chain drops
+    its last vertex while that is not strictly below the segment to the new
+    point (Andrew's monotone chain, cross product <= 0), so collinear points
+    are not vertices. The facets are (n0, least t0), (n1, least t1), and per
+    chain edge its primitive normal, a n0 + b n1 for a, b > 0 the edge's fall
+    in t1 and rise in t0, which pairs positively with both rays, offset at
+    the edge's first vertex.
+    """
+    n0, n1 = cone.facet_normals
+    (a0, b0), (a1, b1) = n0, n1
+    chain: list = []
+    for t in sorted([(a0 * p[0] + b0 * p[1], a1 * p[0] + b1 * p[1], p) for p in pts]):
+        if chain and t[1] >= chain[-1][1]:
+            continue
+        while len(chain) > 1:
+            (o0, o1, _), (s0, s1, _) = chain[-2:]
+            if (s0 - o0) * (t[1] - o1) > (s1 - o1) * (t[0] - o0):
+                break
+            chain.pop()
+        chain.append(t)
+    facets = [(n0, chain[0][0]), (n1, chain[-1][1])]
+    for (s0, s1, p), (u0, u1, _) in zip(chain, chain[1:]):
+        a, b = s1 - u1, u0 - s0
+        f = primitivize((a * a0 + b * a1, a * b0 + b * b1))
+        facets.append((f, dot(f, p)))
+    facets.sort()
+    return NewtonPolyhedron(2, tuple(sorted([p for _, _, p in chain])), tuple(Halfspace(*h) for h in facets))
+
+
 def membership(p: NewtonPolyhedron, x: Sequence, relative_interior: bool = False) -> MembershipReport:
-    """Exact containment report for x against every facet of p, in integers on x = num / D (linalg._scaled)."""
+    """Exact containment report for x against every facet of p: membership_scaled on x = num / D
+    (linalg._scaled), which hands back an all-int point as it is, its pairings kept ints."""
     if len(x) != p.dim:
         raise DimensionMismatch(f"point of dimension {len(x)} in polyhedron of dimension {p.dim}")
     num, den = _scaled(x)
-    lattice = num is x  # _scaled hands back an all-int point as it is
+    return membership_scaled(p, num, None if num is x else den, relative_interior)
+
+
+def membership_scaled(
+    p: NewtonPolyhedron, num: Sequence[int], den: int | None, relative_interior: bool = False
+) -> MembershipReport:
+    """membership of the rational point num / den, den >= 1, in integers: <f, num> against
+    offset * den per facet, each pairing reported as the Fraction <f, num> / den. den None
+    reads num as the lattice point itself, with int pairings."""
+    scale = den or 1
     pairings = []
     violated = []
     tight = []
     for h in p.facets:
-        s, m = dot(h.normal, num), h.offset * den
-        pairings.append((h, s if lattice else Fraction(s, den)))
+        s, m = dot(h.normal, num), h.offset * scale
+        pairings.append((h, s if den is None else Fraction(s, den)))
         if s < m:
             violated.append(h)
         elif s == m:

@@ -24,12 +24,12 @@ the difference of their lex-first generators.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, wraps
+from functools import lru_cache, wraps
 from operator import add, itemgetter, le, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import RingMismatch, ZeroIdeal
-from .geometry import LatticePoint, NewtonPolyhedron, RatPoint, hull_plus_cone, lattice_thresholds
+from .geometry import LatticePoint, NewtonPolyhedron, RatPoint, cached_property, hull_plus_cone, lattice_thresholds
 from .linalg import dot, vadd
 from .rings import CACHE_SIZE, ToricRing, cut_runs, exponent_pairings, region_tests
 

@@ -2,7 +2,9 @@
 
 Matrices are sequences of row tuples. rank, kernel_basis, invert and
 adjugate_int all read their answer off one fraction-free integer
-elimination (_echelon), whose every division is exact. rank, kernel_basis
+elimination (_echelon), whose every division is exact. The Hermite normal
+form works by integer column operations, and a 2x2 one, the Hermite data of
+every plane ring, is read off one extended gcd with no loop. rank, kernel_basis
 and primitivize also take Fraction rows, scaled to integer rows first;
 Fraction appears otherwise only in what invert and kernel_basis return. No
 floats and no tolerances anywhere.
@@ -151,9 +153,11 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int,
     have the same column lattice. H comes from integer column operations
     (Cohen, A Course in Computational Algebraic Number Theory, 2.4.2), and U
     from the same operations applied to the identity. Both are unique for a
-    nonsingular input.
+    nonsingular input, so a 2x2 matrix takes them in closed form instead.
     """
     n = len(rows)
+    if n == 2:
+        return _hermite_2x2(rows)
     # column j of the working matrix stacked on column j of U
     cols = [[rows[i][j] for i in range(n)] + [int(i == j) for i in range(n)] for j in range(n)]
     for i in range(n):
@@ -177,6 +181,24 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int,
     hnf = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
     unimodular = tuple(tuple(cols[j][n + i] for j in range(n)) for i in range(n))
     return hnf, unimodular
+
+
+def _hermite_2x2(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """hermite_normal_form of ((a, b), (c, d)) off one _xgcd of its first row: g = x a + y b,
+    so U's columns (x, y) and (-b/g, a/g) take the row to (g, 0); h11 is made positive, and
+    h10 reduced mod h11 by the second column."""
+    (a, b), (c, d) = rows
+    g, x, y = _xgcd(a, b)
+    if not g:
+        raise ValueError("matrix is singular")
+    p, q = a // g, b // g
+    h10, h11 = c * x + d * y, d * p - c * q
+    if h11 < 0:
+        h11, p, q = -h11, -p, -q
+    if not h11:
+        raise ValueError("matrix is singular")
+    f = h10 // h11
+    return ((g, 0), (h10 - f * h11, h11)), ((x + f * q, -q), (y - f * p, p))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -6,8 +6,11 @@ generators of sigma are the facet normals of C; pairing against them is the
 grading used everywhere else in the package. A ring holds C and nothing
 else: its canonical point and Hermite data are derived from C on first use.
 In the plane both are read off the two rays, with no elimination: the sigma
-rays are the dual rays' quarter turns (geometry.PolyCone.from_rays), and
-u0 = w0 / r for w0 the primitive quarter turn of n1 - n2.
+rays are the dual rays' quarter turns (geometry.PolyCone.from_rays),
+u0 = w0 / r for w0 the primitive quarter turn of n1 - n2, and the Hermite
+data come off one extended gcd (linalg.hermite_normal_form). So is every
+plane Newton polygon (geometry.hull_plus_cone); elimination and the double
+description serve rings of dimension d >= 3.
 
 Lattice points are enumerated in sigma-coordinates t = (<w, n_i>), the
 lattice H Z^d for H the Hermite normal form of a basis of sigma rays
@@ -36,13 +39,13 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import repeat
 from operator import add, lt, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotInSemigroup, NotQGorenstein, TooLarge
-from .geometry import LatticePoint, PolyCone, RatPoint, as_lattice_point
+from .geometry import LatticePoint, PolyCone, RatPoint, as_lattice_point, cached_property
 from .linalg import dot, hermite_normal_form, independent_rows, kernel_basis, primitivize, vscale, vsub
 
 

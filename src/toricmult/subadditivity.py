@@ -33,7 +33,7 @@ from .errors import (
     NotInMultiplierIdeal,
     RecipeInvalid,
 )
-from .geometry import LatticePoint, MembershipReport, RatPoint, lattice_thresholds, membership
+from .geometry import LatticePoint, MembershipReport, RatPoint, lattice_thresholds, membership_scaled
 from .ideals import (
     CACHE_SIZE,
     MonomialIdeal,
@@ -267,8 +267,9 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
     holds p + u0, and reads the witness off the region's shared tag component.
     The regions' sigma-pairing floors are found once per (a, b) and memoized
     (_edge_regions); p is tested on each with two integer comparisons.
-    The remainder membership is re-verified exactly and returned. Only for
-    two-dimensional rings.
+    The remainder membership is re-verified exactly, in integers on the
+    numerators r (p − g) + w0 over r (geometry.membership_scaled), and
+    returned. Only for two-dimensional rings.
     """
     ring = _same_ring(a, b)
     if ring.dim != 2:
@@ -281,9 +282,10 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
 
     for idx, (floor0, floor1, side, witness) in enumerate(regions):
         if t0 >= floor0 and t1 >= floor1:
-            remainder = tuple(Fraction(r * (x - g) + w, r) for x, g, w in zip(pt, witness, w0))
+            num = tuple(r * (x - g) + w for x, g, w in zip(pt, witness, w0))
             other = b if side is Side.FROM_A else a
-            report = membership(newton_polyhedron(other), remainder, relative_interior=True)
+            report = membership_scaled(newton_polyhedron(other), num, r, relative_interior=True)
+            remainder = tuple(Fraction(c, r) for c in num)
             assert report.contained, "edge region interior must land in the factor's interior"
             return Decomposition2D(side, witness, remainder, idx, report)
     raise AssertionError("interior point escaped every edge region")

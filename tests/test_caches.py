@@ -31,6 +31,7 @@ from pathlib import Path
 
 import random
 import sys
+from typing import NamedTuple
 
 import pytest
 
@@ -49,6 +50,7 @@ from toricmult.errors import (
     RecipeInvalid,
     ZeroIdeal,
 )
+from toricmult.geometry import PolyCone, cached_property
 from toricmult.ideals import MonomialIdeal, ideal_sum, integral_closure, monomial_ideal, newton_polyhedron, product
 from toricmult.linalg import dot, hermite_normal_form
 from toricmult.multiplier import multiplier_ideal
@@ -380,6 +382,61 @@ def test_a_ring_used_only_for_closures_solves_for_no_canonical_point(name, dual)
     assert "q_gorenstein" not in ring.__dict__ and "_u0" not in ring.__dict__
     ring.canonical_shift()
     assert "q_gorenstein" in ring.__dict__
+
+
+def test_a_cached_property_computes_once_per_instance_into_its_dict():
+    """geometry.cached_property on a record type, as the package uses it: the first read on an
+    instance computes the value and stores it in vars(obj), where later reads find it, and an
+    equal instance computes its own. The value is no field, so hashing and equality are the tuple's."""
+    calls = []
+
+    class _Pair(NamedTuple):
+        x: int
+        y: int
+
+    class Pair(_Pair):
+        @cached_property
+        def total(self):
+            """x + y."""
+            calls.append(self)
+            return self.x + self.y
+
+    p, q = Pair(1, 2), Pair(1, 2)
+    assert vars(p) == {} and p.total == 3 and p.total == 3 and vars(p) == {"total": 3}
+    assert len(calls) == 1 and calls[0] is p
+    assert q.total == 3 and len(calls) == 2 and calls[1] is q
+    assert p == q == (1, 2) and hash(p) == hash(q) == hash((1, 2))
+    assert Pair.total.__doc__ == "x + y."
+
+
+def test_a_cached_property_stores_no_exception():
+    """u0 on a ring with no canonical point raises NotQGorenstein on every read, and nothing is
+    stored for it; q_gorenstein, which it reads, is stored as None."""
+    ring = ToricRing(PolyCone.from_rays(NOT_Q_GORENSTEIN_DUAL_RAYS))
+    for _ in range(3):
+        with pytest.raises(NotQGorenstein):
+            ring._u0
+        assert "_u0" not in vars(ring)
+    assert vars(ring)["q_gorenstein"] is None
+
+
+@pytest.mark.parametrize("name, dual", [(name, dual) for name, dual, _, _ in POOL])
+def test_records_keep_their_hash_and_equality_once_their_derived_values_are_filled(name, dual):
+    """Every derived value of a cone, a ring and an ideal is a geometry.cached_property; read on
+    records built fresh, each lands in the record's vars, and the records still hash and compare
+    as the memoized ones do."""
+    memo_ring = ring_from_dual_rays(dual)
+    memo_a = random_ideal(random.Random(name), memo_ring, max_gens=3, pairing_bound=6)
+    cone = PolyCone.from_rays(dual)
+    ring = ToricRing(cone)
+    a = MonomialIdeal(ring, memo_a.gens)
+    for record, twin in ((cone, memo_ring.cone), (ring, memo_ring), (a, memo_a)):
+        names = [n for n, v in vars(type(record)).items() if isinstance(v, cached_property)]
+        assert names and not set(names) & set(vars(record)), type(record).__name__
+        for n in names:
+            value = getattr(record, n)
+            assert vars(record)[n] is value is getattr(record, n), n
+        assert record == twin and twin == record and hash(record) == hash(twin) == hash(tuple(twin))
 
 
 def pool_pairs_2d():

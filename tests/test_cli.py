@@ -113,6 +113,19 @@ class TestNewton:
             "ede37978d720b01e881cbdc0a66105b1b58021195115a6621ca13441d791ee5d"
         )
 
+    def test_plane_convex_antichain_is_frozen(self, capsys):
+        # x^i y^((600 - i)^2), i = 0..600: every point is a vertex of the lower
+        # convex chain, read off the staircase with no elimination; the digest
+        # was taken from the double description that this replaced
+        problem = Path(__file__).parent / "plane_convex_antichain.json"
+        code, out, _ = run(capsys, "newton", "--input", str(problem), "--ideals", "a", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (len(doc["generators"]), len(doc["facets"]), len(doc["vertices"])) == (601, 602, 601)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a681aa9374c28c80bb70f9d2f69fabe7ab3c5e529a4229b5da46c3401dd0269f"
+        )
+
 
 class TestClosureAndMultiplier:
     def test_closure_reports_the_gap(self, capsys, paths):

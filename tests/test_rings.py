@@ -271,6 +271,24 @@ class TestHermiteNormalForm:
                 self.check(mat)
                 checked += 1
 
-    def test_singular_matrix_is_refused(self):
-        with pytest.raises(ValueError):
-            hermite_normal_form(((1, 2), (2, 4)))
+    def test_a_2x2_matrix_has_the_blocks_of_the_3x3_column_loop(self):
+        """A 2x2 matrix M takes H and U off one extended gcd; diag(M, 1) takes the column
+        loop, and its H and U are diag(H, 1) and diag(U, 1), as both are unique."""
+        rng = random.Random(4631)
+        checked = 0
+        while checked < 6000:
+            bound = rng.choice((1, 3, 250))
+            mat = tuple(tuple(rng.choice((0, rng.randint(-bound, bound))) for _ in range(2)) for _ in range(2))
+            if det(mat) == 0:
+                continue
+            hnf, uni = hermite_normal_form(mat)
+            big_hnf, big_uni = hermite_normal_form((mat[0] + (0,), mat[1] + (0,), (0, 0, 1)))
+            assert (big_hnf, big_uni) == ((*(r + (0,) for r in hnf), (0, 0, 1)), (*(r + (0,) for r in uni), (0, 0, 1))), mat
+            checked += 1
+
+    @pytest.mark.parametrize("mat", [((1, 2), (2, 4)), ((0, 0), (1, 1)), ((0, 1), (0, 2)), ((0, 0), (0, 0)), ((3, -6), (1, -2))])
+    def test_singular_matrix_is_refused(self, mat):
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            hermite_normal_form(mat)
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            hermite_normal_form((mat[0] + (0,), mat[1] + (0,), (0, 0, 1)))

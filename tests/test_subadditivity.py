@@ -8,6 +8,7 @@ import random
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from instances import pool_rings, random_2d_ring, random_ideal
 import oracles
 from oracles import dot, skeletons, vadd, vsub
 
-from toricmult import geometry
+from toricmult import ideals
 from toricmult.cli import main
 from toricmult.errors import (
     ConfigInvalid,
@@ -192,19 +193,47 @@ class TestDecompose2D:
                 )
                 assert reassembled == g
 
+    def test_the_remainder_check_is_membership_of_the_remainder(self):
+        """decompose_2d tests r (p - g) + w0 over r in integers (geometry.membership_scaled);
+        its report is membership's on the rational remainder, down to the type of every
+        pairing, on criterion-4 pairs and the pool surfaces, Gorenstein (r = 1) ones included."""
+        rng = random.Random(41)
+        pairs = []
+        for _ in range(80):
+            ring = random_2d_ring(rng, bound=7)
+            pairs.append(tuple(random_ideal(rng, ring, max_gens=4, pairing_bound=30) for _ in range(2)))
+        for _, ring in pool_rings():
+            if ring.dim == 2:
+                pairs += [tuple(random_ideal(rng, ring, max_gens=3, pairing_bound=12) for _ in range(2)) for _ in range(8)]
+        indices, splits = set(), 0
+        for a, b in pairs:
+            for g in check_subadditivity(a, b).j_ab.gens:
+                d = decompose_2d(g, a, b)
+                report = membership(newton_polyhedron(b if d.side is Side.FROM_A else a), d.remainder, relative_interior=True)
+                assert d.remainder_check == report and repr(d.remainder_check) == repr(report), (a, b, g)
+                assert [type(v) for _, v in d.remainder_check.pairings] == [type(v) for _, v in report.pairings]
+                assert all(type(v) is Fraction for _, v in report.pairings)  # a rational point's, even at r = 1
+                indices.add(a.ring.q_gorenstein[1])
+                splits += 1
+        assert 1 in indices and max(indices) > 1 and splits >= 400
+
     def test_decomposing_builds_no_polyhedron(self, monkeypatch):
-        # check_subadditivity builds N(a), N(b) and N(ab); the edge regions
-        # are then read off sigma pairings, with no double description
+        # with N(a), N(b) and N(ab) built (check_subadditivity skips those of
+        # principal ideals), the edge regions are read off sigma pairings and
+        # no hull is built. A plane hull runs no double description, so the
+        # spy is on the hull itself.
         pairs = _decomposable_pairs()
         verdicts = [check_subadditivity(a, b) for a, b in pairs]
+        for a, b in pairs:
+            assert newton_polyhedron(a) and newton_polyhedron(b) and newton_polyhedron(product(a, b))
         _edge_regions.cache_clear()
-        insert_rows, calls = geometry._insert_rows, []
+        hull, calls = ideals.hull_plus_cone, []
 
         def counted(*args):
             calls.append(args)
-            return insert_rows(*args)
+            return hull(*args)
 
-        monkeypatch.setattr(geometry, "_insert_rows", counted)
+        monkeypatch.setattr(ideals, "hull_plus_cone", counted)
         for (a, b), verdict in zip(pairs, verdicts):
             for g in verdict.j_ab.gens:
                 decompose_2d(g, a, b)
