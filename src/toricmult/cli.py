@@ -319,7 +319,3 @@ def _text_search(report):
         yield "       escaping generators: " + ", ".join(format_point(w) for w in hit["witnesses"])
     plural = "" if report["count"] == 1 else "s"
     yield f"search complete: {report['count']} counterexample{plural} found"
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,23 +1,11 @@
-"""Exact convex geometry: rational cones, Newton polyhedra, certificates.
+"""Exact convex geometry: rational cones, Newton polyhedra, membership and certificates.
 
-V-representations (generating points and rays) are converted to
-H-representations (facet halfspaces) with the double description method on
-primitive integer rays, so every facet normal and offset is an integer. Its
-one insertion loop keeps zero sets as int bitsets and drops, before the
-adjacency scan, pairs whose common zero set is too small. A cone starts cold
-from a basis of its generators, a Newton polyhedron warm from its recession
-cone; each takes one insertion pass, and the zero sets it returns say which
-generators are extreme rays or vertices, with no rank test per point. A
-plane cone on two rays is read off the rays, with no elimination: its facet
-normals are their quarter turns. A plane Newton polygon needs no
-elimination either: its facets are the cone's two facets and the edges of
-the lower convex chain of its points in the cone's pairings, so the double
-description serves cones and polyhedra of dimension d >= 3 and cones on
-three or more plane rays. Fractions enter only with rational points such
-as w + u0 and convex certificates; membership reads such a point as
-integers num / den (membership_scaled). All arithmetic is exact; no
-tolerances anywhere. Derived attributes of the records are filled on first
-read by cached_property, which stores without taking a lock.
+PolyCone.from_rays and hull_plus_cone turn generators into integer facets, by
+the double description (_insert_rows, _extreme_generators) or, in the plane,
+in closed form (PolyCone.from_rays, _plane_polygon). membership tests a point
+against every facet, lattice_thresholds turns the facets into integer
+thresholds for lattice points, and relint_certificate and verify_certificate
+give and check a convex witness of interiority. No floats and no tolerances.
 """
 
 from __future__ import annotations
@@ -238,9 +226,8 @@ class NewtonPolyhedron(NamedTuple):
 
 
 def hull_plus_cone(points: Iterable[Sequence[int]], recession: PolyCone) -> NewtonPolyhedron:
-    """Newton polyhedron conv(points) + recession: a plane polygon read off the points'
-    pairings with the cone's two facet normals (_plane_polygon), and in dimension d >= 3
-    a double description.
+    """Newton polyhedron conv(points) + recession: in the plane _plane_polygon, and in
+    dimension d >= 3 a double description.
 
     There the facets are the rays (f, -c), f nonzero, of the cone dual to the rows
     (p, 1) for the points and (r, 0) for the recession rays. The dual of the

@@ -1,25 +1,10 @@
-"""Monomial ideals of toric rings: closure under the Newton polyhedron.
+"""Monomial ideals of toric rings: generators, products, Newton polyhedra and closures.
 
-Minimal generating sets are lex-sorted antichains under divisibility (w
-divides w' when no sigma pairing of w exceeds that of w'), all reduced by one
-routine, minimalize, which takes each point with its sigma pairings; it is
-a linear staircase on two sigma rays. Integral closures and
-multiplier ideals share one enumeration engine over a sigma-coordinate box
-around the Newton polyhedron's vertices: rings.region_tests splits the
-region's facet thresholds (geometry.lattice_thresholds) into the walk's
-floors, the thresholds of the sigma-ray facets of N(a), and the tests of the
-others; rings.cut_runs starts every Hermite run on the floors and cuts it to
-the region, and the walk stops at the first candidate dividing every later
-one. It runs only where a closure's generators are needed: a
-lattice point lies in closure(a) iff it lies in N(a), a facet test on the
-memoized newton_polyhedron.
-
-Newton polyhedra, closures and (in multiplier) multiplier ideals are built
-once per translation class: for a lattice vector c, N(c + a) = c + N(a), and
-divisibility is translation-invariant, so closure(c + a) = c + closure(a).
-One decorator, per_translation_class, owns the rule: the first member of a
-class met is computed as it is, and a later member gets its answer moved by
-the difference of their lex-first generators.
+An ideal is its minimal generators, reduced by minimalize. newton_polyhedron
+and integral_closure are computed once per translation class
+(per_translation_class). A closure's generators come from the region walk
+that multiplier ideals share (region_minimal_generators), and only where
+they are needed: a lattice point lies in closure(a) iff it lies in N(a).
 """
 
 from __future__ import annotations
@@ -65,6 +50,10 @@ class MonomialIdeal(_Ideal):
 
 def per_translation_class(compute):
     """Memoize compute, with f(c + a) = c + f(a), once per translation class.
+
+    It serves newton_polyhedron, integral_closure and multiplier.multiplier_ideal: for a
+    lattice vector c, N(c + a) = c + N(a), and translation keeps divisibility and fixes u0,
+    so closure(c + a) = c + closure(a) and J(c + a) = c + J(a).
 
     Each ideal asked for is a key of one memo. On a miss, the cell of its class, keyed on
     (ring, gens - g0) for g0 the lex-first generator, holds the answer of the first member
@@ -173,8 +162,7 @@ def contains_monomial(a: MonomialIdeal, w: Sequence[int]) -> bool:
 
 @per_translation_class
 def newton_polyhedron(a: MonomialIdeal) -> NewtonPolyhedron:
-    """conv(generators) + exponent cone. Undefined for the zero ideal.
-    N(c + a) = c + N(a), so one double description serves a translation class."""
+    """conv(generators) + exponent cone, once per translation class. ZeroIdeal for the zero ideal."""
     if a.is_zero:
         raise ZeroIdeal("the zero ideal has no Newton polyhedron")
     return hull_plus_cone(a.gens, a.ring.cone)
@@ -183,8 +171,7 @@ def newton_polyhedron(a: MonomialIdeal) -> NewtonPolyhedron:
 @per_translation_class
 def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
     """Lattice points of N(a), as an ideal. A principal ideal ⟨g⟩ is its own
-    closure: the ring is normal, so (g + cone) ∩ M = g + semigroup.
-    closure(c + a) = c + closure(a), so one region walk serves a translation class."""
+    closure: the ring is normal, so (g + cone) ∩ M = g + semigroup. Once per translation class."""
     if len(a.gens) <= 1:
         return a
     return MonomialIdeal(a.ring, region_minimal_generators(a, None))
@@ -199,23 +186,20 @@ def region_minimal_generators(a: MonomialIdeal, shift: RatPoint | None) -> tuple
 
     With shift=None the region is {w in the semigroup : w in N}; with a
     shift s it is {w : w + s interior to N}, s = u0 for a multiplier ideal.
-    Candidates pair with each sigma ray n to at most the largest vertex
-    pairing plus the sum of <r, n> over the dual rays r, less the ceiling of
-    <s, n> (0 with no shift, 1 at u0): beyond, w + s = p + sum c_r r with p
-    in the vertex hull has some c_r > 1, so w - r divides w in the region, as
-    w - r + s lies on the segment from w + s to w + s - c_r r, a point of N.
-    rings.cut_runs cuts each run to its members, and the step u lies in the
-    semigroup (ToricRing.run_step), so a run's first member divides the rest
-    and is its one candidate.
+    Its thresholds (geometry.lattice_thresholds) give the walk's floors and
+    tests (rings.region_tests), and rings.cut_runs cuts each run to its
+    members. The step u lies in the semigroup (ToricRing.run_step), so a
+    run's first member divides the rest and is its one candidate.
 
-    N = conv(a) + σ^∨, so each sigma ray n is a facet normal of N with offset
-    m = min <g, n> over the generators g. Its threshold, m with no shift and
-    m + 1 - ceil(<s, n>) with one (m at u0), is the region's floor on n, where
-    the walk starts (rings.region_tests reads it off the thresholds); the
-    bound above is read off it. Runs come in walk order, so the pairing with
-    sigma ray 0 never decreases, and the walk stops at a candidate pairing to
-    the floor with every sigma ray n_1, ...: it divides every candidate after
-    it.
+    Candidates pair with each sigma ray n to at most its floor plus the
+    vertex pairings' spread and the sum of <r, n> over the dual rays r, less
+    1 with a shift: the largest vertex pairing plus that sum, less ⌈<s, n>⌉.
+    Beyond, w + s = p + Σ c_r r with p in the vertex hull has some c_r > 1,
+    so w - r divides w in the region, as w - r + s lies on the segment from
+    w + s to w + s - c_r r, a point of N. The walk stops at a candidate
+    pairing to the floor with every sigma ray n_1, ...: it divides every
+    later candidate, as the pairing with sigma ray 0 never decreases along
+    the walk (rings._hermite_walk).
     """
     ring, poly = a.ring, newton_polyhedron(a)
     floors, tests = region_tests(ring, lattice_thresholds(poly, shift))

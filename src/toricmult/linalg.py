@@ -1,13 +1,9 @@
-"""Exact linear algebra on small dense integer matrices.
+"""Exact linear algebra on small dense integer matrices, given as sequences of row tuples.
 
-Matrices are sequences of row tuples. rank, kernel_basis, invert and
-adjugate_int all read their answer off one fraction-free integer
-elimination (_echelon), whose every division is exact. The Hermite normal
-form works by integer column operations, and a 2x2 one, the Hermite data of
-every plane ring, is read off one extended gcd with no loop. rank, kernel_basis
-and primitivize also take Fraction rows, scaled to integer rows first;
-Fraction appears otherwise only in what invert and kernel_basis return. No
-floats and no tolerances anywhere.
+rank, independent_rows, kernel_basis, invert and adjugate_int read their
+answer off one fraction-free elimination (_echelon); hermite_normal_form
+works by integer column operations, and in closed form on a 2x2 matrix.
+No floats and no tolerances.
 """
 
 from __future__ import annotations
@@ -63,12 +59,13 @@ def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int],
     """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss).
 
     Returns (m, pivots, sign). Each step replaces every other row by
-    (p * row - row[col] * pivot_row) / prev, with p the new pivot and prev the
-    one before it (1 at first). Every entry stays a minor of the input
-    (Sylvester's identity), so each division is exact. At the end row i < rank
-    holds d on column pivots[i] and d times the reduced row echelon form
-    elsewhere, where d is the last pivot; the other rows are zero. sign is the
-    parity of the row swaps, so a nonsingular square matrix has det = sign * d.
+    (p * row - row[col] * top) / prev, with top the pivot's row, p the new
+    pivot and prev the one before it (1 at first). Every entry stays a minor
+    of the input (Sylvester's identity), so each division is exact. At the
+    end row i < rank holds d on column pivots[i] and d times the reduced row
+    echelon form elsewhere, where d is the last pivot; the other rows are
+    zero. sign is the parity of the row swaps, so a nonsingular square matrix
+    has det = sign * d.
     """
     m = [list(row) for row in rows]
     pivots: list[int] = []
@@ -105,7 +102,7 @@ def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
 
 
 def kernel_basis(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel {x : A x = 0}, exact.
+    """Basis of the right kernel {x : A x = 0} of int or Fraction rows, as Fraction vectors.
 
     One vector per free column f, with x[f] = 1 and the pivot entries read
     from the reduced rows.
@@ -153,7 +150,10 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int,
     have the same column lattice. H comes from integer column operations
     (Cohen, A Course in Computational Algebraic Number Theory, 2.4.2), and U
     from the same operations applied to the identity. Both are unique for a
-    nonsingular input, so a 2x2 matrix takes them in closed form instead.
+    nonsingular input, so a 2x2 matrix ((a, b), (c, d)), the Hermite data of
+    every plane ring, takes them off one _xgcd of its first row instead:
+    g = x a + y b, so U's columns (x, y) and (-b/g, a/g) take the row to
+    (g, 0); h11 is made positive, and h10 reduced mod h11 by the second column.
     """
     n = len(rows)
     if n == 2:
@@ -184,9 +184,7 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int,
 
 
 def _hermite_2x2(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """hermite_normal_form of ((a, b), (c, d)) off one _xgcd of its first row: g = x a + y b,
-    so U's columns (x, y) and (-b/g, a/g) take the row to (g, 0); h11 is made positive, and
-    h10 reduced mod h11 by the second column."""
+    """hermite_normal_form of a 2x2 matrix, in closed form."""
     (a, b), (c, d) = rows
     g, x, y = _xgcd(a, b)
     if not g:

@@ -1,14 +1,8 @@
 """Multiplier ideals of monomial ideals on Q-Gorenstein toric rings.
 
-J(a) is generated by the monomials whose exponent, shifted by the canonical
-point u0, lands in the interior of the Newton polyhedron of a. The shift u0
-pairs to exactly 1 with every sigma ray, integrally so on Gorenstein rings.
-For a lattice vector c, J(c + a) = c + J(a): u0 is fixed and N(c + a) = c + N(a),
-so ideals.per_translation_class memoizes J once per translation class.
-A principal ideal needs no walk: N(⟨g⟩) = g + σ^∨, and as ⟨u0, n⟩ = 1 on every
-sigma ray n, ⟨w − g + u0, n⟩ > 0 iff ⟨w − g, n⟩ ≥ 0 for a lattice point w, so
-J(⟨g⟩) = ⟨g⟩. So a pair with a principal factor is subadditive, as
-J(g + b) = g + J(b) = J(⟨g⟩)·J(b), and check_subadditivity says so untested.
+J(a) is generated by the monomials x^w with w + u0 interior to N(a), for u0
+the canonical point (ToricRing.canonical_shift); multiplier_ideal lists them,
+and multiplier_membership tests one.
 """
 
 from __future__ import annotations
@@ -24,8 +18,13 @@ from .rings import exponent_pairings
 
 @per_translation_class
 def multiplier_ideal(a: MonomialIdeal) -> MonomialIdeal:
-    """The multiplier ideal J(a), by enumeration of the shifted interior region of N(a).
-    A principal ideal is its own multiplier ideal: J(⟨g⟩) = ⟨g⟩."""
+    """The multiplier ideal J(a), walked as the region of N(a) shifted by u0, once per translation
+    class. NotQGorenstein on a ring with no u0, ZeroIdeal for the zero ideal.
+
+    A principal ideal is its own multiplier ideal, with no walk: N(⟨g⟩) = g + σ^∨, and as
+    ⟨u0, n⟩ = 1 on every sigma ray n, ⟨w − g + u0, n⟩ > 0 iff ⟨w − g, n⟩ ≥ 0 for a lattice
+    point w, so J(⟨g⟩) = ⟨g⟩.
+    """
     u0 = a.ring.canonical_shift()
     if a.is_zero:
         raise ZeroIdeal("the multiplier ideal of the zero ideal is undefined")

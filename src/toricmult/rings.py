@@ -1,38 +1,13 @@
-"""Normal toric rings presented by the cone of their monomial exponents.
+"""Normal toric rings presented by the cone of their monomial exponents, and their lattice walk.
 
-A ring is the semigroup algebra of M ∩ C where C is a full-dimensional
-pointed rational cone (the dual of the defining cone sigma). The primitive
-generators of sigma are the facet normals of C; pairing against them is the
-grading used everywhere else in the package. A ring holds C and nothing
-else: its canonical point and Hermite data are derived from C on first use.
-In the plane both are read off the two rays, with no elimination: the sigma
-rays are the dual rays' quarter turns (geometry.PolyCone.from_rays),
-u0 = w0 / r for w0 the primitive quarter turn of n1 - n2, and the Hermite
-data come off one extended gcd (linalg.hermite_normal_form). So is every
-plane Newton polygon (geometry.hull_plus_cone); elimination and the double
-description serve rings of dimension d >= 3.
-
-Lattice points are enumerated in sigma-coordinates t = (<w, n_i>), the
-lattice H Z^d for H the Hermite normal form of a basis of sigma rays
-(ToricRing.sigma_lattice). On simplicial sigma the walk comes out in
-lexicographic order of t, and lattice_points_in_box yields it as walked. On
-non-simplicial sigma it is in lexicographic order of neither t nor w, so
-lattice_points_in_box sorts its points by w, holding the whole box, and
-exhaustive_refute sorts its decompositions. The walk is runs w + k u, each
-carrying the pairings of w with every sigma ray in sigma-ray order, clipped
-to the other sigma rays' bounds by integer division on non-simplicial
-sigma; u lies in the semigroup. The walk is one
-lazy odometer over the Hermite coordinates before the runs, reading a plan
-the ring holds (ToricRing.walk_plan), so a walk of one run costs little more
-than the run. A region of integer facet thresholds of a polyhedron
-conv(...) + C, such as a Newton polyhedron, is handed to the walk one way:
-region_tests reads its floors off the sigma-ray facets and turns every other
-facet into a test with its step along a run, and cut_runs yields the runs,
-not their points, in walk order, so the pairing with sigma ray 0 never
-decreases from one run to the next; every run starts on or above the floors,
-on every cone, and is cut to the interval passing the tests (run_interval).
-run_points expands runs into points, and box_point_count sums the run lengths
-of a box from zero floors.
+A ring is the semigroup algebra of M ∩ C, for C a full-dimensional pointed
+rational cone, the dual of sigma. The primitive generators of sigma are the
+facet normals of C, and pairing against them is the grading used everywhere
+else in the package. A ring derives its canonical point
+(ToricRing.q_gorenstein) and its Hermite data (ToricRing.sigma_lattice) from
+C on first use. Lattice points are walked as Hermite runs (_hermite_walk):
+lattice_points_in_box and box_point_count list and count a box, region_tests
+and cut_runs walk a region of facet thresholds, and run_points expands runs.
 """
 
 from __future__ import annotations
@@ -57,12 +32,10 @@ class ToricRing(_Ring):
     """Semigroup ring of the lattice points of a cone, which is all it holds.
 
     dual_rays generate the cone (the dual of sigma); sigma_rays are the
-    primitive generators of sigma itself. q_gorenstein is (w0, r) with
-    <w0, n> = r for every sigma ray n, w0 primitive and r >= 1 minimal, or
-    None when no such lattice point exists; it, u0 = w0 / r and the sigma
-    lattice are derived once per ring object, on first use, so a ring used
-    only for closures never solves for u0. A ring is the one-field tuple
-    (cone,), so two rings are equal when their cones are.
+    primitive generators of sigma itself. Every other value is derived once
+    per ring object, on first use, so a ring used only for closures never
+    solves for u0. A ring is the one-field tuple (cone,), so two rings are
+    equal when their cones are.
     """
 
     @cached_property
@@ -79,6 +52,10 @@ class ToricRing(_Ring):
 
     @cached_property
     def q_gorenstein(self) -> tuple[LatticePoint, int] | None:
+        """(w0, r) with <w0, n> = r for every sigma ray n, w0 primitive and r >= 1 minimal, or
+        None when no such lattice point exists. In the plane w0 is the primitive quarter turn
+        of n1 - n2, with no elimination; otherwise it spans the kernel of the differences n - n0,
+        a line at most."""
         ns = self.sigma_rays
         if self.dim == 2:
             (a, b), (c, d) = ns
@@ -144,7 +121,7 @@ class ToricRing(_Ring):
 
     @cached_property
     def dual_ray_pairings(self) -> tuple[int, ...]:
-        """sum_r <r, n> over the dual rays r, per sigma ray n: how far past its vertices a
+        """The sum of <r, n> over the dual rays r, per sigma ray n: how far past its vertices a
         region's minimal generators can reach (ideals.region_minimal_generators)."""
         return self.pairings(tuple(map(sum, zip(*self.dual_rays))))
 
@@ -211,17 +188,8 @@ Run = tuple[LatticePoint, tuple[int, ...], int]  # (w, t, n): w + k u for 0 <= k
 
 
 def lattice_points_in_box(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tuple[LatticePoint, tuple[int, ...]]]:
-    """All lattice w with 0 <= <w, n_i> <= bounds[i] for every sigma ray n_i.
-
-    Yields (w, pairings) pairs. The walk visits lattice points only: it
-    runs over the integer vectors k with H k inside the box of a basis of
-    sigma rays, where H is the lower-triangular Hermite normal form of their
-    matrix (see ToricRing.sigma_lattice), and yields w = U k. When sigma is
-    simplicial the pairings come out in lexicographic order; otherwise each
-    run is clipped to the bounds of the remaining sigma rays, so only points
-    of the box are visited, and they are sorted, all at once, to be yielded in
-    lexicographic order of w.
-    """
+    """(w, pairings) per lattice w with 0 <= <w, n_i> <= bounds[i] for every sigma ray n_i: in
+    walk order (_hermite_walk) on simplicial sigma, and otherwise sorted by w, all at once."""
     points = run_points(ring, _hermite_walk(ring, bounds, (0,) * len(bounds)))
     yield from points if len(ring.sigma_rays) == ring.dim else sorted(points)
 
@@ -256,11 +224,14 @@ def _hermite_walk(ring: ToricRing, bounds: Sequence[int], floors: Sequence[int])
     triangular with a positive diagonal: once k_0..k_{j-1} are fixed, the
     pairing with basis[j] bounds k_j to a range, so k and the basis pairings
     are walked in the same lexicographic order, t + w adding column j after
-    its pairings per step of k_j. The prefix k_0..k_{d-2} is one odometer,
-    holding per level its t + w and steps left, so the walk stays lazy and
-    keeps no generator per level. The last coordinate is walked as runs, one
-    per prefix, clipped by the last basis ray and every ray outside the basis:
-    n_i pairs to t_i + k s along a run, s = <u, n_i> >= 0 (ToricRing.walk_plan).
+    its pairings per step of k_j. So the pairing with basis[0], sigma ray 0,
+    never decreases from one run to the next, and on simplicial sigma the
+    points come in lexicographic order of t. The prefix k_0..k_{d-2} is one
+    odometer, holding per level its t + w and steps left, so the walk stays
+    lazy and keeps no generator per level. The last coordinate is walked as
+    runs, one per prefix, clipped by the last basis ray and every ray outside
+    the basis: n_i pairs to t_i + k s along a run, s = <u, n_i> >= 0
+    (ToricRing.walk_plan).
     """
     if len(bounds) != len(ring.sigma_rays):
         raise ValueError("one bound per sigma ray is required")
@@ -309,8 +280,9 @@ def _moved(w: Sequence[int], k: int, step: Sequence[int]) -> tuple[int, ...]:
 def region_tests(ring: ToricRing, thresholds: Sequence) -> tuple[tuple[int, ...], tuple]:
     """(floors, tests) of the region <w, f> >= m, (f, m) in the integer facet thresholds of a
     polyhedron P + C (geometry.lattice_thresholds), for cut_runs. Every sigma ray n_i is a facet
-    normal of P + C, as it is of C, and that facet's threshold is floors[i], the walk's floor on
-    n_i; every other facet becomes a test (f, m, <u, f>), in facet order, u the run step."""
+    normal of P + C, as it is of C, with the least pairing of a point of P as its offset; that
+    facet's threshold is floors[i], the walk's floor on n_i, so a walk starts there and not at
+    the origin. Every other facet becomes a test (f, m, <u, f>), in facet order, u the run step."""
     sigma, u = ring.sigma_rays, ring.run_step[0]
     floors, tests = [None] * len(sigma), []
     for f, m in thresholds:
@@ -322,12 +294,12 @@ def region_tests(ring: ToricRing, thresholds: Sequence) -> tuple[tuple[int, ...]
 
 
 def cut_runs(ring: ToricRing, bounds: Sequence[int], floors: tuple[int, ...], tests: Sequence) -> Iterator[Run]:
-    """(w, t, n) per run w + k u, 0 <= k < n, t the pairings of w, in walk order, covering the points of
-    lattice_points_in_box(ring, bounds) that pair to at least floors[i] with every sigma ray n_i and
-    pass every facet test (f, m, s), s = <u, f> its step along a run (region_tests). Each run is cut
-    to its passing interval (run_interval): it is nonempty and starts at its first passing point,
-    on or above the floors. floors is a tuple, the key of the cut point's memo (_cut_point). A bound
-    below its floor yields no run."""
+    """(w, t, n) per run w + k u, 0 <= k < n, t the pairings of w, in walk order (_hermite_walk),
+    covering the points of lattice_points_in_box(ring, bounds) that pair to at least floors[i] with
+    every sigma ray n_i and pass every facet test (f, m, s), s = <u, f> its step along a run
+    (region_tests). Each run is cut to its passing interval (run_interval): it is nonempty and
+    starts at its first passing point, on or above the floors. floors is a tuple, the key of the
+    cut point's memo (_cut_point). A bound below its floor yields no run."""
     if any(map(lt, bounds, floors)):
         return
     u, ut = ring.run_step

@@ -1,19 +1,9 @@
 """Subadditivity of multiplier ideals: checks, 2D proofs, refutation, search.
 
-check_subadditivity decides J(ab) ⊆ J(a)·J(b) by testing every generator of
-J(ab) for a factor: a generator g of J(a) dividing it with the rest in J(b).
-The product J(a)·J(b) itself is built only when a verdict's j_product is
-read, and each ideal pair is decided once (memoized). In dimension two the
-containment always holds and decompose_2d returns the constructive witness
-from a boundary walk of N(ab). exhaustive_refute certifies a failure by
-scanning every candidate splitting of a target point: it walks the Hermite
-runs of the box where a splitting can lie, each cut to its splittings. Each
-ideal pair's floors and facet tests, with their steps along a run, are read
-once by rings.region_tests, whose floors are the sigma-ray facets; a target
-adds only its offsets and ceilings. The box it reports is counted once per
-distinct box.
-The remaining operations build and search for counterexample instances by
-adjoining a variable to a smaller ring.
+check_subadditivity decides J(ab) ⊆ J(a)·J(b) generator by generator;
+decompose_2d splits each generator of J(ab) in dimension two;
+exhaustive_refute scans every splitting of a target point. The rest builds
+and searches for counterexamples by adjoining a variable to a smaller ring.
 """
 
 from __future__ import annotations
@@ -196,10 +186,8 @@ def check_subadditivity(a: MonomialIdeal, b: MonomialIdeal) -> SubadditivityVerd
     A generator w of J(ab) lies in J(a)·J(b) exactly when some generator g of
     J(a) divides it (no sigma pairing of g exceeds that of w) with w − g in
     J(b): a product generator g + h dividing w leaves w − g = h + (w − g − h).
-    A principal factor decides the pair with no test: J(⟨g⟩) = ⟨g⟩, as
-    N(⟨g⟩) = g + σ^∨ and ⟨u0, n⟩ = 1 on every sigma ray n, so for a lattice
-    point w, ⟨w − g + u0, n⟩ > 0 iff ⟨w − g, n⟩ ≥ 0; and
-    J(g + b) = g + J(b) = J(⟨g⟩)·J(b), so the pair holds with no witness.
+    A principal factor decides the pair with no test: J(⟨g⟩) = ⟨g⟩
+    (multiplier_ideal), so J(g + b) = g + J(b) = J(⟨g⟩)·J(b) holds with no witness.
     Memoized on the pair, which a search meets once per gap point of a skeleton.
     """
     ab = product(a, b)
@@ -297,11 +285,9 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _splitting_data(a: MonomialIdeal, b: MonomialIdeal):
-    """(inside_a, outside_b, floor_a + 1, floor_b) from rings.region_tests: N(a)'s interior
-    tests (f, m + 1, ⟨u, f⟩) and floors, and N(b)'s u0-shifted tests (f, m, ⟨u, f⟩), negated to
-    (−f, m, −⟨u, f⟩), and floors, u the run step. Every sigma ray n is a facet normal of N(a)
-    and of N(b), and ⟨u0, n⟩ = 1, so those facets' thresholds are floor_a(n) + 1 and floor_b(n),
-    the least generator pairings: the splitting box's floors and, less ⟨v, n⟩, its ceilings."""
+    """(inside_a, outside_b, floors, floor_b): rings.region_tests of N(a)'s interior and of N(b)
+    shifted by u0, with N(b)'s tests (f, m, s) negated to (−f, m, −s), so that a target v adds
+    ⟨v, f⟩ to m. floors are the splitting box's floors, and ⟨v, n⟩ less floor_b its ceilings."""
     ring = _same_ring(a, b)
     floors, inside_a = region_tests(ring, lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim))
     floor_b, shifted_b = region_tests(ring, lattice_thresholds(newton_polyhedron(b), ring.canonical_shift()))
@@ -316,15 +302,11 @@ def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> R
     (alpha − u0 ∈ J(a), beta ∈ J(b)). Where u0 is not a lattice point, the scan
     answers the question above, which is not membership in J(a)·J(b).
     The test on beta is ⟨alpha, −f⟩ ≥ m − ⟨v, f⟩ per integer threshold (f, m) of
-    N(b). Each sigma ray n bounds N(a) and N(b) below at their least generator
-    pairings, and ⟨u0, n⟩ = 1, so only the Hermite runs of the splitting box
-    floor_a(n) + 1 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ − floor_b(n) are walked, each cut by
-    rings.cut_runs to the splittings, listed in walk order on simplicial σ and
-    by alpha otherwise. The floors and the facet tests off the
-    sigma rays, with their run steps, are read once per pair by rings.region_tests
-    (_splitting_data); per target only N(b)'s offsets m − ⟨v, f⟩ and the ceilings
-    are computed. bounds is the box of every candidate, 0 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ + 1,
-    and scanned its lattice-point count (rings.box_point_count).
+    N(b). Only the Hermite runs of the pair's splitting box (_splitting_data)
+    are walked, each cut by rings.cut_runs to the splittings, listed in walk
+    order (rings._hermite_walk) on simplicial σ and by alpha otherwise. bounds is the box of every
+    candidate, 0 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ + 1, and scanned its lattice-point count
+    (rings.box_point_count).
     """
     ring = _same_ring(a, b)
     target, tv = exponent_pairings(ring, v)

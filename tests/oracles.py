@@ -26,8 +26,8 @@ on-read properties replaced. `cold_extreme_rays` and `cold_hull_plus_cone`
 are the double description that the library's bitset insertion loop and
 its warm start from the recession cone replaced: every Newton polyhedron
 dualized from a greedy basis of its lifted rows, points first, with
-`frozenset` zero sets and no pre-check before the adjacency scan. They use
-the library's `linalg`. `antichain_scan` is the quadratic divisibility scan
+`frozenset` zero sets and no pre-check before the adjacency scan, on this
+module's own `Fraction` elimination. `antichain_scan` is the quadratic divisibility scan
 that the library's two-ray staircase replaced, and `dot_membership` the
 `Fraction` pairing of every facet with x that its fraction-free membership
 test replaced. `hermite_walk` is the walk of Hermite runs that kept the
@@ -55,7 +55,6 @@ from toricmult.geometry import (
     membership,
 )
 from toricmult.ideals import _same_ring, contains_monomial, integral_closure, newton_polyhedron, product
-from toricmult.linalg import independent_rows, invert, primitivize, rank
 from toricmult.rings import exponent_pairings, lattice_points_in_box
 from toricmult.subadditivity import Decomposition2D, RefutationReport, Side
 
@@ -629,12 +628,15 @@ def cold_extreme_rays(rows, dim):
     """Extreme rays of the cone dual to the rows, sorted: the double description
     from the columns of B^-1 for a greedy basis B, inserting the other rows in
     input order and testing every positive-negative pair for adjacency."""
-    basis_idx = independent_rows(rows)
+    basis_idx = []
+    for i, row in enumerate(rows):
+        if _rank([rows[k] for k in basis_idx] + [row]) > len(basis_idx):
+            basis_idx.append(i)
     if len(basis_idx) != dim:
         raise NotFullDimensional(f"cone spans only {len(basis_idx)} of {dim} dimensions")
-    inv = invert([rows[i] for i in basis_idx])
+    inv = inverse([rows[i] for i in basis_idx])
     rays = [
-        (primitivize(tuple(inv[i][j] for i in range(dim))), frozenset(i for i in range(dim) if i != j))
+        (_primitive(tuple(inv[i][j] for i in range(dim))), frozenset(i for i in range(dim) if i != j))
         for j in range(dim)
     ]
     a_idx = dim
@@ -656,11 +658,19 @@ def cold_extreme_rays(rows, dim):
                 common = zp & zn
                 if any(common <= z for r, z in rays if r is not rp and r is not rn):
                     continue
-                vec = primitivize(tuple(sp * x - sn * y for x, y in zip(rn, rp)))
+                vec = _primitive(tuple(sp * x - sn * y for x, y in zip(rn, rp)))
                 new_rays.append((vec, common | {a_idx}))
         rays = new_rays
         a_idx += 1
     return sorted({r for r, _ in rays})
+
+
+def _primitive(vec):
+    """The primitive integer vector on the ray of a nonzero int or Fraction vector."""
+    den = math.lcm(*(Fraction(c).denominator for c in vec))
+    ints = [int(Fraction(c) * den) for c in vec]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints)
 
 
 def cold_hull_plus_cone(points, recession):
@@ -678,6 +688,6 @@ def cold_hull_plus_cone(points, recession):
     vertices = []
     for p in pts:
         tight = [h.normal for h in facets if dot(h.normal, p) == h.offset]
-        if tight and rank(tight) == dim:
+        if tight and _rank(tight) == dim:
             vertices.append(p)
     return NewtonPolyhedron(dim, tuple(sorted(vertices)), tuple(facets))
