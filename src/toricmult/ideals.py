@@ -3,8 +3,8 @@
 An ideal is its minimal generators, reduced by minimalize. newton_polyhedron
 and integral_closure are computed once per translation class
 (per_translation_class). A closure's generators come from the region walk
-that multiplier ideals share (region_minimal_generators), and only where
-they are needed: a lattice point lies in closure(a) iff it lies in N(a).
+that multiplier ideals share (region_minimal_generators, rings.plane_staircase
+on two sigma rays), only where needed: a point is in closure(a) iff in N(a).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import RingMismatch, ZeroIdeal
 from .geometry import LatticePoint, NewtonPolyhedron, RatPoint, cached_property, hull_plus_cone, lattice_thresholds
 from .linalg import dot, vadd
-from .rings import CACHE_SIZE, ToricRing, cut_runs, exponent_pairings, region_tests
+from .rings import CACHE_SIZE, ToricRing, cut_runs, exponent_pairings, plane_staircase, region_tests
 
 
 class _Ideal(NamedTuple):
@@ -187,19 +187,20 @@ def region_minimal_generators(a: MonomialIdeal, shift: RatPoint | None) -> tuple
     With shift=None the region is {w in the semigroup : w in N}; with a
     shift s it is {w : w + s interior to N}, s = u0 for a multiplier ideal.
     Its thresholds (geometry.lattice_thresholds) give the walk's floors and
-    tests (rings.region_tests), and rings.cut_runs cuts each run to its
-    members. The step u lies in the semigroup (ToricRing.run_step), so a
-    run's first member divides the rest and is its one candidate.
+    tests (rings.region_tests). rings.plane_staircase walks two sigma rays;
+    otherwise rings.cut_runs cuts each run to its members, and the step u
+    lies in the semigroup (ToricRing.run_step), so a run's first member
+    divides the rest and is its one candidate.
 
     Candidates pair with each sigma ray n to at most its floor plus the
     vertex pairings' spread and the sum of <r, n> over the dual rays r, less
     1 with a shift: the largest vertex pairing plus that sum, less ⌈<s, n>⌉.
     Beyond, w + s = p + Σ c_r r with p in the vertex hull has some c_r > 1,
     so w - r divides w in the region, as w - r + s lies on the segment from
-    w + s to w + s - c_r r, a point of N. The walk stops at a candidate
-    pairing to the floor with every sigma ray n_1, ...: it divides every
-    later candidate, as the pairing with sigma ray 0 never decreases along
-    the walk (rings._hermite_walk).
+    w + s to w + s - c_r r, a point of N. The walk of cut_runs stops at a
+    candidate pairing to the floor with every sigma ray n_1, ...: it divides
+    every later candidate, as the pairing with sigma ray 0 never decreases
+    along the walk (rings._hermite_walk).
     """
     ring, poly = a.ring, newton_polyhedron(a)
     floors, tests = region_tests(ring, lattice_thresholds(poly, shift))
@@ -208,6 +209,8 @@ def region_minimal_generators(a: MonomialIdeal, shift: RatPoint | None) -> tuple
         # the bound less the floor: the vertex pairings' spread and the reach, less 1 with a shift
         pairings = [dot(v, n) for v in poly.vertices]
         bounds.append(floor + max(pairings) - min(pairings) + reach - (shift is not None))
+    if len(ring.sigma_rays) == 2:
+        return plane_staircase(ring, bounds, floors, tests)
 
     def candidates():
         for w, t, _ in cut_runs(ring, bounds, floors, tests):

@@ -7,7 +7,8 @@ else in the package. A ring derives its canonical point
 (ToricRing.q_gorenstein) and its Hermite data (ToricRing.sigma_lattice) from
 C on first use. Lattice points are walked as Hermite runs (_hermite_walk):
 lattice_points_in_box and box_point_count list and count a box, region_tests
-and cut_runs walk a region of facet thresholds, and run_points expands runs.
+and cut_runs walk a region of facet thresholds, plane_staircase reads a
+region's minimal points on two sigma rays, and run_points expands runs.
 """
 
 from __future__ import annotations
@@ -306,7 +307,7 @@ def cut_runs(ring: ToricRing, bounds: Sequence[int], floors: tuple[int, ...], te
     if len(ring.sigma_rays) > ring.dim:
         runs = _hermite_walk(ring, bounds, floors)
     else:
-        # Stays until ROADMAP 1b/1c: bench/predictions.json needs lattice_points_in_box to work on plane2d.
+        # Stays until ROADMAP 1c, with plane_staircase's cut box.
         p, tp, below = _cut_point(ring, floors)
         if below:
             tests = [*tests, *below]
@@ -337,6 +338,32 @@ def _cut_point(ring: ToricRing, floors: tuple[int, ...]) -> tuple[LatticePoint, 
     p, tp = tuple(dot(row, k) for row in uni), tuple(dot(row, k) for row in hnf)
     below = tuple((n, f, s) for n, f, a, s in zip(ring.sigma_rays, floors, tp, ring.run_step[1]) if a < f)
     return p, tp, below
+
+
+def plane_staircase(ring: ToricRing, bounds: Sequence[int], floors: tuple[int, ...], tests: Sequence) -> tuple[LatticePoint, ...]:
+    """The minimal points, lex-sorted, of the region that cut_runs walks on a ring with two sigma
+    rays, read in one pass over the rows of its cut box, with no candidate list, sort or scan.
+    On two rays g divides w exactly when t(g) <= t(w) entrywise. The rows come in increasing t0
+    (_hermite_walk), and a row's first passing member (run_interval) divides the rest of its row,
+    as the run step lies in the semigroup. So that member is minimal exactly when its t1 is below
+    the last kept t1, the least of the earlier rows: the minimal points are a staircase. One with
+    t1 = floors[1] divides every later row, and the walk stops there. A bound below its floor
+    gives no point."""
+    if any(map(lt, bounds, floors)):
+        return ()
+    (p0, p1), tp, below = _cut_point(ring, floors)
+    (u0, u1), (_, s) = ring.run_step
+    tests, top, last, gens = (*tests, *below), bounds[1] - tp[1], bounds[1] + 1, []
+    for (w0, w1), (_, t1) in lattice_points_in_box(ring, (bounds[0] - tp[0], min(top, s - 1))):
+        w0, w1 = w0 + p0, w1 + p1
+        lo, hi = run_interval((w0, w1), (top - t1) // s + 1, tests)
+        t1 += tp[1] + lo * s
+        if lo <= hi and t1 < last:
+            gens.append((w0 + lo * u0, w1 + lo * u1))
+            last = t1
+            if t1 == floors[1]:
+                break
+    return tuple(sorted(gens))
 
 
 def run_interval(w: LatticePoint, n: int, tests) -> tuple[int, int]:

@@ -5,9 +5,12 @@ descriptions, parallelepiped grid scans for generator sets, a filtered walk of
 the whole sigma-coordinate box, 90-degree rotations for two-dimensional dual
 cones, and Gaussian elimination over `Fraction` for the few matrix inverses
 involved, among them the canonical point u0 solved on a basis of sigma rays
-(`q_gorenstein`, against the library's kernel route).  None of it shares
-code with the library's double-description engine or its lattice walker,
-so agreement is evidence rather than tautology.
+(`q_gorenstein`, against the library's kernel route). `multiplier_resolution`
+takes a plane multiplier ideal from its definition on a toric log resolution,
+a Hirzebruch-Jung subdivision of N(a)'s normal fan, not from the rule
+"w + u0 interior to N(a)" that every other J here and in the library applies.
+None of it shares code with the library's double-description engine or its
+lattice walker, so agreement is evidence rather than tautology.
 
 Eleven exceptions keep a replaced library path as the reference for its
 replacement. `decompose_2d` is the per-generator boundary walk the library's
@@ -405,6 +408,75 @@ def multiplier_scan(gens, dual_rays, sigma_rays, shift):
     ]
     hits = [w for w in box_points(sigma_rays, bounds) if shifted.contains(w, strict=True)]
     return minimal_points(hits, sigma_rays)
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _parallelogram_points(v, w):
+    """The lattice points a v + b w, 0 <= a, b <= 1, for cross(v, w) = d > 0, column by column:
+    at each x the two bands 0 <= cross(v, p) <= d and 0 <= cross(p, w) <= d bound y."""
+    d = _cross(v, w)
+    xs = [0, v[0], w[0], v[0] + w[0]]
+    for x in range(min(xs), max(xs) + 1):
+        lo, hi = -math.inf, math.inf
+        for c, e in ((v[0], -v[1] * x), (-w[0], w[1] * x)):  # the band 0 <= c y + e <= d
+            if c:
+                ends = (Fraction(-e, c), Fraction(d - e, c))
+                lo, hi = max(lo, math.ceil(min(ends))), min(hi, math.floor(max(ends)))
+            elif not 0 <= e <= d:
+                lo, hi = 1, 0
+        yield from ((x, y) for y in range(lo, hi + 1)) if lo <= hi else ()
+
+
+def hirzebruch_jung(v, w):
+    """The lattice points on the compact edges of conv(cone(v, w) ∩ Z² ∖ 0), from v to w, for
+    primitive v, w with cross(v, w) > 0: the primitive nonzero points of the parallelogram of v
+    and w in angular order, each left turn of the chain (toward the origin) taken out. It is the
+    cone's Hilbert basis, and consecutive members span the lattice."""
+    points = [p for p in _parallelogram_points(v, w) if math.gcd(*p) == 1]
+    points.sort(key=lambda p: Fraction(_cross(v, p), _cross(v, p) + _cross(p, w)))
+    chain = []
+    for p in points:
+        while len(chain) >= 2 and _cross(vsub(chain[-1], chain[-2]), vsub(p, chain[-1])) > 0:
+            chain.pop()
+        chain.append(p)
+    assert chain[0] == v and chain[-1] == w
+    assert all(_cross(p, q) == 1 for p, q in zip(chain, chain[1:])), "not a smooth subdivision"
+    return chain
+
+
+def resolution_rays(gens, dual_rays):
+    """The rays of a toric log resolution of <gens> on the plane ring of dual_rays, in angular
+    order: the sigma rays (oracle rotation) and N(gens)'s facet normals (Fourier-Motzkin), all in
+    sigma, with the Hirzebruch-Jung points between each consecutive two. The fan refines the
+    normal fan of N(gens) and is smooth, so <gens> pulls back to a divisor on it."""
+    n1, n2 = sigma_rays_2d(*dual_rays)
+    if _cross(n1, n2) < 0:
+        n1, n2 = n2, n1
+    normals = {n1, n2} | {n for n, _ in hull_region(gens, dual_rays).rows}
+    normals = sorted(normals, key=lambda v: Fraction(_cross(n1, v), _cross(n1, v) + _cross(v, n2)))
+    rays = [n1]
+    for v, w in zip(normals, normals[1:]):
+        rays += hirzebruch_jung(v, w)[1:]
+    return rays
+
+
+def multiplier_resolution(gens, dual_rays):
+    """Minimal generators of J(<gens>) on a plane ring, from the definition on a log resolution:
+    J = pi_* O_Y(ceil(K_Y - pi^* K_X - F)), which holds x^w exactly when <w + u0, v> > ord_v =
+    min_g <g, v> on every ray v of the resolution, <u0, v> the log discrepancy of its divisor.
+    u0 comes from q_gorenstein here; the members are found by a box scan, reduced by
+    minimal_points."""
+    sigma = sigma_rays_2d(*dual_rays)
+    w0, r = q_gorenstein(sigma)
+    u0 = [Fraction(c, r) for c in w0]
+    rays = resolution_rays(gens, dual_rays)
+    orders = [(v, min(dot(g, v) for g in gens) - dot(u0, v)) for v in rays]
+    bounds = [max(dot(g, s) for g in gens) + sum(dot(r, s) for r in dual_rays) + 1 for s in sigma]
+    hits = [w for w in box_points(sigma, bounds) if all(dot(w, v) > m for v, m in orders)]
+    return minimal_points(hits, sigma)
 
 
 def skeletons(blocks, z_height_bound):

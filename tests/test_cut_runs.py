@@ -26,7 +26,8 @@ the sigma rays (test_region_floors checks the walk from them), and stops at a
 candidate pairing to its floor with every sigma ray after the first, which
 is exact because the pairing with sigma ray 0 never decreases along the
 walk; the start, the stop and that order are tested, with the runs a region
-walks and reads pinned on small plane regions.
+walks and reads pinned on small regions in 3-space, and on small plane
+regions the rows of the cut box that rings.plane_staircase reads.
 """
 
 import itertools
@@ -36,6 +37,7 @@ import pytest
 
 import oracles
 from instances import POOL, STEPPING_DOWN, random_2d_ring, random_3d_ring, random_ideal, random_non_simplicial_rings
+from toricmult import rings
 from toricmult.geometry import lattice_thresholds
 from toricmult.ideals import monomial_ideal, newton_polyhedron, product, region_minimal_generators
 from toricmult.linalg import dot, primitivize, vadd, vscale, vsub
@@ -279,9 +281,29 @@ def test_the_run_step_lies_on_a_dual_ray_of_every_ring():
         assert min(ut) >= 0 and ut[0] == 0
 
 
+def _plane_rows(monkeypatch, a, shift):
+    """(generators, rows the staircase read, rows of its cut box) of one region call on a plane
+    ring: rings.lattice_points_in_box wrapped, as the bench tracer wraps it, the box's rows
+    counted in full and the rows it yielded to rings.plane_staircase before the walk stopped."""
+    read, walked = [], []
+    listed = rings.lattice_points_in_box
+
+    def counted(ring, bounds):
+        walked.append(len(list(listed(ring, bounds))))
+        for row in listed(ring, bounds):
+            read.append(row)
+            yield row
+
+    monkeypatch.setattr(rings, "lattice_points_in_box", counted)
+    gens = region_minimal_generators(a, shift)
+    assert gens == oracles.region_minimal_generators(a.ring, newton_polyhedron(a), shift)
+    assert len(walked) == 1
+    return gens, len(read), walked[0]
+
+
 def _region_runs(monkeypatch, a, shift):
-    """(generators, runs the region read, runs of its walk) of one region call: the walk
-    counted without the region's thresholds, the runs read as cut to them."""
+    """(generators, runs the region read, runs of its walk) of one region call on three or more
+    sigma rays: the walk counted without the region's thresholds, the runs read as cut to them."""
     read, walked = [], []
 
     def counted(ring, bounds, floors, tests):
@@ -293,29 +315,60 @@ def _region_runs(monkeypatch, a, shift):
     monkeypatch.setattr("toricmult.ideals.cut_runs", counted)
     gens = region_minimal_generators(a, shift)
     assert gens == oracles.region_minimal_generators(a.ring, newton_polyhedron(a), shift)
+    assert len(walked) == 1
     return gens, len(read), walked[0]
 
 
 def test_the_region_walk_stops_at_a_candidate_on_every_floor(monkeypatch):
-    """The walk goes by powers of y. J(<x^2, y^3>) = <x, y>: y lies on the
-    floor 0 of the facet x >= 0, so the walk stops on its second run. The
-    closure region of <x> stops on its first run, at x on the floor 1 of the
-    facet x >= 1; the facet y >= 0 has the lower threshold 0."""
+    """The walk goes by powers of y, one row each. J(<x^2, y^3>) = <x, y>: y
+    lies on the floor 0 of the facet x >= 0, so the walk stops on its second
+    row. The closure region of <x> stops on its first row, at x on the floor
+    1 of the facet x >= 1; the facet y >= 0 has the lower threshold 0."""
     plane = ring_from_dual_rays(((1, 0), (0, 1)))
     a = monomial_ideal(plane, [(2, 0), (0, 3)])
-    assert _region_runs(monkeypatch, a, plane.canonical_shift()) == (((0, 1), (1, 0)), 2, 4)
-    assert _region_runs(monkeypatch, monomial_ideal(plane, [(1, 0)]), None) == (((1, 0),), 1, 2)
+    assert _plane_rows(monkeypatch, a, plane.canonical_shift()) == (((0, 1), (1, 0)), 2, 4)
+    assert _plane_rows(monkeypatch, monomial_ideal(plane, [(1, 0)]), None) == (((1, 0),), 1, 2)
+
+
+def test_the_solid_region_walk_stops_at_a_candidate_on_every_floor(monkeypatch):
+    """In 3-space the walk goes by powers of z, then of y, one run along x
+    each. The closure of <x^2, y^3, z^2> has the facet 3x + 2y + 3z >= 6 and
+    the floors 0: it walks the 20 runs z = 0..3, y = 0..4, and reads the 10
+    with z < 2 and the first with z = 2, stopping at z^2 on the floors of y
+    and x. Its J is the unit ideal, at the origin: 1 run read of 12."""
+    space = ring_from_dual_rays(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    a = monomial_ideal(space, [(2, 0, 0), (0, 3, 0), (0, 0, 2)])
+    closure = ((0, 0, 2), (0, 2, 1), (0, 3, 0), (1, 0, 1), (1, 2, 0), (2, 0, 0))
+    assert _region_runs(monkeypatch, a, None) == (closure, 11, 20)
+    assert _region_runs(monkeypatch, a, space.canonical_shift()) == (((0, 0, 0),), 1, 12)
 
 
 def test_the_region_walk_starts_at_its_floors(monkeypatch):
     """N(<x^3 y^5, x^5 y^3>) has the facets y >= 3 and x >= 3, so its regions'
-    walks start at y = 3: the closure walks the 4 runs y = 3..6 and reads 3,
-    stopping at x^3 y^5 on the floor 3 of x; from the origin it walked 7 and
-    read 6. J walks 3 runs and reads 2, where it walked 6 and read 5."""
+    walks start at y = 3: the closure's cut box holds the 4 rows y = 3..6 and
+    the staircase reads 3, stopping at x^3 y^5 on the floor 3 of x; from the
+    origin it walked 7 and read 6. J's box holds 3 rows and the staircase
+    reads 2, where it walked 6 and read 5."""
     plane = ring_from_dual_rays(((1, 0), (0, 1)))
     a = monomial_ideal(plane, [(3, 5), (5, 3)])
-    assert _region_runs(monkeypatch, a, None) == (((3, 5), (4, 4), (5, 3)), 3, 4)
-    assert _region_runs(monkeypatch, a, plane.canonical_shift()) == (((3, 4), (4, 3)), 2, 3)
+    assert _plane_rows(monkeypatch, a, None) == (((3, 5), (4, 4), (5, 3)), 3, 4)
+    assert _plane_rows(monkeypatch, a, plane.canonical_shift()) == (((3, 4), (4, 3)), 2, 3)
+
+
+def test_the_solid_region_walk_starts_at_its_floors(monkeypatch):
+    """N(<x^3 y^5 z^2, x^5 y^3 z^2, x^3 y^3 z^4>) is x + y + z >= 10 over the
+    facets z >= 2, y >= 3 and x >= 3, so the closure walks the 16 runs
+    z = 2..5, y = 3..6, not the 42 from the origin, and reads 9, stopping at
+    x^3 y^3 z^4 on the floors of y and x. J = <x^3 y^3 z^2>: its walk of 9
+    runs stops on the first, at the floors."""
+    space = ring_from_dual_rays(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    a = monomial_ideal(space, [(3, 5, 2), (5, 3, 2), (3, 3, 4)])
+    closure = ((3, 3, 4), (3, 4, 3), (3, 5, 2), (4, 3, 3), (4, 4, 2), (5, 3, 2))
+    assert _region_runs(monkeypatch, a, None) == (closure, 9, 16)
+    assert _region_runs(monkeypatch, a, space.canonical_shift()) == (((3, 3, 2),), 1, 9)
+    floors = region_tests(space, lattice_thresholds(newton_polyhedron(a), None))[0]
+    assert floors == (2, 3, 3)
+    assert sum(1 for _ in cut_runs(space, (5, 6, 6), (0, 0, 0), ())) == 42
 
 
 def test_only_the_first_member_of_a_run_can_be_minimal():

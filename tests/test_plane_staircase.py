@@ -1,0 +1,136 @@
+"""The two-ray staircase against the generic region walk and the box scan.
+
+On a ring with two sigma rays, ideals.region_minimal_generators hands its
+region to rings.plane_staircase, which keeps each row's first member as it
+steps below the staircase and stops on the floor of the second sigma ray.
+Every region here must give the generators of the generic path, minimalize
+over the runs of rings.cut_runs with the stop of a walk on more rays, from
+the same bounds, floors and tests; so must the same region with its bounds
+cut short at random, and a bound below its floor gives no generator on
+either path. Regions whose box from the origin is small enough for
+oracles.region_minimal_generators must give its generators too, and the
+same region moved far from the origin gives them moved, as the box scan of
+the moved region is out of reach. Rings are the pairs of test_plane_rings
+in both orientations, determinants past 10,000 among them; ideals have one
+to six generators near the origin, each region is a closure and a
+multiplier region of u0.
+"""
+
+import math
+import random
+from operator import lt
+
+import pytest
+
+import oracles
+from test_plane_rings import PAIRS
+from toricmult import ideals
+from toricmult.ideals import minimalize, monomial_ideal, newton_polyhedron, region_minimal_generators
+from toricmult.linalg import dot, primitivize
+from toricmult.rings import cut_runs, plane_staircase, ring_from_dual_rays, semigroup_points
+
+# Largest box, in lattice points, on which a region is checked against the box scan;
+# the scan of a determinant past 10,000 is made on the two least such rings only.
+ORACLE_BOX = 2_500
+
+
+def _generic(ring, bounds, floors, tests):
+    """minimalize over the candidates of cut_runs, stopping at one on every floor after the first."""
+    candidates = []
+    for w, t, _ in cut_runs(ring, bounds, floors, tests):
+        candidates.append((w, t))
+        if t[1:] == floors[1:]:
+            break
+    return minimalize(ring, candidates)
+
+
+def _det(pair):
+    """The determinant of the pair's primitive rays, in their order: the index of the lattice
+    of sigma pairings, with the pair's orientation as its sign."""
+    (a, b), (c, d) = map(primitivize, pair)
+    return a * d - b * c
+
+
+def _cases():
+    """(pair, generators, far) per seeded case: every pair with |det| <= 100, then a seeded
+    sample of the rest; far is a semigroup point on the rays, hundreds of steps out."""
+    rng = random.Random(5051)
+    small = [pair for pair in PAIRS if abs(_det(pair)) <= 100]
+    large = rng.sample([pair for pair in PAIRS if abs(_det(pair)) > 100], 60)
+    cases = []
+    for pair in small + large:
+        ring = ring_from_dual_rays(pair)
+        bound, points = 3 * math.isqrt(abs(_det(pair))) + 8, []
+        while len(points) < 6:
+            points, bound = [w for w in semigroup_points(ring, bound) if any(w)], 2 * bound
+        gens = rng.sample(points, rng.randint(1, min(6, len(points))))
+        r1, r2 = ring.dual_rays
+        k1, k2 = rng.randint(100, 900), rng.randint(0, 900)
+        cases.append((pair, gens, tuple(k1 * x + k2 * y for x, y in zip(r1, r2))))
+    return cases
+
+
+CASES = _cases()
+
+
+def test_the_cases_reach_both_orientations_large_determinants_and_every_size():
+    dets = [_det(pair) for pair, _, _ in CASES]
+    assert min(dets) < -10_000 and max(dets) > 10_000
+    assert {len(gens) for _, gens, _ in CASES} == set(range(1, 7))
+
+
+@pytest.fixture
+def staircase_calls(monkeypatch):
+    """The (ring, bounds, floors, tests) of every plane_staircase call the region walk makes."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return plane_staircase(*args)
+
+    monkeypatch.setattr(ideals, "plane_staircase", spy)
+    return calls
+
+
+def _scan_size(ring, poly, shift):
+    """The lattice points, roughly, of the box that oracles.region_minimal_generators scans from
+    the origin: its area over the index of the lattice of sigma pairings."""
+    sides = [
+        max(dot(v, n) for v in poly.vertices) + reach - (0 if shift is None else math.ceil(dot(shift, n))) + 1
+        for n, reach in zip(ring.sigma_rays, ring.dual_ray_pairings)
+    ]
+    return sides[0] * sides[1] // abs(_det(ring.sigma_rays))
+
+
+def test_the_staircase_is_the_generic_walk_and_the_box_scan(staircase_calls):
+    rng = random.Random(5077)
+    large = sorted(CASES, key=lambda case: (abs(_det(case[0])) <= 10_000, abs(_det(case[0]))))[:2]
+    scanned, scanned_large, below = 0, 0, []
+    for pair, gens, far in CASES:
+        ring = ring_from_dual_rays(pair)
+        a = monomial_ideal(ring, gens)
+        for shift in (None, ring.canonical_shift()):
+            near, moved = (region_minimal_generators(ideal, shift) for ideal in (a, a.moved(far)))
+            assert moved == tuple(sorted(tuple(map(sum, zip(g, far))) for g in near)), (pair, gens, shift)
+            for (_, bounds, floors, tests), gens_ in zip(staircase_calls[-2:], (near, moved)):
+                assert gens_ == _generic(ring, bounds, floors, tests), (pair, gens, shift)
+                short = tuple(rng.randint(f - 2, b) for f, b in zip(floors, bounds))
+                assert plane_staircase(ring, short, floors, tests) == _generic(ring, short, floors, tests)
+                below.append(any(map(lt, short, floors)))
+            poly = newton_polyhedron(a)
+            if _scan_size(ring, poly, shift) <= ORACLE_BOX or (pair, gens, far) in large:
+                assert near == oracles.region_minimal_generators(ring, poly, shift), (pair, gens, shift)
+                scanned += 1
+                scanned_large += abs(_det(pair)) > 10_000
+    assert len(staircase_calls) == len(below) == 4 * len(CASES) and 0 < sum(below) < len(below)
+    assert scanned >= 200 and scanned_large == 4
+
+
+def test_a_bound_below_its_floor_gives_no_generator(staircase_calls):
+    ring = ring_from_dual_rays(((2, 1), (1, 2)))
+    region_minimal_generators(monomial_ideal(ring, [(4, 2), (2, 4), (3, 3)]), ring.canonical_shift())
+    (_, bounds, floors, tests), = staircase_calls
+    assert plane_staircase(ring, bounds, floors, tests)
+    for i in range(2):
+        below = tuple(f - 1 if j == i else b for j, (f, b) in enumerate(zip(floors, bounds)))
+        assert plane_staircase(ring, below, floors, tests) == () == _generic(ring, below, floors, tests)
