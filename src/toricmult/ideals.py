@@ -1,7 +1,8 @@
 """Monomial ideals of toric rings: generators, products, Newton polyhedra and closures.
 
-An ideal is its minimal generators, reduced by minimalize. newton_polyhedron
-and integral_closure are computed once per translation class
+An ideal is its minimal generators, kept by one dominance pass (_antichain)
+over sorted points (minimalize) or as the region walk offers them.
+newton_polyhedron and integral_closure are computed once per translation class
 (per_translation_class). A closure's generators come from the region walk
 that multiplier ideals share (region_minimal_generators, rings.plane_staircase
 on two sigma rays), only where needed: a point is in closure(a) iff in N(a).
@@ -98,22 +99,20 @@ def monomial_ideal(ring: ToricRing, gens: Iterable[Sequence[int]]) -> MonomialId
 
 
 def minimalize(ring: ToricRing, points: Iterable[tuple[LatticePoint, tuple[int, ...]]]) -> tuple[LatticePoint, ...]:
-    """Minimal points of (w, sigma pairings) pairs, lex-sorted.
+    """Minimal points of (w, sigma pairings) pairs, lex-sorted: _antichain over them sorted by pairings."""
+    return _antichain(sorted(points, key=itemgetter(1)), len(ring.sigma_rays) == 2)
 
-    A divisor's pairings are componentwise, so lexicographically, <= those of
-    its multiple. So in lexicographic order of pairings (linear on presorted
-    input), a point is minimal exactly when no point kept before divides it.
-    On two sigma rays that is a staircase: t is minimal when t[1] is below the
-    least second pairing kept, the last one's. Pairings are injective, so
-    equal pairings are equal points; the stable sort puts them next to each
-    other in input order, and a point equal to the one before it is skipped
-    untested: the first met was kept, or a kept point divides both.
-    """
-    gens: list[LatticePoint] = []
-    gen_ts: list[tuple[int, ...]] = []
-    staircase = len(ring.sigma_rays) == 2
-    last = None
-    for w, t in sorted(points, key=itemgetter(1)):
+
+def _antichain(points: Iterable[tuple[LatticePoint, tuple[int, ...]]], staircase: bool) -> tuple[LatticePoint, ...]:
+    """Minimal points, lex-sorted, of (w, sigma pairings) pairs that come with every divisor
+    before its multiples, in one pass: a divisor's pairings are componentwise <= its multiple's,
+    so a point is minimal exactly when no point kept before it divides it. With staircase the
+    points come on two sigma rays in lexicographic order of pairings, and the test is a
+    staircase: t is minimal when t[1] is below the least second pairing kept, the last one's.
+    Pairings are injective, so equal pairings are equal points; a point equal to the one before
+    it is skipped untested: the first met was kept, or a kept point divides both."""
+    gens, gen_ts, last = [], [], None
+    for w, t in points:
         if t == last:
             continue
         last = t
@@ -190,7 +189,9 @@ def region_minimal_generators(a: MonomialIdeal, shift: RatPoint | None) -> tuple
     tests (rings.region_tests). rings.plane_staircase walks two sigma rays;
     otherwise rings.cut_runs cuts each run to its members, and the step u
     lies in the semigroup (ToricRing.run_step), so a run's first member
-    divides the rest and is its one candidate.
+    divides the rest and is its one candidate. A divisor's basis pairings
+    are lexicographically at most its multiple's, so it is walked first
+    (rings._hermite_walk), and _antichain keeps candidates as they come.
 
     Candidates pair with each sigma ray n to at most its floor plus the
     vertex pairings' spread and the sum of <r, n> over the dual rays r, less
@@ -218,5 +219,4 @@ def region_minimal_generators(a: MonomialIdeal, shift: RatPoint | None) -> tuple
             if t[1:] == floors[1:]:
                 return
 
-    # walked in full first, so that the walk's time is not charged to minimalize
-    return minimalize(ring, list(candidates()))
+    return _antichain(candidates(), staircase=False)

@@ -27,11 +27,17 @@ candidate pairing to its floor with every sigma ray after the first, which
 is exact because the pairing with sigma ray 0 never decreases along the
 walk; the start, the stop and that order are tested, with the runs a region
 walks and reads pinned on small regions in 3-space, and on small plane
-regions the rows of the cut box that rings.plane_staircase reads.
+regions the rows of the cut box that rings.plane_staircase reads. On three
+or more sigma rays the walk hands its candidates, as they come, to one
+dominance pass (ideals._antichain), with no list or minimalize: it must
+keep what oracles.antichain_scan keeps of the same candidates listed, no
+candidate may divide one offered before it, and a closure or multiplier
+ideal on such a ring calls no minimalize.
 """
 
 import itertools
 import random
+from operator import le
 
 import pytest
 
@@ -39,8 +45,9 @@ import oracles
 from instances import POOL, STEPPING_DOWN, random_2d_ring, random_3d_ring, random_ideal, random_non_simplicial_rings
 from toricmult import rings
 from toricmult.geometry import lattice_thresholds
-from toricmult.ideals import monomial_ideal, newton_polyhedron, product, region_minimal_generators
+from toricmult.ideals import integral_closure, monomial_ideal, newton_polyhedron, product, region_minimal_generators
 from toricmult.linalg import dot, primitivize, vadd, vscale, vsub
+from toricmult.multiplier import multiplier_ideal
 from toricmult.rings import (
     lattice_points_in_box,
     ring_from_dual_rays,
@@ -383,6 +390,68 @@ def test_only_the_first_member_of_a_run_can_be_minimal():
     before = [vsub(g, STEPPING_DOWN.run_step[0]) for g in gens]
     assert len(gens) == 5
     assert sum(min(STEPPING_DOWN.pairings(p)) >= 0 and all(dot(p, f) >= m for f, m in tests) for p in before) == 0
+
+
+# The rings whose regions the walk of cut_runs hands to ideals._antichain as it goes.
+WALKED = [(name, ring) for name, ring in RINGS if len(ring.sigma_rays) >= 3]
+
+
+def listed_candidates(ring, bounds, floors, tests):
+    """The list-and-scan walk's candidates: the first members of the runs of cut_runs, listed
+    up to the first on every floor after the first."""
+    candidates = []
+    for w, t, _ in cut_runs(ring, bounds, floors, tests):
+        candidates.append((w, t))
+        if t[1:] == floors[1:]:
+            break
+    return candidates
+
+
+@pytest.mark.parametrize("name, ring", WALKED, ids=[name for name, _ in WALKED])
+def test_the_online_walk_is_the_listed_walk_scanned(name, ring, monkeypatch):
+    """On three or more sigma rays region_minimal_generators keeps the minimal candidates as
+    the walk offers them, with no list. Closures, and multiplier regions where u0 exists, give
+    oracles.antichain_scan over the same candidates listed with the same stop, from the bounds,
+    floors and tests the region handed cut_runs; no candidate divides one offered before it,
+    the divisor-first order the one pass rests on; and some candidates are not minimal."""
+    walks = []
+
+    def recorded(*args):
+        walks.append(args)
+        return cut_runs(*args)
+
+    monkeypatch.setattr("toricmult.ideals.cut_runs", recorded)
+    rng = random.Random(name + "-online")
+    bound = next(b for b in itertools.count(3) if len(semigroup_points(ring, b)) > 4) + 2
+    dropped = 0
+    for a in [random_ideal(rng, ring, 4, bound) for _ in range(4)]:
+        for shift in (None, ring.canonical_shift()) if ring.q_gorenstein else (None,):
+            walks.clear()
+            gens = region_minimal_generators(a, shift)
+            (walk,) = walks
+            candidates = listed_candidates(*walk)
+            assert gens == oracles.antichain_scan(candidates), (a.gens, shift)
+            ts = [t for _, t in candidates]
+            assert not any(all(map(le, t, s)) for i, s in enumerate(ts) for t in ts[i + 1 :]), (a.gens, shift)
+            dropped += len(candidates) - len(gens)
+    assert dropped
+
+
+def test_closures_and_multiplier_ideals_on_three_rays_call_no_minimalize(monkeypatch):
+    """With the ideals built and the memos emptied, the closure and J of the paper's ideal
+    and of a square-cone ideal, and the closure of an ideal on STEPPING_DOWN, which has no
+    u0, walk their regions with no minimalize."""
+    rings = dict(RINGS)
+    paper = monomial_ideal(rings["counterexample-3d"], [(2, 4, 0), (4, 2, 0), (0, 0, 3)])
+    square = monomial_ideal(rings["square-cone-3d"], [(4, 0, 4), (0, 4, 4), (-4, 0, 4), (0, -4, 4)])
+    stepping = monomial_ideal(STEPPING_DOWN, [(-2, -3, 4), (0, -1, 4)])
+    for layer in (newton_polyhedron, integral_closure, multiplier_ideal):
+        layer.cache_clear()
+    calls = []
+    monkeypatch.setattr("toricmult.ideals.minimalize", lambda *args: calls.append(args))
+    walked = [integral_closure(a).gens + multiplier_ideal(a).gens for a in (paper, square)]
+    walked.append(integral_closure(stepping).gens)
+    assert calls == [] and list(map(len, walked)) == [17, 82, 5]
 
 
 @pytest.mark.parametrize("name, ring", Q_GORENSTEIN, ids=[name for name, _ in Q_GORENSTEIN])

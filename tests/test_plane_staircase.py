@@ -1,19 +1,20 @@
-"""The two-ray staircase against the generic region walk and the box scan.
+"""The two-ray staircase against the list-and-minimalize reference and the box scan.
 
 On a ring with two sigma rays, ideals.region_minimal_generators hands its
 region to rings.plane_staircase, which keeps each row's first member as it
 steps below the staircase and stops on the floor of the second sigma ray.
-Every region here must give the generators of the generic path, minimalize
-over the runs of rings.cut_runs with the stop of a walk on more rays, from
-the same bounds, floors and tests; so must the same region with its bounds
-cut short at random, and a bound below its floor gives no generator on
-either path. Regions whose box from the origin is small enough for
-oracles.region_minimal_generators must give its generators too, and the
-same region moved far from the origin gives them moved, as the box scan of
-the moved region is out of reach. Rings are the pairs of test_plane_rings
-in both orientations, determinants past 10,000 among them; ideals have one
-to six generators near the origin, each region is a closure and a
-multiplier region of u0.
+Every region here must give the generators of the reference _generic, which
+lists the first members of the runs of rings.cut_runs, up to the first on
+every floor after the first (test_cut_runs.listed_candidates), and hands the
+list to minimalize, from the same bounds, floors and tests; so must the same
+region with its bounds cut short at random, and a bound below its floor
+gives no generator on either path. Regions whose box from the origin is
+small enough for oracles.region_minimal_generators must give its generators
+too, and the same region moved far from the origin gives them moved, as the
+box scan of the moved region is out of reach. Rings are the pairs of
+test_plane_rings in both orientations, determinants past 10,000 among them;
+ideals have one to six generators near the origin, each region is a closure
+and a multiplier region of u0.
 """
 
 import math
@@ -23,11 +24,12 @@ from operator import lt
 import pytest
 
 import oracles
-from test_plane_rings import PAIRS
+from test_cut_runs import listed_candidates
+from test_plane_rings import PAIRS, ring_det
 from toricmult import ideals
 from toricmult.ideals import minimalize, monomial_ideal, newton_polyhedron, region_minimal_generators
-from toricmult.linalg import dot, primitivize
-from toricmult.rings import cut_runs, plane_staircase, ring_from_dual_rays, semigroup_points
+from toricmult.linalg import dot
+from toricmult.rings import plane_staircase, ring_from_dual_rays, semigroup_points
 
 # Largest box, in lattice points, on which a region is checked against the box scan;
 # the scan of a determinant past 10,000 is made on the two least such rings only.
@@ -35,32 +37,20 @@ ORACLE_BOX = 2_500
 
 
 def _generic(ring, bounds, floors, tests):
-    """minimalize over the candidates of cut_runs, stopping at one on every floor after the first."""
-    candidates = []
-    for w, t, _ in cut_runs(ring, bounds, floors, tests):
-        candidates.append((w, t))
-        if t[1:] == floors[1:]:
-            break
-    return minimalize(ring, candidates)
-
-
-def _det(pair):
-    """The determinant of the pair's primitive rays, in their order: the index of the lattice
-    of sigma pairings, with the pair's orientation as its sign."""
-    (a, b), (c, d) = map(primitivize, pair)
-    return a * d - b * c
+    """The list-and-minimalize reference: minimalize over the listed candidates of cut_runs."""
+    return minimalize(ring, listed_candidates(ring, bounds, floors, tests))
 
 
 def _cases():
     """(pair, generators, far) per seeded case: every pair with |det| <= 100, then a seeded
     sample of the rest; far is a semigroup point on the rays, hundreds of steps out."""
     rng = random.Random(5051)
-    small = [pair for pair in PAIRS if abs(_det(pair)) <= 100]
-    large = rng.sample([pair for pair in PAIRS if abs(_det(pair)) > 100], 60)
+    small = [pair for pair in PAIRS if abs(ring_det(pair)) <= 100]
+    large = rng.sample([pair for pair in PAIRS if abs(ring_det(pair)) > 100], 60)
     cases = []
     for pair in small + large:
         ring = ring_from_dual_rays(pair)
-        bound, points = 3 * math.isqrt(abs(_det(pair))) + 8, []
+        bound, points = 3 * math.isqrt(abs(ring_det(pair))) + 8, []
         while len(points) < 6:
             points, bound = [w for w in semigroup_points(ring, bound) if any(w)], 2 * bound
         gens = rng.sample(points, rng.randint(1, min(6, len(points))))
@@ -74,7 +64,7 @@ CASES = _cases()
 
 
 def test_the_cases_reach_both_orientations_large_determinants_and_every_size():
-    dets = [_det(pair) for pair, _, _ in CASES]
+    dets = [ring_det(pair) for pair, _, _ in CASES]
     assert min(dets) < -10_000 and max(dets) > 10_000
     assert {len(gens) for _, gens, _ in CASES} == set(range(1, 7))
 
@@ -99,12 +89,12 @@ def _scan_size(ring, poly, shift):
         max(dot(v, n) for v in poly.vertices) + reach - (0 if shift is None else math.ceil(dot(shift, n))) + 1
         for n, reach in zip(ring.sigma_rays, ring.dual_ray_pairings)
     ]
-    return sides[0] * sides[1] // abs(_det(ring.sigma_rays))
+    return sides[0] * sides[1] // abs(ring_det(ring.sigma_rays))
 
 
 def test_the_staircase_is_the_generic_walk_and_the_box_scan(staircase_calls):
     rng = random.Random(5077)
-    large = sorted(CASES, key=lambda case: (abs(_det(case[0])) <= 10_000, abs(_det(case[0]))))[:2]
+    large = sorted(CASES, key=lambda case: (abs(ring_det(case[0])) <= 10_000, abs(ring_det(case[0]))))[:2]
     scanned, scanned_large, below = 0, 0, []
     for pair, gens, far in CASES:
         ring = ring_from_dual_rays(pair)
@@ -121,7 +111,7 @@ def test_the_staircase_is_the_generic_walk_and_the_box_scan(staircase_calls):
             if _scan_size(ring, poly, shift) <= ORACLE_BOX or (pair, gens, far) in large:
                 assert near == oracles.region_minimal_generators(ring, poly, shift), (pair, gens, shift)
                 scanned += 1
-                scanned_large += abs(_det(pair)) > 10_000
+                scanned_large += abs(ring_det(pair)) > 10_000
     assert len(staircase_calls) == len(below) == 4 * len(CASES) and 0 < sum(below) < len(below)
     assert scanned >= 200 and scanned_large == 4
 
