@@ -346,22 +346,23 @@ def plane_staircase(ring: ToricRing, bounds: Sequence[int], floors: tuple[int, .
     On two rays g divides w exactly when t(g) <= t(w) entrywise. The rows come in increasing t0
     (_hermite_walk), and a row's first passing member (run_interval) divides the rest of its row,
     as the run step lies in the semigroup. So that member is minimal exactly when its t1 is below
-    the last kept t1, the least of the earlier rows: the minimal points are a staircase. One with
-    t1 = floors[1] divides every later row, and the walk stops there. A bound below its floor
-    gives no point."""
+    the last kept t1, the least of the earlier rows: the minimal points are a staircase. So each
+    row is cut at the staircase, its run ending one below the last kept t1, and a row starting at
+    or above it is skipped with no interval test. One with t1 = floors[1] divides every later
+    row, and the walk stops there. A bound below its floor gives no point."""
     if any(map(lt, bounds, floors)):
         return ()
     (p0, p1), tp, below = _cut_point(ring, floors)
     (u0, u1), (_, s) = ring.run_step
-    tests, top, last, gens = (*tests, *below), bounds[1] - tp[1], bounds[1] + 1, []
+    tests, top, gens = (*tests, *below), bounds[1] - tp[1], []  # top: the cut rows' last t1 - tp[1]
     for (w0, w1), (_, t1) in lattice_points_in_box(ring, (bounds[0] - tp[0], min(top, s - 1))):
-        w0, w1 = w0 + p0, w1 + p1
-        lo, hi = run_interval((w0, w1), (top - t1) // s + 1, tests)
-        t1 += tp[1] + lo * s
-        if lo <= hi and t1 < last:
-            gens.append((w0 + lo * u0, w1 + lo * u1))
-            last = t1
-            if t1 == floors[1]:
+        if t1 > top:
+            continue
+        lo, hi = run_interval((w0 + p0, w1 + p1), (top - t1) // s + 1, tests)
+        if lo <= hi:
+            gens.append((w0 + p0 + lo * u0, w1 + p1 + lo * u1))
+            top = t1 + lo * s - 1
+            if top + tp[1] < floors[1]:
                 break
     return tuple(sorted(gens))
 

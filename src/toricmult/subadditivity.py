@@ -1,7 +1,7 @@
 """Subadditivity of multiplier ideals: checks, 2D proofs, refutation, search.
 
-check_subadditivity decides J(ab) ⊆ J(a)·J(b) generator by generator;
-decompose_2d splits each generator of J(ab) in dimension two;
+check_subadditivity decides J(ab) ⊆ J(a)·J(b) generator by generator, on two
+sigma rays by the edge-region split that decompose_2d makes of each generator;
 exhaustive_refute scans every splitting of a target point. The rest builds
 and searches for counterexamples by adjoining a variable to a smaller ring.
 """
@@ -188,6 +188,11 @@ def check_subadditivity(a: MonomialIdeal, b: MonomialIdeal) -> SubadditivityVerd
     J(b): a product generator g + h dividing w leaves w − g = h + (w − g − h).
     A principal factor decides the pair with no test: J(⟨g⟩) = ⟨g⟩
     (multiplier_ideal), so J(g + b) = g + J(b) = J(⟨g⟩)·J(b) holds with no witness.
+    On two sigma rays the paper's 2D proof decides first: w lies in the first edge
+    region of N(ab) whose floors its pairings t clear (_edge_regions), and the region's
+    witness g, a generator of one factor and so a member of its J, leaves w − g in J of
+    the other when some generator h of that J has t(h) <= t − t(g) entrywise. A w that
+    this split does not place goes to the factor test, so no verdict rests on the theorem.
     Memoized on the pair, which a search meets once per gap point of a skeleton.
     """
     ab = product(a, b)
@@ -196,8 +201,18 @@ def check_subadditivity(a: MonomialIdeal, b: MonomialIdeal) -> SubadditivityVerd
     j_b = multiplier_ideal(b)
     if len(a.gens) == 1 or len(b.gens) == 1:
         return SubadditivityVerdict(True, (), (), j_ab, j_a, j_b)
+    splits = ()
+    if len(a.ring.sigma_rays) == 2:
+        other_pairings = {Side.FROM_A: j_b.pairings, Side.FROM_B: j_a.pairings}
+        splits = [(f0, f1, *a.ring.pairings(g), other_pairings[side]) for f0, f1, side, g in _edge_regions(a, b)[1]]
 
     def in_product(w, t):
+        for f0, f1, g0, g1, others in splits:
+            if t[0] >= f0 and t[1] >= f1:
+                d0, d1 = t[0] - g0, t[1] - g1
+                if any(h0 <= d0 and h1 <= d1 for h0, h1 in others):
+                    return True
+                break
         factors = zip(j_a.gens, j_a.pairings)
         return any(all(map(le, tg, t)) and contains_monomial(j_b, vsub(w, g)) for g, tg in factors)
 
@@ -226,6 +241,7 @@ def _edge_regions(a: MonomialIdeal, b: MonomialIdeal):
     an edge of N(ab). As ⟨u0, n0⟩ = ⟨u0, n1⟩ = 1, p + u0 interior to N(ab)
     is interior to the region iff t0(p) ≥ t0(v1) and t1(p) ≥ t1(v2). Returns
     lattice_thresholds(N(ab), u0) and, per region, (t0(v1), t1(v2), side, witness).
+    Read by check_subadditivity (the regions) and decompose_2d (both).
     """
     ring = a.ring
     n0, n1 = ring.sigma_rays
@@ -251,13 +267,16 @@ def _edge_regions(a: MonomialIdeal, b: MonomialIdeal):
 def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomposition2D:
     """Split a member of J(ab) as (generator of a)·J(b) or (generator of b)·J(a).
 
-    Walks the boundary of N(ab), finds the first edge region whose interior
-    holds p + u0, and reads the witness off the region's shared tag component.
+    Walks the boundary of N(ab), finds the first edge region whose floors
+    p clears, and reads the witness off the region's shared tag component.
     The regions' sigma-pairing floors are found once per (a, b) and memoized
     (_edge_regions); p is tested on each with two integer comparisons.
-    The remainder membership is re-verified exactly, in integers on the
+    The remainder membership is verified exactly, in integers on the
     numerators r (p − g) + w0 over r (geometry.membership_scaled), and
-    returned. Only for two-dimensional rings.
+    returned. A remainder interior to N(other) puts p + u0 = witness + remainder
+    in N(own) + int N(other) ⊆ int N(ab), so p + u0 is tested against N(ab)
+    only when that region refuses the split or no region's floors are cleared:
+    NotInMultiplierIdeal if it is not interior. Only for two-dimensional rings.
     """
     ring = _same_ring(a, b)
     if ring.dim != 2:
@@ -265,18 +284,17 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
     w0, r = ring.q_gorenstein
     pt, (t0, t1) = exponent_pairings(ring, p)
     interior, regions = _edge_regions(a, b)
-    if not all(dot(pt, f) >= m for f, m in interior):
-        raise NotInMultiplierIdeal(f"{pt} + u0 is not interior to the product's Newton polyhedron")
-
     for idx, (floor0, floor1, side, witness) in enumerate(regions):
         if t0 >= floor0 and t1 >= floor1:
             num = tuple(r * (x - g) + w for x, g, w in zip(pt, witness, w0))
             other = b if side is Side.FROM_A else a
             report = membership_scaled(newton_polyhedron(other), num, r, relative_interior=True)
-            remainder = tuple(Fraction(c, r) for c in num)
-            assert report.contained, "edge region interior must land in the factor's interior"
-            return Decomposition2D(side, witness, remainder, idx, report)
-    raise AssertionError("interior point escaped every edge region")
+            if report.contained:
+                return Decomposition2D(side, witness, tuple(Fraction(c, r) for c in num), idx, report)
+            break
+    if not all(dot(pt, f) >= m for f, m in interior):
+        raise NotInMultiplierIdeal(f"{pt} + u0 is not interior to the product's Newton polyhedron")
+    raise AssertionError("no edge region splits an interior point")
 
 
 # ---------------------------------------------------------------------------

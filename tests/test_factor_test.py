@@ -9,7 +9,9 @@ on the pairs of acceptance criterion 4, on the search hits of the small-hits
 and singular-bases configs, on the square-cone violation and on the paper's
 example. The product is still a verdict's j_product, built on first read.
 A pair with a principal factor holds with no factor test: J(<g>) = <g> and
-J(g + b) = g + J(b) = J(<g>)·J(b).
+J(g + b) = g + J(b) = J(<g>)·J(b). On two sigma rays the paper's edge-region
+split decides first, so plane pairs reach the factor test only where the split
+does not place a generator, which an edge-region table with wrong witnesses forces.
 """
 
 import itertools
@@ -20,11 +22,12 @@ from pathlib import Path
 import pytest
 
 from instances import POOL, pool_rings, random_2d_ring, random_3d_ring, random_ideal, random_non_simplicial_rings
+from toricmult import subadditivity
 from toricmult.builtin_example import instance
 from toricmult.ideals import contains_monomial, monomial_ideal, product, region_minimal_generators
 from toricmult.problemio import load_problem, load_search_config
 from toricmult.rings import ring_from_dual_rays, semigroup_points
-from toricmult.subadditivity import check_subadditivity, search_counterexamples
+from toricmult.subadditivity import Side, check_subadditivity, search_counterexamples
 
 TESTS = Path(__file__).parent
 
@@ -165,3 +168,60 @@ def test_the_factor_test_finds_a_factor_when_one_factor_is_principal():
                 all(map(le, tg, t)) and contains_monomial(verdict.j_b, tuple(p - q for p, q in zip(w, g)))
                 for g, tg in factors
             ), (a, b, w)
+
+
+@pytest.fixture
+def factor_tests(monkeypatch):
+    """The (ideal, point) of every contains_monomial call made by subadditivity."""
+    calls = []
+
+    def spy(ideal, w):
+        calls.append((ideal, w))
+        return contains_monomial(ideal, w)
+
+    monkeypatch.setattr(subadditivity, "contains_monomial", spy)
+    return calls
+
+
+def _plane_pairs():
+    return GROUPS["criterion-4"] + [(name, a, b) for name, a, b in GROUPS["pool"] if a.ring.dim == 2]
+
+
+def test_the_edge_region_split_decides_every_plane_pair(factor_tests):
+    """On two sigma rays each generator of J(ab) is placed by its edge region's witness and
+    a pairing vector of J(other), with no factor test; 3D pairs still reach the factor test."""
+    decided = 0
+    for name, a, b in _plane_pairs():
+        verdict = check_subadditivity.__wrapped__(a, b)
+        assert verdict.holds, name
+        decided += len(a.gens) > 1 and len(b.gens) > 1
+    assert factor_tests == [] and decided >= 50
+    for name, a, b in GROUPS["pool"]:
+        if a.ring.dim == 3 and len(a.gens) > 1 and len(b.gens) > 1:
+            check_subadditivity.__wrapped__(a, b)
+    assert factor_tests
+
+
+@pytest.mark.parametrize("wrong", ["far", "swapped"])
+def test_a_split_with_wrong_witnesses_falls_back_to_the_factor_test(monkeypatch, factor_tests, wrong):
+    """Each region names a member of a factor that does not split: its witness moved far out
+    along the cone (far), or the other factor's first generator (swapped). The split stays
+    sound, as the witness is still a member of its factor, and the factor test decides what
+    it does not place, so plane verdicts still equal the product scan."""
+    edge_regions = subadditivity._edge_regions
+
+    def wrong_regions(a, b):
+        interior, regions = edge_regions(a, b)
+        if wrong == "far":
+            far = tuple(map(sum, zip(*a.ring.dual_rays)))
+            regions = [(f0, f1, side, tuple(x + 1000 * y for x, y in zip(g, far))) for f0, f1, side, g in regions]
+        else:
+            regions = [(f0, f1, Side.FROM_B, b.gens[0]) if side is Side.FROM_A else (f0, f1, Side.FROM_A, a.gens[0])
+                       for f0, f1, side, _ in regions]
+        return interior, tuple(regions)
+
+    monkeypatch.setattr(subadditivity, "_edge_regions", wrong_regions)
+    for name, a, b in _plane_pairs():
+        verdict = check_subadditivity.__wrapped__(a, b)
+        assert verdict.witnesses == _scan_witnesses(verdict), name
+    assert factor_tests

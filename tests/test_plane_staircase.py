@@ -14,7 +14,8 @@ too, and the same region moved far from the origin gives them moved, as the
 box scan of the moved region is out of reach. Rings are the pairs of
 test_plane_rings in both orientations, determinants past 10,000 among them;
 ideals have one to six generators near the origin, each region is a closure
-and a multiplier region of u0.
+and a multiplier region of u0. Each row is cut at the staircase, so only the
+rows that reach below the last kept t1 pay for an interval test.
 """
 
 import math
@@ -26,10 +27,10 @@ import pytest
 import oracles
 from test_cut_runs import listed_candidates
 from test_plane_rings import PAIRS, ring_det
-from toricmult import ideals
+from toricmult import ideals, rings
 from toricmult.ideals import minimalize, monomial_ideal, newton_polyhedron, region_minimal_generators
 from toricmult.linalg import dot
-from toricmult.rings import plane_staircase, ring_from_dual_rays, semigroup_points
+from toricmult.rings import lattice_points_in_box, plane_staircase, ring_from_dual_rays, semigroup_points
 
 # Largest box, in lattice points, on which a region is checked against the box scan;
 # the scan of a determinant past 10,000 is made on the two least such rings only.
@@ -124,3 +125,50 @@ def test_a_bound_below_its_floor_gives_no_generator(staircase_calls):
     for i in range(2):
         below = tuple(f - 1 if j == i else b for j, (f, b) in enumerate(zip(floors, bounds)))
         assert plane_staircase(ring, below, floors, tests) == () == _generic(ring, below, floors, tests)
+
+
+def _rows(ring, bounds, floors, gens):
+    """(reaching, walked) for plane_staircase's cut box: the rows that start below the last kept
+    t1, which the row cut tests, and every row walked up to the one whose generator lies on the
+    floor of the second sigma ray, each of which an uncut row pays a test for. A row is its
+    start's t0 and t1 - tp[1], less a multiple of s, the step of a run in t1."""
+    _, tp, _ = rings._cut_point(ring, floors)
+    s = ring.run_step[1][1]
+    steps = {(t0 - tp[0], (t1 - tp[1]) % s): t1 for t0, t1 in map(ring.pairings, gens)}
+    last, reaching, walked = bounds[1] + 1, 0, 0
+    for _, row in lattice_points_in_box(ring, (bounds[0] - tp[0], min(bounds[1] - tp[1], s - 1))):
+        walked += 1
+        reaching += row[1] + tp[1] < last
+        last = steps.get(row, last)
+        if last == floors[1]:
+            break
+    return reaching, walked
+
+
+def test_only_rows_reaching_below_the_staircase_are_tested(staircase_calls, monkeypatch):
+    """Every region of the cases past determinant 10,000, and <x, x^20 y^3999> on the ring of
+    tests/skewed_pair_multiplier.json (determinant 200), whose staircase runs within one run step
+    of the floor for 4,000 rows: the cut skips about 45% of them, where the uncut rows tested all."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return run_interval(*args)
+
+    run_interval = rings.run_interval
+    monkeypatch.setattr(rings, "run_interval", spy)
+    skewed = ring_from_dual_rays(((1, 0), (1, 200)))
+    cases = [monomial_ideal(ring_from_dual_rays(pair), gens) for pair, gens, _ in CASES if abs(ring_det(pair)) > 10_000]
+    tested, walked = [], []
+    for ideal in cases + [monomial_ideal(skewed, [(1, 0), (20, 3999)])]:
+        for shift in (None, ideal.ring.canonical_shift()):
+            region_minimal_generators(ideal, shift)
+            (ring, bounds, floors, tests), = staircase_calls
+            staircase_calls.clear()
+            calls.clear()
+            reaching, rows = _rows(ring, bounds, floors, plane_staircase(ring, bounds, floors, tests))
+            assert len(calls) == reaching <= rows, (ring.dual_rays, ideal.gens, shift)
+            tested.append(reaching)
+            walked.append(rows)
+    assert sum(tested[:-2]) < sum(walked[:-2])
+    assert walked[-2:] == [4000, 4000] and max(tested[-2:]) < 0.6 * 4000

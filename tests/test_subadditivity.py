@@ -315,6 +315,33 @@ class TestDecompose2DAgainstReference:
                     assert NotInMultiplierIdeal in outcomes
                     assert any(isinstance(d, Decomposition2D) for d in outcomes)
 
+    def test_every_point_of_a_box_past_the_vertices_splits_or_is_refused(self):
+        # decompose_2d splits before it tests p + u0 against N(ab), and tests it only on
+        # refusal: points on a facet of N(ab), and points that clear a region's floors with
+        # p + u0 outside the interior, must be refused as the reference refuses them
+        rng = random.Random(41)
+        pairs = []
+        for _ in range(20):
+            ring = random_2d_ring(rng, bound=7)
+            pairs.append(tuple(random_ideal(rng, ring, max_gens=4, pairing_bound=30) for _ in "ab"))
+        for _, ring in pool_rings():
+            if ring.dim == 2:
+                pairs += self.seeded_pairs(rng, ring, 3)
+        on_facet = floored_outside = 0
+        for a, b in pairs:
+            ring, poly = a.ring, newton_polyhedron(product(a, b))
+            points = semigroup_points(ring, max(max(ring.pairings(v)) for v in poly.vertices) + 2)
+            outcomes = self.assert_agree(a, b, points)
+            assert all(isinstance(o, Decomposition2D) or o is NotInMultiplierIdeal for o in outcomes)
+            _, regions = _edge_regions(a, b)
+            u0 = ring.canonical_shift()
+            for p in points:
+                report = membership(poly, vadd(p, u0), relative_interior=True)
+                t0, t1 = ring.pairings(p)
+                on_facet += bool(report.tight)
+                floored_outside += not report.contained and any(t0 >= f0 and t1 >= f1 for f0, f1, _, _ in regions)
+        assert on_facet >= 100 and floored_outside >= 100
+
     def test_a_principal_pair_has_one_region(self, base_recipe):
         # N(ab) is one vertex plus the cone, so its one region is all of it
         a, b = base_recipe.i_prime, base_recipe.j_prime
