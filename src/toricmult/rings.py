@@ -6,9 +6,10 @@ facet normals of C, and pairing against them is the grading used everywhere
 else in the package. A ring derives its canonical point
 (ToricRing.q_gorenstein) and its Hermite data (ToricRing.sigma_lattice) from
 C on first use. Lattice points are walked as Hermite runs (_hermite_walk):
-lattice_points_in_box and box_point_count list and count a box, region_tests
-and cut_runs walk a region of facet thresholds, plane_staircase reads a
-region's minimal points on two sigma rays, and run_points expands runs.
+lattice_points_in_box and box_point_count list and count a box, cut_runs walks
+a region of facet thresholds (region_tests) from its floors on every cone,
+plane_staircase reads a region's minimal points on two sigma rays from the
+rows of a cut box (_cut_point), and run_points expands runs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from operator import add, lt, mul, sub
+from operator import add, lt, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotInSemigroup, NotQGorenstein, TooLarge
@@ -282,8 +283,8 @@ def region_tests(ring: ToricRing, thresholds: Sequence) -> tuple[tuple[int, ...]
     """(floors, tests) of the region <w, f> >= m, (f, m) in the integer facet thresholds of a
     polyhedron P + C (geometry.lattice_thresholds), for cut_runs. Every sigma ray n_i is a facet
     normal of P + C, as it is of C, with the least pairing of a point of P as its offset; that
-    facet's threshold is floors[i], the walk's floor on n_i, so a walk starts there and not at
-    the origin. Every other facet becomes a test (f, m, <u, f>), in facet order, u the run step."""
+    facet's threshold is floors[i], the floor of _hermite_walk on n_i, so the walk starts there
+    on every cone. Every other facet becomes a test (f, m, <u, f>), in facet order, u the run step."""
     sigma, u = ring.sigma_rays, ring.run_step[0]
     floors, tests = [None] * len(sigma), []
     for f, m in thresholds:
@@ -294,30 +295,15 @@ def region_tests(ring: ToricRing, thresholds: Sequence) -> tuple[tuple[int, ...]
     return tuple(floors), tuple(tests)
 
 
-def cut_runs(ring: ToricRing, bounds: Sequence[int], floors: tuple[int, ...], tests: Sequence) -> Iterator[Run]:
-    """(w, t, n) per run w + k u, 0 <= k < n, t the pairings of w, in walk order (_hermite_walk),
-    covering the points of lattice_points_in_box(ring, bounds) that pair to at least floors[i] with
-    every sigma ray n_i and pass every facet test (f, m, s), s = <u, f> its step along a run
-    (region_tests). Each run is cut to its passing interval (run_interval): it is nonempty and
-    starts at its first passing point, on or above the floors. floors is a tuple, the key of the
-    cut point's memo (_cut_point). A bound below its floor yields no run."""
-    if any(map(lt, bounds, floors)):
-        return
+def cut_runs(ring: ToricRing, bounds: Sequence[int], floors: Sequence[int], tests: Sequence) -> Iterator[Run]:
+    """(w, t, n) per run w + k u, 0 <= k < n, t the pairings of w: one walk on every cone, the
+    runs of _hermite_walk from the floors in its order, so they cover the points of
+    lattice_points_in_box(ring, bounds) that pair to at least floors[i] with every sigma ray n_i.
+    Each run is cut by run_interval to the points that pass every facet test (f, m, s), s = <u, f>
+    its step along a run (region_tests): it is nonempty and starts at its first passing point.
+    floors is any sequence, no memo key. A bound below its floor yields no run (_hermite_walk)."""
     u, ut = ring.run_step
-    if len(ring.sigma_rays) > ring.dim:
-        runs = _hermite_walk(ring, bounds, floors)
-    else:
-        # Stays until ROADMAP 1c, with plane_staircase's cut box.
-        p, tp, below = _cut_point(ring, floors)
-        if below:
-            tests = [*tests, *below]
-        top, s = bounds[-1] - tp[-1], ut[-1]  # a start t of the cut box pairs t[-1] < s with the last ray
-        starts = lattice_points_in_box(ring, (*map(sub, bounds[:-1], tp), min(top, s - 1)))
-        if any(tp):
-            runs = ((tuple(map(add, w, p)), tuple(map(add, t, tp)), (top - t[-1]) // s + 1) for w, t in starts)
-        else:
-            runs = ((w, t, (top - t[-1]) // s + 1) for w, t in starts)
-    for w, t, n in runs:
+    for w, t, n in _hermite_walk(ring, bounds, floors):
         lo, hi = run_interval(w, n, tests)
         if lo > hi:
             continue
@@ -326,11 +312,10 @@ def cut_runs(ring: ToricRing, bounds: Sequence[int], floors: tuple[int, ...], te
         yield w, t, hi - lo + 1
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _cut_point(ring: ToricRing, floors: tuple[int, ...]) -> tuple[LatticePoint, tuple[int, ...], tuple]:
-    """(p, tp, below) on simplicial sigma: p = U k for k the floors rounded down on the Hermite
-    basis, where the cut box of cut_runs starts, tp its sigma pairings (H k), and the floor test
-    (n_i, floors[i], <u, n_i>) of each floor that tp falls short of. Memoized on (ring, floors)."""
+def _cut_point(ring: ToricRing, floors: Sequence[int]) -> tuple[LatticePoint, tuple[int, ...], tuple]:
+    """(p, tp, below) on a ring with two sigma rays: p = U k for k the floors rounded down on the
+    Hermite basis, where plane_staircase's cut box starts, tp its sigma pairings (H k), and the
+    floor test (n_i, floors[i], <u, n_i>) of each floor that tp falls short of."""
     _, hnf, uni = ring.sigma_lattice
     k: list[int] = []
     for row, f in zip(hnf, floors):

@@ -321,8 +321,8 @@ def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> R
     answers the question above, which is not membership in J(a)·J(b).
     The test on beta is ⟨alpha, −f⟩ ≥ m − ⟨v, f⟩ per integer threshold (f, m) of
     N(b). Only the Hermite runs of the pair's splitting box (_splitting_data)
-    are walked, each cut by rings.cut_runs to the splittings, listed in walk
-    order (rings._hermite_walk) on simplicial σ and by alpha otherwise. bounds is the box of every
+    are walked, each cut by rings.cut_runs to the splittings, listed in walk order on simplicial
+    σ (rings._hermite_walk from the floors) and by alpha otherwise. bounds is the box of every
     candidate, 0 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ + 1, and scanned its lattice-point count
     (rings.box_point_count).
     """

@@ -3,25 +3,26 @@
 Rings, products and sums of ideals, Newton polyhedra, integral closures,
 multiplier ideals, subadditivity verdicts, the 2D edge regions of an ideal
 pair, the lattice-point count of a refutation's box, the splitting data of
-an ideal pair, the cut point of a simplicial walk from its floors, the lift
-of a construction, and the two search stages (the skeleton space of a
-config's bounds and the gap points of a generator pair) are pure functions
-of frozen values, so each is memoized by value; a ring's canonical point,
-sigma lattice, walk plan and dual-ray reach are computed once and held by
-the ring itself, as is its hash and an ideal's, and a cone holds which rays
-each facet normal is tight on. Newton polyhedra, closures and multiplier
-ideals are computed once per translation class: one decorator,
-ideals.per_translation_class, gives each of the three one memo of the ideals
-asked for and a bounded cell per class that holds the first member met with
-its answer, which the later members move; no other ideal is computed, so a
-wrapper bound in place of a layer sees one call per public call. The checks
-here pin that every
-cache is bounded, each by the package's one bound rings.CACHE_SIZE, that a cached answer equals the undecorated function's,
-that equal values built apart share one entry, that configs differing only
-in seed or cap share one skeleton space, and that errors are raised again
-rather than remembered. The bound is also checked by scanning the package's
-source for every memo decorator, so a memo missing from MEMOIZED cannot
-escape it.
+an ideal pair, the lift of a construction, and the two search stages (the
+skeleton space of a config's bounds and the gap points of a generator pair)
+are pure functions of frozen values, so each is memoized by value; a ring's
+canonical point, sigma lattice, walk plan and dual-ray reach are computed
+once and held by the ring itself, as is its hash and an ideal's, and a cone
+holds which rays each facet normal is tight on. Newton polyhedra, closures
+and multiplier ideals are computed once per translation class: one
+decorator, ideals.per_translation_class, gives each of the three one memo of
+the ideals asked for and a bounded cell per class that holds the first
+member met with its answer, which the later members move; no other ideal is
+computed, so a wrapper bound in place of a layer sees one call per public
+call. The checks here pin that every cache is bounded, each by the package's
+one bound rings.CACHE_SIZE, that a cached answer equals the undecorated
+function's, that equal values built apart share one entry, that configs
+differing only in seed or cap share one skeleton space, and that errors are
+raised again rather than remembered. The bound is also checked by scanning
+the package's source for every memo decorator, so a memo missing from
+MEMOIZED cannot escape it. The cut point that starts rings.plane_staircase's
+cut box is computed per call, with no memo; its rounding of the floors is
+checked here too.
 """
 
 import ast
@@ -93,7 +94,6 @@ MEMOIZED = (
     _gap_generators,
     box_point_count,
     _splitting_data,
-    _cut_point,
     _lift,
 )
 
@@ -327,24 +327,14 @@ def _floors(name, ring):
 
 
 @pytest.mark.parametrize("name, ring", SIMPLICIAL_RINGS, ids=[name for name, _ in SIMPLICIAL_RINGS])
-def test_cached_cut_points_equal_fresh_ones_and_equal_rings_share_them(name, ring):
-    """The cut point of random floors, and of the origin, equals a fresh one; a ring built
-    past the ring memo and one built from its cone hit the entry the ring made. The cut
-    point rounds the floors down on the Hermite basis, and its floor tests name exactly
-    the floors it falls short of."""
-    rebuilt = _ring_from_rays.__wrapped__(ring.dual_rays)
-    copied = ToricRing(ring.cone)
+def test_cut_points_round_the_floors_down_on_the_hermite_basis(name, ring):
+    """The cut point of random floors, and of the origin, pairs to tp; it rounds the floors
+    down on the Hermite basis, and its floor tests name exactly the floors it falls short of."""
     for floors in _floors(name, ring):
-        cut = _cut_point(ring, floors)
-        assert cut == _cut_point.__wrapped__(ring, floors), floors
-        p, tp, below = cut
+        p, tp, below = _cut_point(ring, floors)
         assert tp == ring.pairings(p)
         assert all(0 <= f - a < row[i] for i, (row, f, a) in enumerate(zip(ring.sigma_lattice[1], floors, tp)))
         assert below == tuple((n, f, s) for n, f, a, s in zip(ring.sigma_rays, floors, tp, ring.run_step[1]) if a < f)
-        for other in (rebuilt, copied):
-            info = _cut_point.cache_info()
-            assert _cut_point(other, floors) is cut
-            assert (_cut_point.cache_info().hits, _cut_point.cache_info().currsize) == (info.hits + 1, info.currsize)
 
 
 def test_the_dual_ray_reach_is_computed_once_per_ring():

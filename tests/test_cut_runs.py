@@ -33,6 +33,14 @@ dominance pass (ideals._antichain), with no list or minimalize: it must
 keep what oracles.antichain_scan keeps of the same candidates listed, no
 candidate may divide one offered before it, and a closure or multiplier
 ideal on such a ring calls no minimalize.
+
+Every cone's runs come from the one walk from the floors (rings._hermite_walk),
+cut by rings.run_interval: closures, multiplier ideals and refutations on
+three or more sigma rays, simplicial or not, call neither
+rings.lattice_points_in_box nor rings._cut_point, also where the floors lie
+above the point they round down to on the Hermite basis. Only
+rings.plane_staircase, on two sigma rays, reads the rows of a cut box, which
+starts at rings._cut_point.
 """
 
 import itertools
@@ -405,6 +413,76 @@ def listed_candidates(ring, bounds, floors, tests):
         if t[1:] == floors[1:]:
             break
     return candidates
+
+
+def _spy(monkeypatch, names, calls):
+    """Rebind each named function of rings to a wrapper that records (name, args) in calls and
+    then makes the call."""
+    for name in names:
+        original = getattr(rings, name)
+
+        def call(*args, name=name, original=original):
+            calls.append((name, args))
+            return original(*args)
+
+        monkeypatch.setattr(rings, name, call)
+
+
+def _floors_above_the_cut_point(ring, points):
+    """An ideal of two of the points whose floors, its least pairings, lie above the point that
+    rings._cut_point rounds them down to: they are no lattice point's pairings. None if there is none."""
+    for g, h in itertools.combinations(points, 2):
+        if rings._cut_point(ring, tuple(map(min, ring.pairings(g), ring.pairings(h))))[2]:
+            return monomial_ideal(ring, [g, h])
+
+
+@pytest.mark.parametrize("name, ring", WALKED, ids=[name for name, _ in WALKED])
+def test_every_cone_walks_its_regions_from_the_floors_with_no_cut_box(name, ring, monkeypatch):
+    """With the memos emptied, closures, and multiplier ideals and refutations where u0 exists,
+    on three or more sigma rays read their runs off rings._hermite_walk and call neither
+    rings.lattice_points_in_box nor rings._cut_point. On a simplicial sigma whose Hermite form is
+    not the identity, one ideal's floors lie above the point they round down to, where a box
+    from that point would start, and its closure is walked from those floors."""
+    rng = random.Random(name + "-no-cut-box")
+    bound = next(b for b in itertools.count(3) if len(semigroup_points(ring, b)) > 8)
+    points = [w for w in semigroup_points(ring, bound) if any(w)]
+    ideals = [monomial_ideal(ring, rng.sample(points, 4)) for _ in range(3)]
+    above = _floors_above_the_cut_point(ring, points) if _simplicial(ring) else None
+    if above:
+        ideals.append(above)
+    else:
+        assert not _simplicial(ring) or all(row[i] == 1 for i, row in enumerate(ring.sigma_lattice[1]))
+    a, b = ideals[-1], ideals[0]
+    targets = [vadd(g, p) for g in product(a, b).gens[:2] for p in semigroup_points(ring, 2)[:3]]
+    walks, calls = [], []
+    _spy(monkeypatch, ["_hermite_walk"], walks)
+    _spy(monkeypatch, ["lattice_points_in_box", "_cut_point"], calls)
+    for layer in (integral_closure, multiplier_ideal):
+        layer.cache_clear()
+    for x in ideals:
+        integral_closure(x)
+        if ring.q_gorenstein is not None:
+            multiplier_ideal(x)
+    if ring.q_gorenstein is not None:
+        for v in targets:
+            exhaustive_refute(v, a, b)
+    monkeypatch.undo()
+    walked = {args[2] for _, args in walks}
+    assert calls == [] and walked
+    if above:
+        assert tuple(map(min, *above.pairings)) in walked
+
+
+def test_a_plane_closure_reads_its_rows_off_the_cut_box(monkeypatch):
+    """On two sigma rays rings.plane_staircase starts its cut box at rings._cut_point and reads
+    its rows through rings.lattice_points_in_box, once each per region."""
+    ring = dict(RINGS)["index-three-2d"]
+    a = monomial_ideal(ring, [(3, 5), (5, 3)])
+    calls = []
+    _spy(monkeypatch, ["lattice_points_in_box", "_cut_point"], calls)
+    integral_closure.cache_clear()
+    assert integral_closure(a).gens
+    assert [name for name, _ in calls] == ["_cut_point", "lattice_points_in_box"]
 
 
 @pytest.mark.parametrize("name, ring", WALKED, ids=[name for name, _ in WALKED])
