@@ -187,11 +187,12 @@ def region_minimal_generators(a: MonomialIdeal, shift: RatPoint | None) -> tuple
     shift s it is {w : w + s interior to N}, s = u0 for a multiplier ideal.
     Its thresholds (geometry.lattice_thresholds) give the walk's floors and
     tests (rings.region_tests). rings.plane_staircase walks two sigma rays;
-    otherwise rings.cut_runs cuts each run to its members, and the step u
-    lies in the semigroup (ToricRing.run_step), so a run's first member
-    divides the rest and is its one candidate. A divisor's basis pairings
-    are lexicographically at most its multiple's, so it is walked first
-    (rings._hermite_walk), and _antichain keeps candidates as they come.
+    otherwise rings.cut_runs walks the runs from the floors, each narrowed
+    by the tests to its members, and the step u lies in the semigroup
+    (ToricRing.run_step), so a run's first member divides the rest and is
+    its one candidate. A divisor's basis pairings are lexicographically at
+    most its multiple's, so it is walked first (rings.cut_runs), and
+    _antichain keeps candidates as they come.
 
     Candidates pair with each sigma ray n to at most its floor plus the
     vertex pairings' spread and the sum of <r, n> over the dual rays r, less
@@ -201,7 +202,7 @@ def region_minimal_generators(a: MonomialIdeal, shift: RatPoint | None) -> tuple
     w + s to w + s - c_r r, a point of N. The walk of cut_runs stops at a
     candidate pairing to the floor with every sigma ray n_1, ...: it divides
     every later candidate, as the pairing with sigma ray 0 never decreases
-    along the walk (rings._hermite_walk).
+    along the walk (rings.cut_runs).
     """
     ring, poly = a.ring, newton_polyhedron(a)
     floors, tests = region_tests(ring, lattice_thresholds(poly, shift))

@@ -5,11 +5,12 @@ rational cone, the dual of sigma. The primitive generators of sigma are the
 facet normals of C, and pairing against them is the grading used everywhere
 else in the package. A ring derives its canonical point
 (ToricRing.q_gorenstein) and its Hermite data (ToricRing.sigma_lattice) from
-C on first use. Lattice points are walked as Hermite runs (_hermite_walk):
-lattice_points_in_box and box_point_count list and count a box, cut_runs walks
-a region of facet thresholds (region_tests) from its floors on every cone,
-plane_staircase reads a region's minimal points on two sigma rays from the
-rows of a cut box (_cut_point), and run_points expands runs.
+C on first use. Lattice points are walked as Hermite runs (cut_runs) from a
+region's floors on every cone, each run narrowed by its facet tests
+(region_tests, run_interval): lattice_points_in_box and box_point_count list
+and count a box with no tests, plane_staircase reads a region's minimal points
+on two sigma rays from the rows of a cut box (_cut_point), and run_points
+expands runs.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ class ToricRing(_Ring):
 
     @cached_property
     def walk_plan(self) -> tuple:
-        """(step, levels, i0, s0, clip): what _hermite_walk reads, on the joined vector t + w of a
+        """(step, levels, i0, s0, clip): what cut_runs reads, on the joined vector t + w of a
         point's sigma pairings t and the point w, so that t_i is entry i. A run steps by
         step = ut + u (run_step). levels holds (i, h, ct + c) per coordinate k_j walked before the
         runs, j < d - 1: basis ray i = basis[j], the diagonal entry h = H_jj, and column c of U
@@ -191,8 +192,8 @@ Run = tuple[LatticePoint, tuple[int, ...], int]  # (w, t, n): w + k u for 0 <= k
 
 def lattice_points_in_box(ring: ToricRing, bounds: Sequence[int]) -> Iterator[tuple[LatticePoint, tuple[int, ...]]]:
     """(w, pairings) per lattice w with 0 <= <w, n_i> <= bounds[i] for every sigma ray n_i: in
-    walk order (_hermite_walk) on simplicial sigma, and otherwise sorted by w, all at once."""
-    points = run_points(ring, _hermite_walk(ring, bounds, (0,) * len(bounds)))
+    walk order (cut_runs) on simplicial sigma, and otherwise sorted by w, all at once."""
+    points = run_points(ring, cut_runs(ring, bounds, (0,) * len(bounds), ()))
     yield from points if len(ring.sigma_rays) == ring.dim else sorted(points)
 
 
@@ -201,7 +202,7 @@ def box_point_count(ring: ToricRing, bounds: tuple[int, ...]) -> int:
     """The number of lattice w with 0 <= <w, n_i> <= bounds[i] for every sigma ray n_i: the
     lengths of the box's Hermite runs from zero floors, summed, with no point enumerated.
     Memoized, as refutations share their reported boxes."""
-    return sum(n for _, _, n in _hermite_walk(ring, bounds, (0,) * len(bounds)))
+    return sum(n for _, _, n in cut_runs(ring, bounds, (0,) * len(bounds), ()))
 
 
 def run_points(ring: ToricRing, runs) -> Iterator[tuple[LatticePoint, tuple[int, ...]]]:
@@ -217,10 +218,11 @@ def run_points(ring: ToricRing, runs) -> Iterator[tuple[LatticePoint, tuple[int,
         yield from zip(zip(*ws), zip(*ts))
 
 
-def _hermite_walk(ring: ToricRing, bounds: Sequence[int], floors: Sequence[int]) -> Iterator[Run]:
-    """(w, t, n) per nonempty run w + k u, 0 <= k < n, of the integer k with
-    floors[i] <= <w, n_i> <= bounds[i] for every sigma ray n_i; t pairs w with
-    every sigma ray, in sigma-ray order.
+def cut_runs(ring: ToricRing, bounds: Sequence[int], floors: Sequence[int], tests: Sequence) -> Iterator[Run]:
+    """(w, t, n) per nonempty run w + k u, 0 <= k < n, of the lattice points with
+    floors[i] <= <w, n_i> <= bounds[i] for every sigma ray n_i and <w, f> >= m for every facet
+    test (f, m, s) in tests, s = <u, f> (region_tests); t pairs w with every sigma ray, in
+    sigma-ray order. floors is any sequence, no memo key; a bound below its floor yields no run.
 
     Column j of U pairs to H_ij with sigma ray basis[i] (N U = H), H lower
     triangular with a positive diagonal: once k_0..k_{j-1} are fixed, the
@@ -233,7 +235,8 @@ def _hermite_walk(ring: ToricRing, bounds: Sequence[int], floors: Sequence[int])
     lazy and keeps no generator per level. The last coordinate is walked as
     runs, one per prefix, clipped by the last basis ray and every ray outside
     the basis: n_i pairs to t_i + k s along a run, s = <u, n_i> >= 0
-    (ToricRing.walk_plan).
+    (ToricRing.walk_plan). The facet tests then narrow that same interval of k
+    (run_interval), and the run is moved once, to its first passing point.
     """
     if len(bounds) != len(ring.sigma_rays):
         raise ValueError("one bound per sigma ray is required")
@@ -261,6 +264,8 @@ def _hermite_walk(ring: ToricRing, bounds: Sequence[int], floors: Sequence[int])
                     lo, hi = max(lo, -((tw[i] - floors[i]) // s)), min(hi, (bounds[i] - tw[i]) // s)
                 elif not floors[i] <= tw[i] <= bounds[i]:
                     hi = lo - 1
+            if tests and lo <= hi:  # box walks pass no tests
+                lo, hi = run_interval(tw[rays:], lo, hi, tests)
             if lo <= hi:
                 run = _moved(tw, lo, step) if lo else tw
                 yield run[rays:], run[:rays], hi - lo + 1
@@ -283,8 +288,9 @@ def region_tests(ring: ToricRing, thresholds: Sequence) -> tuple[tuple[int, ...]
     """(floors, tests) of the region <w, f> >= m, (f, m) in the integer facet thresholds of a
     polyhedron P + C (geometry.lattice_thresholds), for cut_runs. Every sigma ray n_i is a facet
     normal of P + C, as it is of C, with the least pairing of a point of P as its offset; that
-    facet's threshold is floors[i], the floor of _hermite_walk on n_i, so the walk starts there
-    on every cone. Every other facet becomes a test (f, m, <u, f>), in facet order, u the run step."""
+    facet's threshold is floors[i], the floor of the walk on n_i, so the walk starts there on
+    every cone. Every other facet becomes a test (f, m, <u, f>), in facet order, u the run step,
+    which narrows each clipped run of the walk (run_interval)."""
     sigma, u = ring.sigma_rays, ring.run_step[0]
     floors, tests = [None] * len(sigma), []
     for f, m in thresholds:
@@ -293,23 +299,6 @@ def region_tests(ring: ToricRing, thresholds: Sequence) -> tuple[tuple[int, ...]
         else:
             tests.append((f, m, dot(u, f)))
     return tuple(floors), tuple(tests)
-
-
-def cut_runs(ring: ToricRing, bounds: Sequence[int], floors: Sequence[int], tests: Sequence) -> Iterator[Run]:
-    """(w, t, n) per run w + k u, 0 <= k < n, t the pairings of w: one walk on every cone, the
-    runs of _hermite_walk from the floors in its order, so they cover the points of
-    lattice_points_in_box(ring, bounds) that pair to at least floors[i] with every sigma ray n_i.
-    Each run is cut by run_interval to the points that pass every facet test (f, m, s), s = <u, f>
-    its step along a run (region_tests): it is nonempty and starts at its first passing point.
-    floors is any sequence, no memo key. A bound below its floor yields no run (_hermite_walk)."""
-    u, ut = ring.run_step
-    for w, t, n in _hermite_walk(ring, bounds, floors):
-        lo, hi = run_interval(w, n, tests)
-        if lo > hi:
-            continue
-        if lo:
-            w, t = _moved(w, lo, u), _moved(t, lo, ut)
-        yield w, t, hi - lo + 1
 
 
 def _cut_point(ring: ToricRing, floors: Sequence[int]) -> tuple[LatticePoint, tuple[int, ...], tuple]:
@@ -329,7 +318,7 @@ def plane_staircase(ring: ToricRing, bounds: Sequence[int], floors: tuple[int, .
     """The minimal points, lex-sorted, of the region that cut_runs walks on a ring with two sigma
     rays, read in one pass over the rows of its cut box, with no candidate list, sort or scan.
     On two rays g divides w exactly when t(g) <= t(w) entrywise. The rows come in increasing t0
-    (_hermite_walk), and a row's first passing member (run_interval) divides the rest of its row,
+    (cut_runs), and a row's first passing member (run_interval) divides the rest of its row,
     as the run step lies in the semigroup. So that member is minimal exactly when its t1 is below
     the last kept t1, the least of the earlier rows: the minimal points are a staircase. So each
     row is cut at the staircase, its run ending one below the last kept t1, and a row starting at
@@ -343,7 +332,7 @@ def plane_staircase(ring: ToricRing, bounds: Sequence[int], floors: tuple[int, .
     for (w0, w1), (_, t1) in lattice_points_in_box(ring, (bounds[0] - tp[0], min(top, s - 1))):
         if t1 > top:
             continue
-        lo, hi = run_interval((w0 + p0, w1 + p1), (top - t1) // s + 1, tests)
+        lo, hi = run_interval((w0 + p0, w1 + p1), 0, (top - t1) // s, tests)
         if lo <= hi:
             gens.append((w0 + p0 + lo * u0, w1 + p1 + lo * u1))
             top = t1 + lo * s - 1
@@ -352,12 +341,11 @@ def plane_staircase(ring: ToricRing, bounds: Sequence[int], floors: tuple[int, .
     return tuple(sorted(gens))
 
 
-def run_interval(w: LatticePoint, n: int, tests) -> tuple[int, int]:
-    """(lo, hi): lo <= k <= hi for exactly the k in [0, n) with <w + k u, f> >= m for
-    every (f, m, s) in tests, none when lo > hi. s = <u, f> is the facet's step along
-    the run, computed once per region by region_tests: s > 0 bounds k below, s < 0
-    bounds it above, and 0 passes every k or none."""
-    lo, hi = 0, n - 1
+def run_interval(w: LatticePoint, lo: int, hi: int, tests) -> tuple[int, int]:
+    """(lo, hi) narrowed: exactly the k of the given lo <= k <= hi, which may start below 0,
+    with <w + k u, f> >= m for every (f, m, s) in tests, none when lo > hi. s = <u, f> is the
+    facet's step along the run, computed once per region by region_tests: s > 0 bounds k
+    below, s < 0 bounds it above, and 0 passes every k or none."""
     for f, m, s in tests:
         gap = m - dot(w, f)
         if s > 0:

@@ -204,7 +204,7 @@ def check_subadditivity(a: MonomialIdeal, b: MonomialIdeal) -> SubadditivityVerd
     splits = ()
     if len(a.ring.sigma_rays) == 2:
         other_pairings = {Side.FROM_A: j_b.pairings, Side.FROM_B: j_a.pairings}
-        splits = [(f0, f1, *a.ring.pairings(g), other_pairings[side]) for f0, f1, side, g in _edge_regions(a, b)[1]]
+        splits = [(f0, f1, *a.ring.pairings(g), other_pairings[side]) for f0, f1, side, g in _edge_regions(a, b)]
 
     def in_product(w, t):
         for f0, f1, g0, g1, others in splits:
@@ -227,7 +227,7 @@ def check_subadditivity(a: MonomialIdeal, b: MonomialIdeal) -> SubadditivityVerd
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _edge_regions(a: MonomialIdeal, b: MonomialIdeal):
-    """Integer interior test of N(ab) and the sigma-pairing floors of its edge regions.
+    """The sigma-pairing floors of the edge regions of N(ab), with each region's side and witness.
 
     Vertices of N(ab), ordered by t0 = ⟨v, n0⟩, are tagged with the
     lex-smallest (a-generator, b-generator) pair summing to them, the first
@@ -240,8 +240,7 @@ def _edge_regions(a: MonomialIdeal, b: MonomialIdeal):
     the walk: the region is t0 ≥ t0(v1), t1 ≥ t1(v2) on the inner side of
     an edge of N(ab). As ⟨u0, n0⟩ = ⟨u0, n1⟩ = 1, p + u0 interior to N(ab)
     is interior to the region iff t0(p) ≥ t0(v1) and t1(p) ≥ t1(v2). Returns
-    lattice_thresholds(N(ab), u0) and, per region, (t0(v1), t1(v2), side, witness).
-    Read by check_subadditivity (the regions) and decompose_2d (both).
+    (t0(v1), t1(v2), side, witness) per region, for check_subadditivity and decompose_2d.
     """
     ring = a.ring
     n0, n1 = ring.sigma_rays
@@ -261,7 +260,7 @@ def _edge_regions(a: MonomialIdeal, b: MonomialIdeal):
         assert a1 == a2 or b1 == b2, "consecutive tags must share a component"
         side, witness = (Side.FROM_A, a1) if a1 == a2 else (Side.FROM_B, b1)
         regions.append((dot(v1, n0), dot(v2, n1), side, witness))
-    return lattice_thresholds(poly, ring.canonical_shift()), tuple(regions)
+    return tuple(regions)
 
 
 def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomposition2D:
@@ -274,17 +273,17 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
     The remainder membership is verified exactly, in integers on the
     numerators r (p − g) + w0 over r (geometry.membership_scaled), and
     returned. A remainder interior to N(other) puts p + u0 = witness + remainder
-    in N(own) + int N(other) ⊆ int N(ab), so p + u0 is tested against N(ab)
-    only when that region refuses the split or no region's floors are cleared:
-    NotInMultiplierIdeal if it is not interior. Only for two-dimensional rings.
+    in N(own) + int N(other) ⊆ int N(ab), so the interior test of N(ab)
+    (geometry.lattice_thresholds at u0) is built and run only when that region
+    refuses the split or no region's floors are cleared: NotInMultiplierIdeal
+    if p + u0 is not interior. Only for two-dimensional rings.
     """
     ring = _same_ring(a, b)
     if ring.dim != 2:
         raise NotDimension2(f"boundary-walk decomposition needs dimension 2, not {ring.dim}")
     w0, r = ring.q_gorenstein
     pt, (t0, t1) = exponent_pairings(ring, p)
-    interior, regions = _edge_regions(a, b)
-    for idx, (floor0, floor1, side, witness) in enumerate(regions):
+    for idx, (floor0, floor1, side, witness) in enumerate(_edge_regions(a, b)):
         if t0 >= floor0 and t1 >= floor1:
             num = tuple(r * (x - g) + w for x, g, w in zip(pt, witness, w0))
             other = b if side is Side.FROM_A else a
@@ -292,6 +291,7 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
             if report.contained:
                 return Decomposition2D(side, witness, tuple(Fraction(c, r) for c in num), idx, report)
             break
+    interior = lattice_thresholds(newton_polyhedron(product(a, b)), ring.canonical_shift())
     if not all(dot(pt, f) >= m for f, m in interior):
         raise NotInMultiplierIdeal(f"{pt} + u0 is not interior to the product's Newton polyhedron")
     raise AssertionError("no edge region splits an interior point")
@@ -321,10 +321,10 @@ def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> R
     answers the question above, which is not membership in J(a)·J(b).
     The test on beta is ⟨alpha, −f⟩ ≥ m − ⟨v, f⟩ per integer threshold (f, m) of
     N(b). Only the Hermite runs of the pair's splitting box (_splitting_data)
-    are walked, each cut by rings.cut_runs to the splittings, listed in walk order on simplicial
-    σ (rings._hermite_walk from the floors) and by alpha otherwise. bounds is the box of every
-    candidate, 0 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ + 1, and scanned its lattice-point count
-    (rings.box_point_count).
+    are walked, by rings.cut_runs from the floors, each run narrowed by the facet tests
+    to the splittings, listed in walk order on simplicial σ and by alpha otherwise.
+    bounds is the box of every candidate, 0 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ + 1, and scanned its
+    lattice-point count (rings.box_point_count).
     """
     ring = _same_ring(a, b)
     target, tv = exponent_pairings(ring, v)

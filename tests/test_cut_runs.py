@@ -34,13 +34,13 @@ keep what oracles.antichain_scan keeps of the same candidates listed, no
 candidate may divide one offered before it, and a closure or multiplier
 ideal on such a ring calls no minimalize.
 
-Every cone's runs come from the one walk from the floors (rings._hermite_walk),
-cut by rings.run_interval: closures, multiplier ideals and refutations on
-three or more sigma rays, simplicial or not, call neither
-rings.lattice_points_in_box nor rings._cut_point, also where the floors lie
-above the point they round down to on the Hermite basis. Only
-rings.plane_staircase, on two sigma rays, reads the rows of a cut box, which
-starts at rings._cut_point.
+Every cone's runs come from the one walk from the floors (rings.cut_runs),
+each narrowed by its facet tests through rings.run_interval: closures,
+multiplier ideals and refutations on three or more sigma rays, simplicial or
+not, call neither rings.lattice_points_in_box nor rings._cut_point, also
+where the floors lie above the point they round down to on the Hermite
+basis. Only rings.plane_staircase, on two sigma rays, reads the rows of a cut
+box, which starts at rings._cut_point.
 """
 
 import itertools
@@ -51,7 +51,7 @@ import pytest
 
 import oracles
 from instances import POOL, STEPPING_DOWN, random_2d_ring, random_3d_ring, random_ideal, random_non_simplicial_rings
-from toricmult import rings
+from toricmult import ideals, rings, subadditivity
 from toricmult.geometry import lattice_thresholds
 from toricmult.ideals import integral_closure, monomial_ideal, newton_polyhedron, product, region_minimal_generators
 from toricmult.linalg import dot, primitivize, vadd, vscale, vsub
@@ -197,12 +197,13 @@ def test_region_tests_read_the_floors_off_the_sigma_ray_facets(name, ring, regio
     assert nonempty
 
 
-def _scan(w, u, n, tests):
-    return [k for k in range(n) if all(dot(vadd(w, vscale(k, u)), f) >= m for f, m in tests)]
+def _scan(w, u, lo, hi, tests):
+    return [k for k in range(lo, hi + 1) if all(dot(vadd(w, vscale(k, u)), f) >= m for f, m in tests)]
 
 
 def _random_runs(rng, count):
-    """(w, u, n, tests) with n <= 12 and up to four tests in one to four dimensions."""
+    """(w, u, lo, hi, tests) with -8 <= lo <= 8, at most 12 values of k in [lo, hi], and up to
+    four tests in one to four dimensions."""
     for _ in range(count):
         dim = rng.randint(1, 4)
         w, u = ([rng.randint(-6, 6) for _ in range(dim)] for _ in range(2))
@@ -210,22 +211,26 @@ def _random_runs(rng, count):
             (tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-12, 12))
             for _ in range(rng.randint(0, 4))
         ]
-        yield w, u, rng.randint(0, 12), tests
+        lo = rng.randint(-8, 8)
+        yield w, u, lo, lo + rng.randint(-1, 11), tests
 
 
 def test_run_interval_matches_the_per_point_scan():
-    """Empty runs (n = 0) on which no test has a gap come first, then random runs."""
-    empty = [((0,), (1,), 0, tests) for tests in ([], [((1,), -5)], [((0,), 0)], [((1,), 3), ((-1,), -9)])]
-    steps, shapes = set(), set()
-    for w, u, n, tests in itertools.chain(empty, _random_runs(random.Random(97), 3000)):
+    """Empty intervals (hi = lo - 1) on which no test has a gap come first, then random
+    intervals, starting below, at and above k = 0."""
+    empty = [((0,), (1,), 0, -1, tests) for tests in ([], [((1,), -5)], [((0,), 0)], [((1,), 3), ((-1,), -9)])]
+    steps, starts, shapes = set(), set(), set()
+    for w, u, lo, hi, tests in itertools.chain(empty, _random_runs(random.Random(97), 3000)):
         steps.update((s > 0) - (s < 0) for s in (dot(u, f) for f, _ in tests))
-        lo, hi = run_interval(w, n, [(f, m, dot(u, f)) for f, m in tests])
-        passing = _scan(w, u, n, tests)
-        assert list(range(lo, hi + 1)) == passing, (w, u, n, tests)
+        starts.add((lo > 0) - (lo < 0))
+        first, last = run_interval(w, lo, hi, [(f, m, dot(u, f)) for f, m in tests])
+        passing = _scan(w, u, lo, hi, tests)
+        assert list(range(first, last + 1)) == passing, (w, u, lo, hi, tests)
         if not passing:
-            assert lo > hi, (w, u, n, tests)
-        shapes.add("empty" if not passing else "full" if len(passing) == n else "part")
+            assert first > last, (w, u, lo, hi, tests)
+        shapes.add("empty" if not passing else "full" if len(passing) == hi - lo + 1 else "part")
     assert steps == {1, 0, -1}
+    assert starts == {1, 0, -1}
     assert shapes == {"empty", "full", "part"}
 
 
@@ -237,9 +242,9 @@ def test_run_interval_is_where_the_run_meets_the_region(name, ring):
             tests = lattice_thresholds(newton_polyhedron(a), shift)
             steps = [(f, m, dot(u, f)) for f, m in tests]
             for w in semigroup_points(ring, 2):
-                passing = _scan(w, u, 12, tests)
+                passing = _scan(w, u, 0, 11, tests)
                 for n in range(13):
-                    lo, hi = run_interval(w, n, steps)
+                    lo, hi = run_interval(w, 0, n - 1, steps)
                     assert list(range(lo, hi + 1)) == [j for j in passing if j < n], (w, n)
 
 
@@ -415,17 +420,17 @@ def listed_candidates(ring, bounds, floors, tests):
     return candidates
 
 
-def _spy(monkeypatch, names, calls):
-    """Rebind each named function of rings to a wrapper that records (name, args) in calls and
-    then makes the call."""
+def _spy(monkeypatch, names, calls, module=rings):
+    """Rebind each named function of module, rings by default, to a wrapper that records
+    (name, args) in calls and then makes the call."""
     for name in names:
-        original = getattr(rings, name)
+        original = getattr(module, name)
 
         def call(*args, name=name, original=original):
             calls.append((name, args))
             return original(*args)
 
-        monkeypatch.setattr(rings, name, call)
+        monkeypatch.setattr(module, name, call)
 
 
 def _floors_above_the_cut_point(ring, points):
@@ -439,27 +444,28 @@ def _floors_above_the_cut_point(ring, points):
 @pytest.mark.parametrize("name, ring", WALKED, ids=[name for name, _ in WALKED])
 def test_every_cone_walks_its_regions_from_the_floors_with_no_cut_box(name, ring, monkeypatch):
     """With the memos emptied, closures, and multiplier ideals and refutations where u0 exists,
-    on three or more sigma rays read their runs off rings._hermite_walk and call neither
+    on three or more sigma rays read their runs off rings.cut_runs and call neither
     rings.lattice_points_in_box nor rings._cut_point. On a simplicial sigma whose Hermite form is
     not the identity, one ideal's floors lie above the point they round down to, where a box
     from that point would start, and its closure is walked from those floors."""
     rng = random.Random(name + "-no-cut-box")
     bound = next(b for b in itertools.count(3) if len(semigroup_points(ring, b)) > 8)
     points = [w for w in semigroup_points(ring, bound) if any(w)]
-    ideals = [monomial_ideal(ring, rng.sample(points, 4)) for _ in range(3)]
+    picked = [monomial_ideal(ring, rng.sample(points, 4)) for _ in range(3)]
     above = _floors_above_the_cut_point(ring, points) if _simplicial(ring) else None
     if above:
-        ideals.append(above)
+        picked.append(above)
     else:
         assert not _simplicial(ring) or all(row[i] == 1 for i, row in enumerate(ring.sigma_lattice[1]))
-    a, b = ideals[-1], ideals[0]
+    a, b = picked[-1], picked[0]
     targets = [vadd(g, p) for g in product(a, b).gens[:2] for p in semigroup_points(ring, 2)[:3]]
     walks, calls = [], []
-    _spy(monkeypatch, ["_hermite_walk"], walks)
+    for module in (ideals, subadditivity):
+        _spy(monkeypatch, ["cut_runs"], walks, module)
     _spy(monkeypatch, ["lattice_points_in_box", "_cut_point"], calls)
     for layer in (integral_closure, multiplier_ideal):
         layer.cache_clear()
-    for x in ideals:
+    for x in picked:
         integral_closure(x)
         if ring.q_gorenstein is not None:
             multiplier_ideal(x)

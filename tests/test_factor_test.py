@@ -211,14 +211,14 @@ def test_a_split_with_wrong_witnesses_falls_back_to_the_factor_test(monkeypatch,
     edge_regions = subadditivity._edge_regions
 
     def wrong_regions(a, b):
-        interior, regions = edge_regions(a, b)
+        regions = edge_regions(a, b)
         if wrong == "far":
             far = tuple(map(sum, zip(*a.ring.dual_rays)))
             regions = [(f0, f1, side, tuple(x + 1000 * y for x, y in zip(g, far))) for f0, f1, side, g in regions]
         else:
             regions = [(f0, f1, Side.FROM_B, b.gens[0]) if side is Side.FROM_A else (f0, f1, Side.FROM_A, a.gens[0])
                        for f0, f1, side, _ in regions]
-        return interior, tuple(regions)
+        return tuple(regions)
 
     monkeypatch.setattr(subadditivity, "_edge_regions", wrong_regions)
     for name, a, b in _plane_pairs():

@@ -1,6 +1,6 @@
 """The Hermite walk as one lazy odometer against the recursive walk it replaced.
 
-rings._hermite_walk walks the prefix k_0..k_{d-2} of the Hermite coordinates
+rings.cut_runs walks the prefix k_0..k_{d-2} of the Hermite coordinates
 as one odometer over the walk plan the ring holds (ToricRing.walk_plan),
 where it used one nested generator per level and rebuilt its steps per
 call. oracles.recursive_hermite_walk is that recursive walk; the two must
@@ -19,7 +19,7 @@ import pytest
 import oracles
 from instances import POOL, random_2d_ring, random_3d_ring, random_non_simplicial_rings
 from toricmult.errors import NotFullDimensional
-from toricmult.rings import _hermite_walk, cut_runs, ring_from_dual_rays
+from toricmult.rings import cut_runs, ring_from_dual_rays
 
 
 def _random_4d_rings(seed, count):
@@ -82,7 +82,7 @@ def test_the_rings_cover_every_dimension_and_both_kinds_of_cone():
 @pytest.mark.parametrize("name, ring", RINGS, ids=IDS)
 def test_the_walk_yields_the_runs_of_the_recursive_walk_in_order(name, ring):
     for bounds, floors in _cases(name, ring):
-        walked = list(_hermite_walk(ring, bounds, floors))
+        walked = list(cut_runs(ring, bounds, floors, ()))
         assert walked == list(oracles.recursive_hermite_walk(ring, bounds, floors)), (bounds, floors)
         assert all(t == ring.pairings(w) and n > 0 for w, t, n in walked)
 
@@ -92,7 +92,7 @@ def test_the_cases_reach_empty_one_run_and_many_run_walks():
     kinds = set()
     for name, ring in RINGS:
         for bounds, floors in _cases(name, ring):
-            runs = len(list(_hermite_walk(ring, bounds, floors)))
+            runs = len(list(cut_runs(ring, bounds, floors, ())))
             below = any(b < f for b, f in zip(bounds, floors))
             kinds.add("below" if below else min(runs, 2))
     assert kinds == {"below", 0, 1, 2}
@@ -101,9 +101,10 @@ def test_the_cases_reach_empty_one_run_and_many_run_walks():
 @pytest.mark.parametrize("name, ring", RINGS, ids=IDS)
 def test_a_bound_list_of_the_wrong_length_is_refused_like_the_recursive_walk(name, ring):
     bounds = (3,) * (len(ring.sigma_rays) + 1)
-    for walk in (_hermite_walk, oracles.recursive_hermite_walk):
+    floors = (0,) * len(bounds)
+    for walk in (cut_runs(ring, bounds, floors, ()), oracles.recursive_hermite_walk(ring, bounds, floors)):
         with pytest.raises(ValueError, match="one bound per sigma ray is required"):
-            next(walk(ring, bounds, (0,) * len(bounds)))
+            next(walk)
 
 
 # Boxes of about 10^5 prefixes: 317^2 on the orthant's k_0, k_1, 47^3 on the
@@ -130,7 +131,7 @@ def _first_run_peak(walk):
 @pytest.mark.parametrize("name, ring, bounds", BIG, ids=[name for name, _, _ in BIG])
 def test_the_first_run_of_a_large_box_costs_one_prefix(name, ring, bounds):
     """Taking the first run of a box of about 10^5 prefixes stays under 1 MB of traced
-    memory, through the walk and through cut_runs; the walk plan is built first."""
+    memory, through cut_runs with no tests; the walk plan is built first."""
     basis, hnf, _ = ring.sigma_lattice
     prefixes = 1
     for j, i in enumerate(basis[:-1]):
@@ -140,7 +141,6 @@ def test_the_first_run_of_a_large_box_costs_one_prefix(name, ring, bounds):
     floors = (0,) * len(bounds)
     expected = next(oracles.recursive_hermite_walk(ring, bounds, floors))
     assert expected == ((0,) * ring.dim, floors, 1)
-    for walk in (_hermite_walk(ring, bounds, floors), cut_runs(ring, bounds, floors, ())):
-        first, peak = _first_run_peak(walk)
-        assert first == expected
-        assert peak < 2**20, peak
+    first, peak = _first_run_peak(cut_runs(ring, bounds, floors, ()))
+    assert first == expected
+    assert peak < 2**20, peak

@@ -13,7 +13,7 @@ block cones of dimension 4 to 6 (the walk, the region bound, minimalize), not
 the formula. Scope: two seeded ideal pairs per ordered pair of pool rings,
 each checked for both identities. Mutations caught, each checked in a copy of
 the library: the region bound of ideals.region_minimal_generators one lower,
-and the clip of the last basis ray in rings._hermite_walk one lower.
+and the clip of the last basis ray in rings.cut_runs one lower.
 
 A violation lifts: the paper's pair ⊠ the unit ideal on the paper's ring × 𝔸²
 fails subadditivity with the paper's witnesses, padded with zeros.

@@ -31,7 +31,7 @@ from instances import (
 from toricmult.geometry import lattice_thresholds
 from toricmult.ideals import monomial_ideal, newton_polyhedron, region_minimal_generators
 from toricmult.linalg import dot, vadd, vscale
-from toricmult.rings import _hermite_walk, cut_runs, lattice_points_in_box, ring_from_dual_rays, semigroup_points
+from toricmult.rings import cut_runs, lattice_points_in_box, ring_from_dual_rays, semigroup_points
 
 
 def _rings():
@@ -127,7 +127,7 @@ def test_the_walk_matches_the_walk_it_replaced(name, ring):
     """The same runs (w, t, n), in the same order, as the walk that kept the basis
     pairings apart and permuted the others in (oracles.hermite_walk)."""
     for bounds, floors in _walk_cases(name, ring):
-        assert list(_hermite_walk(ring, bounds, floors)) == list(oracles.hermite_walk(ring, bounds, floors))
+        assert list(cut_runs(ring, bounds, floors, ())) == list(oracles.hermite_walk(ring, bounds, floors))
 
 
 def test_the_walk_cases_reach_every_kind_of_clip():
@@ -137,7 +137,7 @@ def test_the_walk_cases_reach_every_kind_of_clip():
         basis = ring.sigma_lattice[0]
         steps.update(s > 0 for i, s in enumerate(ring.run_step[1]) if i not in basis)
         for bounds, floors in _walk_cases(name, ring):
-            kinds.add(min(len(list(_hermite_walk(ring, bounds, floors))), 2))
+            kinds.add(min(len(list(cut_runs(ring, bounds, floors, ()))), 2))
     assert steps == {False, True}
     assert kinds == {0, 1, 2}
 
