@@ -1,11 +1,11 @@
 """Monomial ideals of toric rings: generators, products, Newton polyhedra and closures.
 
-An ideal is its minimal generators, kept by one dominance pass (_antichain)
-over sorted points (minimalize) or as the region walk offers them.
-newton_polyhedron and integral_closure are computed once per translation class
-(per_translation_class). A closure's generators come from the region walk
-that multiplier ideals share (region_minimal_generators, rings.plane_staircase
-on two sigma rays), only where needed: a point is in closure(a) iff in N(a).
+An ideal is its minimal generators, kept by one dominance pass
+(rings.antichain) over sorted points (minimalize). newton_polyhedron and
+integral_closure are computed once per translation class
+(per_translation_class). A closure's generators are read off its region of
+N(a) as a multiplier ideal's are (region_minimal_generators), only where
+needed: a point is in closure(a) iff in N(a).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import RingMismatch, ZeroIdeal
 from .geometry import LatticePoint, NewtonPolyhedron, RatPoint, cached_property, hull_plus_cone, lattice_thresholds
 from .linalg import dot, vadd
-from .rings import CACHE_SIZE, ToricRing, cut_runs, exponent_pairings, plane_staircase, region_tests
+from .rings import CACHE_SIZE, ToricRing, antichain, exponent_pairings, region_generators, region_tests
 
 
 class _Ideal(NamedTuple):
@@ -99,31 +99,8 @@ def monomial_ideal(ring: ToricRing, gens: Iterable[Sequence[int]]) -> MonomialId
 
 
 def minimalize(ring: ToricRing, points: Iterable[tuple[LatticePoint, tuple[int, ...]]]) -> tuple[LatticePoint, ...]:
-    """Minimal points of (w, sigma pairings) pairs, lex-sorted: _antichain over them sorted by pairings."""
-    return _antichain(sorted(points, key=itemgetter(1)), len(ring.sigma_rays) == 2)
-
-
-def _antichain(points: Iterable[tuple[LatticePoint, tuple[int, ...]]], staircase: bool) -> tuple[LatticePoint, ...]:
-    """Minimal points, lex-sorted, of (w, sigma pairings) pairs that come with every divisor
-    before its multiples, in one pass: a divisor's pairings are componentwise <= its multiple's,
-    so a point is minimal exactly when no point kept before it divides it. With staircase the
-    points come on two sigma rays in lexicographic order of pairings, and the test is a
-    staircase: t is minimal when t[1] is below the least second pairing kept, the last one's.
-    Pairings are injective, so equal pairings are equal points; a point equal to the one before
-    it is skipped untested: the first met was kept, or a kept point divides both."""
-    gens, gen_ts, last = [], [], None
-    for w, t in points:
-        if t == last:
-            continue
-        last = t
-        if staircase:
-            minimal = not gen_ts or t[1] < gen_ts[-1][1]
-        else:
-            minimal = not any(all(map(le, g, t)) for g in gen_ts)
-        if minimal:
-            gens.append(w)
-            gen_ts.append(t)
-    return tuple(sorted(gens))
+    """Minimal points of (w, sigma pairings) pairs, lex-sorted: rings.antichain over them sorted by pairings."""
+    return antichain(sorted(points, key=itemgetter(1)), len(ring.sigma_rays) == 2)
 
 
 def _same_ring(a: MonomialIdeal, b: MonomialIdeal) -> ToricRing:
@@ -181,28 +158,17 @@ def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
 # ---------------------------------------------------------------------------
 
 def region_minimal_generators(a: MonomialIdeal, shift: RatPoint | None) -> tuple[LatticePoint, ...]:
-    """Minimal generators of an upward-closed lattice region of N = N(a).
+    """Minimal generators of an upward-closed lattice region of N = N(a), read by
+    rings.region_generators from the floors and tests of its thresholds (rings.region_tests).
 
     With shift=None the region is {w in the semigroup : w in N}; with a
     shift s it is {w : w + s interior to N}, s = u0 for a multiplier ideal.
-    Its thresholds (geometry.lattice_thresholds) give the walk's floors and
-    tests (rings.region_tests). rings.plane_staircase walks two sigma rays;
-    otherwise rings.cut_runs walks the runs from the floors, each narrowed
-    by the tests to its members, and the step u lies in the semigroup
-    (ToricRing.run_step), so a run's first member divides the rest and is
-    its one candidate. A divisor's basis pairings are lexicographically at
-    most its multiple's, so it is walked first (rings.cut_runs), and
-    _antichain keeps candidates as they come.
-
-    Candidates pair with each sigma ray n to at most its floor plus the
-    vertex pairings' spread and the sum of <r, n> over the dual rays r, less
-    1 with a shift: the largest vertex pairing plus that sum, less ⌈<s, n>⌉.
-    Beyond, w + s = p + Σ c_r r with p in the vertex hull has some c_r > 1,
-    so w - r divides w in the region, as w - r + s lies on the segment from
-    w + s to w + s - c_r r, a point of N. The walk of cut_runs stops at a
-    candidate pairing to the floor with every sigma ray n_1, ...: it divides
-    every later candidate, as the pairing with sigma ray 0 never decreases
-    along the walk (rings.cut_runs).
+    Minimal generators pair with each sigma ray n to at most its floor plus
+    the vertex pairings' spread and the sum of <r, n> over the dual rays r,
+    less 1 with a shift: the largest vertex pairing plus that sum, less
+    ⌈<s, n>⌉. Beyond, w + s = p + Σ c_r r with p in the vertex hull has some
+    c_r > 1, so w - r divides w in the region, as w - r + s lies on the
+    segment from w + s to w + s - c_r r, a point of N.
     """
     ring, poly = a.ring, newton_polyhedron(a)
     floors, tests = region_tests(ring, lattice_thresholds(poly, shift))
@@ -211,13 +177,4 @@ def region_minimal_generators(a: MonomialIdeal, shift: RatPoint | None) -> tuple
         # the bound less the floor: the vertex pairings' spread and the reach, less 1 with a shift
         pairings = [dot(v, n) for v in poly.vertices]
         bounds.append(floor + max(pairings) - min(pairings) + reach - (shift is not None))
-    if len(ring.sigma_rays) == 2:
-        return plane_staircase(ring, bounds, floors, tests)
-
-    def candidates():
-        for w, t, _ in cut_runs(ring, bounds, floors, tests):
-            yield w, t
-            if t[1:] == floors[1:]:
-                return
-
-    return _antichain(candidates(), staircase=False)
+    return region_generators(ring, bounds, floors, tests)

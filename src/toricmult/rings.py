@@ -8,9 +8,9 @@ else in the package. A ring derives its canonical point
 C on first use. Lattice points are walked as Hermite runs (cut_runs) from a
 region's floors on every cone, each run narrowed by its facet tests
 (region_tests, run_interval): lattice_points_in_box and box_point_count list
-and count a box with no tests, plane_staircase reads a region's minimal points
-on two sigma rays from the rows of a cut box (_cut_point), and run_points
-expands runs.
+and count a box with no tests, region_generators reads a region's minimal
+points, on two sigma rays from the rows of a cut box (_cut_point), with one
+dominance pass (antichain) otherwise, and run_points expands runs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from operator import add, lt, mul
+from operator import add, le, lt, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotInSemigroup, NotQGorenstein, TooLarge
@@ -303,7 +303,7 @@ def region_tests(ring: ToricRing, thresholds: Sequence) -> tuple[tuple[int, ...]
 
 def _cut_point(ring: ToricRing, floors: Sequence[int]) -> tuple[LatticePoint, tuple[int, ...], tuple]:
     """(p, tp, below) on a ring with two sigma rays: p = U k for k the floors rounded down on the
-    Hermite basis, where plane_staircase's cut box starts, tp its sigma pairings (H k), and the
+    Hermite basis, where region_generators' cut box starts, tp its sigma pairings (H k), and the
     floor test (n_i, floors[i], <u, n_i>) of each floor that tp falls short of."""
     _, hnf, uni = ring.sigma_lattice
     k: list[int] = []
@@ -314,16 +314,29 @@ def _cut_point(ring: ToricRing, floors: Sequence[int]) -> tuple[LatticePoint, tu
     return p, tp, below
 
 
-def plane_staircase(ring: ToricRing, bounds: Sequence[int], floors: tuple[int, ...], tests: Sequence) -> tuple[LatticePoint, ...]:
-    """The minimal points, lex-sorted, of the region that cut_runs walks on a ring with two sigma
-    rays, read in one pass over the rows of its cut box, with no candidate list, sort or scan.
-    On two rays g divides w exactly when t(g) <= t(w) entrywise. The rows come in increasing t0
-    (cut_runs), and a row's first passing member (run_interval) divides the rest of its row,
-    as the run step lies in the semigroup. So that member is minimal exactly when its t1 is below
-    the last kept t1, the least of the earlier rows: the minimal points are a staircase. So each
-    row is cut at the staircase, its run ending one below the last kept t1, and a row starting at
-    or above it is skipped with no interval test. One with t1 = floors[1] divides every later
-    row, and the walk stops there. A bound below its floor gives no point."""
+def region_generators(ring: ToricRing, bounds: Sequence[int], floors: Sequence[int], tests: Sequence) -> tuple[LatticePoint, ...]:
+    """The minimal points, lex-sorted, of the upward-closed region that cut_runs walks, in one
+    pass with no candidate list or sort of candidates. The run step lies in the semigroup, so a
+    run's first member divides the rest of its run and is its one candidate. The pairing with
+    sigma ray 0 never decreases along the walk, so a candidate on the floor of every later sigma
+    ray divides every later one, and the walk stops there. A bound below its floor gives no point.
+
+    On three or more sigma rays a divisor's basis pairings are lexicographically at most its
+    multiple's, so it is walked first (cut_runs), and antichain keeps candidates as they come.
+    On two the minimal points are a staircase: g divides w exactly when t(g) <= t(w) entrywise,
+    the rows of the cut box (_cut_point, read through lattice_points_in_box) come in increasing
+    t0, and a row's first member is minimal exactly when its t1 is below the last kept t1. So
+    each row is cut at the staircase, its run ending one below the last kept t1, and a row
+    starting at or above it is skipped with no interval test."""
+    if len(ring.sigma_rays) != 2:
+
+        def candidates():
+            for w, t, _ in cut_runs(ring, bounds, floors, tests):
+                yield w, t
+                if t[1:] == floors[1:]:
+                    return
+
+        return antichain(candidates(), staircase=False)
     if any(map(lt, bounds, floors)):
         return ()
     (p0, p1), tp, below = _cut_point(ring, floors)
@@ -338,6 +351,29 @@ def plane_staircase(ring: ToricRing, bounds: Sequence[int], floors: tuple[int, .
             top = t1 + lo * s - 1
             if top + tp[1] < floors[1]:
                 break
+    return tuple(sorted(gens))
+
+
+def antichain(points: Iterable[tuple[LatticePoint, tuple[int, ...]]], staircase: bool) -> tuple[LatticePoint, ...]:
+    """Minimal points, lex-sorted, of (w, sigma pairings) pairs that come with every divisor
+    before its multiples, in one pass: a divisor's pairings are componentwise <= its multiple's,
+    so a point is minimal exactly when no point kept before it divides it. With staircase the
+    points come on two sigma rays in lexicographic order of pairings, and the test is a
+    staircase: t is minimal when t[1] is below the least second pairing kept, the last one's.
+    Pairings are injective, so equal pairings are equal points; a point equal to the one before
+    it is skipped untested: the first met was kept, or a kept point divides both."""
+    gens, gen_ts, last = [], [], None
+    for w, t in points:
+        if t == last:
+            continue
+        last = t
+        if staircase:
+            minimal = not gen_ts or t[1] < gen_ts[-1][1]
+        else:
+            minimal = not any(all(map(le, g, t)) for g in gen_ts)
+        if minimal:
+            gens.append(w)
+            gen_ts.append(t)
     return tuple(sorted(gens))
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 import enum
 import itertools
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 from operator import le, sub
 from typing import Iterator, NamedTuple, Sequence
 
@@ -191,8 +192,10 @@ def check_subadditivity(a: MonomialIdeal, b: MonomialIdeal) -> SubadditivityVerd
     On two sigma rays the paper's 2D proof decides first: w lies in the first edge
     region of N(ab) whose floors its pairings t clear (_edge_regions), and the region's
     witness g, a generator of one factor and so a member of its J, leaves w − g in J of
-    the other when some generator h of that J has t(h) <= t − t(g) entrywise. A w that
-    this split does not place goes to the factor test, so no verdict rests on the theorem.
+    the other when some generator h of that J has t(h) <= t − t(g) entrywise. Sorted once
+    by t0, those t(h) are a staircase with falling t1, so one bisection finds the last with
+    t0(h) <= t0 − t0(g), the least t1 among them. A w that this split does not place goes
+    to the factor test, so no verdict rests on the theorem.
     Memoized on the pair, which a search meets once per gap point of a skeleton.
     """
     ab = product(a, b)
@@ -203,14 +206,14 @@ def check_subadditivity(a: MonomialIdeal, b: MonomialIdeal) -> SubadditivityVerd
         return SubadditivityVerdict(True, (), (), j_ab, j_a, j_b)
     splits = ()
     if len(a.ring.sigma_rays) == 2:
-        other_pairings = {Side.FROM_A: j_b.pairings, Side.FROM_B: j_a.pairings}
-        splits = [(f0, f1, *a.ring.pairings(g), other_pairings[side]) for f0, f1, side, g in _edge_regions(a, b)]
+        stairs = {Side.FROM_A: sorted(j_b.pairings), Side.FROM_B: sorted(j_a.pairings)}
+        splits = [(f0, f1, *a.ring.pairings(g), stairs[side]) for f0, f1, side, g in _edge_regions(a, b)]
 
     def in_product(w, t):
-        for f0, f1, g0, g1, others in splits:
+        for f0, f1, g0, g1, stair in splits:
             if t[0] >= f0 and t[1] >= f1:
-                d0, d1 = t[0] - g0, t[1] - g1
-                if any(h0 <= d0 and h1 <= d1 for h0, h1 in others):
+                i = bisect_right(stair, (t[0] - g0, inf))
+                if i and stair[i - 1][1] <= t[1] - g1:
                     return True
                 break
         factors = zip(j_a.gens, j_a.pairings)
@@ -273,10 +276,10 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
     The remainder membership is verified exactly, in integers on the
     numerators r (p − g) + w0 over r (geometry.membership_scaled), and
     returned. A remainder interior to N(other) puts p + u0 = witness + remainder
-    in N(own) + int N(other) ⊆ int N(ab), so the interior test of N(ab)
-    (geometry.lattice_thresholds at u0) is built and run only when that region
-    refuses the split or no region's floors are cleared: NotInMultiplierIdeal
-    if p + u0 is not interior. Only for two-dimensional rings.
+    in N(own) + int N(other) ⊆ int N(ab), so p is tested for J(ab)
+    (multiplier.multiplier_membership) only when that region refuses the split
+    or no region's floors are cleared: NotInMultiplierIdeal if p + u0 is not
+    interior. Only for two-dimensional rings.
     """
     ring = _same_ring(a, b)
     if ring.dim != 2:
@@ -291,8 +294,7 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
             if report.contained:
                 return Decomposition2D(side, witness, tuple(Fraction(c, r) for c in num), idx, report)
             break
-    interior = lattice_thresholds(newton_polyhedron(product(a, b)), ring.canonical_shift())
-    if not all(dot(pt, f) >= m for f, m in interior):
+    if not multiplier_membership(product(a, b), pt).contained:
         raise NotInMultiplierIdeal(f"{pt} + u0 is not interior to the product's Newton polyhedron")
     raise AssertionError("no edge region splits an interior point")
 

@@ -20,7 +20,7 @@ function's, that equal values built apart share one entry, that configs
 differing only in seed or cap share one skeleton space, and that errors are
 raised again rather than remembered. The bound is also checked by scanning
 the package's source for every memo decorator, so a memo missing from
-MEMOIZED cannot escape it. The cut point that starts rings.plane_staircase's
+MEMOIZED cannot escape it. The cut point that starts rings.region_generators'
 cut box is computed per call, with no memo; its rounding of the floors is
 checked here too.
 """

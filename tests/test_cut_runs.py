@@ -27,9 +27,9 @@ candidate pairing to its floor with every sigma ray after the first, which
 is exact because the pairing with sigma ray 0 never decreases along the
 walk; the start, the stop and that order are tested, with the runs a region
 walks and reads pinned on small regions in 3-space, and on small plane
-regions the rows of the cut box that rings.plane_staircase reads. On three
+regions the rows of the cut box that rings.region_generators reads. On three
 or more sigma rays the walk hands its candidates, as they come, to one
-dominance pass (ideals._antichain), with no list or minimalize: it must
+dominance pass (rings.antichain), with no list or minimalize: it must
 keep what oracles.antichain_scan keeps of the same candidates listed, no
 candidate may divide one offered before it, and a closure or multiplier
 ideal on such a ring calls no minimalize.
@@ -39,7 +39,7 @@ each narrowed by its facet tests through rings.run_interval: closures,
 multiplier ideals and refutations on three or more sigma rays, simplicial or
 not, call neither rings.lattice_points_in_box nor rings._cut_point, also
 where the floors lie above the point they round down to on the Hermite
-basis. Only rings.plane_staircase, on two sigma rays, reads the rows of a cut
+basis. Only rings.region_generators, on two sigma rays, reads the rows of a cut
 box, which starts at rings._cut_point.
 """
 
@@ -60,6 +60,7 @@ from toricmult.rings import (
     lattice_points_in_box,
     ring_from_dual_rays,
     cut_runs,
+    region_generators,
     region_tests,
     run_interval,
     semigroup_points,
@@ -304,7 +305,7 @@ def test_the_run_step_lies_on_a_dual_ray_of_every_ring():
 def _plane_rows(monkeypatch, a, shift):
     """(generators, rows the staircase read, rows of its cut box) of one region call on a plane
     ring: rings.lattice_points_in_box wrapped, as the bench tracer wraps it, the box's rows
-    counted in full and the rows it yielded to rings.plane_staircase before the walk stopped."""
+    counted in full and the rows it yielded to rings.region_generators before the walk stopped."""
     read, walked = [], []
     listed = rings.lattice_points_in_box
 
@@ -323,8 +324,10 @@ def _plane_rows(monkeypatch, a, shift):
 
 def _region_runs(monkeypatch, a, shift):
     """(generators, runs the region read, runs of its walk) of one region call on three or more
-    sigma rays: the walk counted without the region's thresholds, the runs read as cut to them."""
+    sigma rays: the walk counted without the region's thresholds, the runs read as cut to them.
+    The box scan of the oracle walks rings.cut_runs too, so it runs before the walk is counted."""
     read, walked = [], []
+    scanned = oracles.region_minimal_generators(a.ring, newton_polyhedron(a), shift)
 
     def counted(ring, bounds, floors, tests):
         walked.append(len(list(cut_runs(ring, bounds, floors, ()))))
@@ -332,9 +335,10 @@ def _region_runs(monkeypatch, a, shift):
             read.append(run)
             yield run
 
-    monkeypatch.setattr("toricmult.ideals.cut_runs", counted)
+    monkeypatch.setattr("toricmult.rings.cut_runs", counted)
     gens = region_minimal_generators(a, shift)
-    assert gens == oracles.region_minimal_generators(a.ring, newton_polyhedron(a), shift)
+    monkeypatch.undo()
+    assert gens == scanned
     assert len(walked) == 1
     return gens, len(read), walked[0]
 
@@ -405,7 +409,7 @@ def test_only_the_first_member_of_a_run_can_be_minimal():
     assert sum(min(STEPPING_DOWN.pairings(p)) >= 0 and all(dot(p, f) >= m for f, m in tests) for p in before) == 0
 
 
-# The rings whose regions the walk of cut_runs hands to ideals._antichain as it goes.
+# The rings whose regions the walk of cut_runs hands to rings.antichain as it goes.
 WALKED = [(name, ring) for name, ring in RINGS if len(ring.sigma_rays) >= 3]
 
 
@@ -444,7 +448,8 @@ def _floors_above_the_cut_point(ring, points):
 @pytest.mark.parametrize("name, ring", WALKED, ids=[name for name, _ in WALKED])
 def test_every_cone_walks_its_regions_from_the_floors_with_no_cut_box(name, ring, monkeypatch):
     """With the memos emptied, closures, and multiplier ideals and refutations where u0 exists,
-    on three or more sigma rays read their runs off rings.cut_runs and call neither
+    on three or more sigma rays read their runs off rings.cut_runs, from the floors that
+    ideals hands rings.region_generators or that refutations hand cut_runs, and call neither
     rings.lattice_points_in_box nor rings._cut_point. On a simplicial sigma whose Hermite form is
     not the identity, one ideal's floors lie above the point they round down to, where a box
     from that point would start, and its closure is walked from those floors."""
@@ -460,8 +465,8 @@ def test_every_cone_walks_its_regions_from_the_floors_with_no_cut_box(name, ring
     a, b = picked[-1], picked[0]
     targets = [vadd(g, p) for g in product(a, b).gens[:2] for p in semigroup_points(ring, 2)[:3]]
     walks, calls = [], []
-    for module in (ideals, subadditivity):
-        _spy(monkeypatch, ["cut_runs"], walks, module)
+    _spy(monkeypatch, ["region_generators"], walks, ideals)
+    _spy(monkeypatch, ["cut_runs"], walks, subadditivity)
     _spy(monkeypatch, ["lattice_points_in_box", "_cut_point"], calls)
     for layer in (integral_closure, multiplier_ideal):
         layer.cache_clear()
@@ -480,7 +485,7 @@ def test_every_cone_walks_its_regions_from_the_floors_with_no_cut_box(name, ring
 
 
 def test_a_plane_closure_reads_its_rows_off_the_cut_box(monkeypatch):
-    """On two sigma rays rings.plane_staircase starts its cut box at rings._cut_point and reads
+    """On two sigma rays rings.region_generators starts its cut box at rings._cut_point and reads
     its rows through rings.lattice_points_in_box, once each per region."""
     ring = dict(RINGS)["index-three-2d"]
     a = monomial_ideal(ring, [(3, 5), (5, 3)])
@@ -496,15 +501,16 @@ def test_the_online_walk_is_the_listed_walk_scanned(name, ring, monkeypatch):
     """On three or more sigma rays region_minimal_generators keeps the minimal candidates as
     the walk offers them, with no list. Closures, and multiplier regions where u0 exists, give
     oracles.antichain_scan over the same candidates listed with the same stop, from the bounds,
-    floors and tests the region handed cut_runs; no candidate divides one offered before it,
-    the divisor-first order the one pass rests on; and some candidates are not minimal."""
+    floors and tests the region handed rings.region_generators; no candidate divides one
+    offered before it, the divisor-first order the one pass rests on; and some candidates are
+    not minimal."""
     walks = []
 
     def recorded(*args):
         walks.append(args)
-        return cut_runs(*args)
+        return region_generators(*args)
 
-    monkeypatch.setattr("toricmult.ideals.cut_runs", recorded)
+    monkeypatch.setattr("toricmult.ideals.region_generators", recorded)
     rng = random.Random(name + "-online")
     bound = next(b for b in itertools.count(3) if len(semigroup_points(ring, b)) > 4) + 2
     dropped = 0

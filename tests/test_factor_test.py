@@ -11,7 +11,8 @@ example. The product is still a verdict's j_product, built on first read.
 A pair with a principal factor holds with no factor test: J(<g>) = <g> and
 J(g + b) = g + J(b) = J(<g>)·J(b). On two sigma rays the paper's edge-region
 split decides first, so plane pairs reach the factor test only where the split
-does not place a generator, which an edge-region table with wrong witnesses forces.
+does not place a generator, which an edge-region table with wrong witnesses forces;
+there the split must place exactly what a linear scan of the other factor's J places.
 """
 
 import itertools
@@ -202,26 +203,70 @@ def test_the_edge_region_split_decides_every_plane_pair(factor_tests):
     assert factor_tests
 
 
-@pytest.mark.parametrize("wrong", ["far", "swapped"])
-def test_a_split_with_wrong_witnesses_falls_back_to_the_factor_test(monkeypatch, factor_tests, wrong):
-    """Each region names a member of a factor that does not split: its witness moved far out
-    along the cone (far), or the other factor's first generator (swapped). The split stays
-    sound, as the witness is still a member of its factor, and the factor test decides what
-    it does not place, so plane verdicts still equal the product scan."""
+def _wrong_regions(monkeypatch, wrong):
+    """Rebind subadditivity._edge_regions so that each region names a member of a factor that
+    need not split: its witness moved far out along the cone (far) or one run step out
+    (stepped), or the other factor's first generator (swapped)."""
     edge_regions = subadditivity._edge_regions
 
     def wrong_regions(a, b):
         regions = edge_regions(a, b)
-        if wrong == "far":
-            far = tuple(map(sum, zip(*a.ring.dual_rays)))
-            regions = [(f0, f1, side, tuple(x + 1000 * y for x, y in zip(g, far))) for f0, f1, side, g in regions]
-        else:
-            regions = [(f0, f1, Side.FROM_B, b.gens[0]) if side is Side.FROM_A else (f0, f1, Side.FROM_A, a.gens[0])
-                       for f0, f1, side, _ in regions]
-        return tuple(regions)
+        if wrong == "swapped":
+            return tuple((f0, f1, Side.FROM_B, b.gens[0]) if side is Side.FROM_A else (f0, f1, Side.FROM_A, a.gens[0])
+                         for f0, f1, side, _ in regions)
+        far = tuple(map(sum, zip(*a.ring.dual_rays))) if wrong == "far" else a.ring.run_step[0]
+        k = 1000 if wrong == "far" else 1
+        return tuple((f0, f1, side, tuple(x + k * y for x, y in zip(g, far))) for f0, f1, side, g in regions)
 
     monkeypatch.setattr(subadditivity, "_edge_regions", wrong_regions)
+
+
+@pytest.mark.parametrize("wrong", ["far", "swapped"])
+def test_a_split_with_wrong_witnesses_falls_back_to_the_factor_test(monkeypatch, factor_tests, wrong):
+    """The split stays sound under witnesses that do not split (_wrong_regions), as each is
+    still a member of its factor, and the factor test decides what it does not place, so plane
+    verdicts still equal the product scan."""
+    _wrong_regions(monkeypatch, wrong)
     for name, a, b in _plane_pairs():
         verdict = check_subadditivity.__wrapped__(a, b)
         assert verdict.witnesses == _scan_witnesses(verdict), name
     assert factor_tests
+
+
+def test_the_split_places_exactly_what_a_scan_of_the_other_j_places(monkeypatch):
+    """Every plane verdict holds by the paper's theorem, so a split that accepts too much
+    changes no verdict; this pins the split itself. Under each table of witnesses that need
+    not split (_wrong_regions), a generator w of J(ab) reaches the factor test, the one
+    caller of subadditivity.vsub in the check, exactly when its first region whose floors t
+    clears is none, or a linear scan of J(other) finds no pairing vector <= t − t(witness)
+    entrywise. Some w are placed, and some reach the test though a pairing vector misses
+    by one in the second pairing alone."""
+    reached, placed, near = [], 0, 0
+
+    def spy(w, g):
+        reached.append(w)
+        return vsub(w, g)
+
+    vsub = subadditivity.vsub
+    for wrong in ("far", "swapped", "stepped"):
+        with monkeypatch.context() as patch:
+            _wrong_regions(patch, wrong)
+            patch.setattr(subadditivity, "vsub", spy)
+            for name, a, b in _plane_pairs():
+                reached.clear()
+                verdict = check_subadditivity.__wrapped__(a, b)
+                if len(a.gens) == 1 or len(b.gens) == 1:
+                    continue
+                regions = subadditivity._edge_regions(a, b)
+                others = {Side.FROM_A: verdict.j_b.pairings, Side.FROM_B: verdict.j_a.pairings}
+                for w, (t0, t1) in zip(verdict.j_ab.gens, verdict.j_ab.pairings):
+                    region = next(((side, g) for f0, f1, side, g in regions if t0 >= f0 and t1 >= f1), None)
+                    gaps = []
+                    if region:
+                        g0, g1 = a.ring.pairings(region[1])
+                        gaps = [(h0 - t0 + g0, h1 - t1 + g1) for h0, h1 in others[region[0]]]
+                    fits = any(d0 <= 0 and d1 <= 0 for d0, d1 in gaps)
+                    assert (w in reached) == (not fits), (wrong, name, w)
+                    placed += fits
+                    near += not fits and any(d0 <= 0 and d1 == 1 for d0, d1 in gaps)
+    assert placed and near

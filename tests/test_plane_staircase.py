@@ -1,7 +1,7 @@
 """The two-ray staircase against the list-and-minimalize reference and the box scan.
 
 On a ring with two sigma rays, ideals.region_minimal_generators hands its
-region to rings.plane_staircase, which keeps each row's first member as it
+region to rings.region_generators, which keeps each row's first member as it
 steps below the staircase and stops on the floor of the second sigma ray.
 Every region here must give the generators of the reference _generic, which
 lists the first members of the runs of rings.cut_runs, up to the first on
@@ -30,7 +30,7 @@ from test_plane_rings import PAIRS, ring_det
 from toricmult import ideals, rings
 from toricmult.ideals import minimalize, monomial_ideal, newton_polyhedron, region_minimal_generators
 from toricmult.linalg import dot
-from toricmult.rings import lattice_points_in_box, plane_staircase, ring_from_dual_rays, semigroup_points
+from toricmult.rings import lattice_points_in_box, region_generators, ring_from_dual_rays, semigroup_points
 
 # Largest box, in lattice points, on which a region is checked against the box scan;
 # the scan of a determinant past 10,000 is made on the two least such rings only.
@@ -72,14 +72,14 @@ def test_the_cases_reach_both_orientations_large_determinants_and_every_size():
 
 @pytest.fixture
 def staircase_calls(monkeypatch):
-    """The (ring, bounds, floors, tests) of every plane_staircase call the region walk makes."""
+    """The (ring, bounds, floors, tests) of every region_generators call the region walk makes."""
     calls = []
 
     def spy(*args):
         calls.append(args)
-        return plane_staircase(*args)
+        return region_generators(*args)
 
-    monkeypatch.setattr(ideals, "plane_staircase", spy)
+    monkeypatch.setattr(ideals, "region_generators", spy)
     return calls
 
 
@@ -106,7 +106,7 @@ def test_the_staircase_is_the_generic_walk_and_the_box_scan(staircase_calls):
             for (_, bounds, floors, tests), gens_ in zip(staircase_calls[-2:], (near, moved)):
                 assert gens_ == _generic(ring, bounds, floors, tests), (pair, gens, shift)
                 short = tuple(rng.randint(f - 2, b) for f, b in zip(floors, bounds))
-                assert plane_staircase(ring, short, floors, tests) == _generic(ring, short, floors, tests)
+                assert region_generators(ring, short, floors, tests) == _generic(ring, short, floors, tests)
                 below.append(any(map(lt, short, floors)))
             poly = newton_polyhedron(a)
             if _scan_size(ring, poly, shift) <= ORACLE_BOX or (pair, gens, far) in large:
@@ -121,14 +121,14 @@ def test_a_bound_below_its_floor_gives_no_generator(staircase_calls):
     ring = ring_from_dual_rays(((2, 1), (1, 2)))
     region_minimal_generators(monomial_ideal(ring, [(4, 2), (2, 4), (3, 3)]), ring.canonical_shift())
     (_, bounds, floors, tests), = staircase_calls
-    assert plane_staircase(ring, bounds, floors, tests)
+    assert region_generators(ring, bounds, floors, tests)
     for i in range(2):
         below = tuple(f - 1 if j == i else b for j, (f, b) in enumerate(zip(floors, bounds)))
-        assert plane_staircase(ring, below, floors, tests) == () == _generic(ring, below, floors, tests)
+        assert region_generators(ring, below, floors, tests) == () == _generic(ring, below, floors, tests)
 
 
 def _rows(ring, bounds, floors, gens):
-    """(reaching, walked) for plane_staircase's cut box: the rows that start below the last kept
+    """(reaching, walked) for region_generators' cut box: the rows that start below the last kept
     t1, which the row cut tests, and every row walked up to the one whose generator lies on the
     floor of the second sigma ray, each of which an uncut row pays a test for. A row is its
     start's t0 and t1 - tp[1], less a multiple of s, the step of a run in t1."""
@@ -166,7 +166,7 @@ def test_only_rows_reaching_below_the_staircase_are_tested(staircase_calls, monk
             (ring, bounds, floors, tests), = staircase_calls
             staircase_calls.clear()
             calls.clear()
-            reaching, rows = _rows(ring, bounds, floors, plane_staircase(ring, bounds, floors, tests))
+            reaching, rows = _rows(ring, bounds, floors, region_generators(ring, bounds, floors, tests))
             assert len(calls) == reaching <= rows, (ring.dual_rays, ideal.gens, shift)
             tested.append(reaching)
             walked.append(rows)

@@ -6,8 +6,9 @@ facet's threshold with or without the shift u0 (<u0, n> = 1), and the
 region's floor on n: no region point pairs below it. This is checked on
 every ring below and on one without a canonical point.
 region_minimal_generators reads its floors and tests off those thresholds
-(rings.region_tests) and passes them to rings.cut_runs, which starts every
-run on or above the floors, on every cone, and cuts every run to the tests.
+(rings.region_tests) and hands them to rings.region_generators, whose walk
+(rings.cut_runs) starts every run on or above the floors, on every cone, and
+cuts every run to the tests.
 oracles.region_minimal_generators tests every point of the box from the
 origin instead; the two must give the same generators. The walk carries
 every sigma pairing of its runs; oracles.hermite_walk, the walk that kept
@@ -190,7 +191,7 @@ def _read_runs(monkeypatch):
             read.append(run)
             yield run
 
-    monkeypatch.setattr("toricmult.ideals.cut_runs", recorded)
+    monkeypatch.setattr("toricmult.rings.cut_runs", recorded)
     return read
 
 
