@@ -9,7 +9,7 @@ C on first use. Lattice points are walked as Hermite runs (cut_runs) from a
 region's floors on every cone, each run narrowed by its facet tests
 (region_tests, run_interval): lattice_points_in_box and box_point_count list
 and count a box with no tests, region_generators reads a region's minimal
-points, on two sigma rays from the rows of a cut box (_cut_point), with one
+points, on two sigma rays row by row from the walk's first point, with one
 dominance pass (antichain) otherwise, and run_points expands runs.
 """
 
@@ -117,7 +117,7 @@ class ToricRing(_Ring):
 
     @cached_property
     def run_step(self) -> tuple[LatticePoint, tuple[int, ...]]:
-        """(u, ut): the step u of every run of lattice_points_in_box and its sigma pairings ut,
+        """(u, ut): the step u of every run of cut_runs and its sigma pairings ut,
         0 on the basis facet, h > 0 on the last basis ray: u is k r0, k > 0, in the semigroup."""
         u = tuple(row[-1] for row in self.sigma_lattice[2])
         return u, self.pairings(u)
@@ -301,19 +301,6 @@ def region_tests(ring: ToricRing, thresholds: Sequence) -> tuple[tuple[int, ...]
     return tuple(floors), tuple(tests)
 
 
-def _cut_point(ring: ToricRing, floors: Sequence[int]) -> tuple[LatticePoint, tuple[int, ...], tuple]:
-    """(p, tp, below) on a ring with two sigma rays: p = U k for k the floors rounded down on the
-    Hermite basis, where region_generators' cut box starts, tp its sigma pairings (H k), and the
-    floor test (n_i, floors[i], <u, n_i>) of each floor that tp falls short of."""
-    _, hnf, uni = ring.sigma_lattice
-    k: list[int] = []
-    for row, f in zip(hnf, floors):
-        k.append((f - dot(row, k)) // row[len(k)])
-    p, tp = tuple(dot(row, k) for row in uni), tuple(dot(row, k) for row in hnf)
-    below = tuple((n, f, s) for n, f, a, s in zip(ring.sigma_rays, floors, tp, ring.run_step[1]) if a < f)
-    return p, tp, below
-
-
 def region_generators(ring: ToricRing, bounds: Sequence[int], floors: Sequence[int], tests: Sequence) -> tuple[LatticePoint, ...]:
     """The minimal points, lex-sorted, of the upward-closed region that cut_runs walks, in one
     pass with no candidate list or sort of candidates. The run step lies in the semigroup, so a
@@ -324,10 +311,12 @@ def region_generators(ring: ToricRing, bounds: Sequence[int], floors: Sequence[i
     On three or more sigma rays a divisor's basis pairings are lexicographically at most its
     multiple's, so it is walked first (cut_runs), and antichain keeps candidates as they come.
     On two the minimal points are a staircase: g divides w exactly when t(g) <= t(w) entrywise,
-    the rows of the cut box (_cut_point, read through lattice_points_in_box) come in increasing
-    t0, and a row's first member is minimal exactly when its t1 is below the last kept t1. So
-    each row is cut at the staircase, its run ending one below the last kept t1, and a row
-    starting at or above it is skipped with no interval test."""
+    the rows of the cut box (read through lattice_points_in_box) come in increasing t0, and a
+    row's first member is minimal exactly when its t1 is below the last kept t1. The box starts
+    at the walk's first point, as no earlier row meets the region, or one run step below it, with
+    the floor of sigma ray 1 as one more test, when that point lies above that floor. Each row is
+    cut at the staircase, its run ending one below the last kept t1, and a row starting at or
+    above it is skipped untested."""
     if len(ring.sigma_rays) != 2:
 
         def candidates():
@@ -337,11 +326,15 @@ def region_generators(ring: ToricRing, bounds: Sequence[int], floors: Sequence[i
                     return
 
         return antichain(candidates(), staircase=False)
-    if any(map(lt, bounds, floors)):
+    first = next(cut_runs(ring, bounds, floors, ()), None)
+    if first is None:
         return ()
-    (p0, p1), tp, below = _cut_point(ring, floors)
+    (p0, p1), tp, _ = first
     (u0, u1), (_, s) = ring.run_step
-    tests, top, gens = (*tests, *below), bounds[1] - tp[1], []  # top: the cut rows' last t1 - tp[1]
+    if tp[1] > floors[1]:  # so that every row reaches down to the floor
+        p0, p1, tp = p0 - u0, p1 - u1, (tp[0], tp[1] - s)
+        tests = (*tests, (ring.sigma_rays[1], floors[1], s))
+    top, gens = bounds[1] - tp[1], []  # top: the cut rows' last t1 - tp[1]
     for (w0, w1), (_, t1) in lattice_points_in_box(ring, (bounds[0] - tp[0], min(top, s - 1))):
         if t1 > top:
             continue

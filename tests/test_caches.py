@@ -20,14 +20,15 @@ function's, that equal values built apart share one entry, that configs
 differing only in seed or cap share one skeleton space, and that errors are
 raised again rather than remembered. The bound is also checked by scanning
 the package's source for every memo decorator, so a memo missing from
-MEMOIZED cannot escape it. The cut point that starts rings.region_generators'
-cut box is computed per call, with no memo; its rounding of the floors is
-checked here too.
+MEMOIZED cannot escape it. The point where rings.region_generators' cut box
+starts on a plane ring, the walk's first point or one run step below it, is
+found per call, with no memo; it and its floor test are checked here too.
 """
 
 import ast
 from functools import cache
 from fractions import Fraction
+from operator import le
 from pathlib import Path
 
 import random
@@ -38,6 +39,8 @@ import pytest
 
 import oracles
 from instances import NOT_Q_GORENSTEIN_DUAL_RAYS, POOL, STEPPING_DOWN, pool_rings, random_ideal
+from test_cut_runs import RINGS, _spy
+from test_plane_staircase import CASES, _generic
 
 import toricmult.ideals
 import toricmult.multiplier
@@ -51,7 +54,7 @@ from toricmult.errors import (
     RecipeInvalid,
     ZeroIdeal,
 )
-from toricmult.geometry import PolyCone, cached_property
+from toricmult.geometry import PolyCone, cached_property, lattice_thresholds
 from toricmult.ideals import MonomialIdeal, ideal_sum, integral_closure, monomial_ideal, newton_polyhedron, product
 from toricmult.linalg import dot, hermite_normal_form
 from toricmult.multiplier import multiplier_ideal
@@ -59,9 +62,11 @@ from toricmult.problemio import load_search_config
 from toricmult.rings import (
     CACHE_SIZE,
     ToricRing,
-    _cut_point,
     _ring_from_rays,
     box_point_count,
+    lattice_points_in_box,
+    region_generators,
+    region_tests,
     ring_from_dual_rays,
     semigroup_points,
 )
@@ -318,23 +323,57 @@ def test_walk_steps_are_computed_once_per_ring():
         assert ring.walk_plan is ring.walk_plan
 
 
-SIMPLICIAL_RINGS = [(name, ring) for name, ring in pool_rings() if len(ring.sigma_rays) == ring.dim]
+# (name, ring, points): the plane rings of test_cut_runs with their small semigroup points, and
+# the rings of the staircase cases with their generators; run steps s = 1 and s > 1 among them.
+PLANE_RINGS = [
+    (name, ring, [w for w in semigroup_points(ring, 8) if any(w)]) for name, ring in RINGS if len(ring.sigma_rays) == 2
+] + [(f"staircase-{pair}", ring_from_dual_rays(pair), gens) for pair, gens, _ in CASES]
 
 
-def _floors(name, ring):
-    rng = random.Random(f"{name}-floors")
-    return [tuple(rng.randint(0, 9) for _ in ring.sigma_rays) for _ in range(12)] + [(0,) * ring.dim]
+def test_the_plane_rings_step_by_one_and_by_more():
+    steps = [ring.run_step[1][1] for _, ring, _ in PLANE_RINGS]
+    assert 1 in steps and max(steps) > 10_000
 
 
-@pytest.mark.parametrize("name, ring", SIMPLICIAL_RINGS, ids=[name for name, _ in SIMPLICIAL_RINGS])
-def test_cut_points_round_the_floors_down_on_the_hermite_basis(name, ring):
-    """The cut point of random floors, and of the origin, pairs to tp; it rounds the floors
-    down on the Hermite basis, and its floor tests name exactly the floors it falls short of."""
-    for floors in _floors(name, ring):
-        p, tp, below = _cut_point(ring, floors)
-        assert tp == ring.pairings(p)
-        assert all(0 <= f - a < row[i] for i, (row, f, a) in enumerate(zip(ring.sigma_lattice[1], floors, tp)))
-        assert below == tuple((n, f, s) for n, f, a, s in zip(ring.sigma_rays, floors, tp, ring.run_step[1]) if a < f)
+@pytest.mark.parametrize("name, ring, points", PLANE_RINGS, ids=[name for name, _, _ in PLANE_RINGS])
+def test_the_cut_box_starts_at_the_walks_first_point(name, ring, points, monkeypatch):
+    """region_generators' cut box starts at the first point of the walk from the floors, with no
+    memo: the lattice point of least t0, then least t1, at or above the floors and within the
+    bounds. When that point lies above the floor of sigma ray 1, the box starts one run step below
+    it, and the floor test (n_1, floors[1], s) joins the region's tests in every row's interval
+    (rings.run_interval); otherwise the rows get the region's tests alone. Regions are closures
+    and multiplier regions of small ideals, their floors raised at random, so that they need be no
+    lattice point's pairings, and their bounds cut at random, some below their floors; each gives
+    the list-and-minimalize reference and the scan of its box from the origin."""
+    calls = []
+    _spy(monkeypatch, ["run_interval"], calls)
+    rng = random.Random(name + "-cut-box")
+    s = ring.run_step[1][1]
+    above = []
+    for a in [monomial_ideal(ring, rng.sample(points, rng.randint(1, min(4, len(points))))) for _ in range(2)]:
+        for shift in (None, ring.canonical_shift()):
+            floors, tests = region_tests(ring, lattice_thresholds(newton_polyhedron(a), shift))
+            for _ in range(4):
+                raised = tuple(f + rng.randint(0, min(s, 6)) for f in floors)
+                bounds = (raised[0] + rng.randint(-1, 8), raised[1] + rng.randint(-1, 2 * s + 4))
+                calls.clear()
+                gens = region_generators(ring, bounds, raised, tests)
+                tested = [args[3] for _, args in calls]
+                box = [(w, t) for w, t in lattice_points_in_box(ring, bounds) if all(map(le, raised, t))]
+                region = [(w, t) for w, t in box if all(dot(w, f) >= m for f, m, _ in tests)]
+                assert gens == _generic(ring, bounds, raised, tests) == oracles.antichain_scan(region), (a, shift, bounds)
+                if not box:
+                    assert tested == [] and gens == ()
+                    continue
+                first = min(t for _, t in box)
+                above.append(first[1] > raised[1])
+                floor_test = ((ring.sigma_rays[1], raised[1], s),) if above[-1] else ()
+                assert tested and all(t == (*tests, *floor_test) for t in tested), (a, shift, bounds)
+            for i in range(2):
+                short = tuple(f - (i == j) for j, f in enumerate(raised))
+                calls.clear()
+                assert region_generators(ring, short, raised, tests) == () and calls == []
+    assert above and any(above) == (s > 1)
 
 
 def test_the_dual_ray_reach_is_computed_once_per_ring():

@@ -37,10 +37,10 @@ ideal on such a ring calls no minimalize.
 Every cone's runs come from the one walk from the floors (rings.cut_runs),
 each narrowed by its facet tests through rings.run_interval: closures,
 multiplier ideals and refutations on three or more sigma rays, simplicial or
-not, call neither rings.lattice_points_in_box nor rings._cut_point, also
-where the floors lie above the point they round down to on the Hermite
-basis. Only rings.region_generators, on two sigma rays, reads the rows of a cut
-box, which starts at rings._cut_point.
+not, call no rings.lattice_points_in_box, also where the floors are no
+lattice point's pairings. Only rings.region_generators, on two sigma rays,
+reads the rows of a cut box, which starts at the first point of the walk
+from the floors.
 """
 
 import itertools
@@ -437,27 +437,31 @@ def _spy(monkeypatch, names, calls, module=rings):
         monkeypatch.setattr(module, name, call)
 
 
-def _floors_above_the_cut_point(ring, points):
-    """An ideal of two of the points whose floors, its least pairings, lie above the point that
-    rings._cut_point rounds them down to: they are no lattice point's pairings. None if there is none."""
+def _floors_off_the_lattice(ring, points):
+    """An ideal of two of the points on a simplicial sigma whose floors, its least pairings, are no
+    lattice point's pairings: H k = floors, H the Hermite form of ToricRing.sigma_lattice, solved
+    row by row, has no integer k. None if there is none."""
+    hnf = ring.sigma_lattice[1]
     for g, h in itertools.combinations(points, 2):
-        if rings._cut_point(ring, tuple(map(min, ring.pairings(g), ring.pairings(h))))[2]:
-            return monomial_ideal(ring, [g, h])
+        k = []
+        for row, f in zip(hnf, map(min, ring.pairings(g), ring.pairings(h))):
+            k.append((f - dot(row, k)) // row[len(k)])
+            if dot(row, k) != f:
+                return monomial_ideal(ring, [g, h])
 
 
 @pytest.mark.parametrize("name, ring", WALKED, ids=[name for name, _ in WALKED])
 def test_every_cone_walks_its_regions_from_the_floors_with_no_cut_box(name, ring, monkeypatch):
     """With the memos emptied, closures, and multiplier ideals and refutations where u0 exists,
     on three or more sigma rays read their runs off rings.cut_runs, from the floors that
-    ideals hands rings.region_generators or that refutations hand cut_runs, and call neither
-    rings.lattice_points_in_box nor rings._cut_point. On a simplicial sigma whose Hermite form is
-    not the identity, one ideal's floors lie above the point they round down to, where a box
-    from that point would start, and its closure is walked from those floors."""
+    ideals hands rings.region_generators or that refutations hand cut_runs, and call no
+    rings.lattice_points_in_box. On a simplicial sigma whose Hermite form is not the identity,
+    one ideal's floors are no lattice point's pairings, and its closure is walked from them."""
     rng = random.Random(name + "-no-cut-box")
     bound = next(b for b in itertools.count(3) if len(semigroup_points(ring, b)) > 8)
     points = [w for w in semigroup_points(ring, bound) if any(w)]
     picked = [monomial_ideal(ring, rng.sample(points, 4)) for _ in range(3)]
-    above = _floors_above_the_cut_point(ring, points) if _simplicial(ring) else None
+    above = _floors_off_the_lattice(ring, points) if _simplicial(ring) else None
     if above:
         picked.append(above)
     else:
@@ -467,7 +471,7 @@ def test_every_cone_walks_its_regions_from_the_floors_with_no_cut_box(name, ring
     walks, calls = [], []
     _spy(monkeypatch, ["region_generators"], walks, ideals)
     _spy(monkeypatch, ["cut_runs"], walks, subadditivity)
-    _spy(monkeypatch, ["lattice_points_in_box", "_cut_point"], calls)
+    _spy(monkeypatch, ["lattice_points_in_box"], calls)
     for layer in (integral_closure, multiplier_ideal):
         layer.cache_clear()
     for x in picked:
@@ -485,15 +489,18 @@ def test_every_cone_walks_its_regions_from_the_floors_with_no_cut_box(name, ring
 
 
 def test_a_plane_closure_reads_its_rows_off_the_cut_box(monkeypatch):
-    """On two sigma rays rings.region_generators starts its cut box at rings._cut_point and reads
-    its rows through rings.lattice_points_in_box, once each per region."""
+    """On two sigma rays rings.region_generators starts its cut box at the first point of one
+    rings.cut_runs walk from the region's floors, with no tests, and reads its rows through one
+    rings.lattice_points_in_box call per region, which walks cut_runs itself, from zero floors."""
     ring = dict(RINGS)["index-three-2d"]
     a = monomial_ideal(ring, [(3, 5), (5, 3)])
     calls = []
-    _spy(monkeypatch, ["lattice_points_in_box", "_cut_point"], calls)
+    _spy(monkeypatch, ["lattice_points_in_box", "cut_runs"], calls)
     integral_closure.cache_clear()
     assert integral_closure(a).gens
-    assert [name for name, _ in calls] == ["_cut_point", "lattice_points_in_box"]
+    assert [name for name, _ in calls] == ["cut_runs", "lattice_points_in_box", "cut_runs"]
+    (_, (_, _, floors, tests)), _, (_, (_, _, zeros, _)) = calls
+    assert floors == tuple(map(min, *a.pairings)) and tests == () and zeros == (0, 0)
 
 
 @pytest.mark.parametrize("name, ring", WALKED, ids=[name for name, _ in WALKED])

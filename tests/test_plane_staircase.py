@@ -127,12 +127,24 @@ def test_a_bound_below_its_floor_gives_no_generator(staircase_calls):
         assert region_generators(ring, below, floors, tests) == () == _generic(ring, below, floors, tests)
 
 
+def _anchor(ring, bounds, floors):
+    """The pairings tp where region_generators' cut box starts, from the Hermite form H of the
+    lattice pairings H k (ToricRing.sigma_lattice): the walk's first point, of least t0 and then
+    least t1 at or above the floors and within the bounds, one run step s lower in t1 when it lies
+    above the floor of the second sigma ray."""
+    (h0, _), (h10, s) = ring.sigma_lattice[1]
+    for t0 in range(-(-floors[0] // h0) * h0, bounds[0] + 1, h0):
+        t1 = floors[1] + (h10 * t0 // h0 - floors[1]) % s
+        if t1 <= bounds[1]:
+            return t0, t1 - s if t1 > floors[1] else t1
+
+
 def _rows(ring, bounds, floors, gens):
     """(reaching, walked) for region_generators' cut box: the rows that start below the last kept
     t1, which the row cut tests, and every row walked up to the one whose generator lies on the
     floor of the second sigma ray, each of which an uncut row pays a test for. A row is its
     start's t0 and t1 - tp[1], less a multiple of s, the step of a run in t1."""
-    _, tp, _ = rings._cut_point(ring, floors)
+    tp = _anchor(ring, bounds, floors)
     s = ring.run_step[1][1]
     steps = {(t0 - tp[0], (t1 - tp[1]) % s): t1 for t0, t1 in map(ring.pairings, gens)}
     last, reaching, walked = bounds[1] + 1, 0, 0

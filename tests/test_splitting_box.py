@@ -118,8 +118,8 @@ def test_an_empty_splitting_box_walks_nothing(monkeypatch, name, ring):
 
 def test_cut_runs_returns_at_once_below_a_floor():
     """A bound just under its floor yields no run, also on the pool rings whose
-    Hermite diagonal entries exceed 1, where the cut point of the simplicial
-    walk pairs up to a diagonal entry below the floors."""
+    Hermite diagonal entries exceed 1, where a floor need be no lattice point's
+    pairing and the walk's first point may pair above it."""
     for name, ring in RINGS:
         rays = len(ring.sigma_rays)
         for i, floor in itertools.product(range(rays), range(1, 8)):
