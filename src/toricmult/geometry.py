@@ -3,8 +3,8 @@
 PolyCone.from_rays and hull_plus_cone turn generators into integer facets, by
 the double description (_insert_rows, _extreme_generators) or, in the plane,
 in closed form (PolyCone.from_rays, _plane_polygon). membership tests a point
-against every facet, lattice_thresholds turns the facets into integer
-thresholds for lattice points, and relint_certificate and verify_certificate
+against every facet (rings.region_tests turns the facets into integer
+thresholds for lattice points), and relint_certificate and verify_certificate
 give and check a convex witness of interiority. No floats and no tolerances.
 """
 
@@ -324,20 +324,6 @@ def membership_scaled(
             tight.append(h)
     contained = not violated and (not relative_interior or not tight)
     return MembershipReport(contained, relative_interior, tuple(pairings), tuple(violated), tuple(tight))
-
-
-def lattice_thresholds(p: NewtonPolyhedron, shift: Sequence | None = None) -> tuple[Halfspace, ...]:
-    """One Halfspace (normal, m) per facet of p: a lattice w passes when <w, normal> >= m for all.
-
-    With shift=None these are p.facets themselves, and passing means w in p.
-    With a shift s, m = floor(offset - <normal, s>) + 1 and passing means w + s
-    is interior to p. s is read once as integers num / D (for u0, the ring's
-    (w0, r)), so m = (offset D - <normal, num>) // D + 1 in integers.
-    """
-    if shift is None:
-        return p.facets
-    num, den = _scaled(shift)
-    return tuple(Halfspace(f, (m * den - dot(f, num)) // den + 1) for f, m in p.facets)
 
 
 def relint_certificate(p: NewtonPolyhedron, x: Sequence) -> ConvexCertificate:

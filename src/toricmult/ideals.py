@@ -15,7 +15,7 @@ from operator import add, itemgetter, le, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import RingMismatch, ZeroIdeal
-from .geometry import LatticePoint, NewtonPolyhedron, RatPoint, cached_property, hull_plus_cone, lattice_thresholds
+from .geometry import LatticePoint, NewtonPolyhedron, cached_property, hull_plus_cone
 from .linalg import dot, vadd
 from .rings import CACHE_SIZE, ToricRing, antichain, exponent_pairings, region_generators, region_tests
 
@@ -157,12 +157,12 @@ def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
 # Shared enumeration engine (integral closure and multiplier ideals)
 # ---------------------------------------------------------------------------
 
-def region_minimal_generators(a: MonomialIdeal, shift: RatPoint | None) -> tuple[LatticePoint, ...]:
+def region_minimal_generators(a: MonomialIdeal, shift: tuple[Sequence[int], int] | None) -> tuple[LatticePoint, ...]:
     """Minimal generators of an upward-closed lattice region of N = N(a), read by
     rings.region_generators from the floors and tests of its thresholds (rings.region_tests).
 
-    With shift=None the region is {w in the semigroup : w in N}; with a
-    shift s it is {w : w + s interior to N}, s = u0 for a multiplier ideal.
+    With shift=None the region is {w in the semigroup : w in N}; with a shift
+    (num, D) it is {w : w + s interior to N}, s = num / D, and (w0, r) for J (canonical_pair).
     Minimal generators pair with each sigma ray n to at most its floor plus
     the vertex pairings' spread and the sum of <r, n> over the dual rays r,
     less 1 with a shift: the largest vertex pairing plus that sum, less
@@ -171,7 +171,7 @@ def region_minimal_generators(a: MonomialIdeal, shift: RatPoint | None) -> tuple
     segment from w + s to w + s - c_r r, a point of N.
     """
     ring, poly = a.ring, newton_polyhedron(a)
-    floors, tests = region_tests(ring, lattice_thresholds(poly, shift))
+    floors, tests = region_tests(ring, poly, shift)
     bounds = []
     for n, floor, reach in zip(ring.sigma_rays, floors, ring.dual_ray_pairings):
         # the bound less the floor: the vertex pairings' spread and the reach, less 1 with a shift

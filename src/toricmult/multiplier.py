@@ -1,8 +1,8 @@
 """Multiplier ideals of monomial ideals on Q-Gorenstein toric rings.
 
 J(a) is generated by the monomials x^w with w + u0 interior to N(a), for u0
-the canonical point (ToricRing.canonical_shift); multiplier_ideal lists them,
-and multiplier_membership tests one.
+the canonical point; multiplier_ideal lists them, from u0 in integers
+(ToricRing.canonical_pair), and multiplier_membership tests one.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ def multiplier_ideal(a: MonomialIdeal) -> MonomialIdeal:
     ⟨u0, n⟩ = 1 on every sigma ray n, ⟨w − g + u0, n⟩ > 0 iff ⟨w − g, n⟩ ≥ 0 for a lattice
     point w, so J(⟨g⟩) = ⟨g⟩.
     """
-    u0 = a.ring.canonical_shift()
+    pair = a.ring.canonical_pair()
     if a.is_zero:
         raise ZeroIdeal("the multiplier ideal of the zero ideal is undefined")
     if len(a.gens) == 1:
         return a
-    return MonomialIdeal(a.ring, region_minimal_generators(a, u0))
+    return MonomialIdeal(a.ring, region_minimal_generators(a, pair))
 
 
 def multiplier_membership(a: MonomialIdeal, w: Sequence[int]) -> MembershipReport:

@@ -3,14 +3,15 @@
 A ring is the semigroup algebra of M ∩ C, for C a full-dimensional pointed
 rational cone, the dual of sigma. The primitive generators of sigma are the
 facet normals of C, and pairing against them is the grading used everywhere
-else in the package. A ring derives its canonical point
-(ToricRing.q_gorenstein) and its Hermite data (ToricRing.sigma_lattice) from
-C on first use. Lattice points are walked as Hermite runs (cut_runs) from a
-region's floors on every cone, each run narrowed by its facet tests
-(region_tests, run_interval): lattice_points_in_box and box_point_count list
-and count a box with no tests, region_generators reads a region's minimal
-points, on two sigma rays row by row from the walk's first point, with one
-dominance pass (antichain) otherwise, and run_points expands runs.
+else in the package. A ring derives its canonical point (ToricRing.q_gorenstein,
+in integers by canonical_pair) and its Hermite data (ToricRing.sigma_lattice)
+from C on first use. Lattice points are walked as Hermite runs (cut_runs) from
+a region's floors on every cone, each run narrowed by its facet tests, both
+read off a polyhedron and an integer shift (region_tests, run_interval):
+lattice_points_in_box and box_point_count list and count a box with no tests,
+region_generators reads a region's minimal points, on two sigma rays row by
+row from the walk's first point, with one dominance pass (antichain)
+otherwise, and run_points expands runs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from operator import add, le, lt, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotInSemigroup, NotQGorenstein, TooLarge
-from .geometry import LatticePoint, PolyCone, RatPoint, as_lattice_point, cached_property
+from .geometry import LatticePoint, NewtonPolyhedron, PolyCone, RatPoint, as_lattice_point, cached_property
 from .linalg import dot, hermite_normal_form, independent_rows, kernel_basis, primitivize, vscale, vsub
 
 
@@ -82,16 +83,16 @@ class ToricRing(_Ring):
         q = self.q_gorenstein
         return q[0] if q is not None and q[1] == 1 else None
 
-    def canonical_shift(self) -> RatPoint:
-        """u0 = w0 / r as an exact rational point; NotQGorenstein if there is none, the one
-        place that raises it, so every multiplier-ideal operation refuses the same way."""
-        return self._u0
-
-    @cached_property
-    def _u0(self) -> RatPoint:
+    def canonical_pair(self) -> tuple[LatticePoint, int]:
+        """q_gorenstein's (w0, r), u0 = w0 / r in integers; NotQGorenstein if there is none, the
+        one place that raises it, so every multiplier-ideal operation refuses the same way."""
         if self.q_gorenstein is None:
             raise NotQGorenstein("ring has no canonical point; multiplier ideals are undefined")
-        w0, r = self.q_gorenstein
+        return self.q_gorenstein
+
+    def canonical_shift(self) -> RatPoint:
+        """u0 = w0 / r (canonical_pair) in Fractions, built on each call, for the callers that report it."""
+        w0, r = self.canonical_pair()
         return tuple(Fraction(a, r) for a in w0)
 
     @cached_property
@@ -284,16 +285,21 @@ def _moved(w: Sequence[int], k: int, step: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(add, w, map(mul, step, repeat(k))))
 
 
-def region_tests(ring: ToricRing, thresholds: Sequence) -> tuple[tuple[int, ...], tuple]:
-    """(floors, tests) of the region <w, f> >= m, (f, m) in the integer facet thresholds of a
-    polyhedron P + C (geometry.lattice_thresholds), for cut_runs. Every sigma ray n_i is a facet
-    normal of P + C, as it is of C, with the least pairing of a point of P as its offset; that
-    facet's threshold is floors[i], the floor of the walk on n_i, so the walk starts there on
-    every cone. Every other facet becomes a test (f, m, <u, f>), in facet order, u the run step,
-    which narrows each clipped run of the walk (run_interval)."""
+def region_tests(ring: ToricRing, poly: NewtonPolyhedron, shift: tuple[Sequence[int], int] | None) -> tuple[tuple[int, ...], tuple]:
+    """(floors, tests) for cut_runs of the lattice w in poly = P + C, shift None, or of the w with
+    w + num / D interior to poly, shift (num, D) in integers, D >= 1 (canonical_pair for u0).
+    Facet (f, offset) asks <w, f> >= m: m is the offset, or with a shift the least integer above
+    offset - <f, num> / D, (offset D - <f, num>) // D + 1. Every sigma ray n_i is a facet normal of
+    P + C, as it is of C, with the least pairing of a point of P as its offset; its m is floors[i],
+    the floor of the walk on n_i, so the walk starts there on every cone. Every other facet becomes
+    a test (f, m, <u, f>), in facet order, u the run step, which narrows each clipped run of the
+    walk (run_interval)."""
     sigma, u = ring.sigma_rays, ring.run_step[0]
+    num, den = shift or ((), 1)
     floors, tests = [None] * len(sigma), []
-    for f, m in thresholds:
+    for f, m in poly.facets:
+        if shift is not None:
+            m = (m * den - dot(f, num)) // den + 1
         if f in sigma:
             floors[sigma.index(f)] = m
         else:

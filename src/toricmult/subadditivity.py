@@ -24,7 +24,7 @@ from .errors import (
     NotInMultiplierIdeal,
     RecipeInvalid,
 )
-from .geometry import LatticePoint, MembershipReport, RatPoint, lattice_thresholds, membership_scaled
+from .geometry import LatticePoint, MembershipReport, RatPoint, membership_scaled
 from .ideals import (
     CACHE_SIZE,
     MonomialIdeal,
@@ -284,7 +284,7 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
     ring = _same_ring(a, b)
     if ring.dim != 2:
         raise NotDimension2(f"boundary-walk decomposition needs dimension 2, not {ring.dim}")
-    w0, r = ring.q_gorenstein
+    w0, r = ring.canonical_pair()
     pt, (t0, t1) = exponent_pairings(ring, p)
     for idx, (floor0, floor1, side, witness) in enumerate(_edge_regions(a, b)):
         if t0 >= floor0 and t1 >= floor1:
@@ -305,12 +305,13 @@ def decompose_2d(p: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> Decomp
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _splitting_data(a: MonomialIdeal, b: MonomialIdeal):
-    """(inside_a, outside_b, floors, floor_b): rings.region_tests of N(a)'s interior and of N(b)
-    shifted by u0, with N(b)'s tests (f, m, s) negated to (−f, m, −s), so that a target v adds
-    ⟨v, f⟩ to m. floors are the splitting box's floors, and ⟨v, n⟩ less floor_b its ceilings."""
+    """(inside_a, outside_b, floors, floor_b): rings.region_tests of N(a)'s interior, shift
+    ((0,)*d, 1), and of N(b) shifted by u0, canonical_pair, with N(b)'s tests (f, m, s) negated
+    to (−f, m, −s), so that a target v adds ⟨v, f⟩ to m. floors are the splitting box's floors,
+    and ⟨v, n⟩ less floor_b its ceilings."""
     ring = _same_ring(a, b)
-    floors, inside_a = region_tests(ring, lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim))
-    floor_b, shifted_b = region_tests(ring, lattice_thresholds(newton_polyhedron(b), ring.canonical_shift()))
+    floors, inside_a = region_tests(ring, newton_polyhedron(a), ((0,) * ring.dim, 1))
+    floor_b, shifted_b = region_tests(ring, newton_polyhedron(b), ring.canonical_pair())
     return inside_a, tuple((vscale(-1, f), m, -s) for f, m, s in shifted_b), floors, floor_b
 
 
@@ -321,8 +322,8 @@ def exhaustive_refute(v: Sequence[int], a: MonomialIdeal, b: MonomialIdeal) -> R
     With v = w + u0 on a Gorenstein ring, v splits exactly when w ∈ J(a)·J(b)
     (alpha − u0 ∈ J(a), beta ∈ J(b)). Where u0 is not a lattice point, the scan
     answers the question above, which is not membership in J(a)·J(b).
-    The test on beta is ⟨alpha, −f⟩ ≥ m − ⟨v, f⟩ per integer threshold (f, m) of
-    N(b). Only the Hermite runs of the pair's splitting box (_splitting_data)
+    The test on beta is ⟨alpha, −f⟩ ≥ m − ⟨v, f⟩ per threshold (f, m) of N(b) and
+    (w0, r) (rings.region_tests). Only the Hermite runs of the pair's splitting box (_splitting_data)
     are walked, by rings.cut_runs from the floors, each run narrowed by the facet tests
     to the splittings, listed in walk order on simplicial σ and by alpha otherwise.
     bounds is the box of every candidate, 0 ≤ ⟨alpha, n⟩ ≤ ⟨v, n⟩ + 1, and scanned its

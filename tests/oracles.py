@@ -8,8 +8,9 @@ involved, among them the canonical point u0 solved on a basis of sigma rays
 (`q_gorenstein`, against the library's kernel route). `multiplier_resolution`
 takes a plane multiplier ideal from its definition on a toric log resolution,
 a Hirzebruch-Jung subdivision of N(a)'s normal fan, not from the rule
-"w + u0 interior to N(a)" that every other J here and in the library applies.
-None of it shares code with the library's double-description engine or its
+"w + u0 interior to N(a)" that every other J here and in the library applies;
+`frobenius_test_ideal` takes the test ideal τ_q from its definition by
+Frobenius, on the pairings of sums of generators alone. None of it shares code with the library's double-description engine or its
 lattice walker, so agreement is evidence rather than tautology.
 
 Eleven exceptions keep a replaced library path as the reference for its
@@ -19,13 +20,14 @@ double description and tests it with `Fraction` membership, so it pins the
 cached integer thresholds to the path they stand in for.
 `region_minimal_generators` and `exhaustive_refute` are the per-point scans
 that run intervals replaced: they walk the library's `lattice_points_in_box`
-and test every point on the library's integer thresholds, so they pin the
-run arithmetic to the points it skips. The region scan reduces its points
-with `minimal_points` below, not with the library's antichain pass.
-`shifted_thresholds` is the per-facet `Fraction` formula that the library's
-integer `lattice_thresholds` replaced. `construction_flags` is the eager
-computation of a construction's three closure flags that the library's
-on-read properties replaced. `cold_extreme_rays` and `cold_hull_plus_cone`
+and test every point on `shifted_thresholds`, so they pin the run arithmetic
+to the points it skips. The region scan reduces its points with
+`minimal_points` below, not with the library's antichain pass.
+`shifted_thresholds` is the per-facet `Fraction` formula that the integer
+thresholds of the library's `region_tests` replaced; it shares no threshold
+code with the library. `construction_flags` is the eager computation of a
+construction's three closure flags that the library's on-read properties
+replaced. `cold_extreme_rays` and `cold_hull_plus_cone`
 are the double description that the library's bitset insertion loop and
 its warm start from the recession cone replaced: every Newton polyhedron
 dualized from a greedy basis of its lifted rows, points first, with
@@ -54,7 +56,6 @@ from toricmult.geometry import (
     MembershipReport,
     NewtonPolyhedron,
     hull_plus_cone,
-    lattice_thresholds,
     membership,
 )
 from toricmult.ideals import _same_ring, contains_monomial, integral_closure, newton_polyhedron, product
@@ -261,7 +262,11 @@ def box_points(sigma_rays, bounds):
 
 
 def shifted_thresholds(poly, shift):
-    """(normal, floor(offset - <normal, shift>) + 1) per facet, in Fraction arithmetic."""
+    """(normal, m) per facet: a lattice w passes when <w, normal> >= m for all. With shift None
+    m is the offset, so passing means w in poly; with a rational shift, m = floor(offset -
+    <normal, shift>) + 1 in Fraction arithmetic, so passing means w + shift interior to poly."""
+    if shift is None:
+        return tuple((h.normal, h.offset) for h in poly.facets)
     s = [Fraction(c) for c in shift]
     return tuple((h.normal, math.floor(h.offset - dot(h.normal, s)) + 1) for h in poly.facets)
 
@@ -338,6 +343,34 @@ def minimal_points(points, sigma_rays):
         if not in_ideal(minimal, w, sigma_rays):
             minimal.append(w)
     return tuple(sorted(minimal))
+
+
+def frobenius_test_ideal(gens, sigma_rays, q, points):
+    """The m of points with x^m in τ_q(a), a = <x^g : g in gens>, q = p^e, from the definition
+    of the test ideal by Frobenius: it reads the sigma pairings of sums of q generators alone,
+    with no Newton polyhedron, no canonical point and no library threshold.
+
+    On R = k[S] in characteristic p, the monomial map φ_v: F^e_* x^w -> x^((w + v)/q), zero when
+    (w + v)/q is not a lattice point, maps F^e_* R into R exactly when <v, n_i> >= 1 - q on every
+    sigma ray n_i: a lattice point pairing above -1 with n_i pairs at least 0. So x^m lies in
+    τ_q(a), the sum of the images φ_v(F^e_* a^q), when q m = g + v for some sum g of q generators
+    and such a v, that is when <g, n_i> <= q(<m, n_i> + 1) - 1 on every sigma ray. Only the least
+    pairing vectors of the sums matter; they are built by binary powering, the sums of two
+    powers' least vectors reduced to an antichain (antichain_scan).
+    """
+
+    def least(vectors):
+        return antichain_scan({(t, t) for t in vectors})
+
+    power, sums, e = least(tuple(dot(g, n) for n in sigma_rays) for g in gens), None, q
+    while e:
+        if e & 1:
+            sums = power if sums is None else least(vadd(s, t) for s in sums for t in power)
+        e >>= 1
+        if e:
+            power = least(vadd(s, t) for s in power for t in power)
+    caps = [tuple(q * (dot(m, n) + 1) - 1 for n in sigma_rays) for m in points]
+    return [m for m, cap in zip(points, caps) if any(all(map(int.__le__, t, cap)) for t in sums)]
 
 
 def antichain_scan(points):
@@ -560,19 +593,26 @@ def decompose_2d(p, a, b):
     raise AssertionError("interior point escaped every edge region")
 
 
+def rational_shift(shift):
+    """The point num / D of a library shift (num, D) in Fractions; None stays None."""
+    return None if shift is None else tuple(Fraction(c, shift[1]) for c in shift[0])
+
+
 def region_minimal_generators(ring, poly, shift):
     """Minimal generators of the region, testing every point of the sigma box.
 
-    Same box and thresholds as the library's engine (shift=None: w in poly;
-    shift u0: w + u0 interior to poly), without the run arithmetic.
+    Same box as the library's engine, and the shift in its form (None: w in
+    poly; (num, D): w + num / D interior to poly, (w0, r) for u0), read as
+    Fractions and tested on shifted_thresholds, without the run arithmetic.
     """
+    shift = rational_shift(shift)
     bounds = tuple(
         max(dot(v, n) for v in poly.vertices)
         + sum(dot(r, n) for r in ring.dual_rays)
         - (0 if shift is None else math.ceil(dot(shift, n)))
         for n in ring.sigma_rays
     )
-    tests = lattice_thresholds(poly, shift)
+    tests = shifted_thresholds(poly, shift)
     hits = [w for w, _ in lattice_points_in_box(ring, bounds) if all(dot(w, f) >= m for f, m in tests)]
     return minimal_points(hits, ring.sigma_rays)
 
@@ -583,8 +623,8 @@ def exhaustive_refute(v, a, b):
     ring = _same_ring(a, b)
     u0 = ring.canonical_shift()
     target, _ = exponent_pairings(ring, v)
-    inside_a = lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim)
-    inside_b = lattice_thresholds(newton_polyhedron(b), u0)
+    inside_a = shifted_thresholds(newton_polyhedron(a), (0,) * ring.dim)
+    inside_b = shifted_thresholds(newton_polyhedron(b), u0)
     bounds = tuple(t + 1 for t in ring.pairings(target))
     found = []
     scanned = 0

@@ -54,7 +54,7 @@ from toricmult.errors import (
     RecipeInvalid,
     ZeroIdeal,
 )
-from toricmult.geometry import PolyCone, cached_property, lattice_thresholds
+from toricmult.geometry import PolyCone, cached_property
 from toricmult.ideals import MonomialIdeal, ideal_sum, integral_closure, monomial_ideal, newton_polyhedron, product
 from toricmult.linalg import dot, hermite_normal_form
 from toricmult.multiplier import multiplier_ideal
@@ -351,8 +351,8 @@ def test_the_cut_box_starts_at_the_walks_first_point(name, ring, points, monkeyp
     s = ring.run_step[1][1]
     above = []
     for a in [monomial_ideal(ring, rng.sample(points, rng.randint(1, min(4, len(points))))) for _ in range(2)]:
-        for shift in (None, ring.canonical_shift()):
-            floors, tests = region_tests(ring, lattice_thresholds(newton_polyhedron(a), shift))
+        for shift in (None, ring.canonical_pair()):
+            floors, tests = region_tests(ring, newton_polyhedron(a), shift)
             for _ in range(4):
                 raised = tuple(f + rng.randint(0, min(s, 6)) for f in floors)
                 bounds = (raised[0] + rng.randint(-1, 8), raised[1] + rng.randint(-1, 2 * s + 4))
@@ -394,9 +394,11 @@ def test_cached_sigma_lattices_equal_fresh_ones():
 
 @pytest.mark.parametrize("name, dual, u0", [(name, dual, u0) for name, dual, _, u0 in POOL])
 def test_the_canonical_point_is_built_once_per_ring(name, dual, u0):
+    """u0 is stored once, as q_gorenstein's integers (w0, r), which canonical_pair hands back
+    as they are; canonical_shift builds the Fractions w0 / r from them on each call."""
     ring = ring_from_dual_rays(dual)
+    assert ring.canonical_pair() is ring.canonical_pair() is ring.q_gorenstein
     assert ring.canonical_shift() == tuple(Fraction(c) for c in u0)
-    assert ring.canonical_shift() is ring.canonical_shift()
 
 
 @pytest.mark.parametrize("name, dual", [(name, dual) for name, dual, _, _ in POOL])
@@ -408,7 +410,7 @@ def test_a_ring_used_only_for_closures_solves_for_no_canonical_point(name, dual)
     newton_polyhedron.cache_clear()
     integral_closure.cache_clear()
     assert integral_closure(a) == integral_closure.__wrapped__(a)
-    assert "q_gorenstein" not in ring.__dict__ and "_u0" not in ring.__dict__
+    assert "q_gorenstein" not in ring.__dict__
     ring.canonical_shift()
     assert "q_gorenstein" in ring.__dict__
 
@@ -439,14 +441,30 @@ def test_a_cached_property_computes_once_per_instance_into_its_dict():
 
 
 def test_a_cached_property_stores_no_exception():
-    """u0 on a ring with no canonical point raises NotQGorenstein on every read, and nothing is
-    stored for it; q_gorenstein, which it reads, is stored as None."""
+    """A cached property that raises raises on every read, and nothing is stored for it. On a
+    ring with no canonical point canonical_pair raises NotQGorenstein on every call, and
+    q_gorenstein, which it reads, is stored as None."""
+    calls = []
+
+    class _Box(NamedTuple):
+        x: int
+
+    class Box(_Box):
+        @cached_property
+        def refused(self):
+            calls.append(self)
+            raise ValueError(self.x)
+
+    box = Box(1)
+    for i in range(3):
+        with pytest.raises(ValueError):
+            box.refused
+        assert vars(box) == {} and len(calls) == i + 1
     ring = ToricRing(PolyCone.from_rays(NOT_Q_GORENSTEIN_DUAL_RAYS))
     for _ in range(3):
         with pytest.raises(NotQGorenstein):
-            ring._u0
-        assert "_u0" not in vars(ring)
-    assert vars(ring)["q_gorenstein"] is None
+            ring.canonical_pair()
+        assert vars(ring)["q_gorenstein"] is None
 
 
 @pytest.mark.parametrize("name, dual", [(name, dual) for name, dual, _, _ in POOL])

@@ -52,7 +52,6 @@ import pytest
 import oracles
 from instances import POOL, STEPPING_DOWN, random_2d_ring, random_3d_ring, random_ideal, random_non_simplicial_rings
 from toricmult import ideals, rings, subadditivity
-from toricmult.geometry import lattice_thresholds
 from toricmult.ideals import integral_closure, monomial_ideal, newton_polyhedron, product, region_minimal_generators
 from toricmult.linalg import dot, primitivize, vadd, vscale, vsub
 from toricmult.multiplier import multiplier_ideal
@@ -169,14 +168,15 @@ def test_region_tests_read_the_floors_off_the_sigma_ray_facets(name, ring, regio
     rng = random.Random(f"{name}-{region}-region-tests")
     u, ut = ring.run_step
     sigma = ring.sigma_rays
-    shift = ring.canonical_shift() if region == "u0" else (0,) * ring.dim if region == "interior" else None
+    shift = ring.canonical_pair() if region == "u0" else ((0,) * ring.dim, 1) if region == "interior" else None
     slack = 4 if ring.dim == 2 else 2
     reach = _interior_pairings(ring) if region == "interior" else (0,) * len(sigma)
     nonempty = 0
     for ideal in _ideals(name, ring, 2):
         least, most = (tuple(map(extreme, zip(*ideal.pairings))) for extreme in (min, max))
-        thresholds = lattice_thresholds(newton_polyhedron(ideal), shift)
-        floors, tests = region_tests(ring, thresholds)
+        poly = newton_polyhedron(ideal)
+        thresholds = oracles.shifted_thresholds(poly, oracles.rational_shift(shift))
+        floors, tests = region_tests(ring, poly, shift)
         assert floors == tuple(m + (region == "interior") for m in least)
         assert tests == tuple((f, m, dot(u, f)) for f, m in thresholds if f not in sigma)
         assert not any(vscale(-1, f) in sigma for f, _ in thresholds)
@@ -240,7 +240,7 @@ def test_run_interval_is_where_the_run_meets_the_region(name, ring):
     u, _ = ring.run_step
     for a in _ideals(name, ring, 2):
         for shift in (None, ring.canonical_shift()) if ring.q_gorenstein else (None,):
-            tests = lattice_thresholds(newton_polyhedron(a), shift)
+            tests = oracles.shifted_thresholds(newton_polyhedron(a), shift)
             steps = [(f, m, dot(u, f)) for f, m in tests]
             for w in semigroup_points(ring, 2):
                 passing = _scan(w, u, 0, 11, tests)
@@ -254,7 +254,7 @@ def test_region_generators_match_the_per_point_scan(name, ring):
     """Closures on every ring; multiplier regions where u0 exists."""
     for a in _ideals(name, ring, 4):
         poly = newton_polyhedron(a)
-        for shift in (None, ring.canonical_shift()) if ring.q_gorenstein else (None,):
+        for shift in (None, ring.canonical_pair()) if ring.q_gorenstein else (None,):
             assert region_minimal_generators(a, shift) == oracles.region_minimal_generators(ring, poly, shift)
 
 
@@ -267,7 +267,7 @@ def test_region_generators_match_the_per_point_scan_on_random_plane_pairs():
         a, b = (random_ideal(rng, ring, max_gens=4, pairing_bound=30) for _ in range(2))
         for ideal in (a, b, product(a, b)):
             poly = newton_polyhedron(ideal)
-            for shift in (None, ring.canonical_shift()):
+            for shift in (None, ring.canonical_pair()):
                 assert region_minimal_generators(ideal, shift) == oracles.region_minimal_generators(ring, poly, shift)
 
 
@@ -350,7 +350,7 @@ def test_the_region_walk_stops_at_a_candidate_on_every_floor(monkeypatch):
     1 of the facet x >= 1; the facet y >= 0 has the lower threshold 0."""
     plane = ring_from_dual_rays(((1, 0), (0, 1)))
     a = monomial_ideal(plane, [(2, 0), (0, 3)])
-    assert _plane_rows(monkeypatch, a, plane.canonical_shift()) == (((0, 1), (1, 0)), 2, 4)
+    assert _plane_rows(monkeypatch, a, plane.canonical_pair()) == (((0, 1), (1, 0)), 2, 4)
     assert _plane_rows(monkeypatch, monomial_ideal(plane, [(1, 0)]), None) == (((1, 0),), 1, 2)
 
 
@@ -364,7 +364,7 @@ def test_the_solid_region_walk_stops_at_a_candidate_on_every_floor(monkeypatch):
     a = monomial_ideal(space, [(2, 0, 0), (0, 3, 0), (0, 0, 2)])
     closure = ((0, 0, 2), (0, 2, 1), (0, 3, 0), (1, 0, 1), (1, 2, 0), (2, 0, 0))
     assert _region_runs(monkeypatch, a, None) == (closure, 11, 20)
-    assert _region_runs(monkeypatch, a, space.canonical_shift()) == (((0, 0, 0),), 1, 12)
+    assert _region_runs(monkeypatch, a, space.canonical_pair()) == (((0, 0, 0),), 1, 12)
 
 
 def test_the_region_walk_starts_at_its_floors(monkeypatch):
@@ -376,7 +376,7 @@ def test_the_region_walk_starts_at_its_floors(monkeypatch):
     plane = ring_from_dual_rays(((1, 0), (0, 1)))
     a = monomial_ideal(plane, [(3, 5), (5, 3)])
     assert _plane_rows(monkeypatch, a, None) == (((3, 5), (4, 4), (5, 3)), 3, 4)
-    assert _plane_rows(monkeypatch, a, plane.canonical_shift()) == (((3, 4), (4, 3)), 2, 3)
+    assert _plane_rows(monkeypatch, a, plane.canonical_pair()) == (((3, 4), (4, 3)), 2, 3)
 
 
 def test_the_solid_region_walk_starts_at_its_floors(monkeypatch):
@@ -389,8 +389,8 @@ def test_the_solid_region_walk_starts_at_its_floors(monkeypatch):
     a = monomial_ideal(space, [(3, 5, 2), (5, 3, 2), (3, 3, 4)])
     closure = ((3, 3, 4), (3, 4, 3), (3, 5, 2), (4, 3, 3), (4, 4, 2), (5, 3, 2))
     assert _region_runs(monkeypatch, a, None) == (closure, 9, 16)
-    assert _region_runs(monkeypatch, a, space.canonical_shift()) == (((3, 3, 2),), 1, 9)
-    floors = region_tests(space, lattice_thresholds(newton_polyhedron(a), None))[0]
+    assert _region_runs(monkeypatch, a, space.canonical_pair()) == (((3, 3, 2),), 1, 9)
+    floors = region_tests(space, newton_polyhedron(a), None)[0]
     assert floors == (2, 3, 3)
     assert sum(1 for _ in cut_runs(space, (5, 6, 6), (0, 0, 0), ())) == 42
 
@@ -403,7 +403,7 @@ def test_only_the_first_member_of_a_run_can_be_minimal():
     poly = newton_polyhedron(a)
     gens = region_minimal_generators(a, None)
     assert gens == oracles.closure_scan(a.gens, STEPPING_DOWN.dual_rays, STEPPING_DOWN.sigma_rays)
-    tests = lattice_thresholds(poly, None)
+    tests = oracles.shifted_thresholds(poly, None)
     before = [vsub(g, STEPPING_DOWN.run_step[0]) for g in gens]
     assert len(gens) == 5
     assert sum(min(STEPPING_DOWN.pairings(p)) >= 0 and all(dot(p, f) >= m for f, m in tests) for p in before) == 0
@@ -522,7 +522,7 @@ def test_the_online_walk_is_the_listed_walk_scanned(name, ring, monkeypatch):
     bound = next(b for b in itertools.count(3) if len(semigroup_points(ring, b)) > 4) + 2
     dropped = 0
     for a in [random_ideal(rng, ring, 4, bound) for _ in range(4)]:
-        for shift in (None, ring.canonical_shift()) if ring.q_gorenstein else (None,):
+        for shift in (None, ring.canonical_pair()) if ring.q_gorenstein else (None,):
             walks.clear()
             gens = region_minimal_generators(a, shift)
             (walk,) = walks

@@ -160,9 +160,9 @@ def test_the_factor_test_finds_a_factor_when_one_factor_is_principal():
     finds for every generator w of J(ab) a generator g of J(a) dividing it with w − g in J(b)."""
     for a, b in PRINCIPAL_PAIRS:
         verdict = check_subadditivity(a, b)
-        u0 = a.ring.canonical_shift()
+        pair = a.ring.canonical_pair()
         for x, j in ((product(a, b), verdict.j_ab), (a, verdict.j_a), (b, verdict.j_b)):
-            assert j.gens == region_minimal_generators(x, u0), (a, b, x)
+            assert j.gens == region_minimal_generators(x, pair), (a, b, x)
         factors = list(zip(verdict.j_a.gens, verdict.j_a.pairings))
         for w, t in zip(verdict.j_ab.gens, verdict.j_ab.pairings):
             assert any(

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from oracles import dot, hull_region, shifted_thresholds, sigma_rays_2d, vadd
-from instances import POOL, pool_rings, random_2d_dual_rays, random_ideal
+from instances import POOL, pool_rings, principal_check_rings, random_2d_dual_rays, random_ideal
 
 from toricmult.builtin_example import CERTIFICATE_COEFFICIENTS, CERTIFICATE_POINTS, TARGET, instance
 from toricmult.errors import (
@@ -22,17 +22,24 @@ from toricmult.geometry import (
     affinely_independent,
     as_rat_point,
     hull_plus_cone,
-    lattice_thresholds,
     membership,
     relint_certificate,
     verify_certificate,
 )
 from toricmult.ideals import monomial_ideal, newton_polyhedron, product
-from toricmult.rings import ring_from_dual_rays
+from toricmult.linalg import _scaled
+from toricmult.rings import region_tests, ring_from_dual_rays
 
 
 def facet_pairs(poly):
     return tuple((h.normal, h.offset) for h in poly.facets)
+
+
+def threshold_pairs(ring, poly, shift):
+    """(normal, m) per facet of poly, read back off rings.region_tests: the floors on the sigma
+    rays and the tests on every other facet normal, sorted by normal as poly.facets are."""
+    floors, tests = region_tests(ring, poly, shift)
+    return tuple(sorted([*zip(ring.sigma_rays, floors), *((f, m) for f, m, _ in tests)]))
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +134,7 @@ class TestNewtonPolyhedron:
                         == fm.contains(w, strict=True)
                     )
 
-    def test_lattice_thresholds_agree_with_membership_on_pool(self):
+    def test_region_thresholds_agree_with_membership_on_pool(self):
         # shift None tests w itself; the origin tests the interior; u0 tests
         # w + u0 against the interior, fractionally on the index-three ring
         rng = random.Random(6150)
@@ -135,9 +142,9 @@ class TestNewtonPolyhedron:
             u0 = ring.canonical_shift()
             for _ in range(4):
                 poly = hull_plus_cone(_sample_gens(rng, ring), ring.cone)
-                closed = lattice_thresholds(poly)
-                inside = lattice_thresholds(poly, (0,) * ring.dim)
-                shifted = lattice_thresholds(poly, u0)
+                closed = threshold_pairs(ring, poly, None)
+                inside = threshold_pairs(ring, poly, ((0,) * ring.dim, 1))
+                shifted = threshold_pairs(ring, poly, ring.canonical_pair())
                 assert all(type(m) is int for _, m in closed + inside + shifted)
                 for w in _sample_box(rng, poly.vertices, ring.dim):
                     assert all(dot(w, f) >= m for f, m in closed) == membership(poly, w).contained
@@ -154,17 +161,43 @@ class TestNewtonPolyhedron:
             u0 = ring.canonical_shift()
             for _ in range(6):
                 poly = newton_polyhedron(random_ideal(rng, ring, 3, 8))
-                assert lattice_thresholds(poly, u0) == shifted_thresholds(poly, u0), name
+                assert threshold_pairs(ring, poly, ring.canonical_pair()) == shifted_thresholds(poly, u0), name
                 for _ in range(8):
                     shift = [
                         rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-40, 40), rng.randint(1, 12))))
                         for _ in range(ring.dim)
                     ]
-                    got = lattice_thresholds(poly, shift)
+                    got = threshold_pairs(ring, poly, _scaled(shift))
                     assert got == shifted_thresholds(poly, shift), (name, shift)
                     assert all(type(m) is int for _, m in got)
                     negative_fractional += any(c < 0 and c.denominator > 1 for c in shift)
         assert negative_fractional > 0
+
+    def test_the_integer_threshold_rule_is_exact(self):
+        """region_tests' (normal, m) pairs equal the Fraction formula on pool and seeded 2D, 3D
+        and non-simplicial rings, for no shift, the zero shift, u0 and seeded rational shifts;
+        a shift (num, D) written as (k num, k D) gives the same floors and tests."""
+        rng = random.Random(6152)
+        seen = set()
+        for ring in principal_check_rings():
+            d = ring.dim
+            for _ in range(3):
+                poly = newton_polyhedron(random_ideal(rng, ring, 3, 8))
+                shifts = [(None, None), (((0,) * d, 1), (0,) * d)]
+                if ring.q_gorenstein:
+                    shifts.append((ring.canonical_pair(), ring.canonical_shift()))
+                for _ in range(4):
+                    den = rng.randint(1, 12)
+                    num = tuple(rng.randint(-30, 30) for _ in range(d))
+                    shifts.append(((num, den), tuple(Fraction(c, den) for c in num)))
+                for pair, rational in shifts:
+                    assert threshold_pairs(ring, poly, pair) == shifted_thresholds(poly, rational), (ring, pair)
+                    if pair is not None:
+                        k = rng.randint(2, 7)
+                        scaled = (tuple(k * c for c in pair[0]), k * pair[1])
+                        assert region_tests(ring, poly, scaled) == region_tests(ring, poly, pair), (ring, pair, k)
+                seen.add((d, len(ring.sigma_rays) > d, ring.q_gorenstein is not None))
+        assert {(2, False, True), (3, False, True), (3, True, True), (3, True, False), (4, True, False)} <= seen
 
     def test_membership_agrees_with_fourier_motzkin_in_2d(self):
         rng = random.Random(7)

@@ -12,6 +12,7 @@ import oracles
 from instances import pool_rings, principal_check_rings, random_2d_ring, random_ideal
 from oracles import box_points, closure_scan, dot, in_ideal, minimal_points, vadd, vsub
 
+from toricmult import rings
 from toricmult.errors import NotInSemigroup, RingMismatch, ZeroIdeal
 from toricmult.geometry import membership
 from toricmult.ideals import (
@@ -112,6 +113,28 @@ class TestConstruction:
         assert len(j.gens) ** 2 == 48841
         assert len({vadd(g, h) for g in j.gens for h in j.gens}) == 841
         assert len(product(j, j).gens) == 841
+
+    def test_a_product_compares_no_repeated_sum(self, monkeypatch):
+        """rings.antichain skips a sum equal to the one before it, untested: J(a)·J(a) on the
+        square cone at exponent 4, whose sums repeat, makes exactly as many divisibility
+        comparisons (calls of rings.le) as minimalize over the distinct sums."""
+        ring = ring_from_dual_rays(((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)))
+        j = multiplier_ideal(monomial_ideal(ring, ((4, 0, 4), (0, 4, 4), (-4, 0, 4), (0, -4, 4))))
+        sums = [(vadd(g, h), ring.pairings(vadd(g, h))) for g in j.gens for h in j.gens]
+        distinct = list(dict.fromkeys(sums))
+        assert len(distinct) < len(sums)
+        calls = []
+
+        def counted(x, y):
+            calls.append(None)
+            return x <= y
+
+        monkeypatch.setattr(rings, "le", counted)
+        expected = minimalize(ring, distinct)
+        once = len(calls)
+        calls.clear()
+        assert product.__wrapped__(j, j).gens == expected
+        assert len(calls) == once > 0
 
     def test_two_dimensional_products_minimalize_as_the_quadratic_scan(self):
         rng = random.Random(3323)

@@ -232,7 +232,7 @@ class TestPrincipalIdeals:
             principals = [monomial_ideal(ring, (g,)) for g in semigroup_points(ring, 3) if any(g)]
             for principal in principals:
                 assert multiplier_ideal(principal) == principal
-                assert region_minimal_generators(principal, u0) == principal.gens
+                assert region_minimal_generators(principal, ring.canonical_pair()) == principal.gens
             for principal in rng.sample(principals, min(5, len(principals))):
                 assert multiplier_scan(principal.gens, ring.dual_rays, ring.sigma_rays, u0) == principal.gens
 
@@ -255,6 +255,7 @@ class TestErrors:
         w = ring.dual_rays[0]
         i = monomial_ideal(ring, (w,))
         refusals = [
+            ring.canonical_pair,
             ring.canonical_shift,
             lambda: multiplier_ideal(i),
             lambda: multiplier_membership(i, w),

@@ -100,7 +100,7 @@ def test_the_staircase_is_the_generic_walk_and_the_box_scan(staircase_calls):
     for pair, gens, far in CASES:
         ring = ring_from_dual_rays(pair)
         a = monomial_ideal(ring, gens)
-        for shift in (None, ring.canonical_shift()):
+        for shift in (None, ring.canonical_pair()):
             near, moved = (region_minimal_generators(ideal, shift) for ideal in (a, a.moved(far)))
             assert moved == tuple(sorted(tuple(map(sum, zip(g, far))) for g in near)), (pair, gens, shift)
             for (_, bounds, floors, tests), gens_ in zip(staircase_calls[-2:], (near, moved)):
@@ -109,7 +109,7 @@ def test_the_staircase_is_the_generic_walk_and_the_box_scan(staircase_calls):
                 assert region_generators(ring, short, floors, tests) == _generic(ring, short, floors, tests)
                 below.append(any(map(lt, short, floors)))
             poly = newton_polyhedron(a)
-            if _scan_size(ring, poly, shift) <= ORACLE_BOX or (pair, gens, far) in large:
+            if _scan_size(ring, poly, oracles.rational_shift(shift)) <= ORACLE_BOX or (pair, gens, far) in large:
                 assert near == oracles.region_minimal_generators(ring, poly, shift), (pair, gens, shift)
                 scanned += 1
                 scanned_large += abs(ring_det(pair)) > 10_000
@@ -119,7 +119,7 @@ def test_the_staircase_is_the_generic_walk_and_the_box_scan(staircase_calls):
 
 def test_a_bound_below_its_floor_gives_no_generator(staircase_calls):
     ring = ring_from_dual_rays(((2, 1), (1, 2)))
-    region_minimal_generators(monomial_ideal(ring, [(4, 2), (2, 4), (3, 3)]), ring.canonical_shift())
+    region_minimal_generators(monomial_ideal(ring, [(4, 2), (2, 4), (3, 3)]), ring.canonical_pair())
     (_, bounds, floors, tests), = staircase_calls
     assert region_generators(ring, bounds, floors, tests)
     for i in range(2):
@@ -173,7 +173,7 @@ def test_only_rows_reaching_below_the_staircase_are_tested(staircase_calls, monk
     cases = [monomial_ideal(ring_from_dual_rays(pair), gens) for pair, gens, _ in CASES if abs(ring_det(pair)) > 10_000]
     tested, walked = [], []
     for ideal in cases + [monomial_ideal(skewed, [(1, 0), (20, 3999)])]:
-        for shift in (None, ideal.ring.canonical_shift()):
+        for shift in (None, ideal.ring.canonical_pair()):
             region_minimal_generators(ideal, shift)
             (ring, bounds, floors, tests), = staircase_calls
             staircase_calls.clear()

@@ -29,10 +29,9 @@ from instances import (
     random_ideal,
     random_non_simplicial_rings,
 )
-from toricmult.geometry import lattice_thresholds
 from toricmult.ideals import monomial_ideal, newton_polyhedron, region_minimal_generators
 from toricmult.linalg import dot, vadd, vscale
-from toricmult.rings import cut_runs, lattice_points_in_box, ring_from_dual_rays, semigroup_points
+from toricmult.rings import cut_runs, lattice_points_in_box, region_tests, ring_from_dual_rays, semigroup_points
 
 
 def _rings():
@@ -78,7 +77,7 @@ def test_runs_from_the_floors_cover_the_box_above_them(name, ring):
     shifts = (None, ring.canonical_shift()) if ring.q_gorenstein else (None,)
     bound = next(b for b in itertools.count(side // 2) if len(semigroup_points(ring, b)) > 4)
     ideals = [random_ideal(rng, ring, 3, bound) for _ in range(2)]
-    cuts = [()] + [lattice_thresholds(newton_polyhedron(a), shift) for a in ideals for shift in shifts]
+    cuts = [()] + [oracles.shifted_thresholds(newton_polyhedron(a), shift) for a in ideals for shift in shifts]
     for _ in range(12):
         bounds = tuple(rng.randint(0, side) for _ in range(rays))
         floors = tuple(rng.randint(0, b + 1) for b in bounds)
@@ -168,9 +167,8 @@ def test_every_sigma_ray_is_a_facet_normal_at_the_least_generator_pairing(name, 
         poly = newton_polyhedron(a)
         offsets = {h.normal: h.offset for h in poly.facets}
         assert [offsets.get(n) for n in ring.sigma_rays] == floors, a.gens
-        for shift in (None, ring.canonical_shift()) if ring.q_gorenstein else (None,):
-            thresholds = dict(lattice_thresholds(poly, shift))
-            assert [thresholds[n] for n in ring.sigma_rays] == floors, (a.gens, shift)
+        for shift in (None, ring.canonical_pair()) if ring.q_gorenstein else (None,):
+            assert list(region_tests(ring, poly, shift)[0]) == floors, (a.gens, shift)
 
 
 @pytest.mark.parametrize("name, ring", RINGS, ids=IDS)
@@ -178,7 +176,7 @@ def test_regions_far_from_the_origin_match_the_per_point_scan(name, ring):
     """Closures on every ring; multiplier regions where u0 exists."""
     for a in _moved_ideals(name, ring, (1, 3) if ring.dim == 2 else (1,)):
         poly = newton_polyhedron(a)
-        for shift in (None, ring.canonical_shift()) if ring.q_gorenstein else (None,):
+        for shift in (None, ring.canonical_pair()) if ring.q_gorenstein else (None,):
             assert region_minimal_generators(a, shift) == oracles.region_minimal_generators(ring, poly, shift)
 
 
@@ -212,7 +210,7 @@ def test_the_walk_from_the_floors_does_not_grow_with_the_distance(monkeypatch):
     for k in (0, 2, 200):
         a = _paper_ideal(k)
         ring, poly = a.ring, newton_polyhedron(a)
-        for shift in (None, ring.canonical_shift()):
+        for shift in (None, ring.canonical_pair()):
             read.clear()
             gens = region_minimal_generators(a, shift)
             runs[k, shift is None] = len(read)
@@ -244,11 +242,12 @@ def test_the_region_bound_drops_by_the_ceiling_of_the_shift_pairing():
     pool ideals match a brute-force scan of a wider box at both shifts, and the
     interior of N(<x^2 y^2>) on the plane orthant is <x^3 y^3>."""
     orthant = ring_from_dual_rays(((1, 0), (0, 1)))
-    assert region_minimal_generators(monomial_ideal(orthant, [(2, 2)]), (0, 0)) == ((3, 3),)
+    assert region_minimal_generators(monomial_ideal(orthant, [(2, 2)]), ((0, 0), 1)) == ((3, 3),)
     rng = random.Random(5531)
     for _, dual, _, _ in POOL:
         ring = ring_from_dual_rays(dual)
         for _ in range(6):
             a = random_ideal(rng, ring, max_gens=3, pairing_bound=4)
-            for shift in ((0,) * ring.dim, ring.canonical_shift()):
-                assert region_minimal_generators(a, shift) == _interior_scan(a, shift), (dual, a.gens, shift)
+            for shift in (((0,) * ring.dim, 1), ring.canonical_pair()):
+                expected = _interior_scan(a, oracles.rational_shift(shift))
+                assert region_minimal_generators(a, shift) == expected, (dual, a.gens, shift)

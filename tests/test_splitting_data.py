@@ -23,7 +23,6 @@ import pytest
 import oracles
 from instances import POOL, random_ideal, random_non_simplicial_rings
 from toricmult.builtin_example import instance
-from toricmult.geometry import lattice_thresholds
 from toricmult.ideals import CACHE_SIZE, monomial_ideal, newton_polyhedron, product
 from toricmult.linalg import dot, vadd, vscale
 from toricmult.rings import ring_from_dual_rays, semigroup_points
@@ -94,8 +93,8 @@ def test_the_data_holds_the_polyhedra_thresholds_whole(name, ring):
         inside_a, outside_b, floors, floor_b = _splitting_data(a, b)
         assert floors == tuple(min(t) + 1 for t in zip(*a.pairings))
         assert floor_b == tuple(map(min, zip(*b.pairings)))
-        whole_a = lattice_thresholds(newton_polyhedron(a), (0,) * ring.dim)
-        shifted_b = lattice_thresholds(newton_polyhedron(b), ring.canonical_shift())
+        whole_a = oracles.shifted_thresholds(newton_polyhedron(a), (0,) * ring.dim)
+        shifted_b = oracles.shifted_thresholds(newton_polyhedron(b), ring.canonical_shift())
         whole_b = tuple((vscale(-1, f), m) for f, m in shifted_b)
         assert [(f, m) for f, m, _ in inside_a] == [(f, m) for f, m in whole_a if f not in sigma]
         assert [(f, m) for f, m, _ in outside_b] == [(f, m) for f, m in whole_b if vscale(-1, f) not in sigma]

@@ -72,7 +72,7 @@ def _translates(name, ring):
 
 
 def _shifts(ring):
-    return (None, ring.canonical_shift()) if ring.q_gorenstein else (None,)
+    return (None, ring.canonical_pair()) if ring.q_gorenstein else (None,)
 
 
 def _fields(x):
@@ -113,7 +113,7 @@ def test_a_translate_has_the_translated_multiplier_ideal(name, ring):
         j = multiplier_ideal(moved)
         assert _fields(j) == _fields(multiplier_ideal(a).moved(c)), (a, c)
         assert j.gens == oracles.multiplier_scan(moved.gens, ring.dual_rays, ring.sigma_rays, u0), (a, c)
-        assert j.gens == region_minimal_generators(moved, u0), (a, c)
+        assert j.gens == region_minimal_generators(moved, ring.canonical_pair()), (a, c)
 
 
 @pytest.mark.parametrize("name, ring", RINGS, ids=IDS)
@@ -156,7 +156,7 @@ def _direct(layer, x):
         return hull_plus_cone(x.gens, x.ring.cone)
     if layer is integral_closure and len(x.gens) <= 1:
         return x
-    shift = None if layer is integral_closure else x.ring.canonical_shift()
+    shift = None if layer is integral_closure else x.ring.canonical_pair()
     return MonomialIdeal(x.ring, region_minimal_generators(x, shift))
 
 
