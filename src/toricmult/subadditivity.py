@@ -14,7 +14,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, inf, isqrt
+from math import gcd, inf
 from operator import le, sub
 from typing import Iterator, NamedTuple, Sequence
 
@@ -403,19 +403,11 @@ def _in_closure(a: MonomialIdeal, w: LatticePoint) -> bool:
 # Deterministic counterexample search
 # ---------------------------------------------------------------------------
 
-def _primitive_rays_2d(bound: int) -> list[LatticePoint]:
-    return sorted(
-        (x, y)
-        for x in range(bound + 1)
-        for y in range(bound + 1)
-        if (x, y) != (0, 0) and gcd(x, y) == 1
-    )
-
-
 def _candidate_rings(dim: int, ray_bound: int) -> list[ToricRing]:
+    """One ray for dim 1, else a ring per pair of primitive (x, y) in [0, ray_bound]², in lex order."""
     if dim == 1:
         return [ring_from_dual_rays([(1,)])]
-    rays = _primitive_rays_2d(ray_bound)
+    rays = [(x, y) for x in range(ray_bound + 1) for y in range(ray_bound + 1) if gcd(x, y) == 1]
     return [ring_from_dual_rays([r1, r2]) for r1, r2 in itertools.combinations(rays, 2)]
 
 
@@ -426,43 +418,40 @@ def _space_bounds(config: SearchConfig) -> tuple[int, int, int, int, int]:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _skeleton_space(dim: int, ray_bound: int, gen_pairing_bound: int, z_pairing_bound: int, z_height_bound: int):
-    """One block (ring, gens, zs, size) per base ring, and the total size.
+    """(starts, blocks, total, z_height_bound): one block (ring, gens, rows, zs) per base ring.
 
-    A block holds size = C(|gens| + 1, 2) · |zs| · z_height_bound skeletons:
-    every pair of generators with repetition, then every adjoined exponent,
-    then every height. Only the point lists are built, never the skeletons.
+    A block holds rows[-1] · |zs| · z_height_bound skeletons: every pair of
+    generators with repetition, then every adjoined exponent, then every
+    height; it begins at its entry of starts. rows[i] is the index of the
+    pair (gens[i], gens[i]), the first of row i in combinations_with_replacement
+    order. Only the point lists are built, never the skeletons.
     Memoized on the bounds (_space_bounds), so capped searches that differ
     in seed or cap share one space.
     """
     blocks = []
     for ring in _candidate_rings(dim, ray_bound):
         gens = tuple(g for g in semigroup_points(ring, gen_pairing_bound) if any(g))
-        zs = tuple(semigroup_points(ring, z_pairing_bound))
-        n = len(gens)
-        blocks.append((ring, gens, zs, n * (n + 1) // 2 * len(zs) * z_height_bound))
-    return tuple(blocks), sum(block[3] for block in blocks)
+        rows = tuple(itertools.accumulate(range(len(gens), 0, -1), initial=0))
+        blocks.append((ring, gens, rows, tuple(semigroup_points(ring, z_pairing_bound))))
+    *starts, total = itertools.accumulate((rows[-1] * len(zs) * z_height_bound for _, _, rows, zs in blocks), initial=0)
+    return tuple(starts), tuple(blocks), total, z_height_bound
 
 
-def _skeleton(blocks, z_height_bound: int, index: int) -> tuple[ToricRing, LatticePoint, LatticePoint, LatticePoint]:
+def _skeleton(space, index: int) -> tuple[ToricRing, LatticePoint, LatticePoint, LatticePoint]:
     """The skeleton at an index of the enumeration, decoded by mixed radix.
 
     The digits are, outermost first: the ring block, the pair (g1, g2) in
     combinations_with_replacement order, the adjoined exponent, its height.
-    Row i of the pairs holds (gens[i], gens[j]), j >= i, so counted from the
-    last pair, the q-th lies in the row k = (isqrt(8q + 1) - 1) // 2 from the
-    end, which holds k + 1 pairs and starts after k(k + 1)/2 of them.
+    The block is the last whose start is at most the index, so a bisection
+    steps over empty blocks that share a start; rows locate the pair the same way.
     """
-    for ring, gens, zs, size in blocks:
-        if index < size:
-            break
-        index -= size
-    index, height = divmod(index, z_height_bound)
+    starts, blocks, _, height = space
+    k = bisect_right(starts, index) - 1
+    ring, gens, rows, zs = blocks[k]
+    index, h = divmod(index - starts[k], height)
     pair, z = divmod(index, len(zs))
-    n = len(gens)
-    q = n * (n + 1) // 2 - 1 - pair
-    k = (isqrt(8 * q + 1) - 1) // 2
-    i = n - 1 - k
-    return ring, gens[i], gens[i + k - (q - k * (k + 1) // 2)], zs[z] + (height + 1,)
+    i = bisect_right(rows, pair) - 1
+    return ring, gens[i], gens[i + pair - rows[i]], zs[z] + (h + 1,)
 
 
 def _skeletons(config: SearchConfig) -> Iterator[tuple[ToricRing, LatticePoint, LatticePoint, LatticePoint]]:
@@ -471,13 +460,13 @@ def _skeletons(config: SearchConfig) -> Iterator[tuple[ToricRing, LatticePoint, 
     Under a cap smaller than the enumeration, the seeded sample is drawn from
     the index range, so the space is counted but never materialized.
     """
-    blocks, total = _skeleton_space(*_space_bounds(config))
-    indices = range(total)
+    space = _skeleton_space(*_space_bounds(config))
+    indices = range(space[2])
     cap = config.max_candidates
-    if cap is not None and total > cap:
+    if cap is not None and len(indices) > cap:
         indices = sorted(random.Random(config.seed).sample(indices, cap))
     for index in indices:
-        yield _skeleton(blocks, config.z_height_bound, index)
+        yield _skeleton(space, index)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

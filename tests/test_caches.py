@@ -526,7 +526,7 @@ def test_cached_search_stages_equal_fresh_ones(name):
     space = _skeleton_space(*bounds)
     assert space == _skeleton_space.__wrapped__(*bounds)
     assert _skeleton_space(*bounds) is space
-    blocks, _ = space
+    _, blocks, _, _ = space
     for ring, gens, _, _ in blocks:
         for i, g1 in enumerate(gens):
             for g2 in gens[i:]:

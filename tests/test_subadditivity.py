@@ -700,20 +700,19 @@ class TestSkeletonStream:
     @pytest.mark.parametrize("config", STREAM_CONFIGS, ids=STREAM_IDS)
     def test_decoder_matches_the_nested_walk_at_every_index(self, config):
         expected = oracle_skeletons(config)
-        blocks, total = _skeleton_space(*_space_bounds(config))
-        assert total == len(expected)
-        assert [_skeleton(blocks, config.z_height_bound, i) for i in range(total)] == expected
+        space = _skeleton_space(*_space_bounds(config))
+        assert space[2] == len(expected)
+        assert [_skeleton(space, i) for i in range(space[2])] == expected
         assert list(_skeletons(config)) == expected
 
     def test_decoder_reaches_both_ends_of_every_block_at_the_paper_bounds(self):
         config = load_search_config(str(PAPER_BOUNDS))
-        blocks, _ = _skeleton_space(*_space_bounds(config))
-        start, height = 0, config.z_height_bound
-        for ring, gens, zs, size in blocks:
-            first, last = _skeleton(blocks, height, start), _skeleton(blocks, height, start + size - 1)
+        space = starts, blocks, total, height = _skeleton_space(*_space_bounds(config))
+        assert height == config.z_height_bound
+        for start, end, (ring, gens, _, zs) in zip(starts, starts[1:] + (total,), blocks):
+            first, last = _skeleton(space, start), _skeleton(space, end - 1)
             assert first == (ring, gens[0], gens[0], zs[0] + (1,))
             assert last == (ring, gens[-1], gens[-1], zs[-1] + (height,))
-            start += size
 
     @pytest.mark.parametrize("config", STREAM_CONFIGS, ids=STREAM_IDS)
     def test_seeded_samples_pick_the_same_skeletons_in_order(self, config):
@@ -727,14 +726,26 @@ class TestSkeletonStream:
 
     def test_empty_dimensions_of_the_space_give_no_skeletons(self):
         for config in (SearchConfig(z_height_bound=0), SearchConfig(ray_bound=0), SearchConfig(gen_pairing_bound=0)):
-            assert _skeleton_space(*_space_bounds(config))[1] == 0
+            assert _skeleton_space(*_space_bounds(config))[2] == 0
             assert list(_skeletons(config)) == []
+
+    def test_decoder_steps_over_empty_blocks_that_share_a_start(self):
+        # 7 of the 36 base rings have no nonzero generator of pairing at most 1,
+        # so their empty blocks share a start with the block after them.
+        config = SearchConfig(dim=2, ray_bound=3, gen_pairing_bound=1, z_pairing_bound=0, z_height_bound=1)
+        expected = oracle_skeletons(config)
+        space = starts, blocks, total, _ = _skeleton_space(*_space_bounds(config))
+        assert (len(blocks), len(set(starts)), total, len(expected)) == (36, 29, 104, 104)
+        assert [_skeleton(space, i) for i in range(total)] == expected
+        for seed, cap in ((0, 1), (3, 17), (11, 60), (5, 103)):
+            keep = sorted(random.Random(seed).sample(range(total), cap))
+            assert list(_skeletons(config._replace(max_candidates=cap, seed=seed))) == [expected[i] for i in keep]
 
     def test_paper_bounds_are_counted_not_materialized(self):
         config = load_search_config(str(PAPER_BOUNDS))
         assert (config.ray_bound, config.gen_pairing_bound, config.z_pairing_bound, config.z_height_bound) == (2, 17, 14, 2)
         assert config.max_candidates == 3
-        assert _skeleton_space(*_space_bounds(config))[1] == 171_588_132
+        assert _skeleton_space(*_space_bounds(config))[2] == 171_588_132
         assert len(list(_skeletons(config))) == 3
 
     def test_paper_bounds_search_runs_in_bounded_memory(self):
